@@ -44,15 +44,13 @@ cargo test -p neurfill-tensor --test gemm_equivalence -q
 cargo test -p neurfill-cmpsim --test kernel_equivalence -q
 cargo test -p neurfill-nn --test determinism -q
 
-echo "== numerics-tier certification suite (exact pinned, fast within tolerance)"
-cargo test -p neurfill-cmpsim --test tier_equivalence -q
+echo "== numerics-tier certification suite (exact pinned, fast GEMM within tolerance)"
 cargo test -p neurfill --test downstream_equivalence -q
-cargo test -p neurfill-chip --test fast_tier -q
 
 echo "== kernel bench (compile-only)"
 cargo bench -p neurfill-bench --bench kernels --no-run
 
-echo "== quantized-backend certification suite (seam, calibration, serve canary)"
+echo "== quantized-backend certification suite (engine, calibration, serve canary)"
 cargo test -p neurfill-tensor -q quant
 cargo test -p neurfill-nn -q quant
 cargo test -p neurfill --test downstream_equivalence -q backend
@@ -85,5 +83,8 @@ cargo test -p neurfill-serve --test recovery -q
 
 echo "== recovery bench (compile-only)"
 cargo bench -p neurfill-bench --bench recovery --no-run
+
+echo "== frozen benchmark gate (nfbench fmt, clippy, unit tests, --smoke of all four workloads)"
+nfbench/check.sh
 
 echo "CI OK"

@@ -33,7 +33,7 @@
 use crate::source::ChipSource;
 use neurfill_layout::{Tile, Tiling};
 use neurfill_runtime::fault::sites;
-use neurfill_runtime::{FaultPlan, WriteFault};
+use neurfill_runtime::{fnv1a, FaultPlan, WriteFault};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::fs;
@@ -47,17 +47,6 @@ pub const META_FILE: &str = "run.meta";
 pub const TILE_EXTENSION: &str = "nftile";
 
 const TILE_MAGIC: &str = "neurfill-tile v1";
-
-/// FNV-1a 64-bit — the same checksum the `neurfill-data` shard format
-/// uses (duplicated here because `neurfill-data` depends on this crate).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The `run.meta` fingerprint for a full-chip pass: geometry plus an
 /// execution-mode tag (`golden`, `pool`, `remote`, ...). Two runs may

@@ -24,69 +24,13 @@
 //! dx-ascending order of the reference loop, so the split changes no
 //! output bit — only the per-pixel bounds checks and the O(r²) `wsum`
 //! recomputation are gone.
-//!
-//! # Numerics tiers
-//!
-//! Under the default [`NumericsTier::Exact`] every application takes the
-//! bit-identical split paths above. A kernel switched to
-//! [`NumericsTier::Fast`] (via [`PadKernel::with_tier`]) routes
-//! sufficiently large radii (≥ [`FFT_MIN_RADIUS`]) through the
-//! real-to-complex radix-2 FFT in [`crate::fft`] — O(n·log n) instead of
-//! O(n·r²) — with transform plans cached per board shape. Only the
-//! correlation numerator goes through the transform; the per-pixel
-//! edge-renormalization denominators are the same clipped-window weight
-//! sums as the spatial path, evaluated once per cached plan from a 2-D
-//! prefix table over the (strictly positive) weights — O(1) per pixel
-//! instead of O(r²), with only summation-order rounding (≤ a few ulps:
-//! every clipped quadrant contains the kernel peak, so the prefix
-//! differences never cancel catastrophically) relative to the reference
-//! accumulation order. The FFT path therefore differs from the spatial
-//! one by FFT + denominator rounding alone
-//! (`|fft − spatial| ≤ 1e-9 · (|spatial| + max|field|)` per pixel, pinned
-//! by the `tier_equivalence` suite).
-
-use neurfill_tensor::NumericsTier;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-
-/// Smallest radius the Fast tier routes through the FFT: below this the
-/// spatial interior path's O(r²) window is cheap enough that transform
-/// overhead loses (see `BENCH_kernels.json` for the measured crossover).
-pub const FFT_MIN_RADIUS: usize = 8;
-
-/// FFT plan cache: one entry per board shape, shared across clones.
-type PlanCache = Arc<Mutex<HashMap<(usize, usize), Arc<FftEntry>>>>;
-
-/// A cached FFT plan plus the per-pixel renormalization plane for one
-/// board shape (both pure functions of the kernel and the shape).
-#[derive(Debug)]
-struct FftEntry {
-    plan: crate::fft::ConvPlan,
-    /// Clipped-window weight sum per pixel (the edge renormalizer).
-    wsum: Vec<f64>,
-}
 
 /// A truncated radial exponential kernel over window grids.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PadKernel {
     radius: usize,
     weights: Vec<f64>, // (2r+1)² window of weights
     full_wsum: f64,    // row-major sum of all weights (interior renormalizer)
-    tier: NumericsTier,
-    /// FFT plans keyed by board shape; shared (not deep-copied) across
-    /// clones so every shard of a chip reuses one plan per tile shape.
-    plans: PlanCache,
-}
-
-// The plan cache is derived state (rebuildable from `weights` and the
-// board shape) — kernel equality is about the math, not the cache.
-impl PartialEq for PadKernel {
-    fn eq(&self, other: &Self) -> bool {
-        self.radius == other.radius
-            && self.weights == other.weights
-            && self.full_wsum == other.full_wsum
-            && self.tier == other.tier
-    }
 }
 
 impl PadKernel {
@@ -113,35 +57,13 @@ impl PadKernel {
         // uses for an unclipped window, so the shared interior
         // renormalizer is bit-identical to the per-pixel recomputation.
         let full_wsum = weights.iter().sum();
-        Self {
-            radius,
-            weights,
-            full_wsum,
-            tier: NumericsTier::Exact,
-            plans: Arc::new(Mutex::new(HashMap::new())),
-        }
+        Self { radius, weights, full_wsum }
     }
 
     /// Kernel truncation radius in windows.
     #[must_use]
     pub fn radius(&self) -> usize {
         self.radius
-    }
-
-    /// Switches the kernel's numerics tier (see the module docs). The
-    /// default-constructed tier is [`NumericsTier::Exact`], which keeps
-    /// every existing byte-identical contract; `Fast` routes radii
-    /// ≥ [`FFT_MIN_RADIUS`] through the FFT path.
-    #[must_use]
-    pub fn with_tier(mut self, tier: NumericsTier) -> Self {
-        self.tier = tier;
-        self
-    }
-
-    /// The kernel's numerics tier.
-    #[must_use]
-    pub fn tier(&self) -> NumericsTier {
-        self.tier
     }
 
     /// Applies the kernel to a row-major `rows × cols` field with
@@ -171,13 +93,6 @@ impl PadKernel {
         assert_eq!(field.len(), rows * cols, "field length mismatch");
         assert_eq!(out.len(), rows * cols, "output length mismatch");
         if rows == 0 || cols == 0 {
-            return;
-        }
-        // Fast tier: large radii go through the FFT (certified-tolerance)
-        // path; small radii keep the spatial loop, which beats transform
-        // overhead there and stays bit-identical across tiers.
-        if self.tier.is_fast() && self.radius >= FFT_MIN_RADIUS {
-            self.apply_fft_into(field, rows, cols, out);
             return;
         }
         let r = self.radius;
@@ -289,83 +204,6 @@ impl PadKernel {
             }
         }
         out
-    }
-
-    /// [`PadKernel::apply`] evaluated by FFT convolution regardless of
-    /// tier or radius — the Fast-tier engine, public so the equivalence
-    /// suites and benches can exercise it at every radius.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `field.len() != rows * cols`.
-    #[must_use]
-    pub fn apply_fft(&self, field: &[f64], rows: usize, cols: usize) -> Vec<f64> {
-        let mut out = vec![0.0; rows * cols];
-        if rows > 0 && cols > 0 {
-            assert_eq!(field.len(), rows * cols, "field length mismatch");
-            self.apply_fft_into(field, rows, cols, &mut out);
-        }
-        out
-    }
-
-    /// FFT pad convolution into a caller buffer (see [`crate::fft`]):
-    /// the correlation numerator is a pointwise spectral product under a
-    /// cached per-board-shape plan; the edge-renormalization denominator
-    /// reuses the exact clip-class sums of the spatial path.
-    fn apply_fft_into(&self, field: &[f64], rows: usize, cols: usize, out: &mut [f64]) {
-        let entry = {
-            let mut cache = self.plans.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            Arc::clone(cache.entry((rows, cols)).or_insert_with(|| {
-                Arc::new(FftEntry {
-                    plan: crate::fft::ConvPlan::new(rows, cols, self.radius, &self.weights),
-                    wsum: self.wsum_plane(rows, cols),
-                })
-            }))
-        };
-        debug_assert_eq!(entry.plan.shape(), (rows, cols));
-        entry.plan.convolve_into(field, out);
-        for (o, w) in out.iter_mut().zip(&entry.wsum) {
-            *o /= w;
-        }
-    }
-
-    /// The clipped-window weight sum for every pixel of a `rows × cols`
-    /// board, from a 2-D inclusive prefix table over the weights: each
-    /// pixel's sum is one four-corner prefix difference, O(1) instead of
-    /// the O(r²) re-summation of the spatial clip-class path. Computed
-    /// once per cached FFT plan. The weights are strictly positive and
-    /// every clipped window contains the kernel peak (the board always
-    /// holds the center tap), so the differences lose at most a few ulps
-    /// to the reference accumulation order.
-    fn wsum_plane(&self, rows: usize, cols: usize) -> Vec<f64> {
-        let r = self.radius;
-        let size = 2 * r + 1;
-        // prefix[a][b] = Σ weights[dy < a][dx < b], laid out (size+1)².
-        let mut prefix = vec![0.0f64; (size + 1) * (size + 1)];
-        for dy in 0..size {
-            let mut row_acc = 0.0;
-            for dx in 0..size {
-                row_acc += self.weights[dy * size + dx];
-                prefix[(dy + 1) * (size + 1) + dx + 1] = prefix[dy * (size + 1) + dx + 1] + row_acc;
-            }
-        }
-        let sum_rect = |ty: usize, by: usize, tx: usize, bx: usize| -> f64 {
-            // Window rows ty..size-by, cols tx..size-bx.
-            let (y0, y1, x0, x1) = (ty, size - by, tx, size - bx);
-            prefix[y1 * (size + 1) + x1] - prefix[y0 * (size + 1) + x1] - prefix[y1 * (size + 1) + x0]
-                + prefix[y0 * (size + 1) + x0]
-        };
-        let mut plane = vec![0.0f64; rows * cols];
-        for i in 0..rows {
-            let ty = r - i.min(r);
-            let by = r - (rows - 1 - i).min(r);
-            for j in 0..cols {
-                let tx = r - j.min(r);
-                let bx = r - (cols - 1 - j).min(r);
-                plane[i * cols + j] = sum_rect(ty, by, tx, bx);
-            }
-        }
-        plane
     }
 }
 

@@ -38,7 +38,6 @@ pub mod analysis;
 pub mod calibrate;
 pub mod contact;
 pub mod dsh;
-mod fft;
 pub mod kernel;
 mod numgrad;
 mod params;
@@ -47,12 +46,34 @@ mod profile;
 pub mod shard;
 mod simulator;
 
-pub use contact::{ContactSolve, ContactSolveStats};
-pub use kernel::{PadKernel, FFT_MIN_RADIUS};
-/// Re-exported from `neurfill-tensor`: the workspace-wide numerics tier.
-pub use neurfill_tensor::NumericsTier;
+pub use contact::ContactSolveStats;
+pub use kernel::PadKernel;
 pub use numgrad::FiniteDifference;
 pub use params::{ParamsDisplay, ProcessParams};
 pub use profile::{ChipProfile, LayerProfile};
 pub use shard::{map_sequential, simulate_layer_sharded, ShardMap, ShardStats, TileShard};
 pub use simulator::{CmpSimulator, LayerInput, TraceStep};
+
+// Inert names the frozen benchmark still compiles against
+// (`nfbench/src/probes.rs:122` calls `with_numerics(NumericsTier::Fast)`;
+// `nfbench/src/workloads/chip.rs:24,94-95` names `ContactSolve::Exact`
+// and `NumericsTier::Exact` in a `ChipSimConfig` literal). The golden
+// simulator has one numeric path, so none of them selects anything; the
+// next benchmark PR drops them together with `cmpsim.simulate_fast_ms`.
+#[doc(hidden)]
+pub use neurfill_tensor::NumericsTier;
+
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ContactSolve {
+    #[default]
+    Exact,
+}
+
+impl CmpSimulator {
+    #[doc(hidden)]
+    #[must_use]
+    pub fn with_numerics(self, _tier: NumericsTier) -> Self {
+        self
+    }
+}

@@ -8,15 +8,12 @@
 //! modifiers); (4) the Preston equation removes material. The loop runs
 //! until the configured total polish time.
 
-use crate::contact::{
-    solve_reference_plane_sorted_stats, solve_reference_plane_stats, window_pressures, ContactSolve,
-};
+use crate::contact::{solve_reference_plane_stats, window_pressures};
 use crate::kernel::PadKernel;
 use crate::params::ProcessParams;
 use crate::profile::{ChipProfile, LayerProfile};
 use neurfill_layout::Layout;
 use neurfill_obs::Telemetry;
-use neurfill_tensor::NumericsTier;
 
 /// Extracted per-layer simulator input: the pattern maps of one layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,7 +102,6 @@ pub struct CmpSimulator {
     params: ProcessParams,
     kernel: PadKernel,
     telemetry: Telemetry,
-    contact_solve: ContactSolve,
 }
 
 impl CmpSimulator {
@@ -117,42 +113,7 @@ impl CmpSimulator {
     pub fn new(params: ProcessParams) -> Result<Self, String> {
         params.validate()?;
         let kernel = PadKernel::exponential(params.character_length, params.kernel_radius);
-        Ok(Self {
-            params,
-            kernel,
-            telemetry: Telemetry::disabled(),
-            contact_solve: ContactSolve::default(),
-        })
-    }
-
-    /// Selects the reference-plane solver. The default
-    /// ([`ContactSolve::Exact`]) is bit-identical to the pre-optimization
-    /// simulator; [`ContactSolve::SortedPrefix`] trades that for faster
-    /// force evaluations (agreement to bisection tolerance).
-    #[must_use]
-    pub fn with_contact_solve(mut self, solve: ContactSolve) -> Self {
-        self.contact_solve = solve;
-        self
-    }
-
-    /// Switches the simulator's numerics tier as one knob:
-    /// [`NumericsTier::Exact`] (the construction default) keeps the
-    /// bit-identical kernel and contact paths; [`NumericsTier::Fast`]
-    /// puts the pad kernel on the FFT path (at radii ≥
-    /// [`crate::FFT_MIN_RADIUS`]) and takes [`ContactSolve::SortedPrefix`]
-    /// as the solver. Apply [`CmpSimulator::with_contact_solve`] *after*
-    /// this to override the solver choice while keeping the tiered kernel.
-    #[must_use]
-    pub fn with_numerics(mut self, tier: NumericsTier) -> Self {
-        self.kernel = self.kernel.with_tier(tier);
-        self.contact_solve = ContactSolve::for_tier(tier);
-        self
-    }
-
-    /// The numerics tier the simulator's pad kernel runs in.
-    #[must_use]
-    pub fn numerics(&self) -> NumericsTier {
-        self.kernel.tier()
+        Ok(Self { params, kernel, telemetry: Telemetry::disabled() })
     }
 
     /// Attaches a telemetry handle; per-stage timings (`sim.*` histograms)
@@ -250,10 +211,7 @@ impl CmpSimulator {
             self.kernel.apply_into(&envelope, input.rows, input.cols, &mut smoothed);
             let t1 = self.telemetry.now_ns();
             // (2) Contact-mechanics pressure solve.
-            let (z_ref, solve_stats) = match self.contact_solve {
-                ContactSolve::Exact => solve_reference_plane_stats(&smoothed, p),
-                ContactSolve::SortedPrefix => solve_reference_plane_sorted_stats(&smoothed, p),
-            };
+            let (z_ref, solve_stats) = solve_reference_plane_stats(&smoothed, p);
             let pressures = window_pressures(&smoothed, z_ref, p);
             let t2 = self.telemetry.now_ns();
             if let Some((kernel_h, applies, windows, force_evals)) = &kernel_meters {

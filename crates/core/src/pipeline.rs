@@ -11,10 +11,11 @@ use crate::framework::{FillOutcome, NeurFill, NeurFillConfig};
 use crate::report::{evaluate_plan, MethodResult};
 use crate::score::Coefficients;
 use crate::surrogate::{train_surrogate, SurrogateConfig, TrainReport};
-use neurfill_cmpsim::{CmpSimulator, NumericsTier, ProcessParams};
+use neurfill_cmpsim::{CmpSimulator, ProcessParams};
 use neurfill_layout::insertion::{realize_fill, InsertionReport, InsertionRules};
 use neurfill_layout::{FillPlan, Layout};
 use neurfill_obs::Telemetry;
+use neurfill_tensor::NumericsTier;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::rc::Rc;
@@ -34,11 +35,11 @@ pub struct FlowConfig {
     pub beta_time_s: f64,
     /// Master seed.
     pub seed: u64,
-    /// Numerics tier of the golden simulator. `Exact` (the default) keeps
+    /// Numerics tier of the surrogate's GEMM. `Exact` (the default) keeps
     /// every output bit-identical to the reference kernels; `Fast` opts
-    /// into the certified FFT/FMA/sorted-contact kernels (see the
-    /// `neurfill_cmpsim::kernel` and `neurfill_tensor::numerics` docs for
-    /// the tolerance contracts).
+    /// into the certified FMA-contracted GEMM (see the
+    /// `neurfill_tensor::numerics` docs for the tolerance contract). The
+    /// golden simulator has one numeric path and ignores it.
     pub numerics: NumericsTier,
     /// Tensor backend of the surrogate's inference paths. `Cpu` (the
     /// default) keeps every UNet output bit-identical to the f32 reference;
@@ -105,9 +106,7 @@ impl FillingFlow {
     /// training fails (geometry misconfiguration).
     pub fn prepare(sources: &[Layout], config: FlowConfig) -> Result<Self, String> {
         let _prepare_span = config.telemetry.span("flow.prepare_ns");
-        let sim = CmpSimulator::new(config.process.clone())?
-            .with_numerics(config.numerics)
-            .with_telemetry(config.telemetry.clone());
+        let sim = CmpSimulator::new(config.process.clone())?.with_telemetry(config.telemetry.clone());
         let mut rng = StdRng::seed_from_u64(config.seed);
         let trained =
             train_surrogate(sources, &sim, &config.surrogate, &mut rng).map_err(|e| e.to_string())?;
@@ -124,9 +123,7 @@ impl FillingFlow {
         network: impl Into<Rc<CmpNeuralNetwork>>,
         config: FlowConfig,
     ) -> Result<Self, String> {
-        let sim = CmpSimulator::new(config.process.clone())?
-            .with_numerics(config.numerics)
-            .with_telemetry(config.telemetry.clone());
+        let sim = CmpSimulator::new(config.process.clone())?.with_telemetry(config.telemetry.clone());
         Ok(Self {
             sim,
             network: network.into(),

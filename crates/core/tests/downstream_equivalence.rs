@@ -1,12 +1,11 @@
 //! Certification harness for the Fast numerics tier (downstream layer).
 //!
-//! The per-kernel bounds live in `neurfill-tensor` (FMA GEMM) and
-//! `neurfill-cmpsim` (FFT pad convolution, sorted contact). This suite
-//! certifies the quantities a *user* of the flow actually consumes —
-//! surrogate planarity score `S_plan` and its gradient, simulator-side
-//! numeric gradients, the contact reference plane, synthesized fill
-//! amounts and post-CMP ΔH on designs A/B/C — agreeing between the Exact
-//! and Fast tiers within stated tolerances, at 1 and 8 GEMM threads.
+//! The per-kernel bound lives in `neurfill-tensor` (FMA GEMM). This
+//! suite certifies the quantities a *user* of the flow actually consumes
+//! — surrogate planarity score `S_plan` and its gradient, synthesized
+//! fill amounts and post-CMP ΔH on designs A/B/C — agreeing between the
+//! Exact and Fast tiers within stated tolerances, at 1 and 8 GEMM
+//! threads.
 //!
 //! The quantized tensor backend is certified the same way: `S_plan`
 //! through the score-only inference seam, the untouched f32 gradient
@@ -22,8 +21,7 @@ use neurfill::extraction::{extract_layer_arrays, ExtractionConfig, NUM_CHANNELS}
 use neurfill::pipeline::{FillingFlow, FlowConfig};
 use neurfill::surrogate::SurrogateConfig;
 use neurfill::{CmpNeuralNetwork, CmpNnConfig, Coefficients, HeightNorm, NumericsTier};
-use neurfill_cmpsim::contact::{solve_reference_plane, solve_reference_plane_sorted};
-use neurfill_cmpsim::{CmpSimulator, FiniteDifference, ProcessParams, FFT_MIN_RADIUS};
+use neurfill_cmpsim::{CmpSimulator, ProcessParams};
 use neurfill_layout::datagen::DataGenConfig;
 use neurfill_layout::{
     apply_fill, benchmark_designs, DesignKind, DesignSpec, DummySpec, FillPlan, Layout,
@@ -59,15 +57,10 @@ impl Drop for TierLock {
 const DESIGNS: [(DesignKind, u64); 3] =
     [(DesignKind::CmpTest, 11), (DesignKind::Fpga, 12), (DesignKind::RiscV, 13)];
 
-/// Process parameters at an FFT-engaging radius (`>= FFT_MIN_RADIUS`), so
-/// the Fast tier genuinely swaps the pad-convolution kernel.
-fn fft_params() -> ProcessParams {
-    ProcessParams {
-        steps: 10,
-        kernel_radius: FFT_MIN_RADIUS,
-        character_length: 3.0,
-        ..ProcessParams::default()
-    }
+/// The suite's process parameters: a short polish with a wide pad, at
+/// the default kernel radius.
+fn process() -> ProcessParams {
+    ProcessParams { steps: 10, character_length: 3.0, ..ProcessParams::default() }
 }
 
 fn untrained_network() -> CmpNeuralNetwork {
@@ -102,7 +95,7 @@ fn s_plan_and_gradient_agree_between_tiers_at_all_thread_counts() {
     let _guard = tier_lock();
     let net = untrained_network();
     let layout = DesignSpec::new(DesignKind::CmpTest, 8, 8, 5).generate();
-    let sim = CmpSimulator::new(fft_params()).unwrap();
+    let sim = CmpSimulator::new(process()).unwrap();
     let coeffs = Coefficients::calibrate(&layout, &sim.simulate(&layout), 60.0);
     let x = mid_fill(&layout);
 
@@ -137,54 +130,6 @@ fn s_plan_and_gradient_agree_between_tiers_at_all_thread_counts() {
     }
 }
 
-/// Simulator-side numeric gradients (the conventional-flow machinery the
-/// paper replaces): finite differences of post-CMP ΔH w.r.t. the fill
-/// vector agree between tiers. Per-evaluation tier drift is ≤ 2e-5 on
-/// heights (see the cmpsim tier suite), so with ε = 1e-2 the forward
-/// difference inherits ≤ 4e-3; stated bound 1e-2 per element.
-#[test]
-fn numeric_gradients_agree_between_tiers() {
-    let layout = DesignSpec::new(DesignKind::Fpga, 6, 6, 9).generate();
-    let params = fft_params();
-    let spec = DummySpec::default();
-    let x = mid_fill(&layout);
-    let fd = FiniteDifference::new(1e-2, 1);
-    let mut grads = Vec::new();
-    for tier in [NumericsTier::Exact, NumericsTier::Fast] {
-        let sim = CmpSimulator::new(params.clone()).unwrap().with_numerics(tier);
-        let f = |x: &[f64]| {
-            let mut plan = FillPlan::zeros(&layout);
-            plan.as_mut_slice().copy_from_slice(x);
-            sim.simulate(&apply_fill(&layout, &plan, &spec)).max_height_range()
-        };
-        grads.push(fd.gradient_seq(&x, f));
-    }
-    for (i, (a, b)) in grads[0].iter().zip(&grads[1]).enumerate() {
-        assert!((a - b).abs() <= 1e-2, "FD gradient[{i}] drifted: exact={a} fast={b}");
-    }
-}
-
-/// Contact reference plane on real simulated height fields: the sorted
-/// solver (Fast default) tracks the exact solver to bisection tolerance
-/// (stated bound 1e-6 on `z_ref`).
-#[test]
-fn contact_plane_agrees_between_solvers_on_simulated_heights() {
-    let params = fft_params();
-    for (kind, seed) in DESIGNS {
-        let layout = DesignSpec::new(kind, 12, 12, seed).generate();
-        let profile = CmpSimulator::new(params.clone()).unwrap().simulate(&layout);
-        for l in 0..profile.num_layers() {
-            let heights = profile.layer(l).heights();
-            let exact = solve_reference_plane(heights, &params);
-            let sorted = solve_reference_plane_sorted(heights, &params);
-            assert!(
-                (exact - sorted).abs() <= 1e-6,
-                "{kind:?} layer {l}: z_ref exact={exact} sorted={sorted}"
-            );
-        }
-    }
-}
-
 /// End-to-end flow on designs A/B/C with one shared pre-trained network:
 /// the Fast tier's synthesized fill amounts and verified post-CMP ΔH
 /// track the Exact tier's, and the Fast flow itself is bit-deterministic
@@ -198,7 +143,7 @@ fn flow_fill_amounts_and_delta_h_agree_between_tiers_on_designs_abc() {
     let _guard = tier_lock();
     let grid = 8;
     let base = FlowConfig {
-        process: fft_params(),
+        process: process(),
         surrogate: SurrogateConfig {
             unet: UNetConfig { in_channels: NUM_CHANNELS, out_channels: 1, base_channels: 4, depth: 2 },
             train: TrainConfig {
@@ -280,7 +225,7 @@ fn with_abc_calibration(net: CmpNeuralNetwork, grid: usize) -> CmpNeuralNetwork 
 fn quant_backend_s_plan_tracks_f32_on_designs_abc() {
     let _guard = tier_lock();
     let net = with_abc_calibration(untrained_network(), 8);
-    let sim = CmpSimulator::new(fft_params()).unwrap();
+    let sim = CmpSimulator::new(process()).unwrap();
     for (kind, seed) in DESIGNS {
         let layout = DesignSpec::new(kind, 8, 8, seed).generate();
         let coeffs = Coefficients::calibrate(&layout, &sim.simulate(&layout), 60.0);
@@ -315,7 +260,7 @@ fn quant_backend_leaves_gradient_path_bit_identical() {
     let _guard = tier_lock();
     let net = with_abc_calibration(untrained_network(), 8);
     let layout = DesignSpec::new(DesignKind::CmpTest, 8, 8, 5).generate();
-    let sim = CmpSimulator::new(fft_params()).unwrap();
+    let sim = CmpSimulator::new(process()).unwrap();
     let coeffs = Coefficients::calibrate(&layout, &sim.simulate(&layout), 60.0);
     let x = mid_fill(&layout);
 
@@ -342,7 +287,7 @@ fn flow_fill_amounts_and_delta_h_agree_between_backends_on_designs_abc() {
     let _guard = tier_lock();
     let grid = 8;
     let base = FlowConfig {
-        process: fft_params(),
+        process: process(),
         surrogate: SurrogateConfig {
             unet: UNetConfig { in_channels: NUM_CHANNELS, out_channels: 1, base_channels: 4, depth: 2 },
             train: TrainConfig {

@@ -24,7 +24,7 @@
 //! on `--workers` — rerunning with more threads reproduces the identical
 //! corpus, only faster.
 
-use neurfill_cmpsim::{NumericsTier, ProcessParams};
+use neurfill_cmpsim::ProcessParams;
 use neurfill_data::{generate_labeled_shards, label_full_chip, ChipLabelConfig, LabelConfig};
 use neurfill_layout::datagen::DataGenConfig;
 use neurfill_layout::{benchmark_designs, io as layout_io, DesignKind, FullChipSpec, Layout};
@@ -46,18 +46,15 @@ struct Args {
     design: DesignKind,
     tile_size: usize,
     explicit_dims: bool,
-    numerics: NumericsTier,
-    backend: neurfill_tensor::BackendKind,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: gendata --out <dir> [--num N] [--rows R] [--cols C] [--seed S]\n\
          \x20             [--workers W] [--samples-per-shard K] [--sources <dir>] [--fast]\n\
-         \x20             [--numerics exact|fast] [--backend cpu|quant] [--metrics-out <file>]\n\
+         \x20             [--metrics-out <file>]\n\
          \x20      gendata --out <dir> --full-chip [--design A|B|C] [--tile-size N]\n\
-         \x20             [--rows R] [--cols C] [--seed S] [--workers W] [--fast]\n\
-         \x20             [--numerics exact|fast] [--backend cpu|quant] ..."
+         \x20             [--rows R] [--cols C] [--seed S] [--workers W] [--fast] ..."
     );
     std::process::exit(2);
 }
@@ -97,8 +94,6 @@ fn parse_args() -> Args {
         design: DesignKind::RiscV,
         tile_size: 32,
         explicit_dims: false,
-        numerics: NumericsTier::Exact,
-        backend: neurfill_tensor::BackendKind::Cpu,
     };
     let mut it = std::env::args().skip(1);
     let value = |it: &mut dyn Iterator<Item = String>, flag: &str| {
@@ -130,20 +125,6 @@ fn parse_args() -> Args {
             "--design" => args.design = parse_design(&value(&mut it, "--design")),
             "--tile-size" => args.tile_size = parse_num(&value(&mut it, "--tile-size"), "--tile-size"),
             "--fast" => args.fast = true,
-            "--numerics" => match NumericsTier::parse(&value(&mut it, "--numerics")) {
-                Ok(tier) => args.numerics = tier,
-                Err(e) => {
-                    eprintln!("{e}");
-                    usage();
-                }
-            },
-            "--backend" => match neurfill_tensor::BackendKind::parse(&value(&mut it, "--backend")) {
-                Ok(kind) => args.backend = kind,
-                Err(e) => {
-                    eprintln!("{e}");
-                    usage();
-                }
-            },
             "--metrics-out" => args.metrics_out = Some(value(&mut it, "--metrics-out").into()),
             "--help" | "-h" => usage(),
             other => {
@@ -199,7 +180,6 @@ fn run_full_chip(args: &Args) -> Result<(), String> {
         workers: args.workers,
         samples_per_shard: args.samples_per_shard,
         process: if args.fast { ProcessParams::fast() } else { ProcessParams::default() },
-        numerics: args.numerics,
         seed: args.seed,
         telemetry: if args.metrics_out.is_some() {
             neurfill::telemetry::Telemetry::new()
@@ -234,10 +214,6 @@ fn run_full_chip(args: &Args) -> Result<(), String> {
 
 fn run() -> Result<(), String> {
     let args = parse_args();
-    // Labeling itself runs the golden simulator, but any tensor work the
-    // run touches should honour the requested backend process-wide, the
-    // same way the serving binaries install it.
-    neurfill_tensor::set_backend(args.backend);
     if args.full_chip {
         return run_full_chip(&args);
     }
@@ -258,7 +234,6 @@ fn run() -> Result<(), String> {
             ..DataGenConfig::default()
         },
         process: if args.fast { ProcessParams::fast() } else { ProcessParams::default() },
-        numerics: args.numerics,
         telemetry: if args.metrics_out.is_some() {
             neurfill::telemetry::Telemetry::new()
         } else {

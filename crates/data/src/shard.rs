@@ -65,16 +65,9 @@ fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// FNV-1a 64-bit over `bytes` — cheap, dependency-free corruption check.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+/// FNV-1a 64-bit over `bytes` — the record checksum (one definition,
+/// shared with bundle digests and tile checkpoints).
+pub use neurfill_runtime::fnv1a;
 
 /// The fixed per-sample geometry of a shard.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -79,10 +79,7 @@ impl Module for Conv2d {
     }
 
     fn infer(&self, input: &NdArray) -> Result<NdArray> {
-        // Inference goes through the backend seam; every backend's f32
-        // conv is the same reference kernel, so this dispatch never
-        // changes a bit.
-        neurfill_tensor::backend::active().conv2d(
+        neurfill_tensor::conv2d_forward(
             input,
             &self.weight.data(),
             Some(&*self.bias.data()),
@@ -157,7 +154,7 @@ impl Module for ConvTranspose2d {
     }
 
     fn infer(&self, input: &NdArray) -> Result<NdArray> {
-        neurfill_tensor::backend::active().conv_transpose2d(
+        neurfill_tensor::conv_transpose2d_forward(
             input,
             &self.weight.data(),
             Some(&*self.bias.data()),

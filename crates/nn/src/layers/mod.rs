@@ -1,18 +1,8 @@
-//! Neural-network layers: convolutions, linear, normalization, pooling,
-//! upsampling and activation modules.
+//! Neural-network layers: convolutions and batch normalization — the
+//! three layer kinds the UNet, the trainer and the serializer use.
 
-mod activation;
 mod conv;
-mod dropout;
-mod linear;
 mod norm;
-mod pool;
-mod sequential;
 
-pub use activation::{LeakyRelu, Relu, Sigmoid, Tanh};
 pub use conv::{Conv2d, ConvTranspose2d};
-pub use dropout::Dropout;
-pub use linear::Linear;
-pub use norm::{BatchNorm2d, GroupNorm};
-pub use pool::{MaxPool2d, UpsampleNearest2d};
-pub use sequential::Sequential;
+pub use norm::BatchNorm2d;

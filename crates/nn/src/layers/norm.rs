@@ -1,7 +1,7 @@
 //! Batch normalization.
 
 use crate::module::{Buffer, Module};
-use neurfill_tensor::{NdArray, Result, Tensor};
+use neurfill_tensor::{NdArray, Result, Tensor, TensorError};
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -112,18 +112,27 @@ impl Module for BatchNorm2d {
         let rv = self.running_var.borrow();
         let g = self.gamma.data();
         let b = self.beta.data();
+        let (mean, var, gamma, beta) = (rm.as_slice(), rv.as_slice(), g.as_slice(), b.as_slice());
+        let channels = self.channels;
+        if [mean.len(), var.len(), gamma.len(), beta.len()] != [channels; 4] {
+            return Err(TensorError::ShapeMismatch {
+                lhs: vec![channels],
+                rhs: vec![mean.len(), var.len(), gamma.len(), beta.len()],
+                op: "batchnorm_infer",
+            });
+        }
+        let per = input.shape()[2] * input.shape()[3];
         let mut out = input.clone();
-        // The backend contract pins the per-element expression
-        // ((x − m) / d) · g + b with d = (var + eps).sqrt(), so the seam
-        // dispatch keeps outputs bit-identical to `forward`.
-        neurfill_tensor::backend::active().batchnorm_inplace(
-            &mut out,
-            rm.as_slice(),
-            rv.as_slice(),
-            g.as_slice(),
-            b.as_slice(),
-            self.eps,
-        )?;
+        for sample in out.as_mut_slice().chunks_mut(channels * per) {
+            for (c, block) in sample.chunks_mut(per).enumerate() {
+                let m = mean[c];
+                let d = (var[c] + self.eps).sqrt();
+                let (gc, bc) = (gamma[c], beta[c]);
+                for v in block {
+                    *v = (*v - m) / d * gc + bc;
+                }
+            }
+        }
         Ok(out)
     }
 
@@ -137,62 +146,6 @@ impl Module for BatchNorm2d {
 
     fn set_training(&self, training: bool) {
         self.training.set(training);
-    }
-}
-
-/// Group normalization over NCHW tensors (Wu & He): per-sample statistics
-/// over channel groups. Unlike batch norm it has no running state and
-/// behaves identically in training and evaluation — useful for batch-size-1
-/// fine-tuning and as an ablation against [`BatchNorm2d`].
-#[derive(Debug)]
-pub struct GroupNorm {
-    gamma: Tensor,
-    beta: Tensor,
-    groups: usize,
-    channels: usize,
-    eps: f32,
-}
-
-impl GroupNorm {
-    /// Creates a group-norm layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `channels` is not divisible by `groups` or `groups` is
-    /// zero.
-    #[must_use]
-    pub fn new(groups: usize, channels: usize) -> Self {
-        assert!(groups > 0, "need at least one group");
-        assert_eq!(channels % groups, 0, "channels must divide into groups");
-        Self {
-            gamma: Tensor::parameter(NdArray::ones(&[channels])),
-            beta: Tensor::parameter(NdArray::zeros(&[channels])),
-            groups,
-            channels,
-            eps: 1e-5,
-        }
-    }
-}
-
-impl Module for GroupNorm {
-    fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        let shape = input.shape();
-        let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-        let g = self.groups;
-        // Group view: [N·g, (C/g)·H·W]; per-row statistics.
-        let per = (c / g) * h * w;
-        let xg = input.reshape(&[n * g, per])?;
-        let mean = xg.mean_axis(1, true)?;
-        let centered = xg.sub(&mean)?;
-        let var = centered.square().mean_axis(1, true)?;
-        let normalized = centered.div(&var.add_scalar(self.eps).sqrt())?.reshape(&[n, c, h, w])?;
-        let gamma = self.gamma.reshape(&[1, self.channels, 1, 1])?;
-        let beta = self.beta.reshape(&[1, self.channels, 1, 1])?;
-        normalized.mul(&gamma)?.add(&beta)
-    }
-
-    fn parameters(&self) -> Vec<Tensor> {
-        vec![self.gamma.clone(), self.beta.clone()]
     }
 }
 
@@ -260,46 +213,5 @@ mod tests {
         let bufs = bn.buffers();
         assert_eq!(bufs.len(), 2);
         assert_eq!(bufs[0].borrow().shape(), &[3]);
-    }
-
-    #[test]
-    fn group_norm_normalizes_per_group() {
-        let gn = GroupNorm::new(2, 4);
-        let x = Tensor::constant(NdArray::from_fn(&[1, 4, 2, 2], |i| i as f32));
-        let y = gn.forward(&x).unwrap().value();
-        // Each group of 2 channels (8 values) is normalized to mean 0.
-        let group0: f32 = y.as_slice()[..8].iter().sum();
-        let group1: f32 = y.as_slice()[8..].iter().sum();
-        assert!(group0.abs() < 1e-3, "{group0}");
-        assert!(group1.abs() < 1e-3, "{group1}");
-    }
-
-    #[test]
-    fn group_norm_is_batch_independent_and_deterministic() {
-        let gn = GroupNorm::new(1, 2);
-        let x1 = Tensor::constant(NdArray::from_fn(&[1, 2, 2, 2], |i| i as f32));
-        let y1 = gn.forward(&x1).unwrap().value();
-        // Duplicate the sample: per-sample stats must give identical rows.
-        let mut data = x1.value().into_vec();
-        data.extend(data.clone());
-        let x2 = Tensor::constant(NdArray::from_vec(data, &[2, 2, 2, 2]).unwrap());
-        let y2 = gn.forward(&x2).unwrap().value();
-        assert_eq!(&y2.as_slice()[..8], y1.as_slice());
-        assert_eq!(&y2.as_slice()[8..], y1.as_slice());
-    }
-
-    #[test]
-    fn group_norm_gradients_flow() {
-        let gn = GroupNorm::new(2, 4);
-        let x = Tensor::parameter(NdArray::from_fn(&[2, 4, 2, 2], |i| (i % 7) as f32));
-        gn.forward(&x).unwrap().square().sum().backward().unwrap();
-        assert!(x.grad().is_some());
-        assert!(gn.parameters().iter().all(|p| p.grad().is_some()));
-    }
-
-    #[test]
-    #[should_panic(expected = "divide")]
-    fn group_norm_rejects_indivisible_channels() {
-        let _ = GroupNorm::new(3, 4);
     }
 }

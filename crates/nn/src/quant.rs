@@ -26,7 +26,9 @@ use crate::layers::{BatchNorm2d, Conv2d};
 use crate::module::Module;
 use crate::unet::{DoubleConv, UNet, UNetConfig};
 use neurfill_tensor::quant::{absmax, scale_for, QConvKernel};
-use neurfill_tensor::{max_pool2d_forward, NdArray, Result, Tensor, TensorError};
+use neurfill_tensor::{
+    conv_transpose2d_forward, max_pool2d_forward, NdArray, Result, Tensor, TensorError,
+};
 use std::io::{self, Read, Write};
 
 /// First line of the serialized calibration section.
@@ -372,7 +374,6 @@ impl Module for QuantUNet {
 
     fn infer(&self, input: &NdArray) -> Result<NdArray> {
         self.check_input(input.shape())?;
-        let backend = neurfill_tensor::backend::active();
         let mut skips = Vec::with_capacity(self.config.depth);
         let mut x = self.stem.forward(input)?;
         for down in &self.downs {
@@ -381,7 +382,7 @@ impl Module for QuantUNet {
         }
         for ((up, up_conv), skip) in self.ups.iter().zip(&self.up_convs).zip(skips.into_iter().rev()) {
             let upsampled =
-                backend.conv_transpose2d(&x, &up.weight, Some(&up.bias), up.stride, up.padding)?;
+                conv_transpose2d_forward(&x, &up.weight, Some(&up.bias), up.stride, up.padding)?;
             let cat = NdArray::concat(&[&skip, &upsampled], 1)?;
             x = up_conv.forward(&cat)?;
         }

@@ -57,13 +57,12 @@ impl Module for DoubleConv {
         Ok(self.bn2.forward(&self.conv2.forward(&x)?)?.relu())
     }
     fn infer(&self, input: &NdArray) -> Result<NdArray> {
-        // The backend's relu_inplace is the same max(0) kernel
-        // `Tensor::relu` applies, run in place to avoid a copy per block.
-        let backend = neurfill_tensor::backend::active();
+        // The same max(0) kernel `Tensor::relu` applies, run in place to
+        // avoid a copy per block.
         let mut x = self.bn1.infer(&self.conv1.infer(input)?)?;
-        backend.relu_inplace(&mut x);
+        x.map_inplace(|v| v.max(0.0));
         let mut y = self.bn2.infer(&self.conv2.infer(&x)?)?;
-        backend.relu_inplace(&mut y);
+        y.map_inplace(|v| v.max(0.0));
         Ok(y)
     }
     fn parameters(&self) -> Vec<Tensor> {

@@ -25,6 +25,7 @@
 //! (the default everywhere) injects nothing and leaves every code path
 //! bit-identical to an unfaulted run.
 
+use crate::registry::fnv1a;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::time::Duration;
@@ -117,15 +118,6 @@ impl FaultSpec {
             FaultTrigger::Always => true,
         }
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn splitmix(mut z: u64) -> u64 {

@@ -57,7 +57,7 @@ pub use fault::{FaultKind, FaultPlan, FaultSpec, FaultTrigger, WriteFault};
 pub use job::{JobId, JobReport, JobSpec, JobStatus};
 pub use neurfill::CancelToken;
 pub use pool::{default_workers, parallel_map_ordered, PoolOptions, RuntimePool};
-pub use registry::{ModelBundle, ModelRegistry};
+pub use registry::{fnv1a, ModelBundle, ModelRegistry};
 pub use stats::RuntimeStats;
 
 #[cfg(test)]

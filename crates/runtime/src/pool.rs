@@ -38,7 +38,6 @@ use neurfill_cmpsim::ChipProfile;
 use neurfill_cmpsim::LayerProfile;
 use neurfill_layout::apply_fill;
 use neurfill_obs::{MetricsSnapshot, Telemetry};
-use neurfill_tensor::{BackendKind, NumericsTier};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -73,19 +72,6 @@ pub struct PoolOptions {
     /// (unless the [`FlowConfig`] carries its own), so one registry
     /// covers simulator, optimizer, flow and runtime metrics.
     pub telemetry: Telemetry,
-    /// Numerics tier the pool runs at. `Exact` (the default) is
-    /// bit-identical to the reference kernels; `Fast` opts into the
-    /// certified FFT/FMA/sorted-contact kernels. The pool installs the
-    /// tier process-wide (for the GEMM dispatch behind `NdArray::matmul`)
-    /// and propagates it to each worker's flow unless the [`FlowConfig`]
-    /// already selects `Fast` itself.
-    pub numerics: NumericsTier,
-    /// Tensor backend the pool's surrogate inference runs on. `Cpu` (the
-    /// default) is bit-identical to the f32 reference kernels; `QuantCpu`
-    /// opts into the certified int8 engine (the model bundle must carry
-    /// calibration scales). Installed process-wide and propagated to each
-    /// worker's flow, mirroring [`PoolOptions::numerics`].
-    pub backend: BackendKind,
 }
 
 impl Default for PoolOptions {
@@ -98,8 +84,6 @@ impl Default for PoolOptions {
             restart_budget: 2,
             fault: Arc::new(FaultPlan::disabled()),
             telemetry: Telemetry::disabled(),
-            numerics: NumericsTier::Exact,
-            backend: BackendKind::Cpu,
         }
     }
 }
@@ -217,18 +201,9 @@ impl RuntimePool {
         if options.telemetry.is_enabled() && !config.telemetry.is_enabled() {
             config.telemetry = options.telemetry.clone();
         }
-        // Same propagation shape for the numerics tier: a Fast pool runs
-        // Fast flows (unless the flow opted in on its own), and the
-        // process-global GEMM tier follows the pool.
-        if options.numerics.is_fast() && !config.numerics.is_fast() {
-            config.numerics = options.numerics;
-        }
+        // The process-global GEMM tier and inference backend follow the
+        // flow config the pool's workers run under.
         neurfill_tensor::set_numerics_tier(config.numerics);
-        // And again for the tensor backend: a quantized pool runs quantized
-        // flows, and the process-global inference dispatch follows the pool.
-        if options.backend.is_quant() && !config.backend.is_quant() {
-            config.backend = options.backend;
-        }
         neurfill_tensor::set_backend(config.backend);
         let stats = Arc::new(StatsInner::new(&options.telemetry));
         let fault = Arc::clone(&options.fault);

@@ -129,11 +129,16 @@ impl ModelRegistry {
     }
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a 64-bit over `bytes` — the workspace's one cheap,
+/// dependency-free checksum: bundle digests here, fault-site hashing,
+/// tile checkpoints in `neurfill-chip`, shard and append-log records in
+/// `neurfill-data`.
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in bytes {
         h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
 }

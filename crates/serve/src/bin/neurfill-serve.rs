@@ -23,9 +23,10 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use neurfill::pipeline::FlowConfig;
-use neurfill_cmpsim::{NumericsTier, ProcessParams};
+use neurfill_cmpsim::ProcessParams;
 use neurfill_runtime::{FaultPlan, ModelRegistry, PoolOptions, RetryPolicy};
 use neurfill_serve::{CanaryConfig, FillService, Server, ServerConfig, ServiceConfig, TenantConfig};
+use neurfill_tensor::NumericsTier;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -212,8 +213,6 @@ fn run() -> Result<(), String> {
                 retry: RetryPolicy::with_retries(args.retries),
                 fault: Arc::new(fault),
                 telemetry,
-                numerics: args.numerics,
-                backend: args.backend,
                 ..PoolOptions::default()
             },
             ..ServiceConfig::default()

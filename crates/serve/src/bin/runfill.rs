@@ -46,7 +46,7 @@ use neurfill_chip::{
     chip_run_meta, run_full_chip, synthesize_tiles_checkpointed, ChipFillConfig, ChipFillPlan,
     ChipRunConfig, ChipSimConfig, TileCheckpoint, TileJobOptions,
 };
-use neurfill_cmpsim::{CmpSimulator, ContactSolve, NumericsTier, ProcessParams};
+use neurfill_cmpsim::{CmpSimulator, ProcessParams};
 use neurfill_layout::datagen::DataGenConfig;
 use neurfill_layout::{
     benchmark_designs, io as layout_io, DesignKind, DesignSpec, FullChipDesign, FullChipSpec, Tiling,
@@ -58,6 +58,7 @@ use neurfill_runtime::{
 use neurfill_serve::{
     synthesize_chip_remote, ChipClientOptions, Client, FailoverConfig, JobRequest, Priority,
 };
+use neurfill_tensor::NumericsTier;
 use rand::SeedableRng;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -262,7 +263,7 @@ fn init_demo(args: &Args) -> Result<(), String> {
     }
     if !args.model.as_os_str().is_empty() && !args.model.exists() {
         println!("training demo surrogate (small budget)...");
-        let sim = CmpSimulator::new(process_params(args))?.with_numerics(args.numerics);
+        let sim = CmpSimulator::new(process_params(args))?;
         let sources = benchmark_designs(8, 8, 1);
         let config = SurrogateConfig {
             unet: UNetConfig { in_channels: NUM_CHANNELS, out_channels: 1, base_channels: 4, depth: 2 },
@@ -485,8 +486,6 @@ fn run_full_chip_remote(args: &Args, addr: &str, out_dir: &Path) -> Result<bool,
                 default_timeout: args.timeout,
                 retry: RetryPolicy::with_retries(args.retries),
                 telemetry: telemetry.clone(),
-                numerics: args.numerics,
-                backend: args.backend,
                 ..PoolOptions::default()
             },
         })
@@ -570,8 +569,6 @@ fn run_full_chip_pool(args: &Args, out_dir: &Path) -> Result<bool, String> {
         default_timeout: args.timeout,
         retry: RetryPolicy::with_retries(args.retries),
         telemetry: telemetry.clone(),
-        numerics: args.numerics,
-        backend: args.backend,
         ..PoolOptions::default()
     };
     let pool = RuntimePool::new(bundle, flow, options).map_err(|e| e.to_string())?;
@@ -641,11 +638,8 @@ fn run_full_chip_golden(args: &Args, out_dir: &Path) -> Result<bool, String> {
     let cfg = ChipRunConfig {
         sim: ChipSimConfig {
             params: process_params(args),
-            tile: args.tile_size,
-            workers: args.workers,
-            contact_solve: ContactSolve::for_tier(args.numerics),
-            numerics: args.numerics,
             telemetry: telemetry.clone(),
+            ..ChipSimConfig::fast(args.tile_size, args.workers)
         },
         fill: ChipFillConfig::default(),
         checkpoint: args.checkpoint.clone(),
@@ -672,10 +666,9 @@ fn run_full_chip_golden(args: &Args, out_dir: &Path) -> Result<bool, String> {
 
 fn run() -> Result<bool, String> {
     let args = parse_args();
-    // Install the tier and tensor backend process-wide up front so every
-    // path — including in-process demo training and the golden sharded
-    // flow — runs the selected kernels (the pool re-installs the same
-    // values).
+    // Install the tier and tensor backend process-wide up front so
+    // in-process demo training runs the selected kernels too (the pool
+    // re-installs the same values).
     neurfill_tensor::set_numerics_tier(args.numerics);
     neurfill_tensor::set_backend(args.backend);
     if args.full_chip {
@@ -737,8 +730,6 @@ fn run() -> Result<bool, String> {
         retry: RetryPolicy::with_retries(args.retries),
         fault: Arc::new(fault),
         telemetry: telemetry.clone(),
-        numerics: args.numerics,
-        backend: args.backend,
         ..PoolOptions::default()
     };
     let pool = RuntimePool::new(bundle, flow, options).map_err(|e| e.to_string())?;

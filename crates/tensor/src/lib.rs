@@ -54,7 +54,7 @@ pub mod telemetry;
 mod tensor;
 
 pub use array::NdArray;
-pub use backend::{backend, set_backend, BackendKind, TensorBackend};
+pub use backend::{backend, set_backend, BackendKind};
 pub use error::{Result, TensorError};
 pub use numerics::{numerics_tier, set_numerics_tier, NumericsTier};
 pub use ops::conv::{

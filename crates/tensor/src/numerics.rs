@@ -1,38 +1,39 @@
-//! Numerics tiers: the workspace-wide switch between bit-exact and
-//! certified-fast kernels.
+//! Numerics tiers: the switch between the bit-exact and the
+//! certified-fast GEMM.
 //!
-//! Every numeric kernel in the workspace runs in one of two tiers:
+//! The GEMM runs in one of two tiers:
 //!
-//! * [`NumericsTier::Exact`] (the default) — every kernel is bit-identical
-//!   to its reference implementation at every thread count. This is the
-//!   tier all byte-identical reproducibility contracts (checkpoints,
-//!   golden outputs, chaos-recovery resume) are stated against.
-//! * [`NumericsTier::Fast`] — kernels may use mathematically equivalent
-//!   but differently-rounded algorithms (FMA-contracted GEMM here in
-//!   `neurfill-tensor`, FFT pad convolution and the sorted-prefix contact
-//!   solve in `neurfill-cmpsim`) whose outputs are certified against the
-//!   exact tier by the tier-equivalence and downstream-equivalence test
-//!   suites to documented tolerances. Within the fast tier results are
-//!   still deterministic for a fixed host: thread count never changes a
-//!   bit, only the tier switch does.
+//! * [`NumericsTier::Exact`] (the default) — bit-identical to
+//!   `gemm_reference` at every thread count. This is the tier all
+//!   byte-identical reproducibility contracts (checkpoints, golden
+//!   outputs, chaos-recovery resume) are stated against.
+//! * [`NumericsTier::Fast`] — the FMA-contracted GEMM twin, a
+//!   mathematically equivalent but differently-rounded kernel whose
+//!   outputs are certified against the exact tier by the GEMM- and
+//!   downstream-equivalence test suites to documented tolerances.
+//!   Within the fast tier results are still deterministic for a fixed
+//!   host: thread count never changes a bit, only the tier switch does.
+//!
+//! The GEMM is the only kernel with a fast twin: the golden CMP
+//! simulator has one numeric path under either tier.
 //!
 //! The tier reaches the GEMM dispatch through a process-wide global
 //! (mirroring [`crate::kernels::set_gemm_threads`]) because `NdArray`
 //! arithmetic has no per-call configuration surface; structured callers
-//! (the CMP simulator, flows, pools) carry the tier explicitly in their
-//! configs and install the global at startup.
+//! (flows, pools) carry the tier explicitly in their configs and install
+//! the global at startup.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Which numeric kernels the process runs: bit-exact (default) or
-/// certified-fast. See the module docs for the contract of each tier.
+/// Which GEMM the process runs: bit-exact (default) or certified-fast.
+/// See the module docs for the contract of each tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum NumericsTier {
     /// Bit-identical to the reference kernels at every thread count.
     #[default]
     Exact,
-    /// Faster kernels certified against `Exact` to documented tolerances:
-    /// FMA-contracted GEMM, FFT pad convolution, sorted-prefix contact.
+    /// The FMA-contracted GEMM, certified against `Exact` to a
+    /// documented tolerance.
     Fast,
 }
 
