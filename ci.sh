@@ -44,6 +44,13 @@ cargo test -p neurfill-tensor --test gemm_equivalence -q
 cargo test -p neurfill-cmpsim --test kernel_equivalence -q
 cargo test -p neurfill-nn --test determinism -q
 
+# Debug builds re-evaluate every anchored contact probe (the skip rule is
+# asserted on every board the suites simulate); release builds are the
+# shipped path that actually skips. Both must match the reference bits.
+echo "== anchored contact solve, release build (bitwise vs reference, sharded == monolithic)"
+cargo test --release -p neurfill-cmpsim --test kernel_equivalence -q
+cargo test --release -p neurfill-chip --test bit_identity -q
+
 echo "== numerics-tier certification suite (exact pinned, fast GEMM within tolerance)"
 cargo test -p neurfill --test downstream_equivalence -q
 

@@ -1,6 +1,6 @@
 //! Micro-benchmark of the optimized compute kernels against their
 //! reference implementations: blocked GEMM, the interior/border pad
-//! convolution split and the galloping contact bracket — plus one
+//! convolution split and the anchored contact solve — plus one
 //! end-to-end labeling run so kernel wins are tied to pipeline
 //! wall-clock.
 //!
@@ -26,7 +26,9 @@
 //! checkout) when set, else it is null.
 
 use neurfill_bench::records::{merge_into, output_path, print_table, BenchRecord};
-use neurfill_cmpsim::contact::{solve_reference_plane, solve_reference_plane_reference};
+use neurfill_cmpsim::contact::{
+    solve_reference_plane, solve_reference_plane_reference, solve_reference_plane_stats,
+};
 use neurfill_cmpsim::{PadKernel, ProcessParams};
 use neurfill_data::LabelConfig;
 use neurfill_layout::benchmark_designs;
@@ -165,8 +167,14 @@ fn bench_pad_kernel(rows: &mut Vec<BenchRecord>) {
 fn bench_contact(rows: &mut Vec<BenchRecord>) {
     let mut rng = StdRng::seed_from_u64(13);
     let params = ProcessParams::default();
-    for n in [256usize, 4096, 16384] {
-        let heights = random_f64(&mut rng, n);
+    // Mid-polish boards (every window in contact, a few tens of nm of
+    // relief under the initial height); 65 536 and 1 048 576 are the chip
+    // boards `chip_golden` and paper-scale design C solve once per step.
+    for n in [256usize, 4096, 16384, 65_536, 1_048_576] {
+        let heights: Vec<f64> =
+            (0..n).map(|_| params.initial_height - rng.gen_range(0.0..40.0)).collect();
+        let (_, stats) = solve_reference_plane_stats(&heights, &params);
+        println!("contact n{n}: {stats:?}");
         let (reference_ns, ns) = time_pair_ns(
             || {
                 std::hint::black_box(solve_reference_plane_reference(&heights, &params));

@@ -68,8 +68,13 @@ pub struct ChipSimStats {
     pub layers: usize,
     /// Halo bytes gathered across all layers, tiles and steps.
     pub halo_bytes: u64,
-    /// Contact-solve force evaluations across all layers.
+    /// Contact-solve exact force evaluations across all layers.
     pub force_evals: u64,
+    /// Contact-solve hint passes across all layers — with `force_evals`,
+    /// every O(cells) pass the global solve made over the chip board.
+    pub hint_passes: u64,
+    /// Contact-solve probes answered from an anchor (no board pass).
+    pub anchored_probes: u64,
     /// Maximum shards simultaneously inside the mapper.
     pub peak_tiles_in_flight: usize,
 }
@@ -153,9 +158,14 @@ impl ChipSimulator {
                 simulate_layer_sharded(shards, rows, cols, &self.cfg.params, &self.kernel, &map);
             stats.halo_bytes += shard_stats.halo_cells_exchanged * 8;
             stats.force_evals += shard_stats.force_evals;
+            stats.hint_passes += shard_stats.hint_passes;
+            stats.anchored_probes += shard_stats.anchored_probes;
             t.counter("chip.layers").inc();
             t.counter("chip.tiles").add(shard_stats.tiles as u64);
             t.counter("chip.halo_bytes").add(shard_stats.halo_cells_exchanged * 8);
+            t.counter("chip.contact.force_evals").add(shard_stats.force_evals);
+            t.counter("chip.contact.hint_passes").add(shard_stats.hint_passes);
+            t.counter("chip.contact.anchored_probes").add(shard_stats.anchored_probes);
             layers.push(profile);
         }
         stats.peak_tiles_in_flight = peak.load(Ordering::SeqCst);

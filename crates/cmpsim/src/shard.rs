@@ -28,7 +28,7 @@
 //! [`CmpSimulator::simulate_layer`](crate::CmpSimulator) at any tile
 //! size — the property `crates/chip` pins across worker counts.
 
-use crate::contact::{solve_reference_plane_stats, window_pressures};
+use crate::contact::{solve_reference_plane_stats, window_pressures_into};
 use crate::dsh::split_pressure;
 use crate::kernel::PadKernel;
 use crate::params::ProcessParams;
@@ -252,11 +252,14 @@ impl TileShard {
     /// Pointwise DSH/Preston update of the core from the global
     /// reference plane.
     pub fn update(&mut self, z_ref: f64, params: &ProcessParams) {
-        let pressures = window_pressures(&self.smoothed_core, z_ref, params);
+        // `smooth_buf` is idle until the next smooth (its core already
+        // sits in `smoothed_core`), so its head carries the pressures.
+        let pressures = &mut self.smooth_buf[..self.smoothed_core.len()];
+        window_pressures_into(&self.smoothed_core, z_ref, params, pressures);
         polish_pointwise(
             &mut self.z_up,
             &mut self.z_down,
-            &pressures,
+            pressures,
             &self.rho_eff,
             &self.dish_factor,
             &self.erosion_factor,
@@ -287,8 +290,13 @@ pub struct ShardStats {
     pub steps: usize,
     /// Halo cells gathered across all tiles and steps (×8 for bytes).
     pub halo_cells_exchanged: u64,
-    /// Contact-solve force evaluations (matches the monolithic run).
+    /// Contact-solve exact force evaluations (matches the monolithic run).
     pub force_evals: u64,
+    /// Contact-solve hint passes — with `force_evals`, every O(cells)
+    /// pass the global solve made over the chip board.
+    pub hint_passes: u64,
+    /// Contact-solve probes answered from an anchor (no board pass).
+    pub anchored_probes: u64,
 }
 
 /// A shard-mapping strategy: applies `f` to every shard, returning them
@@ -335,7 +343,7 @@ pub fn simulate_layer_sharded(
     );
     let mut envelope = vec![0.0; n];
     let mut smoothed = vec![0.0; n];
-    let mut force_evals = 0u64;
+    let mut stats = ShardStats { tiles: shards.len(), steps: params.steps, ..ShardStats::default() };
     for _ in 0..params.steps {
         for s in &shards {
             s.scatter_envelope(&mut envelope, chip_cols);
@@ -351,7 +359,9 @@ pub fn simulate_layer_sharded(
             s.scatter_smoothed(&mut smoothed, chip_cols);
         }
         let (z_ref, solve_stats) = solve_reference_plane_stats(&smoothed, params);
-        force_evals += solve_stats.force_evals;
+        stats.force_evals += solve_stats.force_evals;
+        stats.hint_passes += solve_stats.hint_passes;
+        stats.anchored_probes += solve_stats.anchored_probes;
         shards = map(shards, &move |mut s: TileShard| {
             s.update(z_ref, params);
             s
@@ -364,12 +374,7 @@ pub fn simulate_layer_sharded(
         s.finalize_into(&mut z_up, &mut z_down, &mut density, chip_cols);
     }
     let profile = finalize_layer(chip_rows, chip_cols, &density, &z_up, &z_down);
-    let stats = ShardStats {
-        tiles: shards.len(),
-        steps: params.steps,
-        halo_cells_exchanged: shards.iter().map(TileShard::halo_cells_exchanged).sum(),
-        force_evals,
-    };
+    stats.halo_cells_exchanged = shards.iter().map(TileShard::halo_cells_exchanged).sum();
     (profile, stats, shards)
 }
 
@@ -419,6 +424,24 @@ mod tests {
                 assert_eq!(stats.steps, params.steps);
             }
         }
+    }
+
+    #[test]
+    fn contact_stats_match_the_monolithic_counters() {
+        // The global solve sees the same chip board either way, so the
+        // sharded run must report the monolithic run's pass counts.
+        let params = ProcessParams::fast();
+        let telemetry = neurfill_obs::Telemetry::new();
+        let sim = CmpSimulator::new(params.clone()).unwrap().with_telemetry(telemetry.clone());
+        let layout = DesignSpec::new(DesignKind::Fpga, 12, 18, 5).generate();
+        let _ = sim.simulate_layer(&LayerInput::from_layout(&layout, 0));
+        let snap = telemetry.snapshot();
+        let tiling = Tiling::square(layout.rows(), layout.cols(), 5, params.kernel_radius);
+        let (_, stats) = sharded_layer(&layout, 0, &tiling, &params);
+        assert_eq!(stats.force_evals, snap.counter("sim.contact.force_evals"));
+        assert_eq!(stats.hint_passes, snap.counter("sim.contact.hint_passes"));
+        assert_eq!(stats.anchored_probes, snap.counter("sim.contact.anchored_probes"));
+        assert!(stats.anchored_probes > 0, "the equalities above must not be 0 == 0");
     }
 
     #[test]

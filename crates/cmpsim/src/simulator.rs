@@ -8,7 +8,7 @@
 //! modifiers); (4) the Preston equation removes material. The loop runs
 //! until the configured total polish time.
 
-use crate::contact::{solve_reference_plane_stats, window_pressures};
+use crate::contact::{solve_reference_plane_stats, window_pressures_into};
 use crate::kernel::PadKernel;
 use crate::params::ProcessParams;
 use crate::profile::{ChipProfile, LayerProfile};
@@ -180,6 +180,8 @@ impl CmpSimulator {
                 self.telemetry.counter("sim.kernel.applies"),
                 self.telemetry.counter("sim.kernel.windows"),
                 self.telemetry.counter("sim.contact.force_evals"),
+                self.telemetry.counter("sim.contact.hint_passes"),
+                self.telemetry.counter("sim.contact.anchored_probes"),
             )
         });
         let p = &self.params;
@@ -188,7 +190,7 @@ impl CmpSimulator {
         // Effective (kernel-averaged) pattern density is constant over the
         // polish since the pattern does not change.
         let rho_eff = self.kernel.apply(&input.density, input.rows, input.cols);
-        if let Some((_, applies, windows, _)) = &kernel_meters {
+        if let Some((_, applies, windows, ..)) = &kernel_meters {
             applies.inc();
             windows.add(n as u64);
         }
@@ -201,24 +203,27 @@ impl CmpSimulator {
         let mut z_down: Vec<f64> = z_up.iter().map(|z| z - p.initial_step).collect();
 
         let mut trace = Vec::new();
-        let mut envelope = vec![0.0; n];
         let mut smoothed = vec![0.0; n];
+        let mut pressures = vec![0.0; n];
         for _ in 0..p.steps {
             let t0 = self.telemetry.now_ns();
             // (1) Envelope heights, smoothed by the pad (scratch buffers
             // reused across steps).
-            envelope.copy_from_slice(&z_up);
-            self.kernel.apply_into(&envelope, input.rows, input.cols, &mut smoothed);
+            self.kernel.apply_into(&z_up, input.rows, input.cols, &mut smoothed);
             let t1 = self.telemetry.now_ns();
             // (2) Contact-mechanics pressure solve.
             let (z_ref, solve_stats) = solve_reference_plane_stats(&smoothed, p);
-            let pressures = window_pressures(&smoothed, z_ref, p);
+            window_pressures_into(&smoothed, z_ref, p, &mut pressures);
             let t2 = self.telemetry.now_ns();
-            if let Some((kernel_h, applies, windows, force_evals)) = &kernel_meters {
+            if let Some((kernel_h, applies, windows, force_evals, hint_passes, anchored_probes)) =
+                &kernel_meters
+            {
                 kernel_h.record(t1.saturating_sub(t0));
                 applies.inc();
                 windows.add(n as u64);
                 force_evals.add(solve_stats.force_evals);
+                hint_passes.add(solve_stats.hint_passes);
+                anchored_probes.add(solve_stats.anchored_probes);
             }
             // (3) DSH split + (4) Preston removal.
             crate::shard::polish_pointwise(
