@@ -51,6 +51,18 @@ echo "== anchored contact solve, release build (bitwise vs reference, sharded ==
 cargo test --release -p neurfill-cmpsim --test kernel_equivalence -q
 cargo test --release -p neurfill-chip --test bit_identity -q
 
+# The line search, the frozen-surrogate backward, the row-span im2col/col2im
+# and the column-filtered insertion scan each replaced code that now lives
+# on as a test-only oracle; the workspace run above compared them in debug,
+# this compares the optimized code that ships.
+echo "== replacement-vs-oracle suites, release build (line search, frozen + per-layer planarity, im2col/col2im, insertion)"
+cargo test --release -p neurfill-optim --lib linesearch -q
+cargo test --release -p neurfill --lib frozen_planarity -q
+cargo test --release -p neurfill --lib per_layer_backward -q
+cargo test --release -p neurfill-tensor --lib ops::conv -q
+cargo test --release -p neurfill-layout --lib insertion -q
+cargo test --release --test trajectory_pin -q
+
 echo "== numerics-tier certification suite (exact pinned, fast GEMM within tolerance)"
 cargo test -p neurfill --test downstream_equivalence -q
 

@@ -6,10 +6,12 @@
 //! with calibrated iteration counts, results to stdout and merged into
 //! `BENCH_kernels.json` at the repo root (override with
 //! `NEURFILL_BENCH_OUT`) under the `unet_infer` op without disturbing the
-//! kernel rows. The `cpu` row per batch is the reference-less absolute
-//! timing; the `quant` row's reference column is the `cpu` timing for the
-//! same batch, so `speedup` is the per-core quantization win the PR's
-//! acceptance bar reads (>= 2x at batch >= 8).
+//! kernel rows. The `quant` row's reference column is the `cpu` timing for
+//! the same batch, so `speedup` is the per-core quantization win the PR's
+//! acceptance bar reads (>= 2x at batch >= 8). The `cpu` row's reference
+//! column comes from `NEURFILL_BASELINE_INFER_NS` — the three `cpu`
+//! timings, comma-separated in batch order, of this same bench source run
+//! on the checkout being compared against — when set, else it is null.
 
 use neurfill_bench::records::{merge_into, output_path, print_table, BenchRecord};
 use neurfill_nn::{calibrate, Module, QuantUNet, UNet, UNetConfig};
@@ -82,8 +84,12 @@ fn main() {
     let scales = calibrate(&unet, &cal_inputs).unwrap();
     let quant = QuantUNet::compile(&unet, &scales).unwrap();
 
+    let baseline: Vec<f64> = std::env::var("NEURFILL_BASELINE_INFER_NS")
+        .map(|v| v.split(',').filter_map(|ns| ns.trim().parse().ok()).collect())
+        .unwrap_or_default();
+
     let mut rows = Vec::new();
-    for batch in [1usize, 8, 32] {
+    for (i, batch) in [1usize, 8, 32].into_iter().enumerate() {
         let input = random_input(&mut rng, batch);
         let (f32_ns, quant_ns) = time_pair_ns(
             || {
@@ -100,7 +106,7 @@ fn main() {
             tier: "exact".to_string(),
             backend: "cpu".to_string(),
             ns: f32_ns,
-            reference_ns: None,
+            reference_ns: baseline.get(i).copied(),
         });
         rows.push(BenchRecord {
             op: "unet_infer".to_string(),

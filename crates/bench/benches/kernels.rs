@@ -1,8 +1,8 @@
 //! Micro-benchmark of the optimized compute kernels against their
-//! reference implementations: blocked GEMM, the interior/border pad
-//! convolution split and the anchored contact solve — plus one
-//! end-to-end labeling run so kernel wins are tied to pipeline
-//! wall-clock.
+//! reference implementations: blocked GEMM, row-span im2col, the
+//! frozen-surrogate UNet backward, the interior/border pad convolution
+//! split and the anchored contact solve — plus one end-to-end labeling
+//! run so kernel wins are tied to pipeline wall-clock.
 //!
 //! Hand-rolled harness (no criterion): each op is timed as the best of
 //! several samples after warmup, with the iteration count calibrated so
@@ -33,8 +33,9 @@ use neurfill_cmpsim::{PadKernel, ProcessParams};
 use neurfill_data::LabelConfig;
 use neurfill_layout::benchmark_designs;
 use neurfill_layout::datagen::DataGenConfig;
-use neurfill_tensor::kernels::{gemm, gemm_reference, gemm_tiered};
-use neurfill_tensor::NumericsTier;
+use neurfill_nn::{Module, UNet, UNetConfig};
+use neurfill_tensor::kernels::{gemm, gemm_reference, gemm_tiered, set_gemm_threads};
+use neurfill_tensor::{im2col_into, NdArray, NumericsTier, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -147,6 +148,95 @@ fn bench_gemm(rows: &mut Vec<BenchRecord>) {
     }
 }
 
+/// The im2col the row-span kernel replaced: zero the whole patch matrix,
+/// then move the pixels one bounds-checked element at a time (3×3, stride
+/// 1, pad 1 — the UNet's convolution).
+fn im2col_legacy(x: &[f32], c: usize, edge: usize, o: &mut [f32]) {
+    o.fill(0.0);
+    let cols = edge * edge;
+    for ci in 0..c {
+        let img = &x[ci * cols..(ci + 1) * cols];
+        for ky in 0..3 {
+            for kx in 0..3 {
+                let row = ((ci * 3 + ky) * 3 + kx) * cols;
+                for oy in 0..edge {
+                    let iy = (oy + ky) as isize - 1;
+                    if iy < 0 || iy >= edge as isize {
+                        continue;
+                    }
+                    for ox in 0..edge {
+                        let ix = (ox + kx) as isize - 1;
+                        if ix >= 0 && ix < edge as isize {
+                            o[row + oy * edge + ox] = img[iy as usize * edge + ix as usize];
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+fn bench_im2col(rows: &mut Vec<BenchRecord>) {
+    // (channels, edge) of the 3×3 convolutions that move the most patch
+    // elements in one batch-1 forward of the default UNet (base 8, depth 2)
+    // on a 32×32 tile — 91 % of its ~520 k between them.
+    let shapes = [(4usize, 32usize), (8, 32), (16, 32), (16, 16), (32, 16)];
+    let mut rng = StdRng::seed_from_u64(17);
+    for (c, edge) in shapes {
+        let x = random_f32(&mut rng, c * edge * edge);
+        let cols = edge * edge;
+        let mut legacy = vec![0.0f32; c * 9 * cols];
+        let mut out = vec![0.0f32; c * 9 * cols];
+        let (legacy_ns, ns) = time_pair_ns(
+            || im2col_legacy(&x, c, edge, &mut legacy),
+            || im2col_into(&x, c, edge, edge, 3, 3, 1, 1, &mut out, cols, 0),
+        );
+        assert_eq!(legacy, out, "im2col c{c} {edge}x{edge}");
+        rows.push(row("im2col", format!("c{c}_{edge}x{edge}_k3"), "exact", ns, Some(legacy_ns)));
+    }
+}
+
+/// Backward of the production surrogate (4 → 1 channels, base 8, depth 2)
+/// at batch 1 on a 32×32 tile, w.r.t. its input: with every weight a
+/// variable (what training differentiates, and what the fill job used to)
+/// and frozen as `CmpNeuralNetwork` wraps it. Backward = (forward +
+/// backward) − forward, each best-of-samples.
+fn bench_unet_backward(rows: &mut Vec<BenchRecord>) {
+    set_gemm_threads(1);
+    let mut rng = StdRng::seed_from_u64(19);
+    let unet =
+        UNet::new(UNetConfig { in_channels: 4, out_channels: 1, base_channels: 8, depth: 2 }, &mut rng);
+    unet.set_training(false);
+    let input = NdArray::from_vec(random_f32(&mut rng, 4 * 32 * 32), &[1, 4, 32, 32]).unwrap();
+    let backward_ns = |unet: &UNet| {
+        let forward = || unet.forward(&Tensor::parameter(input.clone())).unwrap().sum();
+        let (forward_ns, both_ns) = time_pair_ns(
+            || {
+                std::hint::black_box(forward().item());
+            },
+            || {
+                unet.zero_grad();
+                forward().backward().unwrap();
+            },
+        );
+        (both_ns - forward_ns).max(0.0)
+    };
+    let trainable_ns = backward_ns(&unet);
+    for p in unet.parameters() {
+        p.set_requires_grad(false);
+    }
+    let frozen_ns = backward_ns(&unet);
+    set_gemm_threads(0);
+    rows.push(row("unet_backward", "trainable_batch1_32x32".to_string(), "exact", trainable_ns, None));
+    rows.push(row(
+        "unet_backward",
+        "frozen_batch1_32x32".to_string(),
+        "exact",
+        frozen_ns,
+        Some(trainable_ns),
+    ));
+}
+
 fn bench_pad_kernel(rows: &mut Vec<BenchRecord>) {
     let shapes = [(16usize, 16usize, 2usize), (64, 64, 4), (128, 128, 4)];
     let mut rng = StdRng::seed_from_u64(11);
@@ -214,13 +304,22 @@ fn bench_labeling(rows: &mut Vec<BenchRecord>) {
 
 /// The ops this bench owns in `BENCH_kernels.json`; other benches' rows
 /// (`unet_infer`) survive the merge.
-const OWNED_OPS: &[&str] =
-    &["gemm", "gemm_oracle", "pad_kernel", "contact_exact", "labeling_end_to_end"];
+const OWNED_OPS: &[&str] = &[
+    "gemm",
+    "gemm_oracle",
+    "im2col",
+    "unet_backward",
+    "pad_kernel",
+    "contact_exact",
+    "labeling_end_to_end",
+];
 
 fn main() {
     // `cargo bench` passes `--bench`; a bare `--no-run` build never gets here.
     let mut rows = Vec::new();
     bench_gemm(&mut rows);
+    bench_im2col(&mut rows);
+    bench_unet_backward(&mut rows);
     bench_pad_kernel(&mut rows);
     bench_contact(&mut rows);
     bench_labeling(&mut rows);

@@ -43,12 +43,13 @@ impl BenchRecord {
         }
     }
 
-    /// The record as one JSON object line (no trailing comma).
+    /// The record as one JSON object line (no trailing comma), stamped
+    /// with the host that produced it.
     #[must_use]
-    pub fn to_json_line(&self) -> String {
+    pub fn to_json_line(&self, host: &str) -> String {
         format!(
             "{{\"op\": \"{}\", \"shape\": \"{}\", \"tier\": \"{}\", \"backend\": \"{}\", \
-             \"ns_per_iter\": {:.1}, \"reference_ns_per_iter\": {}, \"speedup\": {}}}",
+             \"ns_per_iter\": {:.1}, \"reference_ns_per_iter\": {}, \"speedup\": {}, \"host\": \"{}\"}}",
             self.op,
             self.shape,
             self.tier,
@@ -56,8 +57,30 @@ impl BenchRecord {
             self.ns,
             Self::json_f64(self.reference_ns),
             Self::json_f64(self.speedup()),
+            host,
         )
     }
+}
+
+/// One-line description of the machine a bench ran on — core count, CPU
+/// model and the SIMD features the kernels dispatch on — so a timing is
+/// never read without its host.
+#[must_use]
+pub fn host_stamp() -> String {
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let field = |key: &str| {
+        cpuinfo
+            .lines()
+            .find(|l| l.starts_with(key))
+            .and_then(|l| l.split(':').nth(1))
+            .map_or("unknown", str::trim)
+            .replace(['"', '\\'], "")
+    };
+    let flags = field("flags");
+    let simd: Vec<&str> =
+        ["avx2", "fma", "avx512f"].into_iter().filter(|f| flags.split(' ').any(|g| g == *f)).collect();
+    let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    format!("{nproc} x {} [{}]", field("model name"), simd.join(" "))
 }
 
 /// Where a bench binary writes its table: `NEURFILL_BENCH_OUT` when set,
@@ -85,7 +108,7 @@ fn existing_lines(path: &Path) -> Vec<String> {
 /// Merges `rows` into the table at `path`: every existing row whose `op`
 /// is in `replace_ops` is dropped (the caller owns those ops and is
 /// rewriting them), every other existing row is preserved verbatim, and
-/// the new rows are appended.
+/// the new rows are appended, each stamped with [`host_stamp`].
 ///
 /// # Errors
 ///
@@ -97,7 +120,8 @@ pub fn merge_into(path: &Path, replace_ops: &[&str], rows: &[BenchRecord]) -> io
         .into_iter()
         .filter(|l| !owned.iter().any(|key| l.contains(key.as_str())))
         .collect();
-    lines.extend(rows.iter().map(BenchRecord::to_json_line));
+    let host = host_stamp();
+    lines.extend(rows.iter().map(|row| row.to_json_line(&host)));
 
     let mut body = String::from("[\n");
     for (i, line) in lines.iter().enumerate() {

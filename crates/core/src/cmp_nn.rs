@@ -72,7 +72,8 @@ pub struct CmpNeuralNetwork {
 }
 
 impl CmpNeuralNetwork {
-    /// Assembles the network around a (pre-trained) UNet.
+    /// Assembles the network around a (pre-trained) UNet, which it puts in
+    /// evaluation mode and freezes.
     ///
     /// # Panics
     ///
@@ -88,6 +89,14 @@ impl CmpNeuralNetwork {
         assert_eq!(unet.config().in_channels, NUM_CHANNELS, "UNet must take the extraction channels");
         assert_eq!(unet.config().out_channels, 1, "UNet must emit one height plane");
         unet.set_training(false);
+        // The weights are not variables of the filling problem: frozen,
+        // `planarity` differentiates the fill amounts only and leaves no
+        // gradient on any parameter. (To fine-tune, `copy_parameters` into
+        // a fresh `UNet`.)
+        for p in unet.parameters() {
+            p.set_requires_grad(false);
+            p.zero_grad();
+        }
         Self { unet, height_norm, extraction, config, calibration: None, quant: OnceCell::new() }
     }
 
@@ -342,7 +351,19 @@ impl CmpNeuralNetwork {
         let offset_ang = self.height_norm.offset_nm * NM_TO_ANGSTROM;
         let eta = self.config.eta as f32;
 
-        let mut x_tensors = Vec::with_capacity(layout.num_layers());
+        // S_plan is linear in the per-layer terms (Eq. 5b with unclamped
+        // slopes): S_plan = k_σ·Σσ_l + k_σ*·Σσ*_l + k_ol·Σol_l + const, and
+        // layer l's terms depend on layer l's fill amounts only. So each
+        // layer is differentiated on its own graph, which is dropped before
+        // the next layer is built: one UNet graph is alive at a time, not
+        // one per layer. The seed reaching σ_l, σ*_l and ol_l is `1·k`
+        // either way, so every gradient bit is what the joint graph gave.
+        let a = &coeffs.alphas;
+        let k_sigma = -(a.sigma / coeffs.beta_sigma) as f32;
+        let k_sstar = -(a.sigma_star / coeffs.beta_sigma_star) as f32;
+        let k_ol = -(a.ol / coeffs.beta_ol) as f32;
+
+        let mut gradient = Vec::with_capacity(if with_grad { x.len() } else { 0 });
         let mut sigma_total: Option<Tensor> = None;
         let mut sstar_total: Option<Tensor> = None;
         let mut ol_total: Option<Tensor> = None;
@@ -382,6 +403,20 @@ impl CmpNeuralNetwork {
             let z = h.sub(&threshold)?;
             let ol_l = z.scale(eta).softplus().sum().scale(1.0 / eta);
 
+            if with_grad {
+                sigma_l
+                    .scale(k_sigma)
+                    .add(&sstar_l.scale(k_sstar))?
+                    .add(&ol_l.scale(k_ol))?
+                    .backward()?;
+                match x_l.grad() {
+                    Some(g) => gradient.extend(g.as_slice().iter().map(|v| f64::from(*v))),
+                    None => gradient.extend(std::iter::repeat_n(0.0, per_layer)),
+                }
+            }
+
+            // The totals are summed on detached values, in layer order.
+            let (sigma_l, sstar_l, ol_l) = (sigma_l.detach(), sstar_l.detach(), ol_l.detach());
             sigma_total = Some(match sigma_total {
                 Some(t) => t.add(&sigma_l)?,
                 None => sigma_l,
@@ -394,7 +429,6 @@ impl CmpNeuralNetwork {
                 Some(t) => t.add(&ol_l)?,
                 None => ol_l,
             });
-            x_tensors.push(x_l);
         }
 
         let sigma = sigma_total.expect("at least one layer");
@@ -403,22 +437,11 @@ impl CmpNeuralNetwork {
 
         // Merging layer (Eq. 5b) with unclamped slopes:
         // S_plan = α_σ(1 − σ/β_σ) + α_σ*(1 − σ*/β_σ*) + α_ol(1 − ol/β_ol).
-        let a = &coeffs.alphas;
         let s_plan = sigma
-            .scale(-(a.sigma / coeffs.beta_sigma) as f32)
-            .add(&sstar.scale(-(a.sigma_star / coeffs.beta_sigma_star) as f32))?
-            .add(&ol.scale(-(a.ol / coeffs.beta_ol) as f32))?
+            .scale(k_sigma)
+            .add(&sstar.scale(k_sstar))?
+            .add(&ol.scale(k_ol))?
             .add_scalar((a.sigma + a.sigma_star + a.ol) as f32);
-
-        let mut gradient = Vec::new();
-        if with_grad {
-            s_plan.backward()?;
-            gradient.reserve(x.len());
-            for x_l in &x_tensors {
-                let g = x_l.grad().unwrap_or_else(|| NdArray::zeros(&[1, 1, rows, cols]));
-                gradient.extend(g.as_slice().iter().map(|v| f64::from(*v)));
-            }
-        }
 
         // Hard metrics from the predicted height maps.
         let layers: Vec<LayerProfile> = height_profiles
@@ -513,6 +536,110 @@ mod tests {
             (fd - directional).abs() < 0.35 * (1e-5 + fd.abs()),
             "directional fd={fd:e} analytic={directional:e}"
         );
+    }
+
+    #[test]
+    fn frozen_planarity_matches_unfrozen_graph_bit_for_bit() {
+        let c = coeffs();
+        for edge in [8, 32] {
+            for l in neurfill_layout::benchmark_designs(edge, edge, 5) {
+                let net = network();
+                let x: Vec<f64> = l
+                    .slack_vector()
+                    .iter()
+                    .enumerate()
+                    .map(|(i, s)| s * ((i * 37 % 101) as f64 / 100.0))
+                    .collect();
+                let frozen = net.planarity(&l, &x, &c).unwrap();
+                assert!(net.unet().parameters().iter().all(|p| p.grad().is_none()));
+
+                // The backward this replaced: every weight a variable.
+                for p in net.unet().parameters() {
+                    p.set_requires_grad(true);
+                }
+                let unfrozen = net.planarity(&l, &x, &c).unwrap();
+                assert!(net.unet().parameters().iter().all(|p| p.grad().is_some()));
+
+                assert_eq!(frozen.score.to_bits(), unfrozen.score.to_bits(), "{} {edge}", l.name());
+                let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&frozen.gradient), bits(&unfrozen.gradient), "{} {edge}", l.name());
+                assert!(frozen.gradient.iter().any(|g| *g != 0.0));
+                assert_eq!(frozen.metrics, unfrozen.metrics);
+            }
+        }
+    }
+
+    /// What `planarity` replaced: one graph over all layers, summed into
+    /// S_plan, differentiated by a single backward pass.
+    fn planarity_joint_graph(
+        net: &CmpNeuralNetwork,
+        layout: &Layout,
+        x: &[f64],
+        coeffs: &Coefficients,
+    ) -> (f64, Vec<f64>) {
+        let (rows, cols) = (layout.rows(), layout.cols());
+        let per_layer = rows * cols;
+        let ang = (net.height_norm.scale_nm * NM_TO_ANGSTROM) as f32;
+        let eta = net.config.eta as f32;
+        let mut x_tensors = Vec::new();
+        let mut totals: [Option<Tensor>; 3] = [None, None, None];
+        for l in 0..layout.num_layers() {
+            let data: Vec<f32> =
+                x[l * per_layer..(l + 1) * per_layer].iter().map(|v| *v as f32).collect();
+            let x_l = Tensor::parameter(NdArray::from_vec(data, &[1, 1, rows, cols]).unwrap());
+            let planes = extract_layer_tensor(layout, l, &x_l, &net.extraction).unwrap();
+            let h = net.unet.forward(&planes).unwrap().reshape(&[rows, cols]).unwrap().scale(ang);
+            let sigma_l = h.var();
+            let col_mean = h.mean_axis(0, true).unwrap();
+            let sstar_l = h.sub(&col_mean).unwrap().abs().sum();
+            let std = sigma_l.clamp_min(1e-12).sqrt();
+            let threshold = h.mean().add(&std.scale(3.0)).unwrap();
+            let ol_l = h.sub(&threshold).unwrap().scale(eta).softplus().sum().scale(1.0 / eta);
+            for (total, term) in totals.iter_mut().zip([sigma_l, sstar_l, ol_l]) {
+                *total = Some(match total.take() {
+                    Some(t) => t.add(&term).unwrap(),
+                    None => term,
+                });
+            }
+            x_tensors.push(x_l);
+        }
+        let [sigma, sstar, ol] = totals.map(Option::unwrap);
+        let a = &coeffs.alphas;
+        let s_plan = sigma
+            .scale(-(a.sigma / coeffs.beta_sigma) as f32)
+            .add(&sstar.scale(-(a.sigma_star / coeffs.beta_sigma_star) as f32))
+            .unwrap()
+            .add(&ol.scale(-(a.ol / coeffs.beta_ol) as f32))
+            .unwrap()
+            .add_scalar((a.sigma + a.sigma_star + a.ol) as f32);
+        s_plan.backward().unwrap();
+        let gradient =
+            x_tensors.iter().flat_map(|x_l| x_l.grad().unwrap().into_vec()).map(f64::from).collect();
+        (f64::from(s_plan.item()), gradient)
+    }
+
+    #[test]
+    fn per_layer_backward_matches_joint_graph_bit_for_bit() {
+        let c = coeffs();
+        for edge in [8, 32] {
+            for l in neurfill_layout::benchmark_designs(edge, edge, 5) {
+                let net = network();
+                let x: Vec<f64> = l
+                    .slack_vector()
+                    .iter()
+                    .enumerate()
+                    .map(|(i, s)| s * ((i * 53 % 97) as f64 / 96.0))
+                    .collect();
+                let eval = net.planarity(&l, &x, &c).unwrap();
+                let (score, gradient) = planarity_joint_graph(&net, &l, &x, &c);
+                assert_eq!(eval.score.to_bits(), score.to_bits(), "{} {edge}", l.name());
+                let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&eval.gradient), bits(&gradient), "{} {edge}", l.name());
+                assert!(gradient.iter().any(|g| *g != 0.0));
+                // The forward-only score is the same number.
+                assert_eq!(net.planarity_score_f32(&l, &x, &c).unwrap().to_bits(), score.to_bits());
+            }
+        }
     }
 
     #[test]

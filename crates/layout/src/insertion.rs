@@ -52,6 +52,13 @@ pub fn insert_dummies(
     let cols = ((window.width() - rules.spacing_um) / pitch).floor().max(0.0) as usize;
     let rows = ((window.height() - rules.spacing_um) / pitch).floor().max(0.0) as usize;
     let mut placed = Vec::with_capacity(need.min(rows * cols));
+    let inflated: Vec<Rect> = blocked.iter().map(|b| b.inflate(rules.wire_margin_um)).collect();
+    // Per grid column, the inflated blockers whose x-interval overlaps the
+    // column's — the only ones a candidate of that column can overlap —
+    // stored back to back: column `c` owns `[column_ends[c-1], column_ends[c])`.
+    // The first grid row fills them in as it visits each column.
+    let mut column_blockers: Vec<Rect> = Vec::new();
+    let mut column_ends: Vec<usize> = Vec::with_capacity(cols);
     'grid: for r in 0..rows {
         for c in 0..cols {
             if placed.len() >= need {
@@ -60,11 +67,21 @@ pub fn insert_dummies(
             let x0 = window.x0 + rules.spacing_um + c as f64 * pitch;
             let y0 = window.y0 + rules.spacing_um + r as f64 * pitch;
             let candidate = Rect::new(x0, y0, x0 + rules.edge_um, y0 + rules.edge_um);
+            if r == 0 {
+                let strip = Rect {
+                    x0: candidate.x0,
+                    y0: f64::NEG_INFINITY,
+                    x1: candidate.x1,
+                    y1: f64::INFINITY,
+                };
+                column_blockers.extend(inflated.iter().filter(|b| strip.overlaps(b)));
+                column_ends.push(column_blockers.len());
+            }
             if candidate.x1 > window.x1 || candidate.y1 > window.y1 {
                 continue;
             }
-            let clear = blocked.iter().all(|b| !candidate.overlaps(&b.inflate(rules.wire_margin_um)));
-            if clear {
+            let start = if c == 0 { 0 } else { column_ends[c - 1] };
+            if column_blockers[start..column_ends[c]].iter().all(|b| !candidate.overlaps(b)) {
                 placed.push(candidate);
             }
         }
@@ -229,6 +246,84 @@ pub fn realize_fill(layout: &Layout, plan: &FillPlan, rules: &InsertionRules) ->
 mod tests {
     use super::*;
     use crate::design::{DesignKind, DesignSpec};
+    use proptest::prelude::*;
+
+    /// The scan `insert_dummies` replaced: every candidate against every
+    /// blocker, inflating as it goes.
+    fn insert_dummies_reference(
+        window: &Rect,
+        blocked: &[Rect],
+        target_area: f64,
+        rules: &InsertionRules,
+    ) -> Vec<Rect> {
+        if target_area <= 0.0 {
+            return Vec::new();
+        }
+        let pitch = rules.edge_um + rules.spacing_um;
+        let need = (target_area / (rules.edge_um * rules.edge_um)).round() as usize;
+        let cols = ((window.width() - rules.spacing_um) / pitch).floor().max(0.0) as usize;
+        let rows = ((window.height() - rules.spacing_um) / pitch).floor().max(0.0) as usize;
+        let mut placed = Vec::new();
+        for r in 0..rows {
+            for c in 0..cols {
+                if placed.len() >= need {
+                    return placed;
+                }
+                let x0 = window.x0 + rules.spacing_um + c as f64 * pitch;
+                let y0 = window.y0 + rules.spacing_um + r as f64 * pitch;
+                let candidate = Rect::new(x0, y0, x0 + rules.edge_um, y0 + rules.edge_um);
+                if candidate.x1 > window.x1 || candidate.y1 > window.y1 {
+                    continue;
+                }
+                if blocked.iter().all(|b| !candidate.overlaps(&b.inflate(rules.wire_margin_um))) {
+                    placed.push(candidate);
+                }
+            }
+        }
+        placed
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        // Random windows, rules and blockers (wire-like strips, small
+        // blocks, some outside or straddling the window, some degenerate):
+        // the same rectangles in the same order as the naive scan.
+        // `insert_dummies_multisize` places through `insert_dummies` only.
+        #[test]
+        fn column_filtered_scan_matches_naive_scan(
+            origin in proptest::collection::vec(-50.0f64..50.0, 2),
+            size in proptest::collection::vec(0.5f64..60.0, 2),
+            rule in proptest::collection::vec(0.0f64..1.0, 3),
+            blockers in proptest::collection::vec(-0.2f64..1.2, 4 * 12),
+            strips in 0usize..=12,
+            target_fraction in 0.0f64..1.5,
+        ) {
+            let window = Rect::new(origin[0], origin[1], origin[0] + size[0], origin[1] + size[1]);
+            let rules = InsertionRules {
+                edge_um: 0.25 + 3.0 * rule[0],
+                spacing_um: rule[1],
+                wire_margin_um: rule[2],
+            };
+            let blocked: Vec<Rect> = blockers
+                .chunks(4)
+                .enumerate()
+                .map(|(i, q)| {
+                    let x = |f: f64| window.x0 + f * window.width();
+                    let y = |f: f64| window.y0 + f * window.height();
+                    if i < strips {
+                        // Full-height strip, as `wires_for_pattern` draws.
+                        Rect::new(x(q[0]), window.y0, x(q[0]) + q[1].abs(), window.y1)
+                    } else {
+                        Rect::new(x(q[0]), y(q[1]), x(q[2]), y(q[3]))
+                    }
+                })
+                .collect();
+            let target = target_fraction * window.area();
+            let got = insert_dummies(&window, &blocked, target, &rules);
+            prop_assert_eq!(got, insert_dummies_reference(&window, &blocked, target, &rules));
+        }
+    }
 
     #[test]
     fn places_requested_area_in_empty_window() {

@@ -27,7 +27,7 @@ pub mod qp;
 mod sqp;
 pub mod testfns;
 
-pub use linesearch::{projected_backtracking, LineSearchResult};
+pub use linesearch::{projected_backtracking, LineSearch, LineSearchResult};
 pub use msp::{maximize_multi_start, MultiStartResult};
 pub use nmmso::{Mode, Nmmso, NmmsoConfig, NmmsoResult};
 pub use problem::{Bounds, BoxNormalized, FnObjective, Objective};

@@ -62,7 +62,7 @@ pub fn maximize_projected_gradient(
             break;
         }
         iterations += 1;
-        let Some(ls) = projected_backtracking(
+        let ls = projected_backtracking(
             objective,
             bounds,
             &x,
@@ -72,11 +72,12 @@ pub fn maximize_projected_gradient(
             step,
             config.armijo_c1,
             config.max_backtracks,
-        ) else {
+        );
+        evaluations += ls.evaluations;
+        let Some(ls) = ls.accepted else {
             converged = true;
             break;
         };
-        evaluations += ls.evaluations;
         // Grow the trial step when the full step was accepted.
         step = if ls.alpha >= step { step * 2.0 } else { ls.alpha * 2.0 };
         x = ls.x;

@@ -51,7 +51,7 @@ pub struct SqpResult {
     pub value: f64,
     /// Major iterations performed.
     pub iterations: usize,
-    /// Objective evaluations spent.
+    /// Objective evaluations spent, failed line searches included.
     pub evaluations: usize,
     /// Gradient evaluations spent.
     pub gradient_evaluations: usize,
@@ -160,7 +160,9 @@ impl SqpSolver {
     }
 
     /// Attaches a telemetry handle; each solve then contributes to the
-    /// `optim.sqp.*` counters and the `optim.sqp.solve_ns` histogram.
+    /// `optim.sqp.*` counters (among them `linesearch_failures`, searches
+    /// that accepted no trial, and `trials_skipped`, trials rejected
+    /// without an evaluation) and the `optim.sqp.solve_ns` histogram.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: neurfill_obs::Telemetry) -> Self {
         self.telemetry = telemetry;
@@ -209,6 +211,8 @@ impl SqpSolver {
         let (mut f, mut g) = objective.value_and_gradient(&x);
         let mut evaluations = 1;
         let mut gradient_evaluations = 1;
+        let mut linesearch_failures = 0;
+        let mut trials_skipped = 0;
         let mut lbfgs = Lbfgs::new(cfg.memory);
         let mut history = Vec::with_capacity(cfg.max_iterations);
         let mut converged = false;
@@ -226,37 +230,34 @@ impl SqpSolver {
             }
             iterations += 1;
             let direction = lbfgs.ascent_direction(&g);
-            let ls = projected_backtracking(
-                objective,
-                bounds,
-                &x,
-                f,
-                &g,
-                &direction,
-                cfg.initial_step,
-                cfg.armijo_c1,
-                cfg.max_backtracks,
-            )
-            .or_else(|| {
-                // Quasi-Newton direction failed: steepest-ascent fallback.
-                projected_backtracking(
+            // Quasi-Newton direction first; when it fails, the
+            // steepest-ascent fallback.
+            let mut accepted = None;
+            for d in [&direction, &g] {
+                let ls = projected_backtracking(
                     objective,
                     bounds,
                     &x,
                     f,
                     &g,
-                    &g,
+                    d,
                     cfg.initial_step,
                     cfg.armijo_c1,
                     cfg.max_backtracks,
-                )
-            });
-            let Some(ls) = ls else {
+                );
+                evaluations += ls.evaluations;
+                trials_skipped += ls.skipped;
+                accepted = ls.accepted;
+                if accepted.is_some() {
+                    break;
+                }
+                linesearch_failures += 1;
+            }
+            let Some(ls) = accepted else {
                 // No ascent achievable: first-order stationary in practice.
                 converged = true;
                 break;
             };
-            evaluations += ls.evaluations;
             let g_new = objective.gradient(&ls.x);
             gradient_evaluations += 1;
             let s: Vec<f64> = ls.x.iter().zip(&x).map(|(a, b)| a - b).collect();
@@ -273,6 +274,8 @@ impl SqpSolver {
             self.telemetry.add("optim.sqp.iterations", iterations as u64);
             self.telemetry.add("optim.sqp.evaluations", evaluations as u64);
             self.telemetry.add("optim.sqp.gradient_evaluations", gradient_evaluations as u64);
+            self.telemetry.add("optim.sqp.linesearch_failures", linesearch_failures as u64);
+            self.telemetry.add("optim.sqp.trials_skipped", trials_skipped as u64);
         }
         SqpResult {
             x,
@@ -291,6 +294,7 @@ impl SqpSolver {
 mod tests {
     use super::*;
     use crate::problem::FnObjective;
+    use std::cell::Cell;
 
     fn neg_quadratic(center: Vec<f64>) -> impl Objective {
         let c2 = center.clone();
@@ -376,7 +380,6 @@ mod tests {
 
     #[test]
     fn stop_predicate_aborts_mid_optimization() {
-        use std::cell::Cell;
         // Far-off maximum so the default tolerance is never reached in two
         // iterations; the predicate must cut the solve short.
         let obj = neg_quadratic(vec![0.9, 0.9, 0.9]);
@@ -395,6 +398,51 @@ mod tests {
         let a = SqpSolver::default().maximize(&obj, &bounds, &[0.0; 3]);
         let b = SqpSolver::default().maximize_with_stop(&obj, &bounds, &[0.0; 3], &|| false);
         assert_eq!(a, b);
+    }
+
+    /// Concave quadratic `−½·xᵀAx + bᵀx` with `A = I + c·11ᵀ`: the strong
+    /// coupling makes quasi-Newton directions leave the box, so some of
+    /// their projected arcs are not ascent arcs and the search fails.
+    fn coupled_quadratic(n: usize, calls: &Cell<usize>) -> impl Objective + '_ {
+        let b: Vec<f64> = (0..n).map(|i| ((i * 7 + 3) % 11) as f64 - 3.0).collect();
+        let b2 = b.clone();
+        let ax = |x: &[f64]| -> Vec<f64> {
+            let sum: f64 = x.iter().sum();
+            x.iter().map(|xi| xi + 4.0 * sum).collect()
+        };
+        FnObjective::new(
+            n,
+            move |x: &[f64]| {
+                calls.set(calls.get() + 1);
+                x.iter().zip(ax(x)).zip(&b).map(|((xi, axi), bi)| bi * xi - 0.5 * xi * axi).sum()
+            },
+            move |x: &[f64]| {
+                calls.set(calls.get() + 1);
+                ax(x).iter().zip(&b2).map(|(axi, bi)| bi - axi).collect()
+            },
+        )
+    }
+
+    #[test]
+    fn evaluations_account_for_every_objective_call() {
+        // With 30 backtracks the failed searches consist of skipped trials;
+        // with 2, one runs out of schedule on evaluated trials, which the
+        // solver used to drop from its count.
+        for max_backtracks in [30, 2] {
+            let calls = Cell::new(0usize);
+            let obj = coupled_quadratic(12, &calls);
+            let bounds = Bounds::new(vec![0.0; 12], vec![1.0; 12]);
+            let telemetry = neurfill_obs::Telemetry::new();
+            let r = SqpSolver::new(SqpConfig { max_backtracks, ..SqpConfig::default() })
+                .with_telemetry(telemetry.clone())
+                .maximize(&obj, &bounds, &[0.5; 12]);
+            // `FnObjective` answers `value_and_gradient` with one call each.
+            assert_eq!(r.evaluations + r.gradient_evaluations, calls.get(), "{r:?}");
+            let snap = telemetry.snapshot();
+            assert_eq!(snap.counter("optim.sqp.evaluations"), r.evaluations as u64);
+            assert!(snap.counter("optim.sqp.linesearch_failures") > 0, "{}", snap.summary());
+            assert!(snap.counter("optim.sqp.trials_skipped") > 0, "{}", snap.summary());
+        }
     }
 
     #[test]

@@ -6,10 +6,13 @@
 use crate::error::{Result, TensorError};
 use crate::shape;
 use std::fmt;
+use std::sync::Arc;
 
 /// Dense row-major `f32` n-dimensional array.
 ///
 /// The empty shape `[]` denotes a scalar holding exactly one element.
+/// Cloning is cheap: clones share their buffer until one of them is
+/// written to.
 ///
 /// # Examples
 ///
@@ -24,7 +27,10 @@ use std::fmt;
 #[derive(Clone, PartialEq)]
 pub struct NdArray {
     shape: Vec<usize>,
-    data: Vec<f32>,
+    /// Shared, copy-on-write storage: `clone` and `reshape` hand out another
+    /// handle to the same buffer; the first write through a handle that is
+    /// not the only one copies it (see [`NdArray::as_mut_slice`]).
+    data: Arc<Vec<f32>>,
 }
 
 impl fmt::Display for NdArray {
@@ -78,10 +84,14 @@ impl NdArray {
     // Constructors
     // ------------------------------------------------------------------
 
+    fn owned(shape: Vec<usize>, data: Vec<f32>) -> Self {
+        Self { shape, data: Arc::new(data) }
+    }
+
     /// Creates an array of zeros with the given shape.
     #[must_use]
     pub fn zeros(shape: &[usize]) -> Self {
-        Self { shape: shape.to_vec(), data: vec![0.0; shape::numel(shape)] }
+        Self::owned(shape.to_vec(), vec![0.0; shape::numel(shape)])
     }
 
     /// Creates an array of ones with the given shape.
@@ -93,13 +103,13 @@ impl NdArray {
     /// Creates an array filled with `value`.
     #[must_use]
     pub fn full(shape: &[usize], value: f32) -> Self {
-        Self { shape: shape.to_vec(), data: vec![value; shape::numel(shape)] }
+        Self::owned(shape.to_vec(), vec![value; shape::numel(shape)])
     }
 
     /// Creates a scalar (rank-0) array.
     #[must_use]
     pub fn scalar(value: f32) -> Self {
-        Self { shape: vec![], data: vec![value] }
+        Self::owned(vec![], vec![value])
     }
 
     /// Creates an array from a flat vector and a shape.
@@ -115,20 +125,20 @@ impl NdArray {
                 actual: data.len(),
             });
         }
-        Ok(Self { shape: shape.to_vec(), data })
+        Ok(Self::owned(shape.to_vec(), data))
     }
 
     /// Creates a 1-D array from a slice.
     #[must_use]
     pub fn from_slice(data: &[f32]) -> Self {
-        Self { shape: vec![data.len()], data: data.to_vec() }
+        Self::owned(vec![data.len()], data.to_vec())
     }
 
     /// Creates an array by evaluating `f` at each flat offset.
     #[must_use]
     pub fn from_fn(shape: &[usize], f: impl FnMut(usize) -> f32) -> Self {
         let n = shape::numel(shape);
-        Self { shape: shape.to_vec(), data: (0..n).map(f).collect() }
+        Self::owned(shape.to_vec(), (0..n).map(f).collect())
     }
 
     // ------------------------------------------------------------------
@@ -160,14 +170,17 @@ impl NdArray {
     }
 
     /// Mutable flat view of the underlying data (row-major).
+    ///
+    /// Storage is shared between clones: a handle that is not the only one
+    /// copies the buffer here, once, before handing out the view.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
+        Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
     /// Consumes the array and returns the flat data vector.
     #[must_use]
     pub fn into_vec(self) -> Vec<f32> {
-        self.data
+        Arc::try_unwrap(self.data).unwrap_or_else(|shared| shared.as_ref().clone())
     }
 
     /// Element at a multi-index.
@@ -189,7 +202,7 @@ impl NdArray {
     pub fn set(&mut self, idx: &[usize], value: f32) {
         assert_eq!(idx.len(), self.rank(), "index rank mismatch");
         let off = shape::ravel(idx, &self.shape);
-        self.data[off] = value;
+        self.as_mut_slice()[off] = value;
     }
 
     /// The single element of a scalar or one-element array.
@@ -219,7 +232,7 @@ impl NdArray {
                 actual: self.numel(),
             });
         }
-        Ok(Self { shape: new_shape.to_vec(), data: self.data.clone() })
+        Ok(Self { shape: new_shape.to_vec(), data: Arc::clone(&self.data) })
     }
 
     /// Transposes a rank-2 array.
@@ -236,13 +249,13 @@ impl NdArray {
             });
         }
         let (r, c) = (self.shape[0], self.shape[1]);
-        let mut out = Self::zeros(&[c, r]);
+        let mut out = vec![0.0; c * r];
         for i in 0..r {
             for j in 0..c {
-                out.data[j * r + i] = self.data[i * c + j];
+                out[j * r + i] = self.data[i * c + j];
             }
         }
-        Ok(out)
+        Ok(Self::owned(vec![c, r], out))
     }
 
     /// Materializes this array broadcast to `target`.
@@ -275,7 +288,7 @@ impl NdArray {
             }
             *slot = self.data[src];
         }
-        Ok(Self { shape: target.to_vec(), data })
+        Ok(Self::owned(target.to_vec(), data))
     }
 
     /// Concatenates arrays along `axis`.
@@ -323,7 +336,7 @@ impl NdArray {
                 data.extend_from_slice(&p.data[start..start + ext * inner]);
             }
         }
-        Ok(Self { shape: out_shape, data })
+        Ok(Self::owned(out_shape, data))
     }
 
     /// Splits the array along `axis` into chunks of the given extents.
@@ -360,7 +373,7 @@ impl NdArray {
                 let start = (o * axis_len + off) * inner;
                 data.extend_from_slice(&self.data[start..start + ext * inner]);
             }
-            out.push(Self { shape: shp, data });
+            out.push(Self::owned(shp, data));
         }
         Ok(out)
     }
@@ -372,12 +385,12 @@ impl NdArray {
     /// Applies `f` to every element, producing a new array.
     #[must_use]
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
-        Self { shape: self.shape.clone(), data: self.data.iter().map(|&x| f(x)).collect() }
+        Self::owned(self.shape.clone(), self.data.iter().map(|&x| f(x)).collect())
     }
 
     /// Applies `f` to every element in place.
     pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
+        for x in self.as_mut_slice() {
             *x = f(*x);
         }
     }
@@ -390,8 +403,8 @@ impl NdArray {
     /// broadcast together.
     pub fn zip_with(&self, other: &Self, f: impl Fn(f32, f32) -> f32) -> Result<Self> {
         if self.shape == other.shape {
-            let data = self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)).collect();
-            return Ok(Self { shape: self.shape.clone(), data });
+            let data = self.data.iter().zip(other.data.iter()).map(|(&a, &b)| f(a, b)).collect();
+            return Ok(Self::owned(self.shape.clone(), data));
         }
         let out_shape = shape::broadcast_shape(&self.shape, &other.shape)?;
         let astr = shape::broadcast_strides(&self.shape, &out_shape);
@@ -399,7 +412,7 @@ impl NdArray {
         let n = shape::numel(&out_shape);
         let mut data = vec![0.0; n];
         if n == 0 {
-            return Ok(Self { shape: out_shape, data });
+            return Ok(Self::owned(out_shape, data));
         }
         // Odometer iteration: the multi-index advances incrementally, so
         // per-element cost is O(1) instead of O(rank) divisions. The
@@ -454,7 +467,7 @@ impl NdArray {
                 bi -= bstr[d] * out_shape[d];
             }
         }
-        Ok(Self { shape: out_shape, data })
+        Ok(Self::owned(out_shape, data))
     }
 
     /// Elementwise sum (broadcasting).
@@ -518,7 +531,7 @@ impl NdArray {
                 op: "add_assign",
             });
         }
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
+        for (a, b) in self.as_mut_slice().iter_mut().zip(other.data.iter()) {
             *a += b;
         }
         Ok(())
@@ -606,7 +619,7 @@ impl NdArray {
         } else {
             shp.remove(axis);
         }
-        Ok(Self { shape: shp, data })
+        Ok(Self::owned(shp, data))
     }
 
     /// Means over one axis (see [`NdArray::sum_axis`]).
@@ -671,7 +684,7 @@ impl NdArray {
         } else {
             shp.remove(axis);
         }
-        Ok(Self { shape: shp, data })
+        Ok(Self::owned(shp, data))
     }
 
     /// Flat index of the maximum element (first occurrence).
@@ -724,7 +737,7 @@ impl NdArray {
         drop(timer);
         sink.inc("tensor.gemm.calls");
         sink.add("tensor.gemm.madds", (m as u64) * (k as u64) * (n as u64));
-        Ok(Self { shape: vec![m, n], data: out })
+        Ok(Self::owned(vec![m, n], out))
     }
 
     /// Frobenius inner product (sum of elementwise products).
@@ -740,7 +753,7 @@ impl NdArray {
                 op: "dot",
             });
         }
-        Ok(self.data.iter().zip(&other.data).map(|(&a, &b)| a * b).sum())
+        Ok(self.data.iter().zip(other.data.iter()).map(|(&a, &b)| a * b).sum())
     }
 
     /// Reduces a gradient computed at a broadcast shape back to `target` by
@@ -874,6 +887,29 @@ mod tests {
         let a = NdArray::from_vec((1..=6).map(|x| x as f32).collect(), &[2, 3]).unwrap();
         let m = a.mean_axis(1, false).unwrap();
         assert_eq!(m.as_slice(), &[2.0, 5.0]);
+    }
+
+    #[test]
+    fn clones_share_storage_until_written() {
+        let a = NdArray::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
+        let mut b = a.clone();
+        let c = a.reshape(&[4]).unwrap();
+        assert_eq!(a.as_slice().as_ptr(), b.as_slice().as_ptr());
+        assert_eq!(a.as_slice().as_ptr(), c.as_slice().as_ptr());
+        // The first write through a shared handle copies; nobody else sees it.
+        b.as_mut_slice()[0] = 9.0;
+        b.set(&[1, 1], 8.0);
+        assert_eq!(b.as_slice(), &[9.0, 2.0, 3.0, 8.0]);
+        assert_eq!(a.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(c.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
+        // `x += x` reads the old values while writing the new ones.
+        let mut d = a.clone();
+        d.add_assign(&a).unwrap();
+        assert_eq!(d.as_slice(), &[2.0, 4.0, 6.0, 8.0]);
+        assert_eq!(a.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
+        // A shared handle still yields its own vector.
+        assert_eq!(c.into_vec(), vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(a.into_vec(), vec![1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

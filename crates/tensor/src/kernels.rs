@@ -57,6 +57,14 @@ const PAR_MIN_WORK: u64 = 4 * 1024 * 1024;
 /// contiguous column panels pays for its extra copy.
 const PACK_MIN_ROWS: usize = 32;
 
+thread_local! {
+    /// Per-thread packed-`b` tile of [`gemm_panel_loop`], grown on demand
+    /// and kept across calls, so a packed GEMM allocates nothing in the
+    /// steady state (`KC·NC` floats is 256 KiB: above glibc's default
+    /// `mmap` threshold, i.e. a map, page faults and an unmap per call).
+    static PACK_SCRATCH: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
 /// Process-wide thread override set by [`set_gemm_threads`] (0 = unset).
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
@@ -318,11 +326,18 @@ fn gemm_panel_loop<const MR: usize, const NR: usize, const PACKED: bool, const F
     n: usize,
 ) {
     let rows = out_panel.len() / n;
-    let mut packed = if PACKED { vec![0.0f32; KC * NC] } else { Vec::new() };
     // Balance the k-strips (e.g. k = 144 → 72 + 72, not 128 + 16): strip
     // boundaries only decide where partial sums pause in `out`; the
     // per-element accumulation order stays ascending in k regardless.
     let kc_even = k.div_ceil(k.div_ceil(KC));
+    // The packed tile lives in a per-thread buffer that is only ever grown:
+    // every panel read below was written by the packing loop of the same
+    // k-strip, so stale contents are never observed and nothing is zeroed.
+    let mut packed =
+        if PACKED { PACK_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut())) } else { Vec::new() };
+    if PACKED && packed.len() < kc_even * NC.min(n) {
+        packed.resize(kc_even * NC.min(n), 0.0);
+    }
     let mut jj = 0;
     while jj < n {
         let ncw = NC.min(n - jj);
@@ -395,6 +410,9 @@ fn gemm_panel_loop<const MR: usize, const NR: usize, const PACKED: bool, const F
             kk += kcw;
         }
         jj += ncw;
+    }
+    if PACKED {
+        PACK_SCRATCH.with(|s| *s.borrow_mut() = packed);
     }
 }
 
@@ -526,6 +544,27 @@ mod tests {
             (33, 7, 64),
         ] {
             check_shape(m, k, n);
+        }
+    }
+
+    #[test]
+    fn packed_scratch_is_rewritten_before_it_is_read() {
+        // A packed GEMM whose `b` is all NaN leaves the thread's pack
+        // scratch full of NaN; packed GEMMs of other shapes run next on the
+        // same thread must not see any of it.
+        let (m, k, n) = (40, 130, 600);
+        let a = fill_pattern(m * k, 1);
+        let mut poisoned = vec![0.0f32; m * n];
+        gemm_with_threads(&a, &vec![f32::NAN; k * n], &mut poisoned, m, k, n, 1);
+        assert!(poisoned.iter().all(|v| v.is_nan()));
+        for (m, k, n) in [(32, 9, 16), (33, 129, 513), (64, 72, 1024), (40, 130, 600)] {
+            let a = fill_pattern(m * k, 2);
+            let b = fill_pattern(k * n, 3);
+            let mut want = vec![0.0f32; m * n];
+            gemm_reference(&a, &b, &mut want, m, k, n);
+            let mut got = vec![0.0f32; m * n];
+            gemm_with_threads(&a, &b, &mut got, m, k, n, 1);
+            assert!(want.iter().zip(&got).all(|(w, g)| w.to_bits() == g.to_bits()), "{m}x{k}x{n}");
         }
     }
 

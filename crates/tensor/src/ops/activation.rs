@@ -9,7 +9,7 @@ struct PointwiseGrad {
 }
 
 impl GradFn for PointwiseGrad {
-    fn backward(&self, grad: &NdArray) -> Vec<Option<NdArray>> {
+    fn backward(&self, grad: &NdArray, _needs: &[bool]) -> Vec<Option<NdArray>> {
         vec![grad.mul(&self.dydx).ok()]
     }
     fn name(&self) -> &'static str {

@@ -45,11 +45,25 @@ fn im2col(
     out
 }
 
+/// The output columns `ox` of tap column `kx` whose source pixel
+/// `ox·stride + kx − pad` lies inside an image row of width `w`; every
+/// other column of the `wo`-wide output row reads padding.
+fn valid_columns(w: usize, wo: usize, kx: usize, stride: usize, pad: usize) -> std::ops::Range<usize> {
+    let lo = pad.saturating_sub(kx).div_ceil(stride).min(wo);
+    let hi = (w + pad).saturating_sub(kx).div_ceil(stride).min(wo);
+    lo..hi.max(lo)
+}
+
 /// [`im2col`] writing into columns `[col_offset, col_offset + Ho·Wo)` of a
-/// zero-initialized `[C·kh·kw, total_cols]` destination, so a whole batch
-/// can share one patch matrix (one column block per sample).
+/// `[C·kh·kw, total_cols]` destination, so a whole batch can share one
+/// patch matrix (one column block per sample).
+///
+/// Every element of the column block is written — the pixels of each valid
+/// row span as one copy (a `memcpy` at stride 1), the padding fringe around
+/// it as zeros — so the destination may hold anything on entry: reused
+/// scratch needs no zero-fill.
 #[allow(clippy::too_many_arguments)]
-fn im2col_into(
+pub fn im2col_into(
     x: &[f32],
     c: usize,
     h: usize,
@@ -69,17 +83,25 @@ fn im2col_into(
         for ky in 0..kh {
             for kx in 0..kw {
                 let row = ((ci * kh + ky) * kw + kx) * total_cols + col_offset;
+                let valid = valid_columns(w, wo, kx, stride, pad);
                 for oy in 0..ho {
-                    let iy = (oy * stride + ky) as isize - pad as isize;
-                    if iy < 0 || iy >= h as isize {
+                    let dst = &mut o[row + oy * wo..row + (oy + 1) * wo];
+                    let iy = oy * stride + ky;
+                    if iy < pad || iy - pad >= h || valid.is_empty() {
+                        dst.fill(0.0);
                         continue;
                     }
-                    let src_row = iy as usize * w;
-                    let dst_row = row + oy * wo;
-                    for ox in 0..wo {
-                        let ix = (ox * stride + kx) as isize - pad as isize;
-                        if ix >= 0 && ix < w as isize {
-                            o[dst_row + ox] = img[src_row + ix as usize];
+                    dst[..valid.start].fill(0.0);
+                    dst[valid.end..].fill(0.0);
+                    // First source pixel of the span; `valid` keeps it (and
+                    // every later one) inside the row.
+                    let src = (iy - pad) * w + valid.start * stride + kx - pad;
+                    let span = &mut dst[valid.clone()];
+                    if stride == 1 {
+                        span.copy_from_slice(&img[src..src + span.len()]);
+                    } else {
+                        for (d, s) in span.iter_mut().zip(img[src..].iter().step_by(stride)) {
+                            *d = *s;
                         }
                     }
                 }
@@ -90,6 +112,9 @@ fn im2col_into(
 
 /// Adjoint of [`im2col`]: accumulates a `[C·kh·kw, Ho·Wo]` patch matrix back
 /// into an image `[C, H, W]`.
+///
+/// Each image pixel receives its contributions in `(ky, kx, oy, ox)` order;
+/// the row spans only turn the innermost `ox` loop into a slice-wise add.
 #[allow(clippy::too_many_arguments)]
 fn col2im(
     cols_arr: &NdArray,
@@ -111,17 +136,24 @@ fn col2im(
         for ky in 0..kh {
             for kx in 0..kw {
                 let row = ((ci * kh + ky) * kw + kx) * cols;
+                let valid = valid_columns(w, wo, kx, stride, pad);
+                if valid.is_empty() {
+                    continue;
+                }
                 for oy in 0..ho {
-                    let iy = (oy * stride + ky) as isize - pad as isize;
-                    if iy < 0 || iy >= h as isize {
+                    let iy = oy * stride + ky;
+                    if iy < pad || iy - pad >= h {
                         continue;
                     }
-                    let dst_row = dst + iy as usize * w;
-                    let src_row = row + oy * wo;
-                    for ox in 0..wo {
-                        let ix = (ox * stride + kx) as isize - pad as isize;
-                        if ix >= 0 && ix < w as isize {
-                            img[dst_row + ix as usize] += src[src_row + ox];
+                    let span = &src[row + oy * wo..][valid.clone()];
+                    let first = dst + (iy - pad) * w + valid.start * stride + kx - pad;
+                    if stride == 1 {
+                        for (d, s) in img[first..first + span.len()].iter_mut().zip(span) {
+                            *d += s;
+                        }
+                    } else {
+                        for (d, s) in img[first..].iter_mut().step_by(stride).zip(span) {
+                            *d += s;
                         }
                     }
                 }
@@ -177,11 +209,10 @@ pub fn conv2d_forward(
     let per = ho * wo;
     let total_cols = n * per;
     // The patch matrix comes from the thread-local scratch instead of a
-    // fresh allocation. It must be re-zeroed: `im2col_into` skips padded
-    // positions, relying on the destination holding zeros.
+    // fresh allocation, stale contents and all: `im2col_into` writes every
+    // element of each sample's column block, padding included.
     let mut buf = IM2COL_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
     buf.resize(c * kh * kw * total_cols, 0.0);
-    buf.fill(0.0);
     let mut cols = NdArray::from_vec(buf, &[c * kh * kw, total_cols])?;
     for ni in 0..n {
         let img = &input.as_slice()[ni * c * h * w..(ni + 1) * c * h * w];
@@ -222,7 +253,16 @@ pub fn conv2d_forward(
     Ok(out)
 }
 
+/// Gradients of a convolution w.r.t. input, weight and bias; each is
+/// `None` when the caller did not ask for it.
+pub type ConvGrads = (Option<NdArray>, Option<NdArray>, Option<NdArray>);
+
 /// Gradients of [`conv2d_forward`] w.r.t. input, weight and bias.
+///
+/// `needs` selects, in that order, which of the three are computed: the
+/// input gradient costs a GEMM and a `col2im`, the weight gradient an
+/// `im2col` and a GEMM, and a frozen layer (or a constant input) skips
+/// its share. What is computed does not depend on what is skipped.
 ///
 /// # Errors
 ///
@@ -234,7 +274,8 @@ pub fn conv2d_backward(
     grad_out: &NdArray,
     stride: usize,
     padding: usize,
-) -> Result<(NdArray, NdArray, NdArray)> {
+    needs: [bool; 3],
+) -> Result<ConvGrads> {
     let (n, c, h, w) = expect_rank4(input, "conv2d_backward(input)")?;
     let (o, _, kh, kw) = expect_rank4(weight, "conv2d_backward(weight)")?;
     let (gn, go, ho, wo) = expect_rank4(grad_out, "conv2d_backward(grad)")?;
@@ -245,34 +286,41 @@ pub fn conv2d_backward(
             op: "conv2d_backward",
         });
     }
-    let w2 = weight.reshape(&[o, c * kh * kw])?;
-    let w2t = w2.transpose2d()?;
-    let mut dinput = NdArray::zeros(&[n, c, h, w]);
-    let mut dweight2 = NdArray::zeros(&[o, c * kh * kw]);
-    let mut dbias = NdArray::zeros(&[o]);
+    let [need_input, need_weight, need_bias] = needs;
+    let w2t = weight.reshape(&[o, c * kh * kw])?.transpose2d()?;
+    let mut dinput = need_input.then(|| NdArray::zeros(&[n, c, h, w]));
+    let mut dweight2 = need_weight.then(|| NdArray::zeros(&[o, c * kh * kw]));
+    let mut dbias = need_bias.then(|| NdArray::zeros(&[o]));
     for ni in 0..n {
-        let img = &input.as_slice()[ni * c * h * w..(ni + 1) * c * h * w];
-        let cols = im2col(img, c, h, w, kh, kw, stride, padding);
         let g = NdArray::from_vec(
             grad_out.as_slice()[ni * o * ho * wo..(ni + 1) * o * ho * wo].to_vec(),
             &[o, ho * wo],
         )?;
-        // dW += G · colsᵀ
-        dweight2.add_assign(&g.matmul(&cols.transpose2d()?)?)?;
-        // dInput = col2im(Wᵀ · G)
-        let dcols = w2t.matmul(&g)?;
-        let img_grad = col2im(&dcols, c, h, w, kh, kw, stride, padding);
-        let dst = &mut dinput.as_mut_slice()[ni * c * h * w..(ni + 1) * c * h * w];
-        for (d, s) in dst.iter_mut().zip(&img_grad) {
-            *d += s;
+        if let Some(dweight2) = dweight2.as_mut() {
+            // dW += G · colsᵀ
+            let img = &input.as_slice()[ni * c * h * w..(ni + 1) * c * h * w];
+            let cols = im2col(img, c, h, w, kh, kw, stride, padding);
+            dweight2.add_assign(&g.matmul(&cols.transpose2d()?)?)?;
         }
-        // dBias += Σ spatial
-        for oi in 0..o {
-            let row = &g.as_slice()[oi * ho * wo..(oi + 1) * ho * wo];
-            dbias.as_mut_slice()[oi] += row.iter().sum::<f32>();
+        if let Some(dinput) = dinput.as_mut() {
+            // dInput = col2im(Wᵀ · G)
+            let dcols = w2t.matmul(&g)?;
+            let img_grad = col2im(&dcols, c, h, w, kh, kw, stride, padding);
+            let dst = &mut dinput.as_mut_slice()[ni * c * h * w..(ni + 1) * c * h * w];
+            for (d, s) in dst.iter_mut().zip(&img_grad) {
+                *d += s;
+            }
+        }
+        if let Some(dbias) = dbias.as_mut() {
+            // dBias += Σ spatial
+            for oi in 0..o {
+                let row = &g.as_slice()[oi * ho * wo..(oi + 1) * ho * wo];
+                dbias.as_mut_slice()[oi] += row.iter().sum::<f32>();
+            }
         }
     }
-    Ok((dinput, dweight2.reshape(&[o, c, kh, kw])?, dbias))
+    let dweight = dweight2.map(|d| d.reshape(&[o, c, kh, kw])).transpose()?;
+    Ok((dinput, dweight, dbias))
 }
 
 /// Forward transposed 2-D convolution (a.k.a. up-convolution):
@@ -335,7 +383,8 @@ pub fn conv_transpose2d_forward(
     Ok(out)
 }
 
-/// Gradients of [`conv_transpose2d_forward`] w.r.t. input, weight and bias.
+/// Gradients of [`conv_transpose2d_forward`] w.r.t. input, weight and
+/// bias, selected by `needs` as in [`conv2d_backward`].
 ///
 /// # Errors
 ///
@@ -346,35 +395,46 @@ pub fn conv_transpose2d_backward(
     grad_out: &NdArray,
     stride: usize,
     padding: usize,
-) -> Result<(NdArray, NdArray, NdArray)> {
+    needs: [bool; 3],
+) -> Result<ConvGrads> {
     let (n, c, h, w) = expect_rank4(input, "conv_transpose2d_backward(input)")?;
     let (_, o, kh, kw) = expect_rank4(weight, "conv_transpose2d_backward(weight)")?;
     let (_, _, ho, wo) = expect_rank4(grad_out, "conv_transpose2d_backward(grad)")?;
+    let [need_input, need_weight, need_bias] = needs;
     let w2 = weight.reshape(&[c, o * kh * kw])?;
-    let mut dinput = NdArray::zeros(&[n, c, h, w]);
-    let mut dweight2 = NdArray::zeros(&[c, o * kh * kw]);
-    let mut dbias = NdArray::zeros(&[o]);
+    let mut dinput = need_input.then(|| NdArray::zeros(&[n, c, h, w]));
+    let mut dweight2 = need_weight.then(|| NdArray::zeros(&[c, o * kh * kw]));
+    let mut dbias = need_bias.then(|| NdArray::zeros(&[o]));
     for ni in 0..n {
         let g = &grad_out.as_slice()[ni * o * ho * wo..(ni + 1) * o * ho * wo];
-        // dinput = "conv" of grad_out with the same kernel.
-        let gcols = im2col(g, o, ho, wo, kh, kw, stride, padding); // [O·kh·kw, H·W]
-        let din = w2.matmul(&gcols)?; // [C, H·W]
-        let dst = &mut dinput.as_mut_slice()[ni * c * h * w..(ni + 1) * c * h * w];
-        for (d, s) in dst.iter_mut().zip(din.as_slice()) {
-            *d += s;
+        if need_input || need_weight {
+            let gcols = im2col(g, o, ho, wo, kh, kw, stride, padding); // [O·kh·kw, H·W]
+            if let Some(dinput) = dinput.as_mut() {
+                // dinput = "conv" of grad_out with the same kernel.
+                let din = w2.matmul(&gcols)?; // [C, H·W]
+                let dst = &mut dinput.as_mut_slice()[ni * c * h * w..(ni + 1) * c * h * w];
+                for (d, s) in dst.iter_mut().zip(din.as_slice()) {
+                    *d += s;
+                }
+            }
+            if let Some(dweight2) = dweight2.as_mut() {
+                // dweight = input · gcolsᵀ
+                let x = NdArray::from_vec(
+                    input.as_slice()[ni * c * h * w..(ni + 1) * c * h * w].to_vec(),
+                    &[c, h * w],
+                )?;
+                dweight2.add_assign(&x.matmul(&gcols.transpose2d()?)?)?;
+            }
         }
-        // dweight = input · gcolsᵀ
-        let x = NdArray::from_vec(
-            input.as_slice()[ni * c * h * w..(ni + 1) * c * h * w].to_vec(),
-            &[c, h * w],
-        )?;
-        dweight2.add_assign(&x.matmul(&gcols.transpose2d()?)?)?;
-        for oi in 0..o {
-            let row = &g[oi * ho * wo..(oi + 1) * ho * wo];
-            dbias.as_mut_slice()[oi] += row.iter().sum::<f32>();
+        if let Some(dbias) = dbias.as_mut() {
+            for oi in 0..o {
+                let row = &g[oi * ho * wo..(oi + 1) * ho * wo];
+                dbias.as_mut_slice()[oi] += row.iter().sum::<f32>();
+            }
         }
     }
-    Ok((dinput, dweight2.reshape(&[c, o, kh, kw])?, dbias))
+    let dweight = dweight2.map(|d| d.reshape(&[c, o, kh, kw])).transpose()?;
+    Ok((dinput, dweight, dbias))
 }
 
 /// Forward 2×2-style max pooling; returns the pooled map plus flat argmax
@@ -470,7 +530,7 @@ struct AvgPoolGrad {
 }
 
 impl GradFn for AvgPoolGrad {
-    fn backward(&self, grad: &NdArray) -> Vec<Option<NdArray>> {
+    fn backward(&self, grad: &NdArray, _needs: &[bool]) -> Vec<Option<NdArray>> {
         let (n, c, h, w) = (self.in_shape[0], self.in_shape[1], self.in_shape[2], self.in_shape[3]);
         let (k, s) = (self.kernel, self.stride);
         let ho = (h - k) / s + 1;
@@ -501,26 +561,33 @@ impl GradFn for AvgPoolGrad {
     }
 }
 
+/// Turns the raw kernels' `needs`-selected gradients into the per-parent
+/// list of a convolution node (`[input, weight]` plus `bias` when the
+/// layer has one).
+fn conv_parent_grads(
+    needs: &[bool],
+    backward: impl FnOnce([bool; 3]) -> Result<ConvGrads>,
+) -> Vec<Option<NdArray>> {
+    let has_bias = needs.len() == 3;
+    match backward([needs[0], needs[1], has_bias && needs[2]]) {
+        Ok((di, dw, db)) if has_bias => vec![di, dw, db],
+        Ok((di, dw, _)) => vec![di, dw],
+        Err(_) => vec![None; needs.len()],
+    }
+}
+
 struct Conv2dGrad {
     input: NdArray,
     weight: NdArray,
-    has_bias: bool,
     stride: usize,
     padding: usize,
 }
 
 impl GradFn for Conv2dGrad {
-    fn backward(&self, grad: &NdArray) -> Vec<Option<NdArray>> {
-        match conv2d_backward(&self.input, &self.weight, grad, self.stride, self.padding) {
-            Ok((di, dw, db)) => {
-                if self.has_bias {
-                    vec![Some(di), Some(dw), Some(db)]
-                } else {
-                    vec![Some(di), Some(dw)]
-                }
-            }
-            Err(_) => vec![None; if self.has_bias { 3 } else { 2 }],
-        }
+    fn backward(&self, grad: &NdArray, needs: &[bool]) -> Vec<Option<NdArray>> {
+        conv_parent_grads(needs, |needs| {
+            conv2d_backward(&self.input, &self.weight, grad, self.stride, self.padding, needs)
+        })
     }
     fn name(&self) -> &'static str {
         "conv2d"
@@ -530,23 +597,15 @@ impl GradFn for Conv2dGrad {
 struct ConvTranspose2dGrad {
     input: NdArray,
     weight: NdArray,
-    has_bias: bool,
     stride: usize,
     padding: usize,
 }
 
 impl GradFn for ConvTranspose2dGrad {
-    fn backward(&self, grad: &NdArray) -> Vec<Option<NdArray>> {
-        match conv_transpose2d_backward(&self.input, &self.weight, grad, self.stride, self.padding) {
-            Ok((di, dw, db)) => {
-                if self.has_bias {
-                    vec![Some(di), Some(dw), Some(db)]
-                } else {
-                    vec![Some(di), Some(dw)]
-                }
-            }
-            Err(_) => vec![None; if self.has_bias { 3 } else { 2 }],
-        }
+    fn backward(&self, grad: &NdArray, needs: &[bool]) -> Vec<Option<NdArray>> {
+        conv_parent_grads(needs, |needs| {
+            conv_transpose2d_backward(&self.input, &self.weight, grad, self.stride, self.padding, needs)
+        })
     }
     fn name(&self) -> &'static str {
         "conv_transpose2d"
@@ -559,7 +618,7 @@ struct MaxPoolGrad {
 }
 
 impl GradFn for MaxPoolGrad {
-    fn backward(&self, grad: &NdArray) -> Vec<Option<NdArray>> {
+    fn backward(&self, grad: &NdArray, _needs: &[bool]) -> Vec<Option<NdArray>> {
         let mut din = NdArray::zeros(&self.in_shape);
         let d = din.as_mut_slice();
         for (g, &at) in grad.as_slice().iter().zip(&self.argmax) {
@@ -602,13 +661,7 @@ impl Tensor {
         Ok(Tensor::from_op(
             out,
             parents,
-            Box::new(Conv2dGrad {
-                input: self.value(),
-                weight: weight.value(),
-                has_bias: bias.is_some(),
-                stride,
-                padding,
-            }),
+            Box::new(Conv2dGrad { input: self.value(), weight: weight.value(), stride, padding }),
         ))
     }
 
@@ -643,7 +696,6 @@ impl Tensor {
             Box::new(ConvTranspose2dGrad {
                 input: self.value(),
                 weight: weight.value(),
-                has_bias: bias.is_some(),
                 stride,
                 padding,
             }),
@@ -684,6 +736,236 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The element-at-a-time `im2col_into` the row-span version replaced;
+    /// it skips padded positions, so `o` must hold zeros there already.
+    #[allow(clippy::too_many_arguments)]
+    fn im2col_into_reference(
+        x: &[f32],
+        c: usize,
+        h: usize,
+        w: usize,
+        kh: usize,
+        kw: usize,
+        stride: usize,
+        pad: usize,
+        o: &mut [f32],
+        total_cols: usize,
+        col_offset: usize,
+    ) {
+        let ho = conv_out_extent(h, kh, stride, pad);
+        let wo = conv_out_extent(w, kw, stride, pad);
+        for ci in 0..c {
+            let img = &x[ci * h * w..(ci + 1) * h * w];
+            for ky in 0..kh {
+                for kx in 0..kw {
+                    let row = ((ci * kh + ky) * kw + kx) * total_cols + col_offset;
+                    for oy in 0..ho {
+                        let iy = (oy * stride + ky) as isize - pad as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        let src_row = iy as usize * w;
+                        let dst_row = row + oy * wo;
+                        for ox in 0..wo {
+                            let ix = (ox * stride + kx) as isize - pad as isize;
+                            if ix >= 0 && ix < w as isize {
+                                o[dst_row + ox] = img[src_row + ix as usize];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The element-at-a-time `col2im` the row-span version replaced.
+    #[allow(clippy::too_many_arguments)]
+    fn col2im_reference(
+        src: &[f32],
+        c: usize,
+        h: usize,
+        w: usize,
+        kh: usize,
+        kw: usize,
+        stride: usize,
+        pad: usize,
+    ) -> Vec<f32> {
+        let ho = conv_out_extent(h, kh, stride, pad);
+        let wo = conv_out_extent(w, kw, stride, pad);
+        let cols = ho * wo;
+        let mut img = vec![0.0f32; c * h * w];
+        for ci in 0..c {
+            let dst = ci * h * w;
+            for ky in 0..kh {
+                for kx in 0..kw {
+                    let row = ((ci * kh + ky) * kw + kx) * cols;
+                    for oy in 0..ho {
+                        let iy = (oy * stride + ky) as isize - pad as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        let dst_row = dst + iy as usize * w;
+                        let src_row = row + oy * wo;
+                        for ox in 0..wo {
+                            let ix = (ox * stride + kx) as isize - pad as isize;
+                            if ix >= 0 && ix < w as isize {
+                                img[dst_row + ix as usize] += src[src_row + ox];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        img
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Values whose sums round differently in different orders, with both
+    /// zero signs present.
+    fn field(len: usize, seed: usize) -> Vec<f32> {
+        (0..len)
+            .map(|i| match (i * 31 + seed * 17) % 23 {
+                0 => 0.0,
+                1 => -0.0,
+                r => ((i + seed) as f32 * 0.618).sin() * 10f32.powi(r as i32 % 7 - 3),
+            })
+            .collect()
+    }
+
+    /// `im2col_into` (a batch of `n` column blocks, into scratch pre-filled
+    /// with NaN) and `col2im` against the scalar references, byte for byte.
+    #[allow(clippy::too_many_arguments)]
+    fn check_against_reference(
+        n: usize,
+        c: usize,
+        h: usize,
+        w: usize,
+        k: usize,
+        stride: usize,
+        pad: usize,
+    ) {
+        if h + 2 * pad < k || w + 2 * pad < k {
+            return; // no such convolution
+        }
+        let ctx = format!("n={n} c={c} h={h} w={w} k={k} stride={stride} pad={pad}");
+        let per = conv_out_extent(h, k, stride, pad) * conv_out_extent(w, k, stride, pad);
+        let total_cols = n * per;
+        let rows = c * k * k;
+        let mut got = vec![f32::NAN; rows * total_cols];
+        let mut want = vec![0.0f32; rows * total_cols];
+        for ni in 0..n {
+            let x = field(c * h * w, ni + 1);
+            im2col_into(&x, c, h, w, k, k, stride, pad, &mut got, total_cols, ni * per);
+            im2col_into_reference(&x, c, h, w, k, k, stride, pad, &mut want, total_cols, ni * per);
+        }
+        assert_eq!(bits(&got), bits(&want), "im2col {ctx}");
+
+        let cols = NdArray::from_vec(field(rows * per, 7), &[rows, per]).unwrap();
+        let got = col2im(&cols, c, h, w, k, k, stride, pad);
+        let want = col2im_reference(cols.as_slice(), c, h, w, k, k, stride, pad);
+        assert_eq!(bits(&got), bits(&want), "col2im {ctx}");
+    }
+
+    #[test]
+    fn row_span_kernels_match_reference_on_small_shapes_exhaustively() {
+        for c in [1, 2] {
+            for h in 1..=7 {
+                for w in 1..=7 {
+                    for k in [1, 2, 3, 5] {
+                        for stride in [1, 2] {
+                            for pad in 0..=2 {
+                                check_against_reference(2, c, h, w, k, stride, pad);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_span_kernels_match_reference_on_unet_shapes() {
+        // The default UNet (8 base channels, depth 2) on a 32×32 tile: the
+        // 3×3 convolutions at each resolution, the 1×1 head, and the 2×2
+        // stride-2 patch matrix of the transposed convolutions' backward.
+        for (c, edge, k, stride, pad) in
+            [(4, 32, 3, 1, 1), (8, 32, 3, 1, 1), (16, 16, 3, 1, 1), (32, 8, 3, 1, 1), (8, 32, 1, 1, 0)]
+        {
+            check_against_reference(1, c, edge, edge, k, stride, pad);
+            check_against_reference(3, c, edge, edge, k, stride, pad);
+        }
+        check_against_reference(1, 16, 16, 16, 2, 2, 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        #[test]
+        fn row_span_kernels_match_reference(
+            n in 1usize..=3,
+            c in 1usize..=32,
+            h in 1usize..=40,
+            w in 1usize..=40,
+            k in prop_oneof![Just(1usize), Just(2), Just(3), Just(5)],
+            stride in 1usize..=2,
+            pad in 0usize..=2,
+        ) {
+            check_against_reference(n, c, h, w, k, stride, pad);
+        }
+    }
+
+    #[test]
+    fn backward_skips_exactly_what_is_not_needed() {
+        let input = NdArray::from_vec(field(2 * 3 * 6 * 5, 1), &[2, 3, 6, 5]).unwrap();
+        let weight = NdArray::from_vec(field(4 * 3 * 9, 2), &[4, 3, 3, 3]).unwrap();
+        let gout = NdArray::from_vec(field(2 * 4 * 6 * 5, 3), &[2, 4, 6, 5]).unwrap();
+        let full = conv2d_backward(&input, &weight, &gout, 1, 1, [true; 3]).unwrap();
+        let only_input = conv2d_backward(&input, &weight, &gout, 1, 1, [true, false, false]).unwrap();
+        assert_eq!(bits(only_input.0.unwrap().as_slice()), bits(full.0.as_ref().unwrap().as_slice()));
+        assert!(only_input.1.is_none() && only_input.2.is_none());
+        let no_input = conv2d_backward(&input, &weight, &gout, 1, 1, [false, true, true]).unwrap();
+        assert!(no_input.0.is_none());
+        assert_eq!(bits(no_input.1.unwrap().as_slice()), bits(full.1.as_ref().unwrap().as_slice()));
+        assert_eq!(bits(no_input.2.unwrap().as_slice()), bits(full.2.as_ref().unwrap().as_slice()));
+
+        let tweight = NdArray::from_vec(field(3 * 4 * 4, 4), &[3, 4, 2, 2]).unwrap();
+        let tgout = NdArray::from_vec(field(2 * 4 * 12 * 10, 5), &[2, 4, 12, 10]).unwrap();
+        let full = conv_transpose2d_backward(&input, &tweight, &tgout, 2, 0, [true; 3]).unwrap();
+        let only_input =
+            conv_transpose2d_backward(&input, &tweight, &tgout, 2, 0, [true, false, false]).unwrap();
+        assert_eq!(bits(only_input.0.unwrap().as_slice()), bits(full.0.as_ref().unwrap().as_slice()));
+        assert!(only_input.1.is_none() && only_input.2.is_none());
+        let no_input =
+            conv_transpose2d_backward(&input, &tweight, &tgout, 2, 0, [false, true, true]).unwrap();
+        assert!(no_input.0.is_none());
+        assert_eq!(bits(no_input.1.unwrap().as_slice()), bits(full.1.as_ref().unwrap().as_slice()));
+        assert_eq!(bits(no_input.2.unwrap().as_slice()), bits(full.2.as_ref().unwrap().as_slice()));
+    }
+
+    #[test]
+    fn frozen_weights_receive_no_gradient_and_input_gradient_is_unchanged() {
+        let xv = NdArray::from_vec(field(3 * 6 * 5, 1), &[1, 3, 6, 5]).unwrap();
+        let wv = NdArray::from_vec(field(4 * 3 * 9, 2), &[4, 3, 3, 3]).unwrap();
+        let bv = NdArray::from_vec(field(4, 3), &[4]).unwrap();
+        let input_grad = |frozen: bool| {
+            let x = Tensor::parameter(xv.clone());
+            let (w, b) = (Tensor::parameter(wv.clone()), Tensor::parameter(bv.clone()));
+            if frozen {
+                w.set_requires_grad(false);
+                b.set_requires_grad(false);
+            }
+            x.conv2d(&w, Some(&b), 1, 1).unwrap().square().sum().backward().unwrap();
+            assert_eq!(w.grad().is_none(), frozen);
+            assert_eq!(b.grad().is_none(), frozen);
+            bits(x.grad().unwrap().as_slice())
+        };
+        assert_eq!(input_grad(true), input_grad(false));
+    }
 
     #[test]
     fn conv2d_identity_kernel() {

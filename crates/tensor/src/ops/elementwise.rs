@@ -2,7 +2,7 @@
 
 use crate::array::NdArray;
 use crate::error::Result;
-use crate::tensor::{GradFn, Tensor};
+use crate::tensor::{grad_if, GradFn, Tensor};
 
 /// Backward for `a + b`.
 struct AddGrad {
@@ -11,8 +11,11 @@ struct AddGrad {
 }
 
 impl GradFn for AddGrad {
-    fn backward(&self, grad: &NdArray) -> Vec<Option<NdArray>> {
-        vec![grad.reduce_to_shape(&self.a_shape).ok(), grad.reduce_to_shape(&self.b_shape).ok()]
+    fn backward(&self, grad: &NdArray, needs: &[bool]) -> Vec<Option<NdArray>> {
+        vec![
+            grad_if(needs[0], || grad.reduce_to_shape(&self.a_shape)),
+            grad_if(needs[1], || grad.reduce_to_shape(&self.b_shape)),
+        ]
     }
     fn name(&self) -> &'static str {
         "add"
@@ -26,10 +29,10 @@ struct SubGrad {
 }
 
 impl GradFn for SubGrad {
-    fn backward(&self, grad: &NdArray) -> Vec<Option<NdArray>> {
+    fn backward(&self, grad: &NdArray, needs: &[bool]) -> Vec<Option<NdArray>> {
         vec![
-            grad.reduce_to_shape(&self.a_shape).ok(),
-            grad.scale(-1.0).reduce_to_shape(&self.b_shape).ok(),
+            grad_if(needs[0], || grad.reduce_to_shape(&self.a_shape)),
+            grad_if(needs[1], || grad.scale(-1.0).reduce_to_shape(&self.b_shape)),
         ]
     }
     fn name(&self) -> &'static str {
@@ -44,10 +47,11 @@ struct MulGrad {
 }
 
 impl GradFn for MulGrad {
-    fn backward(&self, grad: &NdArray) -> Vec<Option<NdArray>> {
-        let ga = grad.mul(&self.b).and_then(|g| g.reduce_to_shape(self.a.shape())).ok();
-        let gb = grad.mul(&self.a).and_then(|g| g.reduce_to_shape(self.b.shape())).ok();
-        vec![ga, gb]
+    fn backward(&self, grad: &NdArray, needs: &[bool]) -> Vec<Option<NdArray>> {
+        vec![
+            grad_if(needs[0], || grad.mul(&self.b)?.reduce_to_shape(self.a.shape())),
+            grad_if(needs[1], || grad.mul(&self.a)?.reduce_to_shape(self.b.shape())),
+        ]
     }
     fn name(&self) -> &'static str {
         "mul"
@@ -61,17 +65,18 @@ struct DivGrad {
 }
 
 impl GradFn for DivGrad {
-    fn backward(&self, grad: &NdArray) -> Vec<Option<NdArray>> {
-        let ga = grad.div(&self.b).and_then(|g| g.reduce_to_shape(self.a.shape())).ok();
-        // d(a/b)/db = -a / b².
-        let gb = grad
-            .mul(&self.a)
-            .and_then(|g| g.div(&self.b))
-            .and_then(|g| g.div(&self.b))
-            .map(|g| g.scale(-1.0))
-            .and_then(|g| g.reduce_to_shape(self.b.shape()))
-            .ok();
-        vec![ga, gb]
+    fn backward(&self, grad: &NdArray, needs: &[bool]) -> Vec<Option<NdArray>> {
+        vec![
+            grad_if(needs[0], || grad.div(&self.b)?.reduce_to_shape(self.a.shape())),
+            // d(a/b)/db = -a / b².
+            grad_if(needs[1], || {
+                grad.mul(&self.a)?
+                    .div(&self.b)?
+                    .div(&self.b)?
+                    .scale(-1.0)
+                    .reduce_to_shape(self.b.shape())
+            }),
+        ]
     }
     fn name(&self) -> &'static str {
         "div"
@@ -85,7 +90,7 @@ struct UnaryGrad {
 }
 
 impl GradFn for UnaryGrad {
-    fn backward(&self, grad: &NdArray) -> Vec<Option<NdArray>> {
+    fn backward(&self, grad: &NdArray, _needs: &[bool]) -> Vec<Option<NdArray>> {
         vec![grad.mul(&self.dydx).ok()]
     }
     fn name(&self) -> &'static str {

@@ -10,7 +10,7 @@ struct MatmulGrad {
 }
 
 impl GradFn for MatmulGrad {
-    fn backward(&self, grad: &NdArray) -> Vec<Option<NdArray>> {
+    fn backward(&self, grad: &NdArray, _needs: &[bool]) -> Vec<Option<NdArray>> {
         // dA = G · Bᵀ ; dB = Aᵀ · G
         let ga = self.b.transpose2d().and_then(|bt| grad.matmul(&bt)).ok();
         let gb = self.a.transpose2d().and_then(|at| at.matmul(grad)).ok();

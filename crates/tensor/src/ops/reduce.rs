@@ -11,7 +11,7 @@ struct SumGrad {
 }
 
 impl GradFn for SumGrad {
-    fn backward(&self, grad: &NdArray) -> Vec<Option<NdArray>> {
+    fn backward(&self, grad: &NdArray, _needs: &[bool]) -> Vec<Option<NdArray>> {
         // Scalar grad broadcast back to the input shape.
         let g = grad.item();
         vec![Some(NdArray::full(&self.in_shape, g))]
@@ -26,7 +26,7 @@ struct MeanGrad {
 }
 
 impl GradFn for MeanGrad {
-    fn backward(&self, grad: &NdArray) -> Vec<Option<NdArray>> {
+    fn backward(&self, grad: &NdArray, _needs: &[bool]) -> Vec<Option<NdArray>> {
         let n: usize = self.in_shape.iter().product();
         let g = grad.item() / n.max(1) as f32;
         vec![Some(NdArray::full(&self.in_shape, g))]
@@ -41,7 +41,7 @@ struct VarGrad {
 }
 
 impl GradFn for VarGrad {
-    fn backward(&self, grad: &NdArray) -> Vec<Option<NdArray>> {
+    fn backward(&self, grad: &NdArray, _needs: &[bool]) -> Vec<Option<NdArray>> {
         // d var/dx_i = 2 (x_i - x̄) / n  (the mean's own dependence cancels).
         let n = self.centered.numel().max(1) as f32;
         let g = grad.item();
@@ -61,7 +61,7 @@ struct SumAxisGrad {
 
 impl GradFn for SumAxisGrad {
     #[allow(clippy::expect_used)] // shapes were validated in the forward pass
-    fn backward(&self, grad: &NdArray) -> Vec<Option<NdArray>> {
+    fn backward(&self, grad: &NdArray, _needs: &[bool]) -> Vec<Option<NdArray>> {
         // Re-insert the reduced axis (extent 1) and broadcast back.
         let mut keep_shape = self.in_shape.clone();
         keep_shape[self.axis] = 1;

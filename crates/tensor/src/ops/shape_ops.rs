@@ -10,7 +10,7 @@ struct ReshapeGrad {
 }
 
 impl GradFn for ReshapeGrad {
-    fn backward(&self, grad: &NdArray) -> Vec<Option<NdArray>> {
+    fn backward(&self, grad: &NdArray, _needs: &[bool]) -> Vec<Option<NdArray>> {
         vec![grad.reshape(&self.in_shape).ok()]
     }
     fn name(&self) -> &'static str {
@@ -24,7 +24,7 @@ struct ConcatGrad {
 }
 
 impl GradFn for ConcatGrad {
-    fn backward(&self, grad: &NdArray) -> Vec<Option<NdArray>> {
+    fn backward(&self, grad: &NdArray, _needs: &[bool]) -> Vec<Option<NdArray>> {
         match grad.split(self.axis, &self.extents) {
             Ok(parts) => parts.into_iter().map(Some).collect(),
             Err(_) => vec![None; self.extents.len()],
@@ -42,7 +42,7 @@ struct SliceAxisGrad {
 }
 
 impl GradFn for SliceAxisGrad {
-    fn backward(&self, grad: &NdArray) -> Vec<Option<NdArray>> {
+    fn backward(&self, grad: &NdArray, _needs: &[bool]) -> Vec<Option<NdArray>> {
         // Scatter the slice gradient back into a zero tensor.
         let mut out = NdArray::zeros(&self.in_shape);
         let outer: usize = self.in_shape[..self.axis].iter().product();
@@ -68,7 +68,7 @@ impl GradFn for SliceAxisGrad {
 struct TransposeGrad;
 
 impl GradFn for TransposeGrad {
-    fn backward(&self, grad: &NdArray) -> Vec<Option<NdArray>> {
+    fn backward(&self, grad: &NdArray, _needs: &[bool]) -> Vec<Option<NdArray>> {
         vec![grad.transpose2d().ok()]
     }
     fn name(&self) -> &'static str {
@@ -82,7 +82,7 @@ struct Pad2dGrad {
 }
 
 impl GradFn for Pad2dGrad {
-    fn backward(&self, grad: &NdArray) -> Vec<Option<NdArray>> {
+    fn backward(&self, grad: &NdArray, _needs: &[bool]) -> Vec<Option<NdArray>> {
         // Crop the interior back out.
         let (n, c, h, w) = (self.in_shape[0], self.in_shape[1], self.in_shape[2], self.in_shape[3]);
         let p = self.pad;
@@ -110,7 +110,7 @@ struct UpsampleGrad {
 }
 
 impl GradFn for UpsampleGrad {
-    fn backward(&self, grad: &NdArray) -> Vec<Option<NdArray>> {
+    fn backward(&self, grad: &NdArray, _needs: &[bool]) -> Vec<Option<NdArray>> {
         // Each input pixel fans out to a scale×scale block: sum the block.
         let (n, c, h, w) = (self.in_shape[0], self.in_shape[1], self.in_shape[2], self.in_shape[3]);
         let s = self.scale;

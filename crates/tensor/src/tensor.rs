@@ -11,7 +11,7 @@
 
 use crate::array::NdArray;
 use crate::error::Result;
-use std::cell::{Ref, RefCell};
+use std::cell::{Cell, Ref, RefCell};
 use std::collections::HashSet;
 use std::fmt;
 use std::rc::Rc;
@@ -23,12 +23,28 @@ static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 ///
 /// Implementations capture whatever forward values they need and map the
 /// gradient flowing into the node onto gradients for each parent (aligned
-/// with the `parents` vector; `None` marks a parent that needs no gradient).
+/// with the `parents` vector; `None` marks a parent that gets no gradient).
 pub(crate) trait GradFn {
     /// Computes parent gradients given the node's output gradient.
-    fn backward(&self, grad: &NdArray) -> Vec<Option<NdArray>>;
+    ///
+    /// `needs[i]` is parent `i`'s `requires_grad`: a gradient returned for
+    /// a parent with `needs[i] == false` is dropped by the engine, so an
+    /// operation whose per-parent gradients cost separate work (a GEMM, a
+    /// broadcast reduction) returns `None` there without computing it.
+    fn backward(&self, grad: &NdArray, needs: &[bool]) -> Vec<Option<NdArray>>;
     /// Operation name for diagnostics.
     fn name(&self) -> &'static str;
+}
+
+/// The gradient `compute` yields when its parent needs one (an error
+/// becomes `None`, as everywhere in [`GradFn::backward`]); not called
+/// otherwise.
+pub(crate) fn grad_if(need: bool, compute: impl FnOnce() -> Result<NdArray>) -> Option<NdArray> {
+    if need {
+        compute().ok()
+    } else {
+        None
+    }
 }
 
 pub(crate) struct Inner {
@@ -37,7 +53,7 @@ pub(crate) struct Inner {
     grad: RefCell<Option<NdArray>>,
     parents: Vec<Tensor>,
     grad_fn: Option<Box<dyn GradFn>>,
-    requires_grad: bool,
+    requires_grad: Cell<bool>,
 }
 
 /// A node in the autodiff graph holding an [`NdArray`] value.
@@ -64,7 +80,7 @@ impl fmt::Debug for Tensor {
             "Tensor(id={}, shape={:?}, requires_grad={}, op={})",
             self.0.id,
             self.shape(),
-            self.0.requires_grad,
+            self.requires_grad(),
             self.0.grad_fn.as_ref().map_or("leaf", |g| g.name()),
         )
     }
@@ -96,7 +112,7 @@ impl Tensor {
             grad: RefCell::new(None),
             parents: Vec::new(),
             grad_fn: None,
-            requires_grad,
+            requires_grad: Cell::new(requires_grad),
         }))
     }
 
@@ -113,7 +129,7 @@ impl Tensor {
             grad: RefCell::new(None),
             parents,
             grad_fn: Some(grad_fn),
-            requires_grad: true,
+            requires_grad: Cell::new(true),
         }))
     }
 
@@ -126,7 +142,20 @@ impl Tensor {
     /// Whether gradients flow into this tensor.
     #[must_use]
     pub fn requires_grad(&self) -> bool {
-        self.0.requires_grad
+        self.0.requires_grad.get()
+    }
+
+    /// Freezes (`false`) or thaws (`true`) a leaf. A frozen leaf is a
+    /// constant to every graph built or differentiated afterwards: no
+    /// gradient is computed for it or accumulated into it. Thawing does
+    /// not reach into graphs built while the leaf was frozen.
+    ///
+    /// # Panics
+    ///
+    /// Panics when called on the result of a differentiable operation.
+    pub fn set_requires_grad(&self, requires_grad: bool) {
+        assert!(self.0.grad_fn.is_none(), "set_requires_grad on a non-leaf tensor");
+        self.0.requires_grad.set(requires_grad);
     }
 
     /// Borrows the value.
@@ -139,7 +168,8 @@ impl Tensor {
         self.0.data.borrow()
     }
 
-    /// Clones the value out of the node.
+    /// The value as an array of its own: a handle to the node's buffer
+    /// (storage is shared, copy-on-write), not a copy of it.
     #[must_use]
     pub fn value(&self) -> NdArray {
         self.0.data.borrow().clone()
@@ -233,19 +263,22 @@ impl Tensor {
             });
         }
         let order = self.topo_order();
-        accumulate_grad(self, &seed)?;
+        accumulate_grad(self, seed)?;
         for node in order.iter().rev() {
             let Some(grad_fn) = node.0.grad_fn.as_ref() else {
                 continue;
             };
-            let grad = node.0.grad.borrow().clone();
-            let Some(grad) = grad else { continue };
-            let parent_grads = grad_fn.backward(&grad);
+            // Borrowed, not copied: a node is never its own parent, so the
+            // parents' gradient slots written below are other cells.
+            let grad = node.0.grad.borrow();
+            let Some(grad) = grad.as_ref() else { continue };
+            let needs: Vec<bool> = node.0.parents.iter().map(Tensor::requires_grad).collect();
+            let parent_grads = grad_fn.backward(grad, &needs);
             debug_assert_eq!(parent_grads.len(), node.0.parents.len(), "{}", grad_fn.name());
-            for (parent, pg) in node.0.parents.iter().zip(parent_grads) {
+            for ((parent, pg), need) in node.0.parents.iter().zip(parent_grads).zip(needs) {
                 if let Some(pg) = pg {
-                    if parent.requires_grad() {
-                        accumulate_grad(parent, &pg)?;
+                    if need {
+                        accumulate_grad(parent, pg)?;
                     }
                 }
             }
@@ -282,11 +315,11 @@ impl Tensor {
     }
 }
 
-fn accumulate_grad(t: &Tensor, g: &NdArray) -> Result<()> {
+fn accumulate_grad(t: &Tensor, g: NdArray) -> Result<()> {
     let mut slot = t.0.grad.borrow_mut();
     match slot.as_mut() {
-        Some(acc) => acc.add_assign(g)?,
-        None => *slot = Some(g.clone()),
+        Some(acc) => acc.add_assign(&g)?,
+        None => *slot = Some(g),
     }
     Ok(())
 }

@@ -146,11 +146,11 @@ fn conv_forward_backward_bytes_identical_across_thread_counts() {
 
     let run = || {
         let out = conv2d_forward(&input, &weight, Some(&bias), 1, 1).unwrap();
-        let (gi, gw, gb) = conv2d_backward(&input, &weight, &gout, 1, 1).unwrap();
+        let (gi, gw, gb) = conv2d_backward(&input, &weight, &gout, 1, 1, [true; 3]).unwrap();
         let mut all = bits(out.as_slice());
-        all.extend(bits(gi.as_slice()));
-        all.extend(bits(gw.as_slice()));
-        all.extend(bits(gb.as_slice()));
+        for g in [gi, gw, gb] {
+            all.extend(bits(g.unwrap().as_slice()));
+        }
         all
     };
 
