@@ -1,31 +1,23 @@
 //! Micro-benchmark of the optimized compute kernels against their
 //! reference implementations: blocked GEMM, row-span im2col, the
 //! frozen-surrogate UNet backward, the interior/border pad convolution
-//! split and the anchored contact solve — plus one end-to-end labeling
-//! run so kernel wins are tied to pipeline wall-clock.
+//! split and the anchored contact solve — plus graph-free UNet inference
+//! at the batch sizes the runtime pool forms and one end-to-end labeling
+//! run, so kernel wins are tied to pipeline wall-clock.
 //!
 //! Hand-rolled harness (no criterion): each op is timed as the best of
 //! several samples after warmup, with the iteration count calibrated so
 //! a sample runs long enough to dominate timer noise. Results go to
 //! stdout as a table and to `BENCH_kernels.json` at the repo root
 //! (override with `NEURFILL_BENCH_OUT`) as machine-readable records:
-//! `{op, shape, tier, backend, ns_per_iter, reference_ns_per_iter,
-//! speedup}`. The write merges: rows owned by other benches (`infer`'s
-//! `unet_infer`) are preserved.
-//!
-//! `tier` tracks the numerics tier a row certifies: `exact` rows compare
-//! the bit-exact optimized kernels against their references; `fast` rows
-//! compare the FMA GEMM against the exact tier, so the exact/fast gap
-//! per shape is recorded alongside the exact-kernel wins. `backend` is
-//! the tensor backend the row ran on — every kernel here is the f32
-//! `cpu` backend; quantized rows come from the `infer` bench.
+//! `{op, shape, ns_per_iter, reference_ns_per_iter, speedup, host}`.
 //!
 //! The end-to-end entry times the full labeling pipeline on the current
 //! build; its reference column comes from
 //! `NEURFILL_BASELINE_LABELING_NS` (measured on a pre-optimization
 //! checkout) when set, else it is null.
 
-use neurfill_bench::records::{merge_into, output_path, print_table, BenchRecord};
+use neurfill_bench::records::{output_path, print_table, write_table, BenchRecord};
 use neurfill_cmpsim::contact::{
     solve_reference_plane, solve_reference_plane_reference, solve_reference_plane_stats,
 };
@@ -34,8 +26,8 @@ use neurfill_data::LabelConfig;
 use neurfill_layout::benchmark_designs;
 use neurfill_layout::datagen::DataGenConfig;
 use neurfill_nn::{Module, UNet, UNetConfig};
-use neurfill_tensor::kernels::{gemm, gemm_reference, gemm_tiered, set_gemm_threads};
-use neurfill_tensor::{im2col_into, NdArray, NumericsTier, Tensor};
+use neurfill_tensor::kernels::{gemm, gemm_reference, set_gemm_threads};
+use neurfill_tensor::{im2col_into, NdArray, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -85,17 +77,8 @@ fn time_pair_ns(mut reference: impl FnMut(), mut optimized: impl FnMut()) -> (f6
     (best_ref, best_opt)
 }
 
-/// Shorthand constructor: every row in this bench runs on the f32 `cpu`
-/// backend.
-fn row(op: &str, shape: String, tier: &str, ns: f64, reference_ns: Option<f64>) -> BenchRecord {
-    BenchRecord {
-        op: op.to_string(),
-        shape,
-        tier: tier.to_string(),
-        backend: "cpu".to_string(),
-        ns,
-        reference_ns,
-    }
+fn row(op: &str, shape: String, ns: f64, reference_ns: Option<f64>) -> BenchRecord {
+    BenchRecord { op: op.to_string(), shape, ns, reference_ns }
 }
 
 fn random_f32(rng: &mut StdRng, len: usize) -> Vec<f32> {
@@ -137,14 +120,9 @@ fn bench_gemm(rows: &mut Vec<BenchRecord>) {
         let mut out2 = vec![0.0f32; m * n];
         let (legacy_ns, ns) =
             time_pair_ns(|| gemm_legacy(&a, &b, &mut out, m, k, n), || gemm(&a, &b, &mut out2, m, k, n));
-        rows.push(row("gemm", format!("{m}x{k}x{n}"), "exact", ns, Some(legacy_ns)));
+        rows.push(row("gemm", format!("{m}x{k}x{n}"), ns, Some(legacy_ns)));
         let reference_ns = time_ns(|| gemm_reference(&a, &b, &mut out, m, k, n));
-        rows.push(row("gemm_oracle", format!("{m}x{k}x{n}"), "exact", ns, Some(reference_ns)));
-        // Fast tier: the FMA-contracted micro-kernel against the exact
-        // blocked kernel (single thread each; reference = exact tier).
-        let exact_ns = time_ns(|| gemm_tiered(&a, &b, &mut out, m, k, n, 1, NumericsTier::Exact));
-        let fast_ns = time_ns(|| gemm_tiered(&a, &b, &mut out2, m, k, n, 1, NumericsTier::Fast));
-        rows.push(row("gemm", format!("{m}x{k}x{n}"), "fast", fast_ns, Some(exact_ns)));
+        rows.push(row("gemm_oracle", format!("{m}x{k}x{n}"), ns, Some(reference_ns)));
     }
 }
 
@@ -192,7 +170,7 @@ fn bench_im2col(rows: &mut Vec<BenchRecord>) {
             || im2col_into(&x, c, edge, edge, 3, 3, 1, 1, &mut out, cols, 0),
         );
         assert_eq!(legacy, out, "im2col c{c} {edge}x{edge}");
-        rows.push(row("im2col", format!("c{c}_{edge}x{edge}_k3"), "exact", ns, Some(legacy_ns)));
+        rows.push(row("im2col", format!("c{c}_{edge}x{edge}_k3"), ns, Some(legacy_ns)));
     }
 }
 
@@ -227,14 +205,28 @@ fn bench_unet_backward(rows: &mut Vec<BenchRecord>) {
     }
     let frozen_ns = backward_ns(&unet);
     set_gemm_threads(0);
-    rows.push(row("unet_backward", "trainable_batch1_32x32".to_string(), "exact", trainable_ns, None));
-    rows.push(row(
-        "unet_backward",
-        "frozen_batch1_32x32".to_string(),
-        "exact",
-        frozen_ns,
-        Some(trainable_ns),
-    ));
+    rows.push(row("unet_backward", "trainable_batch1_32x32".to_string(), trainable_ns, None));
+    rows.push(row("unet_backward", "frozen_batch1_32x32".to_string(), frozen_ns, Some(trainable_ns)));
+}
+
+/// Graph-free `Module::infer` of the same surrogate on one GEMM thread
+/// (the pool pins per-worker inference to one core), at the batch sizes
+/// the runtime pool forms.
+fn bench_unet_infer(rows: &mut Vec<BenchRecord>) {
+    set_gemm_threads(1);
+    let mut rng = StdRng::seed_from_u64(0x1f8);
+    let unet =
+        UNet::new(UNetConfig { in_channels: 4, out_channels: 1, base_channels: 8, depth: 2 }, &mut rng);
+    unet.set_training(false);
+    for batch in [1usize, 8, 32] {
+        let input =
+            NdArray::from_vec(random_f32(&mut rng, batch * 4 * 32 * 32), &[batch, 4, 32, 32]).unwrap();
+        let ns = time_ns(|| {
+            std::hint::black_box(unet.infer(&input).unwrap());
+        });
+        rows.push(row("unet_infer", format!("batch{batch}_32x32"), ns, None));
+    }
+    set_gemm_threads(0);
 }
 
 fn bench_pad_kernel(rows: &mut Vec<BenchRecord>) {
@@ -250,7 +242,7 @@ fn bench_pad_kernel(rows: &mut Vec<BenchRecord>) {
             },
             || kernel.apply_into(&field, r, c, &mut out),
         );
-        rows.push(row("pad_kernel", format!("{r}x{c}_r{radius}"), "exact", ns, Some(reference_ns)));
+        rows.push(row("pad_kernel", format!("{r}x{c}_r{radius}"), ns, Some(reference_ns)));
     }
 }
 
@@ -273,7 +265,7 @@ fn bench_contact(rows: &mut Vec<BenchRecord>) {
                 std::hint::black_box(solve_reference_plane(&heights, &params));
             },
         );
-        rows.push(row("contact_exact", format!("n{n}"), "exact", ns, Some(reference_ns)));
+        rows.push(row("contact_exact", format!("n{n}"), ns, Some(reference_ns)));
     }
 }
 
@@ -299,20 +291,8 @@ fn bench_labeling(rows: &mut Vec<BenchRecord>) {
     let _ = std::fs::remove_dir_all(&dir);
     let baseline =
         std::env::var("NEURFILL_BASELINE_LABELING_NS").ok().and_then(|v| v.parse::<f64>().ok());
-    rows.push(row("labeling_end_to_end", format!("{LAYOUTS}_layouts_16x16"), "exact", ns, baseline));
+    rows.push(row("labeling_end_to_end", format!("{LAYOUTS}_layouts_16x16"), ns, baseline));
 }
-
-/// The ops this bench owns in `BENCH_kernels.json`; other benches' rows
-/// (`unet_infer`) survive the merge.
-const OWNED_OPS: &[&str] = &[
-    "gemm",
-    "gemm_oracle",
-    "im2col",
-    "unet_backward",
-    "pad_kernel",
-    "contact_exact",
-    "labeling_end_to_end",
-];
 
 fn main() {
     // `cargo bench` passes `--bench`; a bare `--no-run` build never gets here.
@@ -320,13 +300,14 @@ fn main() {
     bench_gemm(&mut rows);
     bench_im2col(&mut rows);
     bench_unet_backward(&mut rows);
+    bench_unet_infer(&mut rows);
     bench_pad_kernel(&mut rows);
     bench_contact(&mut rows);
     bench_labeling(&mut rows);
 
     print_table(&rows);
     let path = output_path(env!("CARGO_MANIFEST_DIR"), "BENCH_kernels.json");
-    match merge_into(&path, OWNED_OPS, &rows) {
+    match write_table(&path, &rows) {
         Ok(()) => println!("\nwrote {}", path.display()),
         Err(e) => eprintln!("failed to write {}: {e}", path.display()),
     }

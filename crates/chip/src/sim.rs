@@ -43,9 +43,8 @@ pub struct ChipSimConfig {
 }
 
 impl ChipSimConfig {
-    /// Fast-parameter config with the given tile edge and worker count.
-    /// ("Fast" here means cheap *process parameters*, not the GEMM
-    /// numerics tier.)
+    /// Fast-parameter config ([`ProcessParams::fast`]) with the given tile
+    /// edge and worker count.
     #[must_use]
     pub fn fast(tile: usize, workers: usize) -> Self {
         Self {

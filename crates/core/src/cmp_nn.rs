@@ -11,9 +11,8 @@ use crate::extraction::{extract_layer_arrays, extract_layer_tensor, ExtractionCo
 use crate::score::{Coefficients, PlanarityMetrics, NM_TO_ANGSTROM};
 use neurfill_cmpsim::{ChipProfile, LayerProfile};
 use neurfill_layout::Layout;
-use neurfill_nn::{CalibrationScales, Module, QuantUNet, UNet};
+use neurfill_nn::{Module, UNet};
 use neurfill_tensor::{NdArray, Result, Tensor, TensorError};
-use std::cell::OnceCell;
 
 /// Affine normalization between UNet output units and simulator nm:
 /// `H_nm = output · scale_nm + offset_nm`.
@@ -63,12 +62,6 @@ pub struct CmpNeuralNetwork {
     height_norm: HeightNorm,
     extraction: ExtractionConfig,
     config: CmpNnConfig,
-    /// Per-layer activation scales for the quantized inference backend.
-    /// `None` for bundles saved before calibration existed — those run on
-    /// the f32 backend only.
-    calibration: Option<CalibrationScales>,
-    /// Lazily compiled int8 engine; built on first quantized inference.
-    quant: OnceCell<QuantUNet>,
 }
 
 impl CmpNeuralNetwork {
@@ -97,62 +90,7 @@ impl CmpNeuralNetwork {
             p.set_requires_grad(false);
             p.zero_grad();
         }
-        Self { unet, height_norm, extraction, config, calibration: None, quant: OnceCell::new() }
-    }
-
-    /// Attaches per-layer calibration scales, enabling the quantized
-    /// inference backend for this network.
-    #[must_use]
-    pub fn with_calibration(mut self, calibration: CalibrationScales) -> Self {
-        self.calibration = Some(calibration);
-        self.quant = OnceCell::new();
-        self
-    }
-
-    /// The calibration scales carried by this network, if any.
-    #[must_use]
-    pub fn calibration(&self) -> Option<&CalibrationScales> {
-        self.calibration.as_ref()
-    }
-
-    /// The lazily compiled int8 engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the bundle carries no calibration scales or
-    /// the scales disagree with the UNet architecture.
-    fn quant_engine(&self) -> Result<&QuantUNet> {
-        if self.quant.get().is_none() {
-            let cal = self.calibration.as_ref().ok_or_else(|| {
-                TensorError::InvalidArgument(
-                    "quantized backend selected but the model bundle carries no calibration scales"
-                        .into(),
-                )
-            })?;
-            let engine = QuantUNet::compile(&self.unet, cal)?;
-            // A concurrent set can only have stored an identical engine
-            // (compile is deterministic), so a lost race is harmless.
-            let _ = self.quant.set(engine);
-        }
-        self.quant
-            .get()
-            .ok_or_else(|| TensorError::InvalidArgument("quantized engine initialization raced".into()))
-    }
-
-    /// Runs one UNet inference through the process-selected tensor backend:
-    /// the f32 engine under [`neurfill_tensor::BackendKind::Cpu`], the
-    /// compiled int8 engine under `QuantCpu`.
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors, and a missing-calibration error when the
-    /// quantized backend is selected on an uncalibrated bundle.
-    fn infer_unet(&self, input: &NdArray) -> Result<NdArray> {
-        if neurfill_tensor::backend().is_quant() {
-            self.quant_engine()?.infer(input)
-        } else {
-            self.unet.infer(input)
-        }
+        Self { unet, height_norm, extraction, config }
     }
 
     /// The wrapped UNet.
@@ -217,12 +155,7 @@ impl CmpNeuralNetwork {
     ///
     /// Returns an error when `samples` is empty or shapes disagree.
     pub fn predict_heights_batch(&self, samples: &[NdArray]) -> Result<Vec<Vec<f64>>> {
-        let outputs = if neurfill_tensor::backend().is_quant() {
-            neurfill_nn::forward_batched(self.quant_engine()?, samples)?
-        } else {
-            neurfill_nn::forward_batched(&self.unet, samples)?
-        };
-        Ok(outputs
+        Ok(neurfill_nn::forward_batched(&self.unet, samples)?
             .iter()
             .map(|out| {
                 out.as_slice()
@@ -248,7 +181,7 @@ impl CmpNeuralNetwork {
     pub fn predict_layer_heights(&self, layout: &Layout, layer: usize) -> Result<Vec<f64>> {
         let sample = self.extract_window_sample(layout, layer)?;
         let input = sample.reshape(&[1, NUM_CHANNELS, layout.rows(), layout.cols()])?;
-        let out = self.infer_unet(&input)?;
+        let out = self.unet.infer(&input)?;
         Ok(out
             .as_slice()
             .iter()
@@ -291,38 +224,29 @@ impl CmpNeuralNetwork {
     /// Returns an error on geometry mismatch or when `x` has the wrong
     /// length.
     pub fn planarity(&self, layout: &Layout, x: &[f64], coeffs: &Coefficients) -> Result<PlanarityEval> {
-        self.planarity_impl(layout, x, coeffs, true, false)
+        self.planarity_impl(layout, x, coeffs, true)
     }
 
     /// Forward-only variant of [`CmpNeuralNetwork::planarity`]: evaluates
-    /// `S_plan(x)` without building gradients, through the
-    /// process-selected tensor backend — under `QuantCpu` this is the
-    /// certified int8 score a quantized pool reports.
+    /// `S_plan(x)` without building a graph. Bit-equal to
+    /// [`PlanarityEval::score`] at the same `x`, so a line search that
+    /// scores trials with this and steps along `planarity`'s gradient
+    /// compares one surface with itself.
     ///
     /// # Errors
     ///
     /// Returns an error on geometry mismatch or when `x` has the wrong
     /// length.
     pub fn planarity_score(&self, layout: &Layout, x: &[f64], coeffs: &Coefficients) -> Result<f64> {
-        Ok(self.planarity_impl(layout, x, coeffs, false, true)?.score)
+        Ok(self.planarity_impl(layout, x, coeffs, false)?.score)
     }
 
-    /// Forward-only `S_plan(x)` pinned to the f32 engine regardless of
-    /// the selected tensor backend. Gradient-based synthesis needs one
-    /// coherent surface: its line searches evaluate this score and its
-    /// descent steps differentiate the same f32 graph — mixing a
-    /// quantized `value` with an f32 gradient makes step-acceptance
-    /// conditions compare two different functions and derails the
-    /// optimizer. The backend seam accelerates the inference-serving
-    /// paths ([`Self::predict_heights_batch`] and friends) and the
-    /// explicit [`Self::planarity_score`] instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on geometry mismatch or when `x` has the wrong
-    /// length.
+    // Inert alias the frozen benchmark still compiles against
+    // (`nfbench/src/workloads/flow_abc.rs:75`); the next benchmark PR
+    // drops it with the `neurfill_tensor` shims.
+    #[doc(hidden)]
     pub fn planarity_score_f32(&self, layout: &Layout, x: &[f64], coeffs: &Coefficients) -> Result<f64> {
-        Ok(self.planarity_impl(layout, x, coeffs, false, false)?.score)
+        self.planarity_score(layout, x, coeffs)
     }
 
     // The three `expect`s assert that at least one layer was folded into
@@ -334,7 +258,6 @@ impl CmpNeuralNetwork {
         x: &[f64],
         coeffs: &Coefficients,
         with_grad: bool,
-        via_seam: bool,
     ) -> Result<PlanarityEval> {
         self.check_layout(layout)?;
         if x.len() != layout.num_windows() {
@@ -375,14 +298,11 @@ impl CmpNeuralNetwork {
             let arr = NdArray::from_vec(data, &[1, 1, rows, cols])?;
             let x_l = if with_grad { Tensor::parameter(arr) } else { Tensor::constant(arr) };
             let planes = extract_layer_tensor(layout, l, &x_l, &self.extraction)?;
-            // The gradient path needs the autograd graph (f32 only); the
-            // seam path lets quantized pools score plans on the int8
-            // engine; the pinned-f32 score keeps gradient-based synthesis
-            // coherent with its autograd gradient.
+            // Only the gradient path needs the autograd graph; `infer` is
+            // pinned bit-equal to `forward` (`nn::batch` tests, and the
+            // score itself by `per_layer_backward_matches_joint_graph…`).
             let h_raw = if with_grad {
                 self.unet.forward(&planes)?
-            } else if via_seam {
-                Tensor::constant(self.infer_unet(&planes.value())?)
             } else {
                 Tensor::constant(self.unet.infer(&planes.value())?)
             };
@@ -637,7 +557,7 @@ mod tests {
                 assert_eq!(bits(&eval.gradient), bits(&gradient), "{} {edge}", l.name());
                 assert!(gradient.iter().any(|g| *g != 0.0));
                 // The forward-only score is the same number.
-                assert_eq!(net.planarity_score_f32(&l, &x, &c).unwrap().to_bits(), score.to_bits());
+                assert_eq!(net.planarity_score(&l, &x, &c).unwrap().to_bits(), score.to_bits());
             }
         }
     }

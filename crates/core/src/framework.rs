@@ -145,13 +145,9 @@ impl Objective for FillObjective<'_> {
     fn value(&self, x: &[f64]) -> f64 {
         self.forward_count.set(self.forward_count.get() + 1);
         let plan = FillPlan::from_vec(self.layout, x.to_vec());
-        // Pinned to f32: the solvers' line searches compare this value
-        // against predictions from the f32 autograd gradient, so both
-        // must evaluate the same surface whatever tensor backend the
-        // process selected (see `planarity_score_f32`).
         let plan_score = self
             .network
-            .planarity_score_f32(self.layout, x, self.coeffs)
+            .planarity_score(self.layout, x, self.coeffs)
             .expect("layout/network geometry checked at construction");
         plan_score + pd_score(self.layout, &plan, self.coeffs).score
     }

@@ -76,7 +76,4 @@ pub use neurfill_obs as telemetry;
 pub use cancel::CancelToken;
 pub use cmp_nn::{CmpNeuralNetwork, CmpNnConfig, HeightNorm, PlanarityEval};
 pub use framework::{FillObjective, FillOutcome, NeurFill, NeurFillConfig, StartMode};
-/// Re-exported from `neurfill-tensor`: the numerics tier selecting
-/// between the bit-exact GEMM and the certified FMA-contracted GEMM.
-pub use neurfill_tensor::NumericsTier;
 pub use score::{Alphas, Coefficients, PlanarityMetrics, ScoreBreakdown};

@@ -9,16 +9,16 @@
 use crate::cmp_nn::{CmpNeuralNetwork, CmpNnConfig, HeightNorm};
 use crate::extraction::{ExtractionConfig, NUM_CHANNELS};
 use neurfill_layout::DummySpec;
-use neurfill_nn::{serialize, CalibrationScales, Module, UNet, UNetConfig};
+use neurfill_nn::{serialize, Module, UNet, UNetConfig};
 use rand::SeedableRng;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::path::Path;
 
 const MAGIC: &str = "neurfill-surrogate v1";
-/// A calibration section starts on its own line with the
-/// [`CalibrationScales`] magic; weight lines are 8-hex-digit values and
-/// `param/buffer` headers, so the marker cannot occur inside the weights.
-const CALIBRATION_MARKER: &str = "\nneurfill-calibration v1\n";
+/// Start of a `neurfill-<name> v<n>` section line after the weight block.
+/// Weight lines are 8-hex-digit values and `count`/`param`/`buffer`
+/// headers, so the marker cannot occur inside the weights.
+const TRAILER_MARKER: &str = "\nneurfill-";
 
 /// Writes a trained network bundle to `w`.
 ///
@@ -39,20 +39,24 @@ pub fn save_network<W: Write>(network: &CmpNeuralNetwork, mut w: W) -> io::Resul
         "extraction {} {} {} {}",
         ex.perimeter_scale, ex.width_scale, ex.dummy.edge_um, ex.dummy.bytes_per_dummy
     )?;
-    serialize::save_parameters(network.unet(), &mut w)?;
-    if let Some(cal) = network.calibration() {
-        cal.write_to(&mut w)?;
-    }
-    Ok(())
+    serialize::save_parameters(network.unet(), &mut w)
 }
 
 /// Reads a bundle written by [`save_network`].
+///
+/// Bundles written before the int8 engine was removed may carry a
+/// `neurfill-calibration v1` section after the weights, and a later writer
+/// may append other `neurfill-<name> v<n>` sections: the weights end at
+/// the first such line and the rest is ignored.
 ///
 /// A `&mut` reference can be passed for `r` (see `std::io::Read`).
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` on any format violation or architecture mismatch.
+/// Returns `InvalidData` on any format violation, on an architecture this
+/// build cannot wrap (`CmpNeuralNetwork` needs [`NUM_CHANNELS`] inputs and
+/// one output plane) and on one that declares more weights than the
+/// bundle has bytes for.
 pub fn load_network<R: Read>(r: R) -> io::Result<CmpNeuralNetwork> {
     let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     let mut reader = BufReader::new(r);
@@ -84,6 +88,9 @@ pub fn load_network<R: Read>(r: R) -> io::Result<CmpNeuralNetwork> {
             "bundle has {in_c} input channels; this build extracts {NUM_CHANNELS}"
         )));
     }
+    if out_c != 1 || base == 0 || depth == 0 {
+        return Err(bad(format!("unsupported unet architecture: {unet_line:?}")));
+    }
     let norm_line = next_line(&mut reader)?;
     let nums: Vec<f64> = norm_line
         .strip_prefix("height_norm ")
@@ -105,36 +112,31 @@ pub fn load_network<R: Read>(r: R) -> io::Result<CmpNeuralNetwork> {
         return Err(bad("extraction needs 4 fields".into()));
     };
 
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-    let unet = UNet::new(
-        UNetConfig { in_channels: in_c, out_channels: out_c, base_channels: base, depth },
-        &mut rng,
-    );
     // The weight parser buffers internally, so the remainder of the bundle
-    // — weights plus an optional calibration section — is read whole and
-    // split at the calibration magic. Unknown trailing sections after the
-    // calibration block are ignored by its parser (forward compatibility).
+    // is read whole and cut at the first trailing section.
     let mut rest = String::new();
     reader.read_to_string(&mut rest)?;
-    let (weights, calibration_text) = match rest.find(CALIBRATION_MARKER) {
-        Some(pos) => {
-            let (w, c) = rest.split_at(pos + 1);
-            (w, Some(c))
-        }
-        None => (rest.as_str(), None),
-    };
+    let weights = rest.find(TRAILER_MARKER).map_or(rest.as_str(), |pos| &rest[..=pos]);
+    // A weight is 8 hex digits and a newline, so a bundle cannot declare
+    // more values than a ninth of its bytes — checked before `UNet::new`
+    // allocates for whatever the header claims.
+    let config = UNetConfig { in_channels: in_c, out_channels: out_c, base_channels: base, depth };
+    if config.value_count().is_none_or(|n| n > weights.len() / 9) {
+        return Err(bad(format!(
+            "unet line {unet_line:?} declares more weights than {} bytes can carry",
+            weights.len()
+        )));
+    }
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+    let unet = UNet::new(config, &mut rng);
     serialize::load_parameters(&unet, weights.as_bytes())?;
     unet.set_training(false);
-    let network = CmpNeuralNetwork::new(
+    Ok(CmpNeuralNetwork::new(
         unet,
         HeightNorm { offset_nm, scale_nm },
         ExtractionConfig { perimeter_scale, width_scale, dummy: DummySpec { edge_um, bytes_per_dummy } },
         CmpNnConfig::default(),
-    );
-    match calibration_text {
-        Some(text) => Ok(network.with_calibration(CalibrationScales::parse(text)?)),
-        None => Ok(network),
-    }
+    ))
 }
 
 /// Saves a network bundle to a file path.
@@ -241,66 +243,79 @@ mod tests {
         assert!(load_network(mangled.as_bytes()).is_err());
     }
 
-    fn calibrated_network() -> CmpNeuralNetwork {
-        // depth 2 → 4·2+3 = 11 conv inputs, one scale each.
-        let scales: Vec<f32> = (0..11).map(|i| 0.01 * (i + 1) as f32).collect();
-        network().with_calibration(CalibrationScales::new(scales))
-    }
+    /// A bundle the parent commit (PR 16) wrote for a calibrated network:
+    /// weights followed by a `neurfill-calibration v1` section.
+    const CALIBRATED_PR16: &[u8] = include_bytes!("../tests/fixtures/calibrated_pr16.bundle");
 
     #[test]
-    fn calibrated_save_load_save_is_byte_identical() {
-        let net = calibrated_network();
-        let mut first = Vec::new();
-        save_network(&net, &mut first).unwrap();
-        let reloaded = load_network(first.as_slice()).unwrap();
-        let back = reloaded.calibration().expect("scales survive the roundtrip");
-        assert_eq!(back.scales(), net.calibration().unwrap().scales());
-        let mut second = Vec::new();
-        save_network(&reloaded, &mut second).unwrap();
-        assert_eq!(first, second, "calibrated persistence must be a fixed point");
-    }
+    fn calibrated_bundle_from_before_the_removal_loads_and_resaves_without_the_section() {
+        let text = std::str::from_utf8(CALIBRATED_PR16).unwrap();
+        let cut = text.find("neurfill-calibration v1\n").expect("fixture carries the section");
+        let with = load_network(CALIBRATED_PR16).unwrap();
+        let without = load_network(&CALIBRATED_PR16[..cut]).unwrap();
 
-    #[test]
-    fn bundles_without_scales_still_load() {
-        // The pre-calibration format is a strict prefix of the new one:
-        // bundles written before this section existed keep loading, with no
-        // scales attached.
-        let net = network();
-        let mut buf = Vec::new();
-        save_network(&net, &mut buf).unwrap();
-        let back = load_network(buf.as_slice()).unwrap();
-        assert!(back.calibration().is_none());
+        let layout = DesignSpec::new(DesignKind::CmpTest, 8, 8, 1).generate();
+        for layer in 0..layout.num_layers() {
+            assert_eq!(
+                with.predict_layer_heights(&layout, layer).unwrap(),
+                without.predict_layer_heights(&layout, layer).unwrap()
+            );
+        }
+        let mut resaved = Vec::new();
+        save_network(&with, &mut resaved).unwrap();
+        assert_eq!(resaved, &CALIBRATED_PR16[..cut], "re-saving drops the section and nothing else");
     }
 
     #[test]
     fn unknown_trailing_section_is_ignored() {
-        let net = calibrated_network();
-        let mut buf = Vec::new();
-        save_network(&net, &mut buf).unwrap();
-        buf.extend_from_slice(b"neurfill-future-section v9\nopaque payload\n");
-        let back = load_network(buf.as_slice()).unwrap();
-        assert_eq!(back.calibration().unwrap().scales(), net.calibration().unwrap().scales());
+        let net = network();
+        let mut plain = Vec::new();
+        save_network(&net, &mut plain).unwrap();
+        let layout = DesignSpec::new(DesignKind::CmpTest, 8, 8, 1).generate();
+        let want = net.predict_layer_heights(&layout, 0).unwrap();
+        for trailer in [
+            "neurfill-future-section v9\nopaque payload\n",
+            "neurfill-calibration v1\nscales 1\n3c763ca2\nchecksum 00000000\n",
+            "neurfill-calibration v1\nscales 1\n3c763ca2\nchecksum 00000000\nneurfill-future-section v9\n",
+        ] {
+            let mut buf = plain.clone();
+            buf.extend_from_slice(trailer.as_bytes());
+            let back = load_network(buf.as_slice()).unwrap();
+            assert_eq!(back.predict_layer_heights(&layout, 0).unwrap(), want, "{trailer:?}");
+        }
     }
 
     #[test]
-    fn corrupt_calibration_is_rejected_cleanly() {
-        let net = calibrated_network();
+    fn hostile_unet_headers_are_invalid_data_not_a_panic_or_an_allocation() {
+        let net = network();
         let mut buf = Vec::new();
         save_network(&net, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
-
-        // A flipped checksum must be InvalidData, not a silent mis-scale.
-        let pos = text.rfind("checksum ").expect("calibration carries a checksum");
-        let digit = text.as_bytes()[pos + "checksum ".len()];
-        let flipped = if digit == b'0' { "1" } else { "0" };
-        let mut mangled = text.clone();
-        mangled.replace_range(pos + "checksum ".len()..pos + "checksum ".len() + 1, flipped);
-        let err = load_network(mangled.as_bytes()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-
-        // Truncation inside the calibration section errors too.
-        let cut = text.len() - 4;
-        assert!(load_network(&text.as_bytes()[..cut]).is_err());
+        let honest = format!("unet {NUM_CHANNELS} 1 4 2");
+        assert!(text.contains(&honest));
+        let max = usize::MAX;
+        for header in [
+            // Two output planes, no base channels, no stages: architectures
+            // `CmpNeuralNetwork::new` / `UNet::new` assert against.
+            format!("unet {NUM_CHANNELS} 2 4 2"),
+            format!("unet {NUM_CHANNELS} 1 0 2"),
+            format!("unet {NUM_CHANNELS} 1 4 0"),
+            // Architectures far larger than the bytes that follow (`UNet::new`
+            // would allocate `base << depth` channels), some overflowing.
+            format!("unet {NUM_CHANNELS} 1 8 70"),
+            format!("unet {NUM_CHANNELS} 1 4 {max}"),
+            format!("unet {NUM_CHANNELS} 1 {max} 2"),
+            format!("unet {NUM_CHANNELS} 1 4096 12"),
+            // One stage more than the weights that follow were saved for.
+            format!("unet {NUM_CHANNELS} 1 4 3"),
+        ] {
+            let err = load_network(text.replacen(&honest, &header, 1).as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{header}: {err}");
+        }
+        // The header-only body of the same kind: nothing follows to size
+        // the architecture against.
+        let bare = format!("{MAGIC}\nunet {NUM_CHANNELS} 1 8 70\nheight_norm 0 1\nextraction 1 1 1 1");
+        assert_eq!(load_network(bare.as_bytes()).unwrap_err().kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

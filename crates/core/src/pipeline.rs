@@ -15,7 +15,6 @@ use neurfill_cmpsim::{CmpSimulator, ProcessParams};
 use neurfill_layout::insertion::{realize_fill, InsertionReport, InsertionRules};
 use neurfill_layout::{FillPlan, Layout};
 use neurfill_obs::Telemetry;
-use neurfill_tensor::NumericsTier;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::rc::Rc;
@@ -35,18 +34,6 @@ pub struct FlowConfig {
     pub beta_time_s: f64,
     /// Master seed.
     pub seed: u64,
-    /// Numerics tier of the surrogate's GEMM. `Exact` (the default) keeps
-    /// every output bit-identical to the reference kernels; `Fast` opts
-    /// into the certified FMA-contracted GEMM (see the
-    /// `neurfill_tensor::numerics` docs for the tolerance contract). The
-    /// golden simulator has one numeric path and ignores it.
-    pub numerics: NumericsTier,
-    /// Tensor backend of the surrogate's inference paths. `Cpu` (the
-    /// default) keeps every UNet output bit-identical to the f32 reference;
-    /// `QuantCpu` opts into the certified int8 engine and requires the
-    /// model bundle to carry calibration scales (see
-    /// `neurfill_tensor::backend` and `neurfill_nn::quant`).
-    pub backend: neurfill_tensor::BackendKind,
     /// Telemetry handle; the default (disabled) handle records nothing and
     /// leaves every output byte-identical. An enabled handle propagates to
     /// the golden simulator, the synthesis optimizers and the flow's own
@@ -63,8 +50,6 @@ impl Default for FlowConfig {
             insertion: InsertionRules::default(),
             beta_time_s: 120.0,
             seed: 0,
-            numerics: NumericsTier::Exact,
-            backend: neurfill_tensor::BackendKind::Cpu,
             telemetry: Telemetry::disabled(),
         }
     }

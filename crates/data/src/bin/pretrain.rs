@@ -43,7 +43,6 @@ struct Args {
     checkpoint: Option<PathBuf>,
     resume: bool,
     metrics_out: Option<PathBuf>,
-    numerics: neurfill_tensor::NumericsTier,
 }
 
 fn usage() -> ! {
@@ -51,7 +50,7 @@ fn usage() -> ! {
         "usage: pretrain --data <dir> --out <bundle> [--epochs E] [--batch-size B] [--lr LR]\n\
          \x20              [--warmup N] [--step-every N] [--step-factor F] [--base-channels C]\n\
          \x20              [--depth D] [--seed S] [--val-shards V] [--checkpoint <file>] [--resume]\n\
-         \x20              [--metrics-out <file>] [--numerics exact|fast]"
+         \x20              [--metrics-out <file>]"
     );
     std::process::exit(2);
 }
@@ -80,7 +79,6 @@ fn parse_args() -> Args {
         checkpoint: None,
         resume: false,
         metrics_out: None,
-        numerics: neurfill_tensor::NumericsTier::Exact,
     };
     let mut it = std::env::args().skip(1);
     let value = |it: &mut dyn Iterator<Item = String>, flag: &str| {
@@ -115,13 +113,6 @@ fn parse_args() -> Args {
             }
             "--checkpoint" => args.checkpoint = Some(value(&mut it, "--checkpoint").into()),
             "--resume" => args.resume = true,
-            "--numerics" => match neurfill_tensor::NumericsTier::parse(&value(&mut it, "--numerics")) {
-                Ok(tier) => args.numerics = tier,
-                Err(e) => {
-                    eprintln!("{e}");
-                    usage();
-                }
-            },
             "--metrics-out" => args.metrics_out = Some(value(&mut it, "--metrics-out").into()),
             "--help" | "-h" => usage(),
             other => {
@@ -231,9 +222,6 @@ fn run() -> Result<(), String> {
     };
     // Route GEMM counters/timers (`tensor.gemm*`) into the same snapshot.
     neurfill_tensor::telemetry::install(telemetry.clone());
-    // Training GEMMs run at the selected tier (Exact keeps checkpoints
-    // and bundles bit-reproducible; Fast uses the certified FMA kernel).
-    neurfill_tensor::set_numerics_tier(args.numerics);
     let cfg = StreamTrainConfig {
         train: TrainConfig {
             epochs: args.epochs,

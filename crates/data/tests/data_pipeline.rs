@@ -107,3 +107,19 @@ fn training_refuses_corrupted_corpus() {
     assert!(err.to_string().contains("checksum"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn pretrain_rejects_the_removed_numerics_flag() {
+    // The fast GEMM tier is gone; a script still passing the flag must
+    // fail loudly (exit 2 + usage) instead of training on the only path
+    // as if it had been honoured.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_pretrain"))
+        .args(["--data", "corpus", "--out", "s.bundle", "--numerics", "fast"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown flag \"--numerics\""), "{stderr}");
+    assert!(stderr.contains("usage: pretrain"), "{stderr}");
+    assert_eq!(stderr.matches("--numerics").count(), 1, "usage must not advertise the flag: {stderr}");
+}

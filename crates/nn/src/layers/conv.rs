@@ -59,18 +59,6 @@ impl Conv2d {
     pub fn bias(&self) -> &Tensor {
         &self.bias
     }
-
-    /// The convolution stride.
-    #[must_use]
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// The convolution padding.
-    #[must_use]
-    pub fn padding(&self) -> usize {
-        self.padding
-    }
 }
 
 impl Module for Conv2d {
@@ -121,30 +109,6 @@ impl ConvTranspose2d {
         ));
         let bias = Tensor::parameter(NdArray::zeros(&[out_channels]));
         Self { weight, bias, stride, padding }
-    }
-
-    /// The weight tensor `[C, O, kh, kw]`.
-    #[must_use]
-    pub fn weight(&self) -> &Tensor {
-        &self.weight
-    }
-
-    /// The bias tensor `[O]`.
-    #[must_use]
-    pub fn bias(&self) -> &Tensor {
-        &self.bias
-    }
-
-    /// The convolution stride.
-    #[must_use]
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// The convolution padding.
-    #[must_use]
-    pub fn padding(&self) -> usize {
-        self.padding
     }
 }
 

@@ -50,24 +50,6 @@ impl BatchNorm2d {
     pub fn running_var(&self) -> NdArray {
         self.running_var.borrow().clone()
     }
-
-    /// The numerical-stability epsilon added to the variance.
-    #[must_use]
-    pub fn eps(&self) -> f32 {
-        self.eps
-    }
-
-    /// The learned scale `γ` (one value per channel).
-    #[must_use]
-    pub fn gamma(&self) -> NdArray {
-        self.gamma.data().clone()
-    }
-
-    /// The learned shift `β` (one value per channel).
-    #[must_use]
-    pub fn beta(&self) -> NdArray {
-        self.beta.data().clone()
-    }
 }
 
 impl Module for BatchNorm2d {

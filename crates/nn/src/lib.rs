@@ -31,7 +31,6 @@ pub mod loss;
 pub mod metrics;
 mod module;
 pub mod optim;
-pub mod quant;
 pub mod schedule;
 pub mod serialize;
 pub mod trainer;
@@ -41,7 +40,6 @@ pub use batch::forward_batched;
 pub use data::Dataset;
 pub use module::{Buffer, Module};
 pub use optim::{clip_grad_norm, Adam, AdamState, Optimizer, Sgd};
-pub use quant::{calibrate, CalibrationScales, QuantUNet};
 pub use schedule::LrSchedule;
 pub use trainer::{evaluate, fit, EpochStats, TrainConfig};
 pub use unet::{UNet, UNetConfig};

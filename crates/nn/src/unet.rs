@@ -31,13 +31,39 @@ impl Default for UNetConfig {
     }
 }
 
+impl UNetConfig {
+    /// Number of `f32` values — parameters plus batch-norm buffers — a
+    /// [`UNet`] of this configuration holds, or `None` when the count
+    /// overflows `usize`. Lets a loader size-check an untrusted
+    /// architecture header before [`UNet::new`] allocates for it.
+    #[must_use]
+    pub fn value_count(&self) -> Option<usize> {
+        // Two 3×3 convolutions with bias, each followed by a batch norm
+        // (γ, β, running mean, running variance).
+        let double = |i: usize, o: usize| {
+            o.checked_mul(i.checked_add(o)?)?.checked_mul(9)?.checked_add(o.checked_mul(10)?)
+        };
+        let b = self.base_channels;
+        let mut total = double(self.in_channels, b)?;
+        for d in 0..self.depth {
+            let lo = b.checked_mul(1usize.checked_shl(u32::try_from(d).ok()?)?)?;
+            let hi = lo.checked_mul(2)?;
+            // Down block, 2×2 up-convolution with bias, up block.
+            let up = hi.checked_mul(lo)?.checked_mul(4)?.checked_add(lo)?;
+            total = total.checked_add(double(lo, hi)?)?.checked_add(up)?.checked_add(double(hi, lo)?)?;
+        }
+        // 1×1 head with bias.
+        total.checked_add(b.checked_mul(self.out_channels)?)?.checked_add(self.out_channels)
+    }
+}
+
 /// Two (conv 3×3 → batch-norm → ReLU) blocks.
 #[derive(Debug)]
-pub(crate) struct DoubleConv {
-    pub(crate) conv1: Conv2d,
-    pub(crate) bn1: BatchNorm2d,
-    pub(crate) conv2: Conv2d,
-    pub(crate) bn2: BatchNorm2d,
+struct DoubleConv {
+    conv1: Conv2d,
+    bn1: BatchNorm2d,
+    conv2: Conv2d,
+    bn2: BatchNorm2d,
 }
 
 impl DoubleConv {
@@ -101,11 +127,11 @@ impl Module for DoubleConv {
 #[derive(Debug)]
 pub struct UNet {
     config: UNetConfig,
-    pub(crate) stem: DoubleConv,
-    pub(crate) downs: Vec<DoubleConv>,
-    pub(crate) ups: Vec<ConvTranspose2d>,
-    pub(crate) up_convs: Vec<DoubleConv>,
-    pub(crate) head: Conv2d,
+    stem: DoubleConv,
+    downs: Vec<DoubleConv>,
+    ups: Vec<ConvTranspose2d>,
+    up_convs: Vec<DoubleConv>,
+    head: Conv2d,
 }
 
 impl UNet {
@@ -142,7 +168,7 @@ impl UNet {
         &self.config
     }
 
-    pub(crate) fn check_input(&self, shape: &[usize]) -> Result<()> {
+    fn check_input(&self, shape: &[usize]) -> Result<()> {
         if shape.len() != 4 {
             return Err(TensorError::RankMismatch { expected: 4, actual: shape.len(), op: "unet" });
         }
@@ -306,6 +332,23 @@ mod tests {
         let y1 = net.forward(&single).unwrap().value();
         let y2 = net.forward(&single).unwrap().value();
         assert_eq!(y1, y2);
+    }
+
+    #[test]
+    fn value_count_matches_the_built_network_and_never_overflows() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+        for (in_channels, out_channels, base_channels, depth) in
+            [(3, 1, 4, 2), (4, 1, 2, 1), (6, 2, 3, 3)]
+        {
+            let config = UNetConfig { in_channels, out_channels, base_channels, depth };
+            let net = UNet::new(config.clone(), &mut rng);
+            let buffers: usize = net.buffers().iter().map(|b| b.borrow().numel()).sum();
+            assert_eq!(config.value_count(), Some(net.num_parameters() + buffers), "{config:?}");
+        }
+        for (base_channels, depth) in [(8, 70), (1, usize::MAX), (usize::MAX, 1), (1 << 40, 30)] {
+            let config = UNetConfig { in_channels: 4, out_channels: 1, base_channels, depth };
+            assert_eq!(config.value_count(), None, "{config:?}");
+        }
     }
 
     #[test]

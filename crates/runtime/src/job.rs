@@ -86,8 +86,6 @@ pub struct JobReport {
     /// computed by the golden simulator instead. `None` on the normal
     /// (surrogate-verified) path.
     pub degraded: Option<String>,
-    /// Tensor backend the pool ran this job's inference on.
-    pub backend: neurfill_tensor::BackendKind,
 }
 
 impl JobReport {
@@ -112,11 +110,6 @@ impl JobReport {
         );
         if let Some(reason) = &self.degraded {
             text.push_str(&format!("degraded {reason}\n"));
-        }
-        // Like `degraded`, the backend line appears only off the default
-        // path, keeping f32 reports byte-identical to earlier versions.
-        if self.backend.is_quant() {
-            text.push_str(&format!("backend {}\n", self.backend));
         }
         text
     }

@@ -201,10 +201,6 @@ impl RuntimePool {
         if options.telemetry.is_enabled() && !config.telemetry.is_enabled() {
             config.telemetry = options.telemetry.clone();
         }
-        // The process-global GEMM tier and inference backend follow the
-        // flow config the pool's workers run under.
-        neurfill_tensor::set_numerics_tier(config.numerics);
-        neurfill_tensor::set_backend(config.backend);
         let stats = Arc::new(StatsInner::new(&options.telemetry));
         let fault = Arc::clone(&options.fault);
         let supervisor = Arc::new(BatchSupervisor::spawn_with(
@@ -676,7 +672,6 @@ fn run_job(
         evaluations: result.synthesis.evaluations,
         plan: result.plan,
         degraded,
-        backend: neurfill_tensor::backend(),
     })
 }
 

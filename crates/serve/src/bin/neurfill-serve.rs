@@ -7,7 +7,6 @@
 //!                [--canary-samples N] [--canary-sigma-tol T]
 //!                [--drain-timeout-s S] [--metrics-out metrics.jsonl]
 //!                [--journal DIR] [--fault-plan SPEC] [--fault-seed N] [--fast]
-//!                [--numerics exact|fast] [--backend cpu|quant]
 //! ```
 //!
 //! Runs until `POST /v1/admin/shutdown` drains it; `--metrics-out` then
@@ -26,7 +25,6 @@ use neurfill::pipeline::FlowConfig;
 use neurfill_cmpsim::ProcessParams;
 use neurfill_runtime::{FaultPlan, ModelRegistry, PoolOptions, RetryPolicy};
 use neurfill_serve::{CanaryConfig, FillService, Server, ServerConfig, ServiceConfig, TenantConfig};
-use neurfill_tensor::NumericsTier;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -49,8 +47,6 @@ struct Args {
     fault_plan: Option<String>,
     fault_seed: u64,
     fast: bool,
-    numerics: NumericsTier,
-    backend: neurfill_tensor::BackendKind,
 }
 
 fn usage() -> ! {
@@ -60,8 +56,7 @@ fn usage() -> ! {
          \x20      [--workers N] [--slots N] [--timeout-s S] [--retries N]\n\
          \x20      [--canary-samples N] [--canary-sigma-tol T] [--drain-timeout-s S]\n\
          \x20      [--metrics-out <file>] [--journal DIR]\n\
-         \x20      [--fault-plan SPEC] [--fault-seed N] [--fast] [--numerics exact|fast]\n\
-         \x20      [--backend cpu|quant]"
+         \x20      [--fault-plan SPEC] [--fault-seed N] [--fast]"
     );
     std::process::exit(2);
 }
@@ -91,8 +86,6 @@ fn parse_args() -> Args {
         fault_plan: None,
         fault_seed: 0,
         fast: false,
-        numerics: NumericsTier::Exact,
-        backend: neurfill_tensor::BackendKind::Cpu,
     };
     let mut it = std::env::args().skip(1);
     let value = |it: &mut dyn Iterator<Item = String>, flag: &str| {
@@ -145,20 +138,6 @@ fn parse_args() -> Args {
                 args.fault_seed = parse_num(&value(&mut it, "--fault-seed"), "--fault-seed")
             }
             "--fast" => args.fast = true,
-            "--numerics" => match NumericsTier::parse(&value(&mut it, "--numerics")) {
-                Ok(tier) => args.numerics = tier,
-                Err(e) => {
-                    eprintln!("{e}");
-                    usage();
-                }
-            },
-            "--backend" => match neurfill_tensor::BackendKind::parse(&value(&mut it, "--backend")) {
-                Ok(kind) => args.backend = kind,
-                Err(e) => {
-                    eprintln!("{e}");
-                    usage();
-                }
-            },
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag {other:?}");
@@ -191,8 +170,7 @@ fn run() -> Result<(), String> {
     let telemetry = neurfill::telemetry::Telemetry::new();
     neurfill_tensor::telemetry::install(telemetry.clone());
     let process = if args.fast { ProcessParams::fast() } else { ProcessParams::default() };
-    let flow =
-        FlowConfig { process, numerics: args.numerics, backend: args.backend, ..FlowConfig::default() };
+    let flow = FlowConfig { process, ..FlowConfig::default() };
     let service = FillService::start(
         bundle,
         ServiceConfig {

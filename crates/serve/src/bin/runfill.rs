@@ -58,7 +58,6 @@ use neurfill_runtime::{
 use neurfill_serve::{
     synthesize_chip_remote, ChipClientOptions, Client, FailoverConfig, JobRequest, Priority,
 };
-use neurfill_tensor::NumericsTier;
 use rand::SeedableRng;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -91,8 +90,6 @@ struct Args {
     seed: u64,
     explicit_dims: bool,
     max_in_flight: usize,
-    numerics: NumericsTier,
-    backend: neurfill_tensor::BackendKind,
 }
 
 fn usage() -> ! {
@@ -100,14 +97,13 @@ fn usage() -> ! {
         "usage: runfill --model <bundle> --layouts <dir> [--out <dir>] [--workers N]\n\
          \x20             [--timeout-s S] [--retries N] [--max-batch B] [--linger-ms M]\n\
          \x20             [--fault-plan SPEC] [--fault-seed N] [--fast] [--init-demo N]\n\
-         \x20             [--numerics exact|fast] [--backend cpu|quant] [--metrics-out <file>]\n\
+         \x20             [--metrics-out <file>]\n\
          \x20      runfill --connect HOST:PORT --layouts <dir> [--out <dir>]\n\
          \x20             [--tenant NAME] [--priority high|normal|low] [--timeout-s S]\n\
          \x20      runfill --full-chip [--design A|B|C] [--tile-size N] [--rows R]\n\
          \x20             [--cols C] [--seed S] [--out <dir>] [--workers N] [--fast]\n\
          \x20             [--model <bundle> | --connect HOST:PORT] [--max-in-flight K]\n\
-         \x20             [--checkpoint <dir>] [--fault-plan SPEC] [--fault-seed N]\n\
-         \x20             [--numerics exact|fast] [--backend cpu|quant]"
+         \x20             [--checkpoint <dir>] [--fault-plan SPEC] [--fault-seed N]"
     );
     std::process::exit(2);
 }
@@ -151,8 +147,6 @@ fn parse_args() -> Args {
         seed: 0,
         explicit_dims: false,
         max_in_flight: 4,
-        numerics: NumericsTier::Exact,
-        backend: neurfill_tensor::BackendKind::Cpu,
     };
     let mut it = std::env::args().skip(1);
     let value = |it: &mut dyn Iterator<Item = String>, flag: &str| {
@@ -208,20 +202,6 @@ fn parse_args() -> Args {
             "--max-in-flight" => {
                 args.max_in_flight = parse_num(&value(&mut it, "--max-in-flight"), "--max-in-flight")
             }
-            "--numerics" => match NumericsTier::parse(&value(&mut it, "--numerics")) {
-                Ok(tier) => args.numerics = tier,
-                Err(e) => {
-                    eprintln!("{e}");
-                    usage();
-                }
-            },
-            "--backend" => match neurfill_tensor::BackendKind::parse(&value(&mut it, "--backend")) {
-                Ok(kind) => args.backend = kind,
-                Err(e) => {
-                    eprintln!("{e}");
-                    usage();
-                }
-            },
             "--fast" => args.fast = true,
             "--init-demo" => args.init_demo = parse_num(&value(&mut it, "--init-demo"), "--init-demo"),
             "--metrics-out" => args.metrics_out = Some(value(&mut it, "--metrics-out").into()),
@@ -474,12 +454,7 @@ fn run_full_chip_remote(args: &Args, addr: &str, out_dir: &Path) -> Result<bool,
         println!("failover bundle {} (digest {:016x})", args.model.display(), bundle.digest());
         Some(FailoverConfig {
             bundle,
-            flow: FlowConfig {
-                process: params.clone(),
-                numerics: args.numerics,
-                backend: args.backend,
-                ..FlowConfig::default()
-            },
+            flow: FlowConfig { process: params.clone(), ..FlowConfig::default() },
             pool: PoolOptions {
                 workers: args.workers,
                 batch: BatchConfig { max_batch: args.max_batch.max(1), linger: args.linger },
@@ -557,12 +532,7 @@ fn run_full_chip_pool(args: &Args, out_dir: &Path) -> Result<bool, String> {
     println!("model bundle {} (digest {:016x})", args.model.display(), bundle.digest());
     let telemetry = chip_telemetry(args);
     neurfill_tensor::telemetry::install(telemetry.clone());
-    let flow = FlowConfig {
-        process: params,
-        numerics: args.numerics,
-        backend: args.backend,
-        ..FlowConfig::default()
-    };
+    let flow = FlowConfig { process: params, ..FlowConfig::default() };
     let options = PoolOptions {
         workers: args.workers,
         batch: BatchConfig { max_batch: args.max_batch.max(1), linger: args.linger },
@@ -666,11 +636,6 @@ fn run_full_chip_golden(args: &Args, out_dir: &Path) -> Result<bool, String> {
 
 fn run() -> Result<bool, String> {
     let args = parse_args();
-    // Install the tier and tensor backend process-wide up front so
-    // in-process demo training runs the selected kernels too (the pool
-    // re-installs the same values).
-    neurfill_tensor::set_numerics_tier(args.numerics);
-    neurfill_tensor::set_backend(args.backend);
     if args.full_chip {
         let out_dir = args.out.clone().unwrap_or_else(|| PathBuf::from("chip-reports"));
         std::fs::create_dir_all(&out_dir).map_err(|e| e.to_string())?;
@@ -717,12 +682,7 @@ fn run() -> Result<bool, String> {
     };
     // Route GEMM counters/timers (`tensor.gemm*`) into the same snapshot.
     neurfill_tensor::telemetry::install(telemetry.clone());
-    let flow = FlowConfig {
-        process: process_params(&args),
-        numerics: args.numerics,
-        backend: args.backend,
-        ..FlowConfig::default()
-    };
+    let flow = FlowConfig { process: process_params(&args), ..FlowConfig::default() };
     let options = PoolOptions {
         workers: args.workers,
         batch: BatchConfig { max_batch: args.max_batch.max(1), linger: args.linger },

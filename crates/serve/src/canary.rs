@@ -129,9 +129,6 @@ pub fn verify_bundle(
         });
     }
 
-    // The canary pool runs under the live pool's `flow`, hence the same
-    // numerics tier and tensor backend — a bundle that only misbehaves
-    // when quantized has to be caught here.
     let options = PoolOptions {
         workers: 1,
         default_timeout: Some(config.timeout),

@@ -234,7 +234,7 @@ fn handle(server: &Server, req: &Request) -> Response {
                 Response::text(409, "another model is being staged\n").header("retry-after", "5")
             }
             Err(StageError::Draining) => draining_response(),
-            Err(StageError::Invalid(m)) => Response::text(400, format!("{m}\n")),
+            Err(StageError::Invalid(m)) => Response::text(422, format!("{m}\n")),
         },
         Route::ModelInfo => {
             let (digest, generation) = service.model_info();

@@ -131,7 +131,7 @@ pub enum StageError {
     Busy,
     /// The service is draining or stopped (→ 503).
     Draining,
-    /// The bundle bytes or canary machinery are unusable (→ 400).
+    /// The bundle bytes or canary machinery are unusable (→ 422).
     Invalid(String),
 }
 
@@ -271,14 +271,6 @@ impl FillService {
         // become servable snapshots, and ids continue where the previous
         // incarnation stopped.
         let serve_scope = telemetry.scoped("serve");
-        // Surface the effective (post-propagation) inference configuration
-        // so operators can see from `/metrics` which engines are live.
-        serve_scope
-            .gauge("backend_quant")
-            .set(f64::from(u8::from(neurfill_tensor::backend().is_quant())));
-        serve_scope
-            .gauge("numerics_fast")
-            .set(f64::from(u8::from(neurfill_tensor::numerics_tier().is_fast())));
         let mut jobs: HashMap<u64, ServiceJob> = HashMap::new();
         let mut next_id = 1u64;
         let mut journal = None;

@@ -23,12 +23,17 @@ use std::sync::Arc;
 use std::time::Duration;
 
 fn network(seed: u64) -> CmpNeuralNetwork {
+    network_with_scale(seed, HeightNorm::default().scale_nm)
+}
+
+fn network_with_scale(seed: u64, scale_nm: f64) -> CmpNeuralNetwork {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let unet = UNet::new(
         UNetConfig { in_channels: NUM_CHANNELS, out_channels: 1, base_channels: 4, depth: 2 },
         &mut rng,
     );
-    CmpNeuralNetwork::new(unet, HeightNorm::default(), Default::default(), CmpNnConfig::default())
+    let norm = HeightNorm { scale_nm, ..HeightNorm::default() };
+    CmpNeuralNetwork::new(unet, norm, Default::default(), CmpNnConfig::default())
 }
 
 fn bundle(seed: u64) -> Arc<ModelBundle> {
@@ -223,12 +228,6 @@ fn fair_share_dispatch_follows_weights_and_priorities() {
     }
 
     let snapshot = MetricsSnapshot::from_jsonl(&client.metrics().unwrap()).unwrap();
-    // The default service advertises its inference configuration on
-    // `/metrics`: f32 backend, exact numerics (the quant side of these
-    // gauges is asserted in the `quant_canary` binary, whose pool owns
-    // the process-global backend for that process).
-    assert_eq!(snapshot.gauges.get("serve.backend_quant"), Some(&0.0), "{:?}", snapshot.gauges);
-    assert_eq!(snapshot.gauges.get("serve.numerics_fast"), Some(&0.0), "{:?}", snapshot.gauges);
     let dispatches: Vec<(String, u64)> = snapshot
         .events
         .iter()
@@ -371,6 +370,71 @@ fn canary_promotes_verified_bundle_and_swaps_the_pool() {
     // The swapped-in pool serves jobs.
     let id = client.submit(&JobRequest::new("post-swap", layout(2))).unwrap();
     assert_eq!(client.status(id, Some(Duration::from_secs(120))).unwrap().state, WireState::Done);
+
+    harness.stop();
+}
+
+#[test]
+fn canary_sigma_tolerance_rejects_a_mis_scaled_bundle_and_promotes_the_honest_one() {
+    // `--canary-sigma-tol`: the golden simulator re-judges every canary
+    // fill, and the staged surrogate's predicted σ must agree with it.
+    // The test networks are untrained, so "honest" is the height scale at
+    // which network 7's σ meets the golden simulator's on the warm layout
+    // (relative disagreement 0.012 at 29 nm).
+    const HONEST_SCALE_NM: f64 = 29.0;
+    const MIS_SCALE_NM: f64 = 10.0 * HONEST_SCALE_NM;
+    let canary =
+        CanaryConfig { samples: 1, max_rel_sigma_disagreement: Some(0.5), ..CanaryConfig::default() };
+    let harness = Harness::start(config_with(&[("default", 1, 16)], 1, "", canary));
+    let mut client = harness.client();
+    let id = client.submit(&JobRequest::new("warm", layout(1))).unwrap();
+    assert_eq!(client.status(id, Some(Duration::from_secs(120))).unwrap().state, WireState::Done);
+    let (digest_before, generation_before) = client.model_info().unwrap();
+
+    // Same weights, wrong `HeightNorm.scale_nm`: every predicted height
+    // keeps its place in the health band (the band scales with the norm)
+    // but σ is off by the square of the factor (~150 here). Only the σ
+    // check sees it.
+    let mis_scaled = ModelBundle::from_network(&network_with_scale(7, MIS_SCALE_NM)).unwrap();
+    let (promoted, report) = client.stage_model(mis_scaled.bytes()).unwrap();
+    assert!(!promoted, "mis-scaled bundle must be rejected:\n{report}");
+    assert!(report.contains("sigma disagreement"), "{report}");
+    assert!(report.contains(" rel_sigma "), "{report}");
+    assert_eq!(client.model_info().unwrap(), (digest_before, generation_before));
+
+    // The honest bundle clears the same tolerance and goes live.
+    let honest = ModelBundle::from_network(&network_with_scale(7, HONEST_SCALE_NM)).unwrap();
+    let (promoted, report) = client.stage_model(honest.bytes()).unwrap();
+    assert!(promoted, "honest bundle must promote under the same tolerance:\n{report}");
+    assert!(report.contains(" ok rel_sigma "), "{report}");
+    assert_eq!(client.model_info().unwrap().1, generation_before + 1);
+
+    harness.stop();
+}
+
+#[test]
+fn hostile_bundle_header_answers_422_and_staging_stays_usable() {
+    let canary = CanaryConfig { samples: 1, ..CanaryConfig::default() };
+    let harness = Harness::start(config_with(&[("default", 1, 16)], 1, "", canary));
+    let mut client = harness.client();
+
+    // 70 bytes declaring `8 << 70` channels: refused from the header
+    // alone, before anything is allocated for the architecture.
+    let hostile = format!(
+        "neurfill-surrogate v1\nunet {NUM_CHANNELS} 1 8 70\nheight_norm 0 1\nextraction 1 1 1 1"
+    );
+    assert_eq!(hostile.len(), 70);
+    let (promoted, report) = client.stage_model(hostile.as_bytes()).unwrap();
+    assert!(!promoted, "{report}");
+    assert!(report.contains("bad bundle"), "{report}");
+
+    // Still serving, and the staging slot was released: a valid bundle
+    // posted afterwards is canaried and promoted.
+    let id = client.submit(&JobRequest::new("warm", layout(1))).unwrap();
+    assert_eq!(client.status(id, Some(Duration::from_secs(120))).unwrap().state, WireState::Done);
+    let staged = ModelBundle::from_network(&network(7)).unwrap();
+    let (promoted, report) = client.stage_model(staged.bytes()).unwrap();
+    assert!(promoted, "{report}");
 
     harness.stop();
 }

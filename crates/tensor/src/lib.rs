@@ -41,25 +41,53 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod array;
-pub mod backend;
 mod error;
 pub mod gradcheck;
 pub mod init;
 pub mod kernels;
-pub mod numerics;
 pub mod ops;
-pub mod quant;
 pub mod shape;
 pub mod telemetry;
 mod tensor;
 
 pub use array::NdArray;
-pub use backend::{backend, set_backend, BackendKind};
 pub use error::{Result, TensorError};
-pub use numerics::{numerics_tier, set_numerics_tier, NumericsTier};
 pub use ops::conv::{
     avg_pool2d_forward, conv2d_backward, conv2d_forward, conv_out_extent, conv_transpose2d_backward,
     conv_transpose2d_forward, im2col_into, max_pool2d_forward, ConvGrads,
 };
 pub use ops::shape_ops::upsample_nearest2d_forward;
 pub use tensor::Tensor;
+
+// Inert names the frozen benchmark still compiles against: its host
+// stamp prints `numerics_tier()` and `backend()` with `{:?}`
+// (`nfbench/src/host.rs:56-57`), and it names `NumericsTier::Fast`
+// (`nfbench/src/probes.rs:122`) and `NumericsTier::Exact`
+// (`nfbench/src/workloads/chip.rs:95`) through the
+// `neurfill_cmpsim::NumericsTier` re-export. The surrogate has one
+// numeric path — the bit-exact f32 kernels — so none of them selects
+// anything; the next benchmark PR drops them with the cmpsim shims.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub enum NumericsTier {
+    Exact,
+    Fast,
+}
+
+#[doc(hidden)]
+#[must_use]
+pub fn numerics_tier() -> NumericsTier {
+    NumericsTier::Exact
+}
+
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub enum BackendKind {
+    Cpu,
+}
+
+#[doc(hidden)]
+#[must_use]
+pub fn backend() -> BackendKind {
+    BackendKind::Cpu
+}

@@ -7,8 +7,8 @@
 //! never values, so `-0.0` vs `0.0` and NaN payload differences count as
 //! failures.
 
-use neurfill_tensor::kernels::{gemm, gemm_reference, gemm_tiered, gemm_with_threads, set_gemm_threads};
-use neurfill_tensor::{conv2d_backward, conv2d_forward, NdArray, NumericsTier};
+use neurfill_tensor::kernels::{gemm, gemm_reference, gemm_with_threads, set_gemm_threads};
+use neurfill_tensor::{conv2d_backward, conv2d_forward, NdArray};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -163,107 +163,4 @@ fn conv_forward_backward_bytes_identical_across_thread_counts() {
     set_gemm_threads(0);
     assert_eq!(t1, t2, "conv bytes differ between 1 and 2 threads");
     assert_eq!(t1, t8, "conv bytes differ between 1 and 8 threads");
-}
-
-// ---------------------------------------------------------------------------
-// Fast-tier (FMA-contracted) cases. `gemm_tiered` takes the tier as an
-// explicit argument, so these run side by side with the exact-tier
-// properties above without mutating the process-wide tier.
-// ---------------------------------------------------------------------------
-
-/// The UNet im2col shapes the training/inference hot loop actually hits
-/// (m = channels, k = cin·3·3, n = spatial positions × batch).
-const UNET_IM2COL_SHAPES: [(usize, usize, usize); 4] =
-    [(8, 54, 8192), (16, 72, 2048), (32, 144, 4096), (64, 288, 1024)];
-
-/// Documented Fast-tier bound (also in `kernels` module docs): for each
-/// output element, `|fast − exact| ≤ 2·k·ε·Σᵢ|aᵢ·bᵢ|` with ε = 2⁻²⁴.
-/// Both tiers are within `k·ε·Σ|a·b|` of the infinitely-precise dot
-/// (standard forward error of a length-k recursive summation; FMA only
-/// removes one rounding per step), so their mutual distance is at most
-/// twice that. The f64 abs-dot is computed alongside an f64 reference.
-fn assert_fma_bound(exact: &[f32], fast: &[f32], absdot: &[f64], k: usize, label: &str) {
-    let gamma = 2.0 * k as f64 * f64::from(f32::EPSILON) * 0.5; // 2·k·ε, ε = 2⁻²⁴
-    for (i, ((&e, &f), &ad)) in exact.iter().zip(fast).zip(absdot).enumerate() {
-        let err = (f64::from(e) - f64::from(f)).abs();
-        let bound = gamma * ad + 1e-12;
-        assert!(
-            err <= bound,
-            "{label}: element {i} exceeds FMA bound: exact={e} fast={f} err={err:.3e} bound={bound:.3e}"
-        );
-    }
-}
-
-/// f64 reference dot products plus the per-element Σ|a·b| the bound needs.
-fn reference_f64(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> (Vec<f64>, Vec<f64>) {
-    let mut out = vec![0.0f64; m * n];
-    let mut absdot = vec![0.0f64; m * n];
-    for i in 0..m {
-        for kk in 0..k {
-            let x = f64::from(a[i * k + kk]);
-            for j in 0..n {
-                let p = x * f64::from(b[kk * n + j]);
-                out[i * n + j] += p;
-                absdot[i * n + j] += p.abs();
-            }
-        }
-    }
-    (out, absdot)
-}
-
-/// FMA-GEMM vs reference across the UNet im2col shapes: each element
-/// stays within the documented relative-error bound of the exact tier,
-/// and both tiers stay within half the bound of the f64 reference.
-#[test]
-fn fast_tier_gemm_within_documented_bound_on_unet_shapes() {
-    let mut rng = StdRng::seed_from_u64(23);
-    for &(m, k, n) in &UNET_IM2COL_SHAPES {
-        let a = random_buf(&mut rng, m * k);
-        let b = random_buf(&mut rng, k * n);
-        let (ref64, absdot) = reference_f64(&a, &b, m, k, n);
-        let mut exact = vec![0.0f32; m * n];
-        gemm_tiered(&a, &b, &mut exact, m, k, n, 1, NumericsTier::Exact);
-        let mut fast = vec![0.0f32; m * n];
-        gemm_tiered(&a, &b, &mut fast, m, k, n, 1, NumericsTier::Fast);
-        assert_fma_bound(&exact, &fast, &absdot, k, &format!("{m}x{k}x{n}"));
-        // Each tier individually honors half the bound vs the f64 truth.
-        let half_gamma = k as f64 * f64::from(f32::EPSILON) * 0.5;
-        for (label, got) in [("exact", &exact), ("fast", &fast)] {
-            for (i, (&g, (&r, &ad))) in got.iter().zip(ref64.iter().zip(&absdot)).enumerate() {
-                let err = (f64::from(g) - r).abs();
-                // One extra ε·|r| covers the final f64→f32 narrowing.
-                let bound = half_gamma * ad + f64::from(f32::EPSILON) * r.abs() + 1e-12;
-                assert!(
-                    err <= bound,
-                    "{label} {m}x{k}x{n}: element {i} err={err:.3e} bound={bound:.3e}"
-                );
-            }
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    // Fast tier is still bit-deterministic: the FMA kernel keeps the
-    // ascending-k accumulation order, so thread count never changes a
-    // bit *within* the tier (only the tier switch does).
-    #[test]
-    fn fast_tier_is_bitwise_deterministic_across_thread_counts(
-        m in 1usize..40,
-        k in 1usize..160,
-        n in 1usize..600,
-        seed in 0u64..1_000_000,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x51ed_270b);
-        let a = random_buf(&mut rng, m * k);
-        let b = random_buf(&mut rng, k * n);
-        let mut want = vec![0.0f32; m * n];
-        gemm_tiered(&a, &b, &mut want, m, k, n, 1, NumericsTier::Fast);
-        for threads in [2usize, 3, 8] {
-            let mut got = vec![0.0f32; m * n];
-            gemm_tiered(&a, &b, &mut got, m, k, n, threads, NumericsTier::Fast);
-            prop_assert_eq!(bits(&want), bits(&got), "fast tier {}x{}x{} t={}", m, k, n, threads);
-        }
-    }
 }
