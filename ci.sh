@@ -32,12 +32,8 @@ cargo test -q
 echo "== cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "== fault-injection suite"
-cargo test -p neurfill-runtime --test fault_injection -q
-
 echo "== telemetry suite"
 cargo test -p neurfill-obs -q
-cargo test -p neurfill-runtime --test telemetry -q
 
 echo "== kernel-equivalence suite (bitwise determinism)"
 cargo test -p neurfill-tensor --test gemm_equivalence -q
@@ -62,6 +58,12 @@ cargo test --release -p neurfill --lib per_layer_backward -q
 cargo test --release -p neurfill-tensor --lib ops::conv -q
 cargo test --release -p neurfill-layout --lib insertion -q
 cargo test --release --test trajectory_pin -q
+
+# A pool job's `predicted` is pinned bit-equal to per-layer single forwards
+# on the sequential flow's network; the workspace run above checked the
+# debug build, this checks the optimized one that ships.
+echo "== runtime smoke, release build (JobReport::predicted bitwise vs sequential)"
+cargo test --release -p neurfill-runtime --test runtime_smoke -q
 
 echo "== kernel bench (compile-only)"
 cargo bench -p neurfill-bench --bench kernels --no-run

@@ -131,7 +131,7 @@ impl CmpNeuralNetwork {
 
     /// Extracts the UNet input planes of one layer as a rank-3
     /// `[NUM_CHANNELS, rows, cols]` sample — the unit the batched
-    /// inference paths coalesce.
+    /// inference paths stack.
     ///
     /// # Errors
     ///
@@ -148,8 +148,8 @@ impl CmpNeuralNetwork {
     ///
     /// Each sample's result is bit-identical to a single-sample forward —
     /// the conv stack processes batch elements independently and the
-    /// network runs in eval mode — so coalescing forwards from concurrent
-    /// jobs never perturbs their outputs.
+    /// network runs in eval mode — so stacking a layout's layers into one
+    /// forward never perturbs their outputs.
     ///
     /// # Errors
     ///

@@ -5,9 +5,9 @@
 //! single-sample forwards can be answered by ONE `[B, C, H, W]` forward.
 //! Per-sample results are bit-identical to single-sample forwards — the
 //! conv kernels process each batch element independently and batch-norm
-//! runs on frozen running statistics in eval mode — which is what lets the
-//! batch-synthesis runtime coalesce inference from concurrent jobs without
-//! perturbing their results.
+//! runs on frozen running statistics in eval mode — which is what lets a
+//! runtime job score every layer of its filled layout in one forward
+//! without perturbing the result.
 
 use crate::module::Module;
 #[cfg(test)]

@@ -72,37 +72,6 @@ impl std::fmt::Display for RuntimeError {
     }
 }
 
-/// Failures of a batched inference request, structured so callers can
-/// distinguish *the server died* (supervision territory) from *this
-/// forward failed* (job territory).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum InferError {
-    /// The server thread is gone: it shut down, or died mid-request and
-    /// dropped the reply channel. The supervisor should restart it.
-    Disconnected(String),
-    /// The forward itself failed; the server is still alive.
-    Forward(String),
-}
-
-impl InferError {
-    /// The underlying message.
-    #[must_use]
-    pub fn message(&self) -> &str {
-        match self {
-            Self::Disconnected(m) | Self::Forward(m) => m,
-        }
-    }
-}
-
-impl std::fmt::Display for InferError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Disconnected(m) => write!(f, "batch server disconnected: {m}"),
-            Self::Forward(m) => write!(f, "batch forward failed: {m}"),
-        }
-    }
-}
-
 /// Retry budget and backoff schedule for transient job failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {

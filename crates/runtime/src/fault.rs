@@ -13,14 +13,16 @@
 //! Plans are test-visible and config/env-constructed:
 //!
 //! ```text
-//! NEURFILL_FAULT_PLAN="synthesis=transient@1;batch_forward=panic@2"
+//! NEURFILL_FAULT_PLAN="synthesis=transient@1;verify_forward=panic@2"
 //! NEURFILL_FAULT_SEED=7
 //! ```
 //!
-//! The spec grammar is `site=kind[@trigger]` joined by `;`, where `kind`
-//! is one of `panic`, `transient`, `nan`, `delayNN` (NN milliseconds), or
-//! one of the durable-write kinds `short_write`, `torn_record`, and
-//! `crash` (checked only at write sites via [`FaultPlan::inject_write`]).
+//! The spec grammar is `site=kind[@trigger]` joined by `;`, where `site`
+//! is one of [`sites::ALL`] (anything else is a parse error — a typo must
+//! not run a drill that injects nothing) and `kind` is one of `panic`,
+//! `transient`, `nan`, `delayNN` (NN milliseconds), or one of the
+//! durable-write kinds `short_write`, `torn_record`, and `crash` (checked
+//! only at write sites via [`FaultPlan::inject_write`]).
 //! An absent trigger fires on every invocation. [`FaultPlan::disabled`]
 //! (the default everywhere) injects nothing and leaves every code path
 //! bit-identical to an unfaulted run.
@@ -32,12 +34,12 @@ use std::time::Duration;
 
 /// Stable site names checked by the runtime and data crates.
 pub mod sites {
-    /// Network hydration from bundle bytes (workers and the batch server).
+    /// Network hydration from bundle bytes (a pool worker's first job).
     pub const HYDRATE: &str = "hydrate";
     /// The synthesis stage of a job, before `FillingFlow` runs.
     pub const SYNTHESIS: &str = "synthesis";
-    /// The batch server's multi-sample forward.
-    pub const BATCH_FORWARD: &str = "batch_forward";
+    /// A job's verification forward over its filled layout.
+    pub const VERIFY_FORWARD: &str = "verify_forward";
     /// Reading one record from a training-data shard.
     pub const SHARD_READ: &str = "shard_read";
     /// Appending one record to the service's write-ahead job journal.
@@ -48,6 +50,17 @@ pub mod sites {
     pub const TILE_DISPATCH: &str = "tile_dispatch";
     /// Opening or reusing a client connection to a remote service.
     pub const CONN_DROP: &str = "conn_drop";
+    /// Every site above: the names [`super::FaultPlan::parse`] accepts.
+    pub const ALL: &[&str] = &[
+        HYDRATE,
+        SYNTHESIS,
+        VERIFY_FORWARD,
+        SHARD_READ,
+        JOURNAL_WRITE,
+        CHECKPOINT_WRITE,
+        TILE_DISPATCH,
+        CONN_DROP,
+    ];
 }
 
 /// What a firing fault does at its site.
@@ -173,13 +186,21 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// Returns a message pinpointing the malformed clause.
+    /// Returns a message pinpointing the malformed clause; a site outside
+    /// [`sites::ALL`] is malformed.
     pub fn parse(spec: &str, seed: u64) -> Result<Self, String> {
         let mut specs = Vec::new();
         for clause in spec.split(';').map(str::trim).filter(|c| !c.is_empty()) {
             let (site, rest) = clause
                 .split_once('=')
                 .ok_or_else(|| format!("fault clause {clause:?} is missing '='"))?;
+            let site = site.trim();
+            if !sites::ALL.contains(&site) {
+                return Err(format!(
+                    "unknown fault site {site:?} in clause {clause:?}; valid sites: {}",
+                    sites::ALL.join(", ")
+                ));
+            }
             let (kind_str, trigger_str) = match rest.split_once('@') {
                 Some((k, t)) => (k.trim(), Some(t.trim())),
                 None => (rest.trim(), None),
@@ -233,7 +254,7 @@ impl FaultPlan {
                     }
                 }
             };
-            specs.push(FaultSpec { site: site.trim().to_string(), kind, trigger });
+            specs.push(FaultSpec { site: site.to_string(), kind, trigger });
         }
         Ok(Self::new(specs, seed))
     }
@@ -403,11 +424,11 @@ mod tests {
 
     #[test]
     fn range_and_nan_and_delay_parse() {
-        let plan = FaultPlan::parse("batch_forward=nan@2-3; hydrate=delay5@1", 0).unwrap();
-        assert_eq!(plan.inject(sites::BATCH_FORWARD), Ok(false));
-        assert_eq!(plan.inject(sites::BATCH_FORWARD), Ok(true));
-        assert_eq!(plan.inject(sites::BATCH_FORWARD), Ok(true));
-        assert_eq!(plan.inject(sites::BATCH_FORWARD), Ok(false));
+        let plan = FaultPlan::parse("verify_forward=nan@2-3; hydrate=delay5@1", 0).unwrap();
+        assert_eq!(plan.inject(sites::VERIFY_FORWARD), Ok(false));
+        assert_eq!(plan.inject(sites::VERIFY_FORWARD), Ok(true));
+        assert_eq!(plan.inject(sites::VERIFY_FORWARD), Ok(true));
+        assert_eq!(plan.inject(sites::VERIFY_FORWARD), Ok(false));
         let t = std::time::Instant::now();
         assert_eq!(plan.inject(sites::HYDRATE), Ok(false), "delay continues normally");
         assert!(t.elapsed() >= Duration::from_millis(5));
@@ -467,10 +488,31 @@ mod tests {
 
     #[test]
     fn malformed_specs_are_rejected_with_context() {
-        for bad in ["synthesis", "x=warp", "x=transient@p2.0", "x=delayzz", "x=transient@one"] {
+        for bad in [
+            "synthesis",
+            "synthesis=warp",
+            "synthesis=transient@p2.0",
+            "synthesis=delayzz",
+            "synthesis=transient@one",
+        ] {
             let err = FaultPlan::parse(bad, 0).unwrap_err();
-            assert!(!err.is_empty(), "{bad}");
+            assert!(err.contains(bad), "{bad}: {err}");
         }
         assert!(FaultPlan::parse("", 0).unwrap().specs.is_empty());
+    }
+
+    #[test]
+    fn unknown_sites_are_rejected_and_every_known_site_parses() {
+        // A renamed site and a typo: either would otherwise run a drill
+        // that injects nothing and reports success.
+        for bad in ["batch_forward=nan", "synthesys=panic", "synthesis=panic; x=nan"] {
+            let err = FaultPlan::parse(bad, 0).unwrap_err();
+            assert!(err.contains("unknown fault site"), "{bad}: {err}");
+            assert!(err.contains("verify_forward") && err.contains("synthesis"), "{bad}: {err}");
+        }
+        for site in sites::ALL {
+            let plan = FaultPlan::parse(&format!(" {site} = transient@1"), 0).unwrap();
+            assert!(plan.inject(site).is_err(), "{site}");
+        }
     }
 }

@@ -74,8 +74,8 @@ pub struct JobReport {
     pub overall: f64,
     /// Full per-metric score breakdown.
     pub breakdown: ScoreBreakdown,
-    /// Surrogate-predicted planarity metrics of the filled layout,
-    /// computed through the shared batch inference server.
+    /// Surrogate-predicted planarity metrics of the filled layout (one
+    /// multi-layer forward on the worker's own network).
     pub predicted: PlanarityMetrics,
     /// Wall-clock of the synthesis stage for this job.
     pub synthesis_runtime: Duration,

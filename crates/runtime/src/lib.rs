@@ -1,6 +1,6 @@
 //! # neurfill-runtime
 //!
-//! Concurrent batch fill-synthesis runtime for the NeurFill reproduction:
+//! Concurrent fill-synthesis runtime for the NeurFill reproduction:
 //! turn a directory of layouts plus one trained surrogate bundle into a
 //! stream of per-layout fill reports, using every core without giving up
 //! the sequential flow's bit-exact results.
@@ -11,15 +11,14 @@
 //!   shared as serialized bytes (the autograd substrate is thread-local,
 //!   so networks themselves never cross threads; every thread hydrates
 //!   its own instance from the same bytes).
-//! * [`BatchServer`] / [`BatchClient`] — a dedicated inference thread
-//!   coalescing per-window UNet forwards from concurrent jobs into
-//!   multi-sample `[B, C, H, W]` forwards.
 //! * [`RuntimePool`] — the job queue and worker pool: per-job status,
 //!   cooperative deadlines and cancellation, transient-failure retries,
-//!   graceful shutdown, and failures that never poison the pool.
+//!   graceful shutdown, and failures that never poison the pool. A job
+//!   is synthesis plus one multi-layer forward scoring its filled layout,
+//!   both on the worker's own network.
 //! * [`FaultPlan`] — a deterministic fault-injection harness (panics,
 //!   delays, transient errors, NaN-poisoned outputs at named sites) that
-//!   drives the supervision layer's tests and stays inert in production.
+//!   drives the failure model's tests and stays inert in production.
 //!
 //! ```no_run
 //! use neurfill::pipeline::FlowConfig;
@@ -43,7 +42,6 @@
 // carry local, justified `allow`s).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod batch;
 pub mod error;
 pub mod fault;
 pub mod job;
@@ -51,8 +49,7 @@ pub mod pool;
 pub mod registry;
 mod stats;
 
-pub use batch::{BatchClient, BatchConfig, BatchServer, BatchSupervisor};
-pub use error::{classify, ErrorClass, InferError, RetryPolicy, RuntimeError};
+pub use error::{classify, ErrorClass, RetryPolicy, RuntimeError};
 pub use fault::{FaultKind, FaultPlan, FaultSpec, FaultTrigger, WriteFault};
 pub use job::{JobId, JobReport, JobSpec, JobStatus};
 pub use neurfill::CancelToken;
@@ -83,9 +80,46 @@ pub(crate) mod test_util {
     pub fn tiny_layout(seed: u64) -> Layout {
         DesignSpec::new(DesignKind::CmpTest, 8, 8, seed).generate()
     }
+}
 
-    /// A 16×16 layout (a second geometry for mixed-shape batches).
-    pub fn large_layout(seed: u64) -> Layout {
-        DesignSpec::new(DesignKind::Fpga, 16, 16, seed).generate()
+// Inert shims for the frozen benchmark, which times "a 6-sample request
+// through the batch server" (`nfbench/src/probes.rs:22,299-302`). There is
+// no server: `spawn` hydrates on the calling thread and `predict_heights`
+// is the inline forward a pool job makes. `RuntimeStats::{batches_formed,
+// mean_batch_occupancy}` (`stats.rs`) are the other two pinned names. All
+// six go with the `benchmark` PR of ROADMAP 1(a).
+// Braces, not a unit struct: the benchmark builds it with `::default()` and
+// its clippy gate denies `default_constructed_unit_structs`.
+#[doc(hidden)]
+#[derive(Debug, Clone, Default)]
+pub struct BatchConfig {}
+
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct BatchServer;
+
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct BatchClient(neurfill::CmpNeuralNetwork);
+
+#[doc(hidden)]
+impl BatchServer {
+    pub fn spawn(
+        bundle: std::sync::Arc<ModelBundle>,
+        _config: BatchConfig,
+    ) -> std::io::Result<(Self, BatchClient)> {
+        Ok((Self, BatchClient(bundle.hydrate()?)))
+    }
+
+    pub fn join(self) {}
+}
+
+#[doc(hidden)]
+impl BatchClient {
+    pub fn predict_heights(
+        &self,
+        samples: &[neurfill_tensor::NdArray],
+    ) -> neurfill_tensor::Result<Vec<Vec<f64>>> {
+        self.0.predict_heights_batch(samples)
     }
 }

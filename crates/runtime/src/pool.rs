@@ -1,13 +1,14 @@
 //! The concurrent fill-synthesis pool: a job queue fanned across worker
-//! threads that share one model bundle and one supervised batch inference
-//! server.
+//! threads that share one model bundle.
 //!
 //! Each worker hydrates its own network from the bundle (the autograd
 //! substrate is thread-local), assembles a [`FillingFlow`] once, and then
-//! processes jobs until the queue closes. Results are bit-identical to a
-//! sequential `FillingFlow::run` over the same bundle and configuration —
-//! workers run the same weights, and the batched verification forward is
-//! per-sample identical to single forwards.
+//! processes jobs until the queue closes: synthesis, then one multi-layer
+//! forward on that same network scoring the filled layout
+//! ([`JobReport::predicted`]). Results are bit-identical to a sequential
+//! `FillingFlow::run` over the same bundle and configuration — workers
+//! run the same weights, and the multi-layer forward is per-sample
+//! identical to single forwards.
 //!
 //! # Failure model
 //!
@@ -18,15 +19,12 @@
 //! per-job [`CancelToken`] (deadline = submission + timeout) is threaded
 //! into the synthesis optimizer's iteration loops, so an expired or
 //! [`RuntimePool::cancel`]led job aborts mid-optimization instead of
-//! running to completion. When batched inference is unavailable (server
-//! dead and the supervisor's circuit open), workers degrade to per-worker
-//! sequential inference on their own network; when surrogate heights fail
-//! the numeric health guard, verification degrades to the golden
-//! simulator and the job's report says so. All of it is exercised
+//! running to completion. When surrogate heights fail the numeric health
+//! guard, verification degrades to the golden simulator and the job's
+//! report says so. All of it is exercised
 //! deterministically through [`crate::fault::FaultPlan`].
 
-use crate::batch::{BatchConfig, BatchSupervisor};
-use crate::error::{InferError, RetryPolicy, RuntimeError};
+use crate::error::{RetryPolicy, RuntimeError};
 use crate::fault::{sites, FaultPlan};
 use crate::job::{JobId, JobReport, JobSpec, JobStatus};
 use crate::registry::ModelBundle;
@@ -52,15 +50,10 @@ use std::time::{Duration, Instant};
 pub struct PoolOptions {
     /// Worker threads; `0` uses [`default_workers`].
     pub workers: usize,
-    /// Batch inference policy.
-    pub batch: BatchConfig,
     /// Deadline applied to jobs that don't carry their own.
     pub default_timeout: Option<Duration>,
     /// Retry budget and backoff for transiently-failing jobs.
     pub retry: RetryPolicy,
-    /// How many times a dead batch server is restarted before the
-    /// circuit opens and workers fall back to local inference.
-    pub restart_budget: u32,
     /// Fault-injection plan (disabled by default; see [`FaultPlan`]).
     /// With the disabled plan every code path is bit-identical to a
     /// fault-free runtime.
@@ -78,10 +71,8 @@ impl Default for PoolOptions {
     fn default() -> Self {
         Self {
             workers: 0,
-            batch: BatchConfig::default(),
             default_timeout: None,
             retry: RetryPolicy::default(),
-            restart_budget: 2,
             fault: Arc::new(FaultPlan::disabled()),
             telemetry: Telemetry::disabled(),
         }
@@ -156,7 +147,13 @@ struct JobTable {
 }
 
 impl JobTable {
+    /// Records `status`; a terminal one also drops the job's cancel token
+    /// (nothing can cancel a finished job), so `tokens` holds live jobs
+    /// only however long the pool serves.
     fn set(&self, id: JobId, status: JobStatus) {
+        if status.is_terminal() {
+            self.tokens.lock().remove(&id);
+        }
         self.jobs.lock().insert(id, status);
         self.changed.notify_all();
     }
@@ -166,7 +163,6 @@ impl JobTable {
 pub struct RuntimePool {
     tx: Option<Sender<Queued>>,
     workers: Vec<JoinHandle<()>>,
-    supervisor: Arc<BatchSupervisor>,
     table: Arc<JobTable>,
     stats: Arc<StatsInner>,
     next_id: AtomicU64,
@@ -181,15 +177,15 @@ impl std::fmt::Debug for RuntimePool {
 }
 
 impl RuntimePool {
-    /// Starts the pool: spawns the supervised batch server plus
-    /// `options.workers` workers, each hydrating its own network from
-    /// `bundle` and binding it into a flow under `config`.
+    /// Starts the pool: spawns `options.workers` workers, each hydrating
+    /// its own network from `bundle` (on its first job) and binding it
+    /// into a flow under `config`.
     ///
     /// # Errors
     ///
-    /// Returns an error when the batch server cannot hydrate the bundle or
-    /// a thread cannot be spawned. Worker hydration failures at job time
-    /// surface per job instead, so a pool is never half-constructed.
+    /// Returns an error when a thread cannot be spawned. Hydration
+    /// failures surface per job instead, so a pool is never
+    /// half-constructed.
     pub fn new(
         bundle: Arc<ModelBundle>,
         mut config: FlowConfig,
@@ -202,14 +198,6 @@ impl RuntimePool {
             config.telemetry = options.telemetry.clone();
         }
         let stats = Arc::new(StatsInner::new(&options.telemetry));
-        let fault = Arc::clone(&options.fault);
-        let supervisor = Arc::new(BatchSupervisor::spawn_with(
-            Arc::clone(&bundle),
-            options.batch.clone(),
-            options.restart_budget,
-            Arc::clone(&stats),
-            Arc::clone(&fault),
-        )?);
         let table = Arc::new(JobTable::default());
         let (tx, rx) = unbounded::<Queued>();
         let worker_count = if options.workers == 0 { default_workers() } else { options.workers };
@@ -220,18 +208,16 @@ impl RuntimePool {
                 let config = config.clone();
                 let table = Arc::clone(&table);
                 let stats = Arc::clone(&stats);
-                let supervisor = Arc::clone(&supervisor);
-                let fault = Arc::clone(&fault);
+                let fault = Arc::clone(&options.fault);
                 let retry = options.retry;
-                std::thread::Builder::new().name(format!("neurfill-worker-{i}")).spawn(move || {
-                    worker_loop(&rx, &bundle, &config, &table, &stats, &supervisor, &fault, retry)
-                })
+                std::thread::Builder::new()
+                    .name(format!("neurfill-worker-{i}"))
+                    .spawn(move || worker_loop(&rx, &bundle, &config, &table, &stats, &fault, retry))
             })
             .collect::<std::io::Result<Vec<_>>>()?;
         Ok(Self {
             tx: Some(tx),
             workers,
-            supervisor,
             table,
             stats,
             next_id: AtomicU64::new(1),
@@ -394,8 +380,8 @@ impl RuntimePool {
     /// A telemetry snapshot of everything recorded in the registry the
     /// pool's counters live in. With [`PoolOptions::telemetry`] attached
     /// this is the whole shared registry — `runtime.*` counters, `job.*`
-    /// and `batch.*` histograms, `sim.*`/`optim.*`/`flow.*` metrics from
-    /// the workers' flows, and degradation events. With the default
+    /// histograms, `sim.*`/`optim.*`/`flow.*` metrics from the workers'
+    /// flows, and degradation events. With the default
     /// (disabled) handle it still carries the `runtime.*` counters.
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
@@ -403,7 +389,7 @@ impl RuntimePool {
     }
 
     /// Graceful shutdown: closes the queue, lets workers finish everything
-    /// already enqueued, stops the batch server, and returns final stats.
+    /// already enqueued, and returns final stats.
     #[must_use]
     pub fn shutdown(mut self) -> RuntimeStats {
         self.stop();
@@ -415,7 +401,6 @@ impl RuntimePool {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        self.supervisor.shutdown();
     }
 }
 
@@ -460,14 +445,12 @@ fn backoff_within_deadline(backoff: Duration, deadline: Option<Instant>) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
     rx: &Receiver<Queued>,
     bundle: &ModelBundle,
     config: &FlowConfig,
     table: &JobTable,
     stats: &StatsInner,
-    supervisor: &BatchSupervisor,
     fault: &FaultPlan,
     retry: RetryPolicy,
 ) {
@@ -500,7 +483,7 @@ fn worker_loop(
             // here: they fail the job, never the worker.
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 let flow = ensure_flow(&mut flow, bundle, config, fault, stats)?;
-                run_job(flow, supervisor, &job.spec, &job.cancel, fault, stats)
+                run_job(flow, &job.spec, &job.cancel, fault, stats)
             }));
             break match outcome {
                 Ok(Ok(report)) => {
@@ -583,13 +566,11 @@ fn heights_health_error(heights: &[Vec<f64>], norm: HeightNorm) -> Option<String
 }
 
 /// One job: synthesis through the worker's own flow (under the job's
-/// cancel token), then surrogate verification of the filled layout
-/// through the supervised batch server — degrading to per-worker
-/// inference when batching is unavailable, and to the golden simulator
-/// when the surrogate's heights fail the health guard.
+/// cancel token), then surrogate verification of the filled layout on the
+/// same network — degrading to the golden simulator when the surrogate's
+/// heights fail the health guard.
 fn run_job(
     flow: &FillingFlow,
-    supervisor: &BatchSupervisor,
     spec: &JobSpec,
     cancel: &CancelToken,
     fault: &FaultPlan,
@@ -602,9 +583,8 @@ fn run_job(
     stats.synthesis_nanos.add_duration(synth_elapsed);
     stats.job_synthesis.record_duration(synth_elapsed);
 
-    // Verification: predict the filled layout's post-CMP profile on the
-    // batch server. Each layer is one window sample; a multi-layer job
-    // already forms a batch, and overlapping jobs coalesce further.
+    // Verification: predict the filled layout's post-CMP profile, every
+    // layer one window sample of a single multi-sample forward.
     let verify_start = Instant::now();
     let dummy = flow.config().insertion_dummy_spec();
     let filled = apply_fill(&spec.layout, &result.plan, &dummy);
@@ -613,24 +593,18 @@ fn run_job(
         .map(|l| flow.network().extract_window_sample(&filled, l))
         .collect::<Result<_, _>>()
         .map_err(|e| e.to_string())?;
-    let heights = match supervisor.predict_heights(&samples) {
-        Ok(heights) => heights,
-        Err(InferError::Forward(e)) => return Err(e),
-        Err(InferError::Disconnected(cause)) => {
-            // Degradation rung 1: batched inference is gone (circuit
-            // open). The worker's own network has the same weights, so
-            // results stay bit-identical — only the coalescing is lost.
-            stats.fallback_batches.inc();
-            stats.events.event(
-                "fault",
-                "local_fallback",
-                &[("job", spec.name.clone()), ("cause", cause.clone())],
-            );
-            flow.network()
-                .predict_heights_batch(&samples)
-                .map_err(|e| format!("local inference fallback (after: {cause}) failed: {e}"))?
-        }
-    };
+    // Fault site `verify_forward`: a transient fails this attempt (the
+    // job retries), a panic fails this job only, NaN poisons the heights
+    // so the health guard below trips.
+    let poison = fault.inject(sites::VERIFY_FORWARD)?;
+    let mut heights = flow
+        .network()
+        .predict_heights_batch(&samples)
+        .map_err(|e| format!("verification forward failed: {e}"))?;
+    stats.samples_inferred.add(samples.len() as u64);
+    if poison {
+        heights.iter_mut().for_each(|h| h.fill(f64::NAN));
+    }
     let (predicted, degraded) = match heights_health_error(&heights, flow.network().height_norm()) {
         None => {
             let profile = ChipProfile::new(
@@ -645,8 +619,8 @@ fn run_job(
             (PlanarityMetrics::from_profile(&profile), None)
         }
         Some(reason) => {
-            // Degradation rung 2: the surrogate's numbers are unusable;
-            // verify on the golden simulator and say so in the report.
+            // The surrogate's numbers are unusable: verify on the golden
+            // simulator and say so in the report.
             stats.jobs_degraded.inc();
             stats.events.event(
                 "fault",
@@ -677,7 +651,40 @@ fn run_job(
 
 #[cfg(test)]
 mod tests {
-    use super::parallel_map_ordered;
+    use super::*;
+    use crate::test_util::{tiny_layout, tiny_network};
+    use neurfill_layout::{DesignKind, DesignSpec};
+
+    #[test]
+    fn terminal_jobs_leave_no_cancel_token_behind() {
+        let bundle = Arc::new(ModelBundle::from_network(&tiny_network(1)).unwrap());
+        let mut config =
+            FlowConfig { process: neurfill_cmpsim::ProcessParams::fast(), ..FlowConfig::default() };
+        config.neurfill.sqp.max_iterations = 4;
+        // The delay holds the first job at the synthesis site while the
+        // third, queued behind it on the one worker, is cancelled.
+        let options = PoolOptions {
+            workers: 1,
+            fault: Arc::new(FaultPlan::parse("synthesis=delay200@1", 0).unwrap()),
+            ..PoolOptions::default()
+        };
+        let pool = RuntimePool::new(bundle, config, options).unwrap();
+        let done = pool.submit(JobSpec::new("done", tiny_layout(1))).unwrap();
+        // 6x6 is not divisible by the depth-2 UNet's factor: synthesis fails.
+        let bad = DesignSpec::new(DesignKind::CmpTest, 6, 6, 2).generate();
+        let failed = pool.submit(JobSpec::new("failed", bad)).unwrap();
+        let cancelled = pool.submit(JobSpec::new("cancelled", tiny_layout(3))).unwrap();
+        assert_eq!(pool.table.tokens.lock().len(), 3, "one token per live job");
+        assert!(pool.cancel(cancelled));
+
+        assert!(matches!(pool.wait(done), Some(JobStatus::Done(_))));
+        assert!(matches!(pool.wait(failed), Some(JobStatus::Failed(m)) if m.contains("not divisible")));
+        assert!(matches!(pool.wait(cancelled), Some(JobStatus::Failed(m)) if m.contains("cancelled")));
+        assert!(pool.table.tokens.lock().is_empty(), "terminal jobs keep no token");
+        for id in [done, failed, cancelled] {
+            assert!(!pool.cancel(id), "job {id} is terminal");
+        }
+    }
 
     #[test]
     fn parallel_map_preserves_input_order() {

@@ -1,5 +1,4 @@
-//! Runtime counters, shared lock-free between workers, the batch server
-//! and the caller.
+//! Runtime counters, shared lock-free between workers and the caller.
 //!
 //! The counters are telemetry [`Counter`] handles registered under
 //! `runtime.*` names. They always count — when the caller attached no
@@ -27,10 +26,6 @@ pub(crate) struct StatsInner {
     pub jobs_failed: Counter,
     pub jobs_degraded: Counter,
     pub retries: Counter,
-    pub server_restarts: Counter,
-    pub circuit_opened: Counter,
-    pub fallback_batches: Counter,
-    pub batches_formed: Counter,
     pub samples_inferred: Counter,
     pub hydrations: Counter,
     pub hydrate_nanos: Counter,
@@ -39,8 +34,6 @@ pub(crate) struct StatsInner {
     pub queue_wait: Histogram,
     pub job_synthesis: Histogram,
     pub job_verify: Histogram,
-    pub batch_occupancy: Histogram,
-    pub batch_forward: Histogram,
 }
 
 impl StatsInner {
@@ -55,10 +48,6 @@ impl StatsInner {
             jobs_failed: registry.counter("runtime.jobs_failed"),
             jobs_degraded: registry.counter("runtime.jobs_degraded"),
             retries: registry.counter("runtime.retries"),
-            server_restarts: registry.counter("runtime.server_restarts"),
-            circuit_opened: registry.counter("runtime.circuit_opened"),
-            fallback_batches: registry.counter("runtime.fallback_batches"),
-            batches_formed: registry.counter("runtime.batches_formed"),
             samples_inferred: registry.counter("runtime.samples_inferred"),
             hydrations: registry.counter("runtime.hydrations"),
             hydrate_nanos: registry.counter("runtime.hydrate_ns"),
@@ -67,8 +56,6 @@ impl StatsInner {
             queue_wait: telemetry.histogram("job.queue_wait_ns"),
             job_synthesis: telemetry.histogram("job.synthesis_ns"),
             job_verify: telemetry.histogram("job.verify_ns"),
-            batch_occupancy: telemetry.histogram("batch.occupancy"),
-            batch_forward: telemetry.histogram("batch.forward_ns"),
             events: telemetry.clone(),
             registry,
         }
@@ -83,20 +70,15 @@ impl StatsInner {
     }
 
     pub fn snapshot(&self) -> RuntimeStats {
-        let batches = self.batches_formed.get();
-        let samples = self.samples_inferred.get();
         RuntimeStats {
             jobs_submitted: self.jobs_submitted.get(),
             jobs_completed: self.jobs_completed.get(),
             jobs_failed: self.jobs_failed.get(),
             jobs_degraded: self.jobs_degraded.get(),
             retries: self.retries.get(),
-            server_restarts: self.server_restarts.get(),
-            circuit_opened: self.circuit_opened.get(),
-            fallback_batches: self.fallback_batches.get(),
-            batches_formed: batches,
-            samples_inferred: samples,
-            mean_batch_occupancy: if batches == 0 { 0.0 } else { samples as f64 / batches as f64 },
+            samples_inferred: self.samples_inferred.get(),
+            batches_formed: 0,
+            mean_batch_occupancy: 0.0,
             hydrations: self.hydrations.get(),
             hydrate: Duration::from_nanos(self.hydrate_nanos.get()),
             synthesis: Duration::from_nanos(self.synthesis_nanos.get()),
@@ -125,31 +107,26 @@ pub struct RuntimeStats {
     pub jobs_degraded: u64,
     /// Job attempts re-run after a transient failure.
     pub retries: u64,
-    /// Batch-server threads restarted after dying mid-serving.
-    pub server_restarts: u64,
-    /// Times the batch-inference circuit breaker opened (restart budget
-    /// exhausted).
-    pub circuit_opened: u64,
-    /// Verification batches served by a worker's own network because the
-    /// batch-inference circuit was open.
-    pub fallback_batches: u64,
-    /// Multi-sample forwards executed by the batch server.
-    pub batches_formed: u64,
-    /// Window samples served across all batches.
+    /// Window samples (one per layer of a filled layout) scored by the
+    /// surrogate during verification.
     pub samples_inferred: u64,
-    /// `samples_inferred / batches_formed` — above 1.0 whenever the server
-    /// coalesced forwards (within or across jobs).
-    pub mean_batch_occupancy: f64,
-    /// Networks hydrated from bundle bytes (once per worker + one for the
-    /// batch server).
+    /// Networks hydrated from bundle bytes (once per worker).
     pub hydrations: u64,
     /// Wall-clock spent hydrating networks (summed across threads).
     pub hydrate: Duration,
     /// Wall-clock spent in fill synthesis (summed across workers).
     pub synthesis: Duration,
-    /// Wall-clock spent in batched surrogate verification (summed across
-    /// workers, includes queueing at the batch server).
+    /// Wall-clock spent in surrogate verification (summed across workers).
     pub verify: Duration,
+    /// Inert: always 0. Kept only because the frozen benchmark reads it
+    /// (`nfbench/src/workloads/serve_burst.rs:224`, `chip.rs:220,240`);
+    /// the `benchmark` PR of ROADMAP 1(a) drops it.
+    #[doc(hidden)]
+    pub batches_formed: u64,
+    /// Inert: always 0.0 (`nfbench/src/workloads/serve_burst.rs:225`,
+    /// `chip.rs:241`); dropped with `batches_formed`.
+    #[doc(hidden)]
+    pub mean_batch_occupancy: f64,
 }
 
 impl fmt::Display for RuntimeStats {
@@ -159,21 +136,8 @@ impl fmt::Display for RuntimeStats {
             "jobs: {} submitted, {} completed, {} failed",
             self.jobs_submitted, self.jobs_completed, self.jobs_failed
         )?;
-        writeln!(
-            f,
-            "inference: {} samples in {} batches (occupancy {:.2})",
-            self.samples_inferred, self.batches_formed, self.mean_batch_occupancy
-        )?;
-        writeln!(
-            f,
-            "resilience: {} retries, {} degraded, {} server restarts, \
-             {} circuit-opens, {} fallback batches",
-            self.retries,
-            self.jobs_degraded,
-            self.server_restarts,
-            self.circuit_opened,
-            self.fallback_batches
-        )?;
+        writeln!(f, "inference: {} samples", self.samples_inferred)?;
+        writeln!(f, "resilience: {} retries, {} degraded", self.retries, self.jobs_degraded)?;
         write!(
             f,
             "stages: hydrate {:.3}s x{}, synthesis {:.3}s, verify {:.3}s",
@@ -190,26 +154,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn occupancy_is_samples_per_batch() {
-        let inner = StatsInner::default();
-        inner.batches_formed.add(4);
-        inner.samples_inferred.add(10);
-        let snap = inner.snapshot();
-        assert!((snap.mean_batch_occupancy - 2.5).abs() < 1e-12);
-        assert_eq!(StatsInner::default().snapshot().mean_batch_occupancy, 0.0);
-    }
-
-    #[test]
     fn display_mentions_every_headline_number() {
         let inner = StatsInner::default();
         inner.jobs_submitted.add(7);
         inner.samples_inferred.add(21);
-        inner.batches_formed.add(3);
         inner.retries.add(2);
         inner.jobs_degraded.add(1);
         let text = inner.snapshot().to_string();
         assert!(text.contains("7 submitted"));
-        assert!(text.contains("occupancy 7.00"));
+        assert!(text.contains("21 samples"));
         assert!(text.contains("2 retries"));
         assert!(text.contains("1 degraded"));
     }

@@ -12,8 +12,7 @@ use neurfill_layout::{DesignKind, DesignSpec, Layout};
 use neurfill_nn::{UNet, UNetConfig};
 use neurfill_optim::SqpConfig;
 use neurfill_runtime::{
-    BatchConfig, FaultPlan, JobSpec, JobStatus, ModelBundle, PoolOptions, RetryPolicy, RuntimePool,
-    RuntimeStats,
+    FaultPlan, JobSpec, JobStatus, ModelBundle, PoolOptions, RetryPolicy, RuntimePool, RuntimeStats,
 };
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -50,7 +49,6 @@ fn pool_with(plan: &str, options: PoolOptions) -> (RuntimePool, Telemetry) {
     let telemetry = Telemetry::new();
     let options = PoolOptions {
         fault: Arc::new(FaultPlan::parse(plan, 0).unwrap()),
-        batch: BatchConfig { max_batch: 8, linger: Duration::ZERO },
         telemetry: telemetry.clone(),
         ..options
     };
@@ -85,10 +83,10 @@ fn fault_event_named<'s>(snap: &'s MetricsSnapshot, name: &str) -> &'s neurfill:
 }
 
 #[test]
-fn one_snapshot_covers_sim_runtime_and_batch_activity() {
+fn one_snapshot_covers_sim_optimizer_and_runtime_activity() {
     // The acceptance bar for `--metrics-out`: a single registry, attached
-    // at the pool, must see simulator stages, optimizer work, runtime job
-    // lifecycle, and batch-server activity from one fixed-seed run.
+    // at the pool, must see simulator stages, optimizer work, the runtime
+    // job lifecycle and verification forwards from one fixed-seed run.
     let (pool, _) = pool_with("", PoolOptions { workers: 1, ..PoolOptions::default() });
     let snap = run_jobs(&pool, 2);
     let _ = pool.shutdown();
@@ -97,8 +95,7 @@ fn one_snapshot_covers_sim_runtime_and_batch_activity() {
     assert_eq!(snap.counter("runtime.jobs_submitted"), 2);
     assert_eq!(snap.counter("runtime.jobs_completed"), 2);
     assert_eq!(snap.counter("runtime.jobs_failed"), 0);
-    // Batch-server activity: every inferred sample went through a batch.
-    assert!(snap.counter("runtime.batches_formed") > 0);
+    // Verification forwards: every layer of every filled layout scored.
     assert!(snap.counter("runtime.samples_inferred") > 0);
     // Golden-simulator stages ran during verification.
     assert!(snap.counter("sim.layers") > 0, "simulator stage metrics missing");
@@ -109,17 +106,15 @@ fn one_snapshot_covers_sim_runtime_and_batch_activity() {
     // Per-job latency histograms: one observation per job.
     assert_eq!(snap.histogram("job.total_ns").map(|h| h.count), Some(2));
     assert_eq!(snap.histogram("job.queue_wait_ns").map(|h| h.count), Some(2));
-    assert!(snap.histogram("batch.occupancy").is_some());
     // Spans nest under a path; the job span is the root of its thread.
     assert!(snap.events_of_kind("span").iter().any(|e| e.name == "job.total_ns"));
 }
 
 #[test]
 fn deterministic_counters_agree_between_one_and_many_workers() {
-    // Scheduling-dependent counters (batches_formed, hydrations) may vary
-    // with worker count, but the work itself is fixed by the seed: same
-    // jobs, same samples, same simulator stages, same optimizer trajectory
-    // (batched inference is bit-identical regardless of batch packing).
+    // Scheduling-dependent counters (hydrations) may vary with worker
+    // count, but the work itself is fixed by the seed: same jobs, same
+    // samples, same simulator stages, same optimizer trajectory.
     let deterministic = [
         "runtime.jobs_submitted",
         "runtime.jobs_completed",
@@ -165,40 +160,9 @@ fn retry_transition_emits_counter_and_fault_event() {
 }
 
 #[test]
-fn server_restart_transition_emits_counter_and_fault_event() {
-    let (pool, _) = pool_with(
-        "batch_forward=panic@1",
-        PoolOptions { workers: 1, restart_budget: 2, ..PoolOptions::default() },
-    );
-    let snap = run_jobs(&pool, 2);
-    let _ = pool.shutdown();
-
-    assert_eq!(snap.counter("runtime.server_restarts"), 1);
-    assert_eq!(snap.counter("runtime.circuit_opened"), 0);
-    let event = fault_event_named(&snap, "server_restart");
-    assert!(event.fields.iter().any(|(k, _)| k == "generation"));
-}
-
-#[test]
-fn open_circuit_transition_emits_circuit_and_fallback_events() {
-    let (pool, _) = pool_with(
-        "batch_forward=panic",
-        PoolOptions { workers: 1, restart_budget: 1, ..PoolOptions::default() },
-    );
-    let snap = run_jobs(&pool, 2);
-    let _ = pool.shutdown();
-
-    assert_eq!(snap.counter("runtime.server_restarts"), 1, "budget fully used before opening");
-    assert_eq!(snap.counter("runtime.circuit_opened"), 1);
-    assert!(snap.counter("runtime.fallback_batches") >= 2, "both jobs verified locally");
-    fault_event_named(&snap, "circuit_open");
-    let fallback = fault_event_named(&snap, "local_fallback");
-    assert!(fallback.fields.iter().any(|(k, _)| k == "cause"));
-}
-
-#[test]
 fn nan_degradation_emits_counter_and_fault_event() {
-    let (pool, _) = pool_with("batch_forward=nan", PoolOptions { workers: 1, ..PoolOptions::default() });
+    let (pool, _) =
+        pool_with("verify_forward=nan", PoolOptions { workers: 1, ..PoolOptions::default() });
     let snap = run_jobs(&pool, 1);
     let _ = pool.shutdown();
 
@@ -225,12 +189,7 @@ fn disabled_telemetry_leaves_reports_and_stats_byte_identical() {
     };
     let run = |telemetry: Telemetry| -> (Vec<String>, RuntimeStats) {
         let bundle = Arc::new(ModelBundle::from_network(&network(42)).unwrap());
-        let options = PoolOptions {
-            workers: 1,
-            batch: BatchConfig { max_batch: 8, linger: Duration::ZERO },
-            telemetry,
-            ..PoolOptions::default()
-        };
+        let options = PoolOptions { workers: 1, telemetry, ..PoolOptions::default() };
         let pool = RuntimePool::new(bundle, flow_config(), options).unwrap();
         let ids: Vec<_> = (0..2)
             .map(|i| pool.submit(JobSpec::new(format!("job-{i}"), layout(100 + i))).unwrap())
@@ -249,8 +208,8 @@ fn disabled_telemetry_leaves_reports_and_stats_byte_identical() {
     let (disabled_reports, disabled_stats) = run(Telemetry::disabled());
     assert_eq!(enabled_reports, disabled_reports, "reports must not depend on telemetry");
 
-    // The stats line mixes deterministic counters with stage timings and
-    // batch packing (both timing-dependent); compare the former.
+    // The stats line mixes deterministic counters with stage timings;
+    // compare the former.
     let deterministic_lines = |stats: &RuntimeStats| -> Vec<String> {
         stats
             .to_string()

@@ -191,7 +191,6 @@ fn run() -> Result<(), String> {
                 retry: RetryPolicy::with_retries(args.retries),
                 fault: Arc::new(fault),
                 telemetry,
-                ..PoolOptions::default()
             },
             ..ServiceConfig::default()
         },

@@ -4,9 +4,9 @@
 //!
 //! ```text
 //! runfill --model surrogate.bundle --layouts designs/ [--out reports/]
-//!         [--workers N] [--timeout-s S] [--retries N] [--max-batch B]
-//!         [--linger-ms M] [--fault-plan SPEC] [--fault-seed N]
-//!         [--fast] [--init-demo N] [--metrics-out metrics.jsonl]
+//!         [--workers N] [--timeout-s S] [--retries N]
+//!         [--fault-plan SPEC] [--fault-seed N] [--fast] [--init-demo N]
+//!         [--metrics-out metrics.jsonl]
 //! runfill --connect HOST:PORT --layouts designs/ [--out reports/]
 //!         [--tenant NAME] [--priority high|normal|low] [--timeout-s S]
 //! runfill --full-chip [--design A|B|C] [--tile-size N] [--rows R] [--cols C]
@@ -29,7 +29,7 @@
 //! client-side. At most `--max-in-flight` tiles are resident at once.
 //!
 //! `--metrics-out` enables telemetry and writes the run's metrics snapshot
-//! (simulator stage timings, per-job spans, batch-server activity, fault
+//! (simulator stage timings, per-job spans, runtime counters, fault
 //! events) as JSONL after all jobs finish (in-process mode only).
 //!
 //! `--init-demo N` bootstraps a working directory: generates `N` benchmark
@@ -53,7 +53,7 @@ use neurfill_layout::{
 };
 use neurfill_nn::{TrainConfig, UNetConfig};
 use neurfill_runtime::{
-    BatchConfig, FaultPlan, JobSpec, JobStatus, ModelRegistry, PoolOptions, RetryPolicy, RuntimePool,
+    FaultPlan, JobSpec, JobStatus, ModelRegistry, PoolOptions, RetryPolicy, RuntimePool,
 };
 use neurfill_serve::{
     synthesize_chip_remote, ChipClientOptions, Client, FailoverConfig, JobRequest, Priority,
@@ -74,8 +74,6 @@ struct Args {
     workers: usize,
     timeout: Option<Duration>,
     retries: u32,
-    max_batch: usize,
-    linger: Duration,
     fault_plan: Option<String>,
     fault_seed: u64,
     fast: bool,
@@ -95,9 +93,8 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: runfill --model <bundle> --layouts <dir> [--out <dir>] [--workers N]\n\
-         \x20             [--timeout-s S] [--retries N] [--max-batch B] [--linger-ms M]\n\
-         \x20             [--fault-plan SPEC] [--fault-seed N] [--fast] [--init-demo N]\n\
-         \x20             [--metrics-out <file>]\n\
+         \x20             [--timeout-s S] [--retries N] [--fault-plan SPEC] [--fault-seed N]\n\
+         \x20             [--fast] [--init-demo N] [--metrics-out <file>]\n\
          \x20      runfill --connect HOST:PORT --layouts <dir> [--out <dir>]\n\
          \x20             [--tenant NAME] [--priority high|normal|low] [--timeout-s S]\n\
          \x20      runfill --full-chip [--design A|B|C] [--tile-size N] [--rows R]\n\
@@ -131,8 +128,6 @@ fn parse_args() -> Args {
         workers: 0,
         timeout: None,
         retries: 0,
-        max_batch: 16,
-        linger: Duration::from_millis(2),
         fault_plan: None,
         fault_seed: 0,
         fast: false,
@@ -177,14 +172,9 @@ fn parse_args() -> Args {
                 )))
             }
             "--retries" => args.retries = parse_num(&value(&mut it, "--retries"), "--retries"),
-            "--max-batch" => args.max_batch = parse_num(&value(&mut it, "--max-batch"), "--max-batch"),
             "--fault-plan" => args.fault_plan = Some(value(&mut it, "--fault-plan")),
             "--fault-seed" => {
                 args.fault_seed = parse_num(&value(&mut it, "--fault-seed"), "--fault-seed")
-            }
-            "--linger-ms" => {
-                args.linger =
-                    Duration::from_millis(parse_num(&value(&mut it, "--linger-ms"), "--linger-ms"))
             }
             "--full-chip" => args.full_chip = true,
             "--checkpoint" => args.checkpoint = Some(value(&mut it, "--checkpoint").into()),
@@ -457,7 +447,6 @@ fn run_full_chip_remote(args: &Args, addr: &str, out_dir: &Path) -> Result<bool,
             flow: FlowConfig { process: params.clone(), ..FlowConfig::default() },
             pool: PoolOptions {
                 workers: args.workers,
-                batch: BatchConfig { max_batch: args.max_batch.max(1), linger: args.linger },
                 default_timeout: args.timeout,
                 retry: RetryPolicy::with_retries(args.retries),
                 telemetry: telemetry.clone(),
@@ -535,7 +524,6 @@ fn run_full_chip_pool(args: &Args, out_dir: &Path) -> Result<bool, String> {
     let flow = FlowConfig { process: params, ..FlowConfig::default() };
     let options = PoolOptions {
         workers: args.workers,
-        batch: BatchConfig { max_batch: args.max_batch.max(1), linger: args.linger },
         default_timeout: args.timeout,
         retry: RetryPolicy::with_retries(args.retries),
         telemetry: telemetry.clone(),
@@ -685,12 +673,10 @@ fn run() -> Result<bool, String> {
     let flow = FlowConfig { process: process_params(&args), ..FlowConfig::default() };
     let options = PoolOptions {
         workers: args.workers,
-        batch: BatchConfig { max_batch: args.max_batch.max(1), linger: args.linger },
         default_timeout: args.timeout,
         retry: RetryPolicy::with_retries(args.retries),
         fault: Arc::new(fault),
         telemetry: telemetry.clone(),
-        ..PoolOptions::default()
     };
     let pool = RuntimePool::new(bundle, flow, options).map_err(|e| e.to_string())?;
 

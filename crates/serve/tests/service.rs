@@ -314,7 +314,7 @@ fn canary_rejects_nan_bundle_while_live_model_keeps_serving() {
     // must reject the staged bundle. The live pool shares nothing with it.
     let canary = CanaryConfig {
         samples: 2,
-        fault: Arc::new(FaultPlan::parse("batch_forward=nan", 0).unwrap()),
+        fault: Arc::new(FaultPlan::parse("verify_forward=nan", 0).unwrap()),
         ..CanaryConfig::default()
     };
     let harness = Harness::start(config_with(&[("default", 1, 16)], 1, "", canary));
