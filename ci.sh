@@ -47,17 +47,21 @@ echo "== anchored contact solve, release build (bitwise vs reference, sharded ==
 cargo test --release -p neurfill-cmpsim --test kernel_equivalence -q
 cargo test --release -p neurfill-chip --test bit_identity -q
 
-# The line search, the frozen-surrogate backward, the row-span im2col/col2im
-# and the column-filtered insertion scan each replaced code that now lives
-# on as a test-only oracle; the workspace run above compared them in debug,
-# this compares the optimized code that ships.
-echo "== replacement-vs-oracle suites, release build (line search, frozen + per-layer planarity, im2col/col2im, insertion)"
+# The line search, the frozen-surrogate backward, the row-span im2col/col2im,
+# the column-filtered insertion scan, the streamed (sink) insertion and the
+# fused eval-mode norm + ReLU node each replaced code that now lives on as a
+# test-only oracle; the workspace run above compared them in debug, this
+# compares the optimized code that ships — whose heap footprint per job is
+# the one `live_heap` pins.
+echo "== replacement-vs-oracle suites, release build (line search, frozen + per-layer planarity, im2col/col2im, insertion + sink, fused norm node, live heap per job)"
 cargo test --release -p neurfill-optim --lib linesearch -q
 cargo test --release -p neurfill --lib frozen_planarity -q
 cargo test --release -p neurfill --lib per_layer_backward -q
 cargo test --release -p neurfill-tensor --lib ops::conv -q
 cargo test --release -p neurfill-layout --lib insertion -q
+cargo test --release -p neurfill-nn --lib fused_eval_node_matches_the_composed_graph -q
 cargo test --release --test trajectory_pin -q
+cargo test --release --test live_heap -q
 
 # A pool job's `predicted` is pinned bit-equal to per-layer single forwards
 # on the sequential flow's network; the workspace run above checked the

@@ -8,7 +8,7 @@
 //! gradient would need.
 
 use crate::extraction::{extract_layer_arrays, extract_layer_tensor, ExtractionConfig, NUM_CHANNELS};
-use crate::score::{Coefficients, PlanarityMetrics, NM_TO_ANGSTROM};
+use crate::score::{Coefficients, NM_TO_ANGSTROM};
 use neurfill_cmpsim::{ChipProfile, LayerProfile};
 use neurfill_layout::Layout;
 use neurfill_nn::{Module, UNet};
@@ -51,8 +51,6 @@ pub struct PlanarityEval {
     pub score: f64,
     /// `∇S_plan` w.r.t. the flat fill vector.
     pub gradient: Vec<f64>,
-    /// Hard (non-relaxed) planarity metrics of the *predicted* profile.
-    pub metrics: PlanarityMetrics,
 }
 
 /// Extraction layer + pre-trained UNet + objective layers.
@@ -217,7 +215,8 @@ impl CmpNeuralNetwork {
     ///
     /// The score uses the unclamped slopes `1 − t/β` so gradients keep
     /// pointing toward the scoring region even when a metric is beyond its
-    /// β; the returned [`PlanarityEval::metrics`] are the hard values.
+    /// β. The hard metrics of a filled layout's predicted profile are
+    /// `PlanarityMetrics::from_profile` of [`CmpNeuralNetwork::predict_profile`].
     ///
     /// # Errors
     ///
@@ -271,7 +270,6 @@ impl CmpNeuralNetwork {
         // before the f32 graph avoids catastrophic cancellation that would
         // otherwise drown the gradients in rounding noise.
         let ang = (self.height_norm.scale_nm * NM_TO_ANGSTROM) as f32;
-        let offset_ang = self.height_norm.offset_nm * NM_TO_ANGSTROM;
         let eta = self.config.eta as f32;
 
         // S_plan is linear in the per-layer terms (Eq. 5b with unclamped
@@ -290,7 +288,6 @@ impl CmpNeuralNetwork {
         let mut sigma_total: Option<Tensor> = None;
         let mut sstar_total: Option<Tensor> = None;
         let mut ol_total: Option<Tensor> = None;
-        let mut height_profiles = Vec::with_capacity(layout.num_layers());
 
         for l in 0..layout.num_layers() {
             let slice = &x[l * per_layer..(l + 1) * per_layer];
@@ -308,7 +305,6 @@ impl CmpNeuralNetwork {
             };
             // Offset-free heights in Å, as an [N, M] map.
             let h = h_raw.reshape(&[rows, cols])?.scale(ang);
-            height_profiles.push(h.value());
 
             // Eq. 10a: σ_l = VAR(H).
             let sigma_l = h.var();
@@ -363,19 +359,7 @@ impl CmpNeuralNetwork {
             .add(&ol.scale(k_ol))?
             .add_scalar((a.sigma + a.sigma_star + a.ol) as f32);
 
-        // Hard metrics from the predicted height maps.
-        let layers: Vec<LayerProfile> = height_profiles
-            .into_iter()
-            .map(|h| {
-                let nm: Vec<f64> =
-                    h.as_slice().iter().map(|v| (f64::from(*v) + offset_ang) / NM_TO_ANGSTROM).collect();
-                let zeros = vec![0.0; rows * cols];
-                LayerProfile::new(rows, cols, nm, zeros.clone(), zeros)
-            })
-            .collect();
-        let metrics = PlanarityMetrics::from_profile(&ChipProfile::new(layers));
-
-        Ok(PlanarityEval { score: f64::from(s_plan.item()), gradient, metrics })
+        Ok(PlanarityEval { score: f64::from(s_plan.item()), gradient })
     }
 }
 
@@ -428,7 +412,9 @@ mod tests {
         assert_eq!(eval.gradient.len(), l.num_windows());
         assert!(eval.score.is_finite());
         assert!(eval.gradient.iter().any(|g| *g != 0.0));
-        assert!(eval.metrics.sigma >= 0.0);
+        // The hard metrics come from the predicted profile, not the eval.
+        let hard = crate::PlanarityMetrics::from_profile(&net.predict_profile(&l).unwrap());
+        assert!(hard.sigma >= 0.0);
     }
 
     #[test]
@@ -484,7 +470,6 @@ mod tests {
                 let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&frozen.gradient), bits(&unfrozen.gradient), "{} {edge}", l.name());
                 assert!(frozen.gradient.iter().any(|g| *g != 0.0));
-                assert_eq!(frozen.metrics, unfrozen.metrics);
             }
         }
     }

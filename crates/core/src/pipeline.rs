@@ -62,7 +62,9 @@ pub struct FlowResult {
     pub plan: FillPlan,
     /// Synthesis statistics.
     pub synthesis: FillOutcome,
-    /// Rectangle-level insertion result.
+    /// Per-window insertion bookkeeping (requested / placed area, dummy
+    /// count). The rectangles are not kept: stream them from `plan` with
+    /// [`neurfill_layout::insertion::realize_fill_into`].
     pub insertion: InsertionReport,
     /// Golden-simulator scoring of the *realized* fill.
     pub scored: MethodResult,

@@ -112,14 +112,20 @@ impl LayerGeometry {
         Self::default()
     }
 
+    /// Adds a shape — what a collecting sink of
+    /// [`crate::insertion::realize_fill_into`] does with each one.
+    pub fn push(&mut self, shape: Shape) {
+        self.shapes.push(shape);
+    }
+
     /// Adds a signal wire rectangle.
     pub fn add_wire(&mut self, rect: Rect) {
-        self.shapes.push(Shape { rect, is_dummy: false });
+        self.push(Shape { rect, is_dummy: false });
     }
 
     /// Adds a dummy rectangle.
     pub fn add_dummy(&mut self, rect: Rect) {
-        self.shapes.push(Shape { rect, is_dummy: true });
+        self.push(Shape { rect, is_dummy: true });
     }
 
     /// All shapes.

@@ -7,7 +7,7 @@
 //! wires or other dummies, until the synthesized area is realized (or the
 //! window runs out of legal positions — reported as shortfall).
 
-use crate::geometry::{LayerGeometry, Rect};
+use crate::geometry::{Rect, Shape};
 use crate::layout::{Layout, WindowId};
 use crate::FillPlan;
 
@@ -42,16 +42,30 @@ pub fn insert_dummies(
     target_area: f64,
     rules: &InsertionRules,
 ) -> Vec<Rect> {
+    let mut placed = Vec::new();
+    for_each_dummy(window, blocked, target_area, rules, |d| placed.push(d));
+    placed
+}
+
+/// The grid scan behind [`insert_dummies`]: hands each placed rectangle to
+/// `visit`, in placement order, without keeping it.
+fn for_each_dummy(
+    window: &Rect,
+    blocked: &[Rect],
+    target_area: f64,
+    rules: &InsertionRules,
+    mut visit: impl FnMut(Rect),
+) {
     debug_assert!(rules.edge_um > 0.0 && rules.spacing_um >= 0.0 && rules.wire_margin_um >= 0.0);
     if target_area <= 0.0 {
-        return Vec::new();
+        return;
     }
     let pitch = rules.edge_um + rules.spacing_um;
     let dummy_area = rules.edge_um * rules.edge_um;
     let need = (target_area / dummy_area).round() as usize;
     let cols = ((window.width() - rules.spacing_um) / pitch).floor().max(0.0) as usize;
     let rows = ((window.height() - rules.spacing_um) / pitch).floor().max(0.0) as usize;
-    let mut placed = Vec::with_capacity(need.min(rows * cols));
+    let mut placed = 0;
     let inflated: Vec<Rect> = blocked.iter().map(|b| b.inflate(rules.wire_margin_um)).collect();
     // Per grid column, the inflated blockers whose x-interval overlaps the
     // column's — the only ones a candidate of that column can overlap —
@@ -61,7 +75,7 @@ pub fn insert_dummies(
     let mut column_ends: Vec<usize> = Vec::with_capacity(cols);
     'grid: for r in 0..rows {
         for c in 0..cols {
-            if placed.len() >= need {
+            if placed >= need {
                 break 'grid;
             }
             let x0 = window.x0 + rules.spacing_um + c as f64 * pitch;
@@ -82,11 +96,11 @@ pub fn insert_dummies(
             }
             let start = if c == 0 { 0 } else { column_ends[c - 1] };
             if column_blockers[start..column_ends[c]].iter().all(|b| !candidate.overlaps(b)) {
-                placed.push(candidate);
+                placed += 1;
+                visit(candidate);
             }
         }
     }
-    placed
 }
 
 /// Multi-size insertion: tries the nominal dummy size first, then falls
@@ -158,11 +172,10 @@ pub struct WindowInsertion {
     pub count: usize,
 }
 
-/// Whole-chip insertion result: the realized geometry plus bookkeeping.
+/// Whole-chip insertion bookkeeping. The rectangles themselves are not
+/// kept: [`realize_fill_into`] hands each one to the caller's sink.
 #[derive(Debug)]
 pub struct InsertionReport {
-    /// One geometry per layer (wires + dummies).
-    pub layers: Vec<LayerGeometry>,
     /// Per-window outcomes in flat window order.
     pub windows: Vec<WindowInsertion>,
 }
@@ -200,19 +213,26 @@ impl InsertionReport {
 
 /// Realizes a synthesized fill plan as rectangles over the whole layout:
 /// wires are synthesized from each window's pattern, then dummies are
-/// inserted per the plan under the given rules.
+/// inserted per the plan under the given rules. Every shape goes to
+/// `sink(layer, shape)` — layer by layer, window by window in row-major
+/// order, a window's wires before its dummies — and is not kept; the
+/// returned report holds the per-window bookkeeping only. A sink that
+/// pushes into one [`LayerGeometry`](crate::LayerGeometry) per layer
+/// collects the chip's geometry, one that writes streams it out.
 ///
 /// # Panics
 ///
 /// Panics when the plan length disagrees with the layout.
-#[must_use]
-pub fn realize_fill(layout: &Layout, plan: &FillPlan, rules: &InsertionRules) -> InsertionReport {
+pub fn realize_fill_into(
+    layout: &Layout,
+    plan: &FillPlan,
+    rules: &InsertionRules,
+    mut sink: impl FnMut(usize, Shape),
+) -> InsertionReport {
     assert_eq!(plan.as_slice().len(), layout.num_windows(), "plan length mismatch");
     let w_um = layout.window_um();
-    let mut layers = Vec::with_capacity(layout.num_layers());
     let mut windows = vec![WindowInsertion::default(); layout.num_windows()];
     for l in 0..layout.num_layers() {
-        let mut geom = LayerGeometry::new();
         for row in 0..layout.rows() {
             for col in 0..layout.cols() {
                 let id = WindowId { layer: l, row, col };
@@ -225,27 +245,43 @@ pub fn realize_fill(layout: &Layout, plan: &FillPlan, rules: &InsertionRules) ->
                     (row + 1) as f64 * w_um,
                 );
                 let wires = wires_for_pattern(&win_rect, pat.density, pat.avg_width);
+                for wire in &wires {
+                    sink(l, Shape { rect: *wire, is_dummy: false });
+                }
                 let requested = plan.amount(k).clamp(0.0, pat.slack);
-                let dummies = insert_dummies(&win_rect, &wires, requested, rules);
-                let placed: f64 = dummies.iter().map(Rect::area).sum();
-                windows[k] = WindowInsertion { requested, placed, count: dummies.len() };
-                for wire in wires {
-                    geom.add_wire(wire);
-                }
-                for d in dummies {
-                    geom.add_dummy(d);
-                }
+                // From −0.0, rectangle by rectangle: the bits of summing
+                // the collected areas, for which a window that places
+                // nothing reads −0.0.
+                let mut placed = -0.0;
+                let mut count = 0;
+                for_each_dummy(&win_rect, &wires, requested, rules, |d| {
+                    placed += d.area();
+                    count += 1;
+                    sink(l, Shape { rect: d, is_dummy: true });
+                });
+                windows[k] = WindowInsertion { requested, placed, count };
             }
         }
-        layers.push(geom);
     }
-    InsertionReport { layers, windows }
+    InsertionReport { windows }
+}
+
+/// [`realize_fill_into`] with a sink that drops the shapes: the per-window
+/// placed areas and counts of the realized fill.
+///
+/// # Panics
+///
+/// Panics when the plan length disagrees with the layout.
+#[must_use]
+pub fn realize_fill(layout: &Layout, plan: &FillPlan, rules: &InsertionRules) -> InsertionReport {
+    realize_fill_into(layout, plan, rules, |_, _| {})
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::design::{DesignKind, DesignSpec};
+    use crate::geometry::LayerGeometry;
     use proptest::prelude::*;
 
     /// The scan `insert_dummies` replaced: every candidate against every
@@ -418,15 +454,98 @@ mod tests {
         assert!(wires_for_pattern(&window, 0.0, 0.2).is_empty());
     }
 
+    /// A plan at `fraction` of every window's slack.
+    fn slack_plan(layout: &Layout, fraction: f64) -> FillPlan {
+        let mut plan = FillPlan::zeros(layout);
+        for (x, s) in plan.as_mut_slice().iter_mut().zip(layout.slack_vector()) {
+            *x = fraction * s;
+        }
+        plan
+    }
+
+    /// A collecting sink: one [`LayerGeometry`] per layer.
+    fn collect(
+        layout: &Layout,
+        plan: &FillPlan,
+        rules: &InsertionRules,
+    ) -> (Vec<LayerGeometry>, InsertionReport) {
+        let mut layers = vec![LayerGeometry::new(); layout.num_layers()];
+        let report = realize_fill_into(layout, plan, rules, |l, shape| layers[l].push(shape));
+        (layers, report)
+    }
+
+    /// The `realize_fill` the sink replaced: every window's rectangles
+    /// collected, `placed` summed from the collection, all of it kept.
+    fn realize_fill_reference(
+        layout: &Layout,
+        plan: &FillPlan,
+        rules: &InsertionRules,
+    ) -> (Vec<LayerGeometry>, Vec<WindowInsertion>) {
+        let w_um = layout.window_um();
+        let mut layers = Vec::new();
+        let mut windows = vec![WindowInsertion::default(); layout.num_windows()];
+        for l in 0..layout.num_layers() {
+            let mut geom = LayerGeometry::new();
+            for row in 0..layout.rows() {
+                for col in 0..layout.cols() {
+                    let id = WindowId { layer: l, row, col };
+                    let pat = layout.window(id);
+                    let win_rect = Rect::new(
+                        col as f64 * w_um,
+                        row as f64 * w_um,
+                        (col + 1) as f64 * w_um,
+                        (row + 1) as f64 * w_um,
+                    );
+                    let wires = wires_for_pattern(&win_rect, pat.density, pat.avg_width);
+                    let requested = plan.amount(layout.flat_index(id)).clamp(0.0, pat.slack);
+                    let dummies = insert_dummies(&win_rect, &wires, requested, rules);
+                    let placed: f64 = dummies.iter().map(Rect::area).sum();
+                    windows[layout.flat_index(id)] =
+                        WindowInsertion { requested, placed, count: dummies.len() };
+                    wires.into_iter().for_each(|w| geom.add_wire(w));
+                    dummies.into_iter().for_each(|d| geom.add_dummy(d));
+                }
+            }
+            layers.push(geom);
+        }
+        (layers, windows)
+    }
+
+    #[test]
+    fn streamed_fill_matches_the_collected_fill_bit_for_bit() {
+        let rules = InsertionRules::default();
+        for edge in [8, 32] {
+            for layout in crate::benchmark_designs(edge, edge, 5) {
+                // Mid-slack, every seventh window left without a request.
+                let mut plan = slack_plan(&layout, 0.5);
+                plan.as_mut_slice().iter_mut().step_by(7).for_each(|x| *x = 0.0);
+                let (want_layers, want_windows) = realize_fill_reference(&layout, &plan, &rules);
+                let (layers, streamed) = collect(&layout, &plan, &rules);
+                let counted = realize_fill(&layout, &plan, &rules);
+                let bits = |w: &[WindowInsertion]| -> Vec<(u64, u64, usize)> {
+                    w.iter().map(|w| (w.requested.to_bits(), w.placed.to_bits(), w.count)).collect()
+                };
+                assert_eq!(bits(&counted.windows), bits(&want_windows), "{} {edge}", layout.name());
+                assert_eq!(bits(&streamed.windows), bits(&want_windows), "{} {edge}", layout.name());
+                // A window that placed nothing sums to −0.0, not 0.0.
+                let empty = want_windows.iter().filter(|w| w.count == 0).collect::<Vec<_>>();
+                assert!(!empty.is_empty(), "{} {edge}: no empty window", layout.name());
+                assert!(empty.iter().all(|w| w.placed.to_bits() == (-0.0f64).to_bits()));
+                // Same shapes in the same order, so the same wire / dummy
+                // counts per layer.
+                assert_eq!(layers, want_layers, "{} {edge}", layout.name());
+                let dummies: usize = layers.iter().map(LayerGeometry::dummy_count).sum();
+                assert_eq!(dummies, counted.dummy_count());
+            }
+        }
+    }
+
     #[test]
     fn realize_fill_matches_plan_approximately() {
         let layout = DesignSpec::new(DesignKind::Fpga, 4, 4, 5).generate();
-        let mut plan = FillPlan::zeros(&layout);
-        for (x, s) in plan.as_mut_slice().iter_mut().zip(layout.slack_vector()) {
-            *x = 0.4 * s;
-        }
+        let plan = slack_plan(&layout, 0.4);
         let report = realize_fill(&layout, &plan, &InsertionRules::default());
-        assert_eq!(report.layers.len(), 3);
+        assert_eq!(report.windows.len(), layout.num_windows());
         // Most of the requested area can actually be placed.
         assert!(
             report.realization_ratio() > 0.6,
@@ -443,7 +562,7 @@ mod tests {
         // must approximate the grid-level pattern parameters.
         let layout = DesignSpec::new(DesignKind::CmpTest, 4, 4, 2).generate();
         let plan = FillPlan::zeros(&layout);
-        let report = realize_fill(&layout, &plan, &InsertionRules::default());
+        let (layers, _) = collect(&layout, &plan, &InsertionRules::default());
         let w_um = layout.window_um();
         for row in 0..4 {
             for col in 0..4 {
@@ -455,7 +574,7 @@ mod tests {
                     (col + 1) as f64 * w_um,
                     (row + 1) as f64 * w_um,
                 );
-                let stats = report.layers[0].window_stats(&rect);
+                let stats = layers[0].window_stats(&rect);
                 let realized_density = stats.area / rect.area();
                 assert!(
                     (realized_density - pat.density).abs() < 0.06,

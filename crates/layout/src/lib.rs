@@ -46,7 +46,8 @@ pub use fill::{apply_fill, DummySpec, FillPlan};
 pub use geometry::{LayerGeometry, Rect, Shape, WindowStats};
 pub use grid::Grid;
 pub use insertion::{
-    insert_dummies, insert_dummies_multisize, realize_fill, InsertionReport, InsertionRules,
+    insert_dummies, insert_dummies_multisize, realize_fill, realize_fill_into, InsertionReport,
+    InsertionRules,
 };
 pub use layout::{Layout, WindowId};
 pub use slack::{non_overlap_slack, slack_types, SlackTypes};

@@ -1,16 +1,19 @@
 //! Batch normalization.
 
 use crate::module::{Buffer, Module};
-use neurfill_tensor::{NdArray, Result, Tensor, TensorError};
+use neurfill_tensor::{batch_norm_eval_inplace, BatchNormEval, NdArray, Result, Tensor};
 use std::cell::Cell;
 use std::rc::Rc;
 
 /// 2-D batch normalization over NCHW tensors.
 ///
 /// In training mode, statistics are computed from the batch and running
-/// estimates are updated; in evaluation mode the running estimates are used.
-/// The normalization expression is built from differentiable primitives, so
-/// gradients flow through the batch statistics exactly as in PyTorch.
+/// estimates are updated; the normalization expression is built from
+/// differentiable primitives, so gradients flow through the batch
+/// statistics exactly as in PyTorch. In evaluation mode the running
+/// estimates are used, by one kernel
+/// ([`neurfill_tensor::batch_norm_eval_inplace`]) behind both
+/// [`Module::forward`] (one graph node) and [`Module::infer`].
 #[derive(Debug)]
 pub struct BatchNorm2d {
     gamma: Tensor,
@@ -50,72 +53,73 @@ impl BatchNorm2d {
     pub fn running_var(&self) -> NdArray {
         self.running_var.borrow().clone()
     }
+
+    /// The normalization, followed by ReLU when `relu` — what
+    /// [`Module::forward`] (`relu: false`) and `DoubleConv` (`true`) tape.
+    ///
+    /// Training mode composes it from differentiable primitives over the
+    /// batch statistics. Evaluation mode is one graph node over the
+    /// running statistics, whose kernel is the one [`Module::infer`] runs.
+    pub(crate) fn apply(&self, input: &Tensor, relu: bool) -> Result<Tensor> {
+        if !self.training.get() {
+            return input.batch_norm_eval(
+                &self.gamma,
+                &self.beta,
+                &self.running_mean.borrow(),
+                &self.running_var.borrow(),
+                self.eps,
+                relu,
+            );
+        }
+        let c = self.channels;
+        let g = self.gamma.reshape(&[1, c, 1, 1])?;
+        let b = self.beta.reshape(&[1, c, 1, 1])?;
+        // Per-channel batch statistics via keepdim means.
+        let m = input.mean_axis(0, true)?.mean_axis(2, true)?.mean_axis(3, true)?;
+        let centered = input.sub(&m)?;
+        let v = centered.square().mean_axis(0, true)?.mean_axis(2, true)?.mean_axis(3, true)?;
+        // Update running stats with detached values.
+        {
+            let mv = m.value().reshape(&[c])?;
+            let vv = v.value().reshape(&[c])?;
+            let mut rm = self.running_mean.borrow_mut();
+            let mut rv = self.running_var.borrow_mut();
+            *rm = rm.scale(1.0 - self.momentum).add(&mv.scale(self.momentum))?;
+            *rv = rv.scale(1.0 - self.momentum).add(&vv.scale(self.momentum))?;
+        }
+        let denom = v.add_scalar(self.eps).sqrt();
+        let y = centered.div(&denom)?.mul(&g)?.add(&b)?;
+        Ok(if relu { y.relu() } else { y })
+    }
+
+    /// Forward-only [`BatchNorm2d::apply`] on an array the caller gives up:
+    /// evaluation mode normalizes it in place.
+    pub(crate) fn infer_owned(&self, mut input: NdArray, relu: bool) -> Result<NdArray> {
+        if self.training.get() {
+            // Batch statistics need the graph's semantics.
+            return self.apply(&Tensor::constant(input), relu).map(|t| t.value());
+        }
+        let (rm, rv) = (self.running_mean.borrow(), self.running_var.borrow());
+        let (g, b) = (self.gamma.data(), self.beta.data());
+        let p = BatchNormEval {
+            mean: rm.as_slice(),
+            var: rv.as_slice(),
+            gamma: g.as_slice(),
+            beta: b.as_slice(),
+            eps: self.eps,
+        };
+        batch_norm_eval_inplace(&mut input, &p, relu)?;
+        Ok(input)
+    }
 }
 
 impl Module for BatchNorm2d {
     fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        let c = self.channels;
-        let g = self.gamma.reshape(&[1, c, 1, 1])?;
-        let b = self.beta.reshape(&[1, c, 1, 1])?;
-        if self.training.get() {
-            // Per-channel batch statistics via keepdim means.
-            let m = input.mean_axis(0, true)?.mean_axis(2, true)?.mean_axis(3, true)?;
-            let centered = input.sub(&m)?;
-            let v = centered.square().mean_axis(0, true)?.mean_axis(2, true)?.mean_axis(3, true)?;
-            // Update running stats with detached values.
-            {
-                let mv = m.value().reshape(&[c])?;
-                let vv = v.value().reshape(&[c])?;
-                let mut rm = self.running_mean.borrow_mut();
-                let mut rv = self.running_var.borrow_mut();
-                *rm = rm.scale(1.0 - self.momentum).add(&mv.scale(self.momentum))?;
-                *rv = rv.scale(1.0 - self.momentum).add(&vv.scale(self.momentum))?;
-            }
-            let denom = v.add_scalar(self.eps).sqrt();
-            centered.div(&denom)?.mul(&g)?.add(&b)
-        } else {
-            let rm = Tensor::constant(self.running_mean.borrow().reshape(&[1, c, 1, 1])?);
-            let rv = Tensor::constant(self.running_var.borrow().reshape(&[1, c, 1, 1])?);
-            let denom = rv.add_scalar(self.eps).sqrt();
-            input.sub(&rm)?.div(&denom)?.mul(&g)?.add(&b)
-        }
+        self.apply(input, false)
     }
 
     fn infer(&self, input: &NdArray) -> Result<NdArray> {
-        // Fused evaluation-mode normalization: one pass instead of four
-        // broadcast ops. Per element this computes ((x − m) / d) · g + b in
-        // exactly the order the tensor expression does, so outputs stay
-        // bit-identical to `forward`. Training mode falls back to `forward`
-        // (batch statistics need the graph's semantics).
-        if self.training.get() || input.rank() != 4 || input.shape()[1] != self.channels {
-            return self.forward(&Tensor::constant(input.clone())).map(|t| t.value());
-        }
-        let rm = self.running_mean.borrow();
-        let rv = self.running_var.borrow();
-        let g = self.gamma.data();
-        let b = self.beta.data();
-        let (mean, var, gamma, beta) = (rm.as_slice(), rv.as_slice(), g.as_slice(), b.as_slice());
-        let channels = self.channels;
-        if [mean.len(), var.len(), gamma.len(), beta.len()] != [channels; 4] {
-            return Err(TensorError::ShapeMismatch {
-                lhs: vec![channels],
-                rhs: vec![mean.len(), var.len(), gamma.len(), beta.len()],
-                op: "batchnorm_infer",
-            });
-        }
-        let per = input.shape()[2] * input.shape()[3];
-        let mut out = input.clone();
-        for sample in out.as_mut_slice().chunks_mut(channels * per) {
-            for (c, block) in sample.chunks_mut(per).enumerate() {
-                let m = mean[c];
-                let d = (var[c] + self.eps).sqrt();
-                let (gc, bc) = (gamma[c], beta[c]);
-                for v in block {
-                    *v = (*v - m) / d * gc + bc;
-                }
-            }
-        }
-        Ok(out)
+        self.infer_owned(input.clone(), false)
     }
 
     fn parameters(&self) -> Vec<Tensor> {
@@ -134,6 +138,66 @@ impl Module for BatchNorm2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The evaluation-mode expression the fused node replaced: four
+    /// broadcast nodes over the running statistics (five with the ReLU).
+    fn composed_eval(bn: &BatchNorm2d, input: &Tensor) -> Result<Tensor> {
+        let c = bn.channels;
+        let g = bn.gamma.reshape(&[1, c, 1, 1])?;
+        let b = bn.beta.reshape(&[1, c, 1, 1])?;
+        let rm = Tensor::constant(bn.running_mean.borrow().reshape(&[1, c, 1, 1])?);
+        let rv = Tensor::constant(bn.running_var.borrow().reshape(&[1, c, 1, 1])?);
+        let denom = rv.add_scalar(bn.eps).sqrt();
+        input.sub(&rm)?.div(&denom)?.mul(&g)?.add(&b)
+    }
+
+    #[test]
+    fn fused_eval_node_matches_the_composed_graph() {
+        let bits = |a: &NdArray| a.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for shape in [[1, 8, 32, 32], [2, 16, 16, 16], [1, 32, 8, 8]] {
+            let c = shape[1];
+            let bn = BatchNorm2d::new(c);
+            // Statistics and affine parameters off their initial values.
+            let data =
+                NdArray::from_fn(&shape, |i| (i as f32 * 0.37).sin() * 1.5 + (i % 7) as f32 * 0.1);
+            for _ in 0..3 {
+                bn.forward(&Tensor::constant(data.clone())).unwrap();
+            }
+            bn.gamma
+                .set_data(NdArray::from_fn(&[c], |i| 0.6 + 0.11 * i as f32 * (-1.0f32).powi(i as i32)));
+            bn.beta.set_data(NdArray::from_fn(&[c], |i| 0.05 * (i as f32 - c as f32 / 2.0)));
+            bn.set_training(false);
+            assert_ne!(bn.running_mean().as_slice()[0], 0.0);
+            assert_ne!(bn.running_var().as_slice()[0], 1.0);
+
+            let input = NdArray::from_fn(&shape, |i| (i as f32 * 0.91).cos() * 2.0);
+            let seed = NdArray::from_fn(&shape, |i| (i as f32 * 0.53).sin() - 0.2);
+            let run = |f: &dyn Fn(&Tensor) -> Result<Tensor>| {
+                let x = Tensor::parameter(input.clone());
+                bn.parameters().iter().for_each(Tensor::zero_grad);
+                let y = f(&x).unwrap();
+                y.backward_with(seed.clone()).unwrap();
+                (y.value(), x.grad().unwrap(), bn.gamma.grad().unwrap(), bn.beta.grad().unwrap())
+            };
+            for relu in [true, false] {
+                let (y, dx, dgamma, dbeta) = run(&|x| bn.apply(x, relu));
+                let (want_y, want_dx, want_dgamma, want_dbeta) =
+                    run(&|x| composed_eval(&bn, x).map(|y| if relu { y.relu() } else { y }));
+                assert_eq!(bits(&y), bits(&want_y), "{shape:?} relu={relu}");
+                assert_eq!(bits(&dx), bits(&want_dx), "{shape:?} relu={relu}");
+                assert_eq!(y.as_slice().contains(&0.0), relu, "the ReLU clamps some outputs");
+                // The forward-only path is the same kernel.
+                let inferred = bn.infer_owned(input.clone(), relu).unwrap();
+                assert_eq!(bits(&inferred), bits(&want_y), "{shape:?} relu={relu}");
+                // dγ / dβ are summed in a different order (and in f64).
+                for (got, want) in [(&dgamma, &want_dgamma), (&dbeta, &want_dbeta)] {
+                    for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
+                        assert!((g - w).abs() <= 1e-5 * w.abs(), "{shape:?} relu={relu}: {g} vs {w}");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn normalizes_batch_to_zero_mean_unit_var() {

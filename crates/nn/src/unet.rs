@@ -79,17 +79,13 @@ impl DoubleConv {
 
 impl Module for DoubleConv {
     fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        let x = self.bn1.forward(&self.conv1.forward(input)?)?.relu();
-        Ok(self.bn2.forward(&self.conv2.forward(&x)?)?.relu())
+        let x = self.bn1.apply(&self.conv1.forward(input)?, true)?;
+        self.bn2.apply(&self.conv2.forward(&x)?, true)
     }
     fn infer(&self, input: &NdArray) -> Result<NdArray> {
-        // The same max(0) kernel `Tensor::relu` applies, run in place to
-        // avoid a copy per block.
-        let mut x = self.bn1.infer(&self.conv1.infer(input)?)?;
-        x.map_inplace(|v| v.max(0.0));
-        let mut y = self.bn2.infer(&self.conv2.infer(&x)?)?;
-        y.map_inplace(|v| v.max(0.0));
-        Ok(y)
+        // Norm + ReLU in place on each convolution's output.
+        let x = self.bn1.infer_owned(self.conv1.infer(input)?, true)?;
+        self.bn2.infer_owned(self.conv2.infer(&x)?, true)
     }
     fn parameters(&self) -> Vec<Tensor> {
         let mut p = self.conv1.parameters();

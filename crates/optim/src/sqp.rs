@@ -49,7 +49,7 @@ pub struct SqpResult {
     pub x: Vec<f64>,
     /// Objective value at `x`.
     pub value: f64,
-    /// Major iterations performed.
+    /// Major iterations that took a step (`history.len()`).
     pub iterations: usize,
     /// Objective evaluations spent, failed line searches included.
     pub evaluations: usize,
@@ -228,7 +228,6 @@ impl SqpSolver {
                 converged = true;
                 break;
             }
-            iterations += 1;
             let direction = lbfgs.ascent_direction(&g);
             // Quasi-Newton direction first; when it fails, the
             // steepest-ascent fallback.
@@ -258,6 +257,7 @@ impl SqpSolver {
                 converged = true;
                 break;
             };
+            iterations += 1;
             let g_new = objective.gradient(&ls.x);
             gradient_evaluations += 1;
             let s: Vec<f64> = ls.x.iter().zip(&x).map(|(a, b)| a - b).collect();
@@ -376,6 +376,30 @@ mod tests {
         let r = SqpSolver::default().maximize(&obj, &bounds, &[0.5]);
         assert!(r.converged);
         assert_eq!(r.iterations, 0);
+    }
+
+    #[test]
+    fn an_iteration_that_takes_no_step_is_not_counted() {
+        // Constant value, non-zero gradient: every trial is evaluated and
+        // fails Armijo, along the quasi-Newton direction and along the
+        // gradient, so the first major iteration exits without a step.
+        let calls = Cell::new(0usize);
+        let obj = FnObjective::new(
+            2,
+            |_: &[f64]| {
+                calls.set(calls.get() + 1);
+                1.0
+            },
+            |_: &[f64]| vec![1.0, 0.5],
+        );
+        let bounds = Bounds::new(vec![0.0; 2], vec![1.0; 2]);
+        let r = SqpSolver::default().maximize(&obj, &bounds, &[0.5, 0.5]);
+        assert!(r.converged, "{r:?}");
+        assert_eq!(r.iterations, 0);
+        assert!(r.history.is_empty());
+        assert_eq!(r.evaluations, calls.get());
+        assert!(r.evaluations > 1, "the failed searches evaluated trials: {r:?}");
+        assert_eq!(r.x, vec![0.5, 0.5]);
     }
 
     #[test]

@@ -56,6 +56,7 @@ pub use ops::conv::{
     avg_pool2d_forward, conv2d_backward, conv2d_forward, conv_out_extent, conv_transpose2d_backward,
     conv_transpose2d_forward, im2col_into, max_pool2d_forward, ConvGrads,
 };
+pub use ops::norm::{batch_norm_eval_inplace, BatchNormEval};
 pub use ops::shape_ops::upsample_nearest2d_forward;
 pub use tensor::Tensor;
 

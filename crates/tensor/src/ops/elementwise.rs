@@ -98,6 +98,22 @@ impl GradFn for UnaryGrad {
     }
 }
 
+/// Backward for `s · x + t`: the scalar is the whole derivative.
+struct AffineGrad {
+    scale: f32,
+    name: &'static str,
+}
+
+impl GradFn for AffineGrad {
+    fn backward(&self, grad: &NdArray, _needs: &[bool]) -> Vec<Option<NdArray>> {
+        // `g · 1.0` is `g` for every `g`, −0.0 and NaN included.
+        vec![Some(if self.scale == 1.0 { grad.clone() } else { grad.scale(self.scale) })]
+    }
+    fn name(&self) -> &'static str {
+        self.name
+    }
+}
+
 impl Tensor {
     /// Elementwise sum with broadcasting.
     ///
@@ -159,24 +175,21 @@ impl Tensor {
     #[must_use]
     pub fn neg(&self) -> Tensor {
         let out = self.data().scale(-1.0);
-        let dydx = NdArray::full(&self.shape(), -1.0);
-        Tensor::from_op(out, vec![self.clone()], Box::new(UnaryGrad { dydx, name: "neg" }))
+        Tensor::from_op(out, vec![self.clone()], Box::new(AffineGrad { scale: -1.0, name: "neg" }))
     }
 
     /// Adds a scalar to every element.
     #[must_use]
     pub fn add_scalar(&self, s: f32) -> Tensor {
         let out = self.data().add_scalar(s);
-        let dydx = NdArray::ones(&self.shape());
-        Tensor::from_op(out, vec![self.clone()], Box::new(UnaryGrad { dydx, name: "add_scalar" }))
+        Tensor::from_op(out, vec![self.clone()], Box::new(AffineGrad { scale: 1.0, name: "add_scalar" }))
     }
 
     /// Multiplies every element by a scalar.
     #[must_use]
     pub fn scale(&self, s: f32) -> Tensor {
         let out = self.data().scale(s);
-        let dydx = NdArray::full(&self.shape(), s);
-        Tensor::from_op(out, vec![self.clone()], Box::new(UnaryGrad { dydx, name: "scale" }))
+        Tensor::from_op(out, vec![self.clone()], Box::new(AffineGrad { scale: s, name: "scale" }))
     }
 
     /// Elementwise square.

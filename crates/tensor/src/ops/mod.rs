@@ -9,5 +9,6 @@ pub mod activation;
 pub mod conv;
 pub mod elementwise;
 pub mod matmul;
+pub mod norm;
 pub mod reduce;
 pub mod shape_ops;

@@ -13,8 +13,8 @@ use neurfill::surrogate::{train_surrogate, SurrogateConfig};
 use neurfill::{Coefficients, NeurFill, NeurFillConfig, PlanarityMetrics};
 use neurfill_cmpsim::{CmpSimulator, ProcessParams};
 use neurfill_layout::datagen::DataGenConfig;
-use neurfill_layout::insertion::{realize_fill, InsertionRules};
-use neurfill_layout::{apply_fill, benchmark_designs, DesignKind, DesignSpec, DummySpec};
+use neurfill_layout::insertion::{realize_fill_into, InsertionRules};
+use neurfill_layout::{apply_fill, benchmark_designs, DesignKind, DesignSpec, DummySpec, LayerGeometry};
 use neurfill_nn::{TrainConfig, UNetConfig};
 use rand::SeedableRng;
 
@@ -64,7 +64,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- Phase 2: filling insertion ---------------------------------------
     println!("[2] filling insertion (dummy placement under spacing rules)...");
     let rules = InsertionRules::default();
-    let report = realize_fill(&layout, &outcome.plan, &rules);
+    // Insertion keeps no rectangles: each goes to the sink. This one
+    // collects them per layer; a sink that writes (GDS, a socket) streams
+    // a chip's fill out without ever holding it, and `realize_fill` is the
+    // sink that drops them when the per-window report is all that is read.
+    let mut layers = vec![LayerGeometry::new(); layout.num_layers()];
+    let report = realize_fill_into(&layout, &outcome.plan, &rules, |l, shape| layers[l].push(shape));
     println!(
         "    placed {} dummies, {:.0}/{:.0} um^2 realized ({:.1}%)",
         report.dummy_count(),
@@ -72,6 +77,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.total_requested(),
         report.realization_ratio() * 100.0
     );
+    for (l, geom) in layers.iter().enumerate() {
+        println!(
+            "    layer {l}: {} wires + {} dummies",
+            geom.len() - geom.dummy_count(),
+            geom.dummy_count()
+        );
+    }
 
     // ---- Phase 3: verification -------------------------------------------
     println!("[3] verification with the golden simulator...");

@@ -14,7 +14,7 @@ use neurfill::surrogate::SurrogateConfig;
 use neurfill::{Coefficients, FillObjective, StartMode};
 use neurfill_cmpsim::ProcessParams;
 use neurfill_layout::datagen::DataGenConfig;
-use neurfill_layout::{benchmark_designs, Layout};
+use neurfill_layout::{benchmark_designs, realize_fill_into, Layout};
 use neurfill_nn::{TrainConfig, UNetConfig};
 use neurfill_optim::{Bounds, BoxNormalized, Objective, SqpResult, SqpSolver};
 use neurfill_runtime::fnv1a;
@@ -127,12 +127,13 @@ fn fill_jobs_reproduce_the_pinned_trajectory() {
         assert_eq!(sqp.iterations, result.synthesis.sqp_iterations, "{}", layout.name());
         assert_eq!(sqp.history.len(), sqp.iterations);
 
-        let rectangles = result.insertion.layers.iter().flat_map(|layer| {
-            layer
-                .shapes()
-                .iter()
-                .flat_map(|s| [s.rect.x0, s.rect.y0, s.rect.x1, s.rect.y1].map(f64::to_bits))
+        // The flow keeps no rectangles; realizing its plan again streams
+        // them, layer by layer, into the digest.
+        let mut rectangles = Vec::new();
+        let streamed = realize_fill_into(&layout, &result.plan, &flow.config().insertion, |_, s| {
+            rectangles.extend([s.rect.x0, s.rect.y0, s.rect.x1, s.rect.y1].map(f64::to_bits));
         });
+        assert_eq!(streamed.windows, result.insertion.windows, "{}", layout.name());
         pins.push(Pin {
             plan: fnv_f64(result.plan.as_slice()),
             objective_value: result.synthesis.objective_value.to_bits(),
