@@ -48,19 +48,22 @@ cargo test --release -p neurfill-cmpsim --test kernel_equivalence -q
 cargo test --release -p neurfill-chip --test bit_identity -q
 
 # The line search, the frozen-surrogate backward, the row-span im2col/col2im,
-# the column-filtered insertion scan, the streamed (sink) insertion and the
-# fused eval-mode norm + ReLU node each replaced code that now lives on as a
-# test-only oracle; the workspace run above compared them in debug, this
-# compares the optimized code that ships — whose heap footprint per job is
-# the one `live_heap` pins.
-echo "== replacement-vs-oracle suites, release build (line search, frozen + per-layer planarity, im2col/col2im, insertion + sink, fused norm node, live heap per job)"
+# the column-filtered insertion scan, the streamed (sink) insertion, the fused
+# norm + ReLU node (evaluation and training mode) and the scratch-reusing
+# convolution backward each replaced code that now lives on as a test-only
+# oracle; the workspace run above compared them in debug, this compares the
+# optimized code that ships — whose heap footprint per job and per training
+# step is the one `live_heap` pins, and whose trained weights `training_pin`
+# pins at the parent of the change that fused the training node.
+echo "== replacement-vs-oracle suites, release build (line search, frozen + per-layer planarity, im2col/col2im + conv backward, insertion + sink, fused norm node, trajectory + training pins, live heap per job and per training step)"
 cargo test --release -p neurfill-optim --lib linesearch -q
 cargo test --release -p neurfill --lib frozen_planarity -q
 cargo test --release -p neurfill --lib per_layer_backward -q
 cargo test --release -p neurfill-tensor --lib ops::conv -q
 cargo test --release -p neurfill-layout --lib insertion -q
-cargo test --release -p neurfill-nn --lib fused_eval_node_matches_the_composed_graph -q
+cargo test --release -p neurfill-nn --lib layers::norm::tests::fused -q
 cargo test --release --test trajectory_pin -q
+cargo test --release --test training_pin -q
 cargo test --release --test live_heap -q
 
 # A pool job's `predicted` is pinned bit-equal to per-layer single forwards

@@ -3,7 +3,7 @@
 
 use crate::cmp_nn::{CmpNeuralNetwork, CmpNnConfig, HeightNorm};
 use crate::extraction::{extract_layer_arrays, ExtractionConfig, NUM_CHANNELS};
-use neurfill_cmpsim::CmpSimulator;
+use neurfill_cmpsim::{ChipProfile, CmpSimulator};
 use neurfill_layout::datagen::{DataGenConfig, TrainingLayoutGenerator};
 use neurfill_layout::Layout;
 use neurfill_nn::{fit, Dataset, Module, TrainConfig, UNet, UNetConfig};
@@ -70,18 +70,25 @@ pub struct TrainedSurrogate {
     pub report: TrainReport,
 }
 
+/// Layouts whose simulated profiles fix the height normalization.
+const NORM_LAYOUTS: usize = 8;
+
 /// Builds the supervised dataset: for each generated layout and layer, the
 /// input is the extraction planes and the target the simulated height map
-/// (normalized by `norm`).
+/// (normalized by `norm`). `simulated` holds the profiles of the leading
+/// layouts that were simulated already; the rest are simulated here, so
+/// each layout is simulated once and few profiles are alive at a time.
 fn build_dataset(
     layouts: &[Layout],
+    simulated: Vec<ChipProfile>,
     sim: &CmpSimulator,
     extraction: &ExtractionConfig,
     norm: HeightNorm,
 ) -> Result<Dataset> {
     let mut ds = Dataset::new();
+    let mut simulated = simulated.into_iter();
     for layout in layouts {
-        let profile = sim.simulate(layout);
+        let profile = simulated.next().unwrap_or_else(|| sim.simulate(layout));
         for l in 0..layout.num_layers() {
             let input = extract_layer_arrays(layout, l, extraction);
             let target: Vec<f32> = profile
@@ -98,10 +105,9 @@ fn build_dataset(
 }
 
 /// Derives the height normalization from simulated training layouts.
-fn derive_norm(layouts: &[Layout], sim: &CmpSimulator) -> HeightNorm {
+fn derive_norm(profiles: &[ChipProfile]) -> HeightNorm {
     let mut all = Vec::new();
-    for layout in layouts.iter().take(8) {
-        let profile = sim.simulate(layout);
+    for profile in profiles {
         for l in profile.iter() {
             all.extend_from_slice(l.heights());
         }
@@ -140,8 +146,9 @@ pub fn train_surrogate(
     // Step 1+2 of Fig. 8: assemble + random fill.
     let mut gen = TrainingLayoutGenerator::new(sources.to_vec(), config.datagen.clone());
     let layouts = gen.generate(config.num_layouts);
-    let norm = derive_norm(&layouts, sim);
-    let mut train = build_dataset(&layouts, sim, &config.extraction, norm)?;
+    let head: Vec<ChipProfile> = layouts.iter().take(NORM_LAYOUTS).map(|l| sim.simulate(l)).collect();
+    let norm = derive_norm(&head);
+    let mut train = build_dataset(&layouts, head, sim, &config.extraction, norm)?;
     let val_n = ((train.len() as f64) * config.validation_fraction).round() as usize;
     let val = train.split_off(val_n.min(train.len().saturating_sub(1)));
 

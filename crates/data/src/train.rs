@@ -49,7 +49,7 @@ pub struct StreamEpochStats {
     /// Mean training loss over the batches this run processed in the
     /// epoch (a resumed epoch averages only the shards it actually ran).
     pub train_loss: f32,
-    /// Validation MSE via the inference fast path, when a validation set
+    /// Validation MSE ([`neurfill_nn::evaluate`]), when a validation set
     /// was supplied.
     pub val_loss: Option<f32>,
     /// Learning rate the epoch ran with.
@@ -64,41 +64,6 @@ impl Drop for EvalOnDrop<'_> {
     fn drop(&mut self) {
         self.0.set_training(false);
     }
-}
-
-/// Mean MSE of `model` over `data` using the graph-free
-/// [`Module::infer`] fast path (bit-identical to evaluation-mode
-/// `forward`, without autograd overhead).
-///
-/// # Errors
-///
-/// Returns `InvalidData` on a shape mismatch between model and data.
-pub fn evaluate_infer(model: &dyn Module, data: &Dataset, batch_size: usize) -> io::Result<f32> {
-    model.set_training(false);
-    let mut total = 0.0f64;
-    let mut batches = 0usize;
-    let idx: Vec<usize> = (0..data.len()).collect();
-    for chunk in idx.chunks(batch_size.max(1)) {
-        let (x, y) = data.batch(chunk);
-        let pred = model.infer(&x).map_err(|e| bad(e.to_string()))?;
-        if pred.shape() != y.shape() {
-            return Err(bad(format!(
-                "prediction shape {:?} != target shape {:?}",
-                pred.shape(),
-                y.shape()
-            )));
-        }
-        let n = pred.numel().max(1) as f64;
-        let se: f64 = pred
-            .as_slice()
-            .iter()
-            .zip(y.as_slice())
-            .map(|(p, t)| f64::from(p - t) * f64::from(p - t))
-            .sum();
-        total += se / n;
-        batches += 1;
-    }
-    Ok((total / batches.max(1) as f64) as f32)
 }
 
 /// Trains `model` over the shard set with MSE loss and Adam, one shard in
@@ -190,7 +155,8 @@ pub fn train_streaming(
         next_shard = 0;
         let val_loss = match val {
             Some(v) if !v.is_empty() => {
-                let loss = evaluate_infer(model, v, cfg.train.batch_size)?;
+                let loss = neurfill_nn::evaluate(model, v, cfg.train.batch_size)
+                    .map_err(|e| bad(e.to_string()))?;
                 // Validation flipped the model to eval; the next epoch (or
                 // the guard) sets the mode it needs.
                 Some(loss)
@@ -320,22 +286,6 @@ mod tests {
             weights(&straight),
             weights(&resumed),
             "resume must be bit-identical to the uninterrupted run"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn evaluate_infer_matches_forward_eval() {
-        let dir = tmp("infer");
-        write_corpus(&dir, 8, 8);
-        let set = ShardSet::open_dir(&dir).unwrap();
-        let ds = set.load_shard(0).unwrap();
-        let model = unet(3);
-        let via_infer = evaluate_infer(&model, &ds, 4).unwrap();
-        let via_forward = neurfill_nn::evaluate(&model, &ds, 4).unwrap();
-        assert!(
-            (via_infer - via_forward).abs() <= 1e-6 * via_forward.abs().max(1.0),
-            "{via_infer} vs {via_forward}"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -8,12 +8,11 @@ use std::rc::Rc;
 /// 2-D batch normalization over NCHW tensors.
 ///
 /// In training mode, statistics are computed from the batch and running
-/// estimates are updated; the normalization expression is built from
-/// differentiable primitives, so gradients flow through the batch
-/// statistics exactly as in PyTorch. In evaluation mode the running
-/// estimates are used, by one kernel
-/// ([`neurfill_tensor::batch_norm_eval_inplace`]) behind both
-/// [`Module::forward`] (one graph node) and [`Module::infer`].
+/// estimates are updated; gradients flow through the batch statistics
+/// exactly as in PyTorch. In evaluation mode the running estimates are
+/// used. Either way [`Module::forward`] tapes one graph node, whose value
+/// comes from the kernel ([`neurfill_tensor::batch_norm_eval_inplace`])
+/// that [`Module::infer`] runs.
 #[derive(Debug)]
 pub struct BatchNorm2d {
     gamma: Tensor,
@@ -23,7 +22,6 @@ pub struct BatchNorm2d {
     momentum: f32,
     eps: f32,
     training: Cell<bool>,
-    channels: usize,
 }
 
 impl BatchNorm2d {
@@ -38,7 +36,6 @@ impl BatchNorm2d {
             momentum: 0.1,
             eps: 1e-5,
             training: Cell::new(true),
-            channels,
         }
     }
 
@@ -55,11 +52,14 @@ impl BatchNorm2d {
     }
 
     /// The normalization, followed by ReLU when `relu` — what
-    /// [`Module::forward`] (`relu: false`) and `DoubleConv` (`true`) tape.
+    /// [`Module::forward`] (`relu: false`) and `DoubleConv` (`true`) tape,
+    /// as one graph node in either mode.
     ///
-    /// Training mode composes it from differentiable primitives over the
-    /// batch statistics. Evaluation mode is one graph node over the
-    /// running statistics, whose kernel is the one [`Module::infer`] runs.
+    /// Training mode normalizes against the batch statistics
+    /// ([`Tensor::batch_norm_train`]; gradients flow through them) and
+    /// moves the running estimates towards them. Evaluation mode
+    /// normalizes against the running estimates, with the kernel
+    /// [`Module::infer`] runs.
     pub(crate) fn apply(&self, input: &Tensor, relu: bool) -> Result<Tensor> {
         if !self.training.get() {
             return input.batch_norm_eval(
@@ -71,25 +71,19 @@ impl BatchNorm2d {
                 relu,
             );
         }
-        let c = self.channels;
-        let g = self.gamma.reshape(&[1, c, 1, 1])?;
-        let b = self.beta.reshape(&[1, c, 1, 1])?;
-        // Per-channel batch statistics via keepdim means.
-        let m = input.mean_axis(0, true)?.mean_axis(2, true)?.mean_axis(3, true)?;
-        let centered = input.sub(&m)?;
-        let v = centered.square().mean_axis(0, true)?.mean_axis(2, true)?.mean_axis(3, true)?;
-        // Update running stats with detached values.
-        {
-            let mv = m.value().reshape(&[c])?;
-            let vv = v.value().reshape(&[c])?;
-            let mut rm = self.running_mean.borrow_mut();
-            let mut rv = self.running_var.borrow_mut();
-            *rm = rm.scale(1.0 - self.momentum).add(&mv.scale(self.momentum))?;
-            *rv = rv.scale(1.0 - self.momentum).add(&vv.scale(self.momentum))?;
-        }
-        let denom = v.add_scalar(self.eps).sqrt();
-        let y = centered.div(&denom)?.mul(&g)?.add(&b)?;
-        Ok(if relu { y.relu() } else { y })
+        let (y, mean, var) = input.batch_norm_train(&self.gamma, &self.beta, self.eps, relu)?;
+        self.update_running_stats(&mean, &var)?;
+        Ok(y)
+    }
+
+    /// Moves the running estimates towards one batch's statistics (`[C]`
+    /// each).
+    fn update_running_stats(&self, mean: &NdArray, var: &NdArray) -> Result<()> {
+        let mut rm = self.running_mean.borrow_mut();
+        let mut rv = self.running_var.borrow_mut();
+        *rm = rm.scale(1.0 - self.momentum).add(&mean.scale(self.momentum))?;
+        *rv = rv.scale(1.0 - self.momentum).add(&var.scale(self.momentum))?;
+        Ok(())
     }
 
     /// Forward-only [`BatchNorm2d::apply`] on an array the caller gives up:
@@ -139,10 +133,14 @@ impl Module for BatchNorm2d {
 mod tests {
     use super::*;
 
+    fn bits(a: &NdArray) -> Vec<u32> {
+        a.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
     /// The evaluation-mode expression the fused node replaced: four
     /// broadcast nodes over the running statistics (five with the ReLU).
     fn composed_eval(bn: &BatchNorm2d, input: &Tensor) -> Result<Tensor> {
-        let c = bn.channels;
+        let c = bn.gamma.numel();
         let g = bn.gamma.reshape(&[1, c, 1, 1])?;
         let b = bn.beta.reshape(&[1, c, 1, 1])?;
         let rm = Tensor::constant(bn.running_mean.borrow().reshape(&[1, c, 1, 1])?);
@@ -151,49 +149,113 @@ mod tests {
         input.sub(&rm)?.div(&denom)?.mul(&g)?.add(&b)
     }
 
+    /// The training-mode expression the fused node replaced: fifteen nodes
+    /// over keepdim means (sixteen with the ReLU), running-statistics
+    /// update included.
+    fn composed_train(bn: &BatchNorm2d, input: &Tensor) -> Result<Tensor> {
+        let c = bn.gamma.numel();
+        let g = bn.gamma.reshape(&[1, c, 1, 1])?;
+        let b = bn.beta.reshape(&[1, c, 1, 1])?;
+        let m = input.mean_axis(0, true)?.mean_axis(2, true)?.mean_axis(3, true)?;
+        let centered = input.sub(&m)?;
+        let v = centered.square().mean_axis(0, true)?.mean_axis(2, true)?.mean_axis(3, true)?;
+        bn.update_running_stats(&m.value().reshape(&[c])?, &v.value().reshape(&[c])?)?;
+        let denom = v.add_scalar(bn.eps).sqrt();
+        centered.div(&denom)?.mul(&g)?.add(&b)
+    }
+
+    /// A layer whose γ / β are off their initial values.
+    fn perturbed(c: usize) -> BatchNorm2d {
+        let bn = BatchNorm2d::new(c);
+        bn.gamma.set_data(NdArray::from_fn(&[c], |i| 0.6 + 0.11 * i as f32 * (-1.0f32).powi(i as i32)));
+        bn.beta.set_data(NdArray::from_fn(&[c], |i| 0.05 * (i as f32 - c as f32 / 2.0)));
+        bn
+    }
+
+    /// Output, input gradient, dγ and dβ of `f` on `bn`, seeded with `seed`.
+    fn run(
+        bn: &BatchNorm2d,
+        input: &NdArray,
+        seed: &NdArray,
+        f: &dyn Fn(&Tensor) -> Result<Tensor>,
+    ) -> [NdArray; 4] {
+        let x = Tensor::parameter(input.clone());
+        bn.parameters().iter().for_each(Tensor::zero_grad);
+        let y = f(&x).unwrap();
+        y.backward_with(seed.clone()).unwrap();
+        [y.value(), x.grad().unwrap(), bn.gamma.grad().unwrap(), bn.beta.grad().unwrap()]
+    }
+
     #[test]
     fn fused_eval_node_matches_the_composed_graph() {
-        let bits = |a: &NdArray| a.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for shape in [[1, 8, 32, 32], [2, 16, 16, 16], [1, 32, 8, 8]] {
-            let c = shape[1];
-            let bn = BatchNorm2d::new(c);
-            // Statistics and affine parameters off their initial values.
+            let bn = perturbed(shape[1]);
+            // Statistics off their initial values.
             let data =
                 NdArray::from_fn(&shape, |i| (i as f32 * 0.37).sin() * 1.5 + (i % 7) as f32 * 0.1);
             for _ in 0..3 {
                 bn.forward(&Tensor::constant(data.clone())).unwrap();
             }
-            bn.gamma
-                .set_data(NdArray::from_fn(&[c], |i| 0.6 + 0.11 * i as f32 * (-1.0f32).powi(i as i32)));
-            bn.beta.set_data(NdArray::from_fn(&[c], |i| 0.05 * (i as f32 - c as f32 / 2.0)));
             bn.set_training(false);
             assert_ne!(bn.running_mean().as_slice()[0], 0.0);
             assert_ne!(bn.running_var().as_slice()[0], 1.0);
 
             let input = NdArray::from_fn(&shape, |i| (i as f32 * 0.91).cos() * 2.0);
             let seed = NdArray::from_fn(&shape, |i| (i as f32 * 0.53).sin() - 0.2);
-            let run = |f: &dyn Fn(&Tensor) -> Result<Tensor>| {
-                let x = Tensor::parameter(input.clone());
-                bn.parameters().iter().for_each(Tensor::zero_grad);
-                let y = f(&x).unwrap();
-                y.backward_with(seed.clone()).unwrap();
-                (y.value(), x.grad().unwrap(), bn.gamma.grad().unwrap(), bn.beta.grad().unwrap())
-            };
             for relu in [true, false] {
-                let (y, dx, dgamma, dbeta) = run(&|x| bn.apply(x, relu));
-                let (want_y, want_dx, want_dgamma, want_dbeta) =
-                    run(&|x| composed_eval(&bn, x).map(|y| if relu { y.relu() } else { y }));
-                assert_eq!(bits(&y), bits(&want_y), "{shape:?} relu={relu}");
-                assert_eq!(bits(&dx), bits(&want_dx), "{shape:?} relu={relu}");
-                assert_eq!(y.as_slice().contains(&0.0), relu, "the ReLU clamps some outputs");
+                let got = run(&bn, &input, &seed, &|x| bn.apply(x, relu));
+                let want = run(&bn, &input, &seed, &|x| {
+                    composed_eval(&bn, x).map(|y| if relu { y.relu() } else { y })
+                });
+                for (got, want) in got.iter().zip(&want) {
+                    assert_eq!(bits(got), bits(want), "{shape:?} relu={relu}");
+                }
+                assert_eq!(got[0].as_slice().contains(&0.0), relu, "the ReLU clamps some outputs");
                 // The forward-only path is the same kernel.
                 let inferred = bn.infer_owned(input.clone(), relu).unwrap();
-                assert_eq!(bits(&inferred), bits(&want_y), "{shape:?} relu={relu}");
-                // dγ / dβ are summed in a different order (and in f64).
-                for (got, want) in [(&dgamma, &want_dgamma), (&dbeta, &want_dbeta)] {
-                    for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
-                        assert!((g - w).abs() <= 1e-5 * w.abs(), "{shape:?} relu={relu}: {g} vs {w}");
-                    }
+                assert_eq!(bits(&inferred), bits(&want[0]), "{shape:?} relu={relu}");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_training_node_matches_the_composed_graph() {
+        for shape in [[4, 8, 32, 32], [4, 16, 16, 16], [4, 32, 8, 8], [3, 8, 32, 32], [1, 16, 16, 16]] {
+            let input =
+                NdArray::from_fn(&shape, |i| (i as f32 * 0.91).cos() * 2.0 + (i % 5) as f32 * 0.3);
+            let seed = NdArray::from_fn(&shape, |i| (i as f32 * 0.53).sin() - 0.2);
+            for relu in [true, false] {
+                let (fused, oracle) = (perturbed(shape[1]), perturbed(shape[1]));
+                let got = run(&fused, &input, &seed, &|x| fused.apply(x, relu));
+                let want = run(&oracle, &input, &seed, &|x| {
+                    composed_train(&oracle, x).map(|y| if relu { y.relu() } else { y })
+                });
+                for (got, want) in got.iter().zip(&want) {
+                    assert_eq!(bits(got), bits(want), "{shape:?} relu={relu}");
+                }
+                assert_eq!(got[0].as_slice().contains(&0.0), relu, "the ReLU clamps some outputs");
+                assert_eq!(bits(&fused.running_mean()), bits(&oracle.running_mean()), "{shape:?}");
+                assert_eq!(bits(&fused.running_var()), bits(&oracle.running_var()), "{shape:?}");
+                assert_ne!(fused.running_mean().as_slice()[0], 0.0);
+            }
+        }
+    }
+
+    #[test]
+    fn unit_extents_and_negative_zeros_match_the_composed_graph() {
+        // `reduce_to_shape` sums over no axis of extent 1, so a −0.0
+        // gradient survives it; a keepdim mean turns it into +0.0.
+        for shape in [[1, 2, 1, 1], [1, 2, 1, 3], [2, 2, 1, 1], [1, 2, 3, 1]] {
+            let input = NdArray::from_fn(&shape, |i| if i % 2 == 0 { -0.0 } else { 0.7 - i as f32 });
+            let seed = NdArray::from_fn(&shape, |i| if i % 3 == 0 { -0.0 } else { 0.4 });
+            for relu in [true, false] {
+                let (fused, oracle) = (BatchNorm2d::new(2), BatchNorm2d::new(2));
+                let got = run(&fused, &input, &seed, &|x| fused.apply(x, relu));
+                let want = run(&oracle, &input, &seed, &|x| {
+                    composed_train(&oracle, x).map(|y| if relu { y.relu() } else { y })
+                });
+                for (got, want) in got.iter().zip(&want) {
+                    assert_eq!(bits(got), bits(want), "{shape:?} relu={relu}");
                 }
             }
         }

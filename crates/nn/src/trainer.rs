@@ -6,7 +6,7 @@ use crate::loss::mse_loss;
 use crate::module::Module;
 use crate::optim::{Adam, Optimizer};
 use crate::schedule::LrSchedule;
-use neurfill_tensor::{Result, Tensor};
+use neurfill_tensor::{Result, Tensor, TensorError};
 use rand::Rng;
 
 /// Training hyper-parameters.
@@ -119,26 +119,42 @@ pub fn fit(
     Ok(history)
 }
 
-/// Mean MSE of `model` over `data` in evaluation mode.
+/// Mean MSE of `model` over `data` in evaluation mode, through the
+/// graph-free [`Module::infer`] path (bit-identical to evaluation-mode
+/// `forward`, without taping anything), squared errors summed in `f64`.
 ///
 /// The model is left in evaluation mode (callers mid-training re-enable
 /// training mode themselves, as [`fit`] does at each epoch start).
 ///
 /// # Errors
 ///
-/// Propagates shape errors from the model's forward pass.
+/// Propagates shape errors from the model's forward pass, and returns one
+/// when a prediction's shape differs from its target's.
 pub fn evaluate(model: &dyn Module, data: &Dataset, batch_size: usize) -> Result<f32> {
     model.set_training(false);
-    let mut total = 0.0;
-    let mut batches = 0;
+    let mut total = 0.0f64;
+    let mut batches = 0usize;
     let idx: Vec<usize> = (0..data.len()).collect();
     for chunk in idx.chunks(batch_size.max(1)) {
         let (x, y) = data.batch(chunk);
-        let pred = model.forward(&Tensor::constant(x))?;
-        total += mse_loss(&pred, &Tensor::constant(y))?.item();
+        let pred = model.infer(&x)?;
+        if pred.shape() != y.shape() {
+            return Err(TensorError::ShapeMismatch {
+                lhs: pred.shape().to_vec(),
+                rhs: y.shape().to_vec(),
+                op: "evaluate",
+            });
+        }
+        let squared_error: f64 = pred
+            .as_slice()
+            .iter()
+            .zip(y.as_slice())
+            .map(|(p, t)| f64::from(p - t) * f64::from(p - t))
+            .sum();
+        total += squared_error / pred.numel().max(1) as f64;
         batches += 1;
     }
-    Ok(total / batches.max(1) as f32)
+    Ok((total / batches.max(1) as f64) as f32)
 }
 
 #[cfg(test)]
@@ -189,6 +205,46 @@ mod tests {
         let cfg = TrainConfig { epochs: 1, batch_size: 2, lr: 0.01, ..TrainConfig::default() };
         let history = fit(&model, &ds, Some(&val), &cfg, &mut rng, |_| true).unwrap();
         assert!(history[0].val_loss.is_some());
+    }
+
+    /// The taped `evaluate` the graph-free one replaced: evaluation-mode
+    /// `forward` and `mse_loss`, one autograd graph per batch.
+    fn taped_evaluate(model: &dyn Module, data: &Dataset, batch_size: usize) -> Result<f32> {
+        model.set_training(false);
+        let mut total = 0.0;
+        let mut batches = 0;
+        let idx: Vec<usize> = (0..data.len()).collect();
+        for chunk in idx.chunks(batch_size.max(1)) {
+            let (x, y) = data.batch(chunk);
+            let pred = model.forward(&Tensor::constant(x))?;
+            total += mse_loss(&pred, &Tensor::constant(y))?.item();
+            batches += 1;
+        }
+        Ok(total / batches.max(1) as f32)
+    }
+
+    #[test]
+    fn graph_free_evaluate_matches_the_taped_forward() {
+        use crate::{UNet, UNetConfig};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let config = UNetConfig { in_channels: 2, out_channels: 1, base_channels: 2, depth: 1 };
+        let model = UNet::new(config, &mut rng);
+        let mut ds = Dataset::new();
+        for _ in 0..10 {
+            let x = NdArray::from_fn(&[2, 4, 4], |_| rng.gen_range(-1.0..1.0));
+            let y = NdArray::from_fn(&[1, 4, 4], |i| 0.5 * (x.as_slice()[i] + x.as_slice()[16 + i]));
+            ds.push(x, y).unwrap();
+        }
+        // Running statistics off their initial values; a ragged last batch.
+        let cfg = TrainConfig { epochs: 2, batch_size: 4, ..TrainConfig::default() };
+        fit(&model, &ds, None, &cfg, &mut rng, |_| true).unwrap();
+        let graph_free = evaluate(&model, &ds, 4).unwrap();
+        let taped = taped_evaluate(&model, &ds, 4).unwrap();
+        assert!((graph_free - taped).abs() <= 1e-6 * taped.abs().max(1.0), "{graph_free} vs {taped}");
+        // A target of another shape is an error, not a truncated zip.
+        let mut wrong = Dataset::new();
+        wrong.push(NdArray::zeros(&[2, 4, 4]), NdArray::zeros(&[2, 4, 4])).unwrap();
+        assert!(evaluate(&model, &wrong, 4).is_err());
     }
 
     /// A model wrapper that records the last training-mode switch, so tests

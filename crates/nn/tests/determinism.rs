@@ -1,20 +1,22 @@
-//! Byte-determinism of UNet forward + backward across GEMM thread counts.
+//! Byte-determinism of one UNet training step across GEMM thread counts.
 //!
 //! All network linear algebra funnels through the blocked GEMM layer in
 //! `neurfill-tensor`; its contract is that the thread count never changes
-//! a bit. This test drives that contract end to end through a real UNet:
-//! output, loss and every parameter gradient must be byte-identical at
-//! 1, 2 and 8 threads. The batch is sized so the larger conv GEMMs cross
-//! the threading work threshold and the parallel path genuinely runs.
+//! a bit. This test drives that contract end to end through a real UNet
+//! in training mode with every weight thawed: output, loss, every
+//! parameter gradient, and after one Adam step every weight and batch-norm
+//! buffer must be byte-identical at 1, 2 and 8 threads. The batch is sized
+//! so the larger conv GEMMs cross the threading work threshold and the
+//! parallel path genuinely runs.
 
-use neurfill_nn::{Module, UNet, UNetConfig};
+use neurfill_nn::{Adam, Module, Optimizer, UNet, UNetConfig};
 use neurfill_tensor::kernels::set_gemm_threads;
 use neurfill_tensor::{NdArray, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 #[test]
-fn unet_forward_backward_bytes_identical_across_thread_counts() {
+fn unet_training_step_bytes_identical_across_thread_counts() {
     let cfg = UNetConfig { in_channels: 4, out_channels: 1, base_channels: 8, depth: 2 };
     let (batch, h, w) = (32usize, 16usize, 16usize);
 
@@ -24,6 +26,8 @@ fn unet_forward_backward_bytes_identical_across_thread_counts() {
         // only varying factor is the GEMM thread count.
         let mut rng = StdRng::seed_from_u64(1234);
         let net = UNet::new(cfg.clone(), &mut rng);
+        net.set_training(true);
+        let mut opt = Adam::new(net.parameters(), 1e-3);
         let data: Vec<f32> =
             (0..batch * cfg.in_channels * h * w).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let x = Tensor::constant(NdArray::from_vec(data, &[batch, cfg.in_channels, h, w]).unwrap());
@@ -35,6 +39,13 @@ fn unet_forward_backward_bytes_identical_across_thread_counts() {
         for p in net.parameters() {
             let g = p.grad().expect("parameter gradient");
             bytes.extend(g.as_slice().iter().map(|v| v.to_bits()));
+        }
+        opt.step();
+        for p in net.parameters() {
+            bytes.extend(p.value().as_slice().iter().map(|v| v.to_bits()));
+        }
+        for b in net.buffers() {
+            bytes.extend(b.borrow().as_slice().iter().map(|v| v.to_bits()));
         }
         bytes
     };

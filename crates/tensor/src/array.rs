@@ -731,12 +731,7 @@ impl NdArray {
             });
         }
         let mut out = vec![0.0f32; m * n];
-        let sink = crate::telemetry::handle();
-        let timer = sink.time("tensor.gemm_ns");
-        crate::kernels::gemm(&self.data, &other.data, &mut out, m, k, n);
-        drop(timer);
-        sink.inc("tensor.gemm.calls");
-        sink.add("tensor.gemm.madds", (m as u64) * (k as u64) * (n as u64));
+        gemm_counted::<false>(&self.data, &other.data, &mut out, m, k, n);
         Ok(Self::owned(vec![m, n], out))
     }
 
@@ -788,6 +783,29 @@ impl NdArray {
         }
         Ok(cur)
     }
+}
+
+/// `out += a · b` through the blocked kernels, timed and counted under
+/// `tensor.gemm*`; with `BT`, `b` holds the right operand transposed
+/// ([`crate::kernels::gemm_bt`]).
+pub(crate) fn gemm_counted<const BT: bool>(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    let sink = crate::telemetry::handle();
+    let timer = sink.time("tensor.gemm_ns");
+    if BT {
+        crate::kernels::gemm_bt(a, b, out, m, k, n);
+    } else {
+        crate::kernels::gemm(a, b, out, m, k, n);
+    }
+    drop(timer);
+    sink.inc("tensor.gemm.calls");
+    sink.add("tensor.gemm.madds", (m as u64) * (k as u64) * (n as u64));
 }
 
 #[cfg(test)]

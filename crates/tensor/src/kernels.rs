@@ -1,7 +1,10 @@
 //! Cache-blocked, optionally multi-threaded GEMM kernels.
 //!
 //! All kernels compute `out += a · b` for row-major `a` (`m × k`), `b`
-//! (`k × n`) and `out` (`m × n`), and all of them accumulate every output
+//! (`k × n`) and `out` (`m × n`) — the right operand given either as `b`
+//! itself or, to [`gemm_bt`], as its transpose `bt` (`n × k` row-major,
+//! `b[kc][j] = bt[j·k + kc]`), which the packing step reads in place of a
+//! materialized `b` — and all of them accumulate every output
 //! element in **ascending k order**. Because IEEE-754 addition is
 //! deterministic for a fixed operand order, the blocked kernel, the
 //! unrolled micro-kernels and the threaded driver all produce results
@@ -102,22 +105,77 @@ pub fn gemm_reference(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize,
     }
 }
 
+/// [`gemm_reference`] on a right operand given transposed: every output
+/// element accumulates `a[i][kc] · bt[j][kc]` for `kc` ascending from the
+/// value in `out` — the reference's addition sequence, element by element.
+fn gemm_bt_reference(a: &[f32], bt: &[f32], out: &mut [f32], k: usize, n: usize) {
+    for (arow, orow) in a.chunks(k).zip(out.chunks_mut(n)) {
+        for (o, btrow) in orow.iter_mut().zip(bt.chunks(k)) {
+            let mut t = *o;
+            for (x, bv) in arow.iter().zip(btrow) {
+                t += x * bv;
+            }
+            *o = t;
+        }
+    }
+}
+
+/// The thread budget [`gemm`] and [`gemm_bt`] give a problem of this
+/// size: throttled so each spawned thread gets at least `PAR_MIN_WORK`
+/// multiply-adds; tiny problems stay sequential.
+fn auto_threads(m: usize, k: usize, n: usize) -> usize {
+    let work = (m as u64) * (k as u64) * (n as u64);
+    let by_work = usize::try_from(work / PAR_MIN_WORK).unwrap_or(usize::MAX);
+    gemm_threads().min(by_work).max(1)
+}
+
 /// Blocked GEMM with automatic thread selection: `out += a · b`.
 ///
 /// Bit-identical to [`gemm_reference`] for every shape and thread count.
 pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    let work = (m as u64) * (k as u64) * (n as u64);
-    // Auto mode throttles the budget so each spawned thread gets at
-    // least PAR_MIN_WORK multiply-adds; tiny problems stay sequential.
-    let by_work = usize::try_from(work / PAR_MIN_WORK).unwrap_or(usize::MAX);
-    let budget = gemm_threads().min(by_work).max(1);
-    gemm_with_threads(a, b, out, m, k, n, budget);
+    gemm_with_threads(a, b, out, m, k, n, auto_threads(m, k, n));
+}
+
+/// [`gemm`] on a right operand given transposed: `out += a · btᵀ` for
+/// row-major `bt` (`n × k`), without materializing `btᵀ`.
+///
+/// Bit-identical to [`gemm_reference`] on the transposed matrix for every
+/// shape and thread count.
+pub fn gemm_bt(a: &[f32], bt: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    gemm_bt_with_threads(a, bt, out, m, k, n, auto_threads(m, k, n));
 }
 
 /// Blocked GEMM on an explicit thread count (`0` and `1` both mean
 /// sequential). The request is honored up to one thread per output row;
 /// use [`gemm`] for the work-aware automatic choice.
 pub fn gemm_with_threads(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    threads: usize,
+) {
+    gemm_driver::<false>(a, b, out, m, k, n, threads);
+}
+
+/// [`gemm_bt`] on an explicit thread count, as [`gemm_with_threads`].
+pub fn gemm_bt_with_threads(
+    a: &[f32],
+    bt: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    threads: usize,
+) {
+    gemm_driver::<true>(a, bt, out, m, k, n, threads);
+}
+
+/// The one driver behind the four entry points; `BT` says `b` holds the
+/// right operand transposed (`n × k`).
+fn gemm_driver<const BT: bool>(
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
@@ -134,12 +192,16 @@ pub fn gemm_with_threads(
     }
     let work = (m as u64) * (k as u64) * (n as u64);
     if work < BLOCKED_MIN_WORK {
-        gemm_reference(a, b, out, m, k, n);
+        if BT {
+            gemm_bt_reference(a, b, out, k, n);
+        } else {
+            gemm_reference(a, b, out, m, k, n);
+        }
         return;
     }
     let threads = threads.max(1).min(m);
     if threads <= 1 {
-        gemm_panel(a, 0, b, out, m, k, n);
+        gemm_panel::<BT>(a, 0, b, out, m, k, n);
         return;
     }
     // Split the output into disjoint chunks of whole rows, one chunk per
@@ -150,7 +212,7 @@ pub fn gemm_with_threads(
         for (idx, chunk) in out.chunks_mut(rows_per * n).enumerate() {
             let row0 = idx * rows_per;
             let rows = chunk.len() / n;
-            scope.spawn(move || gemm_panel(a, row0, b, chunk, rows, k, n));
+            scope.spawn(move || gemm_panel::<BT>(a, row0, b, chunk, rows, k, n));
         }
     });
 }
@@ -160,7 +222,7 @@ pub fn gemm_with_threads(
 /// supports. All variants run the identical Rust body: per output
 /// element nothing but the k-accumulation order matters, and every
 /// variant keeps it ascending, so the dispatch affects speed only.
-fn gemm_panel(
+fn gemm_panel<const BT: bool>(
     a: &[f32],
     row0: usize,
     b: &[f32],
@@ -173,11 +235,11 @@ fn gemm_panel(
     {
         if has_avx2() {
             // SAFETY: has_avx2() verified the required target features.
-            unsafe { gemm_panel_avx2(a, row0, b, out_panel, rows, k, n) };
+            unsafe { gemm_panel_avx2::<BT>(a, row0, b, out_panel, rows, k, n) };
             return;
         }
     }
-    gemm_panel_body::<4, 8>(a, row0, b, out_panel, rows, k, n);
+    gemm_panel_body::<4, 8, BT>(a, row0, b, out_panel, rows, k, n);
 }
 
 /// [`gemm_panel_body`] compiled with AVX2 codegen: four accumulator rows
@@ -186,7 +248,7 @@ fn gemm_panel(
 /// wider codegen cannot change a bit.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn gemm_panel_avx2(
+unsafe fn gemm_panel_avx2<const BT: bool>(
     a: &[f32],
     row0: usize,
     b: &[f32],
@@ -195,7 +257,7 @@ unsafe fn gemm_panel_avx2(
     k: usize,
     n: usize,
 ) {
-    gemm_panel_body::<4, 16>(a, row0, b, out_panel, rows, k, n);
+    gemm_panel_body::<4, 16, BT>(a, row0, b, out_panel, rows, k, n);
 }
 
 /// Returns whether the AVX2-compiled kernel body may be called.
@@ -209,7 +271,7 @@ fn has_avx2() -> bool {
 /// rows × `NR` output columns are held in registers while a k-strip is
 /// consumed against them.
 #[inline(always)]
-fn gemm_panel_body<const MR: usize, const NR: usize>(
+fn gemm_panel_body<const MR: usize, const NR: usize, const BT: bool>(
     a: &[f32],
     row0: usize,
     b: &[f32],
@@ -221,10 +283,12 @@ fn gemm_panel_body<const MR: usize, const NR: usize>(
     debug_assert_eq!(out_panel.len(), rows * n);
     // Packing reads and rewrites the whole `b` tile once per k-strip; it
     // only pays for itself when enough row groups reuse the packed copy.
-    if rows >= PACK_MIN_ROWS {
-        gemm_panel_loop::<MR, NR, true>(a, row0, b, out_panel, k, n);
+    // A transposed operand is always packed: unpacked, every `NR`-wide
+    // `b` vector the micro-kernels load would be a gather at stride `k`.
+    if BT || rows >= PACK_MIN_ROWS {
+        gemm_panel_loop::<MR, NR, true, BT>(a, row0, b, out_panel, k, n);
     } else {
-        gemm_panel_loop::<MR, NR, false>(a, row0, b, out_panel, k, n);
+        gemm_panel_loop::<MR, NR, false, false>(a, row0, b, out_panel, k, n);
     }
 }
 
@@ -232,6 +296,9 @@ fn gemm_panel_body<const MR: usize, const NR: usize>(
 /// `b` through packed `NR`-wide column panels (`nblocks` panels of
 /// `kcw × NR` contiguous floats — sequential loads) or directly at
 /// stride `n`. Packing only copies values; it cannot affect results.
+/// `BT` (always `PACKED`) says `b` holds the right operand transposed,
+/// `n × k`: the packing step and the column tail — the only readers of
+/// `b` then — take element `[kc][j]` from `b[j·k + kc]`.
 ///
 /// Within a (k-strip × column-strip) tile, the column block is the
 /// *outer* loop and the row groups the inner one, so each `NR`-wide
@@ -239,7 +306,7 @@ fn gemm_panel_body<const MR: usize, const NR: usize>(
 /// is cache-hot — with `n` large enough that column strides alias in L1,
 /// this is what keeps small-`m` problems off the memory wall.
 #[inline(always)]
-fn gemm_panel_loop<const MR: usize, const NR: usize, const PACKED: bool>(
+fn gemm_panel_loop<const MR: usize, const NR: usize, const PACKED: bool, const BT: bool>(
     a: &[f32],
     row0: usize,
     b: &[f32],
@@ -270,10 +337,21 @@ fn gemm_panel_loop<const MR: usize, const NR: usize, const PACKED: bool>(
             if PACKED {
                 for jb in 0..nblocks {
                     let col = jj + jb * NR;
-                    let dst0 = jb * kcw * NR;
-                    for kc in 0..kcw {
-                        let src = (kk + kc) * n + col;
-                        packed[dst0 + kc * NR..dst0 + (kc + 1) * NR].copy_from_slice(&b[src..src + NR]);
+                    let panel = &mut packed[jb * kcw * NR..(jb + 1) * kcw * NR];
+                    if BT {
+                        // Column `col + l` of the panel is a contiguous run
+                        // of row `col + l` of `bt`.
+                        for l in 0..NR {
+                            let src = &b[(col + l) * k + kk..][..kcw];
+                            for (dst, v) in panel[l..].iter_mut().step_by(NR).zip(src) {
+                                *dst = *v;
+                            }
+                        }
+                    } else {
+                        for (kc, dst) in panel.chunks_mut(NR).enumerate() {
+                            let src = (kk + kc) * n + col;
+                            dst.copy_from_slice(&b[src..src + NR]);
+                        }
                     }
                 }
             }
@@ -296,7 +374,7 @@ fn gemm_panel_loop<const MR: usize, const NR: usize, const PACKED: bool>(
                     let arow = &a[(row0 + row) * k..(row0 + row + 1) * k];
                     let mut t = out_panel[row * n + j];
                     for kc in kk..kk + kcw {
-                        t += arow[kc] * b[kc * n + j];
+                        t += arow[kc] * if BT { b[j * k + kc] } else { b[kc * n + j] };
                     }
                     out_panel[row * n + j] = t;
                 }
@@ -404,6 +482,11 @@ mod tests {
             .collect()
     }
 
+    /// Row-major `k × n` → row-major `n × k`.
+    fn transposed(b: &[f32], k: usize, n: usize) -> Vec<f32> {
+        (0..n * k).map(|i| b[(i % k) * n + i / k]).collect()
+    }
+
     fn check_shape(m: usize, k: usize, n: usize) {
         let a = fill_pattern(m * k, (m * 31 + k) as u32);
         let b = fill_pattern(k * n, (k * 17 + n) as u32);
@@ -437,20 +520,66 @@ mod tests {
     fn packed_scratch_is_rewritten_before_it_is_read() {
         // A packed GEMM whose `b` is all NaN leaves the thread's pack
         // scratch full of NaN; packed GEMMs of other shapes run next on the
-        // same thread must not see any of it.
-        let (m, k, n) = (40, 130, 600);
-        let a = fill_pattern(m * k, 1);
-        let mut poisoned = vec![0.0f32; m * n];
-        gemm_with_threads(&a, &vec![f32::NAN; k * n], &mut poisoned, m, k, n, 1);
-        assert!(poisoned.iter().all(|v| v.is_nan()));
-        for (m, k, n) in [(32, 9, 16), (33, 129, 513), (64, 72, 1024), (40, 130, 600)] {
+        // same thread must not see any of it — whichever operand layout
+        // filled the scratch, whichever reads it.
+        let poison = |bt: bool| {
+            let (m, k, n) = (40, 130, 600);
+            let (a, nan) = (fill_pattern(m * k, 1), vec![f32::NAN; k * n]);
+            let mut poisoned = vec![0.0f32; m * n];
+            if bt {
+                gemm_bt_with_threads(&a, &nan, &mut poisoned, m, k, n, 1);
+            } else {
+                gemm_with_threads(&a, &nan, &mut poisoned, m, k, n, 1);
+            }
+            assert!(poisoned.iter().all(|v| v.is_nan()));
+        };
+        for (m, k, n) in [(32, 9, 16), (33, 129, 513), (64, 72, 1024), (40, 130, 600), (8, 1024, 72)] {
             let a = fill_pattern(m * k, 2);
             let b = fill_pattern(k * n, 3);
+            let bt = transposed(&b, k, n);
             let mut want = vec![0.0f32; m * n];
             gemm_reference(&a, &b, &mut want, m, k, n);
-            let mut got = vec![0.0f32; m * n];
-            gemm_with_threads(&a, &b, &mut got, m, k, n, 1);
-            assert!(want.iter().zip(&got).all(|(w, g)| w.to_bits() == g.to_bits()), "{m}x{k}x{n}");
+            for (poison_bt, read_bt) in [(false, false), (false, true), (true, false), (true, true)] {
+                poison(poison_bt);
+                let mut got = vec![0.0f32; m * n];
+                if read_bt {
+                    gemm_bt_with_threads(&a, &bt, &mut got, m, k, n, 1);
+                } else {
+                    gemm_with_threads(&a, &b, &mut got, m, k, n, 1);
+                }
+                let same = want.iter().zip(&got).all(|(w, g)| w.to_bits() == g.to_bits());
+                assert!(same, "{m}x{k}x{n} poisoned by bt={poison_bt}, read by bt={read_bt}");
+            }
+        }
+    }
+
+    #[test]
+    fn transposed_operand_matches_reference_across_shapes() {
+        // The fallback, tail-only (`n < NR`), single-row (`m < 4`) and
+        // ragged k-strip cases, and the weight-gradient shapes of the UNet.
+        for (m, k, n) in [
+            (1, 1, 1),
+            (3, 5, 7),
+            (2, 300, 9),
+            (5, 129, 513),
+            (9, 131, 37),
+            (8, 1024, 36),
+            (16, 256, 144),
+            (32, 64, 288),
+            (33, 7, 64),
+        ] {
+            let a = fill_pattern(m * k, (m * 31 + k) as u32);
+            let b = fill_pattern(k * n, (k * 17 + n) as u32);
+            let bt = transposed(&b, k, n);
+            let mut want = fill_pattern(m * n, 9);
+            let start = want.clone();
+            gemm_reference(&a, &b, &mut want, m, k, n);
+            for threads in [1usize, 2, 3, 8] {
+                let mut got = start.clone();
+                gemm_bt_with_threads(&a, &bt, &mut got, m, k, n, threads);
+                let same = want.iter().zip(&got).all(|(w, g)| w.to_bits() == g.to_bits());
+                assert!(same, "transposed-operand gemm differs at {m}x{k}x{n}, t={threads}");
+            }
         }
     }
 

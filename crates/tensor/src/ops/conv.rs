@@ -4,17 +4,18 @@
 //! The raw [`NdArray`] kernels are public so non-autodiff code (e.g. the CMP
 //! simulator's pad kernel) can reuse them.
 
-use crate::array::NdArray;
+use crate::array::{gemm_counted, NdArray};
 use crate::error::{Result, TensorError};
 use crate::tensor::{GradFn, Tensor};
 use std::cell::RefCell;
 
 thread_local! {
-    /// Per-thread im2col scratch reused across [`conv2d_forward`] calls.
-    /// The batched inference path used to allocate a fresh patch matrix
-    /// (the largest transient of the whole forward) per convolution; the
-    /// steady-state allocation count of `Module::infer` is pinned by the
-    /// `infer_allocations` integration test.
+    /// Per-thread patch-matrix scratch reused across [`conv2d_forward`]
+    /// calls and by the backward passes. The batched inference path used
+    /// to allocate a fresh patch matrix (the largest transient of the whole
+    /// forward) per convolution; the steady-state allocation count of
+    /// `Module::infer` is pinned by the `infer_allocations` integration
+    /// test.
     static IM2COL_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -22,27 +23,6 @@ thread_local! {
 #[must_use]
 pub fn conv_out_extent(input: usize, kernel: usize, stride: usize, padding: usize) -> usize {
     (input + 2 * padding - kernel) / stride + 1
-}
-
-/// Rearranges one image `[C, H, W]` (given as a flat slice) into the
-/// `[C·kh·kw, Ho·Wo]` patch matrix used by matmul-based convolution.
-#[allow(clippy::too_many_arguments)]
-fn im2col(
-    x: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-) -> NdArray {
-    let ho = conv_out_extent(h, kh, stride, pad);
-    let wo = conv_out_extent(w, kw, stride, pad);
-    let cols = ho * wo;
-    let mut out = NdArray::zeros(&[c * kh * kw, cols]);
-    im2col_into(x, c, h, w, kh, kw, stride, pad, out.as_mut_slice(), cols, 0);
-    out
 }
 
 /// The output columns `ox` of tap column `kx` whose source pixel
@@ -54,7 +34,9 @@ fn valid_columns(w: usize, wo: usize, kx: usize, stride: usize, pad: usize) -> s
     lo..hi.max(lo)
 }
 
-/// [`im2col`] writing into columns `[col_offset, col_offset + Ho·Wo)` of a
+/// Rearranges one image `[C, H, W]` (given as a flat slice) into the
+/// `[C·kh·kw, Ho·Wo]` patch matrix used by matmul-based convolution,
+/// writing into columns `[col_offset, col_offset + Ho·Wo)` of a
 /// `[C·kh·kw, total_cols]` destination, so a whole batch can share one
 /// patch matrix (one column block per sample).
 ///
@@ -110,14 +92,14 @@ pub fn im2col_into(
     }
 }
 
-/// Adjoint of [`im2col`]: accumulates a `[C·kh·kw, Ho·Wo]` patch matrix back
-/// into an image `[C, H, W]`.
+/// Adjoint of [`im2col_into`]: adds a `[C·kh·kw, Ho·Wo]` patch matrix onto
+/// an image `[C, H, W]`.
 ///
 /// Each image pixel receives its contributions in `(ky, kx, oy, ox)` order;
 /// the row spans only turn the innermost `ox` loop into a slice-wise add.
 #[allow(clippy::too_many_arguments)]
-fn col2im(
-    cols_arr: &NdArray,
+fn col2im_add(
+    src: &[f32],
     c: usize,
     h: usize,
     w: usize,
@@ -125,12 +107,11 @@ fn col2im(
     kw: usize,
     stride: usize,
     pad: usize,
-) -> Vec<f32> {
+    img: &mut [f32],
+) {
     let ho = conv_out_extent(h, kh, stride, pad);
     let wo = conv_out_extent(w, kw, stride, pad);
     let cols = ho * wo;
-    let src = cols_arr.as_slice();
-    let mut img = vec![0.0f32; c * h * w];
     for ci in 0..c {
         let dst = ci * h * w;
         for ky in 0..kh {
@@ -160,7 +141,56 @@ fn col2im(
             }
         }
     }
-    img
+}
+
+/// The thread's patch-matrix scratch grown to `len` elements, stale
+/// contents and all; hand it back with [`return_scratch`].
+fn take_scratch(len: usize) -> Vec<f32> {
+    let mut buf = IM2COL_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
+    buf.resize(len, 0.0);
+    buf
+}
+
+fn return_scratch(buf: Vec<f32>) {
+    IM2COL_SCRATCH.with(|s| *s.borrow_mut() = buf);
+}
+
+/// Output extents `(Ho, Wo)` of a convolution of an `h × w` image, or an
+/// error when the kernel is larger than the padded image.
+fn conv_out_extents(
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+    stride: usize,
+    padding: usize,
+) -> Result<(usize, usize)> {
+    if h + 2 * padding < kh || w + 2 * padding < kw {
+        return Err(TensorError::InvalidArgument(format!(
+            "kernel {kh}x{kw} larger than padded input {h}x{w} (pad {padding})"
+        )));
+    }
+    Ok((conv_out_extent(h, kh, stride, padding), conv_out_extent(w, kw, stride, padding)))
+}
+
+/// `acc += a · btᵀ` for `a` of `m × k` and `bt` of `n × k`, the product
+/// formed on its own in `product` and then added, so a running sum over
+/// samples is `((0 + P₀) + P₁) + …` — the order in which the weight
+/// gradients have always been summed.
+fn add_product_bt(
+    acc: &mut [f32],
+    product: &mut [f32],
+    a: &[f32],
+    bt: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    product.fill(0.0);
+    gemm_counted::<true>(a, bt, product, m, k, n);
+    for (d, s) in acc.iter_mut().zip(product.iter()) {
+        *d += s;
+    }
 }
 
 fn expect_rank4(x: &NdArray, op: &'static str) -> Result<(usize, usize, usize, usize)> {
@@ -192,13 +222,7 @@ pub fn conv2d_forward(
             op: "conv2d",
         });
     }
-    if h + 2 * padding < kh || w + 2 * padding < kw {
-        return Err(TensorError::InvalidArgument(format!(
-            "kernel {kh}x{kw} larger than padded input {h}x{w} (pad {padding})"
-        )));
-    }
-    let ho = conv_out_extent(h, kh, stride, padding);
-    let wo = conv_out_extent(w, kw, stride, padding);
+    let (ho, wo) = conv_out_extents(h, w, kh, kw, stride, padding)?;
     let w2 = weight.reshape(&[o, c * kh * kw])?;
     let mut out = NdArray::zeros(&[n, o, ho, wo]);
     // The whole batch shares one patch matrix (one column block per
@@ -211,15 +235,14 @@ pub fn conv2d_forward(
     // The patch matrix comes from the thread-local scratch instead of a
     // fresh allocation, stale contents and all: `im2col_into` writes every
     // element of each sample's column block, padding included.
-    let mut buf = IM2COL_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
-    buf.resize(c * kh * kw * total_cols, 0.0);
-    let mut cols = NdArray::from_vec(buf, &[c * kh * kw, total_cols])?;
+    let mut cols =
+        NdArray::from_vec(take_scratch(c * kh * kw * total_cols), &[c * kh * kw, total_cols])?;
     for ni in 0..n {
         let img = &input.as_slice()[ni * c * h * w..(ni + 1) * c * h * w];
         im2col_into(img, c, h, w, kh, kw, stride, padding, cols.as_mut_slice(), total_cols, ni * per);
     }
     let res = w2.matmul(&cols)?; // [O, N·Ho·Wo], sample-major column blocks
-    IM2COL_SCRATCH.with(|s| *s.borrow_mut() = cols.into_vec());
+    return_scratch(cols.into_vec());
     {
         let src = res.as_slice();
         let dst = out.as_mut_slice();
@@ -278,8 +301,8 @@ pub fn conv2d_backward(
 ) -> Result<ConvGrads> {
     let (n, c, h, w) = expect_rank4(input, "conv2d_backward(input)")?;
     let (o, _, kh, kw) = expect_rank4(weight, "conv2d_backward(weight)")?;
-    let (gn, go, ho, wo) = expect_rank4(grad_out, "conv2d_backward(grad)")?;
-    if gn != n || go != o {
+    let (ho, wo) = conv_out_extents(h, w, kh, kw, stride, padding)?;
+    if grad_out.shape() != [n, o, ho, wo] {
         return Err(TensorError::ShapeMismatch {
             lhs: grad_out.shape().to_vec(),
             rhs: vec![n, o, ho, wo],
@@ -287,38 +310,38 @@ pub fn conv2d_backward(
         });
     }
     let [need_input, need_weight, need_bias] = needs;
-    let w2t = weight.reshape(&[o, c * kh * kw])?.transpose2d()?;
+    let (rows, per) = (c * kh * kw, ho * wo);
+    let w2 = weight.reshape(&[o, rows])?;
+    let w2t = if need_input { Some(w2.transpose2d()?) } else { None };
     let mut dinput = need_input.then(|| NdArray::zeros(&[n, c, h, w]));
-    let mut dweight2 = need_weight.then(|| NdArray::zeros(&[o, c * kh * kw]));
+    let mut dweight2 = need_weight.then(|| NdArray::zeros(&[o, rows]));
     let mut dbias = need_bias.then(|| NdArray::zeros(&[o]));
+    // One sample's patch matrix, then the gradient w.r.t. it.
+    let mut patches = take_scratch(rows * per);
+    let mut dw_sample = vec![0.0f32; if need_weight { o * rows } else { 0 }];
     for ni in 0..n {
-        let g = NdArray::from_vec(
-            grad_out.as_slice()[ni * o * ho * wo..(ni + 1) * o * ho * wo].to_vec(),
-            &[o, ho * wo],
-        )?;
+        let g = &grad_out.as_slice()[ni * o * per..(ni + 1) * o * per];
         if let Some(dweight2) = dweight2.as_mut() {
             // dW += G · colsᵀ
             let img = &input.as_slice()[ni * c * h * w..(ni + 1) * c * h * w];
-            let cols = im2col(img, c, h, w, kh, kw, stride, padding);
-            dweight2.add_assign(&g.matmul(&cols.transpose2d()?)?)?;
+            im2col_into(img, c, h, w, kh, kw, stride, padding, &mut patches, per, 0);
+            add_product_bt(dweight2.as_mut_slice(), &mut dw_sample, g, &patches, o, per, rows);
         }
-        if let Some(dinput) = dinput.as_mut() {
+        if let (Some(dinput), Some(w2t)) = (dinput.as_mut(), w2t.as_ref()) {
             // dInput = col2im(Wᵀ · G)
-            let dcols = w2t.matmul(&g)?;
-            let img_grad = col2im(&dcols, c, h, w, kh, kw, stride, padding);
+            patches.fill(0.0);
+            gemm_counted::<false>(w2t.as_slice(), g, &mut patches, rows, o, per);
             let dst = &mut dinput.as_mut_slice()[ni * c * h * w..(ni + 1) * c * h * w];
-            for (d, s) in dst.iter_mut().zip(&img_grad) {
-                *d += s;
-            }
+            col2im_add(&patches, c, h, w, kh, kw, stride, padding, dst);
         }
         if let Some(dbias) = dbias.as_mut() {
             // dBias += Σ spatial
-            for oi in 0..o {
-                let row = &g.as_slice()[oi * ho * wo..(oi + 1) * ho * wo];
-                dbias.as_mut_slice()[oi] += row.iter().sum::<f32>();
+            for (db, row) in dbias.as_mut_slice().iter_mut().zip(g.chunks(per.max(1))) {
+                *db += row.iter().sum::<f32>();
             }
         }
     }
+    return_scratch(patches);
     let dweight = dweight2.map(|d| d.reshape(&[o, c, kh, kw])).transpose()?;
     Ok((dinput, dweight, dbias))
 }
@@ -357,9 +380,8 @@ pub fn conv_transpose2d_forward(
             &[c, h * w],
         )?;
         let cols = w2.matmul(&x)?; // [O·kh·kw, H·W]
-        let img = col2im(&cols, o, ho, wo, kh, kw, stride, padding);
         let dst = &mut out.as_mut_slice()[ni * o * ho * wo..(ni + 1) * o * ho * wo];
-        dst.copy_from_slice(&img);
+        col2im_add(cols.as_slice(), o, ho, wo, kh, kw, stride, padding, dst);
     }
     if let Some(b) = bias {
         if b.shape() != [o] {
@@ -399,40 +421,48 @@ pub fn conv_transpose2d_backward(
 ) -> Result<ConvGrads> {
     let (n, c, h, w) = expect_rank4(input, "conv_transpose2d_backward(input)")?;
     let (_, o, kh, kw) = expect_rank4(weight, "conv_transpose2d_backward(weight)")?;
-    let (_, _, ho, wo) = expect_rank4(grad_out, "conv_transpose2d_backward(grad)")?;
+    // The forward's output extents, `None` where it has no output.
+    let out_extent =
+        |input: usize, kernel: usize| (input.checked_sub(1)? * stride + kernel).checked_sub(2 * padding);
+    let (ho, wo) = out_extent(h, kh).zip(out_extent(w, kw)).unwrap_or((0, 0));
+    if ho * wo == 0 || grad_out.shape() != [n, o, ho, wo] {
+        return Err(TensorError::ShapeMismatch {
+            lhs: grad_out.shape().to_vec(),
+            rhs: vec![n, o, ho, wo],
+            op: "conv_transpose2d_backward",
+        });
+    }
     let [need_input, need_weight, need_bias] = needs;
-    let w2 = weight.reshape(&[c, o * kh * kw])?;
+    let (rows, per) = (o * kh * kw, h * w);
+    let w2 = weight.reshape(&[c, rows])?;
     let mut dinput = need_input.then(|| NdArray::zeros(&[n, c, h, w]));
-    let mut dweight2 = need_weight.then(|| NdArray::zeros(&[c, o * kh * kw]));
+    let mut dweight2 = need_weight.then(|| NdArray::zeros(&[c, rows]));
     let mut dbias = need_bias.then(|| NdArray::zeros(&[o]));
+    // One sample's patch matrix of the output gradient, [O·kh·kw, H·W].
+    let mut gcols = take_scratch(rows * per);
+    let mut dw_sample = vec![0.0f32; if need_weight { c * rows } else { 0 }];
     for ni in 0..n {
         let g = &grad_out.as_slice()[ni * o * ho * wo..(ni + 1) * o * ho * wo];
         if need_input || need_weight {
-            let gcols = im2col(g, o, ho, wo, kh, kw, stride, padding); // [O·kh·kw, H·W]
-            if let Some(dinput) = dinput.as_mut() {
-                // dinput = "conv" of grad_out with the same kernel.
-                let din = w2.matmul(&gcols)?; // [C, H·W]
-                let dst = &mut dinput.as_mut_slice()[ni * c * h * w..(ni + 1) * c * h * w];
-                for (d, s) in dst.iter_mut().zip(din.as_slice()) {
-                    *d += s;
-                }
-            }
-            if let Some(dweight2) = dweight2.as_mut() {
-                // dweight = input · gcolsᵀ
-                let x = NdArray::from_vec(
-                    input.as_slice()[ni * c * h * w..(ni + 1) * c * h * w].to_vec(),
-                    &[c, h * w],
-                )?;
-                dweight2.add_assign(&x.matmul(&gcols.transpose2d()?)?)?;
-            }
+            im2col_into(g, o, ho, wo, kh, kw, stride, padding, &mut gcols, per, 0);
+        }
+        if let Some(dinput) = dinput.as_mut() {
+            // dinput = "conv" of grad_out with the same kernel.
+            let dst = &mut dinput.as_mut_slice()[ni * c * per..(ni + 1) * c * per];
+            gemm_counted::<false>(w2.as_slice(), &gcols, dst, c, rows, per);
+        }
+        if let Some(dweight2) = dweight2.as_mut() {
+            // dweight += input · gcolsᵀ
+            let x = &input.as_slice()[ni * c * per..(ni + 1) * c * per];
+            add_product_bt(dweight2.as_mut_slice(), &mut dw_sample, x, &gcols, c, per, rows);
         }
         if let Some(dbias) = dbias.as_mut() {
-            for oi in 0..o {
-                let row = &g[oi * ho * wo..(oi + 1) * ho * wo];
-                dbias.as_mut_slice()[oi] += row.iter().sum::<f32>();
+            for (db, row) in dbias.as_mut_slice().iter_mut().zip(g.chunks(ho * wo)) {
+                *db += row.iter().sum::<f32>();
             }
         }
     }
+    return_scratch(gcols);
     let dweight = dweight2.map(|d| d.reshape(&[c, o, kh, kw])).transpose()?;
     Ok((dinput, dweight, dbias))
 }
@@ -821,6 +851,136 @@ mod tests {
         img
     }
 
+    /// One image's patch matrix in an array of its own.
+    #[allow(clippy::too_many_arguments)]
+    fn im2col(
+        x: &[f32],
+        c: usize,
+        h: usize,
+        w: usize,
+        kh: usize,
+        kw: usize,
+        stride: usize,
+        pad: usize,
+    ) -> NdArray {
+        let cols = conv_out_extent(h, kh, stride, pad) * conv_out_extent(w, kw, stride, pad);
+        let mut out = NdArray::zeros(&[c * kh * kw, cols]);
+        im2col_into(x, c, h, w, kh, kw, stride, pad, out.as_mut_slice(), cols, 0);
+        out
+    }
+
+    /// [`col2im_add`] onto a fresh zero image.
+    #[allow(clippy::too_many_arguments)]
+    fn col2im(
+        src: &[f32],
+        c: usize,
+        h: usize,
+        w: usize,
+        kh: usize,
+        kw: usize,
+        stride: usize,
+        pad: usize,
+    ) -> Vec<f32> {
+        let mut img = vec![0.0f32; c * h * w];
+        col2im_add(src, c, h, w, kh, kw, stride, pad, &mut img);
+        img
+    }
+
+    /// The `conv2d_backward` the scratch-reusing one replaced: per sample a
+    /// copy of the output gradient, a fresh patch matrix, its materialized
+    /// transpose, a fresh `col2im` image added onto the zeroed gradient.
+    fn conv2d_backward_reference(
+        input: &NdArray,
+        weight: &NdArray,
+        grad_out: &NdArray,
+        stride: usize,
+        padding: usize,
+        needs: [bool; 3],
+    ) -> Result<ConvGrads> {
+        let (n, c, h, w) = expect_rank4(input, "conv2d_backward(input)")?;
+        let (o, _, kh, kw) = expect_rank4(weight, "conv2d_backward(weight)")?;
+        let (_, _, ho, wo) = expect_rank4(grad_out, "conv2d_backward(grad)")?;
+        let [need_input, need_weight, need_bias] = needs;
+        let w2t = weight.reshape(&[o, c * kh * kw])?.transpose2d()?;
+        let mut dinput = need_input.then(|| NdArray::zeros(&[n, c, h, w]));
+        let mut dweight2 = need_weight.then(|| NdArray::zeros(&[o, c * kh * kw]));
+        let mut dbias = need_bias.then(|| NdArray::zeros(&[o]));
+        for ni in 0..n {
+            let g = NdArray::from_vec(
+                grad_out.as_slice()[ni * o * ho * wo..(ni + 1) * o * ho * wo].to_vec(),
+                &[o, ho * wo],
+            )?;
+            if let Some(dweight2) = dweight2.as_mut() {
+                let img = &input.as_slice()[ni * c * h * w..(ni + 1) * c * h * w];
+                let cols = im2col(img, c, h, w, kh, kw, stride, padding);
+                dweight2.add_assign(&g.matmul(&cols.transpose2d()?)?)?;
+            }
+            if let Some(dinput) = dinput.as_mut() {
+                let dcols = w2t.matmul(&g)?;
+                let img_grad = col2im(dcols.as_slice(), c, h, w, kh, kw, stride, padding);
+                let dst = &mut dinput.as_mut_slice()[ni * c * h * w..(ni + 1) * c * h * w];
+                for (d, s) in dst.iter_mut().zip(&img_grad) {
+                    *d += s;
+                }
+            }
+            if let Some(dbias) = dbias.as_mut() {
+                for oi in 0..o {
+                    let row = &g.as_slice()[oi * ho * wo..(oi + 1) * ho * wo];
+                    dbias.as_mut_slice()[oi] += row.iter().sum::<f32>();
+                }
+            }
+        }
+        let dweight = dweight2.map(|d| d.reshape(&[o, c, kh, kw])).transpose()?;
+        Ok((dinput, dweight, dbias))
+    }
+
+    /// The `conv_transpose2d_backward` the scratch-reusing one replaced.
+    fn conv_transpose2d_backward_reference(
+        input: &NdArray,
+        weight: &NdArray,
+        grad_out: &NdArray,
+        stride: usize,
+        padding: usize,
+        needs: [bool; 3],
+    ) -> Result<ConvGrads> {
+        let (n, c, h, w) = expect_rank4(input, "conv_transpose2d_backward(input)")?;
+        let (_, o, kh, kw) = expect_rank4(weight, "conv_transpose2d_backward(weight)")?;
+        let (_, _, ho, wo) = expect_rank4(grad_out, "conv_transpose2d_backward(grad)")?;
+        let [need_input, need_weight, need_bias] = needs;
+        let w2 = weight.reshape(&[c, o * kh * kw])?;
+        let mut dinput = need_input.then(|| NdArray::zeros(&[n, c, h, w]));
+        let mut dweight2 = need_weight.then(|| NdArray::zeros(&[c, o * kh * kw]));
+        let mut dbias = need_bias.then(|| NdArray::zeros(&[o]));
+        for ni in 0..n {
+            let g = &grad_out.as_slice()[ni * o * ho * wo..(ni + 1) * o * ho * wo];
+            if need_input || need_weight {
+                let gcols = im2col(g, o, ho, wo, kh, kw, stride, padding);
+                if let Some(dinput) = dinput.as_mut() {
+                    let din = w2.matmul(&gcols)?;
+                    let dst = &mut dinput.as_mut_slice()[ni * c * h * w..(ni + 1) * c * h * w];
+                    for (d, s) in dst.iter_mut().zip(din.as_slice()) {
+                        *d += s;
+                    }
+                }
+                if let Some(dweight2) = dweight2.as_mut() {
+                    let x = NdArray::from_vec(
+                        input.as_slice()[ni * c * h * w..(ni + 1) * c * h * w].to_vec(),
+                        &[c, h * w],
+                    )?;
+                    dweight2.add_assign(&x.matmul(&gcols.transpose2d()?)?)?;
+                }
+            }
+            if let Some(dbias) = dbias.as_mut() {
+                for oi in 0..o {
+                    let row = &g[oi * ho * wo..(oi + 1) * ho * wo];
+                    dbias.as_mut_slice()[oi] += row.iter().sum::<f32>();
+                }
+            }
+        }
+        let dweight = dweight2.map(|d| d.reshape(&[c, o, kh, kw])).transpose()?;
+        Ok((dinput, dweight, dbias))
+    }
+
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
     }
@@ -865,9 +1025,9 @@ mod tests {
         }
         assert_eq!(bits(&got), bits(&want), "im2col {ctx}");
 
-        let cols = NdArray::from_vec(field(rows * per, 7), &[rows, per]).unwrap();
+        let cols = field(rows * per, 7);
         let got = col2im(&cols, c, h, w, k, k, stride, pad);
-        let want = col2im_reference(cols.as_slice(), c, h, w, k, k, stride, pad);
+        let want = col2im_reference(&cols, c, h, w, k, k, stride, pad);
         assert_eq!(bits(&got), bits(&want), "col2im {ctx}");
     }
 
@@ -916,6 +1076,93 @@ mod tests {
             pad in 0usize..=2,
         ) {
             check_against_reference(n, c, h, w, k, stride, pad);
+        }
+    }
+
+    fn grad_bits(grads: &ConvGrads) -> [Option<Vec<u32>>; 3] {
+        [&grads.0, &grads.1, &grads.2].map(|g| g.as_ref().map(|g| bits(g.as_slice())))
+    }
+
+    #[test]
+    fn backward_matches_the_allocating_reference_on_unet_shapes() {
+        // Every distinct layer of the default UNet (4 input planes, 8 base
+        // channels, depth 2) on a 32×32 tile: nine convolutions …
+        let convs = [
+            (4, 8, 32, 3, 1),
+            (8, 8, 32, 3, 1),
+            (8, 16, 16, 3, 1),
+            (16, 16, 16, 3, 1),
+            (16, 32, 8, 3, 1),
+            (32, 32, 8, 3, 1),
+            (32, 16, 16, 3, 1),
+            (16, 8, 32, 3, 1),
+            (8, 1, 32, 1, 0),
+        ];
+        // … and two 2×2 stride-2 up-convolutions.
+        let ups = [(32, 16, 8), (16, 8, 16)];
+        let all_needs = (0..8u8).map(|m| [m & 1 != 0, m & 2 != 0, m & 4 != 0]);
+        for n in [1, 4] {
+            for (c, o, edge, k, pad) in convs {
+                let input =
+                    NdArray::from_vec(field(n * c * edge * edge, 1), &[n, c, edge, edge]).unwrap();
+                let weight = NdArray::from_vec(field(o * c * k * k, 2), &[o, c, k, k]).unwrap();
+                let gout =
+                    NdArray::from_vec(field(n * o * edge * edge, 3), &[n, o, edge, edge]).unwrap();
+                for needs in all_needs.clone() {
+                    let got = conv2d_backward(&input, &weight, &gout, 1, pad, needs).unwrap();
+                    let want = conv2d_backward_reference(&input, &weight, &gout, 1, pad, needs).unwrap();
+                    assert_eq!(
+                        grad_bits(&got),
+                        grad_bits(&want),
+                        "conv n={n} {c}->{o}@{edge} {needs:?}"
+                    );
+                    assert_eq!([got.0.is_some(), got.1.is_some(), got.2.is_some()], needs);
+                }
+            }
+            for (c, o, edge) in ups {
+                let input =
+                    NdArray::from_vec(field(n * c * edge * edge, 4), &[n, c, edge, edge]).unwrap();
+                let weight = NdArray::from_vec(field(c * o * 4, 5), &[c, o, 2, 2]).unwrap();
+                let gout =
+                    NdArray::from_vec(field(n * o * 4 * edge * edge, 6), &[n, o, 2 * edge, 2 * edge])
+                        .unwrap();
+                for needs in all_needs.clone() {
+                    let got = conv_transpose2d_backward(&input, &weight, &gout, 2, 0, needs).unwrap();
+                    let want = conv_transpose2d_backward_reference(&input, &weight, &gout, 2, 0, needs)
+                        .unwrap();
+                    assert_eq!(grad_bits(&got), grad_bits(&want), "up n={n} {c}->{o}@{edge} {needs:?}");
+                    assert_eq!([got.0.is_some(), got.1.is_some(), got.2.is_some()], needs);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn backward_rejects_a_mismatched_output_gradient() {
+        let input = NdArray::zeros(&[2, 3, 4, 5]);
+        let weight = NdArray::zeros(&[6, 3, 3, 3]);
+        assert!(
+            conv2d_backward(&input, &weight, &NdArray::zeros(&[2, 6, 4, 5]), 1, 1, [true; 3]).is_ok()
+        );
+        for bad in [[1, 6, 4, 5], [2, 5, 4, 5], [2, 6, 4, 4], [2, 6, 5, 5]] {
+            let err = conv2d_backward(&input, &weight, &NdArray::zeros(&bad), 1, 1, [true; 3]);
+            assert!(matches!(err, Err(TensorError::ShapeMismatch { .. })), "{bad:?}");
+        }
+        // Transposed: [2, 3, 4, 5] through a 2×2 stride-2 kernel is [2, 6, 8, 10].
+        let tweight = NdArray::zeros(&[3, 6, 2, 2]);
+        let ok = NdArray::zeros(&[2, 6, 8, 10]);
+        assert!(conv_transpose2d_backward(&input, &tweight, &ok, 2, 0, [true; 3]).is_ok());
+        // A wrong batch, channel count or spatial extent — smaller or
+        // larger than the forward's output — is an error, not a panic or
+        // a silently wrong gradient.
+        for bad in
+            [[1, 6, 8, 10], [3, 6, 8, 10], [2, 5, 8, 10], [2, 7, 8, 10], [2, 6, 8, 9], [2, 6, 9, 10]]
+        {
+            for needs in [[true; 3], [false, false, true]] {
+                let err =
+                    conv_transpose2d_backward(&input, &tweight, &NdArray::zeros(&bad), 2, 0, needs);
+                assert!(matches!(err, Err(TensorError::ShapeMismatch { .. })), "{bad:?} {needs:?}");
+            }
         }
     }
 

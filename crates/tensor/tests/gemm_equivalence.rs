@@ -7,7 +7,9 @@
 //! never values, so `-0.0` vs `0.0` and NaN payload differences count as
 //! failures.
 
-use neurfill_tensor::kernels::{gemm, gemm_reference, gemm_with_threads, set_gemm_threads};
+use neurfill_tensor::kernels::{
+    gemm, gemm_bt_with_threads, gemm_reference, gemm_with_threads, set_gemm_threads,
+};
 use neurfill_tensor::{conv2d_backward, conv2d_forward, NdArray};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -53,6 +55,33 @@ proptest! {
         for threads in [1usize, 2, 8] {
             let mut got = vec![0.0f32; m * n];
             gemm_with_threads(&a, &b, &mut got, m, k, n, threads);
+            prop_assert_eq!(bits(&want), bits(&got), "{}x{}x{} t={}", m, k, n, threads);
+        }
+    }
+
+    // A right operand handed over transposed (`n × k`, read through the
+    // packing step) == the reference on the materialized `k × n` matrix,
+    // bitwise, accumulating onto a non-zero `out`. The ranges cover
+    // `n < NR` (tail columns only), `k` off the `KC` strip boundary,
+    // `m < 4` (single-row micro-kernel only) and products small enough
+    // for the unblocked fallback.
+    #[test]
+    fn transposed_operand_gemm_is_bitwise_equal_to_reference(
+        m in 1usize..40,
+        k in 1usize..300,
+        n in 1usize..200,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5bd1_e995);
+        let a = random_buf(&mut rng, m * k);
+        let bt = NdArray::from_vec(random_buf(&mut rng, n * k), &[n, k]).unwrap();
+        let b = bt.transpose2d().unwrap();
+        let start = random_buf(&mut rng, m * n);
+        let mut want = start.clone();
+        gemm_reference(&a, b.as_slice(), &mut want, m, k, n);
+        for threads in [1usize, 2, 3, 8] {
+            let mut got = start.clone();
+            gemm_bt_with_threads(&a, bt.as_slice(), &mut got, m, k, n, threads);
             prop_assert_eq!(bits(&want), bits(&got), "{}x{}x{} t={}", m, k, n, threads);
         }
     }
