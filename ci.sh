@@ -54,11 +54,16 @@ cargo test --release -p neurfill-chip --test bit_identity -q
 # oracle; the workspace run above compared them in debug, this compares the
 # optimized code that ships — whose heap footprint per job and per training
 # step is the one `live_heap` pins, and whose trained weights `training_pin`
-# pins at the parent of the change that fused the training node.
-echo "== replacement-vs-oracle suites, release build (line search, frozen + per-layer planarity, im2col/col2im + conv backward, insertion + sink, fused norm node, trajectory + training pins, live heap per job and per training step)"
+# pins at the parent of the change that fused the training node. Forward-only
+# scores and batched predictions run the one taped UNet definition on a
+# frozen network: `batch` and `score_only` pin them to the gradient path's
+# forward.
+echo "== replacement-vs-oracle suites, release build (line search, frozen + per-layer planarity, forward-only score + batched forward, im2col/col2im + conv backward, insertion + sink, fused norm node, trajectory + training pins, live heap per job and per training step)"
 cargo test --release -p neurfill-optim --lib linesearch -q
 cargo test --release -p neurfill --lib frozen_planarity -q
 cargo test --release -p neurfill --lib per_layer_backward -q
+cargo test --release -p neurfill --lib score_only -q
+cargo test --release -p neurfill-nn --lib batch -q
 cargo test --release -p neurfill-tensor --lib ops::conv -q
 cargo test --release -p neurfill-layout --lib insertion -q
 cargo test --release -p neurfill-nn --lib layers::norm::tests::fused -q
@@ -72,22 +77,13 @@ cargo test --release --test live_heap -q
 echo "== runtime smoke, release build (JobReport::predicted bitwise vs sequential)"
 cargo test --release -p neurfill-runtime --test runtime_smoke -q
 
-echo "== kernel bench (compile-only)"
-cargo bench -p neurfill-bench --bench kernels --no-run
-
 echo "== serve service suite"
 cargo test -p neurfill-serve --test service -q
 cargo test -p neurfill-serve --test http_hardening -q
 
-echo "== serve bench (compile-only)"
-cargo bench -p neurfill-bench --bench serve --no-run
-
 echo "== chip bit-identity suite (sharded == monolithic, any tiling)"
 cargo test -p neurfill-chip --test bit_identity -q
 cargo test -p neurfill-layout --test tiling_props -q
-
-echo "== fullchip bench (compile-only)"
-cargo bench -p neurfill-bench --bench fullchip --no-run
 
 echo "== durability suite (append log, journal, shard finalize)"
 cargo test -p neurfill-data -q
@@ -96,9 +92,6 @@ echo "== chaos/recovery suite (kill-at-every-ordinal, bit-identical resume)"
 cargo test -p neurfill-runtime --test wait_first -q
 cargo test -p neurfill-chip --test checkpoint_resume -q
 cargo test -p neurfill-serve --test recovery -q
-
-echo "== recovery bench (compile-only)"
-cargo bench -p neurfill-bench --bench recovery --no-run
 
 echo "== frozen benchmark gate (nfbench fmt, clippy, unit tests, --smoke of all four workloads)"
 nfbench/check.sh

@@ -1,7 +1,7 @@
 //! Micro-benchmark of the optimized compute kernels against their
 //! reference implementations: blocked GEMM, row-span im2col, the
 //! frozen-surrogate UNet backward, the interior/border pad convolution
-//! split and the anchored contact solve — plus graph-free UNet inference
+//! split and the anchored contact solve — plus frozen-UNet inference
 //! at the batch sizes the runtime pool forms and one end-to-end labeling
 //! run, so kernel wins are tied to pipeline wall-clock.
 //!
@@ -209,15 +209,17 @@ fn bench_unet_backward(rows: &mut Vec<BenchRecord>) {
     rows.push(row("unet_backward", "frozen_batch1_32x32".to_string(), frozen_ns, Some(trainable_ns)));
 }
 
-/// Graph-free `Module::infer` of the same surrogate on one GEMM thread
-/// (the pool pins per-worker inference to one core), at the batch sizes
-/// the runtime pool forms.
+/// `Module::infer` of the same surrogate, frozen as `CmpNeuralNetwork`
+/// freezes it (so nothing is taped), on one GEMM thread (the pool pins
+/// per-worker inference to one core), at the batch sizes the runtime pool
+/// forms.
 fn bench_unet_infer(rows: &mut Vec<BenchRecord>) {
     set_gemm_threads(1);
     let mut rng = StdRng::seed_from_u64(0x1f8);
     let unet =
         UNet::new(UNetConfig { in_channels: 4, out_channels: 1, base_channels: 8, depth: 2 }, &mut rng);
     unet.set_training(false);
+    unet.parameters().iter().for_each(|p| p.set_requires_grad(false));
     for batch in [1usize, 8, 32] {
         let input =
             NdArray::from_vec(random_f32(&mut rng, batch * 4 * 32 * 32), &[batch, 4, 32, 32]).unwrap();

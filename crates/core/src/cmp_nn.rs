@@ -166,25 +166,16 @@ impl CmpNeuralNetwork {
 
     /// Predicts the post-CMP heights (nm, row-major) of one layer of an
     /// already-filled layout — the surrogate counterpart of
-    /// `CmpSimulator::simulate_layer`.
-    ///
-    /// This is the plain single-window forward; batch-oriented callers use
-    /// [`CmpNeuralNetwork::predict_heights_batch`], which produces
-    /// bit-identical heights per window through the faster multi-sample
-    /// inference path.
+    /// `CmpSimulator::simulate_layer`: [`CmpNeuralNetwork::predict_heights_batch`]
+    /// of that layer's one sample.
     ///
     /// # Errors
     ///
     /// Returns an error on geometry mismatch.
     pub fn predict_layer_heights(&self, layout: &Layout, layer: usize) -> Result<Vec<f64>> {
         let sample = self.extract_window_sample(layout, layer)?;
-        let input = sample.reshape(&[1, NUM_CHANNELS, layout.rows(), layout.cols()])?;
-        let out = self.unet.infer(&input)?;
-        Ok(out
-            .as_slice()
-            .iter()
-            .map(|v| f64::from(*v) * self.height_norm.scale_nm + self.height_norm.offset_nm)
-            .collect())
+        let mut heights = self.predict_heights_batch(&[sample])?;
+        Ok(heights.swap_remove(0))
     }
 
     /// Predicts a whole-chip profile (heights only; the dishing/erosion
@@ -295,16 +286,10 @@ impl CmpNeuralNetwork {
             let arr = NdArray::from_vec(data, &[1, 1, rows, cols])?;
             let x_l = if with_grad { Tensor::parameter(arr) } else { Tensor::constant(arr) };
             let planes = extract_layer_tensor(layout, l, &x_l, &self.extraction)?;
-            // Only the gradient path needs the autograd graph; `infer` is
-            // pinned bit-equal to `forward` (`nn::batch` tests, and the
-            // score itself by `per_layer_backward_matches_joint_graph…`).
-            let h_raw = if with_grad {
-                self.unet.forward(&planes)?
-            } else {
-                Tensor::constant(self.unet.infer(&planes.value())?)
-            };
+            // One forward for both modes: the weights are frozen, so on a
+            // constant `x_l` every node is a leaf and nothing is taped.
             // Offset-free heights in Å, as an [N, M] map.
-            let h = h_raw.reshape(&[rows, cols])?.scale(ang);
+            let h = self.unet.forward(&planes)?.reshape(&[rows, cols])?.scale(ang);
 
             // Eq. 10a: σ_l = VAR(H).
             let sigma_l = h.var();
@@ -545,6 +530,23 @@ mod tests {
                 assert_eq!(net.planarity_score(&l, &x, &c).unwrap().to_bits(), score.to_bits());
             }
         }
+    }
+
+    #[test]
+    fn frozen_unet_forward_on_a_constant_tapes_nothing() {
+        // What the single forward's cost rests on: the score-only and
+        // prediction paths run the taped definition, and a frozen network
+        // on a constant input turns every node into a leaf.
+        let net = network();
+        let l = layout();
+        let x = Tensor::constant(NdArray::from_fn(&[1, 1, l.rows(), l.cols()], |i| i as f32));
+        let planes = extract_layer_tensor(&l, 0, &x, &net.extraction).unwrap();
+        let h = net.unet().forward(&planes).unwrap();
+        assert!(!h.requires_grad(), "a leaf, not a taped node: {h:?}");
+        h.sum().backward().unwrap();
+        net.planarity_score(&l, &vec![25.0; l.num_windows()], &coeffs()).unwrap();
+        net.predict_profile(&l).unwrap();
+        assert!(net.unet().parameters().iter().all(|p| p.grad().is_none()));
     }
 
     #[test]

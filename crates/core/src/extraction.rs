@@ -14,7 +14,7 @@
 //! | 2 | average feature width (scaled) | `(w·m + edge·x)/(m + x)` (rational) |
 //! | 3 | remaining slack fraction | `(slack − x)/area` (linear) |
 
-use neurfill_layout::{DummySpec, Layout, TileRect};
+use neurfill_layout::{DummySpec, Layout, TileRect, WindowPattern};
 use neurfill_tensor::{NdArray, Result, Tensor};
 
 /// Number of layout-parameter channels.
@@ -38,34 +38,24 @@ impl Default for ExtractionConfig {
 }
 
 /// Extracts the `[C, N, M]` parameter planes of one layer of an
-/// already-filled layout (training-time path; no autodiff).
+/// already-filled layout (training-time path; no autodiff): the
+/// whole-layer region of [`extract_region_arrays`].
 ///
 /// # Panics
 ///
 /// Panics when `layer` is out of range.
-// The `expect` asserts the vec length computed from the same dims.
-#[allow(clippy::expect_used)]
 #[must_use]
 pub fn extract_layer_arrays(layout: &Layout, layer: usize, cfg: &ExtractionConfig) -> NdArray {
-    let g = layout.layer(layer);
-    let (rows, cols) = (g.rows(), g.cols());
-    let area = layout.window_area();
-    let mut data = Vec::with_capacity(NUM_CHANNELS * rows * cols);
-    data.extend(g.iter().map(|w| w.density as f32));
-    data.extend(g.iter().map(|w| (w.perimeter / cfg.perimeter_scale) as f32));
-    data.extend(g.iter().map(|w| (w.avg_width / cfg.width_scale) as f32));
-    data.extend(g.iter().map(|w| (w.slack / area) as f32));
-    NdArray::from_vec(data, &[NUM_CHANNELS, rows, cols]).expect("sized from dims")
+    let whole = TileRect { row0: 0, col0: 0, rows: layout.rows(), cols: layout.cols() };
+    extract_region_arrays(layout, layer, whole, cfg)
 }
 
 /// Extracts the `[C, rows, cols]` parameter planes of one *region* of a
 /// layer, reading only the windows inside `rect` — the building block of
-/// bounded streaming extraction ([`ExtractionStream`]): unlike
-/// [`extract_layer_arrays`], nothing proportional to the full layer is
-/// allocated.
-///
-/// The planes are bitwise equal to the corresponding region of
-/// [`extract_layer_arrays`] (extraction is pointwise per window).
+/// bounded streaming extraction ([`ExtractionStream`]): nothing
+/// proportional to the full layer is allocated. Extraction is pointwise
+/// per window, so the planes are bitwise equal to the corresponding
+/// region of [`extract_layer_arrays`].
 ///
 /// # Panics
 ///
@@ -86,17 +76,17 @@ pub fn extract_region_arrays(
     );
     let area = layout.window_area();
     let mut data = Vec::with_capacity(NUM_CHANNELS * rect.len());
-    let mut plane = |f: &dyn Fn(&neurfill_layout::WindowPattern) -> f32| {
+    // One channel plane: `f` of the region's windows, row by row.
+    let mut plane = |f: fn(&WindowPattern, &ExtractionConfig, f64) -> f32| {
         for r in rect.row0..rect.row_end() {
-            for c in rect.col0..rect.col_end() {
-                data.push(f(g.get(r, c)));
-            }
+            let row = &g.as_slice()[g.offset(r, rect.col0)..][..rect.cols];
+            data.extend(row.iter().map(|w| f(w, cfg, area)));
         }
     };
-    plane(&|w| w.density as f32);
-    plane(&|w| (w.perimeter / cfg.perimeter_scale) as f32);
-    plane(&|w| (w.avg_width / cfg.width_scale) as f32);
-    plane(&|w| (w.slack / area) as f32);
+    plane(|w, _, _| w.density as f32);
+    plane(|w, cfg, _| (w.perimeter / cfg.perimeter_scale) as f32);
+    plane(|w, cfg, _| (w.avg_width / cfg.width_scale) as f32);
+    plane(|w, _, area| (w.slack / area) as f32);
     NdArray::from_vec(data, &[NUM_CHANNELS, rect.rows, rect.cols]).expect("sized from dims")
 }
 

@@ -23,7 +23,7 @@
 //! * [`checkpoint`] — one text bundle holding weights, Adam moments, RNG
 //!   state and the epoch/shard cursor, so training resumes bit-exactly.
 //! * [`train`] — a streaming epoch loop holding one shard in memory at a
-//!   time, with validation via the graph-free inference fast path.
+//!   time, with validation through `neurfill_nn::evaluate`.
 //!
 //! The `gendata` and `pretrain` binaries wrap the two halves as CLIs; a
 //! `pretrain` run ends in the same self-contained surrogate bundle

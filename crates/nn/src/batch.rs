@@ -64,11 +64,11 @@ pub fn unstack_samples(batch: &NdArray) -> Result<Vec<NdArray>> {
 /// pass and returns the per-sample outputs.
 ///
 /// This is the batched-eval entry point used by the surrogate's
-/// whole-profile prediction and by the batch runtime's inference server.
-/// It runs the module's [`Module::infer`] fast path — no autograd graph,
-/// fused normalization, and one batched conv GEMM — so for `B` samples it
-/// replaces `B` standard forward passes with one cheaper multi-sample
-/// evaluation, while staying bit-identical to them.
+/// whole-profile prediction, which a runtime pool job runs on its filled
+/// layout. It runs [`Module::infer`] — the module's one forward, on a
+/// constant input — with one batched conv GEMM per layer, so for `B`
+/// samples it replaces `B` single-sample forward passes with one
+/// multi-sample evaluation, while staying bit-identical to them.
 ///
 /// # Errors
 ///
@@ -122,8 +122,8 @@ mod tests {
         let batched = forward_batched(&net, &samples).unwrap();
         assert_eq!(batched.len(), 8);
         for (s, b) in samples.iter().zip(&batched) {
-            // Against both the batch path at B = 1 and the standard
-            // autograd forward: the infer fast path must not change bits.
+            // Against both the batch path at B = 1 and the autograd
+            // forward on a single-sample batch.
             let single = forward_batched(&net, std::slice::from_ref(s)).unwrap();
             assert_eq!(&single[0], b, "batched output must match single-sample output");
             let forward = net

@@ -47,33 +47,11 @@ impl Conv2d {
         let bias = Tensor::parameter(NdArray::zeros(&[out_channels]));
         Self { weight, bias, stride, padding }
     }
-
-    /// The weight tensor `[O, C, kh, kw]`.
-    #[must_use]
-    pub fn weight(&self) -> &Tensor {
-        &self.weight
-    }
-
-    /// The bias tensor `[O]`.
-    #[must_use]
-    pub fn bias(&self) -> &Tensor {
-        &self.bias
-    }
 }
 
 impl Module for Conv2d {
     fn forward(&self, input: &Tensor) -> Result<Tensor> {
         input.conv2d(&self.weight, Some(&self.bias), self.stride, self.padding)
-    }
-
-    fn infer(&self, input: &NdArray) -> Result<NdArray> {
-        neurfill_tensor::conv2d_forward(
-            input,
-            &self.weight.data(),
-            Some(&*self.bias.data()),
-            self.stride,
-            self.padding,
-        )
     }
 
     fn parameters(&self) -> Vec<Tensor> {
@@ -115,16 +93,6 @@ impl ConvTranspose2d {
 impl Module for ConvTranspose2d {
     fn forward(&self, input: &Tensor) -> Result<Tensor> {
         input.conv_transpose2d(&self.weight, Some(&self.bias), self.stride, self.padding)
-    }
-
-    fn infer(&self, input: &NdArray) -> Result<NdArray> {
-        neurfill_tensor::conv_transpose2d_forward(
-            input,
-            &self.weight.data(),
-            Some(&*self.bias.data()),
-            self.stride,
-            self.padding,
-        )
     }
 
     fn parameters(&self) -> Vec<Tensor> {

@@ -1,7 +1,7 @@
 //! Batch normalization.
 
 use crate::module::{Buffer, Module};
-use neurfill_tensor::{batch_norm_eval_inplace, BatchNormEval, NdArray, Result, Tensor};
+use neurfill_tensor::{NdArray, Result, Tensor};
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -10,9 +10,9 @@ use std::rc::Rc;
 /// In training mode, statistics are computed from the batch and running
 /// estimates are updated; gradients flow through the batch statistics
 /// exactly as in PyTorch. In evaluation mode the running estimates are
-/// used. Either way [`Module::forward`] tapes one graph node, whose value
-/// comes from the kernel ([`neurfill_tensor::batch_norm_eval_inplace`])
-/// that [`Module::infer`] runs.
+/// used. Either way [`Module::forward`] tapes one graph node
+/// ([`Tensor::batch_norm_train`] / [`Tensor::batch_norm_eval`]), and
+/// [`Module::infer`] is that same forward on a constant input.
 #[derive(Debug)]
 pub struct BatchNorm2d {
     gamma: Tensor,
@@ -58,8 +58,7 @@ impl BatchNorm2d {
     /// Training mode normalizes against the batch statistics
     /// ([`Tensor::batch_norm_train`]; gradients flow through them) and
     /// moves the running estimates towards them. Evaluation mode
-    /// normalizes against the running estimates, with the kernel
-    /// [`Module::infer`] runs.
+    /// normalizes against the running estimates.
     pub(crate) fn apply(&self, input: &Tensor, relu: bool) -> Result<Tensor> {
         if !self.training.get() {
             return input.batch_norm_eval(
@@ -85,35 +84,11 @@ impl BatchNorm2d {
         *rv = rv.scale(1.0 - self.momentum).add(&var.scale(self.momentum))?;
         Ok(())
     }
-
-    /// Forward-only [`BatchNorm2d::apply`] on an array the caller gives up:
-    /// evaluation mode normalizes it in place.
-    pub(crate) fn infer_owned(&self, mut input: NdArray, relu: bool) -> Result<NdArray> {
-        if self.training.get() {
-            // Batch statistics need the graph's semantics.
-            return self.apply(&Tensor::constant(input), relu).map(|t| t.value());
-        }
-        let (rm, rv) = (self.running_mean.borrow(), self.running_var.borrow());
-        let (g, b) = (self.gamma.data(), self.beta.data());
-        let p = BatchNormEval {
-            mean: rm.as_slice(),
-            var: rv.as_slice(),
-            gamma: g.as_slice(),
-            beta: b.as_slice(),
-            eps: self.eps,
-        };
-        batch_norm_eval_inplace(&mut input, &p, relu)?;
-        Ok(input)
-    }
 }
 
 impl Module for BatchNorm2d {
     fn forward(&self, input: &Tensor) -> Result<Tensor> {
         self.apply(input, false)
-    }
-
-    fn infer(&self, input: &NdArray) -> Result<NdArray> {
-        self.infer_owned(input.clone(), false)
     }
 
     fn parameters(&self) -> Vec<Tensor> {
@@ -211,9 +186,10 @@ mod tests {
                     assert_eq!(bits(got), bits(want), "{shape:?} relu={relu}");
                 }
                 assert_eq!(got[0].as_slice().contains(&0.0), relu, "the ReLU clamps some outputs");
-                // The forward-only path is the same kernel.
-                let inferred = bn.infer_owned(input.clone(), relu).unwrap();
-                assert_eq!(bits(&inferred), bits(&want[0]), "{shape:?} relu={relu}");
+                if !relu {
+                    // The forward-only value is the same node on a constant.
+                    assert_eq!(bits(&bn.infer(&input).unwrap()), bits(&want[0]), "{shape:?}");
+                }
             }
         }
     }

@@ -23,13 +23,14 @@ pub trait Module {
     /// module's configuration.
     fn forward(&self, input: &Tensor) -> Result<Tensor>;
 
-    /// Inference fast path: applies the module to a raw array without
-    /// building the autograd graph.
+    /// Applies the module to a raw array: [`Module::forward`] on a
+    /// constant tensor, value taken — there is no second definition of
+    /// any layer.
     ///
-    /// The result is bit-identical to evaluation-mode [`Module::forward`]
-    /// — layers override this to run their raw kernels directly (and fuse
-    /// where possible), but never to change arithmetic. The default falls
-    /// back to `forward` on a constant tensor, so every module supports it.
+    /// On a frozen module (every parameter `set_requires_grad(false)`)
+    /// nothing is taped: a node none of whose parents needs a gradient is
+    /// a leaf. On a trainable one the nodes are built and dropped with the
+    /// result.
     ///
     /// # Errors
     ///

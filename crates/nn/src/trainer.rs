@@ -119,9 +119,10 @@ pub fn fit(
     Ok(history)
 }
 
-/// Mean MSE of `model` over `data` in evaluation mode, through the
-/// graph-free [`Module::infer`] path (bit-identical to evaluation-mode
-/// `forward`, without taping anything), squared errors summed in `f64`.
+/// Mean MSE of `model` over `data` in evaluation mode, through
+/// [`Module::infer`] (evaluation-mode `forward`; a trainable model's nodes
+/// are dropped with each batch's prediction, and no loss node is built),
+/// squared errors summed in `f64`.
 ///
 /// The model is left in evaluation mode (callers mid-training re-enable
 /// training mode themselves, as [`fit`] does at each epoch start).
@@ -207,8 +208,8 @@ mod tests {
         assert!(history[0].val_loss.is_some());
     }
 
-    /// The taped `evaluate` the graph-free one replaced: evaluation-mode
-    /// `forward` and `mse_loss`, one autograd graph per batch.
+    /// The `evaluate` this one replaced: evaluation-mode `forward` and
+    /// `mse_loss`, an f32 loss node per batch.
     fn taped_evaluate(model: &dyn Module, data: &Dataset, batch_size: usize) -> Result<f32> {
         model.set_training(false);
         let mut total = 0.0;
@@ -224,7 +225,7 @@ mod tests {
     }
 
     #[test]
-    fn graph_free_evaluate_matches_the_taped_forward() {
+    fn evaluate_matches_the_taped_mse_loss() {
         use crate::{UNet, UNetConfig};
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let config = UNetConfig { in_channels: 2, out_channels: 1, base_channels: 2, depth: 1 };
@@ -238,9 +239,9 @@ mod tests {
         // Running statistics off their initial values; a ragged last batch.
         let cfg = TrainConfig { epochs: 2, batch_size: 4, ..TrainConfig::default() };
         fit(&model, &ds, None, &cfg, &mut rng, |_| true).unwrap();
-        let graph_free = evaluate(&model, &ds, 4).unwrap();
+        let loss = evaluate(&model, &ds, 4).unwrap();
         let taped = taped_evaluate(&model, &ds, 4).unwrap();
-        assert!((graph_free - taped).abs() <= 1e-6 * taped.abs().max(1.0), "{graph_free} vs {taped}");
+        assert!((loss - taped).abs() <= 1e-6 * taped.abs().max(1.0), "{loss} vs {taped}");
         // A target of another shape is an error, not a truncated zip.
         let mut wrong = Dataset::new();
         wrong.push(NdArray::zeros(&[2, 4, 4]), NdArray::zeros(&[2, 4, 4])).unwrap();

@@ -7,7 +7,7 @@
 
 use crate::layers::{BatchNorm2d, Conv2d, ConvTranspose2d};
 use crate::module::{Buffer, Module};
-use neurfill_tensor::{max_pool2d_forward, NdArray, Result, Tensor, TensorError};
+use neurfill_tensor::{Result, Tensor, TensorError};
 use rand::Rng;
 
 /// Configuration of a [`UNet`].
@@ -81,11 +81,6 @@ impl Module for DoubleConv {
     fn forward(&self, input: &Tensor) -> Result<Tensor> {
         let x = self.bn1.apply(&self.conv1.forward(input)?, true)?;
         self.bn2.apply(&self.conv2.forward(&x)?, true)
-    }
-    fn infer(&self, input: &NdArray) -> Result<NdArray> {
-        // Norm + ReLU in place on each convolution's output.
-        let x = self.bn1.infer_owned(self.conv1.infer(input)?, true)?;
-        self.bn2.infer_owned(self.conv2.infer(&x)?, true)
     }
     fn parameters(&self) -> Vec<Tensor> {
         let mut p = self.conv1.parameters();
@@ -202,25 +197,6 @@ impl Module for UNet {
             x = up_conv.forward(&cat)?;
         }
         self.head.forward(&x)
-    }
-
-    fn infer(&self, input: &NdArray) -> Result<NdArray> {
-        // Same topology as `forward`, on the raw kernels the tensor ops
-        // call internally — outputs are bit-identical, with no graph built.
-        self.check_input(input.shape())?;
-        let mut skips = Vec::with_capacity(self.config.depth);
-        let mut x = self.stem.infer(input)?;
-        for down in &self.downs {
-            skips.push(x.clone());
-            x = down.infer(&max_pool2d_forward(&x, 2, 2)?.0)?;
-        }
-        // One skip per up stage, consumed deepest-first.
-        for ((up, up_conv), skip) in self.ups.iter().zip(&self.up_convs).zip(skips.into_iter().rev()) {
-            let upsampled = up.infer(&x)?;
-            let cat = NdArray::concat(&[&skip, &upsampled], 1)?;
-            x = up_conv.infer(&cat)?;
-        }
-        self.head.infer(&x)
     }
 
     fn parameters(&self) -> Vec<Tensor> {

@@ -548,10 +548,10 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 /// Flags surrogate heights that cannot be trusted: non-finite values, or
 /// values implausibly far from the normalization band (|h − offset| >
 /// 10⁴ × scale — a trained surrogate predicts within a few scales).
-fn heights_health_error(heights: &[Vec<f64>], norm: HeightNorm) -> Option<String> {
+fn heights_health_error(profile: &ChipProfile, norm: HeightNorm) -> Option<String> {
     let band = 1e4 * norm.scale_nm;
-    for (layer, layer_heights) in heights.iter().enumerate() {
-        for &h in layer_heights {
+    for (layer, layer_profile) in profile.iter().enumerate() {
+        for &h in layer_profile.heights() {
             if !h.is_finite() {
                 return Some(format!("surrogate returned a non-finite height on layer {layer}"));
             }
@@ -563,6 +563,20 @@ fn heights_health_error(heights: &[Vec<f64>], norm: HeightNorm) -> Option<String
         }
     }
     None
+}
+
+/// `profile` with every height NaN — what the `verify_forward=nan` fault
+/// makes of the surrogate's answer.
+fn poisoned(profile: &ChipProfile) -> ChipProfile {
+    ChipProfile::new(
+        profile
+            .iter()
+            .map(|l| {
+                let nan = vec![f64::NAN; l.heights().len()];
+                LayerProfile::new(l.rows(), l.cols(), nan, l.dishing().to_vec(), l.erosion().to_vec())
+            })
+            .collect(),
+    )
 }
 
 /// One job: synthesis through the worker's own flow (under the job's
@@ -588,49 +602,31 @@ fn run_job(
     let verify_start = Instant::now();
     let dummy = flow.config().insertion_dummy_spec();
     let filled = apply_fill(&spec.layout, &result.plan, &dummy);
-    let (rows, cols) = (filled.rows(), filled.cols());
-    let samples: Vec<_> = (0..filled.num_layers())
-        .map(|l| flow.network().extract_window_sample(&filled, l))
-        .collect::<Result<_, _>>()
-        .map_err(|e| e.to_string())?;
     // Fault site `verify_forward`: a transient fails this attempt (the
     // job retries), a panic fails this job only, NaN poisons the heights
     // so the health guard below trips.
     let poison = fault.inject(sites::VERIFY_FORWARD)?;
-    let mut heights = flow
+    let mut profile = flow
         .network()
-        .predict_heights_batch(&samples)
+        .predict_profile(&filled)
         .map_err(|e| format!("verification forward failed: {e}"))?;
-    stats.samples_inferred.add(samples.len() as u64);
+    stats.samples_inferred.add(filled.num_layers() as u64);
     if poison {
-        heights.iter_mut().for_each(|h| h.fill(f64::NAN));
+        profile = poisoned(&profile);
     }
-    let (predicted, degraded) = match heights_health_error(&heights, flow.network().height_norm()) {
-        None => {
-            let profile = ChipProfile::new(
-                heights
-                    .into_iter()
-                    .map(|h| {
-                        let zeros = vec![0.0; rows * cols];
-                        LayerProfile::new(rows, cols, h, zeros.clone(), zeros)
-                    })
-                    .collect(),
-            );
-            (PlanarityMetrics::from_profile(&profile), None)
-        }
-        Some(reason) => {
-            // The surrogate's numbers are unusable: verify on the golden
-            // simulator and say so in the report.
-            stats.jobs_degraded.inc();
-            stats.events.event(
-                "fault",
-                "golden_degraded",
-                &[("job", spec.name.clone()), ("reason", reason.clone())],
-            );
-            let profile = flow.simulator().simulate(&filled);
-            (PlanarityMetrics::from_profile(&profile), Some(reason))
-        }
-    };
+    let degraded = heights_health_error(&profile, flow.network().height_norm());
+    if let Some(reason) = &degraded {
+        // The surrogate's numbers are unusable: verify on the golden
+        // simulator and say so in the report.
+        stats.jobs_degraded.inc();
+        stats.events.event(
+            "fault",
+            "golden_degraded",
+            &[("job", spec.name.clone()), ("reason", reason.clone())],
+        );
+        profile = flow.simulator().simulate(&filled);
+    }
+    let predicted = PlanarityMetrics::from_profile(&profile);
     let verify_elapsed = verify_start.elapsed();
     stats.verify_nanos.add_duration(verify_elapsed);
     stats.job_verify.record_duration(verify_elapsed);

@@ -1,8 +1,9 @@
 //! Differentiable 2-D convolution, transposed convolution and max pooling
 //! (NCHW layout), implemented with `im2col`/`col2im` + matmul.
 //!
-//! The raw [`NdArray`] kernels are public so non-autodiff code (e.g. the CMP
-//! simulator's pad kernel) can reuse them.
+//! The convolution's raw [`NdArray`] kernels (`conv2d_forward`,
+//! `conv2d_backward`, `im2col_into`) are public for the kernel benches and
+//! equivalence suites; everything else is reached through [`Tensor`].
 
 use crate::array::{gemm_counted, NdArray};
 use crate::error::{Result, TensorError};
@@ -21,7 +22,7 @@ thread_local! {
 
 /// Spatial output extent of a convolution along one axis.
 #[must_use]
-pub fn conv_out_extent(input: usize, kernel: usize, stride: usize, padding: usize) -> usize {
+pub(crate) fn conv_out_extent(input: usize, kernel: usize, stride: usize, padding: usize) -> usize {
     (input + 2 * padding - kernel) / stride + 1
 }
 
@@ -353,7 +354,7 @@ pub fn conv2d_backward(
 /// # Errors
 ///
 /// Returns an error on rank/shape mismatches.
-pub fn conv_transpose2d_forward(
+pub(crate) fn conv_transpose2d_forward(
     input: &NdArray,
     weight: &NdArray,
     bias: Option<&NdArray>,
@@ -411,7 +412,7 @@ pub fn conv_transpose2d_forward(
 /// # Errors
 ///
 /// Returns an error on shape mismatches.
-pub fn conv_transpose2d_backward(
+pub(crate) fn conv_transpose2d_backward(
     input: &NdArray,
     weight: &NdArray,
     grad_out: &NdArray,
@@ -473,7 +474,7 @@ pub fn conv_transpose2d_backward(
 /// # Errors
 ///
 /// Returns an error when the input is not rank 4 or smaller than the kernel.
-pub fn max_pool2d_forward(
+pub(crate) fn max_pool2d_forward(
     input: &NdArray,
     kernel: usize,
     stride: usize,
@@ -513,82 +514,6 @@ pub fn max_pool2d_forward(
         }
     }
     Ok((out, arg))
-}
-
-/// Forward average pooling (NCHW).
-///
-/// # Errors
-///
-/// Returns an error when the input is not rank 4 or smaller than the
-/// kernel.
-pub fn avg_pool2d_forward(input: &NdArray, kernel: usize, stride: usize) -> Result<NdArray> {
-    let (n, c, h, w) = expect_rank4(input, "avg_pool2d")?;
-    if h < kernel || w < kernel {
-        return Err(TensorError::InvalidArgument(format!(
-            "pool kernel {kernel} larger than input {h}x{w}"
-        )));
-    }
-    let ho = (h - kernel) / stride + 1;
-    let wo = (w - kernel) / stride + 1;
-    let x = input.as_slice();
-    let inv = 1.0 / (kernel * kernel) as f32;
-    let mut out = NdArray::zeros(&[n, c, ho, wo]);
-    let o = out.as_mut_slice();
-    for nc in 0..n * c {
-        let base = nc * h * w;
-        let obase = nc * ho * wo;
-        for oy in 0..ho {
-            for ox in 0..wo {
-                let mut acc = 0.0;
-                for ky in 0..kernel {
-                    let row = base + (oy * stride + ky) * w + ox * stride;
-                    for kx in 0..kernel {
-                        acc += x[row + kx];
-                    }
-                }
-                o[obase + oy * wo + ox] = acc * inv;
-            }
-        }
-    }
-    Ok(out)
-}
-
-struct AvgPoolGrad {
-    in_shape: Vec<usize>,
-    kernel: usize,
-    stride: usize,
-}
-
-impl GradFn for AvgPoolGrad {
-    fn backward(&self, grad: &NdArray, _needs: &[bool]) -> Vec<Option<NdArray>> {
-        let (n, c, h, w) = (self.in_shape[0], self.in_shape[1], self.in_shape[2], self.in_shape[3]);
-        let (k, s) = (self.kernel, self.stride);
-        let ho = (h - k) / s + 1;
-        let wo = (w - k) / s + 1;
-        let inv = 1.0 / (k * k) as f32;
-        let g = grad.as_slice();
-        let mut out = NdArray::zeros(&self.in_shape);
-        let o = out.as_mut_slice();
-        for nc in 0..n * c {
-            let base = nc * h * w;
-            let obase = nc * ho * wo;
-            for oy in 0..ho {
-                for ox in 0..wo {
-                    let gv = g[obase + oy * wo + ox] * inv;
-                    for ky in 0..k {
-                        let row = base + (oy * s + ky) * w + ox * s;
-                        for kx in 0..k {
-                            o[row + kx] += gv;
-                        }
-                    }
-                }
-            }
-        }
-        vec![Some(out)]
-    }
-    fn name(&self) -> &'static str {
-        "avg_pool2d"
-    }
 }
 
 /// Turns the raw kernels' `needs`-selected gradients into the per-parent
@@ -729,21 +654,6 @@ impl Tensor {
                 stride,
                 padding,
             }),
-        ))
-    }
-
-    /// Differentiable average pooling.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the tensor is not rank 4 or smaller than the
-    /// kernel.
-    pub fn avg_pool2d(&self, kernel: usize, stride: usize) -> Result<Tensor> {
-        let out = avg_pool2d_forward(&self.data(), kernel, stride)?;
-        Ok(Tensor::from_op(
-            out,
-            vec![self.clone()],
-            Box::new(AvgPoolGrad { in_shape: self.shape(), kernel, stride }),
         ))
     }
 
@@ -1368,24 +1278,6 @@ mod tests {
         assert_eq!(g.as_slice()[6], 1.0); // the 6.0
         assert_eq!(g.as_slice()[14], 1.0); // the 9.0
         assert_eq!(g.sum(), 4.0);
-    }
-
-    #[test]
-    fn avg_pool_forward_and_grad() {
-        let x = Tensor::parameter(NdArray::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]).unwrap());
-        let y = x.avg_pool2d(2, 2).unwrap();
-        assert_eq!(y.shape(), vec![1, 1, 1, 1]);
-        assert_eq!(y.item(), 2.5);
-        y.sum().backward().unwrap();
-        assert_eq!(x.grad().unwrap().as_slice(), &[0.25; 4]);
-    }
-
-    #[test]
-    fn avg_pool_gradcheck() {
-        use crate::gradcheck::check_gradient;
-        let x0 = NdArray::from_fn(&[1, 2, 4, 4], |i| (i as f32 * 0.37).sin());
-        let report = check_gradient(&x0, 1e-2, |x| x.avg_pool2d(2, 2).unwrap().square().sum());
-        assert!(report.passes(1e-2), "{report:?}");
     }
 
     #[test]

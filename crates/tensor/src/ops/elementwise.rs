@@ -171,13 +171,6 @@ impl Tensor {
         ))
     }
 
-    /// Negation.
-    #[must_use]
-    pub fn neg(&self) -> Tensor {
-        let out = self.data().scale(-1.0);
-        Tensor::from_op(out, vec![self.clone()], Box::new(AffineGrad { scale: -1.0, name: "neg" }))
-    }
-
     /// Adds a scalar to every element.
     #[must_use]
     pub fn add_scalar(&self, s: f32) -> Tensor {
@@ -236,18 +229,6 @@ impl Tensor {
         let out = self.value().map(f32::exp);
         let dydx = out.clone();
         Tensor::from_op(out, vec![self.clone()], Box::new(UnaryGrad { dydx, name: "exp" }))
-    }
-
-    /// Elementwise natural logarithm.
-    ///
-    /// The derivative is `1/x`; callers are responsible for keeping inputs
-    /// positive.
-    #[must_use]
-    pub fn ln(&self) -> Tensor {
-        let x = self.value();
-        let out = x.map(f32::ln);
-        let dydx = x.map(|v| 1.0 / v);
-        Tensor::from_op(out, vec![self.clone()], Box::new(UnaryGrad { dydx, name: "ln" }))
     }
 
     /// Elementwise square root.
@@ -334,14 +315,10 @@ mod tests {
     }
 
     #[test]
-    fn exp_ln_sqrt_grads() {
+    fn exp_sqrt_grads() {
         let x = param(&[1.0]);
         x.exp().sum().backward().unwrap();
         assert!((x.grad().unwrap().as_slice()[0] - 1.0f32.exp()).abs() < 1e-5);
-
-        let y = param(&[2.0]);
-        y.ln().sum().backward().unwrap();
-        assert!((y.grad().unwrap().as_slice()[0] - 0.5).abs() < 1e-6);
 
         let z = param(&[4.0]);
         z.sqrt().sum().backward().unwrap();

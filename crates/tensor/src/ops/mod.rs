@@ -1,9 +1,8 @@
 //! Differentiable operations on [`crate::Tensor`].
 //!
 //! Each submodule adds inherent methods to `Tensor` together with the
-//! corresponding backward implementations. Raw (non-differentiable)
-//! `NdArray` kernels that the operations share — e.g. `im2col` — also live
-//! here so the CMP simulator can reuse them without autodiff overhead.
+//! corresponding backward implementations, and the raw `NdArray` kernels
+//! (e.g. `im2col`) the operations share.
 
 pub mod activation;
 pub mod conv;

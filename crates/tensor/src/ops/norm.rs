@@ -2,13 +2,12 @@
 //! kernel and one graph node — over running statistics (evaluation mode)
 //! or over the batch's own (training mode).
 //!
-//! The arithmetic is written once. [`batch_norm_eval_inplace`] is the
-//! normalization itself: the forward-only inference path calls it on an
-//! array it owns, and both [`Tensor::batch_norm_eval`] and
+//! The arithmetic is written once. `batch_norm_eval_inplace` is the
+//! normalization itself: both [`Tensor::batch_norm_eval`] and
 //! [`Tensor::batch_norm_train`] call it for the value of a single taped
-//! node; the training node first takes the batch statistics with
-//! [`Sum3`]. One [`GradFn`] differentiates both: through the statistics
-//! when they came from the batch, past them when they were fixed.
+//! node; the training node first takes the batch statistics with `Sum3`.
+//! One `GradFn` differentiates both: through the statistics when they
+//! came from the batch, past them when they were fixed.
 //!
 //! Every per-channel reduction here is the three-stage sum `Σ₃` that
 //! `mean_axis(0) → (2) → (3)` and `reduce_to_shape` perform, so outputs
@@ -23,7 +22,7 @@ use crate::tensor::{GradFn, Tensor};
 /// Per-channel statistics and affine parameters of an evaluation-mode
 /// batch norm over NCHW data: `y = (x − mean) / √(var + eps) · gamma + beta`.
 #[derive(Debug, Clone, Copy)]
-pub struct BatchNormEval<'a> {
+pub(crate) struct BatchNormEval<'a> {
     /// Running mean per channel.
     pub mean: &'a [f32],
     /// Running variance per channel.
@@ -71,7 +70,7 @@ impl BatchNormEval<'_> {
 ///
 /// Returns an error when `x` is not rank 4 or its channel count differs
 /// from the parameter lengths.
-pub fn batch_norm_eval_inplace(x: &mut NdArray, p: &BatchNormEval<'_>, relu: bool) -> Result<()> {
+pub(crate) fn batch_norm_eval_inplace(x: &mut NdArray, p: &BatchNormEval<'_>, relu: bool) -> Result<()> {
     let per = p.plane(x)?;
     let channels = p.mean.len();
     if per == 0 || channels == 0 {
@@ -295,8 +294,8 @@ impl GradFn for BatchNormGrad {
 
 impl Tensor {
     /// The one graph node behind both modes: normalizes `self` against
-    /// `mean` / `var` with [`batch_norm_eval_inplace`] and tapes
-    /// [`BatchNormGrad`].
+    /// `mean` / `var` with `batch_norm_eval_inplace` and tapes
+    /// `BatchNormGrad`.
     #[allow(clippy::too_many_arguments)]
     fn batch_norm_node(
         &self,
@@ -328,7 +327,7 @@ impl Tensor {
     /// Evaluation-mode batch normalization of an NCHW tensor against fixed
     /// per-channel `mean` / `var`, scaled by `gamma` and shifted by `beta`
     /// (both of shape `[C]`), followed by ReLU when `relu` — one graph
-    /// node whose value comes from [`batch_norm_eval_inplace`].
+    /// node.
     ///
     /// Output and gradients carry the bits of the composition
     /// `x.sub(mean).div(√(var + eps)).mul(gamma).add(beta)` (`.relu()`).

@@ -1,5 +1,5 @@
-//! Differentiable reductions: sum, mean, population variance and their
-//! per-axis variants. These implement the toolkit functions the paper uses
+//! Differentiable reductions: sum, mean, population variance and the
+//! per-axis mean. These implement the toolkit functions the paper uses
 //! in its objective layers (`VAR`, `SUM`, `MEAN` in Eq. 10).
 
 use crate::array::NdArray;
@@ -52,14 +52,14 @@ impl GradFn for VarGrad {
     }
 }
 
-struct SumAxisGrad {
+struct MeanAxisGrad {
     in_shape: Vec<usize>,
     axis: usize,
     keepdim: bool,
     scale: f32,
 }
 
-impl GradFn for SumAxisGrad {
+impl GradFn for MeanAxisGrad {
     #[allow(clippy::expect_used)] // shapes were validated in the forward pass
     fn backward(&self, grad: &NdArray, _needs: &[bool]) -> Vec<Option<NdArray>> {
         // Re-insert the reduced axis (extent 1) and broadcast back.
@@ -70,7 +70,7 @@ impl GradFn for SumAxisGrad {
         vec![Some(full.scale(self.scale))]
     }
     fn name(&self) -> &'static str {
-        "sum_axis"
+        "mean_axis"
     }
 }
 
@@ -101,20 +101,6 @@ impl Tensor {
         Tensor::from_op(out, vec![self.clone()], Box::new(VarGrad { centered }))
     }
 
-    /// Sum over one axis.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an out-of-range axis.
-    pub fn sum_axis(&self, axis: usize, keepdim: bool) -> Result<Tensor> {
-        let out = self.data().sum_axis(axis, keepdim)?;
-        Ok(Tensor::from_op(
-            out,
-            vec![self.clone()],
-            Box::new(SumAxisGrad { in_shape: self.shape(), axis, keepdim, scale: 1.0 }),
-        ))
-    }
-
     /// Mean over one axis (the paper's `MEAN(H, 1)` in Eq. 10b).
     ///
     /// # Errors
@@ -126,7 +112,7 @@ impl Tensor {
         Ok(Tensor::from_op(
             out,
             vec![self.clone()],
-            Box::new(SumAxisGrad { in_shape: self.shape(), axis, keepdim, scale: 1.0 / n }),
+            Box::new(MeanAxisGrad { in_shape: self.shape(), axis, keepdim, scale: 1.0 / n }),
         ))
     }
 }
@@ -150,16 +136,6 @@ mod tests {
         v.backward().unwrap();
         // d var/dx = 2(x - x̄)/n = 2*(-1)/2, 2*(1)/2 = [-1, 1]
         assert_eq!(x.grad().unwrap().as_slice(), &[-1.0, 1.0]);
-    }
-
-    #[test]
-    fn sum_axis_grad_broadcasts_back() {
-        let x =
-            Tensor::parameter(NdArray::from_vec((1..=6).map(|v| v as f32).collect(), &[2, 3]).unwrap());
-        let s = x.sum_axis(1, false).unwrap();
-        assert_eq!(s.value().as_slice(), &[6.0, 15.0]);
-        s.sum().backward().unwrap();
-        assert_eq!(x.grad().unwrap().as_slice(), &[1.0; 6]);
     }
 
     #[test]
