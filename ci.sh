@@ -54,14 +54,16 @@ cargo test --release -p neurfill-chip --test bit_identity -q
 # oracle; the workspace run above compared them in debug, this compares the
 # optimized code that ships — whose heap footprint per job and per training
 # step is the one `live_heap` pins, and whose trained weights `training_pin`
-# pins at the parent of the change that fused the training node. Forward-only
-# scores and batched predictions run the one taped UNet definition on a
-# frozen network: `batch` and `score_only` pin them to the gradient path's
-# forward.
-echo "== replacement-vs-oracle suites, release build (line search, frozen + per-layer planarity, forward-only score + batched forward, im2col/col2im + conv backward, insertion + sink, fused norm node, trajectory + training pins, live heap per job and per training step)"
+# pins at the parent of the change that fused the training node. Scores and
+# batched predictions run the one taped UNet definition on a frozen network:
+# `batch` and `score_only` pin them to the gradient path's forward, and
+# `tape_reuse` pins a gradient that reuses the accepted trial's taped forward
+# to one that runs its own.
+echo "== replacement-vs-oracle suites, release build (line search, frozen + per-layer planarity, tape reuse, score + batched forward, im2col/col2im + conv backward, insertion + sink, fused norm node, trajectory + training pins, live heap per job and per training step)"
 cargo test --release -p neurfill-optim --lib linesearch -q
 cargo test --release -p neurfill --lib frozen_planarity -q
 cargo test --release -p neurfill --lib per_layer_backward -q
+cargo test --release -p neurfill --lib framework::tests::tape_reuse -q
 cargo test --release -p neurfill --lib score_only -q
 cargo test --release -p neurfill-nn --lib batch -q
 cargo test --release -p neurfill-tensor --lib ops::conv -q

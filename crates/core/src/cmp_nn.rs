@@ -53,6 +53,49 @@ pub struct PlanarityEval {
     pub gradient: Vec<f64>,
 }
 
+/// The taped forward pass of the CMP neural network at one fill vector:
+/// the score `S_plan`, and per layer the fill leaf `x_l` with the layer's
+/// loss `k_σ·σ_l + k_σ*·σ*_l + k_ol·ol_l`, whose graph
+/// [`PlanarityTape::gradient`] differentiates.
+#[derive(Debug)]
+pub(crate) struct PlanarityTape {
+    score: f64,
+    layers: Vec<(Tensor, Tensor)>,
+}
+
+impl PlanarityTape {
+    /// The planarity score `S_plan` (unclamped slopes; see
+    /// [`CmpNeuralNetwork::planarity`]).
+    #[must_use]
+    pub(crate) fn score(&self) -> f64 {
+        self.score
+    }
+
+    /// The backward pass: `∇S_plan` w.r.t. the flat fill vector.
+    ///
+    /// S_plan is linear in the per-layer terms (Eq. 5b with unclamped
+    /// slopes), and layer l's terms depend on layer l's fill amounts only,
+    /// so each layer's loss is differentiated on its own graph, in layer
+    /// order, and that graph is dropped before the next backward runs. The
+    /// seed reaching σ_l, σ*_l and ol_l is `1·k` either way, so every
+    /// gradient bit is what one backward through the joint graph gives.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when a backward pass fails.
+    pub(crate) fn gradient(self) -> Result<Vec<f64>> {
+        let mut gradient = Vec::with_capacity(self.layers.iter().map(|(x_l, _)| x_l.numel()).sum());
+        for (x_l, loss_l) in self.layers {
+            loss_l.backward()?;
+            match x_l.grad() {
+                Some(g) => gradient.extend(g.as_slice().iter().map(|v| f64::from(*v))),
+                None => gradient.extend(std::iter::repeat_n(0.0, x_l.numel())),
+            }
+        }
+        Ok(gradient)
+    }
+}
+
 /// Extraction layer + pre-trained UNet + objective layers.
 #[derive(Debug)]
 pub struct CmpNeuralNetwork {
@@ -214,21 +257,20 @@ impl CmpNeuralNetwork {
     /// Returns an error on geometry mismatch or when `x` has the wrong
     /// length.
     pub fn planarity(&self, layout: &Layout, x: &[f64], coeffs: &Coefficients) -> Result<PlanarityEval> {
-        self.planarity_impl(layout, x, coeffs, true)
+        let tape = self.planarity_forward(layout, x, coeffs)?;
+        let score = tape.score();
+        Ok(PlanarityEval { score, gradient: tape.gradient()? })
     }
 
-    /// Forward-only variant of [`CmpNeuralNetwork::planarity`]: evaluates
-    /// `S_plan(x)` without building a graph. Bit-equal to
-    /// [`PlanarityEval::score`] at the same `x`, so a line search that
-    /// scores trials with this and steps along `planarity`'s gradient
-    /// compares one surface with itself.
+    /// The score of [`CmpNeuralNetwork::planarity_forward`]: `S_plan(x)`,
+    /// bit-equal to [`PlanarityEval::score`] at the same `x`.
     ///
     /// # Errors
     ///
     /// Returns an error on geometry mismatch or when `x` has the wrong
     /// length.
     pub fn planarity_score(&self, layout: &Layout, x: &[f64], coeffs: &Coefficients) -> Result<f64> {
-        Ok(self.planarity_impl(layout, x, coeffs, false)?.score)
+        Ok(self.planarity_forward(layout, x, coeffs)?.score())
     }
 
     // Inert alias the frozen benchmark still compiles against
@@ -239,16 +281,24 @@ impl CmpNeuralNetwork {
         self.planarity_score(layout, x, coeffs)
     }
 
+    /// The forward half of [`CmpNeuralNetwork::planarity`]: evaluates
+    /// `S_plan(x)` on a graph over the fill amounts and keeps it, so
+    /// [`PlanarityTape::gradient`] can run the backward later — or never,
+    /// when only the score is wanted.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on geometry mismatch or when `x` has the wrong
+    /// length.
     // The three `expect`s assert that at least one layer was folded into
     // the totals — `check_layout` above guarantees a non-empty layout.
     #[allow(clippy::expect_used)]
-    fn planarity_impl(
+    pub(crate) fn planarity_forward(
         &self,
         layout: &Layout,
         x: &[f64],
         coeffs: &Coefficients,
-        with_grad: bool,
-    ) -> Result<PlanarityEval> {
+    ) -> Result<PlanarityTape> {
         self.check_layout(layout)?;
         if x.len() != layout.num_windows() {
             return Err(TensorError::LengthMismatch { expected: layout.num_windows(), actual: x.len() });
@@ -263,19 +313,14 @@ impl CmpNeuralNetwork {
         let ang = (self.height_norm.scale_nm * NM_TO_ANGSTROM) as f32;
         let eta = self.config.eta as f32;
 
-        // S_plan is linear in the per-layer terms (Eq. 5b with unclamped
-        // slopes): S_plan = k_σ·Σσ_l + k_σ*·Σσ*_l + k_ol·Σol_l + const, and
-        // layer l's terms depend on layer l's fill amounts only. So each
-        // layer is differentiated on its own graph, which is dropped before
-        // the next layer is built: one UNet graph is alive at a time, not
-        // one per layer. The seed reaching σ_l, σ*_l and ol_l is `1·k`
-        // either way, so every gradient bit is what the joint graph gave.
+        // S_plan = k_σ·Σσ_l + k_σ*·Σσ*_l + k_ol·Σol_l + const (Eq. 5b with
+        // unclamped slopes); each layer keeps its own loss for the backward.
         let a = &coeffs.alphas;
         let k_sigma = -(a.sigma / coeffs.beta_sigma) as f32;
         let k_sstar = -(a.sigma_star / coeffs.beta_sigma_star) as f32;
         let k_ol = -(a.ol / coeffs.beta_ol) as f32;
 
-        let mut gradient = Vec::with_capacity(if with_grad { x.len() } else { 0 });
+        let mut layers = Vec::with_capacity(layout.num_layers());
         let mut sigma_total: Option<Tensor> = None;
         let mut sstar_total: Option<Tensor> = None;
         let mut ol_total: Option<Tensor> = None;
@@ -283,11 +328,8 @@ impl CmpNeuralNetwork {
         for l in 0..layout.num_layers() {
             let slice = &x[l * per_layer..(l + 1) * per_layer];
             let data: Vec<f32> = slice.iter().map(|v| *v as f32).collect();
-            let arr = NdArray::from_vec(data, &[1, 1, rows, cols])?;
-            let x_l = if with_grad { Tensor::parameter(arr) } else { Tensor::constant(arr) };
+            let x_l = Tensor::parameter(NdArray::from_vec(data, &[1, 1, rows, cols])?);
             let planes = extract_layer_tensor(layout, l, &x_l, &self.extraction)?;
-            // One forward for both modes: the weights are frozen, so on a
-            // constant `x_l` every node is a leaf and nothing is taped.
             // Offset-free heights in Å, as an [N, M] map.
             let h = self.unet.forward(&planes)?.reshape(&[rows, cols])?.scale(ang);
 
@@ -304,17 +346,8 @@ impl CmpNeuralNetwork {
             let z = h.sub(&threshold)?;
             let ol_l = z.scale(eta).softplus().sum().scale(1.0 / eta);
 
-            if with_grad {
-                sigma_l
-                    .scale(k_sigma)
-                    .add(&sstar_l.scale(k_sstar))?
-                    .add(&ol_l.scale(k_ol))?
-                    .backward()?;
-                match x_l.grad() {
-                    Some(g) => gradient.extend(g.as_slice().iter().map(|v| f64::from(*v))),
-                    None => gradient.extend(std::iter::repeat_n(0.0, per_layer)),
-                }
-            }
+            let loss_l = sigma_l.scale(k_sigma).add(&sstar_l.scale(k_sstar))?.add(&ol_l.scale(k_ol))?;
+            layers.push((x_l, loss_l));
 
             // The totals are summed on detached values, in layer order.
             let (sigma_l, sstar_l, ol_l) = (sigma_l.detach(), sstar_l.detach(), ol_l.detach());
@@ -344,7 +377,7 @@ impl CmpNeuralNetwork {
             .add(&ol.scale(k_ol))?
             .add_scalar((a.sigma + a.sigma_star + a.ol) as f32);
 
-        Ok(PlanarityEval { score: f64::from(s_plan.item()), gradient })
+        Ok(PlanarityTape { score: f64::from(s_plan.item()), layers })
     }
 }
 
@@ -459,8 +492,8 @@ mod tests {
         }
     }
 
-    /// What `planarity` replaced: one graph over all layers, summed into
-    /// S_plan, differentiated by a single backward pass.
+    /// What `PlanarityTape::gradient` replaced: one graph over all layers,
+    /// summed into S_plan, differentiated by a single backward pass.
     fn planarity_joint_graph(
         net: &CmpNeuralNetwork,
         layout: &Layout,
@@ -520,13 +553,22 @@ mod tests {
                     .enumerate()
                     .map(|(i, s)| s * ((i * 53 % 97) as f64 / 96.0))
                     .collect();
-                let eval = net.planarity(&l, &x, &c).unwrap();
                 let (score, gradient) = planarity_joint_graph(&net, &l, &x, &c);
-                assert_eq!(eval.score.to_bits(), score.to_bits(), "{} {edge}", l.name());
                 let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+                // The tape's backward runs after the forward of another
+                // point (a rejected line-search trial) and beside its tape.
+                let tape = net.planarity_forward(&l, &x, &c).unwrap();
+                let other: Vec<f64> = x.iter().map(|v| v * 0.5).collect();
+                let other_tape = net.planarity_forward(&l, &other, &c).unwrap();
+                assert_eq!(tape.score().to_bits(), score.to_bits(), "{} {edge}", l.name());
+                assert_eq!(bits(&tape.gradient().unwrap()), bits(&gradient), "{} {edge}", l.name());
+                drop(other_tape);
+
+                let eval = net.planarity(&l, &x, &c).unwrap();
+                assert_eq!(eval.score.to_bits(), score.to_bits(), "{} {edge}", l.name());
                 assert_eq!(bits(&eval.gradient), bits(&gradient), "{} {edge}", l.name());
                 assert!(gradient.iter().any(|g| *g != 0.0));
-                // The forward-only score is the same number.
                 assert_eq!(net.planarity_score(&l, &x, &c).unwrap().to_bits(), score.to_bits());
             }
         }
@@ -534,9 +576,10 @@ mod tests {
 
     #[test]
     fn frozen_unet_forward_on_a_constant_tapes_nothing() {
-        // What the single forward's cost rests on: the score-only and
-        // prediction paths run the taped definition, and a frozen network
-        // on a constant input turns every node into a leaf.
+        // What the single forward's cost rests on: the prediction paths run
+        // the taped definition, and a frozen network on a constant input
+        // turns every node into a leaf. Scoring a fill vector tapes only
+        // the fill amounts' graph, never the weights.
         let net = network();
         let l = layout();
         let x = Tensor::constant(NdArray::from_fn(&[1, 1, l.rows(), l.cols()], |i| i as f32));

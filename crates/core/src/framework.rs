@@ -7,7 +7,7 @@
 //! network and whose performance-degradation part is analytic.
 
 use crate::cancel::CancelToken;
-use crate::cmp_nn::CmpNeuralNetwork;
+use crate::cmp_nn::{CmpNeuralNetwork, PlanarityTape};
 use crate::pd::pd_score;
 use crate::pkb::{pkb_starting_point, PkbConfig};
 use crate::score::Coefficients;
@@ -15,7 +15,7 @@ use neurfill_layout::{FillPlan, Layout};
 use neurfill_optim::{Bounds, BoxNormalized, Nmmso, NmmsoConfig, Objective, SqpConfig, SqpSolver};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
@@ -88,9 +88,12 @@ pub struct FillOutcome {
     pub objective_value: f64,
     /// SQP major iterations of the winning run.
     pub sqp_iterations: usize,
-    /// Total surrogate objective evaluations (forward passes).
+    /// Objective value requests, with and without a gradient
+    /// ([`FillObjective::forward_count`]).
     pub evaluations: usize,
-    /// Total surrogate gradient evaluations (backward passes).
+    /// Objective gradient requests ([`FillObjective::backward_count`]).
+    /// Those that reuse the forward of the `value` request before them are
+    /// counted by `synth.forwards_reused`.
     pub gradient_evaluations: usize,
     /// Number of SQP starting points used.
     pub starts: usize,
@@ -100,12 +103,20 @@ pub struct FillOutcome {
 
 /// The filling-quality objective `S_qual(x) = S_plan(x) + S_PD(x)` over a
 /// fixed layout, implementing [`Objective`] for the solvers.
+///
+/// `value` keeps the taped surrogate forward of its point until the next
+/// request. SQP asks for the gradient at the trial its line search just
+/// accepted, so that request runs only the backward; a request at any
+/// other point drops the tape and runs a fresh forward. At most one tape
+/// is alive at a time.
 pub struct FillObjective<'a> {
     network: &'a CmpNeuralNetwork,
     layout: &'a Layout,
     coeffs: &'a Coefficients,
     forward_count: Cell<usize>,
     backward_count: Cell<usize>,
+    reused_forwards: Cell<usize>,
+    last_forward: RefCell<Option<(Vec<f64>, PlanarityTape)>>,
 }
 
 impl std::fmt::Debug for FillObjective<'_> {
@@ -118,24 +129,52 @@ impl<'a> FillObjective<'a> {
     /// Creates the objective for one layout.
     #[must_use]
     pub fn new(network: &'a CmpNeuralNetwork, layout: &'a Layout, coeffs: &'a Coefficients) -> Self {
-        Self { network, layout, coeffs, forward_count: Cell::new(0), backward_count: Cell::new(0) }
+        Self {
+            network,
+            layout,
+            coeffs,
+            forward_count: Cell::new(0),
+            backward_count: Cell::new(0),
+            reused_forwards: Cell::new(0),
+            last_forward: RefCell::new(None),
+        }
     }
 
-    /// Surrogate forward passes performed so far.
+    /// Value requests so far, with and without a gradient: `value` and
+    /// `value_and_gradient` calls (`gradient` is the latter).
     #[must_use]
     pub fn forward_count(&self) -> usize {
         self.forward_count.get()
     }
 
-    /// Surrogate backward passes performed so far.
+    /// Gradient requests so far: `value_and_gradient` calls. Each runs
+    /// one surrogate backward; [`FillObjective::reused_forwards`] of them
+    /// ran no forward of their own.
     #[must_use]
     pub fn backward_count(&self) -> usize {
         self.backward_count.get()
     }
+
+    /// Gradient requests so far that reused the taped forward of the
+    /// `value` call before them, at a bit-equal point.
+    #[must_use]
+    pub fn reused_forwards(&self) -> usize {
+        self.reused_forwards.get()
+    }
+
+    /// The taped surrogate forward at `x`.
+    // `NeurFill::run*` checks the layout against the network before it
+    // constructs the objective.
+    #[allow(clippy::expect_used)]
+    fn forward(&self, x: &[f64]) -> PlanarityTape {
+        self.network
+            .planarity_forward(self.layout, x, self.coeffs)
+            .expect("layout/network geometry checked at construction")
+    }
 }
 
-// The `expect`s assert layout/network geometry compatibility, which
-// `NeurFill::run*` re-checks before constructing the objective.
+// The `expect` asserts that the backward is seeded from a scalar: each
+// layer's loss is one.
 #[allow(clippy::expect_used)]
 impl Objective for FillObjective<'_> {
     fn dim(&self) -> usize {
@@ -144,12 +183,13 @@ impl Objective for FillObjective<'_> {
 
     fn value(&self, x: &[f64]) -> f64 {
         self.forward_count.set(self.forward_count.get() + 1);
+        // The previous tape goes before the next is built.
+        drop(self.last_forward.take());
+        let tape = self.forward(x);
         let plan = FillPlan::from_vec(self.layout, x.to_vec());
-        let plan_score = self
-            .network
-            .planarity_score(self.layout, x, self.coeffs)
-            .expect("layout/network geometry checked at construction");
-        plan_score + pd_score(self.layout, &plan, self.coeffs).score
+        let value = tape.score() + pd_score(self.layout, &plan, self.coeffs).score;
+        *self.last_forward.borrow_mut() = Some((x.to_vec(), tape));
+        value
     }
 
     fn gradient(&self, x: &[f64]) -> Vec<f64> {
@@ -159,14 +199,22 @@ impl Objective for FillObjective<'_> {
     fn value_and_gradient(&self, x: &[f64]) -> (f64, Vec<f64>) {
         self.forward_count.set(self.forward_count.get() + 1);
         self.backward_count.set(self.backward_count.get() + 1);
+        let tape = match self.last_forward.take() {
+            Some((at, tape)) if at.iter().map(|v| v.to_bits()).eq(x.iter().map(|v| v.to_bits())) => {
+                self.reused_forwards.set(self.reused_forwards.get() + 1);
+                tape
+            }
+            stale => {
+                drop(stale);
+                self.forward(x)
+            }
+        };
         let plan = FillPlan::from_vec(self.layout, x.to_vec());
-        let planarity = self
-            .network
-            .planarity(self.layout, x, self.coeffs)
-            .expect("layout/network geometry checked at construction");
         let pd = pd_score(self.layout, &plan, self.coeffs);
-        let grad = planarity.gradient.iter().zip(&pd.gradient).map(|(a, b)| a + b).collect();
-        (planarity.score + pd.score, grad)
+        let score = tape.score();
+        let planarity = tape.gradient().expect("the surrogate loss is a scalar");
+        let grad = planarity.iter().zip(&pd.gradient).map(|(a, b)| a + b).collect();
+        (score + pd.score, grad)
     }
 }
 
@@ -191,8 +239,9 @@ impl NeurFill {
     }
 
     /// Attaches a telemetry handle; synthesis runs then record
-    /// `synth.runs` and propagate into the SQP / NMMSO solvers'
-    /// `optim.*` metrics.
+    /// `synth.runs` and `synth.forwards_reused` (gradient requests that
+    /// ran only the backward, see [`FillObjective`]) and propagate into the
+    /// SQP / NMMSO solvers' `optim.*` metrics.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: neurfill_obs::Telemetry) -> Self {
         self.telemetry = telemetry;
@@ -362,6 +411,7 @@ impl NeurFill {
                 break;
             }
         }
+        self.telemetry.add("synth.forwards_reused", objective.reused_forwards() as u64);
         // A cancelled solve must fail the job rather than hand back the
         // partial iterate as if it were a finished synthesis.
         cancel.check("synthesis")?;
@@ -432,9 +482,81 @@ mod tests {
         let x = vec![0.0; l.num_windows()];
         let _ = obj.value(&x);
         let _ = obj.value_and_gradient(&x);
+        // Requests are counted whether or not the gradient reused a forward.
         assert_eq!(obj.forward_count(), 2);
         assert_eq!(obj.backward_count(), 1);
+        assert_eq!(obj.reused_forwards(), 1);
         assert_eq!(obj.dim(), l.num_windows());
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn tape_reuse_answers_bit_for_bit_and_only_at_the_same_point() {
+        let net = network();
+        for edge in [8, 32] {
+            for l in neurfill_layout::benchmark_designs(edge, edge, 5) {
+                let c = coeffs(&l);
+                let name = format!("{} {edge}", l.name());
+                let x: Vec<f64> = l
+                    .slack_vector()
+                    .iter()
+                    .enumerate()
+                    .map(|(i, s)| s * ((i * 37 % 101) as f64 / 100.0))
+                    .collect();
+                let fresh = |at: &[f64]| FillObjective::new(&net, &l, &c).value_and_gradient(at);
+                let (want_v, want_g) = fresh(&x);
+
+                // `value` then `gradient` at the same point: backward only.
+                let obj = FillObjective::new(&net, &l, &c);
+                let v = obj.value(&x);
+                let g = obj.gradient(&x);
+                assert_eq!(v.to_bits(), want_v.to_bits(), "{name}");
+                assert_eq!(bits(&g), bits(&want_g), "{name}");
+                assert_eq!(obj.reused_forwards(), 1, "{name}");
+                // The tape was consumed: a second request runs a forward.
+                assert_eq!(bits(&obj.gradient(&x)), bits(&want_g), "{name}");
+                assert_eq!(obj.reused_forwards(), 1, "{name}");
+
+                // Another `value` in between replaces the tape: a miss.
+                let obj = FillObjective::new(&net, &l, &c);
+                let y: Vec<f64> = x.iter().map(|v| v * 0.5).collect();
+                obj.value(&x);
+                obj.value(&y);
+                let (v, g) = obj.value_and_gradient(&x);
+                assert_eq!((v.to_bits(), bits(&g)), (want_v.to_bits(), bits(&want_g)), "{name}");
+                assert_eq!(obj.reused_forwards(), 0, "{name}");
+
+                // One ulp away is another point: a miss, answered for it.
+                let k = x.iter().position(|v| *v > 0.0).unwrap();
+                let mut near = x.clone();
+                near[k] = f64::from_bits(near[k].to_bits() + 1);
+                let obj = FillObjective::new(&net, &l, &c);
+                obj.value(&x);
+                let g = obj.gradient(&near);
+                assert_eq!(obj.reused_forwards(), 0, "{name}");
+                assert_eq!(bits(&g), bits(&fresh(&near).1), "{name}");
+                assert_eq!((obj.forward_count(), obj.backward_count()), (2, 1), "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn tape_reuse_once_per_sqp_iteration() {
+        for edge in [8, 32] {
+            for l in neurfill_layout::benchmark_designs(edge, edge, 5) {
+                let c = coeffs(&l);
+                let telemetry = neurfill_obs::Telemetry::new();
+                let nf = NeurFill::new(network(), NeurFillConfig::default())
+                    .with_telemetry(telemetry.clone());
+                let outcome = nf.run(&l, &c).unwrap();
+                let reused = telemetry.snapshot().counter("synth.forwards_reused");
+                assert_eq!(reused, outcome.sqp_iterations as u64, "{} {edge}", l.name());
+                assert!(outcome.sqp_iterations > 0, "{} {edge}", l.name());
+            }
+        }
     }
 
     #[test]

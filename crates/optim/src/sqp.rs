@@ -19,7 +19,8 @@ pub struct SqpConfig {
     pub max_iterations: usize,
     /// Convergence threshold on the projected-gradient norm.
     pub tolerance: f64,
-    /// L-BFGS history length.
+    /// L-BFGS history length; `0` keeps no history (projected steepest
+    /// ascent).
     pub memory: usize,
     /// Armijo sufficient-increase constant.
     pub armijo_c1: f64,
@@ -78,7 +79,13 @@ impl Lbfgs {
         Self { memory, s: VecDeque::new(), y: VecDeque::new() }
     }
 
+    /// Stores a curvature pair, evicting the oldest at `memory` pairs. A
+    /// zero `memory` stores nothing: every direction is the gradient, so
+    /// the solver is projected steepest ascent.
     fn push(&mut self, s: Vec<f64>, y: Vec<f64>) {
+        if self.memory == 0 {
+            return;
+        }
         let sy: f64 = s.iter().zip(&y).map(|(a, b)| a * b).sum();
         if sy <= 1e-12 {
             return; // skip non-curvature pairs
@@ -127,6 +134,14 @@ impl Lbfgs {
     }
 }
 
+/// How many coordinates of `x` sit on a face of the box.
+fn active_bounds(bounds: &Bounds, x: &[f64]) -> usize {
+    x.iter()
+        .zip(bounds.lower().iter().zip(bounds.upper()))
+        .filter(|(v, (l, u))| v <= l || v >= u)
+        .count()
+}
+
 /// Sequential-quadratic-programming maximizer for box-constrained smooth
 /// objectives.
 ///
@@ -161,8 +176,10 @@ impl SqpSolver {
 
     /// Attaches a telemetry handle; each solve then contributes to the
     /// `optim.sqp.*` counters (among them `linesearch_failures`, searches
-    /// that accepted no trial, and `trials_skipped`, trials rejected
-    /// without an evaluation) and the `optim.sqp.solve_ns` histogram.
+    /// that accepted no trial, `trials_skipped`, trials rejected without an
+    /// evaluation, and `active_at_qn_failure`, the coordinates on a face of
+    /// the box summed over the quasi-Newton searches that failed) and the
+    /// `optim.sqp.solve_ns` histogram.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: neurfill_obs::Telemetry) -> Self {
         self.telemetry = telemetry;
@@ -213,6 +230,7 @@ impl SqpSolver {
         let mut gradient_evaluations = 1;
         let mut linesearch_failures = 0;
         let mut trials_skipped = 0;
+        let mut active_at_qn_failure = 0;
         let mut lbfgs = Lbfgs::new(cfg.memory);
         let mut history = Vec::with_capacity(cfg.max_iterations);
         let mut converged = false;
@@ -232,7 +250,7 @@ impl SqpSolver {
             // Quasi-Newton direction first; when it fails, the
             // steepest-ascent fallback.
             let mut accepted = None;
-            for d in [&direction, &g] {
+            for (k, d) in [&direction, &g].into_iter().enumerate() {
                 let ls = projected_backtracking(
                     objective,
                     bounds,
@@ -251,6 +269,9 @@ impl SqpSolver {
                     break;
                 }
                 linesearch_failures += 1;
+                if k == 0 {
+                    active_at_qn_failure += active_bounds(bounds, &x);
+                }
             }
             let Some(ls) = accepted else {
                 // No ascent achievable: first-order stationary in practice.
@@ -276,6 +297,7 @@ impl SqpSolver {
             self.telemetry.add("optim.sqp.gradient_evaluations", gradient_evaluations as u64);
             self.telemetry.add("optim.sqp.linesearch_failures", linesearch_failures as u64);
             self.telemetry.add("optim.sqp.trials_skipped", trials_skipped as u64);
+            self.telemetry.add("optim.sqp.active_at_qn_failure", active_at_qn_failure as u64);
         }
         SqpResult {
             x,
@@ -467,6 +489,76 @@ mod tests {
             assert!(snap.counter("optim.sqp.linesearch_failures") > 0, "{}", snap.summary());
             assert!(snap.counter("optim.sqp.trials_skipped") > 0, "{}", snap.summary());
         }
+    }
+
+    #[test]
+    fn active_bounds_at_failed_quasi_newton_searches_are_counted_without_moving_the_solve() {
+        let calls = Cell::new(0usize);
+        let obj = coupled_quadratic(12, &calls);
+        let bounds = Bounds::new(vec![0.0; 12], vec![1.0; 12]);
+        let telemetry = neurfill_obs::Telemetry::new();
+        let counted =
+            SqpSolver::default().with_telemetry(telemetry.clone()).maximize(&obj, &bounds, &[0.5; 12]);
+        let plain = SqpSolver::default().maximize(&obj, &bounds, &[0.5; 12]);
+        assert_eq!(counted, plain);
+        let snap = telemetry.snapshot();
+        let failures = snap.counter("optim.sqp.linesearch_failures");
+        let active = snap.counter("optim.sqp.active_at_qn_failure");
+        // An L-BFGS direction fails at every step size only when some
+        // coordinate is held on a face; no more than all of them can be.
+        assert!(active > 0, "{}", snap.summary());
+        assert!(active <= failures * 12, "{}", snap.summary());
+        assert_eq!(active_bounds(&bounds, &[0.0, 0.5, 1.0, 1.0]), 3);
+    }
+
+    #[test]
+    fn zero_memory_keeps_no_history_and_steps_along_the_gradient() {
+        // Ill-conditioned, so 50 steepest-ascent steps stay far from the
+        // maximum and every search accepts a step.
+        let weights = [1.0, 10.0, 100.0];
+        let center = [0.5, -0.25, 0.75];
+        let obj = FnObjective::new(
+            3,
+            |x: &[f64]| -(0..3).map(|i| weights[i] * (x[i] - center[i]).powi(2)).sum::<f64>(),
+            |x: &[f64]| (0..3).map(|i| -2.0 * weights[i] * (x[i] - center[i])).collect(),
+        );
+        let bounds = Bounds::new(vec![-10.0; 3], vec![10.0; 3]);
+        let x0 = [-8.0, 9.0, 4.0];
+        let cfg = SqpConfig { memory: 0, max_iterations: 50, tolerance: 0.0, ..SqpConfig::default() };
+
+        // The solver's loop, replayed with the history in view.
+        let mut lbfgs = Lbfgs::new(0);
+        let mut x = x0.to_vec();
+        let (mut f, mut g) = obj.value_and_gradient(&x);
+        for _ in 0..50 {
+            let d = lbfgs.ascent_direction(&g);
+            assert_eq!(d, g);
+            let ls = projected_backtracking(
+                &obj,
+                &bounds,
+                &x,
+                f,
+                &g,
+                &d,
+                cfg.initial_step,
+                cfg.armijo_c1,
+                cfg.max_backtracks,
+            )
+            .accepted
+            .unwrap();
+            let g_new = obj.gradient(&ls.x);
+            lbfgs.push(
+                ls.x.iter().zip(&x).map(|(a, b)| a - b).collect(),
+                g.iter().zip(&g_new).map(|(old, new)| old - new).collect(),
+            );
+            assert!(lbfgs.s.is_empty() && lbfgs.y.is_empty());
+            (x, f, g) = (ls.x, ls.value, g_new);
+        }
+
+        let r = SqpSolver::new(cfg).maximize(&obj, &bounds, &x0);
+        assert_eq!((r.iterations, r.converged), (50, false), "{r:?}");
+        assert_eq!(r.x, x);
+        assert_eq!(r.value, f);
     }
 
     #[test]
