@@ -1,9 +1,10 @@
 //! Micro-benchmark of the optimized compute kernels against their
 //! reference implementations: blocked GEMM, row-span im2col, the
-//! frozen-surrogate UNet backward, the interior/border pad convolution
-//! split and the anchored contact solve — plus frozen-UNet inference
-//! at the batch sizes the runtime pool forms and one end-to-end labeling
-//! run, so kernel wins are tied to pipeline wall-clock.
+//! frozen-surrogate UNet backward, the row-accumulated pad convolution
+//! (whole boards and a shard's core window) and the anchored contact
+//! solve — plus frozen-UNet inference at the batch sizes the runtime
+//! pool forms and one end-to-end labeling run, so kernel wins are tied
+//! to pipeline wall-clock.
 //!
 //! Hand-rolled harness (no criterion): each op is timed as the best of
 //! several samples after warmup, with the iteration count calibrated so
@@ -246,6 +247,19 @@ fn bench_pad_kernel(rows: &mut Vec<BenchRecord>) {
         );
         rows.push(row("pad_kernel", format!("{r}x{c}_r{radius}"), ns, Some(reference_ns)));
     }
+    // What one shard smooths per polish step in `chip_golden`: the 64×64
+    // core of its 72×72 halo-extended tile, against the reference over
+    // the whole tile.
+    let kernel = PadKernel::exponential(1.5, 4);
+    let field = random_f64(&mut rng, 72 * 72);
+    let mut core = vec![0.0f64; 64 * 64];
+    let (reference_ns, ns) = time_pair_ns(
+        || {
+            std::hint::black_box(kernel.apply_reference(&field, 72, 72));
+        },
+        || kernel.apply_window_into(&field, 72, 72, 4..68, 4..68, &mut core),
+    );
+    rows.push(row("pad_kernel", "72x72_r4_core64x64".to_string(), ns, Some(reference_ns)));
 }
 
 fn bench_contact(rows: &mut Vec<BenchRecord>) {

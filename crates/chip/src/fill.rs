@@ -14,6 +14,7 @@
 
 use crate::checkpoint::TileCheckpoint;
 use crate::source::ChipSource;
+use neurfill_cmpsim::shard::smooth_core_into;
 use neurfill_cmpsim::{ChipProfile, PadKernel, ProcessParams};
 use neurfill_layout::{DummySpec, FillPlan, Layout, Tile, TileRect, Tiling};
 use neurfill_runtime::parallel_map_ordered;
@@ -285,6 +286,7 @@ pub fn model_fill_sharded_checkpointed(
     let results = parallel_map_ordered(todo, workers, |t| {
         let sub = source.tile_layout(t.ext);
         let mut ext_buf = vec![0.0; t.ext.len()];
+        let mut smoothed = vec![0.0; t.core.len()];
         let mut core_amounts = Vec::with_capacity(layers * t.core.len());
         for (l, board) in boards.iter().enumerate() {
             for r in 0..t.ext.rows {
@@ -292,12 +294,12 @@ pub fn model_fill_sharded_checkpointed(
                 ext_buf[r * t.ext.cols..(r + 1) * t.ext.cols]
                     .copy_from_slice(&board[src..src + t.ext.cols]);
             }
-            let smoothed = kernel.apply(&ext_buf, t.ext.rows, t.ext.cols);
+            smooth_core_into(&kernel, &t, &ext_buf, &mut smoothed);
             let (dr, dc) = t.core_in_ext();
             let grid = sub.layer(l);
             for r in 0..t.core.rows {
                 for c in 0..t.core.cols {
-                    let sm = smoothed[(dr + r) * t.ext.cols + (dc + c)];
+                    let sm = smoothed[r * t.core.cols + c];
                     let slack = grid.get(dr + r, dc + c).slack;
                     core_amounts.push(rule(sm, slack, area, cfg));
                 }

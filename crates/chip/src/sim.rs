@@ -67,7 +67,7 @@ pub struct ChipSimStats {
     pub layers: usize,
     /// Halo bytes gathered across all layers, tiles and steps.
     pub halo_bytes: u64,
-    /// Contact-solve exact force evaluations across all layers.
+    /// Contact-solve force evaluations (board passes) across all layers.
     pub force_evals: u64,
     /// Contact-solve hint passes across all layers — with `force_evals`,
     /// every O(cells) pass the global solve made over the chip board.

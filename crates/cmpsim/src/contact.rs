@@ -21,8 +21,9 @@
 //! The bracket walk and the 200-iteration bisection visit exactly the
 //! reference's probe points, but a probe only needs the *sign* of
 //! `mean_force(z) − target`, and most of the ~38 probes sit far from the
-//! root. Two exact evaluations next to the root — the **anchors**
-//! `over < under` — settle all of those without reading the board:
+//! root. Two board passes next to the root whose rounding is bounded —
+//! the **anchors** `over < under` — settle all of those without reading
+//! the board again:
 //!
 //! * The floating-point force `F(z)` (ordered sum of `k · powf(zᵢ − z, e)`
 //!   over the contacting windows, divided by `n`) is within a relative
@@ -31,16 +32,25 @@
 //!   up to 4 ulp for `powf` (libm stays below 1), one for the product
 //!   with `k`, at most `n − 1` for the ordered additions of non-negative
 //!   terms and one for the division.
-//! * `f` is non-increasing in `z`. So if `F(over) > target·(1 + m)` with
-//!   `m = 4γ`, then for every `z ≤ over`:
-//!   `F(z) ≥ f(z)(1 − γ) ≥ f(over)(1 − γ) ≥ F(over)(1 − γ)/(1 + γ) >
+//! * At the shipped exponent `e = 3/2` the anchor candidates are checked
+//!   with `F√(z)`, the same ordered sum of `k · (√d · d)`, `d = zᵢ − z`,
+//!   instead: the subtraction (amplified `e`-fold), the correctly
+//!   rounded `sqrt`, the product and the `k ·` round once each — at most
+//!   `(e + 3)·u` per term to first order, less than the per-term budget
+//!   above, which spends 4 ulp on `powf` alone — so `F√` obeys the same
+//!   bound `γ` at a fraction of `powf`'s cost.
+//! * `f` is non-increasing in `z`. So if the candidate's force (`F`, or
+//!   `F√`) exceeds `target·(1 + m)` at `over`, with `m = 4γ`, then for
+//!   every `z ≤ over`:
+//!   `F(z) ≥ f(z)(1 − γ) ≥ f(over)(1 − γ) ≥ F√(over)(1 − γ)/(1 + γ) >
 //!   target`, and symmetrically `F(z) < target` for every `z ≥ under`
-//!   once `F(under) < target·(1 − m)`. Overflow only pushes `F` to `+∞`
-//!   on the `over` side, and underflow is excluded by requiring
-//!   `target·ε` to be a normal number.
+//!   once the force at `under` is below `target·(1 − m)`. Overflow only
+//!   pushes a force to `+∞` on the `over` side, and underflow is
+//!   excluded by requiring `target·ε` to be a normal number.
 //!
 //! Only probes strictly inside `(over, under)` — a gap of about 1e-9 nm
-//! at 65 536 windows, growing with `n` — are evaluated. Where the
+//! at 65 536 windows, growing with `n` — are evaluated, always with
+//! `powf`, so every decision and `z_ref` are the reference's. Where the
 //! anchors come from cannot matter: they are *accepted* only by the
 //! exact test above, so the Newton iteration that proposes them is a
 //! hint; a bad hint costs its passes and leaves every probe evaluated
@@ -58,8 +68,9 @@ use std::cmp::Ordering;
 /// pass over the board is counted in `force_evals` or `hint_passes`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ContactSolveStats {
-    /// Exact mean-force evaluations: the anchor candidates plus every
-    /// probe no anchor decides.
+    /// Mean-force evaluations: the anchor candidates (with `√d·d` at
+    /// `e = 1.5`, within the same rounding bound) plus every probe no
+    /// anchor decides (with `powf`, as the reference).
     pub force_evals: u64,
     /// Newton passes spent locating the root for the anchors.
     pub hint_passes: u64,
@@ -117,11 +128,15 @@ pub fn solve_reference_plane_stats(heights: &[f64], params: &ProcessParams) -> (
         evals.set(evals.get() + 1);
         mean_force(heights, k, e, z_ref)
     };
+    let candidate_force = |z_ref: f64| -> f64 {
+        evals.set(evals.get() + 1);
+        anchor_force(heights, k, e, z_ref)
+    };
     // Jensen: the mean height minus the flat-chip penetration is never
     // right of the root for a convex contact law, so Newton climbs to it
     // monotonically.
     let start = zsum / heights.len() as f64 - params.reference_penetration;
-    let (anchors, hint_passes) = find_anchors(heights, k, e, target, start, force);
+    let (anchors, hint_passes) = find_anchors(heights, k, e, target, start, candidate_force);
     let anchored = Cell::new(0u64);
     let force_vs_target = |z_ref: f64| -> Option<Ordering> {
         let known = anchors.and_then(|(over, under)| {
@@ -177,6 +192,38 @@ fn mean_force(heights: &[f64], k: f64, e: f64, z_ref: f64) -> f64 {
     sum / heights.len() as f64
 }
 
+/// The force an anchor candidate is checked with: [`mean_force`], except
+/// at the shipped exponent 3/2, where each term is `k · (√d · d)` — the
+/// same bound `γ` (module docs) at a fraction of `powf`'s cost.
+fn anchor_force(heights: &[f64], k: f64, e: f64, z_ref: f64) -> f64 {
+    if e != 1.5 {
+        return mean_force(heights, k, e, z_ref);
+    }
+    let mut sum = 0.0;
+    for &z in heights {
+        if z > z_ref {
+            let d = z - z_ref;
+            sum += k * (d.sqrt() * d);
+        }
+    }
+    sum / heights.len() as f64
+}
+
+/// The anchors' margin `m = 4γ = 4·(n + e + 12)·u` (module docs).
+fn anchor_margin(n: usize, e: f64) -> f64 {
+    2.0 * (n as f64 + e + 12.0) * f64::EPSILON
+}
+
+/// The acceptance test of an anchor candidate whose force reads `force`:
+/// an `over` anchor (`Greater`) must clear `target·(1 + m)`, an `under`
+/// anchor (`Less`) fall below `target·(1 − m)`.
+fn settles(side: Ordering, force: f64, target: f64, margin: f64) -> bool {
+    match side {
+        Ordering::Greater => force > target * (1.0 + margin),
+        _ => force < target * (1.0 - margin),
+    }
+}
+
 /// Newton passes the hint may spend before giving up on anchors.
 const HINT_PASSES_MAX: u64 = 8;
 /// Exact evaluations each anchor may spend, stepping 16× further from
@@ -185,8 +232,8 @@ const ANCHOR_TRIES: usize = 3;
 
 /// Proposes and verifies the two anchors of the module docs. Returns
 /// them (or `None`: every probe is then evaluated) and the number of
-/// hint passes spent; the candidates' exact evaluations go through
-/// `force`.
+/// hint passes spent; the candidates' evaluations go through `force`
+/// ([`anchor_force`], counted).
 ///
 /// The proposal is Newton's iteration on the real-valued balance
 /// `k·Σ⟨zᵢ − z⟩^e / n = target` from `start`. The candidates sit at
@@ -203,9 +250,9 @@ fn find_anchors(
     force: impl Fn(f64) -> f64,
 ) -> (Option<(f64, f64)>, u64) {
     let n = heights.len() as f64;
-    // m = 4γ. The bound behind it assumes margins in the normal range,
+    // The bound behind the margin assumes margins in the normal range,
     // a force that falls as the plane rises, and γ ≪ 1.
-    let margin = 2.0 * (n + e + 12.0) * f64::EPSILON;
+    let margin = anchor_margin(heights.len(), e);
     if !(target * f64::EPSILON >= f64::MIN_POSITIVE && k > 0.0 && e > 0.0 && margin <= 1e-6) {
         return (None, 0);
     }
@@ -242,19 +289,19 @@ fn find_anchors(
         }
     }
     let anchors = reach.and_then(|delta| {
-        let anchor = |dir: f64, accepts: &dyn Fn(f64) -> bool| -> Option<f64> {
+        let anchor = |side: Ordering, dir: f64| -> Option<f64> {
             let mut delta = delta;
             for _ in 0..ANCHOR_TRIES {
                 let at = hint + dir * delta;
-                if accepts(force(at)) {
+                if settles(side, force(at), target, margin) {
                     return Some(at);
                 }
                 delta *= 16.0;
             }
             None
         };
-        let over = anchor(-1.0, &|f| f > target * (1.0 + margin))?;
-        let under = anchor(1.0, &|f| f < target * (1.0 - margin))?;
+        let over = anchor(Ordering::Greater, -1.0)?;
+        let under = anchor(Ordering::Less, 1.0)?;
         Some((over, under))
     });
     (anchors, passes)
@@ -557,5 +604,278 @@ mod tests {
         assert!(stats.force_evals >= 2 && stats.hint_passes >= 1, "{stats:?}");
         assert!(stats.anchored_probes >= 30, "{stats:?}");
         assert_eq!(stats.bracket_steps, 0, "production inputs never walk");
+    }
+
+    /// `a + b` as an unevaluated sum `(s, err)`, exactly (Knuth's TwoSum).
+    fn two_sum(a: f64, b: f64) -> (f64, f64) {
+        let s = a + b;
+        let bb = s - a;
+        (s, (a - (s - bb)) + (b - bb))
+    }
+
+    /// A double-double `hi + lo`, about 106 bits: precise enough to stand
+    /// in for real arithmetic against bounds of a few ulps.
+    #[derive(Debug, Clone, Copy)]
+    struct Dd(f64, f64);
+
+    impl Dd {
+        fn norm(hi: f64, lo: f64) -> Self {
+            let (s, e) = two_sum(hi, lo);
+            Dd(s, e)
+        }
+        fn add(self, o: Dd) -> Dd {
+            let (s, e) = two_sum(self.0, o.0);
+            Dd::norm(s, e + self.1 + o.1)
+        }
+        fn mul(self, o: Dd) -> Dd {
+            let p = self.0 * o.0;
+            let e = self.0.mul_add(o.0, -p);
+            Dd::norm(p, e + (self.0 * o.1 + self.1 * o.0))
+        }
+        fn sqrt(self) -> Dd {
+            let s = self.0.sqrt();
+            let p = s * s;
+            let r = ((self.0 - p) - s.mul_add(s, -p)) + self.1;
+            Dd::norm(s, r / (2.0 * s))
+        }
+        fn div(self, n: f64) -> Dd {
+            let q = self.0 / n;
+            let p = q * n;
+            let r = ((self.0 - p) - q.mul_add(n, -p)) + self.1;
+            Dd::norm(q, r / n)
+        }
+    }
+
+    /// The real-valued force `f(z) = k·Σ⟨zᵢ − z⟩^{3/2} / n` in
+    /// double-double.
+    fn real_force_e15(heights: &[f64], k: f64, z_ref: f64) -> Dd {
+        let mut sum = Dd(0.0, 0.0);
+        for &z in heights {
+            if z > z_ref {
+                let (hi, lo) = two_sum(z, -z_ref);
+                let d = Dd(hi, lo);
+                sum = sum.add(Dd(k, 0.0).mul(d.mul(d.sqrt())));
+            }
+        }
+        sum.div(heights.len() as f64)
+    }
+
+    /// Random, near-flat, two-level and ±1e9 boards of up to 65 536
+    /// windows — the shapes `kernel_equivalence` pins the solver on.
+    fn hard_boards() -> Vec<(String, Vec<f64>)> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut boards = Vec::new();
+        for n in [1usize, 2, 64, 4096, 65_536] {
+            boards
+                .push((format!("random n={n}"), (0..n).map(|_| rng.gen_range(760.0..800.0)).collect()));
+            for spread in [1e-12, 1e-10, 1e-9, 1e-8, 1e-6] {
+                let h = (0..n).map(|_| 500.0 + rng.gen_range(0.0..=1.0) * spread).collect();
+                boards.push((format!("spread {spread} n={n}"), h));
+            }
+            let mut h = vec![500.0; n];
+            h[n / 2] = 300.0;
+            boards.push((format!("two-level n={n}"), h));
+            for base in [1e9, -1e9] {
+                let h = (0..n).map(|_| base + rng.gen_range(0.0..40.0)).collect();
+                boards.push((format!("base {base} n={n}"), h));
+            }
+            let h = (0..n).map(|i| if i % 2 == 0 { 1e9 } else { -1e9 }).collect();
+            boards.push((format!("±1e9 n={n}"), h));
+        }
+        boards
+    }
+
+    #[test]
+    fn both_forces_stay_within_gamma_of_the_real_force_at_e_one_and_a_half() {
+        let p = ProcessParams::default();
+        assert_eq!(p.contact_exponent, 1.5);
+        let (k, e) = (p.contact_stiffness(), p.contact_exponent);
+        let u = f64::EPSILON / 2.0;
+        let mut worst: f64 = 0.0;
+        let mut checked = 0;
+        for (what, h) in hard_boards() {
+            let gamma = (h.len() as f64 + e + 12.0) * u;
+            let root = solve_reference_plane(&h, &p);
+            let zmin = h.iter().copied().fold(f64::INFINITY, f64::min);
+            let mut points = vec![root, zmin - p.reference_penetration];
+            for scale in [1e-9, 1e-6, 1e-3, 1.0, 10.0] {
+                points.extend([root - scale, root + scale]);
+            }
+            for z_ref in points {
+                let f = real_force_e15(&h, k, z_ref);
+                if f.0 == 0.0 {
+                    continue;
+                }
+                for (name, got) in
+                    [("√d·d", anchor_force(&h, k, e, z_ref)), ("powf", mean_force(&h, k, e, z_ref))]
+                {
+                    let err = ((got - f.0) - f.1).abs();
+                    let ratio = err / (gamma * f.0);
+                    assert!(ratio <= 1.0, "{what} at {z_ref}: {name} off by {ratio}·γ");
+                    worst = worst.max(ratio);
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 500, "{checked}");
+        println!("{checked} forces, worst |F − f| = {worst:.3e}·γ");
+    }
+
+    /// The polish loop of designs A/B/C at 32×32 under the default
+    /// process: every smoothed board the contact solve sees.
+    fn abc_boards() -> Vec<(String, Vec<f64>)> {
+        use crate::shard::{dish_erosion_factors, polish_pointwise};
+        use crate::{LayerInput, PadKernel};
+        let p = ProcessParams::default();
+        let kernel = PadKernel::exponential(p.character_length, p.kernel_radius);
+        let mut boards = Vec::new();
+        for layout in neurfill_layout::benchmark_designs(32, 32, 1) {
+            for layer in 0..layout.num_layers() {
+                let input = LayerInput::from_layout(&layout, layer);
+                let (rows, cols) = (input.rows, input.cols);
+                let rho_eff = kernel.apply(&input.density, rows, cols);
+                let (dish, erosion) = dish_erosion_factors(&input.avg_width, &input.perimeter, &p);
+                let mut z_up = vec![p.initial_height; rows * cols];
+                let mut z_down: Vec<f64> = z_up.iter().map(|z| z - p.initial_step).collect();
+                for step in 0..p.steps {
+                    let smoothed = kernel.apply(&z_up, rows, cols);
+                    let z_ref = solve_reference_plane(&smoothed, &p);
+                    let pressures = window_pressures(&smoothed, z_ref, &p);
+                    polish_pointwise(&mut z_up, &mut z_down, &pressures, &rho_eff, &dish, &erosion, &p);
+                    boards.push((format!("{} layer {layer} step {step}", layout.name()), smoothed));
+                }
+            }
+        }
+        boards
+    }
+
+    /// The probe points of [`solve_reference_plane_reference`] — its
+    /// bracket walk and bisection — replayed with [`mean_force`] (the
+    /// reference's sum with the exact no-op terms skipped), and the
+    /// float where `F` crosses the target: the bisection carried on
+    /// past the reference's 1e-9 exit until its ends are adjacent.
+    fn reference_probes(heights: &[f64], p: &ProcessParams) -> (Vec<f64>, f64) {
+        let (k, e, target) = (p.contact_stiffness(), p.contact_exponent, p.applied_pressure);
+        let zmax = heights.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let zmin = heights.iter().copied().fold(f64::INFINITY, f64::min);
+        let mut probes = Vec::new();
+        let mut force = |z: f64| {
+            probes.push(z);
+            mean_force(heights, k, e, z)
+        };
+        let (mut lo, mut hi) = (zmin - p.reference_penetration, zmax);
+        while force(lo) < target {
+            lo -= p.reference_penetration.max(1.0);
+            if zmax - lo > 1e7 {
+                break;
+            }
+        }
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            if force(mid) > target {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+            if hi - lo < 1e-9 {
+                break;
+            }
+        }
+        loop {
+            let mid = 0.5 * (lo + hi);
+            if !(lo < mid && mid < hi) {
+                break;
+            }
+            if mean_force(heights, k, e, mid) > target {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        (probes, lo)
+    }
+
+    /// Answers every probe of `probes` both ways — from the anchors, and
+    /// by the `powf` force the reference reads — and returns (answers
+    /// from an anchor, of which wrong). `anchors` are the solver's own
+    /// and the tightest pair the acceptance test admits among the probes.
+    fn answer_both_ways(heights: &[f64], p: &ProcessParams, probes: &[f64]) -> (u64, u64) {
+        let (k, e, target) = (p.contact_stiffness(), p.contact_exponent, p.applied_pressure);
+        let margin = anchor_margin(heights.len(), e);
+        let start = heights.iter().sum::<f64>() / heights.len() as f64 - p.reference_penetration;
+        let (solver, _) = find_anchors(heights, k, e, target, start, |z| anchor_force(heights, k, e, z));
+        // (probe, force an anchor there is checked with, powf answer)
+        let probes: Vec<(f64, f64, Option<Ordering>)> = probes
+            .iter()
+            .map(|&z| {
+                (z, anchor_force(heights, k, e, z), mean_force(heights, k, e, z).partial_cmp(&target))
+            })
+            .collect();
+        let tightest = |side| probes.iter().filter(move |(_, f, _)| settles(side, *f, target, margin));
+        let over = tightest(Ordering::Greater).map(|(z, ..)| *z).fold(f64::NEG_INFINITY, f64::max);
+        let under = tightest(Ordering::Less).map(|(z, ..)| *z).fold(f64::INFINITY, f64::min);
+        let (mut answered, mut wrong) = (0, 0);
+        for (over, under) in solver.into_iter().chain([(over, under)]) {
+            for &(z, _, truth) in &probes {
+                let known = if z <= over {
+                    Ordering::Greater
+                } else if z >= under {
+                    Ordering::Less
+                } else {
+                    continue;
+                };
+                answered += 1;
+                if truth != Some(known) {
+                    wrong += 1;
+                }
+            }
+        }
+        (answered, wrong)
+    }
+
+    /// The release-build proof of the anchor rule on the boards the
+    /// product solves: every probe of the reference bisection, plus every
+    /// float within 32 ulps of where `F` crosses the target (where its
+    /// rounding noise lives), answered from the anchors and by `powf` —
+    /// for A/B/C's 450 polish-loop boards at 32×32, and six of them
+    /// (layer 0, steps 0 and 30) tiled 8 × 8 to `chip_golden`'s 65 536
+    /// windows. With the margin set to 0 some answers disagree.
+    #[test]
+    fn anchored_answers_match_powf_on_every_probe_of_abc_boards() {
+        let p = ProcessParams::default();
+        let boards = abc_boards();
+        let tiled: Vec<(String, Vec<f64>)> = boards
+            .iter()
+            .filter(|(what, _)| {
+                what.contains("layer 0 ") && (what.ends_with(" step 0") || what.ends_with(" step 30"))
+            })
+            .map(|(what, b)| {
+                let big = (0..256 * 256).map(|i| b[(i / 256 % 32) * 32 + i % 32]).collect();
+                (format!("{what} tiled 8x8"), big)
+            })
+            .collect();
+        let (mut answered, mut wrong, mut first_wrong) = (0, 0, None);
+        for (what, h) in boards.iter().chain(&tiled) {
+            let (mut probes, root) = reference_probes(h, &p);
+            let (mut below, mut above) = (root, root);
+            for _ in 0..32 {
+                below = below.next_down();
+                above = above.next_up();
+                probes.extend([below, above]);
+            }
+            let (a, w) = answer_both_ways(h, &p, &probes);
+            answered += a;
+            wrong += w;
+            if w > 0 && first_wrong.is_none() {
+                first_wrong = Some(what);
+            }
+        }
+        assert_eq!(
+            wrong, 0,
+            "{wrong} of {answered} anchored answers disagree with powf, first on {first_wrong:?}"
+        );
+        assert!(answered > 450 * 60, "{answered}");
     }
 }

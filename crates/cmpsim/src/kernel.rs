@@ -7,30 +7,39 @@
 //! weight, truncated at a configurable radius and renormalized at chip
 //! edges.
 //!
-//! [`PadKernel::apply`] is split into two paths that together reproduce
-//! the straightforward bounds-checked loop (kept as
-//! [`PadKernel::apply_reference`]) bit for bit:
+//! [`PadKernel::apply_window_into`] (and [`PadKernel::apply`] /
+//! [`PadKernel::apply_into`], its full-board window) reproduces the
+//! straightforward bounds-checked loop, kept as
+//! [`PadKernel::apply_reference`], bit for bit on every pixel it
+//! computes:
 //!
-//! * an **interior fast path** for pixels at least `radius` away from
-//!   every edge — no bounds checks, contiguous weight·field row dots,
-//!   and one precomputed full-kernel renormalization sum shared by all
-//!   interior pixels;
-//! * a **border path** whose renormalization sums are looked up from a
-//!   small per-clip-class table (at most `(radius+1)⁴` entries, each
-//!   computed once in the reference accumulation order) instead of being
-//!   re-summed per pixel.
+//! * **row-accumulated columns**: on each output row, the pixels whose
+//!   kernel window does not clip horizontally are accumulated together,
+//!   one weight × field-row slice at a time, into their output slots.
+//!   Each pixel still starts at `0.0` and adds `w·f` in dy-major,
+//!   dx-ascending order over the same clipped dy range, then divides by
+//!   the same renormalizer — the arithmetic of the reference, pixel by
+//!   pixel, while the loop over pixels vectorizes;
+//! * **edge columns**: the at most `2·radius` pixels per row whose
+//!   window clips left or right keep a scalar loop.
 //!
-//! Both paths accumulate weight·field products in the exact dy-major,
-//! dx-ascending order of the reference loop, so the split changes no
-//! output bit — only the per-pixel bounds checks and the O(r²) `wsum`
-//! recomputation are gone.
+//! Renormalization sums come from a small per-clip-class table (at most
+//! `(radius+1)⁴` entries, each summed once in the reference's row-major
+//! order) instead of being re-summed per pixel.
+//!
+//! Nothing is reassociated and rustc never contracts `mul + add` into a
+//! fused multiply-add, so the AVX2 build of the same body (picked at
+//! run time) changes speed only. A window smooths only the cells a
+//! caller keeps: a pixel's value depends only on the field, never on
+//! which window asked for it.
+
+use std::ops::Range;
 
 /// A truncated radial exponential kernel over window grids.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PadKernel {
     radius: usize,
     weights: Vec<f64>, // (2r+1)² window of weights
-    full_wsum: f64,    // row-major sum of all weights (interior renormalizer)
 }
 
 impl PadKernel {
@@ -53,11 +62,7 @@ impl PadKernel {
                 weights[dy * size + dx] = (-d / character_length).exp();
             }
         }
-        // Row-major order: the same addition sequence the reference loop
-        // uses for an unclipped window, so the shared interior
-        // renormalizer is bit-identical to the per-pixel recomputation.
-        let full_wsum = weights.iter().sum();
-        Self { radius, weights, full_wsum }
+        Self { radius, weights }
     }
 
     /// Kernel truncation radius in windows.
@@ -84,91 +89,149 @@ impl PadKernel {
 
     /// [`PadKernel::apply`] into a caller-provided buffer (every element
     /// is overwritten) — lets per-step simulator loops reuse scratch
-    /// space instead of allocating per application.
+    /// space instead of allocating per application. The full-board
+    /// [`PadKernel::apply_window_into`].
     ///
     /// # Panics
     ///
     /// Panics when `field` or `out` do not have `rows * cols` elements.
     pub fn apply_into(&self, field: &[f64], rows: usize, cols: usize, out: &mut [f64]) {
+        self.apply_window_into(field, rows, cols, 0..rows, 0..cols, out);
+    }
+
+    /// Smooths only the window `row_range × col_range` of a row-major
+    /// `rows × cols` field into `out`, row-major over the window (every
+    /// element is overwritten). Each output pixel is bit-identical to
+    /// the same pixel of [`PadKernel::apply_reference`] on the whole
+    /// field: the window decides which pixels are computed, never how.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `field` does not have `rows * cols` elements, a range
+    /// is reversed or reaches past the field, or `out` does not have
+    /// one element per window cell.
+    pub fn apply_window_into(
+        &self,
+        field: &[f64],
+        rows: usize,
+        cols: usize,
+        row_range: Range<usize>,
+        col_range: Range<usize>,
+        out: &mut [f64],
+    ) {
         assert_eq!(field.len(), rows * cols, "field length mismatch");
-        assert_eq!(out.len(), rows * cols, "output length mismatch");
-        if rows == 0 || cols == 0 {
+        assert!(row_range.start <= row_range.end && row_range.end <= rows, "row window out of bounds");
+        assert!(
+            col_range.start <= col_range.end && col_range.end <= cols,
+            "column window out of bounds"
+        );
+        assert_eq!(out.len(), row_range.len() * col_range.len(), "output length mismatch");
+        if out.is_empty() {
             return;
         }
-        let r = self.radius;
-        let size = 2 * r + 1;
-
-        // Interior fast path: the kernel window never clips, so no
-        // bounds checks and one shared renormalizer.
-        if rows > 2 * r && cols > 2 * r {
-            for i in r..rows - r {
-                for j in r..cols - r {
-                    let mut acc = 0.0;
-                    for dy in 0..size {
-                        let wrow = &self.weights[dy * size..(dy + 1) * size];
-                        let f0 = (i + dy - r) * cols + (j - r);
-                        let frow = &field[f0..f0 + size];
-                        for t in 0..size {
-                            acc += wrow[t] * frow[t];
-                        }
-                    }
-                    out[i * cols + j] = acc / self.full_wsum;
-                }
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: the host supports AVX2.
+                unsafe { self.window_avx2(field, rows, cols, row_range, col_range, out) };
+                return;
             }
         }
+        self.window_body(field, rows, cols, row_range, col_range, out);
+    }
 
-        // Border path: pixels within `r` of an edge. The renormalization
-        // sum depends only on how many kernel rows/columns are clipped on
-        // each side — a (top, bottom, left, right) clip class — so it is
-        // computed once per class (in reference order) and looked up.
-        let cls = r + 1;
-        // Weights are strictly positive, so a negative entry means "not
-        // yet computed".
-        let mut wsum_tbl = vec![-1.0f64; cls * cls * cls * cls];
-        for i in 0..rows {
-            let interior_row = i >= r && i + r < rows;
+    /// [`PadKernel::window_body`] compiled with AVX2 codegen: four pixels
+    /// per vector instead of two. The same operations in the same order,
+    /// so the same bits.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn window_avx2(
+        &self,
+        field: &[f64],
+        rows: usize,
+        cols: usize,
+        row_range: Range<usize>,
+        col_range: Range<usize>,
+        out: &mut [f64],
+    ) {
+        self.window_body(field, rows, cols, row_range, col_range, out);
+    }
+
+    /// The window loop (see module docs); arguments as
+    /// [`PadKernel::apply_window_into`], already checked.
+    #[inline(always)]
+    fn window_body(
+        &self,
+        field: &[f64],
+        rows: usize,
+        cols: usize,
+        row_range: Range<usize>,
+        col_range: Range<usize>,
+        out: &mut [f64],
+    ) {
+        let r = self.radius;
+        let size = 2 * r + 1;
+        let width = col_range.len();
+        // Window columns whose kernel window never clips horizontally,
+        // `lo..hi`; when there are none, the whole window is edge columns.
+        let (lo, hi) = if cols > 2 * r {
+            (col_range.start.max(r), col_range.end.min(cols - r))
+        } else {
+            (col_range.end, col_range.end)
+        };
+        let (lo, hi) = if lo < hi { (lo, hi) } else { (col_range.end, col_range.end) };
+        let mut wsums = ClassSums::new(r);
+        for (oi, i) in row_range.enumerate() {
+            // Kernel rows clipped at the top and bottom edges.
             let ty = r - i.min(r);
             let by = r - (rows - 1 - i).min(r);
-            let mut j = 0;
-            while j < cols {
-                if interior_row && j == r && cols > 2 * r {
-                    // Interior pixels of this row were handled above.
-                    j = cols - r;
-                    continue;
-                }
-                let tx = r - j.min(r);
-                let bx = r - (cols - 1 - j).min(r);
-                let slot = ((ty * cls + by) * cls + tx) * cls + bx;
-                let mut wsum = wsum_tbl[slot];
-                if wsum < 0.0 {
-                    wsum = 0.0;
-                    for dy in ty..size - by {
-                        let wrow = &self.weights[dy * size..(dy + 1) * size];
-                        for &w in &wrow[tx..size - bx] {
-                            wsum += w;
+            let orow = &mut out[oi * width..(oi + 1) * width];
+            let (left, rest) = orow.split_at_mut(lo - col_range.start);
+            let (inner, right) = rest.split_at_mut(hi - lo);
+            if !inner.is_empty() {
+                let wsum = wsums.get(self, ty, by, 0, 0);
+                inner.fill(0.0);
+                for dy in ty..size - by {
+                    let f0 = (i + dy - r) * cols + lo - r;
+                    for (t, &w) in self.weights[dy * size..(dy + 1) * size].iter().enumerate() {
+                        let frow = &field[f0 + t..f0 + t + inner.len()];
+                        for (acc, &f) in inner.iter_mut().zip(frow) {
+                            *acc += w * f;
                         }
                     }
-                    wsum_tbl[slot] = wsum;
                 }
+                for acc in inner.iter_mut() {
+                    *acc /= wsum;
+                }
+            }
+            let edges =
+                left.iter_mut().zip(col_range.start..lo).chain(right.iter_mut().zip(hi..col_range.end));
+            for (o, j) in edges {
+                let tx = r - j.min(r);
+                let bx = r - (cols - 1 - j).min(r);
+                let wsum = wsums.get(self, ty, by, tx, bx);
+                let clipped = size - bx - tx;
                 let mut acc = 0.0;
-                let width = size - bx - tx;
                 for dy in ty..size - by {
-                    let wrow = &self.weights[dy * size + tx..dy * size + tx + width];
+                    let wrow = &self.weights[dy * size + tx..dy * size + tx + clipped];
                     let f0 = (i + dy - r) * cols + (j + tx - r);
-                    let frow = &field[f0..f0 + width];
-                    for t in 0..width {
+                    let frow = &field[f0..f0 + clipped];
+                    for t in 0..clipped {
                         acc += wrow[t] * frow[t];
                     }
                 }
-                out[i * cols + j] = acc / wsum;
-                j += 1;
+                *o = acc / wsum;
             }
         }
     }
 
     /// The pre-optimization bounds-checked loop, kept verbatim as the
-    /// bit-exactness oracle for [`PadKernel::apply`] (and as the
-    /// before-side of the kernels bench).
+    /// bit-exactness oracle for [`PadKernel::apply_window_into`] and its
+    /// full-board forms (and as the before-side of the kernels bench).
     ///
     /// # Panics
     ///
@@ -204,6 +267,40 @@ impl PadKernel {
             }
         }
         out
+    }
+}
+
+/// Renormalization sums by clip class: a pixel's sum depends only on how
+/// many kernel rows/columns are clipped on each side, `(top, bottom,
+/// left, right)`, so each class is summed once, in the reference's
+/// row-major order, and looked up after.
+struct ClassSums {
+    classes: usize,
+    // Every class keeps the centre weight, 1, so a sum is at least 1 and
+    // a negative entry means "not yet computed".
+    sums: Vec<f64>,
+}
+
+impl ClassSums {
+    fn new(radius: usize) -> Self {
+        let classes = radius + 1;
+        Self { classes, sums: vec![-1.0; classes * classes * classes * classes] }
+    }
+
+    fn get(&mut self, kernel: &PadKernel, ty: usize, by: usize, tx: usize, bx: usize) -> f64 {
+        let c = self.classes;
+        let slot = ((ty * c + by) * c + tx) * c + bx;
+        if self.sums[slot] < 0.0 {
+            let size = 2 * kernel.radius + 1;
+            let mut wsum = 0.0;
+            for dy in ty..size - by {
+                for &w in &kernel.weights[dy * size + tx..(dy + 1) * size - bx] {
+                    wsum += w;
+                }
+            }
+            self.sums[slot] = wsum;
+        }
+        self.sums[slot]
     }
 }
 
@@ -264,7 +361,7 @@ mod tests {
     }
 
     #[test]
-    fn split_paths_match_reference_bitwise_on_a_smoke_grid() {
+    fn row_accumulated_apply_matches_reference_bitwise_on_a_smoke_grid() {
         let k = PadKernel::exponential(1.7, 3);
         let field: Vec<f64> = (0..12 * 10).map(|v| ((v * 37) % 101) as f64 / 13.0).collect();
         let fast = k.apply(&field, 12, 10);
@@ -272,5 +369,89 @@ mod tests {
         for (a, b) in fast.iter().zip(&slow) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    /// Windows along one axis of length `n` for radius `r`: full, empty
+    /// at either end, one cell at each end and in the middle, bands as
+    /// narrow as the radius on each edge, and the unclipped middle.
+    fn axis_windows(n: usize, r: usize) -> Vec<Range<usize>> {
+        let e = r.min(n);
+        let mut w = vec![0..n, 0..0, n..n, 0..1, n - 1..n, n / 2..n / 2 + 1, 0..e, n - e..n];
+        if n > 2 * r {
+            w.push(r..n - r);
+        }
+        if n >= 2 {
+            w.push(1..n - 1);
+        }
+        w
+    }
+
+    /// The plain body and its AVX2 build, each called directly (so a host
+    /// without AVX2 still checks the path it runs), against the crop of
+    /// the reference, bit for bit.
+    #[test]
+    fn plain_and_avx2_window_bodies_match_the_reference_crop_bitwise() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        let mut windows = 0;
+        for radius in 0..=6 {
+            let k = PadKernel::exponential(rng.gen_range(0.4..4.0), radius);
+            for &(rows, cols) in &[(1, 1), (1, 9), (9, 1), (2, 13), (5, 5), (9, 20), (13, 13), (20, 17)]
+            {
+                let field: Vec<f64> = (0..rows * cols).map(|_| rng.gen_range(-50.0..500.0)).collect();
+                let reference = k.apply_reference(&field, rows, cols);
+                for rw in axis_windows(rows, radius) {
+                    for cw in axis_windows(cols, radius) {
+                        let crop: Vec<u64> = rw
+                            .clone()
+                            .flat_map(|i| cw.clone().map(move |j| (i, j)))
+                            .map(|(i, j)| reference[i * cols + j].to_bits())
+                            .collect();
+                        let mut out = vec![f64::NAN; crop.len()];
+                        k.window_body(&field, rows, cols, rw.clone(), cw.clone(), &mut out);
+                        let bits: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(bits, crop, "plain {rows}x{cols} r={radius} {rw:?} x {cw:?}");
+                        #[cfg(target_arch = "x86_64")]
+                        if avx2 {
+                            out.fill(f64::NAN);
+                            // SAFETY: AVX2 was detected above.
+                            unsafe {
+                                k.window_avx2(&field, rows, cols, rw.clone(), cw.clone(), &mut out)
+                            };
+                            let bits: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+                            assert_eq!(bits, crop, "avx2 {rows}x{cols} r={radius} {rw:?} x {cw:?}");
+                        }
+                        windows += 1;
+                    }
+                }
+            }
+        }
+        assert!(windows > 3000, "{windows}");
+    }
+
+    #[test]
+    fn a_shard_core_window_equals_the_core_of_the_whole_extension() {
+        // The shape `chip_golden` smooths per tile and step: the 64×64
+        // core of a 72×72 extension, radius 4.
+        let k = PadKernel::exponential(1.5, 4);
+        let field: Vec<f64> = (0..72 * 72).map(|v| 800.0 - ((v * 7919) % 401) as f64 / 10.0).collect();
+        let whole = k.apply(&field, 72, 72);
+        let mut core = vec![0.0; 64 * 64];
+        k.apply_window_into(&field, 72, 72, 4..68, 4..68, &mut core);
+        for (r, row) in core.chunks(64).enumerate() {
+            let want = &whole[(r + 4) * 72 + 4..(r + 4) * 72 + 68];
+            assert!(row.iter().zip(want).all(|(a, b)| a.to_bits() == b.to_bits()), "core row {r}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "column window out of bounds")]
+    fn a_window_past_the_field_is_refused() {
+        let k = PadKernel::exponential(1.5, 1);
+        let mut out = vec![0.0; 2];
+        k.apply_window_into(&[0.0; 4], 2, 2, 0..1, 1..3, &mut out);
     }
 }

@@ -86,12 +86,31 @@ impl ProcessParams {
         self.applied_pressure / self.reference_penetration.powf(self.contact_exponent)
     }
 
-    /// Validates parameter ranges.
+    /// Validates parameter ranges. Every float must be finite, which is
+    /// checked first, so no range check below ever sees a NaN.
     ///
     /// # Errors
     ///
     /// Returns a human-readable message for the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
+        let floats = [
+            ("initial_height", self.initial_height),
+            ("initial_step", self.initial_step),
+            ("applied_pressure", self.applied_pressure),
+            ("contact_exponent", self.contact_exponent),
+            ("reference_penetration", self.reference_penetration),
+            ("character_length", self.character_length),
+            ("critical_step", self.critical_step),
+            ("removal_per_step", self.removal_per_step),
+            ("min_effective_density", self.min_effective_density),
+            ("dishing_coefficient", self.dishing_coefficient),
+            ("dishing_reference_width", self.dishing_reference_width),
+            ("erosion_coefficient", self.erosion_coefficient),
+            ("perimeter_scale", self.perimeter_scale),
+        ];
+        if let Some((name, _)) = floats.iter().find(|(_, v)| !v.is_finite()) {
+            return Err(format!("{name} must be finite"));
+        }
         if self.initial_height <= 0.0 {
             return Err("initial_height must be positive".into());
         }
@@ -122,8 +141,14 @@ impl ProcessParams {
         if self.steps == 0 {
             return Err("steps must be at least 1".into());
         }
-        if !(0.0..1.0).contains(&self.min_effective_density) || self.min_effective_density == 0.0 {
+        if self.min_effective_density <= 0.0 || self.min_effective_density >= 1.0 {
             return Err("min_effective_density must be in (0, 1)".into());
+        }
+        if self.dishing_reference_width < 0.0 {
+            return Err("dishing_reference_width must be non-negative".into());
+        }
+        if self.perimeter_scale <= 0.0 {
+            return Err("perimeter_scale must be positive".into());
         }
         Ok(())
     }
@@ -164,6 +189,54 @@ mod tests {
         assert!(bad.validate().is_err());
         let bad = ProcessParams { min_effective_density: 0.0, ..ProcessParams::default() };
         assert!(bad.validate().is_err());
+    }
+
+    /// Every float field set to NaN, +∞ and −∞, and the two ranges the
+    /// erosion and dishing laws need, refused by `validate` and by
+    /// `CmpSimulator::new` (which used to panic on a NaN
+    /// `character_length` inside the pad kernel's assert).
+    #[test]
+    fn validation_rejects_non_finite_floats_and_degenerate_laws() {
+        type Field = fn(&mut ProcessParams) -> &mut f64;
+        let fields: [(&str, Field); 13] = [
+            ("initial_height", |p| &mut p.initial_height),
+            ("initial_step", |p| &mut p.initial_step),
+            ("applied_pressure", |p| &mut p.applied_pressure),
+            ("contact_exponent", |p| &mut p.contact_exponent),
+            ("reference_penetration", |p| &mut p.reference_penetration),
+            ("character_length", |p| &mut p.character_length),
+            ("critical_step", |p| &mut p.critical_step),
+            ("removal_per_step", |p| &mut p.removal_per_step),
+            ("min_effective_density", |p| &mut p.min_effective_density),
+            ("dishing_coefficient", |p| &mut p.dishing_coefficient),
+            ("dishing_reference_width", |p| &mut p.dishing_reference_width),
+            ("erosion_coefficient", |p| &mut p.erosion_coefficient),
+            ("perimeter_scale", |p| &mut p.perimeter_scale),
+        ];
+        let refused = |p: &ProcessParams, what: &str| {
+            let err = p.validate().expect_err(what);
+            assert_eq!(crate::CmpSimulator::new(p.clone()).err(), Some(err.clone()), "{what}");
+            err
+        };
+        for (name, field) in fields {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut p = ProcessParams::default();
+                *field(&mut p) = bad;
+                assert_eq!(refused(&p, &format!("{name} = {bad}")), format!("{name} must be finite"));
+            }
+        }
+        let mut p = ProcessParams { perimeter_scale: 0.0, ..ProcessParams::default() };
+        assert_eq!(refused(&p, "perimeter_scale 0"), "perimeter_scale must be positive");
+        p.perimeter_scale = -1.0;
+        refused(&p, "perimeter_scale < 0");
+        let p = ProcessParams { dishing_reference_width: -0.5, ..ProcessParams::default() };
+        assert_eq!(
+            refused(&p, "dishing_reference_width < 0"),
+            "dishing_reference_width must be non-negative"
+        );
+        // The boundary values stay valid.
+        let p = ProcessParams { dishing_reference_width: 0.0, ..ProcessParams::default() };
+        assert!(p.validate().is_ok() && crate::CmpSimulator::new(p).is_ok());
     }
 
     #[test]

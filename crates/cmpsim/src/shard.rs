@@ -11,7 +11,8 @@
 //! 1. every shard scatters its core envelope into the shared board,
 //! 2. every shard gathers its halo-extended region back (this is the
 //!    halo exchange; the non-core cells are the bytes a distributed
-//!    deployment would ship between neighbors) and smooths it,
+//!    deployment would ship between neighbors) and smooths its core
+//!    window of it,
 //! 3. the smoothed cores are scattered back in chip order and the
 //!    reference plane is solved on the assembled chip board — exactly
 //!    the monolithic force sum, in the same row-major order,
@@ -123,6 +124,20 @@ pub fn finalize_layer(
     LayerProfile::new(rows, cols, avg_height, dishing, erosion)
 }
 
+/// Smooths only the core of a halo-extended row-major field into `out`
+/// (core-sized, row-major). With a halo of at least the kernel radius
+/// this is bitwise the core of a monolithic smooth (module docs).
+///
+/// # Panics
+///
+/// Panics when `ext_field` is not extension-sized or `out` not
+/// core-sized.
+pub fn smooth_core_into(kernel: &PadKernel, tile: &Tile, ext_field: &[f64], out: &mut [f64]) {
+    let (dr, dc) = tile.core_in_ext();
+    let (ext, core) = (tile.ext, tile.core);
+    kernel.apply_window_into(ext_field, ext.rows, ext.cols, dr..dr + core.rows, dc..dc + core.cols, out);
+}
+
 /// Copies the core region out of a halo-extended row-major field.
 fn core_of_ext(tile: &Tile, ext_field: &[f64]) -> Vec<f64> {
     let (dr, dc) = tile.core_in_ext();
@@ -134,8 +149,8 @@ fn core_of_ext(tile: &Tile, ext_field: &[f64]) -> Vec<f64> {
     out
 }
 
-/// Per-tile polish state: core-region heights plus the scratch needed
-/// to smooth over the halo-extended region each step.
+/// Per-tile polish state: core-region heights plus the scratch that
+/// gathers the halo-extended envelope each step.
 #[derive(Debug, Clone)]
 pub struct TileShard {
     tile: Tile,
@@ -146,16 +161,15 @@ pub struct TileShard {
     z_up: Vec<f64>,
     z_down: Vec<f64>,
     smoothed_core: Vec<f64>,
+    pressures: Vec<f64>,
     ext_buf: Vec<f64>,
-    smooth_buf: Vec<f64>,
     halo_cells_exchanged: u64,
 }
 
 impl TileShard {
     /// Builds the shard from the tile's halo-extended layer input. The
-    /// effective density is smoothed over the extension once (it does
-    /// not change during the polish), everything else lives on the
-    /// core.
+    /// effective density of the core is smoothed once (it does not
+    /// change during the polish); everything kept lives on the core.
     ///
     /// # Errors
     ///
@@ -174,23 +188,24 @@ impl TileShard {
                 ext_input.rows, ext_input.cols, tile.ext.rows, tile.ext.cols
             ));
         }
-        let rho_eff_ext = kernel.apply(&ext_input.density, tile.ext.rows, tile.ext.cols);
+        let core_len = tile.core.len();
+        let mut rho_eff = vec![0.0; core_len];
+        smooth_core_into(kernel, &tile, &ext_input.density, &mut rho_eff);
         let (dish_ext, erosion_ext) =
             dish_erosion_factors(&ext_input.avg_width, &ext_input.perimeter, params);
-        let core_len = tile.core.len();
         let z_up = vec![params.initial_height; core_len];
         let z_down: Vec<f64> = z_up.iter().map(|z| z - params.initial_step).collect();
         Ok(Self {
             tile,
             density: core_of_ext(&tile, &ext_input.density),
-            rho_eff: core_of_ext(&tile, &rho_eff_ext),
+            rho_eff,
             dish_factor: core_of_ext(&tile, &dish_ext),
             erosion_factor: core_of_ext(&tile, &erosion_ext),
             z_up,
             z_down,
             smoothed_core: vec![0.0; core_len],
+            pressures: vec![0.0; core_len],
             ext_buf: vec![0.0; tile.ext.len()],
-            smooth_buf: vec![0.0; tile.ext.len()],
             halo_cells_exchanged: 0,
         })
     }
@@ -229,8 +244,8 @@ impl TileShard {
     }
 
     /// Gathers the halo-extended envelope from the chip board and
-    /// smooths it; the core of the result becomes this step's smoothed
-    /// heights. Counts the halo (non-core) cells gathered.
+    /// smooths its core window into this step's smoothed heights.
+    /// Counts the halo (non-core) cells gathered.
     pub fn smooth_from(&mut self, kernel: &PadKernel, board: &[f64], chip_cols: usize) {
         let ext = self.tile.ext;
         for r in 0..ext.rows {
@@ -239,27 +254,17 @@ impl TileShard {
             self.ext_buf[dst..dst + ext.cols].copy_from_slice(&board[src..src + ext.cols]);
         }
         self.halo_cells_exchanged += self.tile.halo_cells() as u64;
-        kernel.apply_into(&self.ext_buf, ext.rows, ext.cols, &mut self.smooth_buf);
-        let (dr, dc) = self.tile.core_in_ext();
-        let core = self.tile.core;
-        for r in 0..core.rows {
-            let src = (dr + r) * ext.cols + dc;
-            self.smoothed_core[r * core.cols..(r + 1) * core.cols]
-                .copy_from_slice(&self.smooth_buf[src..src + core.cols]);
-        }
+        smooth_core_into(kernel, &self.tile, &self.ext_buf, &mut self.smoothed_core);
     }
 
     /// Pointwise DSH/Preston update of the core from the global
     /// reference plane.
     pub fn update(&mut self, z_ref: f64, params: &ProcessParams) {
-        // `smooth_buf` is idle until the next smooth (its core already
-        // sits in `smoothed_core`), so its head carries the pressures.
-        let pressures = &mut self.smooth_buf[..self.smoothed_core.len()];
-        window_pressures_into(&self.smoothed_core, z_ref, params, pressures);
+        window_pressures_into(&self.smoothed_core, z_ref, params, &mut self.pressures);
         polish_pointwise(
             &mut self.z_up,
             &mut self.z_down,
-            pressures,
+            &self.pressures,
             &self.rho_eff,
             &self.dish_factor,
             &self.erosion_factor,
@@ -290,7 +295,7 @@ pub struct ShardStats {
     pub steps: usize,
     /// Halo cells gathered across all tiles and steps (×8 for bytes).
     pub halo_cells_exchanged: u64,
-    /// Contact-solve exact force evaluations (matches the monolithic run).
+    /// Contact-solve force evaluations (matches the monolithic run).
     pub force_evals: u64,
     /// Contact-solve hint passes — with `force_evals`, every O(cells)
     /// pass the global solve made over the chip board.
