@@ -1,9 +1,7 @@
 //! Criterion micro-benchmarks of the optimization substrate: SQP major
-//! iterations, the projected-gradient ablation, NMMSO generations, and the
-//! dense box-QP reference solver.
+//! iterations, the projected-gradient ablation and NMMSO generations.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use neurfill_optim::qp::{solve_box_qp, SymMatrix};
 use neurfill_optim::testfns::{gaussian_peaks, neg_sphere};
 use neurfill_optim::{
     maximize_projected_gradient, Bounds, Nmmso, NmmsoConfig, ProjGradConfig, SqpConfig, SqpSolver,
@@ -60,26 +58,5 @@ fn bench_nmmso(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_box_qp(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dense_box_qp");
-    group.sample_size(10);
-    for &n in &[20usize, 60] {
-        let mut b = SymMatrix::identity(n);
-        for i in 0..n {
-            b.set(i, i, 2.0 + (i % 3) as f64);
-            if i + 1 < n {
-                b.set(i, i + 1, 0.5);
-            }
-        }
-        let g: Vec<f64> = (0..n).map(|i| ((i % 7) as f64 - 3.0) * 0.3).collect();
-        let lo = vec![-0.5; n];
-        let hi = vec![0.5; n];
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bch, _| {
-            bch.iter(|| solve_box_qp(std::hint::black_box(&b), &g, &lo, &hi, 100));
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_sqp, bench_projected_gradient, bench_nmmso, bench_box_qp);
+criterion_group!(benches, bench_sqp, bench_projected_gradient, bench_nmmso);
 criterion_main!(benches);

@@ -1,9 +1,7 @@
 //! Shared experiment setup: designs, simulator, surrogate and coefficients
-//! at a configurable experiment scale, plus a histogram-based latency
-//! report for telemetry-instrumented runs.
+//! at a configurable experiment scale.
 
 use neurfill::surrogate::{train_surrogate, SurrogateConfig, TrainedSurrogate};
-use neurfill::telemetry::{format_ns, HistogramSnapshot, MetricsSnapshot};
 use neurfill::Coefficients;
 use neurfill_cmpsim::{CmpSimulator, ProcessParams};
 use neurfill_layout::datagen::DataGenConfig;
@@ -99,60 +97,6 @@ impl Experiment {
     }
 }
 
-/// Quantile summary of one latency histogram (all values nanoseconds).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencyReport {
-    /// Observations in the histogram.
-    pub count: u64,
-    /// Mean observed latency.
-    pub mean_ns: f64,
-    /// Median (50th percentile).
-    pub p50_ns: u64,
-    /// 95th percentile.
-    pub p95_ns: u64,
-    /// 99th percentile.
-    pub p99_ns: u64,
-    /// Largest observation.
-    pub max_ns: u64,
-}
-
-impl LatencyReport {
-    /// Summarizes a histogram snapshot into headline quantiles.
-    #[must_use]
-    pub fn from_histogram(h: &HistogramSnapshot) -> Self {
-        Self {
-            count: h.count,
-            mean_ns: h.mean(),
-            p50_ns: h.quantile(0.50),
-            p95_ns: h.quantile(0.95),
-            p99_ns: h.quantile(0.99),
-            max_ns: h.max,
-        }
-    }
-
-    /// Looks up `name` in a metrics snapshot; `None` when the histogram
-    /// was never recorded (e.g. telemetry disabled).
-    #[must_use]
-    pub fn from_snapshot(snap: &MetricsSnapshot, name: &str) -> Option<Self> {
-        snap.histogram(name).map(Self::from_histogram)
-    }
-}
-
-impl std::fmt::Display for LatencyReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "n={} mean={} p50={} p95={} p99={} max={}",
-            self.count,
-            format_ns(self.mean_ns),
-            format_ns(self.p50_ns as f64),
-            format_ns(self.p95_ns as f64),
-            format_ns(self.p99_ns as f64),
-            format_ns(self.max_ns as f64),
-        )
-    }
-}
-
 /// Surrogate configuration at a given scale.
 #[must_use]
 pub fn surrogate_config(scale: Scale, seed: u64) -> SurrogateConfig {
@@ -207,23 +151,6 @@ mod tests {
         assert_eq!(exp.designs[0].rows(), 16);
         let coeffs = exp.coefficients(&exp.designs[0]);
         assert!(coeffs.beta_sigma > 0.0);
-    }
-
-    #[test]
-    fn latency_report_reads_quantiles_from_a_snapshot() {
-        let telemetry = neurfill::telemetry::Telemetry::new();
-        let h = telemetry.histogram("job.total_ns");
-        for v in 1..=100u64 {
-            h.record(v * 1_000);
-        }
-        let snap = telemetry.snapshot();
-        let report = LatencyReport::from_snapshot(&snap, "job.total_ns").unwrap();
-        assert_eq!(report.count, 100);
-        assert!(report.p50_ns <= report.p95_ns && report.p95_ns <= report.p99_ns);
-        assert_eq!(report.max_ns, 100_000);
-        let text = report.to_string();
-        assert!(text.contains("n=100") && text.contains("p99="), "{text}");
-        assert!(LatencyReport::from_snapshot(&snap, "absent").is_none());
     }
 
     #[test]

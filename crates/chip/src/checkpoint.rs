@@ -49,7 +49,7 @@ pub const TILE_EXTENSION: &str = "nftile";
 const TILE_MAGIC: &str = "neurfill-tile v1";
 
 /// The `run.meta` fingerprint for a full-chip pass: geometry plus an
-/// execution-mode tag (`golden`, `pool`, `remote`, ...). Two runs may
+/// execution-mode tag (`golden`, `pool`, ...). Two runs may
 /// share a checkpoint directory only when this string matches exactly —
 /// resuming a run under a different configuration would merge plans
 /// that were never comparable.

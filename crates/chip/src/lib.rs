@@ -44,8 +44,8 @@ pub use fill::{
     ChipFillPlan,
 };
 pub use pool::{
-    extract_core_amounts, merge_tile_plan, synthesize_tiles, synthesize_tiles_checkpointed,
-    synthesize_tiles_into, tile_job_layout, TileJobOptions, TilePassStats, TileSynthesis,
+    merge_tile_plan, synthesize_tiles, synthesize_tiles_checkpointed, tile_job_layout, TileJobOptions,
+    TileSynthesis,
 };
 pub use report::ChipReport;
 pub use run::{run_full_chip, ChipRunConfig, ChipRunResult};

@@ -54,15 +54,6 @@ pub struct TileSynthesis {
     pub peak_in_flight: usize,
 }
 
-/// Counters a [`synthesize_tiles_into`] pass reports back.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TilePassStats {
-    /// Tiles restored from the checkpoint instead of synthesized.
-    pub resumed: usize,
-    /// Maximum jobs simultaneously in flight.
-    pub peak_in_flight: usize,
-}
-
 /// Pads a tile layout bottom/right to `multiple`-divisible dimensions
 /// with inert windows ([`WindowPattern::default`]: zero density, zero
 /// slack — synthesis can assign them nothing).
@@ -95,9 +86,9 @@ fn pad_layout(sub: &Layout, multiple: usize) -> Layout {
 
 /// Materializes the halo-padded job layout for one tile: the tile's
 /// ext region, padded to `pad_multiple`-divisible dimensions. This is
-/// exactly the layout [`synthesize_tiles`] submits, exposed so remote
-/// clients (`runfill --connect --full-chip`) can build byte-identical
-/// submissions and merge with [`merge_tile_plan`].
+/// exactly the layout [`synthesize_tiles`] submits, so a caller that runs
+/// a tile job elsewhere (e.g. through the service) submits the same
+/// bytes and merges its plan with [`merge_tile_plan`].
 #[must_use]
 pub fn tile_job_layout(source: &dyn ChipSource, tile: &Tile, pad_multiple: usize) -> Layout {
     pad_layout(&source.tile_layout(tile.ext), pad_multiple)
@@ -113,12 +104,7 @@ pub fn tile_job_layout(source: &dyn ChipSource, tile: &Tile, pad_multiple: usize
 /// Panics when `amounts` is shorter than the padded ext geometry
 /// implies.
 #[must_use]
-pub fn extract_core_amounts(
-    tile: &Tile,
-    amounts: &[f64],
-    pad_multiple: usize,
-    layers: usize,
-) -> Vec<f64> {
+fn extract_core_amounts(tile: &Tile, amounts: &[f64], pad_multiple: usize, layers: usize) -> Vec<f64> {
     // The padded layout keeps the unpadded ext at the same offsets
     // (padding is bottom/right only), so the core sits at
     // `core_in_ext()` in the padded grid too.
@@ -194,114 +180,75 @@ pub fn synthesize_tiles_checkpointed(
     checkpoint: Option<&TileCheckpoint>,
 ) -> Result<TileSynthesis, String> {
     assert_eq!((tiling.rows(), tiling.cols()), (source.rows(), source.cols()), "tiling/source mismatch");
-    let mut plan = ChipFillPlan::zeros(source.num_layers(), source.rows(), source.cols());
-    let mut failed = Vec::new();
-    let tiles: Vec<Tile> = tiling.tiles().collect();
-    let stats = synthesize_tiles_into(pool, source, &tiles, opts, checkpoint, &mut plan, &mut failed)?;
-    Ok(TileSynthesis {
-        plan,
-        tiles: tiling.num_tiles(),
-        resumed: stats.resumed,
-        failed,
-        peak_in_flight: stats.peak_in_flight,
-    })
-}
-
-/// The streaming core shared by [`synthesize_tiles_checkpointed`] and
-/// the remote client's local-failover rung: synthesizes exactly `tiles`
-/// (any subset of a tiling) through `pool`, merging into a
-/// caller-provided plan. Checkpointed tiles are restored, completed
-/// tiles are finalized before merging, failures are appended to
-/// `failed` with their region left untouched in `plan`.
-///
-/// # Errors
-///
-/// Returns a message when the pool rejects a submission, a job
-/// vanishes, or a checkpoint finalize fails.
-///
-/// # Panics
-///
-/// Panics when a tile lies outside `plan`.
-pub fn synthesize_tiles_into(
-    pool: &RuntimePool,
-    source: &dyn ChipSource,
-    tiles: &[Tile],
-    opts: &TileJobOptions,
-    checkpoint: Option<&TileCheckpoint>,
-    plan: &mut ChipFillPlan,
-    failed: &mut Vec<(String, String)>,
-) -> Result<TilePassStats, String> {
     let t = &opts.telemetry;
     let gauge = t.gauge("chip.pool_tiles_in_flight");
     let cap = opts.max_in_flight.max(1);
-    let layers = plan.layers();
+    let layers = source.num_layers();
+    let mut out = TileSynthesis {
+        plan: ChipFillPlan::zeros(layers, source.rows(), source.cols()),
+        tiles: tiling.num_tiles(),
+        resumed: 0,
+        failed: Vec::new(),
+        peak_in_flight: 0,
+    };
     let mut pending: Vec<(JobId, Tile, String)> = Vec::new();
-    let mut stats = TilePassStats::default();
 
-    let merge = |id: JobId,
-                 status: JobStatus,
-                 tile: &Tile,
-                 name: &str,
-                 plan: &mut ChipFillPlan,
-                 failed: &mut Vec<(String, String)>|
-     -> Result<(), String> {
-        match status {
-            JobStatus::Done(report) => {
-                let core = extract_core_amounts(tile, report.plan.as_slice(), opts.pad_multiple, layers);
-                if let Some(cp) = checkpoint {
-                    cp.store(tile, layers, &core)?;
+    // Waits for whichever in-flight tile finishes first and merges it: a
+    // completed tile is finalized in the checkpoint before its core is
+    // merged, a failed one is recorded with its region left zero.
+    let drain_one =
+        |pending: &mut Vec<(JobId, Tile, String)>, out: &mut TileSynthesis| -> Result<(), String> {
+            let ids: Vec<JobId> = pending.iter().map(|(id, _, _)| *id).collect();
+            let (done_id, status) = pool
+                .wait_first(&ids)
+                .ok_or_else(|| "in-flight tile jobs vanished from the pool".to_string())?;
+            let pos = pending
+                .iter()
+                .position(|(id, _, _)| *id == done_id)
+                .ok_or_else(|| format!("pool returned unknown job {done_id}"))?;
+            let (_, tile, name) = pending.swap_remove(pos);
+            gauge.set(pending.len() as f64);
+            match status {
+                JobStatus::Done(report) => {
+                    let core =
+                        extract_core_amounts(&tile, report.plan.as_slice(), opts.pad_multiple, layers);
+                    if let Some(cp) = checkpoint {
+                        cp.store(&tile, layers, &core)?;
+                    }
+                    out.plan.merge_core(&tile, &core);
+                    t.counter("chip.pool_tiles_done").inc();
+                    Ok(())
                 }
-                plan.merge_core(tile, &core);
-                t.counter("chip.pool_tiles_done").inc();
-                Ok(())
+                JobStatus::Failed(e) => {
+                    out.failed.push((name, e));
+                    t.counter("chip.pool_tiles_failed").inc();
+                    Ok(())
+                }
+                other => Err(format!("job {done_id} ({name}) returned non-terminal status {other:?}")),
             }
-            JobStatus::Failed(e) => {
-                failed.push((name.to_string(), e));
-                t.counter("chip.pool_tiles_failed").inc();
-                Ok(())
-            }
-            other => Err(format!("job {id} ({name}) returned non-terminal status {other:?}")),
-        }
-    };
-    let drain_one = |pending: &mut Vec<(JobId, Tile, String)>,
-                     plan: &mut ChipFillPlan,
-                     failed: &mut Vec<(String, String)>|
-     -> Result<(), String> {
-        let ids: Vec<JobId> = pending.iter().map(|(id, _, _)| *id).collect();
-        let (done_id, status) = pool
-            .wait_first(&ids)
-            .ok_or_else(|| "in-flight tile jobs vanished from the pool".to_string())?;
-        let pos = pending
-            .iter()
-            .position(|(id, _, _)| *id == done_id)
-            .ok_or_else(|| format!("pool returned unknown job {done_id}"))?;
-        let (_, done_tile, name) = pending.swap_remove(pos);
-        gauge.set(pending.len() as f64);
-        merge(done_id, status, &done_tile, &name, plan, failed)
-    };
+        };
 
-    for &tile in tiles {
+    for tile in tiling.tiles() {
         if let Some(amounts) = checkpoint.and_then(|cp| cp.amounts(&tile, layers)) {
-            plan.merge_core(&tile, amounts);
-            stats.resumed += 1;
+            out.plan.merge_core(&tile, amounts);
+            out.resumed += 1;
             t.counter("chip.pool_tiles_resumed").inc();
             continue;
         }
         while pending.len() >= cap {
-            drain_one(&mut pending, plan, failed)?;
+            drain_one(&mut pending, &mut out)?;
         }
-        let sub = source.tile_layout(tile.ext);
-        let padded = pad_layout(&sub, opts.pad_multiple);
+        let padded = tile_job_layout(source, &tile, opts.pad_multiple);
         let name = format!("{}~{}", source.name(), tile.ext.label());
         let id = pool.submit(JobSpec::new(name.clone(), padded))?;
         t.counter("chip.pool_tiles_submitted").inc();
         pending.push((id, tile, name));
-        stats.peak_in_flight = stats.peak_in_flight.max(pending.len());
+        out.peak_in_flight = out.peak_in_flight.max(pending.len());
         gauge.set(pending.len() as f64);
     }
     while !pending.is_empty() {
-        drain_one(&mut pending, plan, failed)?;
+        drain_one(&mut pending, &mut out)?;
     }
-    t.gauge("chip.pool_peak_tiles_in_flight").set(stats.peak_in_flight as f64);
-    Ok(stats)
+    t.gauge("chip.pool_peak_tiles_in_flight").set(out.peak_in_flight as f64);
+    Ok(out)
 }

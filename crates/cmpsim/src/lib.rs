@@ -34,7 +34,6 @@
 #![warn(missing_debug_implementations)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod calibrate;
 pub mod contact;
 pub mod dsh;
 pub mod kernel;

@@ -5,7 +5,7 @@
 //! * [`SqpSolver`] — the sequential-quadratic-programming maximizer used by
 //!   the MSP-SQP framework (paper §IV), realized at scale with a
 //!   limited-memory quasi-Newton subproblem model and a projected-arc line
-//!   search; [`qp`] holds the dense active-set box-QP reference solver.
+//!   search.
 //! * [`Nmmso`] — the niching migratory multi-swarm optimizer of the
 //!   multi-modal starting-points search (paper §IV-D, Fieldsend 2014).
 //! * [`maximize_multi_start`] — the MSP driver combining both.
@@ -23,7 +23,6 @@ mod msp;
 mod nmmso;
 mod problem;
 mod projgrad;
-pub mod qp;
 mod sqp;
 pub mod testfns;
 

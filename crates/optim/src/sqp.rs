@@ -5,8 +5,7 @@
 //! quadratic subproblem is solved approximately with a limited-memory
 //! (L-BFGS) quasi-Newton model and a projected-arc line search — the
 //! standard large-scale realization of the SQP family for pure box
-//! constraints (cf. L-BFGS-B). The dense active-set subproblem solver in
-//! [`crate::qp`] is the small-scale reference.
+//! constraints (cf. L-BFGS-B).
 
 use crate::linesearch::projected_backtracking;
 use crate::problem::{Bounds, Objective};

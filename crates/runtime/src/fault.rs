@@ -46,21 +46,9 @@ pub mod sites {
     pub const JOURNAL_WRITE: &str = "journal_write";
     /// Finalizing one tile checkpoint of a full-chip run.
     pub const CHECKPOINT_WRITE: &str = "checkpoint_write";
-    /// Dispatching one tile of a full-chip run to a remote service.
-    pub const TILE_DISPATCH: &str = "tile_dispatch";
-    /// Opening or reusing a client connection to a remote service.
-    pub const CONN_DROP: &str = "conn_drop";
     /// Every site above: the names [`super::FaultPlan::parse`] accepts.
-    pub const ALL: &[&str] = &[
-        HYDRATE,
-        SYNTHESIS,
-        VERIFY_FORWARD,
-        SHARD_READ,
-        JOURNAL_WRITE,
-        CHECKPOINT_WRITE,
-        TILE_DISPATCH,
-        CONN_DROP,
-    ];
+    pub const ALL: &[&str] =
+        &[HYDRATE, SYNTHESIS, VERIFY_FORWARD, SHARD_READ, JOURNAL_WRITE, CHECKPOINT_WRITE];
 }
 
 /// What a firing fault does at its site.

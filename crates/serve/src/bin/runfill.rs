@@ -11,7 +11,7 @@
 //!         [--tenant NAME] [--priority high|normal|low] [--timeout-s S]
 //! runfill --full-chip [--design A|B|C] [--tile-size N] [--rows R] [--cols C]
 //!         [--seed S] [--out reports/] [--workers N] [--fast]
-//!         [--model surrogate.bundle | --connect HOST:PORT] [--max-in-flight K]
+//!         [--model surrogate.bundle] [--max-in-flight K]
 //! ```
 //!
 //! `--connect` switches to client mode: jobs are submitted to a running
@@ -20,13 +20,11 @@
 //! report files written are identical between the two modes.
 //!
 //! `--full-chip` runs the sharded full-chip flow on a hash-generated
-//! design instead of a layout directory. Without a model it is the
-//! deterministic golden flow (simulate → model fill → verify, all
-//! sharded with halo exchange); with `--model` the halo-padded tiles
-//! stream through a local runtime pool as NN synthesis jobs; with
-//! `--connect` they stream through a running `neurfill-serve`, each
-//! tile's plan fetched over `GET /v1/jobs/{id}/plan` and merged
-//! client-side. At most `--max-in-flight` tiles are resident at once.
+//! design instead of a layout directory, always in-process (`--connect`
+//! is refused). Without a model it is the deterministic golden flow
+//! (simulate → model fill → verify, all sharded with halo exchange);
+//! with `--model` the halo-padded tiles stream through a local runtime
+//! pool as NN synthesis jobs, at most `--max-in-flight` resident at once.
 //!
 //! `--metrics-out` enables telemetry and writes the run's metrics snapshot
 //! (simulator stage timings, per-job spans, runtime counters, fault
@@ -43,8 +41,8 @@ use neurfill::extraction::NUM_CHANNELS;
 use neurfill::pipeline::FlowConfig;
 use neurfill::surrogate::{train_surrogate, SurrogateConfig};
 use neurfill_chip::{
-    chip_run_meta, run_full_chip, synthesize_tiles_checkpointed, ChipFillConfig, ChipFillPlan,
-    ChipRunConfig, ChipSimConfig, TileCheckpoint, TileJobOptions,
+    chip_run_meta, run_full_chip, synthesize_tiles_checkpointed, ChipFillConfig, ChipRunConfig,
+    ChipSimConfig, TileCheckpoint, TileJobOptions, TileSynthesis,
 };
 use neurfill_cmpsim::{CmpSimulator, ProcessParams};
 use neurfill_layout::datagen::DataGenConfig;
@@ -55,9 +53,7 @@ use neurfill_nn::{TrainConfig, UNetConfig};
 use neurfill_runtime::{
     FaultPlan, JobSpec, JobStatus, ModelRegistry, PoolOptions, RetryPolicy, RuntimePool,
 };
-use neurfill_serve::{
-    synthesize_chip_remote, ChipClientOptions, Client, FailoverConfig, JobRequest, Priority,
-};
+use neurfill_serve::{Client, JobRequest, Priority};
 use rand::SeedableRng;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -99,7 +95,7 @@ fn usage() -> ! {
          \x20             [--tenant NAME] [--priority high|normal|low] [--timeout-s S]\n\
          \x20      runfill --full-chip [--design A|B|C] [--tile-size N] [--rows R]\n\
          \x20             [--cols C] [--seed S] [--out <dir>] [--workers N] [--fast]\n\
-         \x20             [--model <bundle> | --connect HOST:PORT] [--max-in-flight K]\n\
+         \x20             [--model <bundle>] [--max-in-flight K]\n\
          \x20             [--checkpoint <dir>] [--fault-plan SPEC] [--fault-seed N]"
     );
     std::process::exit(2);
@@ -203,6 +199,10 @@ fn parse_args() -> Args {
         }
     }
     if args.full_chip {
+        if args.connect.is_some() {
+            eprintln!("--full-chip runs in-process; it cannot be combined with --connect");
+            usage();
+        }
         return args; // the chip is generated, not loaded; model is optional
     }
     if args.layouts.as_os_str().is_empty() {
@@ -350,7 +350,8 @@ fn chip_design(args: &Args) -> FullChipDesign {
     spec.build()
 }
 
-fn chip_telemetry(args: &Args) -> neurfill::telemetry::Telemetry {
+/// Telemetry for the run: enabled only when `--metrics-out` will write it.
+fn telemetry(args: &Args) -> neurfill::telemetry::Telemetry {
     if args.metrics_out.is_some() {
         neurfill::telemetry::Telemetry::new()
     } else {
@@ -369,16 +370,12 @@ fn chip_tile(args: &Args, design: &FullChipDesign) -> usize {
 
 /// `key value` summary of a tile-synthesis chip pass, in the style of
 /// the golden-flow [`neurfill_chip::ChipReport`].
-#[allow(clippy::too_many_arguments)]
 fn synthesis_summary(
     design: &FullChipDesign,
     tiling: &Tiling,
     tile: usize,
     cap: usize,
-    peak: usize,
-    resumed: usize,
-    failed: usize,
-    plan: &ChipFillPlan,
+    out: &TileSynthesis,
     elapsed: Duration,
 ) -> String {
     format!(
@@ -391,12 +388,12 @@ fn synthesis_summary(
         design.cols(),
         tile,
         tiling.num_tiles(),
-        resumed,
+        out.resumed,
         tiling.halo(),
         cap,
-        peak,
-        failed,
-        plan.total(),
+        out.peak_in_flight,
+        out.failed.len(),
+        out.plan.total(),
         elapsed.as_secs_f64(),
     )
 }
@@ -409,9 +406,9 @@ fn write_chip_report(out_dir: &Path, design: &FullChipDesign, text: &str) -> Res
     Ok(())
 }
 
-/// The fault plan for full-chip runs: the flag, else the environment
+/// The fault plan: the flag, else the environment
 /// (`NEURFILL_FAULT_PLAN` / `NEURFILL_FAULT_SEED`), else disabled.
-fn chip_fault(args: &Args) -> Result<Arc<FaultPlan>, String> {
+fn fault_plan(args: &Args) -> Result<Arc<FaultPlan>, String> {
     let fault = match &args.fault_plan {
         Some(spec) => FaultPlan::parse(spec, args.fault_seed)?,
         None => FaultPlan::from_env()?,
@@ -422,90 +419,6 @@ fn chip_fault(args: &Args) -> Result<Arc<FaultPlan>, String> {
     Ok(Arc::new(fault))
 }
 
-/// `--full-chip --connect`: stream halo-padded tiles through a running
-/// `neurfill-serve` with a bounded in-flight window, fetching each
-/// tile's plan over `GET /v1/jobs/{id}/plan` and merging client-side.
-/// `--checkpoint` makes completed tiles durable/resumable, and adding
-/// `--model` arms the local-pool failover rung: if the server becomes
-/// unreachable mid-chip, the remaining tiles finish in-process.
-fn run_full_chip_remote(args: &Args, addr: &str, out_dir: &Path) -> Result<bool, String> {
-    let design = chip_design(args);
-    let params = process_params(args);
-    let tile = chip_tile(args, &design);
-    let tiling = Tiling::square(design.rows(), design.cols(), tile, params.kernel_radius);
-    let cap = args.max_in_flight.max(1);
-    let telemetry = chip_telemetry(args);
-    let failover = if args.model.as_os_str().is_empty() {
-        None
-    } else {
-        let registry = ModelRegistry::new();
-        let bundle =
-            registry.load(&args.model).map_err(|e| format!("loading {}: {e}", args.model.display()))?;
-        println!("failover bundle {} (digest {:016x})", args.model.display(), bundle.digest());
-        Some(FailoverConfig {
-            bundle,
-            flow: FlowConfig { process: params.clone(), ..FlowConfig::default() },
-            pool: PoolOptions {
-                workers: args.workers,
-                default_timeout: args.timeout,
-                retry: RetryPolicy::with_retries(args.retries),
-                telemetry: telemetry.clone(),
-                ..PoolOptions::default()
-            },
-        })
-    };
-    let opts = ChipClientOptions {
-        max_in_flight: cap,
-        tenant: args.tenant.clone(),
-        priority: args.priority,
-        timeout: args.timeout,
-        checkpoint: args.checkpoint.clone(),
-        fault: chip_fault(args)?,
-        failover,
-        telemetry: telemetry.clone(),
-        ..ChipClientOptions::default()
-    };
-    println!(
-        "full chip {} ({}x{} windows, {} tiles of {tile}, halo {}) via {addr}",
-        design.name(),
-        design.rows(),
-        design.cols(),
-        tiling.num_tiles(),
-        tiling.halo()
-    );
-
-    let started = Instant::now();
-    let out = synthesize_chip_remote(addr, &design, &tiling, &opts)?;
-    for (name, e) in &out.failed {
-        println!("FAIL  {name}: {e}");
-    }
-    if out.circuit_opened {
-        println!("circuit opened: {} tiles finished on the local failover pool", out.failed_over);
-    }
-
-    let mut summary = synthesis_summary(
-        &design,
-        &tiling,
-        tile,
-        cap,
-        out.peak_in_flight,
-        out.resumed,
-        out.failed.len(),
-        &out.plan,
-        started.elapsed(),
-    );
-    summary.push_str(&format!("tiles_failed_over {}\n", out.failed_over));
-    write_chip_report(out_dir, &design, &summary)?;
-    if let Some(path) = &args.metrics_out {
-        telemetry
-            .snapshot()
-            .write_jsonl_file(path)
-            .map_err(|e| format!("writing {}: {e}", path.display()))?;
-        println!("wrote {}", path.display());
-    }
-    Ok(out.failed.is_empty())
-}
-
 /// `--full-chip --model`: stream halo-padded tiles through an
 /// in-process runtime pool as NN synthesis jobs.
 fn run_full_chip_pool(args: &Args, out_dir: &Path) -> Result<bool, String> {
@@ -514,23 +427,23 @@ fn run_full_chip_pool(args: &Args, out_dir: &Path) -> Result<bool, String> {
     let tile = chip_tile(args, &design);
     let tiling = Tiling::square(design.rows(), design.cols(), tile, params.kernel_radius);
     let cap = args.max_in_flight.max(1);
+    let fault = fault_plan(args)?;
 
     let registry = ModelRegistry::new();
     let bundle =
         registry.load(&args.model).map_err(|e| format!("loading {}: {e}", args.model.display()))?;
     println!("model bundle {} (digest {:016x})", args.model.display(), bundle.digest());
-    let telemetry = chip_telemetry(args);
+    let telemetry = telemetry(args);
     neurfill_tensor::telemetry::install(telemetry.clone());
     let flow = FlowConfig { process: params, ..FlowConfig::default() };
     let options = PoolOptions {
         workers: args.workers,
         default_timeout: args.timeout,
         retry: RetryPolicy::with_retries(args.retries),
+        fault: Arc::clone(&fault),
         telemetry: telemetry.clone(),
-        ..PoolOptions::default()
     };
     let pool = RuntimePool::new(bundle, flow, options).map_err(|e| e.to_string())?;
-    let fault = chip_fault(args)?;
     let checkpoint = match &args.checkpoint {
         Some(dir) => Some(TileCheckpoint::open(
             dir,
@@ -572,17 +485,7 @@ fn run_full_chip_pool(args: &Args, out_dir: &Path) -> Result<bool, String> {
         println!("FAIL  {name}: {e}");
     }
 
-    let summary = synthesis_summary(
-        &design,
-        &tiling,
-        tile,
-        cap,
-        out.peak_in_flight,
-        out.resumed,
-        out.failed.len(),
-        &out.plan,
-        elapsed,
-    );
+    let summary = synthesis_summary(&design, &tiling, tile, cap, &out, elapsed);
     write_chip_report(out_dir, &design, &summary)?;
     Ok(out.failed.is_empty())
 }
@@ -592,7 +495,7 @@ fn run_full_chip_pool(args: &Args, out_dir: &Path) -> Result<bool, String> {
 /// at any tile size and worker count.
 fn run_full_chip_golden(args: &Args, out_dir: &Path) -> Result<bool, String> {
     let design = chip_design(args);
-    let telemetry = chip_telemetry(args);
+    let telemetry = telemetry(args);
     let cfg = ChipRunConfig {
         sim: ChipSimConfig {
             params: process_params(args),
@@ -601,7 +504,7 @@ fn run_full_chip_golden(args: &Args, out_dir: &Path) -> Result<bool, String> {
         },
         fill: ChipFillConfig::default(),
         checkpoint: args.checkpoint.clone(),
-        fault: chip_fault(args)?,
+        fault: fault_plan(args)?,
     };
     println!(
         "full chip {} ({}x{} windows, tile {}, golden sharded flow)",
@@ -627,10 +530,10 @@ fn run() -> Result<bool, String> {
     if args.full_chip {
         let out_dir = args.out.clone().unwrap_or_else(|| PathBuf::from("chip-reports"));
         std::fs::create_dir_all(&out_dir).map_err(|e| e.to_string())?;
-        return match (args.connect.clone(), args.model.as_os_str().is_empty()) {
-            (Some(addr), _) => run_full_chip_remote(&args, &addr, &out_dir),
-            (None, false) => run_full_chip_pool(&args, &out_dir),
-            (None, true) => run_full_chip_golden(&args, &out_dir),
+        return if args.model.as_os_str().is_empty() {
+            run_full_chip_golden(&args, &out_dir)
+        } else {
+            run_full_chip_pool(&args, &out_dir)
         };
     }
     if args.init_demo > 0 {
@@ -653,21 +556,8 @@ fn run() -> Result<bool, String> {
         registry.load(&args.model).map_err(|e| format!("loading {}: {e}", args.model.display()))?;
     println!("model bundle {} (digest {:016x})", args.model.display(), bundle.digest());
 
-    // The fault plan comes from the flag, else the environment
-    // (NEURFILL_FAULT_PLAN / NEURFILL_FAULT_SEED), else stays disabled.
-    let fault = match &args.fault_plan {
-        Some(spec) => FaultPlan::parse(spec, args.fault_seed)?,
-        None => FaultPlan::from_env()?,
-    };
-    if fault.is_enabled() {
-        println!("fault injection enabled (seed {})", args.fault_seed);
-    }
-
-    let telemetry = if args.metrics_out.is_some() {
-        neurfill::telemetry::Telemetry::new()
-    } else {
-        neurfill::telemetry::Telemetry::disabled()
-    };
+    let fault = fault_plan(&args)?;
+    let telemetry = telemetry(&args);
     // Route GEMM counters/timers (`tensor.gemm*`) into the same snapshot.
     neurfill_tensor::telemetry::install(telemetry.clone());
     let flow = FlowConfig { process: process_params(&args), ..FlowConfig::default() };
@@ -675,7 +565,7 @@ fn run() -> Result<bool, String> {
         workers: args.workers,
         default_timeout: args.timeout,
         retry: RetryPolicy::with_retries(args.retries),
-        fault: Arc::new(fault),
+        fault,
         telemetry: telemetry.clone(),
     };
     let pool = RuntimePool::new(bundle, flow, options).map_err(|e| e.to_string())?;

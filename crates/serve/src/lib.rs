@@ -8,8 +8,9 @@
 //! * **Job lifecycle** — `POST /v1/jobs` (layout body + `x-*` attribute
 //!   headers), `GET /v1/jobs/{id}` (status incl. retrying/degraded, with
 //!   `?wait_ms=` long-poll), `GET /v1/jobs/{id}/result`,
-//!   `GET /v1/jobs/{id}/plan` (exact round-trip fill amounts, for
-//!   client-side full-chip tile merging), `DELETE /v1/jobs/{id}`.
+//!   `GET /v1/jobs/{id}/plan` (the fill amounts, exact to the bit — the
+//!   same encoding the journal's `done` record keeps),
+//!   `DELETE /v1/jobs/{id}`.
 //! * **Fair-share admission** — bounded per-tenant queues with priority
 //!   classes, smooth weighted-round-robin dispatch, and backpressure via
 //!   `429` + `Retry-After`; the service never buffers without bound.
@@ -31,7 +32,6 @@
 
 pub mod admission;
 pub mod canary;
-pub mod chiprun;
 pub mod client;
 pub mod http;
 pub mod journal;
@@ -42,7 +42,6 @@ pub mod tenant;
 pub mod wire;
 
 pub use canary::{CanaryConfig, CanaryReport};
-pub use chiprun::{synthesize_chip_remote, ChipClientOptions, ChipClientReport, FailoverConfig};
 pub use client::{Client, ClientError};
 pub use journal::{JobJournal, RecoveredJob, RecoveredState};
 pub use server::{Server, ServerConfig};

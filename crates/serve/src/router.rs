@@ -10,7 +10,7 @@ pub enum Route {
     /// `GET /v1/jobs/{id}/result` — finished job's report.
     JobResult(u64),
     /// `GET /v1/jobs/{id}/plan` — finished job's fill plan (exact
-    /// round-trip amounts, for client-side merging).
+    /// round-trip amounts).
     JobPlan(u64),
     /// `DELETE /v1/jobs/{id}` — cancel a job.
     CancelJob(u64),

@@ -149,8 +149,9 @@ impl JobRequest {
 /// Encodes a fill plan's amounts for `GET /v1/jobs/{id}/plan`:
 /// `plan_len N` followed by one `amounts` line of space-separated
 /// values. Rust's shortest `{}` float formatting round-trips every
-/// finite `f64` exactly, so a client-side merge of tile plans sees the
-/// very bytes the pool computed.
+/// finite `f64` exactly, so a client reading the plan back — and a job
+/// recovered from the journal's `done` record — sees the very bytes the
+/// pool computed.
 #[must_use]
 pub fn encode_plan(amounts: &[f64]) -> String {
     let mut text = format!("plan_len {}\namounts", amounts.len());

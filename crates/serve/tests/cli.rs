@@ -2,8 +2,11 @@
 //! tier and the int8 backend, the two batching flags with the batch
 //! server; a script that still passes one must fail loudly (exit 2
 //! and usage), never run on the only path as if it had been honoured.
-//! The same goes for a fault plan naming a site that does not exist: a
-//! drill that injects nothing must not report success.
+//! The same goes for a fault plan naming a site that does not exist (or
+//! one nothing injects at any more), or one the run never hands to the
+//! pool: a drill that injects nothing must not report success. And
+//! `--full-chip` runs in-process only: asking it to `--connect` to a
+//! server must be refused, not quietly ignored.
 
 use std::process::Command;
 
@@ -54,5 +57,52 @@ fn runfill_refuses_a_fault_plan_with_an_unknown_site_before_any_job_starts() {
     };
     run(Some("batch_forward=nan"), None);
     run(None, Some("synthesys=panic"));
+    run(Some("tile_dispatch=panic"), None);
+    run(None, Some("conn_drop=transient"));
     let _ = std::fs::remove_dir_all(&out_dir);
+}
+
+#[test]
+fn runfill_refuses_full_chip_over_connect() {
+    let out = Command::new(env!("CARGO_BIN_EXE_runfill"))
+        .args(["--full-chip", "--rows", "8", "--cols", "8", "--connect", "127.0.0.1:1"])
+        .output()
+        .unwrap();
+    let (stdout, stderr) = (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert_eq!(out.status.code(), Some(2), "{stdout}{stderr}");
+    assert!(stderr.contains("cannot be combined with --connect"), "{stderr}");
+    assert!(stdout.is_empty(), "the run must not have started: {stdout}");
+    let full_chip_usage = stderr.split("runfill --full-chip").nth(1).expect("usage lists --full-chip");
+    assert!(!full_chip_usage.contains("--connect"), "usage must not advertise it: {stderr}");
+}
+
+#[test]
+fn runfill_full_chip_pool_injects_its_fault_plan() {
+    use neurfill::extraction::NUM_CHANNELS;
+    use neurfill::{CmpNeuralNetwork, CmpNnConfig, HeightNorm};
+    use neurfill_nn::{UNet, UNetConfig};
+    use rand::SeedableRng;
+
+    let dir = std::env::temp_dir().join(format!("neurfill_cli_chip_fault_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let model = dir.join("m.bundle");
+    let config = UNetConfig { in_channels: NUM_CHANNELS, out_channels: 1, base_channels: 4, depth: 2 };
+    let unet = UNet::new(config, &mut rand::rngs::StdRng::seed_from_u64(42));
+    let network =
+        CmpNeuralNetwork::new(unet, HeightNorm::default(), Default::default(), CmpNnConfig::default());
+    neurfill::persist::save_to_file(&network, &model).unwrap();
+
+    let out = Command::new(env!("CARGO_BIN_EXE_runfill"))
+        .args(["--full-chip", "--rows", "8", "--cols", "8", "--tile-size", "8", "--fast"])
+        .args(["--fault-plan", "synthesis=panic", "--model"])
+        .arg(&model)
+        .arg("--out")
+        .arg(&dir)
+        .env_remove("NEURFILL_FAULT_PLAN")
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains("tiles_failed 1"), "the drill must reach the tile's synthesis: {stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

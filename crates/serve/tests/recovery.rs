@@ -10,22 +10,20 @@
 //! left and fail every later append.
 //!
 //! Also pinned here: `DELETE /v1/jobs/{id}` idempotency status codes
-//! (200 → 204 → 409) and cancel surviving a restart, and the remote
-//! full-chip client's circuit-breaker failover + checkpoint resume.
+//! (200 → 204 → 409) and cancel surviving a restart.
 
 use neurfill::extraction::NUM_CHANNELS;
 use neurfill::pipeline::FlowConfig;
 use neurfill::{CmpNeuralNetwork, CmpNnConfig, HeightNorm, NeurFillConfig};
-use neurfill_chip::{synthesize_tiles, TileJobOptions};
 use neurfill_cmpsim::ProcessParams;
-use neurfill_layout::{DesignKind, DesignSpec, FullChipSpec, Layout, Tiling};
+use neurfill_layout::{DesignKind, DesignSpec, Layout};
 use neurfill_nn::{UNet, UNetConfig};
 use neurfill_optim::SqpConfig;
 use neurfill_runtime::fault::sites;
-use neurfill_runtime::{FaultPlan, ModelBundle, PoolOptions, RuntimePool};
+use neurfill_runtime::{FaultPlan, ModelBundle, PoolOptions};
 use neurfill_serve::{
-    synthesize_chip_remote, ChipClientOptions, FailoverConfig, FillService, JobRequest, Priority,
-    Server, ServerConfig, ServiceConfig, SubmitError, TenantConfig, WireState,
+    FillService, JobRequest, Priority, Server, ServerConfig, ServiceConfig, SubmitError, TenantConfig,
+    WireState,
 };
 use rand::SeedableRng;
 use std::io::{Read, Write};
@@ -231,120 +229,4 @@ fn delete_is_idempotent_and_cancel_survives_restart() {
     );
     service.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-// ---- remote full-chip client -------------------------------------------
-
-fn chip_fixture() -> (neurfill_layout::FullChipDesign, Tiling) {
-    let design = FullChipSpec::new(DesignKind::Fpga, 16, 16, 9).build();
-    let tiling = Tiling::square(16, 16, 8, ProcessParams::fast().kernel_radius);
-    (design, tiling)
-}
-
-fn chip_server() -> (Server, std::thread::JoinHandle<()>, String) {
-    let config = ServiceConfig {
-        tenants: vec![TenantConfig { name: "default".to_string(), weight: 1, capacity: 16 }],
-        slots: 2,
-        flow: flow_config(),
-        pool: PoolOptions { workers: 2, ..PoolOptions::default() },
-        ..ServiceConfig::default()
-    };
-    let service = FillService::start(bundle(), config).unwrap();
-    let server = Server::bind(service, &ServerConfig::default()).unwrap();
-    let run_server = server.clone();
-    let run_thread = std::thread::spawn(move || run_server.run().unwrap());
-    let addr = server.local_addr().unwrap().to_string();
-    (server, run_thread, addr)
-}
-
-/// The reference plan: the same tiles through a local pool on the same
-/// bundle and flow (the pool path is deterministic for a fixed tiling).
-fn local_reference() -> Vec<u64> {
-    let (design, tiling) = chip_fixture();
-    let pool =
-        RuntimePool::new(bundle(), flow_config(), PoolOptions { workers: 2, ..PoolOptions::default() })
-            .unwrap();
-    let out = synthesize_tiles(&pool, &design, &tiling, &TileJobOptions::default()).unwrap();
-    let _ = pool.shutdown();
-    assert!(out.failed.is_empty());
-    out.plan.as_slice().iter().map(|a| a.to_bits()).collect()
-}
-
-#[test]
-fn remote_chip_failover_finishes_on_the_local_pool() {
-    let (design, tiling) = chip_fixture();
-    let reference = local_reference();
-    let (server, run_thread, addr) = chip_server();
-
-    // Every client call from ordinal 4 onward is dropped: the circuit
-    // opens after 3 consecutive transport failures and the remaining
-    // tiles must finish on the local failover pool.
-    let dir = tmp_dir("failover");
-    let opts = ChipClientOptions {
-        max_in_flight: 2,
-        fault: Arc::new(FaultPlan::parse("conn_drop=transient@4-100000", 0).unwrap()),
-        checkpoint: Some(dir.clone()),
-        failover: Some(FailoverConfig {
-            bundle: bundle(),
-            flow: flow_config(),
-            pool: PoolOptions { workers: 2, ..PoolOptions::default() },
-        }),
-        ..ChipClientOptions::default()
-    };
-    let report = synthesize_chip_remote(&addr, &design, &tiling, &opts).unwrap();
-    assert!(report.circuit_opened, "the injected drops must open the circuit");
-    assert!(report.failed_over > 0, "some tiles must have failed over");
-    assert!(report.failed.is_empty(), "every tile must complete: {:?}", report.failed);
-    assert_eq!(report.tiles, 4);
-    let got: Vec<u64> = report.plan.as_slice().iter().map(|a| a.to_bits()).collect();
-    assert_eq!(got, reference, "failover must not change the merged plan");
-
-    // The checkpointed run resumes everything without a live server.
-    let opts = ChipClientOptions { checkpoint: Some(dir.clone()), ..ChipClientOptions::default() };
-    let resumed = synthesize_chip_remote(&addr, &design, &tiling, &opts).unwrap();
-    assert_eq!(resumed.resumed, 4, "every tile must restore from the checkpoint");
-    assert!(!resumed.circuit_opened);
-    let got: Vec<u64> = resumed.plan.as_slice().iter().map(|a| a.to_bits()).collect();
-    assert_eq!(got, reference, "resume must be bit-identical");
-    let _ = std::fs::remove_dir_all(&dir);
-
-    server.service().shutdown();
-    server.stop();
-    run_thread.join().unwrap();
-}
-
-#[test]
-fn remote_chip_without_failover_keeps_completed_tiles_durable() {
-    let (design, tiling) = chip_fixture();
-    let reference = local_reference();
-    let (server, run_thread, addr) = chip_server();
-
-    // First pass: drops from ordinal 4 on, no failover pool — the run
-    // must abort, but tiles completed before the circuit opened stay
-    // durable in the checkpoint.
-    let dir = tmp_dir("no-failover");
-    let opts = ChipClientOptions {
-        max_in_flight: 1,
-        fault: Arc::new(FaultPlan::parse("conn_drop=transient@4-100000", 0).unwrap()),
-        checkpoint: Some(dir.clone()),
-        ..ChipClientOptions::default()
-    };
-    let err = synthesize_chip_remote(&addr, &design, &tiling, &opts)
-        .expect_err("an opened circuit with no failover must abort");
-    assert!(err.contains("circuit open"), "got: {err}");
-    assert!(err.contains("checkpointed"), "the abort must point at the checkpoint: {err}");
-
-    // Second pass with a healthy connection resumes the durable tiles
-    // and lands on the reference bits.
-    let opts = ChipClientOptions { checkpoint: Some(dir.clone()), ..ChipClientOptions::default() };
-    let report = synthesize_chip_remote(&addr, &design, &tiling, &opts).unwrap();
-    assert!(report.resumed >= 1, "the pre-circuit tile must have been durable");
-    assert!(report.failed.is_empty());
-    let got: Vec<u64> = report.plan.as_slice().iter().map(|a| a.to_bits()).collect();
-    assert_eq!(got, reference, "recovery must be bit-identical");
-    let _ = std::fs::remove_dir_all(&dir);
-
-    server.service().shutdown();
-    server.stop();
-    run_thread.join().unwrap();
 }

@@ -462,8 +462,8 @@ fn full_chip_tile_plans_merge_identically_over_the_wire() {
     assert!(reference.failed.is_empty(), "{:?}", reference.failed);
 
     // Remote: the same padded tile layouts as HTTP submissions, plans
-    // fetched through `GET /v1/jobs/{id}/plan` and merged client-side —
-    // the `runfill --connect --full-chip` codepath.
+    // fetched through `GET /v1/jobs/{id}/plan` and merged client-side:
+    // every amount must survive the wire encoding to the bit.
     let harness = Harness::start(config_with(&[("default", 1, 16)], 1, "", CanaryConfig::default()));
     let mut client = harness.client();
     let mut plan = ChipFillPlan::zeros(design.num_layers(), design.rows(), design.cols());
