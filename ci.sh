@@ -58,14 +58,18 @@ cargo test --release -p neurfill-chip --test bit_identity -q
 # batched predictions run the one taped UNet definition on a frozen network:
 # `batch` and `score_only` pin them to the gradient path's forward, and
 # `tape_reuse` pins a gradient that reuses the accepted trial's taped forward
-# to one that runs its own. The row-accumulated pad kernel is compared with
+# to one that runs its own. The `sqp` suite pins a capped solve to the prefix
+# of a longer one, which is what lets the flow's iteration cap stop a job
+# early without moving a bit of the iterations it keeps. The row-accumulated
+# pad kernel is compared with
 # `apply_reference` through its plain body and its AVX2 build, each called
 # directly; the contact suite answers every bisection probe of A/B/C's
 # boards from the anchors (checked with `√d·d`) and with `powf`.
-echo "== replacement-vs-oracle suites, release build (line search, frozen + per-layer planarity, tape reuse, score + batched forward, im2col/col2im + conv backward, insertion + sink, fused norm node, pad kernel windows, anchor checks, trajectory + training pins, live heap per job and per training step)"
+echo "== replacement-vs-oracle suites, release build (line search, SQP prefix, frozen + per-layer planarity, tape reuse, score + batched forward, im2col/col2im + conv backward, insertion + sink, fused norm node, pad kernel windows, anchor checks, trajectory + training pins, live heap per job and per training step)"
 cargo test --release -p neurfill-cmpsim --lib kernel -q
 cargo test --release -p neurfill-cmpsim --lib contact -q
 cargo test --release -p neurfill-optim --lib linesearch -q
+cargo test --release -p neurfill-optim --lib sqp -q
 cargo test --release -p neurfill --lib frozen_planarity -q
 cargo test --release -p neurfill --lib per_layer_backward -q
 cargo test --release -p neurfill --lib framework::tests::tape_reuse -q

@@ -5,20 +5,27 @@
 //! 2. DSH critical step height — dishing/planarization trade,
 //! 3. SQP vs plain projected gradient — value of the curvature model,
 //! 4. PKB linear-search granularity — starting-point quality vs cost,
-//! 5. NeurFill trust-region radius — surrogate-exploitation control.
+//! 5. NeurFill trust-region radius — surrogate-exploitation control,
+//! 6. SQP iteration cap — where golden Quality stops improving while the
+//!    surrogate objective keeps climbing, on A/B/C at 8², 16² and 32². The
+//!    table's answer to the cap rule is printed; the shipped
+//!    `NeurFillConfig::default().sqp.max_iterations` is the larger of the
+//!    `smoke` and `default` answers (DESIGN.md, "Iteration cap").
 //!
-//! Usage: `ablations [smoke|default]` (section 5 trains a surrogate and
-//! dominates the runtime).
+//! Usage: `ablations [smoke|default]` (sections 4–6 share one trained
+//! surrogate; training and section 6 dominate the runtime).
 
 use neurfill::pkb::{pkb_starting_point, PkbConfig};
-use neurfill::{FillObjective, PlanarityMetrics};
-use neurfill_bench::harness::{prepare, Scale};
+use neurfill::report::evaluate_plan;
+use neurfill::{FillObjective, NeurFill, NeurFillConfig, PlanarityMetrics};
+use neurfill_bench::harness::{prepare, Experiment, Scale};
 use neurfill_cmpsim::{CmpSimulator, ProcessParams};
-use neurfill_layout::{DesignKind, DesignSpec};
+use neurfill_layout::{benchmark_designs, DesignKind, DesignSpec, DummySpec};
 use neurfill_optim::testfns::neg_rosenbrock;
 use neurfill_optim::{
     maximize_projected_gradient, Bounds, Objective, ProjGradConfig, SqpConfig, SqpSolver,
 };
+use std::rc::Rc;
 
 fn main() {
     let scale = Scale::from_arg(std::env::args().nth(1).as_deref());
@@ -93,18 +100,88 @@ fn main() {
     println!("{:<24} {:>14} {:>14}", "trust radius", "surrogate obj", "golden sigma");
     let sim = &exp.sim;
     for radius in [0.0, 0.05, 0.15, 0.4, 1.0] {
-        let nf = neurfill::NeurFill::new(
+        let nf = NeurFill::new(
             clone_network(&exp.surrogate.network),
-            neurfill::NeurFillConfig { trust_radius: radius, ..neurfill::NeurFillConfig::default() },
+            NeurFillConfig { trust_radius: radius, ..NeurFillConfig::default() },
         );
         let outcome = nf.run(design, &coeffs).expect("geometry ok");
-        let filled =
-            neurfill_layout::apply_fill(design, &outcome.plan, &neurfill_layout::DummySpec::default());
+        let filled = neurfill_layout::apply_fill(design, &outcome.plan, &DummySpec::default());
         let m = PlanarityMetrics::from_profile(&sim.simulate(&filled));
         println!("{radius:<24} {:>14.4} {:>14.0}", outcome.objective_value, m.sigma);
     }
     println!("(small radii pin the PKB start; large radii let SQP climb surrogate-error");
-    println!(" hills — the golden sigma is the ground truth the surrogate cannot see)");
+    println!(" hills — the golden sigma is the ground truth the surrogate cannot see)\n");
+
+    iteration_cap_sweep(&exp);
+}
+
+/// SQP caps swept by Ablation 6; the last is the reference.
+const CAPS: [usize; 6] = [10, 20, 30, 40, 60, 80];
+/// How far below the reference cap's mean golden Quality a cap may land,
+/// on every grid, and still be chosen.
+const CAP_TOLERANCE: f64 = 0.0025;
+
+/// Ablation 6: NeurFill (PKB) on A/B/C at 8², 16² and 32² under each cap
+/// of [`CAPS`], everything else at `NeurFillConfig::default()`. A capped
+/// solve is the prefix of a longer one, so each row is the same
+/// trajectory stopped earlier.
+fn iteration_cap_sweep(exp: &Experiment) {
+    println!("== Ablation 6: SQP iteration cap (NeurFill (PKB), same surrogate) ==");
+    println!(
+        "{:<6} {:>5} {:>16} {:>10} {:>15} {:>13}",
+        "grid", "cap", "golden Quality", "vs cap 80", "surrogate obj", "synthesis s"
+    );
+    let network = Rc::new(clone_network(&exp.surrogate.network));
+    let dummy = DummySpec::default();
+    let mut passing = vec![true; CAPS.len()];
+    for edge in [8, 16, 32] {
+        let designs = benchmark_designs(edge, edge, 7);
+        let coeffs: Vec<_> = designs.iter().map(|d| exp.coefficients(d)).collect();
+        // Per cap: mean golden Quality, surrogate objective, synthesis s.
+        let rows: Vec<(f64, f64, f64)> = CAPS
+            .iter()
+            .map(|&cap| {
+                let mut config = NeurFillConfig::default();
+                config.sqp.max_iterations = cap;
+                let nf = NeurFill::new(Rc::clone(&network), config);
+                let mut sums = (0.0, 0.0, 0.0);
+                for (design, c) in designs.iter().zip(&coeffs) {
+                    let outcome = nf.run(design, c).expect("geometry ok");
+                    let secs = outcome.runtime.as_secs_f64();
+                    let row = evaluate_plan(design, &exp.sim, c, "", &outcome.plan, &dummy, secs, 0.0);
+                    sums = (sums.0 + row.quality, sums.1 + outcome.objective_value, sums.2 + secs);
+                }
+                let n = designs.len() as f64;
+                (sums.0 / n, sums.1 / n, sums.2 / n)
+            })
+            .collect();
+        let reference = rows[CAPS.len() - 1].0;
+        for ((&cap, (quality, objective, secs)), pass) in CAPS.iter().zip(&rows).zip(&mut passing) {
+            let relative = quality / reference - 1.0;
+            *pass &= relative >= -CAP_TOLERANCE;
+            let grid = format!("{edge}x{edge}");
+            println!(
+                "{grid:<6} {cap:>5} {quality:>16.7} {:>9.3}% {objective:>15.4} {secs:>13.3}",
+                100.0 * relative
+            );
+        }
+    }
+    let within: Vec<String> =
+        CAPS.iter().zip(&passing).filter(|(_, pass)| **pass).map(|(cap, _)| cap.to_string()).collect();
+    // The cap from which no larger cap falls outside the tolerance: where
+    // golden Quality has stopped improving, not a lucky early pass.
+    let flat_from = CAPS.len() - passing.iter().rev().take_while(|pass| **pass).count();
+    println!(
+        "caps within {:.2} % of cap 80's mean golden Quality on every grid: {}",
+        100.0 * CAP_TOLERANCE,
+        within.join(", ")
+    );
+    println!("golden Quality is flat from cap {}", CAPS[flat_from]);
+    println!(
+        "(shipped default: {} iterations; the surrogate objective keeps climbing past the",
+        NeurFillConfig::default().sqp.max_iterations
+    );
+    println!(" point where the golden Quality it stands for stops improving)");
 }
 
 fn clone_network(src: &neurfill::CmpNeuralNetwork) -> neurfill::CmpNeuralNetwork {

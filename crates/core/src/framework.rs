@@ -65,8 +65,13 @@ impl Default for NeurFillConfig {
             // initial_step is in slack-normalized units: 0.1 of a window's
             // full fill range per trial step keeps SQP inside the region
             // where the surrogate interpolates rather than extrapolates.
+            // Nothing converges at this tolerance, so the cap decides the
+            // cost: past 40 iterations the surrogate objective still climbs
+            // but the golden Quality of the plan stays within 0.25 % of
+            // 80 iterations' on A/B/C at 8², 16² and 32² (`ablations`,
+            // section 6; DESIGN.md "Iteration cap").
             sqp: SqpConfig {
-                max_iterations: 80,
+                max_iterations: 40,
                 tolerance: 1e-7,
                 initial_step: 0.1,
                 ..SqpConfig::default()

@@ -3,7 +3,7 @@
 
 use crate::linesearch::projected_backtracking;
 use crate::problem::{Bounds, Objective};
-use crate::sqp::SqpResult;
+use crate::sqp::{stationary_when_no_step, SqpResult};
 
 /// Projected-gradient-ascent configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,7 +61,6 @@ pub fn maximize_projected_gradient(
             converged = true;
             break;
         }
-        iterations += 1;
         let ls = projected_backtracking(
             objective,
             bounds,
@@ -75,9 +74,10 @@ pub fn maximize_projected_gradient(
         );
         evaluations += ls.evaluations;
         let Some(ls) = ls.accepted else {
-            converged = true;
+            converged = stationary_when_no_step(f, &g);
             break;
         };
+        iterations += 1;
         // Grow the trial step when the full step was accepted.
         step = if ls.alpha >= step { step * 2.0 } else { ls.alpha * 2.0 };
         x = ls.x;
@@ -140,6 +140,32 @@ mod tests {
         );
         assert!(sqp.converged && pg.converged);
         assert!(sqp.iterations <= pg.iterations, "sqp {} vs pg {}", sqp.iterations, pg.iterations);
+    }
+
+    #[test]
+    fn a_nan_objective_or_gradient_is_not_convergence() {
+        let nan_value = FnObjective::new(2, |_: &[f64]| f64::NAN, |_: &[f64]| vec![1.0, 0.5]);
+        let nan_gradient = FnObjective::new(2, |_: &[f64]| 1.0, |_: &[f64]| vec![f64::NAN, 0.5]);
+        let bounds = Bounds::new(vec![0.0; 2], vec![1.0; 2]);
+        for obj in [&nan_value as &dyn Objective, &nan_gradient] {
+            let r = maximize_projected_gradient(obj, &bounds, &[0.5, 0.5], &ProjGradConfig::default());
+            assert!(!r.converged, "{r:?}");
+            assert_eq!((r.iterations, r.history.len()), (0, 0), "{r:?}");
+        }
+    }
+
+    #[test]
+    fn iterations_count_the_steps_taken() {
+        // Linear objective with a cap: the search steps to the bound, then
+        // every trial of the next search is a non-ascent projection and
+        // fails. That failed search is not an iteration.
+        let obj = FnObjective::new(1, |x: &[f64]| x[0], |_| vec![1.0]);
+        let bounds = Bounds::new(vec![0.0], vec![0.3]);
+        let cfg = ProjGradConfig { tolerance: -1.0, ..ProjGradConfig::default() };
+        let r = maximize_projected_gradient(&obj, &bounds, &[0.0], &cfg);
+        assert!(r.converged, "{r:?}");
+        assert_eq!(r.iterations, r.history.len());
+        assert_eq!(r.iterations, 1, "{r:?}");
     }
 
     #[test]

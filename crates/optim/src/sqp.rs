@@ -55,7 +55,9 @@ pub struct SqpResult {
     pub evaluations: usize,
     /// Gradient evaluations spent.
     pub gradient_evaluations: usize,
-    /// Whether the projected-gradient tolerance was reached.
+    /// Whether the projected-gradient tolerance was reached, or no trial
+    /// of either line search increased a finite objective with a finite
+    /// gradient. Never set at a NaN value or gradient.
     pub converged: bool,
     /// Whether the solve was abandoned early because the caller's stop
     /// predicate fired (see [`SqpSolver::maximize_with_stop`]). The
@@ -131,6 +133,13 @@ impl Lbfgs {
         }
         q.iter().map(|v| -v).collect()
     }
+}
+
+/// Whether a point whose line searches all failed may be called
+/// stationary: only when its value and gradient are finite. A NaN value or
+/// gradient rejects every trial too, and that is not convergence.
+pub(crate) fn stationary_when_no_step(f: f64, g: &[f64]) -> bool {
+    f.is_finite() && g.iter().all(|v| v.is_finite())
 }
 
 /// How many coordinates of `x` sit on a face of the box.
@@ -273,8 +282,9 @@ impl SqpSolver {
                 }
             }
             let Some(ls) = accepted else {
-                // No ascent achievable: first-order stationary in practice.
-                converged = true;
+                // No ascent achievable: first-order stationary in practice,
+                // unless the objective answered NaN.
+                converged = stationary_when_no_step(f, &g);
                 break;
             };
             iterations += 1;
@@ -421,6 +431,54 @@ mod tests {
         assert_eq!(r.evaluations, calls.get());
         assert!(r.evaluations > 1, "the failed searches evaluated trials: {r:?}");
         assert_eq!(r.x, vec![0.5, 0.5]);
+    }
+
+    #[test]
+    fn a_nan_objective_or_gradient_is_not_convergence() {
+        // A NaN value fails every Armijo test, a NaN gradient makes every
+        // predicted increase NaN: both searches fail from the start point.
+        let nan_value = FnObjective::new(2, |_: &[f64]| f64::NAN, |_: &[f64]| vec![1.0, 0.5]);
+        let nan_gradient = FnObjective::new(2, |_: &[f64]| 1.0, |_: &[f64]| vec![f64::NAN, 0.5]);
+        let bounds = Bounds::new(vec![0.0; 2], vec![1.0; 2]);
+        for obj in [&nan_value as &dyn Objective, &nan_gradient] {
+            let r = SqpSolver::default().maximize(obj, &bounds, &[0.5, 0.5]);
+            assert!(!r.converged, "{r:?}");
+            assert_eq!((r.iterations, r.history.len()), (0, 0), "{r:?}");
+            assert_eq!(r.x, vec![0.5, 0.5]);
+        }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_capped_solve_is_the_prefix_of_a_longer_one() {
+        // The cap is only the loop's trip count: a solve capped at N takes
+        // the first N steps of the uncapped solve, line-search failures and
+        // L-BFGS evictions included, and stops there.
+        let calls = Cell::new(0usize);
+        let coupled = coupled_quadratic(12, &calls);
+        let rosenbrock = crate::testfns::neg_rosenbrock();
+        let cases: [(&dyn Objective, Bounds, Vec<f64>); 2] = [
+            (&coupled, Bounds::new(vec![0.0; 12], vec![1.0; 12]), vec![0.5; 12]),
+            (&rosenbrock, Bounds::new(vec![-2.0; 2], vec![2.0; 2]), vec![-1.2, 1.0]),
+        ];
+        for (obj, bounds, x0) in &cases {
+            let solve = |max_iterations| {
+                let cfg = SqpConfig { max_iterations, tolerance: 0.0, ..SqpConfig::default() };
+                SqpSolver::new(cfg).maximize(*obj, bounds, x0)
+            };
+            let long = solve(2000);
+            assert!(long.history.len() > 12, "{:?}", long.history);
+            for n in [1, 2, 5, 11, long.history.len() / 2, long.history.len()] {
+                let capped = solve(n);
+                assert_eq!(capped.iterations, n);
+                assert_eq!(bits(&capped.history), bits(&long.history[..n]), "cap {n}");
+                assert_eq!(capped.value.to_bits(), long.history[n - 1].to_bits(), "cap {n}");
+                assert!(!capped.converged, "cap {n}");
+            }
+        }
     }
 
     #[test]
