@@ -49,9 +49,13 @@ cargo test --release -p neurfill-chip --test bit_identity -q
 
 # The line search, the frozen-surrogate backward, the row-span im2col/col2im,
 # the column-filtered insertion scan, the streamed (sink) insertion, the fused
-# norm + ReLU node (evaluation and training mode) and the scratch-reusing
-# convolution backward each replaced code that now lives on as a test-only
-# oracle; the workspace run above compared them in debug, this compares the
+# norm + ReLU node (evaluation and training mode), the scratch-reusing
+# convolution backward and the direct convolution forward each replaced
+# code that now lives on as a test-only oracle (the direct forward's: the
+# im2col + GEMM forward, called through the plain body and the AVX2 build
+# directly; the forward is also run by `gemm_equivalence`, the UNet training
+# step of `determinism` and the steady-state count of `infer_allocations`).
+# The workspace run above compared them in debug, this compares the
 # optimized code that ships — whose heap footprint per job and per training
 # step is the one `live_heap` pins, and whose trained weights `training_pin`
 # pins at the parent of the change that fused the training node. Scores and
@@ -65,7 +69,7 @@ cargo test --release -p neurfill-chip --test bit_identity -q
 # `apply_reference` through its plain body and its AVX2 build, each called
 # directly; the contact suite answers every bisection probe of A/B/C's
 # boards from the anchors (checked with `√d·d`) and with `powf`.
-echo "== replacement-vs-oracle suites, release build (line search, SQP prefix, frozen + per-layer planarity, tape reuse, score + batched forward, im2col/col2im + conv backward, insertion + sink, fused norm node, pad kernel windows, anchor checks, trajectory + training pins, live heap per job and per training step)"
+echo "== replacement-vs-oracle suites, release build (line search, SQP prefix, frozen + per-layer planarity, tape reuse, score + batched forward, im2col/col2im + conv backward, direct conv forward, insertion + sink, fused norm node, pad kernel windows, anchor checks, trajectory + training pins, live heap per job and per training step)"
 cargo test --release -p neurfill-cmpsim --lib kernel -q
 cargo test --release -p neurfill-cmpsim --lib contact -q
 cargo test --release -p neurfill-optim --lib linesearch -q
@@ -76,6 +80,9 @@ cargo test --release -p neurfill --lib framework::tests::tape_reuse -q
 cargo test --release -p neurfill --lib score_only -q
 cargo test --release -p neurfill-nn --lib batch -q
 cargo test --release -p neurfill-tensor --lib ops::conv -q
+cargo test --release -p neurfill-tensor --test gemm_equivalence -q
+cargo test --release -p neurfill-nn --test determinism -q
+cargo test --release -p neurfill-nn --test infer_allocations -q
 cargo test --release -p neurfill-layout --lib insertion -q
 cargo test --release -p neurfill-nn --lib layers::norm::tests::fused -q
 cargo test --release --test trajectory_pin -q

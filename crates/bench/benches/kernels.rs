@@ -1,6 +1,7 @@
 //! Micro-benchmark of the optimized compute kernels against their
-//! reference implementations: blocked GEMM, row-span im2col, the
-//! frozen-surrogate UNet backward, the row-accumulated pad convolution
+//! reference implementations: blocked GEMM, row-span im2col, the direct
+//! convolution forward (against im2col + GEMM), the frozen-surrogate UNet
+//! backward, the row-accumulated pad convolution
 //! (whole boards and a shard's core window) and the anchored contact
 //! solve — plus frozen-UNet inference at the batch sizes the runtime
 //! pool forms and one end-to-end labeling run, so kernel wins are tied
@@ -28,7 +29,7 @@ use neurfill_layout::benchmark_designs;
 use neurfill_layout::datagen::DataGenConfig;
 use neurfill_nn::{Module, UNet, UNetConfig};
 use neurfill_tensor::kernels::{gemm, gemm_reference, set_gemm_threads};
-use neurfill_tensor::{im2col_into, NdArray, Tensor};
+use neurfill_tensor::{conv2d_forward, im2col_into, NdArray, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -175,6 +176,85 @@ fn bench_im2col(rows: &mut Vec<BenchRecord>) {
     }
 }
 
+/// The im2col + GEMM forward the direct `conv2d_forward` replaced: the
+/// batch's patch matrix in a reused buffer, one matmul into a fresh
+/// product, copied out per sample with the bias added.
+fn conv2d_forward_gemm(
+    input: &NdArray,
+    weight: &NdArray,
+    bias: &NdArray,
+    pad: usize,
+    scratch: &mut Vec<f32>,
+) -> NdArray {
+    let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
+    let (o, k) = (weight.shape()[0], weight.shape()[2]);
+    let (ho, wo) = (h + 2 * pad - k + 1, w + 2 * pad - k + 1);
+    let (per, rows) = (ho * wo, c * k * k);
+    scratch.resize(rows * n * per, 0.0);
+    for ni in 0..n {
+        let img = &input.as_slice()[ni * c * h * w..(ni + 1) * c * h * w];
+        im2col_into(img, c, h, w, k, k, 1, pad, scratch, n * per, ni * per);
+    }
+    let cols = NdArray::from_vec(std::mem::take(scratch), &[rows, n * per]).unwrap();
+    let res = weight.reshape(&[o, rows]).unwrap().matmul(&cols).unwrap();
+    *scratch = cols.into_vec();
+    let mut out = NdArray::zeros(&[n, o, ho, wo]);
+    let dst = out.as_mut_slice();
+    for ni in 0..n {
+        for oi in 0..o {
+            let d = (ni * o + oi) * per;
+            dst[d..d + per].copy_from_slice(&res.as_slice()[oi * n * per + ni * per..][..per]);
+            for v in &mut dst[d..d + per] {
+                *v += bias.as_slice()[oi];
+            }
+        }
+    }
+    out
+}
+
+/// `conv2d_forward` at each distinct convolution of the production UNet
+/// (4 input planes, base 8, depth 2): batch 1 on the 32² fill-job tile,
+/// the 36² chip tile and the 8² service job, and batch 4 on 32² (a
+/// training step), against the im2col + GEMM forward it replaced.
+fn bench_conv2d_forward(rows: &mut Vec<BenchRecord>) {
+    // (C, O, edge divisor, kernel, pad); the stem and up blocks repeat two
+    // of these shapes, which are timed once.
+    let layers = [
+        (4usize, 8usize, 1usize, 3usize, 1usize),
+        (8, 8, 1, 3, 1),
+        (8, 16, 2, 3, 1),
+        (16, 16, 2, 3, 1),
+        (16, 32, 4, 3, 1),
+        (32, 32, 4, 3, 1),
+        (32, 16, 2, 3, 1),
+        (16, 8, 1, 3, 1),
+        (8, 1, 1, 1, 0),
+    ];
+    let mut rng = StdRng::seed_from_u64(23);
+    let mut scratch = Vec::new();
+    for (n, edge) in [(1usize, 32usize), (1, 36), (1, 8), (4, 32)] {
+        for (c, o, div, k, pad) in layers {
+            let e = edge / div;
+            let input = NdArray::from_vec(random_f32(&mut rng, n * c * e * e), &[n, c, e, e]).unwrap();
+            let weight = NdArray::from_vec(random_f32(&mut rng, o * c * k * k), &[o, c, k, k]).unwrap();
+            let bias = NdArray::from_vec(random_f32(&mut rng, o), &[o]).unwrap();
+            let direct = conv2d_forward(&input, &weight, Some(&bias), 1, pad).unwrap();
+            let oracle = conv2d_forward_gemm(&input, &weight, &bias, pad, &mut scratch);
+            let bits = |a: &NdArray| a.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&direct), bits(&oracle), "conv2d_forward b{n} {c}->{o}@{e}");
+            let (gemm_ns, ns) = time_pair_ns(
+                || {
+                    std::hint::black_box(conv2d_forward_gemm(&input, &weight, &bias, pad, &mut scratch));
+                },
+                || {
+                    std::hint::black_box(conv2d_forward(&input, &weight, Some(&bias), 1, pad).unwrap());
+                },
+            );
+            rows.push(row("conv2d_forward", format!("b{n}_{c}to{o}_{e}x{e}_k{k}"), ns, Some(gemm_ns)));
+        }
+    }
+}
+
 /// Backward of the production surrogate (4 → 1 channels, base 8, depth 2)
 /// at batch 1 on a 32×32 tile, w.r.t. its input: with every weight a
 /// variable (what training differentiates, and what the fill job used to)
@@ -315,6 +395,7 @@ fn main() {
     let mut rows = Vec::new();
     bench_gemm(&mut rows);
     bench_im2col(&mut rows);
+    bench_conv2d_forward(&mut rows);
     bench_unet_backward(&mut rows);
     bench_unet_infer(&mut rows);
     bench_pad_kernel(&mut rows);

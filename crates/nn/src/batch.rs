@@ -66,8 +66,8 @@ pub fn unstack_samples(batch: &NdArray) -> Result<Vec<NdArray>> {
 /// This is the batched-eval entry point used by the surrogate's
 /// whole-profile prediction, which a runtime pool job runs on its filled
 /// layout. It runs [`Module::infer`] — the module's one forward, on a
-/// constant input — with one batched conv GEMM per layer, so for `B`
-/// samples it replaces `B` single-sample forward passes with one
+/// constant input — with one batched convolution call per layer, so for
+/// `B` samples it replaces `B` single-sample forward passes with one
 /// multi-sample evaluation, while staying bit-identical to them.
 ///
 /// # Errors

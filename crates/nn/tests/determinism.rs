@@ -1,8 +1,9 @@
 //! Byte-determinism of one UNet training step across GEMM thread counts.
 //!
-//! All network linear algebra funnels through the blocked GEMM layer in
-//! `neurfill-tensor`; its contract is that the thread count never changes
-//! a bit. This test drives that contract end to end through a real UNet
+//! The network's backward linear algebra funnels through the blocked GEMM
+//! layer in `neurfill-tensor` (the convolution forward is direct and runs
+//! no GEMM); the GEMM's contract is that the thread count never changes a
+//! bit. This test drives that contract end to end through a real UNet
 //! in training mode with every weight thawed: output, loss, every
 //! parameter gradient, and after one Adam step every weight and batch-norm
 //! buffer must be byte-identical at 1, 2 and 8 threads. The batch is sized

@@ -2,10 +2,12 @@
 //!
 //! The batched inference path used to allocate a fresh im2col patch
 //! matrix — the largest transient of the whole forward — per convolution
-//! per call. With the thread-local scratch in `neurfill-tensor`, repeated
-//! `infer` calls at the same shape must allocate strictly less than the
-//! first (cold) call and settle to an exact per-call count: call 2 and
-//! call 3 allocate the same number of blocks.
+//! per call. The direct convolution forward builds no patch matrix; it
+//! copies each image into a zero-bordered buffer in the thread-local
+//! scratch of `neurfill-tensor`. So repeated `infer` calls at the same
+//! shape must allocate strictly less than the first (cold) call and
+//! settle to an exact per-call count: call 2 and call 3 allocate the same
+//! number of blocks.
 //!
 //! A counting `#[global_allocator]` keeps this honest; the test must be
 //! the only one in this binary so no other test's allocations interleave.
@@ -52,8 +54,8 @@ fn batched_infer_allocations_reach_a_steady_state() {
     net.set_training(false);
     let x = NdArray::from_fn(&[8, 6, 32, 32], |i| (i as f32 * 0.13).sin());
 
-    // Cold call: grows the thread-local im2col scratch to the high-water
-    // mark for this shape.
+    // Cold call: grows the thread-local convolution scratch to the
+    // high-water mark for this shape.
     let cold = allocations_during(|| {
         net.infer(&x).unwrap();
     });

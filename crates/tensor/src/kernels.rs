@@ -262,7 +262,7 @@ unsafe fn gemm_panel_avx2<const BT: bool>(
 
 /// Returns whether the AVX2-compiled kernel body may be called.
 #[cfg(target_arch = "x86_64")]
-fn has_avx2() -> bool {
+pub(crate) fn has_avx2() -> bool {
     static AVX2: OnceLock<bool> = OnceLock::new();
     *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
 }

@@ -1,26 +1,30 @@
 //! Differentiable 2-D convolution, transposed convolution and max pooling
-//! (NCHW layout), implemented with `im2col`/`col2im` + matmul.
+//! (NCHW layout). The convolution forward is direct (`conv_direct`); the
+//! backward passes and the transposed convolution use `im2col`/`col2im`
+//! + matmul.
 //!
 //! The convolution's raw [`NdArray`] kernels (`conv2d_forward`,
 //! `conv2d_backward`, `im2col_into`) are public for the kernel benches and
 //! equivalence suites; everything else is reached through [`Tensor`].
 
+use super::conv_direct::{self, ConvShape};
 use crate::array::{gemm_counted, NdArray};
 use crate::error::{Result, TensorError};
 use crate::tensor::{GradFn, Tensor};
 use std::cell::RefCell;
 
 thread_local! {
-    /// Per-thread patch-matrix scratch reused across [`conv2d_forward`]
-    /// calls and by the backward passes. The batched inference path used
-    /// to allocate a fresh patch matrix (the largest transient of the whole
-    /// forward) per convolution; the steady-state allocation count of
-    /// `Module::infer` is pinned by the `infer_allocations` integration
-    /// test.
-    static IM2COL_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread scratch reused across calls: the zero-bordered image of
+    /// [`conv2d_forward`] and the patch matrices of the backward passes.
+    /// The batched inference path used to allocate a fresh patch matrix
+    /// (the largest transient of the whole forward) per convolution; the
+    /// steady-state allocation count of `Module::infer` is pinned by the
+    /// `infer_allocations` integration test.
+    static CONV_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Spatial output extent of a convolution along one axis.
+/// Spatial output extent of a convolution along one axis; the geometry
+/// must have passed [`conv_out_extents`].
 #[must_use]
 pub(crate) fn conv_out_extent(input: usize, kernel: usize, stride: usize, padding: usize) -> usize {
     (input + 2 * padding - kernel) / stride + 1
@@ -144,20 +148,28 @@ fn col2im_add(
     }
 }
 
-/// The thread's patch-matrix scratch grown to `len` elements, stale
-/// contents and all; hand it back with [`return_scratch`].
-fn take_scratch(len: usize) -> Vec<f32> {
-    let mut buf = IM2COL_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
-    buf.resize(len, 0.0);
+/// The thread's convolution scratch, at least `len` elements long, stale
+/// contents and all; hand it back with [`return_scratch`]. Its length only
+/// grows — to the thread's high-water mark — so callers slice the `len`
+/// they asked for, and a call that needs no more than an earlier one
+/// writes nothing. (The forward's bordered image is far smaller than the
+/// backward's patch matrix: resizing to each in turn would zero the
+/// difference on every backward call.)
+pub(super) fn take_scratch(len: usize) -> Vec<f32> {
+    let mut buf = CONV_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
     buf
 }
 
-fn return_scratch(buf: Vec<f32>) {
-    IM2COL_SCRATCH.with(|s| *s.borrow_mut() = buf);
+pub(super) fn return_scratch(buf: Vec<f32>) {
+    CONV_SCRATCH.with(|s| *s.borrow_mut() = buf);
 }
 
 /// Output extents `(Ho, Wo)` of a convolution of an `h × w` image, or an
-/// error when the kernel is larger than the padded image.
+/// error when the stride is zero or the kernel is larger than the padded
+/// image.
 fn conv_out_extents(
     h: usize,
     w: usize,
@@ -166,12 +178,50 @@ fn conv_out_extents(
     stride: usize,
     padding: usize,
 ) -> Result<(usize, usize)> {
-    if h + 2 * padding < kh || w + 2 * padding < kw {
-        return Err(TensorError::InvalidArgument(format!(
-            "kernel {kh}x{kw} larger than padded input {h}x{w} (pad {padding})"
-        )));
+    if stride == 0 {
+        return Err(TensorError::InvalidArgument("convolution stride must be at least 1".into()));
     }
-    Ok((conv_out_extent(h, kh, stride, padding), conv_out_extent(w, kw, stride, padding)))
+    let padded = |extent: usize| padding.checked_mul(2).and_then(|p| p.checked_add(extent));
+    match (padded(h), padded(w)) {
+        (Some(hp), Some(wp)) if hp >= kh && wp >= kw => {
+            Ok((conv_out_extent(h, kh, stride, padding), conv_out_extent(w, kw, stride, padding)))
+        }
+        _ => Err(TensorError::InvalidArgument(format!(
+            "kernel {kh}x{kw} larger than padded input {h}x{w} (pad {padding})"
+        ))),
+    }
+}
+
+/// Output extents `(Ho, Wo)` of a transposed convolution of an `h × w`
+/// image, `(H − 1)·stride + kh − 2·padding` per axis, or an error when the
+/// input is empty, the stride is zero or the output would be.
+fn conv_transpose_out_extents(
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+    stride: usize,
+    padding: usize,
+) -> Result<(usize, usize)> {
+    if stride == 0 {
+        return Err(TensorError::InvalidArgument(
+            "transposed convolution stride must be at least 1".into(),
+        ));
+    }
+    let extent = |input: usize, kernel: usize| {
+        input
+            .checked_sub(1)?
+            .checked_mul(stride)?
+            .checked_add(kernel)?
+            .checked_sub(padding.checked_mul(2)?)
+            .filter(|&e| e > 0)
+    };
+    extent(h, kh).zip(extent(w, kw)).ok_or_else(|| {
+        TensorError::InvalidArgument(format!(
+            "transposed convolution of a {h}x{w} input by a {kh}x{kw} kernel (stride {stride}, \
+             pad {padding}) has no output"
+        ))
+    })
 }
 
 /// `acc += a · btᵀ` for `a` of `m × k` and `bt` of `n × k`, the product
@@ -203,10 +253,15 @@ fn expect_rank4(x: &NdArray, op: &'static str) -> Result<(usize, usize, usize, u
 
 /// Forward 2-D convolution: `input [N,C,H,W] ⊛ weight [O,C,kh,kw] (+ bias [O])`.
 ///
+/// Computed directly from a zero-bordered copy of each image, bit for bit
+/// the im2col + GEMM product it replaced: every output element is `0.0`
+/// plus `w·x` over `(ci, ky, kx)` ascending, then the bias. Samples never
+/// mix, so a batched call equals single-sample calls bit for bit.
+///
 /// # Errors
 ///
-/// Returns an error on rank/shape mismatches or a kernel larger than the
-/// padded input.
+/// Returns an error on rank/shape mismatches, a zero stride or a kernel
+/// larger than the padded input.
 pub fn conv2d_forward(
     input: &NdArray,
     weight: &NdArray,
@@ -224,37 +279,6 @@ pub fn conv2d_forward(
         });
     }
     let (ho, wo) = conv_out_extents(h, w, kh, kw, stride, padding)?;
-    let w2 = weight.reshape(&[o, c * kh * kw])?;
-    let mut out = NdArray::zeros(&[n, o, ho, wo]);
-    // The whole batch shares one patch matrix (one column block per
-    // sample) and one matmul, amortizing the per-row GEMM overhead over
-    // `n` samples. Each output element accumulates over `C·kh·kw` in the
-    // same order as a per-sample matmul, so results are bit-identical for
-    // every batch size.
-    let per = ho * wo;
-    let total_cols = n * per;
-    // The patch matrix comes from the thread-local scratch instead of a
-    // fresh allocation, stale contents and all: `im2col_into` writes every
-    // element of each sample's column block, padding included.
-    let mut cols =
-        NdArray::from_vec(take_scratch(c * kh * kw * total_cols), &[c * kh * kw, total_cols])?;
-    for ni in 0..n {
-        let img = &input.as_slice()[ni * c * h * w..(ni + 1) * c * h * w];
-        im2col_into(img, c, h, w, kh, kw, stride, padding, cols.as_mut_slice(), total_cols, ni * per);
-    }
-    let res = w2.matmul(&cols)?; // [O, N·Ho·Wo], sample-major column blocks
-    return_scratch(cols.into_vec());
-    {
-        let src = res.as_slice();
-        let dst = out.as_mut_slice();
-        for ni in 0..n {
-            for oi in 0..o {
-                let d = (ni * o + oi) * per;
-                let s = oi * total_cols + ni * per;
-                dst[d..d + per].copy_from_slice(&src[s..s + per]);
-            }
-        }
-    }
     if let Some(b) = bias {
         if b.shape() != [o] {
             return Err(TensorError::ShapeMismatch {
@@ -263,17 +287,16 @@ pub fn conv2d_forward(
                 op: "conv2d(bias)",
             });
         }
-        let bs = b.as_slice();
-        let data = out.as_mut_slice();
-        for ni in 0..n {
-            for (oi, bv) in bs.iter().enumerate() {
-                let base = (ni * o + oi) * ho * wo;
-                for v in &mut data[base..base + ho * wo] {
-                    *v += bv;
-                }
-            }
-        }
     }
+    let shape = ConvShape { n, c, o, h, w, kh, kw, stride, pad: padding, ho, wo };
+    let mut out = NdArray::zeros(&[n, o, ho, wo]);
+    conv_direct::forward(
+        input.as_slice(),
+        weight.as_slice(),
+        bias.map(NdArray::as_slice),
+        &shape,
+        out.as_mut_slice(),
+    );
     Ok(out)
 }
 
@@ -318,22 +341,23 @@ pub fn conv2d_backward(
     let mut dweight2 = need_weight.then(|| NdArray::zeros(&[o, rows]));
     let mut dbias = need_bias.then(|| NdArray::zeros(&[o]));
     // One sample's patch matrix, then the gradient w.r.t. it.
-    let mut patches = take_scratch(rows * per);
+    let mut scratch = take_scratch(rows * per);
+    let patches = &mut scratch[..rows * per];
     let mut dw_sample = vec![0.0f32; if need_weight { o * rows } else { 0 }];
     for ni in 0..n {
         let g = &grad_out.as_slice()[ni * o * per..(ni + 1) * o * per];
         if let Some(dweight2) = dweight2.as_mut() {
             // dW += G · colsᵀ
             let img = &input.as_slice()[ni * c * h * w..(ni + 1) * c * h * w];
-            im2col_into(img, c, h, w, kh, kw, stride, padding, &mut patches, per, 0);
-            add_product_bt(dweight2.as_mut_slice(), &mut dw_sample, g, &patches, o, per, rows);
+            im2col_into(img, c, h, w, kh, kw, stride, padding, patches, per, 0);
+            add_product_bt(dweight2.as_mut_slice(), &mut dw_sample, g, patches, o, per, rows);
         }
         if let (Some(dinput), Some(w2t)) = (dinput.as_mut(), w2t.as_ref()) {
             // dInput = col2im(Wᵀ · G)
             patches.fill(0.0);
-            gemm_counted::<false>(w2t.as_slice(), g, &mut patches, rows, o, per);
+            gemm_counted::<false>(w2t.as_slice(), g, patches, rows, o, per);
             let dst = &mut dinput.as_mut_slice()[ni * c * h * w..(ni + 1) * c * h * w];
-            col2im_add(&patches, c, h, w, kh, kw, stride, padding, dst);
+            col2im_add(patches, c, h, w, kh, kw, stride, padding, dst);
         }
         if let Some(dbias) = dbias.as_mut() {
             // dBias += Σ spatial
@@ -342,7 +366,7 @@ pub fn conv2d_backward(
             }
         }
     }
-    return_scratch(patches);
+    return_scratch(scratch);
     let dweight = dweight2.map(|d| d.reshape(&[o, c, kh, kw])).transpose()?;
     Ok((dinput, dweight, dbias))
 }
@@ -353,7 +377,8 @@ pub fn conv2d_backward(
 ///
 /// # Errors
 ///
-/// Returns an error on rank/shape mismatches.
+/// Returns an error on rank/shape mismatches, an empty input, a zero
+/// stride or a padding that leaves no output.
 pub(crate) fn conv_transpose2d_forward(
     input: &NdArray,
     weight: &NdArray,
@@ -370,8 +395,7 @@ pub(crate) fn conv_transpose2d_forward(
             op: "conv_transpose2d",
         });
     }
-    let ho = (h - 1) * stride + kh - 2 * padding;
-    let wo = (w - 1) * stride + kw - 2 * padding;
+    let (ho, wo) = conv_transpose_out_extents(h, w, kh, kw, stride, padding)?;
     // weightᵀ as [O·kh·kw, C]
     let w2 = weight.reshape(&[c, o * kh * kw])?.transpose2d()?;
     let mut out = NdArray::zeros(&[n, o, ho, wo]);
@@ -411,7 +435,8 @@ pub(crate) fn conv_transpose2d_forward(
 ///
 /// # Errors
 ///
-/// Returns an error on shape mismatches.
+/// Returns an error on shape mismatches and on the geometry errors of
+/// [`conv_transpose2d_forward`].
 pub(crate) fn conv_transpose2d_backward(
     input: &NdArray,
     weight: &NdArray,
@@ -422,11 +447,8 @@ pub(crate) fn conv_transpose2d_backward(
 ) -> Result<ConvGrads> {
     let (n, c, h, w) = expect_rank4(input, "conv_transpose2d_backward(input)")?;
     let (_, o, kh, kw) = expect_rank4(weight, "conv_transpose2d_backward(weight)")?;
-    // The forward's output extents, `None` where it has no output.
-    let out_extent =
-        |input: usize, kernel: usize| (input.checked_sub(1)? * stride + kernel).checked_sub(2 * padding);
-    let (ho, wo) = out_extent(h, kh).zip(out_extent(w, kw)).unwrap_or((0, 0));
-    if ho * wo == 0 || grad_out.shape() != [n, o, ho, wo] {
+    let (ho, wo) = conv_transpose_out_extents(h, w, kh, kw, stride, padding)?;
+    if grad_out.shape() != [n, o, ho, wo] {
         return Err(TensorError::ShapeMismatch {
             lhs: grad_out.shape().to_vec(),
             rhs: vec![n, o, ho, wo],
@@ -440,22 +462,23 @@ pub(crate) fn conv_transpose2d_backward(
     let mut dweight2 = need_weight.then(|| NdArray::zeros(&[c, rows]));
     let mut dbias = need_bias.then(|| NdArray::zeros(&[o]));
     // One sample's patch matrix of the output gradient, [O·kh·kw, H·W].
-    let mut gcols = take_scratch(rows * per);
+    let mut scratch = take_scratch(rows * per);
+    let gcols = &mut scratch[..rows * per];
     let mut dw_sample = vec![0.0f32; if need_weight { c * rows } else { 0 }];
     for ni in 0..n {
         let g = &grad_out.as_slice()[ni * o * ho * wo..(ni + 1) * o * ho * wo];
         if need_input || need_weight {
-            im2col_into(g, o, ho, wo, kh, kw, stride, padding, &mut gcols, per, 0);
+            im2col_into(g, o, ho, wo, kh, kw, stride, padding, gcols, per, 0);
         }
         if let Some(dinput) = dinput.as_mut() {
             // dinput = "conv" of grad_out with the same kernel.
             let dst = &mut dinput.as_mut_slice()[ni * c * per..(ni + 1) * c * per];
-            gemm_counted::<false>(w2.as_slice(), &gcols, dst, c, rows, per);
+            gemm_counted::<false>(w2.as_slice(), gcols, dst, c, rows, per);
         }
         if let Some(dweight2) = dweight2.as_mut() {
             // dweight += input · gcolsᵀ
             let x = &input.as_slice()[ni * c * per..(ni + 1) * c * per];
-            add_product_bt(dweight2.as_mut_slice(), &mut dw_sample, x, &gcols, c, per, rows);
+            add_product_bt(dweight2.as_mut_slice(), &mut dw_sample, x, gcols, c, per, rows);
         }
         if let Some(dbias) = dbias.as_mut() {
             for (db, row) in dbias.as_mut_slice().iter_mut().zip(g.chunks(ho * wo)) {
@@ -463,7 +486,7 @@ pub(crate) fn conv_transpose2d_backward(
             }
         }
     }
-    return_scratch(gcols);
+    return_scratch(scratch);
     let dweight = dweight2.map(|d| d.reshape(&[c, o, kh, kw])).transpose()?;
     Ok((dinput, dweight, dbias))
 }
@@ -473,20 +496,15 @@ pub(crate) fn conv_transpose2d_backward(
 ///
 /// # Errors
 ///
-/// Returns an error when the input is not rank 4 or smaller than the kernel.
+/// Returns an error when the input is not rank 4 or smaller than the
+/// kernel, or the stride is zero.
 pub(crate) fn max_pool2d_forward(
     input: &NdArray,
     kernel: usize,
     stride: usize,
 ) -> Result<(NdArray, Vec<usize>)> {
     let (n, c, h, w) = expect_rank4(input, "max_pool2d")?;
-    if h < kernel || w < kernel {
-        return Err(TensorError::InvalidArgument(format!(
-            "pool kernel {kernel} larger than input {h}x{w}"
-        )));
-    }
-    let ho = (h - kernel) / stride + 1;
-    let wo = (w - kernel) / stride + 1;
+    let (ho, wo) = conv_out_extents(h, w, kernel, kernel, stride, 0)?;
     let x = input.as_slice();
     let mut out = NdArray::zeros(&[n, c, ho, wo]);
     let mut arg = vec![0usize; n * c * ho * wo];
@@ -594,7 +612,7 @@ impl Tensor {
     ///
     /// # Errors
     ///
-    /// Returns an error on rank/shape mismatches.
+    /// Returns an error on rank/shape mismatches and invalid geometry.
     pub fn conv2d(
         &self,
         weight: &Tensor,
@@ -626,7 +644,7 @@ impl Tensor {
     ///
     /// # Errors
     ///
-    /// Returns an error on rank/shape mismatches.
+    /// Returns an error on rank/shape mismatches and invalid geometry.
     pub fn conv_transpose2d(
         &self,
         weight: &Tensor,
@@ -662,7 +680,7 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns an error when the tensor is not rank 4 or smaller than the
-    /// kernel.
+    /// kernel, or the stride is zero.
     pub fn max_pool2d(&self, kernel: usize, stride: usize) -> Result<Tensor> {
         let (out, argmax) = max_pool2d_forward(&self.data(), kernel, stride)?;
         Ok(Tensor::from_op(
@@ -1292,5 +1310,73 @@ mod tests {
         assert_eq!(conv_out_extent(5, 3, 1, 1), 5);
         assert_eq!(conv_out_extent(4, 2, 2, 0), 2);
         assert_eq!(conv_out_extent(7, 3, 2, 1), 4);
+    }
+
+    fn is_invalid<T>(r: Result<T>) -> bool {
+        matches!(r, Err(TensorError::InvalidArgument(_)))
+    }
+
+    #[test]
+    fn conv_forward_rejects_a_zero_stride() {
+        let x = NdArray::zeros(&[1, 2, 5, 5]);
+        let w = NdArray::zeros(&[3, 2, 3, 3]);
+        assert!(is_invalid(conv2d_forward(&x, &w, None, 0, 1)));
+        assert!(conv2d_forward(&x, &w, None, 1, 1).is_ok());
+    }
+
+    #[test]
+    fn conv_backward_rejects_a_zero_stride() {
+        let x = NdArray::zeros(&[1, 2, 5, 5]);
+        let w = NdArray::zeros(&[3, 2, 3, 3]);
+        let g = NdArray::zeros(&[1, 3, 5, 5]);
+        assert!(is_invalid(conv2d_backward(&x, &w, &g, 0, 1, [true; 3])));
+    }
+
+    #[test]
+    fn max_pool_rejects_a_zero_stride() {
+        let x = Tensor::constant(NdArray::zeros(&[1, 1, 4, 4]));
+        assert!(is_invalid(x.max_pool2d(2, 0)));
+        assert!(is_invalid(max_pool2d_forward(&NdArray::zeros(&[1, 1, 4, 4]), 2, 0)));
+    }
+
+    #[test]
+    fn conv_transpose_rejects_an_empty_input() {
+        let w = NdArray::zeros(&[2, 3, 2, 2]);
+        for shape in [[1, 2, 0, 4], [1, 2, 4, 0]] {
+            let x = NdArray::zeros(&shape);
+            assert!(is_invalid(conv_transpose2d_forward(&x, &w, None, 2, 0)), "{shape:?}");
+            let g = NdArray::zeros(&[1, 3, 2, 2]);
+            assert!(is_invalid(conv_transpose2d_backward(&x, &w, &g, 2, 0, [true; 3])), "{shape:?}");
+        }
+    }
+
+    #[test]
+    fn conv_transpose_rejects_padding_that_leaves_no_output() {
+        // A 3×3 input through a 2×2 stride-2 kernel is 6×6 before padding:
+        // padding 3 leaves nothing, padding 4 or more would wrap.
+        let x = NdArray::zeros(&[1, 2, 3, 3]);
+        let w = NdArray::zeros(&[2, 3, 2, 2]);
+        for pad in [3, 4, 100, usize::MAX / 2] {
+            assert!(is_invalid(conv_transpose2d_forward(&x, &w, None, 2, pad)), "pad {pad}");
+            let g = NdArray::zeros(&[1, 3, 1, 1]);
+            assert!(is_invalid(conv_transpose2d_backward(&x, &w, &g, 2, pad, [true; 3])), "pad {pad}");
+        }
+        assert_eq!(conv_transpose2d_forward(&x, &w, None, 2, 2).unwrap().shape(), &[1, 3, 2, 2]);
+    }
+
+    #[test]
+    fn conv_transpose_rejects_a_zero_stride() {
+        let x = NdArray::zeros(&[1, 2, 3, 3]);
+        let w = NdArray::zeros(&[2, 3, 2, 2]);
+        assert!(is_invalid(conv_transpose2d_forward(&x, &w, None, 0, 0)));
+        let g = NdArray::zeros(&[1, 3, 2, 2]);
+        assert!(is_invalid(conv_transpose2d_backward(&x, &w, &g, 0, 0, [true; 3])));
+    }
+
+    #[test]
+    fn conv_rejects_padding_whose_border_overflows() {
+        let x = NdArray::zeros(&[1, 1, 2, 2]);
+        let w = NdArray::zeros(&[1, 1, 3, 3]);
+        assert!(is_invalid(conv2d_forward(&x, &w, None, 1, usize::MAX / 2 + 1)));
     }
 }

@@ -6,6 +6,7 @@
 
 pub mod activation;
 pub mod conv;
+mod conv_direct;
 pub mod elementwise;
 pub mod matmul;
 pub mod norm;

@@ -159,9 +159,10 @@ fn matmul_propagates_zero_times_nan() {
     assert!(out.as_slice()[0].is_nan(), "0 × inf must contribute NaN");
 }
 
-/// im2col convolution forward + backward are byte-identical at thread
-/// counts 1/2/8 — the shapes are large enough that the threaded path
-/// genuinely engages (the work threshold is crossed).
+/// Convolution forward (direct, no GEMM) + backward (im2col + GEMM) are
+/// byte-identical at thread counts 1/2/8 — the shapes are large enough
+/// that the backward's threaded GEMM path genuinely engages (the work
+/// threshold is crossed).
 #[test]
 fn conv_forward_backward_bytes_identical_across_thread_counts() {
     let (batch, cin, cout, h, w) = (32usize, 4usize, 8usize, 18usize, 18usize);
