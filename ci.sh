@@ -103,8 +103,9 @@ echo "== chip bit-identity suite (sharded == monolithic, any tiling)"
 cargo test -p neurfill-chip --test bit_identity -q
 cargo test -p neurfill-layout --test tiling_props -q
 
-echo "== durability suite (append log, journal, shard finalize)"
+echo "== durability suite (append log, journal, shard finalize, hostile bytes into the plan codec)"
 cargo test -p neurfill-data -q
+cargo test -p neurfill-layout --test plan_codec -q
 
 echo "== chaos/recovery suite (kill-at-every-ordinal, bit-identical resume)"
 cargo test -p neurfill-runtime --test wait_first -q

@@ -1,20 +1,21 @@
 //! Tile-granular checkpoint/resume for full-chip runs.
 //!
-//! A [`TileCheckpoint`] is a directory holding one small text file per
-//! *completed* tile of a full-chip pass plus a `run.meta` header pinning
-//! the run configuration (design, dimensions, tiling, execution mode).
-//! Each tile file stores the tile's **core** fill amounts — the region
-//! the tile owns after halo/padding are discarded — in layer-major
-//! order, formatted with Rust's shortest-round-trip `{}` notation so a
-//! parsed amount is bit-identical to the written one. A resumed run
-//! therefore skips completed tiles and still produces a byte-identical
-//! chip plan.
+//! A [`TileCheckpoint`] is a directory holding one file per *completed*
+//! tile of a full-chip pass plus a `run.meta` header pinning the run
+//! configuration (design, dimensions, tiling, execution mode). A tile
+//! file is the workspace's one plan format
+//! ([`neurfill_layout::io::write_plan`], `neurfill-plan v2`) over the
+//! tile's **core** — the region the tile owns after halo/padding are
+//! discarded — with the core rect as shape and origin. The amounts
+//! round-trip bit for bit, so a resumed run skips completed tiles and
+//! still produces a byte-identical chip plan.
 //!
-//! Finalization is crash-safe: the file is staged at `<name>.tmp`,
-//! fsynced, then renamed into place (followed by a best-effort parent
-//! directory sync), so a kill can only ever leave a stale `.tmp` or a
-//! file failing its FNV-1a checksum — both are discarded on open and
-//! the tile is simply recomputed. The
+//! Finalization is crash-safe: every file goes through
+//! [`neurfill_layout::io::write_durable`] (stage at `<name>.tmp`, fsync,
+//! rename, directory sync), so a kill can only ever leave a stale `.tmp`
+//! or a file that fails to read (a torn write, or a tile file of an
+//! older format) — [`TileCheckpoint::open`] deletes both and the tile is
+//! simply recomputed. The
 //! [`CHECKPOINT_WRITE`](neurfill_runtime::fault::sites::CHECKPOINT_WRITE)
 //! fault site drives the chaos suite: `short_write` interrupts and
 //! self-heals, `torn_record` persists a corrupted final file, and
@@ -23,21 +24,20 @@
 //!
 //! ```text
 //! run.meta                      (atomic, config fingerprint)
-//! tile-r0-c0.nftile             neurfill-tile v1
-//! tile-r0-c8.nftile             core <row0> <col0> <rows> <cols>
-//! ...                           layers <L>
-//!                               checksum <fnv1a of the amounts line>
+//! tile-r0-c0.nftile             neurfill-plan v2
+//! tile-r0-c8.nftile             shape <L> <rows> <cols> <row0> <col0>
+//! ...                           checksum <fnv1a of the amounts line>
 //!                               <a0> <a1> ... (layer-major core amounts)
 //! ```
 
 use crate::source::ChipSource;
+use neurfill_layout::io::{self as layout_io, PlanShape};
 use neurfill_layout::{Tile, Tiling};
 use neurfill_runtime::fault::sites;
-use neurfill_runtime::{fnv1a, FaultPlan, WriteFault};
+use neurfill_runtime::{FaultPlan, WriteFault};
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::fs;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -45,8 +45,6 @@ use std::sync::Arc;
 pub const META_FILE: &str = "run.meta";
 /// Extension of per-tile checkpoint files.
 pub const TILE_EXTENSION: &str = "nftile";
-
-const TILE_MAGIC: &str = "neurfill-tile v1";
 
 /// The `run.meta` fingerprint for a full-chip pass: geometry plus an
 /// execution-mode tag (`golden`, `pool`, ...). Two runs may
@@ -67,14 +65,6 @@ pub fn chip_run_meta(source: &dyn ChipSource, tiling: &Tiling, mode: &str) -> St
     )
 }
 
-#[derive(Debug)]
-struct StoredTile {
-    rows: usize,
-    cols: usize,
-    layers: usize,
-    amounts: Vec<f64>,
-}
-
 /// A checkpoint directory opened for one full-chip pass: the tiles
 /// recovered from disk plus the staging machinery for finalizing new
 /// ones.
@@ -82,15 +72,16 @@ struct StoredTile {
 pub struct TileCheckpoint {
     dir: PathBuf,
     fault: Arc<FaultPlan>,
-    done: HashMap<(usize, usize), StoredTile>,
+    /// Recovered tiles by core origin.
+    done: HashMap<(usize, usize), (PlanShape, Vec<f64>)>,
 }
 
 impl TileCheckpoint {
     /// Opens (creating if needed) a checkpoint directory and loads every
     /// valid completed tile. `meta` (see [`chip_run_meta`]) must match
-    /// the directory's `run.meta` exactly when one exists; tile files
-    /// that are torn or fail their checksum are deleted so the tiles
-    /// recompute.
+    /// the directory's `run.meta` exactly when one exists; stale `.tmp`
+    /// staging files and tile files that fail to read are deleted so the
+    /// tiles recompute.
     ///
     /// # Errors
     ///
@@ -109,9 +100,7 @@ impl TileCheckpoint {
                 ))
             }
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                let tmp = dir.join(format!("{META_FILE}.tmp"));
-                write_file(&tmp, meta.as_bytes())
-                    .and_then(|()| finalize(&tmp, &meta_path))
+                layout_io::write_durable(&meta_path, meta.as_bytes())
                     .map_err(|e| format!("writing {}: {e}", meta_path.display()))?;
             }
             Err(e) => return Err(format!("reading {}: {e}", meta_path.display())),
@@ -121,20 +110,22 @@ impl TileCheckpoint {
         let entries = fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
         for entry in entries {
             let path = entry.map_err(|e| e.to_string())?.path();
-            let is_tile = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.ends_with(&format!(".{TILE_EXTENSION}")));
-            if !is_tile {
+            let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
+            if name.ends_with(".tmp") {
+                // The staging file of a finalize a kill interrupted.
+                let _ = fs::remove_file(&path);
                 continue;
             }
-            match fs::read_to_string(&path).ok().and_then(|text| parse_tile(&text)) {
-                Some((key, stored)) => {
-                    done.insert(key, stored);
+            if !name.ends_with(&format!(".{TILE_EXTENSION}")) {
+                continue;
+            }
+            match fs::File::open(&path).and_then(layout_io::read_plan) {
+                Ok((shape, amounts)) => {
+                    done.insert((shape.rect.row0, shape.rect.col0), (shape, amounts));
                 }
-                // Torn or checksum-corrupt leftovers of an interrupted
-                // finalize: drop them so the tile recomputes cleanly.
-                None => {
+                // Torn, checksum-corrupt or older-format files: drop them
+                // so the tile recomputes cleanly.
+                Err(_) => {
                     let _ = fs::remove_file(&path);
                 }
             }
@@ -152,9 +143,8 @@ impl TileCheckpoint {
     /// matching core geometry and layer count was recovered.
     #[must_use]
     pub fn amounts(&self, tile: &Tile, layers: usize) -> Option<&[f64]> {
-        let s = self.done.get(&(tile.core.row0, tile.core.col0))?;
-        (s.rows == tile.core.rows && s.cols == tile.core.cols && s.layers == layers)
-            .then_some(s.amounts.as_slice())
+        let (shape, amounts) = self.done.get(&(tile.core.row0, tile.core.col0))?;
+        (*shape == PlanShape { layers, rect: tile.core }).then_some(amounts.as_slice())
     }
 
     /// Finalizes one completed tile: stages the file, fsyncs, renames it
@@ -166,49 +156,31 @@ impl TileCheckpoint {
     ///
     /// # Errors
     ///
-    /// Returns a message on I/O failure or an injected fault.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `core_amounts` does not match the tile's core
-    /// geometry times `layers`.
+    /// Returns a message on I/O failure, an injected fault, or when
+    /// `core_amounts` does not match the tile's core geometry times
+    /// `layers`.
     pub fn store(&self, tile: &Tile, layers: usize, core_amounts: &[f64]) -> Result<(), String> {
-        assert_eq!(core_amounts.len(), layers * tile.core.len(), "core amounts/tile geometry mismatch");
-        let mut amounts_line = String::new();
-        for (i, a) in core_amounts.iter().enumerate() {
-            if i > 0 {
-                amounts_line.push(' ');
-            }
-            let _ = write!(amounts_line, "{a}");
-        }
-        let body = format!(
-            "{TILE_MAGIC}\ncore {} {} {} {}\nlayers {layers}\nchecksum {:016x}\n{amounts_line}\n",
-            tile.core.row0,
-            tile.core.col0,
-            tile.core.rows,
-            tile.core.cols,
-            fnv1a(amounts_line.as_bytes()),
-        );
         let name = format!("tile-r{}-c{}.{TILE_EXTENSION}", tile.core.row0, tile.core.col0);
         let path = self.dir.join(&name);
-        let tmp = self.dir.join(format!("{name}.tmp"));
         let io_err = |e: io::Error| format!("checkpointing {}: {e}", path.display());
+        let mut body = Vec::new();
+        layout_io::write_plan(PlanShape { layers, rect: tile.core }, core_amounts, &mut body)
+            .map_err(io_err)?;
 
         match self.fault.inject_write(sites::CHECKPOINT_WRITE)? {
             None => {}
             Some(WriteFault::ShortWrite) => {
                 // Interrupt the staging write partway, then redo it: the
                 // final rename below still lands a complete file.
-                write_file(&tmp, &body.as_bytes()[..body.len() / 2]).map_err(io_err)?;
+                fs::write(layout_io::staging_path(&path), &body[..body.len() / 2]).map_err(io_err)?;
             }
             Some(WriteFault::TornRecord) => {
                 // A corrupted final file: complete the rename with a
                 // flipped byte in the amounts line, then fail — replay
                 // must detect the checksum mismatch and recompute.
-                let mut torn = body.into_bytes();
-                let last = torn.len() - 2;
-                torn[last] ^= 0x01;
-                write_file(&tmp, &torn).and_then(|()| finalize(&tmp, &path)).map_err(io_err)?;
+                let last = body.len() - 2;
+                body[last] ^= 0x01;
+                layout_io::write_durable(&path, &body).map_err(io_err)?;
                 return Err(format!(
                     "fault injected: torn tile checkpoint at '{}'",
                     sites::CHECKPOINT_WRITE
@@ -216,60 +188,17 @@ impl TileCheckpoint {
             }
             Some(WriteFault::Crash) => {
                 // Freeze mid-stage: a half-written .tmp and no rename is
-                // the exact disk state of a kill at this ordinal. Replay
-                // ignores the .tmp and recomputes the tile.
-                write_file(&tmp, &body.as_bytes()[..body.len() / 2]).map_err(io_err)?;
+                // the exact disk state of a kill at this ordinal. Reopening
+                // deletes the .tmp and recomputes the tile.
+                fs::write(layout_io::staging_path(&path), &body[..body.len() / 2]).map_err(io_err)?;
                 return Err(format!(
                     "fault injected: crash at '{}' (tile {name})",
                     sites::CHECKPOINT_WRITE
                 ));
             }
         }
-        write_file(&tmp, body.as_bytes()).and_then(|()| finalize(&tmp, &path)).map_err(io_err)
+        layout_io::write_durable(&path, &body).map_err(io_err)
     }
-}
-
-/// Writes `bytes` to `path` and fsyncs the file.
-fn write_file(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let mut file = fs::File::create(path)?;
-    file.write_all(bytes)?;
-    file.sync_all()
-}
-
-/// Renames `tmp` into `path` and best-effort-syncs the parent directory
-/// so the rename itself is durable.
-fn finalize(tmp: &Path, path: &Path) -> io::Result<()> {
-    fs::rename(tmp, path)?;
-    if let Some(parent) = path.parent() {
-        if let Ok(d) = fs::File::open(parent) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
-}
-
-/// Parses one tile file; `None` means torn, corrupt, or not ours.
-fn parse_tile(text: &str) -> Option<((usize, usize), StoredTile)> {
-    let mut lines = text.lines();
-    if lines.next()? != TILE_MAGIC {
-        return None;
-    }
-    let mut core = lines.next()?.strip_prefix("core ")?.split(' ');
-    let row0: usize = core.next()?.parse().ok()?;
-    let col0: usize = core.next()?.parse().ok()?;
-    let rows: usize = core.next()?.parse().ok()?;
-    let cols: usize = core.next()?.parse().ok()?;
-    let layers: usize = lines.next()?.strip_prefix("layers ")?.parse().ok()?;
-    let checksum = u64::from_str_radix(lines.next()?.strip_prefix("checksum ")?, 16).ok()?;
-    let amounts_line = lines.next()?;
-    if fnv1a(amounts_line.as_bytes()) != checksum {
-        return None;
-    }
-    let amounts: Vec<f64> = amounts_line.split(' ').map(str::parse).collect::<Result<_, _>>().ok()?;
-    if amounts.len() != layers.checked_mul(rows.checked_mul(cols)?)? {
-        return None;
-    }
-    Some(((row0, col0), StoredTile { rows, cols, layers, amounts }))
 }
 
 #[cfg(test)]
@@ -344,6 +273,24 @@ mod tests {
     }
 
     #[test]
+    fn parent_format_tile_files_are_deleted_and_recomputed() {
+        let dir = tmpdir("parent");
+        let fault = Arc::new(FaultPlan::disabled());
+        TileCheckpoint::open(&dir, &meta(), Arc::clone(&fault)).unwrap();
+        let line = "0.5 0.25";
+        let v1 = format!(
+            "neurfill-tile v1\ncore 0 4 1 2\nlayers 1\nchecksum {:016x}\n{line}\n",
+            layout_io::fnv1a(line.as_bytes())
+        );
+        let path = dir.join(format!("tile-r0-c4.{TILE_EXTENSION}"));
+        fs::write(&path, v1).unwrap();
+        let cp = TileCheckpoint::open(&dir, &meta(), fault).unwrap();
+        assert_eq!(cp.resumed(), 0);
+        assert!(!path.exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn meta_mismatch_is_rejected() {
         let dir = tmpdir("meta");
         let fault = Arc::new(FaultPlan::disabled());
@@ -366,15 +313,18 @@ mod tests {
         let err = cp.store(&t, 2, &amounts).unwrap_err();
         assert!(err.contains("fault injected"), "{err}");
         let clean = Arc::new(FaultPlan::disabled());
+        let tile_path = dir.join(format!("tile-r{}-c{}.{TILE_EXTENSION}", t.core.row0, t.core.col0));
+        let staged = layout_io::staging_path(&tile_path);
+        assert!(staged.exists(), "crash leaves the half-written staging file");
         let cp = TileCheckpoint::open(&dir, &meta(), Arc::clone(&clean)).unwrap();
         assert_eq!(cp.resumed(), 0, "a crashed finalize must not resume");
+        assert!(!staged.exists(), "reopening discards the stale staging file");
 
         // Torn record: the final file exists but fails its checksum;
         // store() errs and a reopen discards the file.
         let fault = Arc::new(FaultPlan::parse("checkpoint_write=torn_record@1", 0).unwrap());
         let cp = TileCheckpoint::open(&dir, &meta(), fault).unwrap();
         assert!(cp.store(&t, 2, &amounts).is_err());
-        let tile_path = dir.join(format!("tile-r{}-c{}.{TILE_EXTENSION}", t.core.row0, t.core.col0));
         assert!(tile_path.exists(), "torn_record persists a (corrupt) final file");
         let cp = TileCheckpoint::open(&dir, &meta(), Arc::clone(&clean)).unwrap();
         assert_eq!(cp.resumed(), 0, "a torn tile must not resume");

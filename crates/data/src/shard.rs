@@ -27,6 +27,7 @@
 //! mid-finalize, which previously could leave a half-patched header at
 //! the final path — leaves either no shard file or a complete one.
 
+use neurfill_layout::io::{commit_staged, staging_path};
 use neurfill_nn::Dataset;
 use neurfill_obs::{Counter, Telemetry};
 use neurfill_runtime::fault::{sites, FaultPlan};
@@ -66,8 +67,8 @@ fn bad(msg: impl Into<String>) -> io::Error {
 }
 
 /// FNV-1a 64-bit over `bytes` — the record checksum (one definition,
-/// shared with bundle digests and tile checkpoints).
-pub use neurfill_runtime::fnv1a;
+/// in `neurfill-layout`, shared with plan files and bundle digests).
+pub use neurfill_layout::io::fnv1a;
 
 /// The fixed per-sample geometry of a shard.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,17 +117,8 @@ pub struct ShardWriter {
     shapes: ShardShapes,
     count: u64,
     path: PathBuf,
-    tmp_path: PathBuf,
     records_written: Counter,
     bytes_written: Counter,
-}
-
-/// The staging path `finish` renames from: `path` with `.tmp` appended to
-/// the file name (`a.nfshard` → `a.nfshard.tmp`).
-fn staging_path(path: &Path) -> PathBuf {
-    let mut name = path.file_name().map(std::ffi::OsStr::to_os_string).unwrap_or_default();
-    name.push(".tmp");
-    path.with_file_name(name)
 }
 
 impl ShardWriter {
@@ -143,8 +135,7 @@ impl ShardWriter {
             return Err(bad(format!("zero-sized sample shape {shapes:?}")));
         }
         let path = path.as_ref().to_path_buf();
-        let tmp_path = staging_path(&path);
-        let mut file = BufWriter::new(File::create(&tmp_path)?);
+        let mut file = BufWriter::new(File::create(staging_path(&path))?);
         file.write_all(MAGIC)?;
         file.write_all(&VERSION.to_le_bytes())?;
         for dims in [&shapes.input, &shapes.target] {
@@ -159,7 +150,6 @@ impl ShardWriter {
             shapes,
             count: 0,
             path,
-            tmp_path,
             records_written: Counter::noop(),
             bytes_written: Counter::noop(),
         })
@@ -220,20 +210,11 @@ impl ShardWriter {
     /// and the staging file (placeholder count, rejected by readers) is
     /// what a crash would leave.
     pub fn finish(self) -> io::Result<(PathBuf, u64)> {
-        let Self { file, count, path, tmp_path, .. } = self;
+        let Self { file, count, path, .. } = self;
         let mut file = file.into_inner().map_err(|e| e.into_error())?;
         file.seek(SeekFrom::Start(COUNT_OFFSET))?;
         file.write_all(&count.to_le_bytes())?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&tmp_path, &path)?;
-        // Best-effort directory sync so the rename itself is durable; not
-        // all filesystems support opening a directory for sync.
-        if let Some(dir) = path.parent() {
-            if let Ok(d) = File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
+        commit_staged(file, &path)?;
         Ok((path, count))
     }
 }

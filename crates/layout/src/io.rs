@@ -14,12 +14,22 @@
 //! [`write_layout_bits`]/[`read_layout_bits`] are the compact bit-exact
 //! sibling (text header, raw little-endian `f64` window records) for
 //! hot paths like the serve journal's write-ahead admit records.
+//!
+//! [`write_plan`]/[`read_plan`] are the one fill-plan codec: the HTTP
+//! plan body, the serve journal's `done` record, tile checkpoints and
+//! `runfill --out`'s `<name>.plan` files are all this format.
+//! [`write_durable`]/[`commit_staged`] are the one stage → fsync → rename
+//! → directory-sync sequence behind tile checkpoints and data shards, and
+//! [`fnv1a`] is the workspace's one checksum.
 
 use crate::grid::Grid;
 use crate::layout::Layout;
+use crate::tiling::TileRect;
 use crate::window::WindowPattern;
+use std::fmt::Write as _;
+use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 const MAGIC: &str = "neurfill-layout v1";
 
@@ -222,57 +232,190 @@ where
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad {key}: {e}")))
 }
 
-const PLAN_MAGIC: &str = "neurfill-plan v1";
+const PLAN_MAGIC: &str = "neurfill-plan v2";
 
-/// Writes a fill plan (the synthesis artifact) to a writer, tagged with
-/// the layout dimensions it belongs to.
+/// What a plan's amounts cover: `layers` × `rect.rows` × `rect.cols`
+/// windows in layer-major order, whose top-left window is
+/// `(rect.row0, rect.col0)` of the layout or chip they belong to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlanShape {
+    /// Number of layers.
+    pub layers: usize,
+    /// The window rectangle covered on every layer.
+    pub rect: TileRect,
+}
+
+impl PlanShape {
+    /// The whole of `layout`, origin `0 0`.
+    #[must_use]
+    pub fn of(layout: &Layout) -> Self {
+        let rect = TileRect { row0: 0, col0: 0, rows: layout.rows(), cols: layout.cols() };
+        Self { layers: layout.num_layers(), rect }
+    }
+
+    /// `layers · rows · cols`, or `None` when the product overflows.
+    #[must_use]
+    pub fn windows(&self) -> Option<usize> {
+        self.layers.checked_mul(self.rect.rows)?.checked_mul(self.rect.cols)
+    }
+}
+
+/// Writes a fill plan — per-window amounts over `shape` — in the one plan
+/// format. Every header field is always present:
+///
+/// ```text
+/// neurfill-plan v2
+/// shape <layers> <rows> <cols> <row0> <col0>
+/// checksum <fnv1a of the amounts line, 16 lowercase hex digits>
+/// <a0> <a1> ...          (layer-major, one space apart)
+/// ```
+///
+/// Amounts use Rust's shortest round-trip `{}` form, so every non-NaN
+/// `f64` — `-0`, subnormals, `±inf`, `f64::MAX` — reads back bit for
+/// bit, and NaN reads back as NaN.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors.
-pub fn write_plan<W: Write>(layout: &Layout, plan: &crate::FillPlan, mut w: W) -> io::Result<()> {
-    writeln!(w, "{PLAN_MAGIC}")?;
-    writeln!(w, "dims {} {} {}", layout.num_layers(), layout.rows(), layout.cols())?;
-    for x in plan.as_slice() {
-        writeln!(w, "{x}")?;
+/// `InvalidInput` when `amounts.len()` is not the shape's window count;
+/// propagates I/O errors.
+pub fn write_plan<W: Write>(shape: PlanShape, amounts: &[f64], mut w: W) -> io::Result<()> {
+    if shape.windows() != Some(amounts.len()) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{} amounts do not fill plan shape {shape:?}", amounts.len()),
+        ));
+    }
+    let mut line = String::with_capacity(amounts.len() * 20);
+    for (i, a) in amounts.iter().enumerate() {
+        if i > 0 {
+            line.push(' ');
+        }
+        let _ = write!(line, "{a}");
+    }
+    let TileRect { row0, col0, rows, cols } = shape.rect;
+    write!(
+        w,
+        "{PLAN_MAGIC}\nshape {} {rows} {cols} {row0} {col0}\nchecksum {:016x}\n{line}\n",
+        shape.layers,
+        fnv1a(line.as_bytes())
+    )
+}
+
+/// Reads a plan written by [`write_plan`]: exactly its four lines, each
+/// newline-terminated, and nothing after them.
+///
+/// Nothing is sized from the header: the amounts are counted as they
+/// parse, and the count must equal the checked product of the shape.
+///
+/// # Errors
+///
+/// `InvalidData` on any violation: wrong magic, a malformed or
+/// overflowing shape, a checksum that does not match the amounts line,
+/// an amount that does not parse, too many or too few amounts, a missing
+/// final newline or trailing bytes. Non-UTF-8 input is `InvalidData` too.
+pub fn read_plan<R: Read>(r: R) -> io::Result<(PlanShape, Vec<f64>)> {
+    let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+    let mut reader = BufReader::new(r);
+    let mut next = |what: &str| -> io::Result<String> {
+        let mut line = String::new();
+        reader.read_line(&mut line)?;
+        match line.strip_suffix('\n') {
+            Some(body) => Ok(body.to_string()),
+            None => Err(bad(format!("unexpected end of plan, expected {what}"))),
+        }
+    };
+    if next("magic")? != PLAN_MAGIC {
+        return Err(bad("not a neurfill-plan v2 file".into()));
+    }
+    let shape_line = next("shape")?;
+    let fields: Vec<usize> = shape_line
+        .strip_prefix("shape ")
+        .ok_or_else(|| bad(format!("bad shape line {shape_line:?}")))?
+        .split(' ')
+        .map(|t| t.parse().map_err(|e| bad(format!("bad shape field {t:?}: {e}"))))
+        .collect::<io::Result<_>>()?;
+    let [layers, rows, cols, row0, col0] = fields[..] else {
+        return Err(bad(format!("shape needs 5 fields, got {}", fields.len())));
+    };
+    let shape = PlanShape { layers, rect: TileRect { row0, col0, rows, cols } };
+    let windows = shape.windows().ok_or_else(|| bad(format!("plan shape {shape:?} overflows")))?;
+    let checksum_line = next("checksum")?;
+    let line = next("amounts")?;
+    if checksum_line != format!("checksum {:016x}", fnv1a(line.as_bytes())) {
+        return Err(bad("plan checksum does not match its amounts".into()));
+    }
+    let amounts: Vec<f64> = if line.is_empty() {
+        Vec::new()
+    } else {
+        line.split(' ')
+            .map(|t| t.parse().map_err(|e| bad(format!("bad amount {t:?}: {e}"))))
+            .collect::<io::Result<_>>()?
+    };
+    if amounts.len() != windows {
+        return Err(bad(format!("plan shape holds {windows} windows but {} amounts", amounts.len())));
+    }
+    if reader.read(&mut [0u8])? != 0 {
+        return Err(bad("trailing bytes after the plan".into()));
+    }
+    Ok((shape, amounts))
+}
+
+/// FNV-1a 64-bit over `bytes` — the workspace's one cheap,
+/// dependency-free checksum: plan files here, bundle digests and
+/// fault-site hashing in `neurfill-runtime`, shard and append-log records
+/// in `neurfill-data`.
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in bytes {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// `path` with `.tmp` appended to its file name (`a.nftile` →
+/// `a.nftile.tmp`): where a file is staged before [`commit_staged`]
+/// renames it into place.
+#[must_use]
+pub fn staging_path(path: &Path) -> PathBuf {
+    let mut name = path.file_name().map(std::ffi::OsStr::to_os_string).unwrap_or_default();
+    name.push(".tmp");
+    path.with_file_name(name)
+}
+
+/// Makes a staged file durable at `path`: fsyncs `staged` (the open file
+/// at [`staging_path`]`(path)`), renames it onto `path`, then syncs the
+/// parent directory so the rename itself is durable (best effort: not
+/// every file system can open a directory for sync). A crash at any
+/// point leaves `path` either untouched or complete, plus at most a
+/// stale staging file.
+///
+/// # Errors
+///
+/// Propagates fsync and rename errors.
+pub fn commit_staged(staged: File, path: &Path) -> io::Result<()> {
+    staged.sync_all()?;
+    drop(staged);
+    std::fs::rename(staging_path(path), path)?;
+    if let Some(dir) = path.parent() {
+        if let Ok(d) = File::open(dir) {
+            let _ = d.sync_all();
+        }
     }
     Ok(())
 }
 
-/// Reads a fill plan written by [`write_plan`], validating it against
-/// `layout`'s dimensions.
+/// Writes `bytes` to `path` through [`staging_path`] and
+/// [`commit_staged`], so `path` only ever holds complete contents.
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` on format violations or dimension mismatch.
-pub fn read_plan<R: Read>(layout: &Layout, r: R) -> io::Result<crate::FillPlan> {
-    let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    let mut lines = BufReader::new(r).lines();
-    let magic = lines.next().ok_or_else(|| bad("empty plan file".into()))??;
-    if magic.trim() != PLAN_MAGIC {
-        return Err(bad("not a neurfill plan file".into()));
-    }
-    let dims_line = lines.next().ok_or_else(|| bad("missing dims".into()))??;
-    let dims: Vec<usize> = dims_line
-        .strip_prefix("dims ")
-        .ok_or_else(|| bad(format!("bad dims line {dims_line:?}")))?
-        .split_whitespace()
-        .map(|t| t.parse().map_err(|e| bad(format!("bad dim {t:?}: {e}"))))
-        .collect::<io::Result<_>>()?;
-    if dims != [layout.num_layers(), layout.rows(), layout.cols()] {
-        return Err(bad(format!(
-            "plan dims {dims:?} do not match layout {}x{}x{}",
-            layout.num_layers(),
-            layout.rows(),
-            layout.cols()
-        )));
-    }
-    let mut amounts = Vec::with_capacity(layout.num_windows());
-    for _ in 0..layout.num_windows() {
-        let line = lines.next().ok_or_else(|| bad("truncated plan".into()))??;
-        amounts.push(line.trim().parse().map_err(|e| bad(format!("bad amount {line:?}: {e}")))?);
-    }
-    Ok(crate::FillPlan::from_vec(layout, amounts))
+/// Propagates file-system errors.
+pub fn write_durable(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut staged = File::create(staging_path(path))?;
+    staged.write_all(bytes)?;
+    commit_staged(staged, path)
 }
 
 /// Saves a layout to a file path.
@@ -315,21 +458,16 @@ mod tests {
     }
 
     #[test]
-    fn plan_roundtrip_and_validation() {
-        let l = DesignSpec::new(DesignKind::Fpga, 4, 5, 3).generate();
-        let mut plan = crate::FillPlan::zeros(&l);
-        for (i, x) in plan.as_mut_slice().iter_mut().enumerate() {
-            *x = i as f64 * 1.25;
-        }
-        let mut buf = Vec::new();
-        write_plan(&l, &plan, &mut buf).unwrap();
-        let back = read_plan(&l, buf.as_slice()).unwrap();
-        assert_eq!(plan, back);
-
-        // Wrong-geometry layouts are rejected.
-        let other = DesignSpec::new(DesignKind::Fpga, 5, 4, 3).generate();
-        assert!(read_plan(&other, buf.as_slice()).is_err());
-        assert!(read_plan(&l, b"junk".as_slice()).is_err());
+    fn durable_write_replaces_the_file_and_leaves_no_staging_file() {
+        let dir = std::env::temp_dir().join(format!("nf_durable_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("a.txt");
+        write_durable(&path, b"old").unwrap();
+        write_durable(&path, b"new").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"new");
+        assert_eq!(staging_path(&path), dir.join("a.txt.tmp"));
+        assert!(!staging_path(&path).exists());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -8,9 +8,13 @@
 //!   search.
 //! * [`Nmmso`] — the niching migratory multi-swarm optimizer of the
 //!   multi-modal starting-points search (paper §IV-D, Fieldsend 2014).
-//! * [`maximize_multi_start`] — the MSP driver combining both.
 //! * [`maximize_projected_gradient`] — the ablation baseline without a
 //!   curvature model.
+//!
+//! The multi-start loop that runs [`SqpSolver`] from every starting
+//! point (the PKB start, or NMMSO's modes) and keeps the best lives with
+//! the fill objective: `NeurFill`'s `optimize_from_starts` in the
+//! `neurfill` crate.
 //!
 //! All solvers follow the *maximization* convention of the filling-quality
 //! score (Eq. 5) and operate under box constraints (Eq. 5d).
@@ -19,7 +23,6 @@
 #![warn(missing_debug_implementations)]
 
 mod linesearch;
-mod msp;
 mod nmmso;
 mod problem;
 mod projgrad;
@@ -27,7 +30,6 @@ mod sqp;
 pub mod testfns;
 
 pub use linesearch::{projected_backtracking, LineSearch, LineSearchResult};
-pub use msp::{maximize_multi_start, MultiStartResult};
 pub use nmmso::{Mode, Nmmso, NmmsoConfig, NmmsoResult};
 pub use problem::{Bounds, BoxNormalized, FnObjective, Objective};
 pub use projgrad::{maximize_projected_gradient, ProjGradConfig};

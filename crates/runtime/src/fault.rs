@@ -27,7 +27,7 @@
 //! (the default everywhere) injects nothing and leaves every code path
 //! bit-identical to an unfaulted run.
 
-use crate::registry::fnv1a;
+use neurfill_layout::io::fnv1a;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::time::Duration;

@@ -53,8 +53,10 @@ pub use error::{classify, ErrorClass, RetryPolicy, RuntimeError};
 pub use fault::{FaultKind, FaultPlan, FaultSpec, FaultTrigger, WriteFault};
 pub use job::{JobId, JobReport, JobSpec, JobStatus};
 pub use neurfill::CancelToken;
+/// The workspace's one checksum, defined in `neurfill-layout`.
+pub use neurfill_layout::io::fnv1a;
 pub use pool::{default_workers, parallel_map_ordered, PoolOptions, RuntimePool};
-pub use registry::{fnv1a, ModelBundle, ModelRegistry};
+pub use registry::{ModelBundle, ModelRegistry};
 pub use stats::RuntimeStats;
 
 #[cfg(test)]

@@ -9,6 +9,7 @@
 
 use neurfill::persist;
 use neurfill::CmpNeuralNetwork;
+use neurfill_layout::io::fnv1a;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io;
@@ -127,20 +128,6 @@ impl ModelRegistry {
     pub fn cache_misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
-}
-
-/// FNV-1a 64-bit over `bytes` — the workspace's one cheap,
-/// dependency-free checksum: bundle digests here, fault-site hashing,
-/// tile checkpoints in `neurfill-chip`, shard and append-log records in
-/// `neurfill-data`.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -14,10 +14,16 @@
 //!         [--model surrogate.bundle] [--max-in-flight K]
 //! ```
 //!
+//! Each completed layout leaves two files in `--out`: `<name>.report.txt`
+//! and `<name>.plan`, the synthesized fill amounts in the one plan format
+//! (`neurfill_layout::io::write_plan`), from which the job's quality can
+//! be re-verified (read → `realize_fill` → `evaluate_plan`).
+//!
 //! `--connect` switches to client mode: jobs are submitted to a running
 //! `neurfill-serve` over HTTP, sharing the exact wire format the server
 //! speaks (the body of a submission *is* the on-disk layout file). The
-//! report files written are identical between the two modes.
+//! files written are identical between the two modes (up to the
+//! wall-clock `synthesis_s`/`overall` report lines).
 //!
 //! `--full-chip` runs the sharded full-chip flow on a hash-generated
 //! design instead of a layout directory, always in-process (`--connect`
@@ -46,9 +52,8 @@ use neurfill_chip::{
 };
 use neurfill_cmpsim::{CmpSimulator, ProcessParams};
 use neurfill_layout::datagen::DataGenConfig;
-use neurfill_layout::{
-    benchmark_designs, io as layout_io, DesignKind, DesignSpec, FullChipDesign, FullChipSpec, Tiling,
-};
+use neurfill_layout::io::{self as layout_io, PlanShape};
+use neurfill_layout::{benchmark_designs, DesignKind, DesignSpec, FullChipDesign, FullChipSpec, Tiling};
 use neurfill_nn::{TrainConfig, UNetConfig};
 use neurfill_runtime::{
     FaultPlan, JobSpec, JobStatus, ModelRegistry, PoolOptions, RetryPolicy, RuntimePool,
@@ -287,8 +292,26 @@ fn load_layouts(dir: &Path) -> Result<Vec<(String, neurfill_layout::Layout)>, St
     Ok(layouts)
 }
 
+/// Writes one finished job's `<name>.report.txt` and `<name>.plan` into
+/// `out_dir`, returning the report's path.
+fn write_job_files(
+    out_dir: &Path,
+    name: &str,
+    report: &str,
+    shape: PlanShape,
+    plan: &[f64],
+) -> Result<PathBuf, String> {
+    let mut plan_bytes = Vec::new();
+    layout_io::write_plan(shape, plan, &mut plan_bytes).map_err(|e| format!("{name}: {e}"))?;
+    let plan_path = out_dir.join(format!("{name}.plan"));
+    std::fs::write(&plan_path, plan_bytes).map_err(|e| format!("{}: {e}", plan_path.display()))?;
+    let path = out_dir.join(format!("{name}.report.txt"));
+    std::fs::write(&path, report).map_err(|e| format!("{}: {e}", path.display()))?;
+    Ok(path)
+}
+
 /// Client mode: submit every layout to a running `neurfill-serve` and
-/// collect the reports over HTTP. Same report files as in-process mode.
+/// collect the reports and plans over HTTP. Same files as in-process mode.
 fn run_remote(
     args: &Args,
     addr: &str,
@@ -298,19 +321,20 @@ fn run_remote(
     let mut client = Client::connect(addr);
     let mut ids = Vec::new();
     for (name, layout) in layouts {
+        let shape = PlanShape::of(&layout);
         let mut req = JobRequest::new(name.clone(), layout);
         req.tenant = args.tenant.clone();
         req.priority = args.priority;
         req.timeout = args.timeout;
         let id = client.submit(&req).map_err(|e| format!("submitting {name}: {e}"))?;
-        ids.push((name, id));
+        ids.push((name, id, shape));
     }
     println!("submitted {} jobs to {addr}", ids.len());
 
     let total = ids.len();
     let wait = Some(Duration::from_secs(60));
     let mut failed: Vec<(String, String)> = Vec::new();
-    for (name, id) in &ids {
+    for (name, id, shape) in &ids {
         // Long-poll until terminal; a 202 just means "not yet", so poll on.
         let report = loop {
             match client.result_text(*id, wait) {
@@ -322,12 +346,20 @@ fn run_remote(
                 }
             }
         };
-        if let Some(text) = report {
-            let path = out_dir.join(format!("{name}.report.txt"));
-            std::fs::write(&path, text).map_err(|e| e.to_string())?;
-            println!("done  {name} -> {}", path.display());
-        } else {
+        let Some(text) = report else {
             println!("FAIL  {name}");
+            continue;
+        };
+        // The job is terminal now, so its plan is ready too.
+        match client.result_plan(*id, None) {
+            Ok(plan) => {
+                let path = write_job_files(out_dir, name, &text, *shape, &plan)?;
+                println!("done  {name} -> {}", path.display());
+            }
+            Err(e) => {
+                println!("FAIL  {name}");
+                failed.push((name.clone(), format!("fetching the plan: {e}")));
+            }
         }
     }
     if !failed.is_empty() {
@@ -572,19 +604,20 @@ fn run() -> Result<bool, String> {
 
     let mut ids = Vec::new();
     for (name, layout) in layouts {
+        let shape = PlanShape::of(&layout);
         let id = pool.submit(JobSpec::new(name.clone(), layout))?;
-        ids.push((name, id));
+        ids.push((name, id, shape));
     }
     println!("submitted {} jobs", ids.len());
 
     let total = ids.len();
     let mut failed: Vec<(String, String)> = Vec::new();
     let mut degraded: Vec<(String, String)> = Vec::new();
-    for (name, id) in &ids {
+    for (name, id, shape) in &ids {
         match pool.wait(*id) {
             Some(JobStatus::Done(report)) => {
-                let path = out_dir.join(format!("{name}.report.txt"));
-                std::fs::write(&path, report.to_text()).map_err(|e| e.to_string())?;
+                let path =
+                    write_job_files(&out_dir, name, &report.to_text(), *shape, report.plan.as_slice())?;
                 println!(
                     "done  {name}: quality {:.4} overall {:.4} fill {:.0} um2 -> {}",
                     report.quality,

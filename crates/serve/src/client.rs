@@ -183,21 +183,23 @@ impl Client {
         Ok(Self::expect(resp, &[200])?.text())
     }
 
-    /// Fetches a finished job's fill-plan amounts (exact round-trip
-    /// values); `wait` long-polls until the job is terminal first.
+    /// Fetches a finished job's fill-plan amounts over its whole layout
+    /// (exact round-trip values, read with
+    /// [`neurfill_layout::io::read_plan`]); `wait` long-polls until the
+    /// job is terminal first.
     ///
     /// # Errors
     ///
     /// `Http {{ status: 202, .. }}` when the job is not done yet, `410`
-    /// when it failed or was cancelled.
+    /// when it failed or was cancelled; `Io` when the body is not a plan.
     pub fn result_plan(&mut self, id: u64, wait: Option<Duration>) -> Result<Vec<f64>, ClientError> {
         let path = match wait {
             Some(w) => format!("/v1/jobs/{id}/plan?wait_ms={}", w.as_millis()),
             None => format!("/v1/jobs/{id}/plan"),
         };
         let resp = self.request("GET", &path, &[], &[])?;
-        let text = Self::expect(resp, &[200])?.text();
-        crate::wire::parse_plan(&text).map_err(ClientError::Io)
+        let body = Self::expect(resp, &[200])?.body;
+        Ok(neurfill_layout::io::read_plan(body.as_slice())?.1)
     }
 
     /// Cancels a job; `Ok(true)` when the cancellation was accepted

@@ -17,7 +17,8 @@
 //!                 dispatched-but-not-terminal the same as queued)
 //! cancel <id>     cancelled while queued
 //! done <id>       [degraded line], report_len line, body = report text
-//!                 followed by the encode_plan amounts (exact round-trip)
+//!                 followed by the plan in the one plan format
+//!                 (`neurfill_layout::io::write_plan`, whole layout)
 //! failed <id>     error line
 //! ```
 //!
@@ -25,11 +26,15 @@
 //! last verb wins, and jobs whose last record is `admit`/`dispatch` are
 //! the non-terminal ones the service must run again. The append-log
 //! layer already dropped any torn tail, so a record seen here was fully
-//! acknowledged on the original timeline.
+//! acknowledged on the original timeline. A `done` record whose plan
+//! does not read back — an older build's `plan_len`/`amounts` body —
+//! leaves the job `Pending`, so it re-runs under its id instead of
+//! needing a second plan parser.
 
-use crate::wire::{encode_plan, parse_plan, Priority};
+use crate::wire::Priority;
 use neurfill_data::applog::{AppendLog, Replay};
-use neurfill_layout::{io as layout_io, Layout};
+use neurfill_layout::io::{self as layout_io, PlanShape};
+use neurfill_layout::Layout;
 use neurfill_runtime::fault::{sites, FaultPlan};
 use std::io;
 use std::path::Path;
@@ -58,7 +63,7 @@ pub enum RecoveredState {
         degraded: Option<String>,
         /// The report text (`GET /v1/jobs/{id}/result` body).
         report: String,
-        /// The fill-plan amounts, bit-exact through [`encode_plan`].
+        /// The fill-plan amounts, bit-exact through the plan format.
         plan: Vec<f64>,
     },
     /// Failed with an error message.
@@ -160,16 +165,19 @@ impl JobJournal {
         self.log.append(format!("cancel {id}\n").as_bytes())
     }
 
-    /// Records a successful completion with its servable result.
+    /// Records a successful completion with its servable result: the
+    /// report, then `plan` over `shape` (the job's whole layout).
     ///
     /// # Errors
     ///
-    /// Propagates append failures.
+    /// Propagates append failures; `InvalidInput` when `plan` does not
+    /// fill `shape`.
     pub fn record_done(
         &mut self,
         id: u64,
         degraded: Option<&str>,
         report: &str,
+        shape: PlanShape,
         plan: &[f64],
     ) -> io::Result<()> {
         let mut payload = format!("done {id}\n");
@@ -178,8 +186,9 @@ impl JobJournal {
         }
         payload.push_str(&format!("report_len {}\n\n", report.len()));
         payload.push_str(report);
-        payload.push_str(&encode_plan(plan));
-        self.log.append(payload.as_bytes())
+        let mut bytes = payload.into_bytes();
+        layout_io::write_plan(shape, plan, &mut bytes)?;
+        self.log.append(&bytes)
     }
 
     /// Records a failure.
@@ -306,10 +315,11 @@ fn apply_record(jobs: &mut Vec<RecoveredJob>, record: &[u8]) -> Result<(), Strin
             let report = std::str::from_utf8(&body[..report_len])
                 .map_err(|_| "non-utf8 report".to_string())?
                 .to_string();
-            let plan_text =
-                std::str::from_utf8(&body[report_len..]).map_err(|_| "non-utf8 plan".to_string())?;
-            let plan = parse_plan(plan_text)?;
-            job.state = RecoveredState::Done { degraded, report, plan };
+            // A plan this build cannot read leaves the job pending: it
+            // re-runs rather than serving a guess.
+            if let Ok((_, plan)) = layout_io::read_plan(&body[report_len..]) {
+                job.state = RecoveredState::Done { degraded, report, plan };
+            }
         }
         other => return Err(format!("unknown journal verb {other:?}")),
     }
@@ -340,6 +350,11 @@ mod tests {
         JobJournal::open(dir, Arc::new(FaultPlan::disabled())).unwrap()
     }
 
+    /// A one-layer, one-row plan shape of `cols` windows.
+    fn row(cols: usize) -> PlanShape {
+        PlanShape { layers: 1, rect: neurfill_layout::TileRect { row0: 0, col0: 0, rows: 1, cols } }
+    }
+
     #[test]
     fn lifecycle_folds_to_final_states() {
         let dir = tmp("fold");
@@ -363,7 +378,8 @@ mod tests {
             j.record_dispatch(3).unwrap();
             j.record_dispatch(4).unwrap();
             j.record_cancel(2).unwrap();
-            j.record_done(1, Some("fell back to golden"), "report text\n", &[0.5, 1.0 / 3.0]).unwrap();
+            j.record_done(1, Some("fell back to golden"), "report text\n", row(2), &[0.5, 1.0 / 3.0])
+                .unwrap();
             j.record_failed(3, "synthesis exploded\nbadly").unwrap();
         }
         let (_, recovered) = open(&dir);
@@ -407,7 +423,7 @@ mod tests {
             j.record_admit(1, "t", "a", Priority::Normal, None, &layout(1)).unwrap();
             j.record_dispatch(1).unwrap();
             // The kill lands mid-append: the record was never acked.
-            assert!(j.record_done(1, None, "r", &[1.0]).is_err());
+            assert!(j.record_done(1, None, "r", row(1), &[1.0]).is_err());
             assert!(j.is_dead());
         }
         let (_, recovered) = open(&dir);
@@ -427,7 +443,7 @@ mod tests {
             let (mut j, recovered) = open(&dir);
             assert_eq!(recovered[0].id, 7);
             j.record_dispatch(7).unwrap();
-            j.record_done(7, None, "ok\n", &[]).unwrap();
+            j.record_done(7, None, "ok\n", row(0), &[]).unwrap();
         }
         let (j, recovered) = open(&dir);
         assert_eq!(j.len(), 3);

@@ -8,8 +8,9 @@
 //! * **Job lifecycle** — `POST /v1/jobs` (layout body + `x-*` attribute
 //!   headers), `GET /v1/jobs/{id}` (status incl. retrying/degraded, with
 //!   `?wait_ms=` long-poll), `GET /v1/jobs/{id}/result`,
-//!   `GET /v1/jobs/{id}/plan` (the fill amounts, exact to the bit — the
-//!   same encoding the journal's `done` record keeps),
+//!   `GET /v1/jobs/{id}/plan` (the fill amounts, exact to the bit, in
+//!   the one plan format of `neurfill_layout::io` — the same bytes the
+//!   journal's `done` record keeps),
 //!   `DELETE /v1/jobs/{id}`.
 //! * **Fair-share admission** — bounded per-tenant queues with priority
 //!   classes, smooth weighted-round-robin dispatch, and backpressure via
@@ -47,4 +48,4 @@ pub use journal::{JobJournal, RecoveredJob, RecoveredState};
 pub use server::{Server, ServerConfig};
 pub use service::{CancelOutcome, FillService, ResultFetch, ServiceConfig, StageError, SubmitError};
 pub use tenant::TenantConfig;
-pub use wire::{encode_plan, parse_plan, JobRequest, Priority, StatusView, WireState};
+pub use wire::{JobRequest, Priority, StatusView, WireState};

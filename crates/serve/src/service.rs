@@ -32,6 +32,7 @@ use crate::journal::{JobJournal, RecoveredState};
 use crate::tenant::TenantConfig;
 use crate::wire::{JobRequest, StatusView, WireState};
 use neurfill::pipeline::FlowConfig;
+use neurfill_layout::io::{self as layout_io, PlanShape};
 use neurfill_layout::Layout;
 use neurfill_obs::{Scope, Telemetry};
 use neurfill_runtime::{
@@ -176,6 +177,8 @@ enum JobState {
 #[derive(Debug)]
 struct ServiceJob {
     tenant: usize,
+    /// The whole layout the job synthesizes for: the shape of its plan.
+    shape: PlanShape,
     state: JobState,
     submitted: Instant,
     /// Whether this job's state came from journal replay after a restart.
@@ -284,6 +287,7 @@ impl FillService {
                     serve_scope.inc("recovered_unknown_tenant");
                     continue;
                 };
+                let shape = PlanShape::of(&job.layout);
                 let state = match job.state {
                     RecoveredState::Pending { .. } => {
                         admission.restore(
@@ -316,7 +320,7 @@ impl FillService {
                 serve_scope.inc("recovered_jobs");
                 jobs.insert(
                     job.id,
-                    ServiceJob { tenant, state, submitted: Instant::now(), recovered: true },
+                    ServiceJob { tenant, shape, state, submitted: Instant::now(), recovered: true },
                 );
             }
             serve_scope.counter("recovered_results").add(results);
@@ -401,6 +405,7 @@ impl FillService {
             return Err(SubmitError::UnknownTenant(name));
         };
         let id = s.next_id;
+        let shape = PlanShape::of(&req.layout);
         // The journal needs the attributes after `pending` is moved into
         // the queue; clone only when journaling is on.
         let journal_copy = s
@@ -444,7 +449,13 @@ impl FillService {
         s.next_id += 1;
         s.jobs.insert(
             id,
-            ServiceJob { tenant, state: JobState::Queued, submitted: Instant::now(), recovered: false },
+            ServiceJob {
+                tenant,
+                shape,
+                state: JobState::Queued,
+                submitted: Instant::now(),
+                recovered: false,
+            },
         );
         inner.tenant_scopes[tenant].inc("admitted");
         inner.serve.inc("jobs_submitted");
@@ -504,8 +515,9 @@ impl FillService {
         }
     }
 
-    /// Fetches a finished job's fill plan, encoded with
-    /// [`crate::wire::encode_plan`] (exact round-trip amounts).
+    /// Fetches a finished job's fill plan over its whole layout, in the
+    /// one plan format ([`neurfill_layout::io::write_plan`]: exact
+    /// round-trip amounts).
     #[must_use]
     pub fn result_plan(&self, id: u64) -> ResultFetch {
         let s = self.inner.state.lock();
@@ -516,13 +528,16 @@ impl FillService {
             _ => return ResultFetch::NotDone(view),
         }
         let Some(job) = s.jobs.get(&id) else { return ResultFetch::NotFound };
+        let encode = |amounts: &[f64]| {
+            let mut body = Vec::new();
+            layout_io::write_plan(job.shape, amounts, &mut body).ok()?;
+            String::from_utf8(body).ok()
+        };
         let plan = match &job.state {
-            JobState::Finished(JobStatus::Done(report)) => {
-                Some(crate::wire::encode_plan(report.plan.as_slice()))
-            }
-            JobState::RecoveredDone { plan, .. } => Some(crate::wire::encode_plan(plan)),
+            JobState::Finished(JobStatus::Done(report)) => encode(report.plan.as_slice()),
+            JobState::RecoveredDone { plan, .. } => encode(plan),
             JobState::Dispatched { pool, pool_id } => match pool.status(*pool_id) {
-                Some(JobStatus::Done(report)) => Some(crate::wire::encode_plan(report.plan.as_slice())),
+                Some(JobStatus::Done(report)) => encode(report.plan.as_slice()),
                 _ => None,
             },
             _ => None,
@@ -883,12 +898,14 @@ fn watch_job(
     }
     // Journal the terminal transition (best-effort: a journal failure
     // here only costs re-running the job after a restart).
-    if let Some(journal) = s.journal.as_mut() {
+    let shape = s.jobs.get(&job_id).map(|j| j.shape);
+    if let (Some(journal), Some(shape)) = (s.journal.as_mut(), shape) {
         let appended = match &status {
             Some(JobStatus::Done(report)) => journal.record_done(
                 job_id,
                 report.degraded.as_deref(),
                 &report.to_text(),
+                shape,
                 report.plan.as_slice(),
             ),
             Some(JobStatus::Failed(e)) => journal.record_failed(job_id, e),

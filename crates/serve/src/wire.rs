@@ -9,7 +9,9 @@
 //! straight at the server. The format is pinned by round-trip tests.
 //!
 //! Status and result bodies are `key value` text lines in the same style
-//! as [`neurfill_runtime::JobReport::to_text`].
+//! as [`neurfill_runtime::JobReport::to_text`]. The plan body of
+//! `GET /v1/jobs/{id}/plan` is the workspace's one plan format,
+//! [`neurfill_layout::io::write_plan`] over the job's whole layout.
 
 use crate::http::{ClientResponse, Request};
 use neurfill_layout::{io as layout_io, Layout};
@@ -144,56 +146,6 @@ impl JobRequest {
         };
         Ok(Self { name, tenant, priority, timeout, layout })
     }
-}
-
-/// Encodes a fill plan's amounts for `GET /v1/jobs/{id}/plan`:
-/// `plan_len N` followed by one `amounts` line of space-separated
-/// values. Rust's shortest `{}` float formatting round-trips every
-/// finite `f64` exactly, so a client reading the plan back — and a job
-/// recovered from the journal's `done` record — sees the very bytes the
-/// pool computed.
-#[must_use]
-pub fn encode_plan(amounts: &[f64]) -> String {
-    let mut text = format!("plan_len {}\namounts", amounts.len());
-    for a in amounts {
-        text.push(' ');
-        text.push_str(&a.to_string());
-    }
-    text.push('\n');
-    text
-}
-
-/// Parses a plan body written by [`encode_plan`].
-///
-/// # Errors
-///
-/// Returns a message on a malformed line, a bad value, or a length
-/// mismatch.
-pub fn parse_plan(text: &str) -> Result<Vec<f64>, String> {
-    let mut len = None;
-    let mut amounts = None;
-    for line in text.lines() {
-        let (key, value) = line.split_once(' ').unwrap_or((line, ""));
-        match key {
-            "plan_len" => {
-                len = Some(value.parse::<usize>().map_err(|_| format!("bad plan_len {value:?}"))?);
-            }
-            "amounts" => {
-                let parsed: Result<Vec<f64>, String> = value
-                    .split_ascii_whitespace()
-                    .map(|v| v.parse::<f64>().map_err(|_| format!("bad amount {v:?}")))
-                    .collect();
-                amounts = Some(parsed?);
-            }
-            _ => {}
-        }
-    }
-    let len = len.ok_or("missing plan_len")?;
-    let amounts = amounts.ok_or("missing amounts")?;
-    if amounts.len() != len {
-        return Err(format!("plan_len {len} but {} amounts", amounts.len()));
-    }
-    Ok(amounts)
 }
 
 /// Lifecycle states a job reports over the wire.
@@ -390,21 +342,6 @@ mod tests {
         }
         assert_eq!(Priority::parse("").unwrap(), Priority::Normal);
         assert!(Priority::parse("urgent").is_err());
-    }
-
-    #[test]
-    fn plan_encoding_roundtrips_every_bit() {
-        let amounts =
-            vec![0.0, -0.0, 0.1, 1.0 / 3.0, 1e-300, f64::MIN_POSITIVE, 123.456_789_012_345_67, f64::MAX];
-        let back = parse_plan(&encode_plan(&amounts)).unwrap();
-        assert_eq!(back.len(), amounts.len());
-        for (a, b) in amounts.iter().zip(&back) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{a} must round-trip exactly");
-        }
-        assert_eq!(parse_plan(&encode_plan(&[])).unwrap(), Vec::<f64>::new());
-        assert!(parse_plan("plan_len 2\namounts 1.0\n").is_err());
-        assert!(parse_plan("amounts 1.0\n").is_err());
-        assert!(parse_plan("plan_len 1\namounts zebra\n").is_err());
     }
 
     #[test]

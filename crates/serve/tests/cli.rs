@@ -7,8 +7,63 @@
 //! pool: a drill that injects nothing must not report success. And
 //! `--full-chip` runs in-process only: asking it to `--connect` to a
 //! server must be refused, not quietly ignored.
+//!
+//! What `runfill --out` writes must be enough to re-verify a job from
+//! disk: its `<name>.plan`, realized and scored on the golden simulator,
+//! gives back the job's quality.
 
+use neurfill::extraction::NUM_CHANNELS;
+use neurfill::pipeline::FlowConfig;
+use neurfill::report::evaluate_plan;
+use neurfill::{CmpNeuralNetwork, CmpNnConfig, Coefficients, HeightNorm};
+use neurfill_cmpsim::{CmpSimulator, ProcessParams};
+use neurfill_layout::insertion::realize_fill;
+use neurfill_layout::io::{self as layout_io, read_plan, write_plan, PlanShape};
+use neurfill_layout::{DesignKind, DesignSpec, FillPlan, Layout};
+use neurfill_nn::{UNet, UNetConfig};
+use neurfill_runtime::{JobSpec, JobStatus, ModelBundle, PoolOptions, RuntimePool};
+use rand::SeedableRng;
+use std::path::Path;
 use std::process::Command;
+use std::sync::Arc;
+
+/// A randomly initialized (untrained) surrogate: synthesis, insertion and
+/// verification run exactly as they do on a trained one.
+fn untrained_network() -> CmpNeuralNetwork {
+    let config = UNetConfig { in_channels: NUM_CHANNELS, out_channels: 1, base_channels: 4, depth: 2 };
+    let unet = UNet::new(config, &mut rand::rngs::StdRng::seed_from_u64(42));
+    CmpNeuralNetwork::new(unet, HeightNorm::default(), Default::default(), CmpNnConfig::default())
+}
+
+/// The flow `runfill --fast` runs.
+fn fast_flow() -> FlowConfig {
+    FlowConfig { process: ProcessParams::fast(), ..FlowConfig::default() }
+}
+
+/// Designs A, B and C at 8×8.
+fn abc() -> Vec<Layout> {
+    [DesignKind::CmpTest, DesignKind::Fpga, DesignKind::RiscV]
+        .into_iter()
+        .map(|kind| DesignSpec::new(kind, 8, 8, 3).generate())
+        .collect()
+}
+
+/// Re-verifies a plan file the way `FillingFlow::run`'s phases 2 and 3
+/// do: read → `realize_fill` → `evaluate_plan` of the realized amounts.
+fn reverified_quality(layout: &Layout, plan_file: &Path, flow: &FlowConfig) -> f64 {
+    let (shape, amounts) = read_plan(std::fs::File::open(plan_file).unwrap()).unwrap();
+    assert_eq!(shape, PlanShape::of(layout), "{}", plan_file.display());
+    let plan = FillPlan::from_vec(layout, amounts);
+    let sim = CmpSimulator::new(flow.process.clone()).unwrap();
+    let coeffs = Coefficients::calibrate(layout, &sim.simulate(layout), flow.beta_time_s);
+    let insertion = realize_fill(layout, &plan, &flow.insertion);
+    let mut realized = FillPlan::zeros(layout);
+    for (slot, w) in realized.as_mut_slice().iter_mut().zip(&insertion.windows) {
+        *slot = w.placed;
+    }
+    let dummy = flow.insertion_dummy_spec();
+    evaluate_plan(layout, &sim, &coeffs, "re-verified", &realized, &dummy, 0.0, 0.0).quality
+}
 
 fn assert_rejected(bin: &str, flag: &str, value: &str) {
     let out = Command::new(bin).args(["--model", "m.bundle", flag, value]).output().unwrap();
@@ -78,19 +133,10 @@ fn runfill_refuses_full_chip_over_connect() {
 
 #[test]
 fn runfill_full_chip_pool_injects_its_fault_plan() {
-    use neurfill::extraction::NUM_CHANNELS;
-    use neurfill::{CmpNeuralNetwork, CmpNnConfig, HeightNorm};
-    use neurfill_nn::{UNet, UNetConfig};
-    use rand::SeedableRng;
-
     let dir = std::env::temp_dir().join(format!("neurfill_cli_chip_fault_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let model = dir.join("m.bundle");
-    let config = UNetConfig { in_channels: NUM_CHANNELS, out_channels: 1, base_channels: 4, depth: 2 };
-    let unet = UNet::new(config, &mut rand::rngs::StdRng::seed_from_u64(42));
-    let network =
-        CmpNeuralNetwork::new(unet, HeightNorm::default(), Default::default(), CmpNnConfig::default());
-    neurfill::persist::save_to_file(&network, &model).unwrap();
+    neurfill::persist::save_to_file(&untrained_network(), &model).unwrap();
 
     let out = Command::new(env!("CARGO_BIN_EXE_runfill"))
         .args(["--full-chip", "--rows", "8", "--cols", "8", "--tile-size", "8", "--fast"])
@@ -104,5 +150,68 @@ fn runfill_full_chip_pool_injects_its_fault_plan() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(1), "{stdout}");
     assert!(stdout.contains("tiles_failed 1"), "the drill must reach the tile's synthesis: {stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_written_plan_reverifies_to_the_jobs_quality_bit_for_bit() {
+    let dir = std::env::temp_dir().join(format!("neurfill_cli_plan_bits_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let bundle = Arc::new(ModelBundle::from_network(&untrained_network()).unwrap());
+    let pool =
+        RuntimePool::new(bundle, fast_flow(), PoolOptions { workers: 1, ..PoolOptions::default() })
+            .unwrap();
+    for layout in abc() {
+        let id = pool.submit(JobSpec::new(layout.name(), layout.clone())).unwrap();
+        let Some(JobStatus::Done(report)) = pool.wait(id) else { panic!("{} failed", layout.name()) };
+        // What `runfill --out` writes as `<name>.plan`.
+        let path = dir.join(format!("{}.plan", layout.name()));
+        let mut bytes = Vec::new();
+        write_plan(PlanShape::of(&layout), report.plan.as_slice(), &mut bytes).unwrap();
+        std::fs::write(&path, bytes).unwrap();
+        assert_eq!(
+            reverified_quality(&layout, &path, &fast_flow()).to_bits(),
+            report.quality.to_bits(),
+            "{}",
+            layout.name()
+        );
+    }
+    let _ = pool.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn runfill_out_plans_reverify_to_the_reported_quality() {
+    let dir = std::env::temp_dir().join(format!("neurfill_cli_plan_out_{}", std::process::id()));
+    let (layouts_dir, out_dir) = (dir.join("layouts"), dir.join("out"));
+    std::fs::create_dir_all(&layouts_dir).unwrap();
+    let model = dir.join("m.bundle");
+    neurfill::persist::save_to_file(&untrained_network(), &model).unwrap();
+    let layouts = abc();
+    for layout in &layouts {
+        layout_io::save_to_file(layout, layouts_dir.join(format!("{}.layout", layout.name()))).unwrap();
+    }
+
+    let out = Command::new(env!("CARGO_BIN_EXE_runfill"))
+        .args(["--workers", "1", "--fast", "--model"])
+        .arg(&model)
+        .arg("--layouts")
+        .arg(&layouts_dir)
+        .arg("--out")
+        .arg(&out_dir)
+        .env_remove("NEURFILL_FAULT_PLAN")
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
+
+    for layout in &layouts {
+        let report =
+            std::fs::read_to_string(out_dir.join(format!("{}.report.txt", layout.name()))).unwrap();
+        let printed = report.lines().find_map(|l| l.strip_prefix("quality ")).expect("a quality line");
+        let quality =
+            reverified_quality(layout, &out_dir.join(format!("{}.plan", layout.name())), &fast_flow());
+        assert_eq!(format!("{quality:.6}"), printed, "{}", layout.name());
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -10,20 +10,23 @@
 //! left and fail every later append.
 //!
 //! Also pinned here: `DELETE /v1/jobs/{id}` idempotency status codes
-//! (200 → 204 → 409) and cancel surviving a restart.
+//! (200 → 204 → 409), cancel surviving a restart, and a `done` record
+//! in an older plan format re-running its job instead of being parsed.
 
 use neurfill::extraction::NUM_CHANNELS;
 use neurfill::pipeline::FlowConfig;
 use neurfill::{CmpNeuralNetwork, CmpNnConfig, HeightNorm, NeurFillConfig};
 use neurfill_cmpsim::ProcessParams;
+use neurfill_layout::io::{read_plan, PlanShape};
 use neurfill_layout::{DesignKind, DesignSpec, Layout};
 use neurfill_nn::{UNet, UNetConfig};
 use neurfill_optim::SqpConfig;
 use neurfill_runtime::fault::sites;
 use neurfill_runtime::{FaultPlan, ModelBundle, PoolOptions};
+use neurfill_serve::journal::JOURNAL_FILE;
 use neurfill_serve::{
-    FillService, JobRequest, Priority, Server, ServerConfig, ServiceConfig, SubmitError, TenantConfig,
-    WireState,
+    FillService, JobJournal, JobRequest, Priority, RecoveredState, ResultFetch, Server, ServerConfig,
+    ServiceConfig, SubmitError, TenantConfig, WireState,
 };
 use rand::SeedableRng;
 use std::io::{Read, Write};
@@ -146,7 +149,7 @@ fn journal_kill_at_every_ordinal_loses_no_acknowledged_job() {
                 .unwrap_or_else(|| panic!("kill at ordinal {k}: acked job {id} was lost"));
             assert_eq!(view.state, WireState::Done, "kill at ordinal {k}, job {id}: {view:?}");
             match service.result_text(id) {
-                neurfill_serve::ResultFetch::Done(report) => {
+                ResultFetch::Done(report) => {
                     assert!(!report.is_empty(), "job {id} must serve a report after restart")
                 }
                 other => panic!("kill at ordinal {k}: job {id} has no result: {other:?}"),
@@ -228,5 +231,48 @@ fn delete_is_idempotent_and_cancel_survives_restart() {
         "idempotent across restarts"
     );
     service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_parent_format_done_record_replays_as_pending_and_the_job_re_runs() {
+    let dir = tmp_dir("parent-done");
+    let clean = || Arc::new(FaultPlan::disabled());
+    {
+        let (mut journal, _) = JobJournal::open(&dir, clean()).unwrap();
+        journal.record_admit(1, "acme", "old", Priority::Normal, None, &layout(1)).unwrap();
+        journal.record_dispatch(1).unwrap();
+    }
+    {
+        // The `done` record an older build appended: report, then a
+        // `plan_len`/`amounts` body this build has no parser for.
+        let (mut log, _) = neurfill_data::applog::AppendLog::open(
+            dir.join(JOURNAL_FILE),
+            sites::JOURNAL_WRITE,
+            clean(),
+        )
+        .unwrap();
+        log.append(b"done 1\nreport_len 10\n\nquality 1\nplan_len 2\namounts 0.5 1\n").unwrap();
+    }
+    let (_, recovered) = JobJournal::open(&dir, clean()).unwrap();
+    assert_eq!(recovered.len(), 1);
+    assert_eq!(recovered[0].state, RecoveredState::Pending { dispatched: true });
+
+    // The restarted service runs it again under its id and serves a plan
+    // over the whole journaled layout.
+    let service = FillService::start(bundle(), service_config(&dir, clean())).unwrap();
+    let view = service.wait_terminal(1, Duration::from_secs(60)).expect("the job must re-run");
+    assert_eq!(view.state, WireState::Done, "{view:?}");
+    let ResultFetch::Done(body) = service.result_plan(1) else { panic!("no plan after the re-run") };
+    let (shape, amounts) = read_plan(body.as_bytes()).unwrap();
+    assert_eq!(shape, PlanShape::of(&layout(1)));
+    service.shutdown();
+
+    // Its new `done` record is in the current format and replays as done.
+    let (_, recovered) = JobJournal::open(&dir, clean()).unwrap();
+    match &recovered[0].state {
+        RecoveredState::Done { plan, .. } => assert_eq!(plan, &amounts),
+        other => panic!("{other:?}"),
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -186,16 +186,40 @@ fn lifecycle_submit_status_result_cancel_over_loopback() {
     harness.stop();
 }
 
-#[test]
-fn fair_share_dispatch_follows_weights_and_priorities() {
-    // Tenants a (weight 3) and b (weight 1). A plug job pins the single
-    // slot for 1 s while 6 jobs per tenant are loaded, so the dispatcher
-    // sees fully backlogged queues and its order is exactly the smooth-WRR
-    // sequence. The order is read back from dispatch events in /metrics.
+/// The `serve`/`dispatch` events of a snapshot, in order, as
+/// `(tenant, job id)`.
+fn dispatches(snapshot: &MetricsSnapshot) -> Vec<(String, u64)> {
+    snapshot
+        .events
+        .iter()
+        .filter(|e| e.kind == "serve" && e.name == "dispatch")
+        .map(|e| {
+            let field = |k: &str| {
+                e.fields.iter().find(|(n, _)| n == k).map(|(_, v)| v.clone()).unwrap_or_default()
+            };
+            (field("tenant"), field("job").parse::<u64>().unwrap())
+        })
+        .collect()
+}
+
+/// What one fair-share run recorded: the plug's id, the b jobs' ids in
+/// submission order, and the final metrics snapshot.
+struct FairShareRun {
+    plug_id: u64,
+    b_ids: Vec<u64>,
+    snapshot: MetricsSnapshot,
+}
+
+/// One fair-share run behind a plug that holds the single slot for
+/// `plug_ms`. `None` when the host was too slow for the run to set up
+/// the order under test: the counters and events recorded right after the
+/// last submission must show all 13 jobs admitted while the plug was
+/// still the only dispatch and had not completed.
+fn fair_share_run(plug_ms: u64) -> Option<FairShareRun> {
     let harness = Harness::start(config_with(
         &[("a", 3, 64), ("b", 1, 64)],
         1,
-        "synthesis=delay1000@1",
+        &format!("synthesis=delay{plug_ms}@1"),
         CanaryConfig::default(),
     ));
     let mut client = harness.client();
@@ -203,6 +227,9 @@ fn fair_share_dispatch_follows_weights_and_priorities() {
     let mut plug = JobRequest::new("plug", layout(1));
     plug.tenant = Some("a".to_string());
     let plug_id = client.submit(&plug).unwrap();
+    // The plug must be picked while b's queue is still empty, or the WRR
+    // credits start from a different state.
+    while client.status(plug_id, None).unwrap().state == WireState::Queued {}
 
     let mut ids = vec![plug_id];
     let mut b_ids = Vec::new();
@@ -221,24 +248,44 @@ fn fair_share_dispatch_follows_weights_and_priorities() {
         ids.push(id);
         b_ids.push(id);
     }
+    let loaded = MetricsSnapshot::from_jsonl(&client.metrics().unwrap()).unwrap();
+    assert_eq!(loaded.counters.get("serve.tenant.a.admitted"), Some(&7));
+    assert_eq!(loaded.counters.get("serve.tenant.b.admitted"), Some(&6));
+    // A slot is only freed after its job counts as completed, so no
+    // completion means no second dispatch has happened yet.
+    let plug_held = loaded.counters.get("serve.tenant.a.completed").copied().unwrap_or(0) == 0
+        && dispatches(&loaded) == [("a".to_string(), plug_id)];
 
     for id in &ids {
         let view = client.status(*id, Some(Duration::from_secs(120))).unwrap();
         assert_eq!(view.state, WireState::Done, "job {id}: {view:?}");
     }
-
     let snapshot = MetricsSnapshot::from_jsonl(&client.metrics().unwrap()).unwrap();
-    let dispatches: Vec<(String, u64)> = snapshot
-        .events
-        .iter()
-        .filter(|e| e.kind == "serve" && e.name == "dispatch")
-        .map(|e| {
-            let field = |k: &str| {
-                e.fields.iter().find(|(n, _)| n == k).map(|(_, v)| v.clone()).unwrap_or_default()
-            };
-            (field("tenant"), field("job").parse::<u64>().unwrap())
+    harness.stop();
+    plug_held.then_some(FairShareRun { plug_id, b_ids, snapshot })
+}
+
+#[test]
+fn fair_share_dispatch_follows_weights_and_priorities() {
+    // Tenants a (weight 3) and b (weight 1). A plug job pins the single
+    // slot while 6 jobs per tenant are loaded, so the dispatcher sees
+    // fully backlogged queues and its order is exactly the smooth-WRR
+    // sequence. The order is read back from dispatch events in /metrics.
+    // A host too slow to load the queues inside the plug's delay gets a
+    // rerun with the delay doubled rather than an order it never set up.
+    let run = [1000, 2000, 4000, 8000]
+        .into_iter()
+        .find_map(|plug_ms| {
+            let run = fair_share_run(plug_ms);
+            if run.is_none() {
+                eprintln!("the host could not load 12 jobs behind a {plug_ms} ms plug; doubling it");
+            }
+            run
         })
-        .collect();
+        .expect("even an 8 s plug could not hold 12 submissions");
+    let FairShareRun { plug_id, b_ids, snapshot } = run;
+
+    let dispatches = dispatches(&snapshot);
     assert_eq!(dispatches.len(), 13, "{dispatches:?}");
     assert_eq!(dispatches[0].1, plug_id);
 
@@ -263,8 +310,6 @@ fn fair_share_dispatch_follows_weights_and_priorities() {
     assert_eq!(snapshot.counters.get("serve.tenant.b.admitted"), Some(&6));
     assert!(snapshot.histograms.contains_key("serve.tenant.a.e2e_ns"));
     assert!(snapshot.histograms.contains_key("serve.tenant.b.queue_wait_ns"));
-
-    harness.stop();
 }
 
 #[test]
