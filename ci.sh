@@ -40,11 +40,17 @@ cargo test -p neurfill-tensor --test gemm_equivalence -q
 cargo test -p neurfill-cmpsim --test kernel_equivalence -q
 cargo test -p neurfill-nn --test determinism -q
 
-# Debug builds re-evaluate every anchored contact probe (the skip rule is
-# asserted on every board the suites simulate); release builds are the
-# shipped path that actually skips. Both must match the reference bits.
-echo "== anchored contact solve, release build (bitwise vs reference, sharded == monolithic)"
+# Debug builds re-evaluate every anchored and every certified contact probe
+# with powf (both skip rules are asserted on every board the suites
+# simulate); release builds are the shipped path that actually skips. Both
+# must match the reference bits. The release-only proof answers every probe
+# near the root of all 50 boards of one layer of chip_golden's chip from the
+# anchors, by certification and with powf, and bit_identity pins the
+# powf-probe count on that chip (at most 0.4 per solve) next to its
+# sharded == monolithic bytes.
+echo "== anchored + certified contact solve, release build (bitwise vs reference, sharded == monolithic, chip_golden boards)"
 cargo test --release -p neurfill-cmpsim --test kernel_equivalence -q
+cargo test --release -p neurfill-cmpsim --lib contact::tests::anchored_and_certified_answers_match_powf_on_chip_golden_boards -q
 cargo test --release -p neurfill-chip --test bit_identity -q
 
 # The line search, the frozen-surrogate backward, the row-span im2col/col2im,
@@ -68,10 +74,11 @@ cargo test --release -p neurfill-chip --test bit_identity -q
 # pad kernel is compared with
 # `apply_reference` through its plain body and its AVX2 build, each called
 # directly; the contact suite answers every bisection probe of A/B/C's
-# boards from the anchors (checked with `√d·d`) and with `powf`.
-echo "== replacement-vs-oracle suites, release build (line search, SQP prefix, frozen + per-layer planarity, tape reuse, score + batched forward, im2col/col2im + conv backward, direct conv forward, insertion + sink, fused norm node, pad kernel windows, anchor checks, trajectory + training pins, live heap per job and per training step)"
+# boards from the anchors (checked with `√d·d`), by certification and with
+# `powf` (the chip_golden boards ran in the block above).
+echo "== replacement-vs-oracle suites, release build (line search, SQP prefix, frozen + per-layer planarity, tape reuse, score + batched forward, im2col/col2im + conv backward, direct conv forward, insertion + sink, fused norm node, pad kernel windows, anchor + certification checks, trajectory + training pins, live heap per job and per training step)"
 cargo test --release -p neurfill-cmpsim --lib kernel -q
-cargo test --release -p neurfill-cmpsim --lib contact -q
+cargo test --release -p neurfill-cmpsim --lib contact -q -- --skip chip_golden_boards
 cargo test --release -p neurfill-optim --lib linesearch -q
 cargo test --release -p neurfill-optim --lib sqp -q
 cargo test --release -p neurfill --lib frozen_planarity -q

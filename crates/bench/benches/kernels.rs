@@ -3,9 +3,10 @@
 //! convolution forward (against im2col + GEMM), the frozen-surrogate UNet
 //! backward, the row-accumulated pad convolution
 //! (whole boards and a shard's core window) and the anchored contact
-//! solve — plus frozen-UNet inference at the batch sizes the runtime
-//! pool forms and one end-to-end labeling run, so kernel wins are tied
-//! to pipeline wall-clock.
+//! solve (random boards and one of `chip_golden`'s) — plus frozen-UNet
+//! inference at the batch sizes the runtime pool forms and one
+//! end-to-end labeling run, so kernel wins are tied to pipeline
+//! wall-clock.
 //!
 //! Hand-rolled harness (no criterion): each op is timed as the best of
 //! several samples after warmup, with the iteration count calibrated so
@@ -22,11 +23,13 @@
 use neurfill_bench::records::{output_path, print_table, write_table, BenchRecord};
 use neurfill_cmpsim::contact::{
     solve_reference_plane, solve_reference_plane_reference, solve_reference_plane_stats,
+    window_pressures,
 };
-use neurfill_cmpsim::{PadKernel, ProcessParams};
+use neurfill_cmpsim::shard::{dish_erosion_factors, polish_pointwise};
+use neurfill_cmpsim::{LayerInput, PadKernel, ProcessParams};
 use neurfill_data::LabelConfig;
-use neurfill_layout::benchmark_designs;
 use neurfill_layout::datagen::DataGenConfig;
+use neurfill_layout::{benchmark_designs, DesignKind, FullChipSpec};
 use neurfill_nn::{Module, UNet, UNetConfig};
 use neurfill_tensor::kernels::{gemm, gemm_reference, set_gemm_threads};
 use neurfill_tensor::{conv2d_forward, im2col_into, NdArray, Tensor};
@@ -342,17 +345,44 @@ fn bench_pad_kernel(rows: &mut Vec<BenchRecord>) {
     rows.push(row("pad_kernel", "72x72_r4_core64x64".to_string(), ns, Some(reference_ns)));
 }
 
+/// The smoothed board layer 0 of `chip_golden`'s chip (design C, 256²,
+/// seed 7) hands the contact solve at polish step `step` under `params`.
+fn chip_golden_board(params: &ProcessParams, step: usize) -> Vec<f64> {
+    let chip = FullChipSpec::new(DesignKind::RiscV, 256, 256, 7).build().generate();
+    let input = LayerInput::from_layout(&chip, 0);
+    let (rows, cols) = (input.rows, input.cols);
+    let kernel = PadKernel::exponential(params.character_length, params.kernel_radius);
+    let rho_eff = kernel.apply(&input.density, rows, cols);
+    let (dish, erosion) = dish_erosion_factors(&input.avg_width, &input.perimeter, params);
+    let mut z_up = vec![params.initial_height; rows * cols];
+    let mut z_down: Vec<f64> = z_up.iter().map(|z| z - params.initial_step).collect();
+    for _ in 0..step {
+        let smoothed = kernel.apply(&z_up, rows, cols);
+        let pressures = window_pressures(&smoothed, solve_reference_plane(&smoothed, params), params);
+        polish_pointwise(&mut z_up, &mut z_down, &pressures, &rho_eff, &dish, &erosion, params);
+    }
+    kernel.apply(&z_up, rows, cols)
+}
+
 fn bench_contact(rows: &mut Vec<BenchRecord>) {
     let mut rng = StdRng::seed_from_u64(13);
     let params = ProcessParams::default();
     // Mid-polish boards (every window in contact, a few tens of nm of
     // relief under the initial height); 65 536 and 1 048 576 are the chip
     // boards `chip_golden` and paper-scale design C solve once per step.
-    for n in [256usize, 4096, 16384, 65_536, 1_048_576] {
-        let heights: Vec<f64> =
-            (0..n).map(|_| params.initial_height - rng.gen_range(0.0..40.0)).collect();
+    // Uniform random relief needs more hint passes and leaves different
+    // probes in the anchors' gap than a real board, so the last row is
+    // one: `chip_golden`'s own chip halfway through its polish.
+    let mut boards: Vec<(String, Vec<f64>)> = [256usize, 4096, 16384, 65_536, 1_048_576]
+        .into_iter()
+        .map(|n| {
+            (format!("n{n}"), (0..n).map(|_| params.initial_height - rng.gen_range(0.0..40.0)).collect())
+        })
+        .collect();
+    boards.push(("chip_golden_256x256_step25".to_string(), chip_golden_board(&params, 25)));
+    for (shape, heights) in boards {
         let (_, stats) = solve_reference_plane_stats(&heights, &params);
-        println!("contact n{n}: {stats:?}");
+        println!("contact {shape}: {stats:?}");
         let (reference_ns, ns) = time_pair_ns(
             || {
                 std::hint::black_box(solve_reference_plane_reference(&heights, &params));
@@ -361,7 +391,7 @@ fn bench_contact(rows: &mut Vec<BenchRecord>) {
                 std::hint::black_box(solve_reference_plane(&heights, &params));
             },
         );
-        rows.push(row("contact_exact", format!("n{n}"), ns, Some(reference_ns)));
+        rows.push(row("contact_exact", shape, ns, Some(reference_ns)));
     }
 }
 

@@ -13,8 +13,8 @@
 
 use crate::source::ChipSource;
 use neurfill_cmpsim::{
-    simulate_layer_sharded, ChipProfile, ContactSolve, LayerInput, NumericsTier, PadKernel,
-    ProcessParams, TileShard,
+    simulate_layer_sharded, ChipProfile, ContactCounters, ContactSolve, ContactSolveStats, LayerInput,
+    NumericsTier, PadKernel, ProcessParams, TileShard,
 };
 use neurfill_obs::Telemetry;
 use neurfill_runtime::parallel_map_ordered;
@@ -67,13 +67,8 @@ pub struct ChipSimStats {
     pub layers: usize,
     /// Halo bytes gathered across all layers, tiles and steps.
     pub halo_bytes: u64,
-    /// Contact-solve force evaluations (board passes) across all layers.
-    pub force_evals: u64,
-    /// Contact-solve hint passes across all layers — with `force_evals`,
-    /// every O(cells) pass the global solve made over the chip board.
-    pub hint_passes: u64,
-    /// Contact-solve probes answered from an anchor (no board pass).
-    pub anchored_probes: u64,
+    /// The global contact solves' stats across all layers and steps.
+    pub contact: ContactSolveStats,
     /// Maximum shards simultaneously inside the mapper.
     pub peak_tiles_in_flight: usize,
 }
@@ -142,6 +137,7 @@ impl ChipSimulator {
             layers: source.num_layers(),
             ..ChipSimStats::default()
         };
+        let contact = ContactCounters::new(t, "chip");
         for l in 0..source.num_layers() {
             let _span = t.span("chip.layer");
             let shards =
@@ -156,15 +152,11 @@ impl ChipSimulator {
             let (profile, shard_stats, _) =
                 simulate_layer_sharded(shards, rows, cols, &self.cfg.params, &self.kernel, &map);
             stats.halo_bytes += shard_stats.halo_cells_exchanged * 8;
-            stats.force_evals += shard_stats.force_evals;
-            stats.hint_passes += shard_stats.hint_passes;
-            stats.anchored_probes += shard_stats.anchored_probes;
+            stats.contact += shard_stats.contact;
             t.counter("chip.layers").inc();
             t.counter("chip.tiles").add(shard_stats.tiles as u64);
             t.counter("chip.halo_bytes").add(shard_stats.halo_cells_exchanged * 8);
-            t.counter("chip.contact.force_evals").add(shard_stats.force_evals);
-            t.counter("chip.contact.hint_passes").add(shard_stats.hint_passes);
-            t.counter("chip.contact.anchored_probes").add(shard_stats.anchored_probes);
+            contact.add(&shard_stats.contact);
             layers.push(profile);
         }
         stats.peak_tiles_in_flight = peak.load(Ordering::SeqCst);

@@ -153,10 +153,32 @@ fn halo_accounting_is_reported() {
     let (_, stats) = sim.simulate(&design).unwrap();
     assert_eq!(stats.layers, design.num_layers());
     assert!(stats.halo_bytes > 0, "a 4x4 grid must exchange halos");
-    assert!(stats.force_evals > 0);
+    assert!(stats.contact.force_evals > 0);
     assert!(stats.peak_tiles_in_flight >= 1);
     // A single whole-chip tile exchanges nothing.
     let solo = ChipSimulator::new(ChipSimConfig::fast(0, 2)).unwrap();
     let (_, solo_stats) = solo.simulate(&design).unwrap();
     assert_eq!(solo_stats.halo_bytes, 0);
+}
+
+/// The contact solve's counts on `chip_golden`'s chip (design C, 256²,
+/// seed 7, default process, tile 64, one worker): 150 global solves, in
+/// which certification leaves at most 0.4 `powf` probes per solve (1.81
+/// when every probe inside the anchors' gap was evaluated with `powf`),
+/// and a profile byte-identical to the monolithic simulator's.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-only: ci.sh runs it with --release")]
+fn chip_golden_solves_settle_most_gap_probes_without_powf() {
+    let design = FullChipSpec::new(DesignKind::RiscV, 256, 256, 7).build();
+    let params = ProcessParams::default();
+    let cfg = ChipSimConfig { params: params.clone(), ..ChipSimConfig::fast(64, 1) };
+    let (profile, stats) = ChipSimulator::new(cfg).unwrap().simulate(&design).unwrap();
+    let mono = CmpSimulator::new(params.clone()).unwrap().simulate(&design.generate());
+    assert_bits_identical(&profile, &mono, "chip_golden chip");
+    assert_eq!(profile, mono);
+    let solves = (stats.layers * params.steps) as f64;
+    let contact = stats.contact;
+    println!("{solves} solves: {contact:?}");
+    assert!(contact.certified_probes > 0, "{contact:?}");
+    assert!(contact.exact_probes as f64 <= 0.4 * solves, "{contact:?}");
 }

@@ -49,8 +49,8 @@
 //!   excluded by requiring `target·ε` to be a normal number.
 //!
 //! Only probes strictly inside `(over, under)` — a gap of about 1e-9 nm
-//! at 65 536 windows, growing with `n` — are evaluated, always with
-//! `powf`, so every decision and `z_ref` are the reference's. Where the
+//! at 65 536 windows, growing with `n` — read the board again (below),
+//! so every decision and `z_ref` are the reference's. Where the
 //! anchors come from cannot matter: they are *accepted* only by the
 //! exact test above, so the Newton iteration that proposes them is a
 //! hint; a bad hint costs its passes and leaves every probe evaluated
@@ -59,25 +59,129 @@
 //! (they do spoil the hint, which then proposes nothing), and ±∞
 //! heights make one of the two acceptance tests fail. Debug builds
 //! re-evaluate every anchored probe and assert the answer.
+//!
+//! # Certified probes
+//!
+//! The gap grows with `n` because `γ` charges every addition its worst
+//! case. At `e = 3/2` a probe inside the gap first gets one `√d·d` pass
+//! that returns, in board order, the ordered sum `S√` of
+//! `bᵢ = k·(√dᵢ·dᵢ)` (what [`anchor_force`] sums) and `P = Σⱼ Ŝⱼ`, the
+//! sum of its running partial sums. The reference compares
+//! `F = S_F / n` with the target, where `S_F` is the ordered sum of
+//! `aᵢ = k·powf(dᵢ, e)` over the same windows and the same `dᵢ`. `S_F` is
+//! never computed on this path; it is bounded, to first order in `u`:
+//!
+//! * Per term, against the real `k·(zᵢ − z)^e`, `bᵢ` errs by at most
+//!   `(e + 3)·u` and `aᵢ` by at most its share of `γ`, `(e + 12)·u`.
+//!   So `|Σaᵢ − Σbᵢ| ≤ (2e + 15)·u·Σbᵢ`, which is `18u·Σbᵢ` at `e = 3/2`.
+//! * A recursive sum of non-negative terms errs by at most `u·Σⱼ Ŝⱼ`,
+//!   the sum of its computed partial sums (Higham, *Accuracy and
+//!   Stability of Numerical Algorithms*, §4.2). So `|S√ − Σbᵢ| ≤ u·P`.
+//!   The `powf` sum's partial sums are the `√` pass's to within a
+//!   relative `(2n + 18)·u ≤ 2γ`, so `|S_F − Σaᵢ| ≤ (1 + 2γ)·u·P`.
+//! * Together: `|S_F − S√| ≤ 18u·S√ + (2 + 2γ + 18u)·u·P`, with `P` the
+//!   real sum of the partials, which the computed `P` undercounts by at
+//!   most a relative `γ`. The anchors exist only when `γ ≤ 2.5e-7`, so
+//!   the solver pads this to `B = 24u·S√ + (2 + 1/16)·u·P`.
+//!
+//! `F > target` holds once `S_F > n·target·(1 + 2u)` (the division rounds
+//! once, and `target·(1 + 2u)` is at least the next float up), and
+//! `F < target` once `S_F < n·target·(1 − 2u)`. The solver answers
+//! `Greater` when `S√ − B > n·target·(1 + 4u)` and `Less` when
+//! `S√ + B < n·target·(1 − 4u)`, all in floats. A rounded sum exceeds a
+//! float only if the exact sum does. The other roundings (two in each
+//! threshold, three in `B`) and subnormal terms (at most 2⁻¹⁰⁷⁴ each,
+//! while `target·ε` is normal) cost `O(n·u²·target)`. Near the threshold
+//! `S√ ≥ n·target/2`, so the padding's `6u·S√ + u·P/16` covers them;
+//! farther away the gap to the threshold does. A probe neither test
+//! settles is evaluated with `powf`, as before. On real boards
+//! `P ≈ n·S√/2`, so `B ≈ γ·n·target`: a quarter of the anchors' margin,
+//! and about a sixth of the gap's probes still need `powf`. An infinite
+//! or overflowing sum makes `S√ − B` NaN and `S√ + B` infinite, so
+//! neither test passes. Debug builds re-evaluate every certified probe
+//! with `powf` and assert the answer.
 
 use crate::params::ProcessParams;
+use neurfill_obs::{Counter, Telemetry};
 use std::cell::Cell;
 use std::cmp::Ordering;
+use std::ops::AddAssign;
 
 /// Instrumentation from one reference-plane solve. Every O(windows)
 /// pass over the board is counted in `force_evals` or `hint_passes`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ContactSolveStats {
-    /// Mean-force evaluations: the anchor candidates (with `√d·d` at
-    /// `e = 1.5`, within the same rounding bound) plus every probe no
-    /// anchor decides (with `powf`, as the reference).
+    /// Board passes that evaluate a force: the anchor candidates and
+    /// every certification (both with `√d·d` at `e = 1.5`), plus every
+    /// `powf` evaluation of a probe.
     pub force_evals: u64,
     /// Newton passes spent locating the root for the anchors.
     pub hint_passes: u64,
     /// Probes answered from an anchor without reading the board.
     pub anchored_probes: u64,
+    /// Probes inside the anchors' gap settled by one `√d·d` pass and its
+    /// error bound (module docs).
+    pub certified_probes: u64,
+    /// Probes evaluated with `powf`, as the reference evaluates them.
+    pub exact_probes: u64,
     /// Grid steps taken while bracketing the root from below.
     pub bracket_steps: u64,
+}
+
+/// The counter names [`ContactSolveStats::counts`] reports, in order.
+const COUNTER_NAMES: [&str; 6] = [
+    "force_evals",
+    "hint_passes",
+    "anchored_probes",
+    "certified_probes",
+    "exact_probes",
+    "bracket_steps",
+];
+
+impl ContactSolveStats {
+    /// Every counter, in [`COUNTER_NAMES`] order.
+    fn counts(&self) -> [u64; 6] {
+        [
+            self.force_evals,
+            self.hint_passes,
+            self.anchored_probes,
+            self.certified_probes,
+            self.exact_probes,
+            self.bracket_steps,
+        ]
+    }
+}
+
+impl AddAssign for ContactSolveStats {
+    fn add_assign(&mut self, other: Self) {
+        self.force_evals += other.force_evals;
+        self.hint_passes += other.hint_passes;
+        self.anchored_probes += other.anchored_probes;
+        self.certified_probes += other.certified_probes;
+        self.exact_probes += other.exact_probes;
+        self.bracket_steps += other.bracket_steps;
+    }
+}
+
+/// The `<scope>.contact.*` telemetry counters, one per field of
+/// [`ContactSolveStats`], registered once so that adding a solve's
+/// stats costs only atomics.
+#[derive(Debug, Clone)]
+pub struct ContactCounters([Counter; 6]);
+
+impl ContactCounters {
+    /// Registers `<scope>.contact.<field>` for every field.
+    #[must_use]
+    pub fn new(telemetry: &Telemetry, scope: &str) -> Self {
+        Self(COUNTER_NAMES.map(|name| telemetry.counter(&format!("{scope}.contact.{name}"))))
+    }
+
+    /// Adds one solve's (or a sum of solves') stats.
+    pub fn add(&self, stats: &ContactSolveStats) {
+        for (counter, n) in self.0.iter().zip(stats.counts()) {
+            counter.add(n);
+        }
+    }
 }
 
 /// Solves for the pad reference plane `z_ref` so that
@@ -123,13 +227,14 @@ pub fn solve_reference_plane_stats(heights: &[f64], params: &ProcessParams) -> (
         zmin = f64::min(zmin, z);
         zsum += z;
     }
-    let evals = Cell::new(0u64);
-    let force = |z_ref: f64| -> f64 {
-        evals.set(evals.get() + 1);
-        mean_force(heights, k, e, z_ref)
+    let stats = Cell::new(ContactSolveStats::default());
+    let count = |bump: fn(&mut ContactSolveStats)| {
+        let mut s = stats.get();
+        bump(&mut s);
+        stats.set(s);
     };
     let candidate_force = |z_ref: f64| -> f64 {
-        evals.set(evals.get() + 1);
+        count(|s| s.force_evals += 1);
         anchor_force(heights, k, e, z_ref)
     };
     // Jensen: the mean height minus the flat-chip penetration is never
@@ -137,27 +242,38 @@ pub fn solve_reference_plane_stats(heights: &[f64], params: &ProcessParams) -> (
     // monotonically.
     let start = zsum / heights.len() as f64 - params.reference_penetration;
     let (anchors, hint_passes) = find_anchors(heights, k, e, target, start, candidate_force);
-    let anchored = Cell::new(0u64);
+    let limits = certify_limits(heights.len(), target);
     let force_vs_target = |z_ref: f64| -> Option<Ordering> {
         let known = anchors.and_then(|(over, under)| {
-            if z_ref <= over {
-                Some(Ordering::Greater)
+            let side = if z_ref <= over {
+                Ordering::Greater
             } else if z_ref >= under {
-                Some(Ordering::Less)
+                Ordering::Less
+            } else if e == 1.5 {
+                count(|s| s.force_evals += 1);
+                let (sum, partials) = sqrt_force_sums(heights, k, z_ref);
+                let certified = certify(sum, certified_bound(sum, partials), limits)?;
+                count(|s| s.certified_probes += 1);
+                return Some(certified);
             } else {
-                None
-            }
+                return None;
+            };
+            count(|s| s.anchored_probes += 1);
+            Some(side)
         });
         if known.is_some() {
             debug_assert_eq!(
                 mean_force(heights, k, e, z_ref).partial_cmp(&target),
                 known,
-                "anchors {anchors:?} misjudged the probe at {z_ref}"
+                "anchors {anchors:?} or the certified bound misjudged the probe at {z_ref}"
             );
-            anchored.set(anchored.get() + 1);
             return known;
         }
-        force(z_ref).partial_cmp(&target)
+        count(|s| {
+            s.force_evals += 1;
+            s.exact_probes += 1;
+        });
+        mean_force(heights, k, e, z_ref).partial_cmp(&target)
     };
     let hi = zmax;
     let (lo, bracket_steps) = bracket_lo(
@@ -167,13 +283,7 @@ pub fn solve_reference_plane_stats(heights: &[f64], params: &ProcessParams) -> (
         force_vs_target,
     );
     let z_ref = bisect(lo, hi, force_vs_target);
-    let stats = ContactSolveStats {
-        force_evals: evals.get(),
-        hint_passes,
-        anchored_probes: anchored.get(),
-        bracket_steps,
-    };
-    (z_ref, stats)
+    (z_ref, ContactSolveStats { hint_passes, bracket_steps, ..stats.get() })
 }
 
 /// The floating-point mean force `F(z_ref)` every probe compares against
@@ -199,14 +309,48 @@ fn anchor_force(heights: &[f64], k: f64, e: f64, z_ref: f64) -> f64 {
     if e != 1.5 {
         return mean_force(heights, k, e, z_ref);
     }
-    let mut sum = 0.0;
+    sqrt_force_sums(heights, k, z_ref).0 / heights.len() as f64
+}
+
+/// One `√d·d` pass in board order: the ordered sum `S√` of
+/// `k · (√d · d)` over the contacting windows, and `P`, the sum of its
+/// running partial sums (module docs, "Certified probes").
+fn sqrt_force_sums(heights: &[f64], k: f64, z_ref: f64) -> (f64, f64) {
+    let (mut sum, mut partials) = (0.0, 0.0);
     for &z in heights {
         if z > z_ref {
             let d = z - z_ref;
             sum += k * (d.sqrt() * d);
+            partials += sum;
         }
     }
-    sum / heights.len() as f64
+    (sum, partials)
+}
+
+/// `B = 24u·S√ + (2 + 1/16)·u·P`, the padded bound on `|S_F − S√|`
+/// (module docs).
+fn certified_bound(sum: f64, partials: f64) -> f64 {
+    let u = f64::EPSILON / 2.0;
+    24.0 * u * sum + (2.0 + 1.0 / 16.0) * u * partials
+}
+
+/// The certified probes' thresholds `n·target·(1 ± 4u)`.
+fn certify_limits(n: usize, target: f64) -> (f64, f64) {
+    let nt = n as f64 * target;
+    (nt * (1.0 + 2.0 * f64::EPSILON), nt * (1.0 - 2.0 * f64::EPSILON))
+}
+
+/// The reference's answer for a probe whose `√d·d` sum reads `sum`, when
+/// `sum ± bound` lies wholly on one side of the thresholds `limits`
+/// ([`certify_limits`]); `None` when it straddles them.
+fn certify(sum: f64, bound: f64, (above, below): (f64, f64)) -> Option<Ordering> {
+    if sum - bound > above {
+        Some(Ordering::Greater)
+    } else if sum + bound < below {
+        Some(Ordering::Less)
+    } else {
+        None
+    }
 }
 
 /// The anchors' margin `m = 4γ = 4·(n + e + 12)·u` (module docs).
@@ -723,29 +867,42 @@ mod tests {
         println!("{checked} forces, worst |F − f| = {worst:.3e}·γ");
     }
 
+    /// Runs the polish loop of one layer under `p` and hands `visit`
+    /// every smoothed board the contact solve sees, with its step.
+    fn polish_boards(
+        layer: &crate::LayerInput,
+        p: &ProcessParams,
+        mut visit: impl FnMut(usize, &[f64]),
+    ) {
+        use crate::shard::{dish_erosion_factors, polish_pointwise};
+        let kernel = crate::PadKernel::exponential(p.character_length, p.kernel_radius);
+        let (rows, cols) = (layer.rows, layer.cols);
+        let rho_eff = kernel.apply(&layer.density, rows, cols);
+        let (dish, erosion) = dish_erosion_factors(&layer.avg_width, &layer.perimeter, p);
+        let mut z_up = vec![p.initial_height; rows * cols];
+        let mut z_down: Vec<f64> = z_up.iter().map(|z| z - p.initial_step).collect();
+        for step in 0..p.steps {
+            let smoothed = kernel.apply(&z_up, rows, cols);
+            let z_ref = solve_reference_plane(&smoothed, p);
+            let pressures = window_pressures(&smoothed, z_ref, p);
+            polish_pointwise(&mut z_up, &mut z_down, &pressures, &rho_eff, &dish, &erosion, p);
+            visit(step, &smoothed);
+        }
+    }
+
     /// The polish loop of designs A/B/C at 32×32 under the default
     /// process: every smoothed board the contact solve sees.
     fn abc_boards() -> Vec<(String, Vec<f64>)> {
-        use crate::shard::{dish_erosion_factors, polish_pointwise};
-        use crate::{LayerInput, PadKernel};
         let p = ProcessParams::default();
-        let kernel = PadKernel::exponential(p.character_length, p.kernel_radius);
         let mut boards = Vec::new();
         for layout in neurfill_layout::benchmark_designs(32, 32, 1) {
             for layer in 0..layout.num_layers() {
-                let input = LayerInput::from_layout(&layout, layer);
-                let (rows, cols) = (input.rows, input.cols);
-                let rho_eff = kernel.apply(&input.density, rows, cols);
-                let (dish, erosion) = dish_erosion_factors(&input.avg_width, &input.perimeter, &p);
-                let mut z_up = vec![p.initial_height; rows * cols];
-                let mut z_down: Vec<f64> = z_up.iter().map(|z| z - p.initial_step).collect();
-                for step in 0..p.steps {
-                    let smoothed = kernel.apply(&z_up, rows, cols);
-                    let z_ref = solve_reference_plane(&smoothed, &p);
-                    let pressures = window_pressures(&smoothed, z_ref, &p);
-                    polish_pointwise(&mut z_up, &mut z_down, &pressures, &rho_eff, &dish, &erosion, &p);
-                    boards.push((format!("{} layer {layer} step {step}", layout.name()), smoothed));
-                }
+                polish_boards(&crate::LayerInput::from_layout(&layout, layer), &p, |step, smoothed| {
+                    boards.push((
+                        format!("{} layer {layer} step {step}", layout.name()),
+                        smoothed.to_vec(),
+                    ));
+                });
             }
         }
         boards
@@ -797,28 +954,75 @@ mod tests {
         (probes, lo)
     }
 
-    /// Answers every probe of `probes` both ways — from the anchors, and
-    /// by the `powf` force the reference reads — and returns (answers
-    /// from an anchor, of which wrong). `anchors` are the solver's own
-    /// and the tightest pair the acceptance test admits among the probes.
-    fn answer_both_ways(heights: &[f64], p: &ProcessParams, probes: &[f64]) -> (u64, u64) {
+    /// Every probe of [`reference_probes`], plus every float within 32
+    /// ulps of where `F` crosses the target (where its rounding noise
+    /// lives).
+    fn probes_near_root(heights: &[f64], p: &ProcessParams) -> Vec<f64> {
+        let (mut probes, root) = reference_probes(heights, p);
+        let (mut below, mut above) = (root, root);
+        for _ in 0..32 {
+            below = below.next_down();
+            above = above.next_up();
+            probes.extend([below, above]);
+        }
+        probes
+    }
+
+    /// Answers given to a set of probes other than by `powf`, and how
+    /// many of them disagree with `powf`.
+    #[derive(Debug, Default, Clone, Copy)]
+    struct Answers {
+        /// From an anchor.
+        anchored: u64,
+        /// By certification (the `√d·d` pass and its bound `B`).
+        certified: u64,
+        /// Anchored or certified answers that disagree with `powf`.
+        wrong: u64,
+        /// Certified answers with `B` forced to 0 that disagree.
+        wrong_unbounded: u64,
+    }
+
+    impl AddAssign for Answers {
+        fn add_assign(&mut self, o: Self) {
+            self.anchored += o.anchored;
+            self.certified += o.certified;
+            self.wrong += o.wrong;
+            self.wrong_unbounded += o.wrong_unbounded;
+        }
+    }
+
+    /// Answers every probe of `probes` from the anchors, by
+    /// certification (every probe, not only the gap's), with `B` forced to
+    /// 0, and by the `powf` force the reference reads. The anchors are the
+    /// solver's own and the tightest pair the acceptance test admits among
+    /// the probes.
+    fn answer_every_way(heights: &[f64], p: &ProcessParams, probes: &[f64]) -> Answers {
         let (k, e, target) = (p.contact_stiffness(), p.contact_exponent, p.applied_pressure);
         let margin = anchor_margin(heights.len(), e);
+        let limits = certify_limits(heights.len(), target);
         let start = heights.iter().sum::<f64>() / heights.len() as f64 - p.reference_penetration;
         let (solver, _) = find_anchors(heights, k, e, target, start, |z| anchor_force(heights, k, e, z));
+        let mut answers = Answers::default();
         // (probe, force an anchor there is checked with, powf answer)
-        let probes: Vec<(f64, f64, Option<Ordering>)> = probes
-            .iter()
-            .map(|&z| {
-                (z, anchor_force(heights, k, e, z), mean_force(heights, k, e, z).partial_cmp(&target))
-            })
-            .collect();
-        let tightest = |side| probes.iter().filter(move |(_, f, _)| settles(side, *f, target, margin));
+        let mut probes_read = Vec::new();
+        for &z in probes {
+            let (sum, partials) = sqrt_force_sums(heights, k, z);
+            let truth = mean_force(heights, k, e, z).partial_cmp(&target);
+            if let Some(certified) = certify(sum, certified_bound(sum, partials), limits) {
+                answers.certified += 1;
+                answers.wrong += u64::from(truth != Some(certified));
+            }
+            if let Some(unbounded) = certify(sum, 0.0, limits) {
+                answers.wrong_unbounded += u64::from(truth != Some(unbounded));
+            }
+            probes_read.push((z, sum / heights.len() as f64, truth));
+        }
+        let tightest =
+            |side| probes_read.iter().filter(move |(_, f, _)| settles(side, *f, target, margin));
         let over = tightest(Ordering::Greater).map(|(z, ..)| *z).fold(f64::NEG_INFINITY, f64::max);
         let under = tightest(Ordering::Less).map(|(z, ..)| *z).fold(f64::INFINITY, f64::min);
-        let (mut answered, mut wrong) = (0, 0);
         for (over, under) in solver.into_iter().chain([(over, under)]) {
-            for &(z, _, truth) in &probes {
+            for &(z, _, truth) in &probes_read {
                 let known = if z <= over {
                     Ordering::Greater
                 } else if z >= under {
@@ -826,22 +1030,19 @@ mod tests {
                 } else {
                     continue;
                 };
-                answered += 1;
-                if truth != Some(known) {
-                    wrong += 1;
-                }
+                answers.anchored += 1;
+                answers.wrong += u64::from(truth != Some(known));
             }
         }
-        (answered, wrong)
+        answers
     }
 
-    /// The release-build proof of the anchor rule on the boards the
-    /// product solves: every probe of the reference bisection, plus every
-    /// float within 32 ulps of where `F` crosses the target (where its
-    /// rounding noise lives), answered from the anchors and by `powf` —
-    /// for A/B/C's 450 polish-loop boards at 32×32, and six of them
-    /// (layer 0, steps 0 and 30) tiled 8 × 8 to `chip_golden`'s 65 536
-    /// windows. With the margin set to 0 some answers disagree.
+    /// The proof of the anchor and certification rules on the boards
+    /// the product solves: every probe of [`probes_near_root`] answered
+    /// from the anchors, by certification and by `powf` — for A/B/C's
+    /// 450 polish-loop boards at 32×32, and six of them (layer 0, steps 0
+    /// and 30) tiled 8 × 8 to `chip_golden`'s 65 536 windows. With the
+    /// margin set to 0 some anchored answers disagree.
     #[test]
     fn anchored_answers_match_powf_on_every_probe_of_abc_boards() {
         let p = ProcessParams::default();
@@ -856,26 +1057,62 @@ mod tests {
                 (format!("{what} tiled 8x8"), big)
             })
             .collect();
-        let (mut answered, mut wrong, mut first_wrong) = (0, 0, None);
+        let (mut total, mut first_wrong) = (Answers::default(), None);
         for (what, h) in boards.iter().chain(&tiled) {
-            let (mut probes, root) = reference_probes(h, &p);
-            let (mut below, mut above) = (root, root);
-            for _ in 0..32 {
-                below = below.next_down();
-                above = above.next_up();
-                probes.extend([below, above]);
-            }
-            let (a, w) = answer_both_ways(h, &p, &probes);
-            answered += a;
-            wrong += w;
-            if w > 0 && first_wrong.is_none() {
+            let answers = answer_every_way(h, &p, &probes_near_root(h, &p));
+            if answers.wrong > 0 && first_wrong.is_none() {
                 first_wrong = Some(what);
             }
+            total += answers;
         }
-        assert_eq!(
-            wrong, 0,
-            "{wrong} of {answered} anchored answers disagree with powf, first on {first_wrong:?}"
-        );
-        assert!(answered > 450 * 60, "{answered}");
+        assert_eq!(total.wrong, 0, "{total:?} disagree with powf, first on {first_wrong:?}");
+        assert!(total.anchored > 450 * 60 && total.certified > 450 * 50, "{total:?}");
+    }
+
+    /// The same proof on every polish-loop board of layer 0 of
+    /// `chip_golden`'s chip (design C, 256², seed 7), the boards whose
+    /// anchors leave probes in their gap, where the solver also equals
+    /// the reference bit for bit.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "release-only: ci.sh runs it with --release")]
+    fn anchored_and_certified_answers_match_powf_on_chip_golden_boards() {
+        use neurfill_layout::{DesignKind, FullChipSpec};
+        let p = ProcessParams::default();
+        let chip = FullChipSpec::new(DesignKind::RiscV, 256, 256, 7).build().generate();
+        let mut total = Answers::default();
+        let mut boards = 0;
+        polish_boards(&crate::LayerInput::from_layout(&chip, 0), &p, |step, h| {
+            let want = solve_reference_plane_reference(h, &p);
+            assert_eq!(solve_reference_plane(h, &p).to_bits(), want.to_bits(), "step {step}");
+            let answers = answer_every_way(h, &p, &probes_near_root(h, &p));
+            assert_eq!(answers.wrong, 0, "step {step}: {answers:?} disagree with powf");
+            total += answers;
+            boards += 1;
+        });
+        println!("{boards} boards: {total:?}");
+        assert_eq!(boards, p.steps);
+        assert!(total.certified > boards as u64 * 30, "{total:?}");
+    }
+
+    /// Certification with `B` forced to 0 misjudges a probe that the
+    /// bound keeps it from answering. On the product's boards the
+    /// thresholds' own `4u` happens to absorb `|S√ − S_F|` (chip_golden's
+    /// boards differ by at most 4u·n·target near the root), so this board
+    /// is built to expose it: 1 024 equal heights make every partial sum's
+    /// rounding systematic, and at `d = 20.000000000000117` under an
+    /// applied pressure of 1.3 the two terms, one ulp apart, straddle a
+    /// rounding boundary of the top binade. There `S√` reads
+    /// `n·target·(1 + 140u)` and `S_F` reads `n·target·(1 − 163u)` (with
+    /// glibc's `pow`; another libm may round that term elsewhere).
+    #[test]
+    fn certification_without_its_bound_misjudges_an_equal_height_board() {
+        let p = ProcessParams { applied_pressure: 1.3, ..ProcessParams::default() };
+        let h = vec![20.000_000_000_000_117; 1024];
+        // Probes one ulp of d apart around d = h (z = 0).
+        let probes: Vec<f64> = (-100..=100).map(|j| f64::from(j) * 2f64.powi(-48)).collect();
+        let answers = answer_every_way(&h, &p, &probes);
+        println!("{answers:?}");
+        assert_eq!(answers.wrong, 0, "{answers:?}");
+        assert!(answers.wrong_unbounded > 0, "B = 0 misjudged no probe: {answers:?}");
     }
 }

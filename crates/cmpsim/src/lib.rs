@@ -44,7 +44,7 @@ mod profile;
 pub mod shard;
 mod simulator;
 
-pub use contact::ContactSolveStats;
+pub use contact::{ContactCounters, ContactSolveStats};
 pub use kernel::PadKernel;
 pub use numgrad::FiniteDifference;
 pub use params::{ParamsDisplay, ProcessParams};

@@ -29,7 +29,7 @@
 //! [`CmpSimulator::simulate_layer`](crate::CmpSimulator) at any tile
 //! size — the property `crates/chip` pins across worker counts.
 
-use crate::contact::{solve_reference_plane_stats, window_pressures_into};
+use crate::contact::{solve_reference_plane_stats, window_pressures_into, ContactSolveStats};
 use crate::dsh::split_pressure;
 use crate::kernel::PadKernel;
 use crate::params::ProcessParams;
@@ -295,13 +295,9 @@ pub struct ShardStats {
     pub steps: usize,
     /// Halo cells gathered across all tiles and steps (×8 for bytes).
     pub halo_cells_exchanged: u64,
-    /// Contact-solve force evaluations (matches the monolithic run).
-    pub force_evals: u64,
-    /// Contact-solve hint passes — with `force_evals`, every O(cells)
-    /// pass the global solve made over the chip board.
-    pub hint_passes: u64,
-    /// Contact-solve probes answered from an anchor (no board pass).
-    pub anchored_probes: u64,
+    /// The global contact solves' stats, summed over the steps (the
+    /// monolithic run's, since the solve sees the same chip board).
+    pub contact: ContactSolveStats,
 }
 
 /// A shard-mapping strategy: applies `f` to every shard, returning them
@@ -364,9 +360,7 @@ pub fn simulate_layer_sharded(
             s.scatter_smoothed(&mut smoothed, chip_cols);
         }
         let (z_ref, solve_stats) = solve_reference_plane_stats(&smoothed, params);
-        stats.force_evals += solve_stats.force_evals;
-        stats.hint_passes += solve_stats.hint_passes;
-        stats.anchored_probes += solve_stats.anchored_probes;
+        stats.contact += solve_stats;
         shards = map(shards, &move |mut s: TileShard| {
             s.update(z_ref, params);
             s
@@ -443,10 +437,17 @@ mod tests {
         let snap = telemetry.snapshot();
         let tiling = Tiling::square(layout.rows(), layout.cols(), 5, params.kernel_radius);
         let (_, stats) = sharded_layer(&layout, 0, &tiling, &params);
-        assert_eq!(stats.force_evals, snap.counter("sim.contact.force_evals"));
-        assert_eq!(stats.hint_passes, snap.counter("sim.contact.hint_passes"));
-        assert_eq!(stats.anchored_probes, snap.counter("sim.contact.anchored_probes"));
-        assert!(stats.anchored_probes > 0, "the equalities above must not be 0 == 0");
+        let mono = |name: &str| snap.counter(&format!("sim.contact.{name}"));
+        let monolithic = ContactSolveStats {
+            force_evals: mono("force_evals"),
+            hint_passes: mono("hint_passes"),
+            anchored_probes: mono("anchored_probes"),
+            certified_probes: mono("certified_probes"),
+            exact_probes: mono("exact_probes"),
+            bracket_steps: mono("bracket_steps"),
+        };
+        assert_eq!(stats.contact, monolithic);
+        assert!(stats.contact.anchored_probes > 0, "the equality above must not be 0 == 0");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! modifiers); (4) the Preston equation removes material. The loop runs
 //! until the configured total polish time.
 
-use crate::contact::{solve_reference_plane_stats, window_pressures_into};
+use crate::contact::{solve_reference_plane_stats, window_pressures_into, ContactCounters};
 use crate::kernel::PadKernel;
 use crate::params::ProcessParams;
 use crate::profile::{ChipProfile, LayerProfile};
@@ -64,8 +64,11 @@ impl LayerInput {
         if self.density.iter().any(|d| !(0.0..=1.0).contains(d)) {
             return Err("density out of [0,1]".into());
         }
-        if self.avg_width.iter().any(|w| *w <= 0.0) {
-            return Err("non-positive feature width".into());
+        if !self.avg_width.iter().all(|w| w.is_finite() && *w > 0.0) {
+            return Err("feature width not finite and positive".into());
+        }
+        if !self.perimeter.iter().all(|per| per.is_finite() && *per >= 0.0) {
+            return Err("perimeter not finite and non-negative".into());
         }
         Ok(())
     }
@@ -179,9 +182,7 @@ impl CmpSimulator {
                 self.telemetry.histogram("sim.kernel_ns"),
                 self.telemetry.counter("sim.kernel.applies"),
                 self.telemetry.counter("sim.kernel.windows"),
-                self.telemetry.counter("sim.contact.force_evals"),
-                self.telemetry.counter("sim.contact.hint_passes"),
-                self.telemetry.counter("sim.contact.anchored_probes"),
+                ContactCounters::new(&self.telemetry, "sim"),
             )
         });
         let p = &self.params;
@@ -215,15 +216,11 @@ impl CmpSimulator {
             let (z_ref, solve_stats) = solve_reference_plane_stats(&smoothed, p);
             window_pressures_into(&smoothed, z_ref, p, &mut pressures);
             let t2 = self.telemetry.now_ns();
-            if let Some((kernel_h, applies, windows, force_evals, hint_passes, anchored_probes)) =
-                &kernel_meters
-            {
+            if let Some((kernel_h, applies, windows, contact)) = &kernel_meters {
                 kernel_h.record(t1.saturating_sub(t0));
                 applies.inc();
                 windows.add(n as u64);
-                force_evals.add(solve_stats.force_evals);
-                hint_passes.add(solve_stats.hint_passes);
-                anchored_probes.add(solve_stats.anchored_probes);
+                contact.add(&solve_stats);
             }
             // (3) DSH split + (4) Preston removal.
             crate::shard::polish_pointwise(
@@ -432,6 +429,21 @@ mod tests {
         let mut input3 = uniform_layer(4, 4, 0.5);
         input3.perimeter.pop();
         assert!(input3.validate().is_err());
+        // A non-finite width or perimeter simulates to non-finite heights,
+        // and a negative perimeter to a negative erosion factor.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut width = uniform_layer(4, 4, 0.5);
+            width.avg_width[5] = bad;
+            assert!(width.validate().is_err(), "width {bad}");
+        }
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1e9, -1e-300] {
+            let mut perimeter = uniform_layer(4, 4, 0.5);
+            perimeter.perimeter[5] = bad;
+            assert!(perimeter.validate().is_err(), "perimeter {bad}");
+        }
+        let mut bare = uniform_layer(4, 4, 0.5);
+        bare.perimeter[5] = 0.0;
+        assert!(bare.validate().is_ok(), "a window without copper has no perimeter");
     }
 
     #[test]
