@@ -41,16 +41,20 @@ cargo test -p neurfill-cmpsim --test kernel_equivalence -q
 cargo test -p neurfill-nn --test determinism -q
 
 # Debug builds re-evaluate every anchored and every certified contact probe
-# with powf (both skip rules are asserted on every board the suites
+# with powf, and assert every certified pressure and exact-probe term
+# against powf (all skip rules are asserted on every board the suites
 # simulate); release builds are the shipped path that actually skips. Both
-# must match the reference bits. The release-only proof answers every probe
+# must match the reference bits. The release-only proofs answer every probe
 # near the root of all 50 boards of one layer of chip_golden's chip from the
-# anchors, by certification and with powf, and bit_identity pins the
+# anchors, by certification and with powf, and compare every certified
+# pressure and every exact-probe term of all 150 boards of its three layers
+# with k·powf(d, 3/2), pinning the share left to powf; bit_identity pins the
 # powf-probe count on that chip (at most 0.4 per solve) next to its
 # sharded == monolithic bytes.
-echo "== anchored + certified contact solve, release build (bitwise vs reference, sharded == monolithic, chip_golden boards)"
+echo "== anchored + certified contact solve and certified pressures, release build (bitwise vs reference, sharded == monolithic, chip_golden boards)"
 cargo test --release -p neurfill-cmpsim --test kernel_equivalence -q
 cargo test --release -p neurfill-cmpsim --lib contact::tests::anchored_and_certified_answers_match_powf_on_chip_golden_boards -q
+cargo test --release -p neurfill-cmpsim --lib contact::tests::certified_pressures_match_powf_on_all_chip_golden_boards -q
 cargo test --release -p neurfill-chip --test bit_identity -q
 
 # The line search, the frozen-surrogate backward, the row-span im2col/col2im,
@@ -72,11 +76,13 @@ cargo test --release -p neurfill-chip --test bit_identity -q
 # of a longer one, which is what lets the flow's iteration cap stop a job
 # early without moving a bit of the iterations it keeps. The row-accumulated
 # pad kernel is compared with
-# `apply_reference` through its plain body and its AVX2 build, each called
-# directly; the contact suite answers every bisection probe of A/B/C's
-# boards from the anchors (checked with `√d·d`), by certification and with
-# `powf` (the chip_golden boards ran in the block above).
-echo "== replacement-vs-oracle suites, release build (line search, SQP prefix, frozen + per-layer planarity, tape reuse, score + batched forward, im2col/col2im + conv backward, direct conv forward, insertion + sink, fused norm node, pad kernel windows, anchor + certification checks, trajectory + training pins, live heap per job and per training step)"
+# `apply_reference` through its plain body and its AVX2 build (register
+# blocks), each called directly; the contact suite answers every bisection
+# probe of A/B/C's boards from the anchors (checked with `√d·d`), by
+# certification and with `powf`, and calls the certified pressures' FMA
+# body and the powf-only body directly against `k·powf` (the chip_golden
+# boards ran in the block above).
+echo "== replacement-vs-oracle suites, release build (line search, SQP prefix, frozen + per-layer planarity, tape reuse, score + batched forward, im2col/col2im + conv backward, direct conv forward, insertion + sink, fused norm node, pad kernel windows, anchor + certification checks, certified pressures, trajectory + training pins, live heap per job and per training step)"
 cargo test --release -p neurfill-cmpsim --lib kernel -q
 cargo test --release -p neurfill-cmpsim --lib contact -q -- --skip chip_golden_boards
 cargo test --release -p neurfill-optim --lib linesearch -q

@@ -2,8 +2,9 @@
 //! reference implementations: blocked GEMM, row-span im2col, the direct
 //! convolution forward (against im2col + GEMM), the frozen-surrogate UNet
 //! backward, the row-accumulated pad convolution
-//! (whole boards and a shard's core window) and the anchored contact
-//! solve (random boards and one of `chip_golden`'s) — plus frozen-UNet
+//! (whole boards and a shard's core window), the anchored contact
+//! solve (random boards and one of `chip_golden`'s) and the certified
+//! pressures pass against `powf` on every window — plus frozen-UNet
 //! inference at the batch sizes the runtime pool forms and one
 //! end-to-end labeling run, so kernel wins are tied to pipeline
 //! wall-clock.
@@ -23,13 +24,13 @@
 use neurfill_bench::records::{output_path, print_table, write_table, BenchRecord};
 use neurfill_cmpsim::contact::{
     solve_reference_plane, solve_reference_plane_reference, solve_reference_plane_stats,
-    window_pressures,
+    window_pressures, window_pressures_into,
 };
 use neurfill_cmpsim::shard::{dish_erosion_factors, polish_pointwise};
 use neurfill_cmpsim::{LayerInput, PadKernel, ProcessParams};
 use neurfill_data::LabelConfig;
 use neurfill_layout::datagen::DataGenConfig;
-use neurfill_layout::{benchmark_designs, DesignKind, FullChipSpec};
+use neurfill_layout::{benchmark_designs, DesignKind, FullChipSpec, Layout};
 use neurfill_nn::{Module, UNet, UNetConfig};
 use neurfill_tensor::kernels::{gemm, gemm_reference, set_gemm_threads};
 use neurfill_tensor::{conv2d_forward, im2col_into, NdArray, Tensor};
@@ -349,7 +350,13 @@ fn bench_pad_kernel(rows: &mut Vec<BenchRecord>) {
 /// seed 7) hands the contact solve at polish step `step` under `params`.
 fn chip_golden_board(params: &ProcessParams, step: usize) -> Vec<f64> {
     let chip = FullChipSpec::new(DesignKind::RiscV, 256, 256, 7).build().generate();
-    let input = LayerInput::from_layout(&chip, 0);
+    polished_board(&chip, params, step)
+}
+
+/// The smoothed board layer 0 of `layout` hands the contact solve at
+/// polish step `step` under `params`.
+fn polished_board(layout: &Layout, params: &ProcessParams, step: usize) -> Vec<f64> {
+    let input = LayerInput::from_layout(layout, 0);
     let (rows, cols) = (input.rows, input.cols);
     let kernel = PadKernel::exponential(params.character_length, params.kernel_radius);
     let rho_eff = kernel.apply(&input.density, rows, cols);
@@ -395,6 +402,42 @@ fn bench_contact(rows: &mut Vec<BenchRecord>) {
     }
 }
 
+/// The per-window pressures pass of a polish step: every window with
+/// `powf` (the reference) against `window_pressures_into`, whose
+/// certified `d^{3/2}` leaves only some windows to `powf` — on
+/// `chip_golden`'s 256² board halfway through its polish and on design
+/// A's 32² board at the same step.
+fn bench_contact_pressures(rows: &mut Vec<BenchRecord>) {
+    let params = ProcessParams::default();
+    let design_a = benchmark_designs(32, 32, 1).swap_remove(0);
+    let boards = [
+        ("chip_golden_256x256_step25", chip_golden_board(&params, 25)),
+        ("design_a_32x32_step25", polished_board(&design_a, &params, 25)),
+    ];
+    let (k, e) = (params.contact_stiffness(), params.contact_exponent);
+    for (shape, heights) in boards {
+        let z_ref = solve_reference_plane(&heights, &params);
+        let mut want = vec![0.0; heights.len()];
+        let mut out = vec![0.0; heights.len()];
+        let powf_pass = |out: &mut [f64]| {
+            for (q, &z) in out.iter_mut().zip(&heights) {
+                *q = k * (z - z_ref).max(0.0).powf(e);
+            }
+        };
+        powf_pass(&mut want);
+        let fallbacks = window_pressures_into(&heights, z_ref, &params, &mut out);
+        assert!(want.iter().zip(&out).all(|(a, b)| a.to_bits() == b.to_bits()), "pressures {shape}");
+        println!("contact_pressures {shape}: {fallbacks} of {} windows with powf", heights.len());
+        let (reference_ns, ns) = time_pair_ns(
+            || powf_pass(&mut want),
+            || {
+                std::hint::black_box(window_pressures_into(&heights, z_ref, &params, &mut out));
+            },
+        );
+        rows.push(row("contact_pressures", shape.to_string(), ns, Some(reference_ns)));
+    }
+}
+
 /// End-to-end: the same corpus generation the `labeling` bench runs —
 /// layout generation → golden simulation → shard writes. Every hot loop
 /// in it goes through the kernels above.
@@ -430,6 +473,7 @@ fn main() {
     bench_unet_infer(&mut rows);
     bench_pad_kernel(&mut rows);
     bench_contact(&mut rows);
+    bench_contact_pressures(&mut rows);
     bench_labeling(&mut rows);
 
     print_table(&rows);

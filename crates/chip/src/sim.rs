@@ -164,3 +164,17 @@ impl ChipSimulator {
         Ok((ChipProfile::new(layers), stats))
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A radius past the cap is refused with the monolithic simulator's
+    /// message, before any kernel is allocated.
+    #[test]
+    fn an_oversized_kernel_radius_is_refused() {
+        let params = ProcessParams { kernel_radius: 100_000, ..ProcessParams::fast() };
+        let err = ChipSimulator::new(ChipSimConfig { params, ..ChipSimConfig::fast(8, 1) }).err();
+        assert_eq!(err.as_deref(), Some("kernel_radius must be at most 64"));
+    }
+}

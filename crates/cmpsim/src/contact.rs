@@ -100,6 +100,59 @@
 //! or overflowing sum makes `S√ − B` NaN and `S√ + B` infinite, so
 //! neither test passes. Debug builds re-evaluate every certified probe
 //! with `powf` and assert the answer.
+//!
+//! # Certified pressures
+//!
+//! Every polish step computes `k · powf(dᵢ, e)`, `dᵢ = ⟨zᵢ − z_ref⟩`, at
+//! every window ([`window_pressures_into`]), and an exact probe does so
+//! at every contacting window. At `e = 3/2`, on a host with FMA, each
+//! `d^{3/2}` is first computed from exact residuals:
+//!
+//! * `s = RN(√d)`, `ρ = fma(−s, s, d)`, `σ = RN(ρ/(2s))`;
+//! * `p = RN(s·d)`, `π = fma(s, d, −p)`;
+//! * `c = RN(π + RN(d·σ))`, `y = RN(p + c)`, `t = RN((p − y) + c)`.
+//!
+//! `y` is accepted when `2⁻⁵⁰⁰ ≤ d ≤ 2⁵⁰⁰`, `y` is not a power of two and
+//! `|t| ≤ 0.45·ulp(y)`. The error chain, with `x = d^{3/2}` and
+//! `u = 2⁻⁵³` (the range keeps every quantity normal and far from
+//! overflow):
+//!
+//! * `ρ = d − s²` and `π = s·d − p` exactly: the residuals of a correctly
+//!   rounded square root and product are representable, and `fma`
+//!   rounds once.
+//! * `√d − s = ρ/(√d + s)` and `|√d − s| ≤ u·s`, so `ρ/(2s)` is within a
+//!   relative `u/2` of `√d − s`, and `σ` within `(3/2)·u`. Hence
+//!   `|d·σ − d·(√d − s)| ≤ (3/2)·u²·p`, to first order.
+//! * `x = p + π + d·(√d − s)`, `|π| ≤ u·p` and `|d·σ| ≤ u·p`, so the two
+//!   roundings in `c` cost at most `u·u·p + u·2u·p`, and
+//!   `|x − (p + c)| ≤ (9/2)·u²·p`.
+//! * `|c| ≤ 2u·p`, so `p + c` is a Fast2Sum: `y + t = p + c` exactly.
+//! * So `|x − y| ≤ |t| + (9/2)·u²·p`, and `p ≤ (1 + 3u)·y` and
+//!   `u·y < ulp(y)` make the last term less than `2⁻⁵⁰·ulp(y)`.
+//!
+//! An accepted `y` is therefore within `(0.45 + 2⁻⁵⁰)·ulp(y)` of `x`. It
+//! is not a power of two, so `x` lies in `y`'s binade, both neighbours
+//! of `y` are a whole `ulp(y)` away, and every other double is more than
+//! `(0.55 − 2⁻⁵⁰)·ulp(y)` from `x`. glibc documents `pow`'s worst case as
+//! 0.52–0.54 ulp, so `powf(d, 1.5)` returns `y`, and `k · y` is
+//! `k · powf(d, 1.5)` bit for bit.
+//!
+//! **The libm assumption.** The bits are `powf`'s wherever libm's `pow`
+//! errs by less than 0.55 ulp. On a libm that errs more, an accepted
+//! `y` may differ from its `powf` in the last bit (`y` is then the
+//! closer one to `x`): debug builds fail loudly, because they assert
+//! every accepted value against `powf`, and release builds differ from
+//! `powf` only on that host.
+//!
+//! Every window not accepted is computed with `powf`, as before: `d = 0`
+//! (including NaN heights, which `max(0.0)` maps to `0`), subnormal,
+//! tiny, huge and infinite `d`, `y` a power of two, and `|t|` past the
+//! margin — about one window in ten on real boards. The pressures take a
+//! branch-free pass that leaves NaN where it cannot settle a window,
+//! then a pass that computes those with `powf`; the exact probes take
+//! the same terms in the same order, so the same sum. A host without
+//! FMA or AVX2 runs the `powf`-only bodies, and
+//! [`solve_reference_plane_reference`] keeps `powf` verbatim.
 
 use crate::params::ProcessParams;
 use neurfill_obs::{Counter, Telemetry};
@@ -263,7 +316,7 @@ pub fn solve_reference_plane_stats(heights: &[f64], params: &ProcessParams) -> (
         });
         if known.is_some() {
             debug_assert_eq!(
-                mean_force(heights, k, e, z_ref).partial_cmp(&target),
+                mean_force_powf(heights, k, e, z_ref).partial_cmp(&target),
                 known,
                 "anchors {anchors:?} or the certified bound misjudged the probe at {z_ref}"
             );
@@ -291,12 +344,52 @@ pub fn solve_reference_plane_stats(heights: &[f64], params: &ProcessParams) -> (
 /// `k · max(0, ·)^e = +0.0` in the reference sum; adding `+0.0` to a
 /// non-negative partial sum is an exact no-op, so they are skipped
 /// without changing a bit. (NaN heights also match: the reference maps
-/// them to `+0.0` via `max(0.0)`, and `NaN > z` is false here.)
+/// them to `+0.0` via `max(0.0)`, and `NaN > z` is false here.) At
+/// `e = 3/2` on a host with FMA each term takes the certified `d^{3/2}`
+/// where it settles — the same terms in the same order, so the same sum.
 fn mean_force(heights: &[f64], k: f64, e: f64, z_ref: f64) -> f64 {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if e == 1.5 && has_fma() {
+            // SAFETY: the host supports AVX2 and FMA.
+            return unsafe { mean_force_fma(heights, k, z_ref) };
+        }
+    }
+    mean_force_powf(heights, k, e, z_ref)
+}
+
+/// [`mean_force`] with every term from `powf`.
+fn mean_force_powf(heights: &[f64], k: f64, e: f64, z_ref: f64) -> f64 {
     let mut sum = 0.0;
     for &z in heights {
         if z > z_ref {
             sum += k * (z - z_ref).powf(e);
+        }
+    }
+    sum / heights.len() as f64
+}
+
+/// [`mean_force`] at `e = 3/2`, each term from the certified `d^{3/2}`
+/// and from `powf` only where that cannot settle it.
+///
+/// # Safety
+///
+/// The host must support AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn mean_force_fma(heights: &[f64], k: f64, z_ref: f64) -> f64 {
+    let mut sum = 0.0;
+    for &z in heights {
+        if z > z_ref {
+            let d = z - z_ref;
+            let y = pow15_certified(d);
+            let power = if y.is_nan() {
+                d.powf(1.5)
+            } else {
+                debug_assert_eq!(y.to_bits(), d.powf(1.5).to_bits(), "certified d^1.5 at d = {d}");
+                y
+            };
+            sum += k * power;
         }
     }
     sum / heights.len() as f64
@@ -611,19 +704,114 @@ pub fn window_pressures(heights: &[f64], z_ref: f64, params: &ProcessParams) -> 
 }
 
 /// [`window_pressures`] into a caller-owned buffer (the polish loops
-/// reuse one across steps).
+/// reuse one across steps). Every pressure is `k · powf(⟨z − z_ref⟩, e)`
+/// bit for bit; at `e = 3/2` on a host with FMA most of them come from
+/// the certified `d^{3/2}` instead (module docs, "Certified
+/// pressures"). Returns how many windows were computed with `powf`.
 ///
 /// # Panics
 ///
 /// Panics when `out` and `heights` disagree in length.
-pub fn window_pressures_into(heights: &[f64], z_ref: f64, params: &ProcessParams, out: &mut [f64]) {
+pub fn window_pressures_into(
+    heights: &[f64],
+    z_ref: f64,
+    params: &ProcessParams,
+    out: &mut [f64],
+) -> usize {
     assert_eq!(out.len(), heights.len(), "pressure buffer length");
     let k = params.contact_stiffness();
     let e = params.contact_exponent;
+    #[cfg(target_arch = "x86_64")]
+    {
+        if e == 1.5 && has_fma() {
+            // SAFETY: the host supports AVX2 and FMA.
+            return unsafe { pressures_fma(heights, z_ref, k, out) };
+        }
+    }
+    pressures_powf(heights, z_ref, k, e, out)
+}
+
+/// The pressures as the reference computes them, every window with
+/// `powf`. Returns the window count.
+fn pressures_powf(heights: &[f64], z_ref: f64, k: f64, e: f64, out: &mut [f64]) -> usize {
     for (q, &z) in out.iter_mut().zip(heights) {
         *q = k * (z - z_ref).max(0.0).powf(e);
     }
+    out.len()
 }
+
+/// The pressures at `e = 3/2`: a branch-free pass of the certified
+/// `d^{3/2}` that leaves NaN where it cannot settle a window, then a
+/// pass that computes exactly those (and any NaN an accepted value
+/// produced) with `powf`. Returns how many windows took `powf`.
+///
+/// # Safety
+///
+/// The host must support AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn pressures_fma(heights: &[f64], z_ref: f64, k: f64, out: &mut [f64]) -> usize {
+    for (q, &z) in out.iter_mut().zip(heights) {
+        *q = k * pow15_certified((z - z_ref).max(0.0));
+    }
+    let mut fallbacks = 0;
+    for (q, &z) in out.iter_mut().zip(heights) {
+        let exact = || k * (z - z_ref).max(0.0).powf(1.5);
+        if q.is_nan() {
+            *q = exact();
+            fallbacks += 1;
+        } else {
+            debug_assert_eq!(q.to_bits(), exact().to_bits(), "certified pressure at z = {z}");
+        }
+    }
+    fallbacks
+}
+
+/// Whether the certified `d^{3/2}` runs: FMA makes each exact residual
+/// one instruction (`mul_add` is otherwise a slow libm call), AVX2 gives
+/// the pass four lanes. Detected once.
+#[cfg(target_arch = "x86_64")]
+fn has_fma() -> bool {
+    static FMA: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *FMA.get_or_init(|| is_x86_feature_detected!("fma") && is_x86_feature_detected!("avx2"))
+}
+
+/// `d^{3/2}` where it is certain to equal `powf(d, 1.5)`, else NaN
+/// (module docs, "Certified pressures"): `y = RN(s·d + c)` with the
+/// exact error `t` of that last addition, accepted when `d` is in
+/// `[2⁻⁵⁰⁰, 2⁵⁰⁰]`, `y` is not a power of two and `|t| ≤ 0.45·ulp(y)`.
+/// Branch-free, so a pass of it vectorizes. `mul_add` rounds once on
+/// any host, but is fast only under FMA codegen, so callers gate it on
+/// [`has_fma`].
+#[inline(always)]
+fn pow15_certified(d: f64) -> f64 {
+    const EXPONENT: u64 = 0x7ff0_0000_0000_0000;
+    const MANTISSA: u64 = 0x000f_ffff_ffff_ffff;
+    let s = d.sqrt();
+    let rho = (-s).mul_add(s, d);
+    let sigma = rho / (2.0 * s);
+    let p = s * d;
+    let pi = s.mul_add(d, -p);
+    let c = pi + d * sigma;
+    let y = p + c;
+    let t = (p - y) + c;
+    let bits = y.to_bits();
+    let ulp = f64::from_bits(bits & EXPONENT) * f64::EPSILON;
+    let certain =
+        (POW15_MIN..=POW15_MAX).contains(&d) && bits & MANTISSA != 0 && t.abs() <= POW15_MARGIN * ulp;
+    if certain {
+        y
+    } else {
+        f64::NAN
+    }
+}
+
+/// The certified `d^{3/2}`'s input range `[2⁻⁵⁰⁰, 2⁵⁰⁰]`: every
+/// intermediate and `y` itself stay normal.
+const POW15_MIN: f64 = f64::from_bits((1023 - 500) << 52);
+const POW15_MAX: f64 = f64::from_bits((1023 + 500) << 52);
+/// The largest `|t|`, in ulps of `y`, the certified `d^{3/2}` accepts.
+const POW15_MARGIN: f64 = 0.45;
 
 #[cfg(test)]
 mod tests {
@@ -853,7 +1041,7 @@ mod tests {
                     continue;
                 }
                 for (name, got) in
-                    [("√d·d", anchor_force(&h, k, e, z_ref)), ("powf", mean_force(&h, k, e, z_ref))]
+                    [("√d·d", anchor_force(&h, k, e, z_ref)), ("powf", mean_force_powf(&h, k, e, z_ref))]
                 {
                     let err = ((got - f.0) - f.1).abs();
                     let ratio = err / (gamma * f.0);
@@ -909,7 +1097,7 @@ mod tests {
     }
 
     /// The probe points of [`solve_reference_plane_reference`] — its
-    /// bracket walk and bisection — replayed with [`mean_force`] (the
+    /// bracket walk and bisection — replayed with [`mean_force_powf`] (the
     /// reference's sum with the exact no-op terms skipped), and the
     /// float where `F` crosses the target: the bisection carried on
     /// past the reference's 1e-9 exit until its ends are adjacent.
@@ -920,7 +1108,7 @@ mod tests {
         let mut probes = Vec::new();
         let mut force = |z: f64| {
             probes.push(z);
-            mean_force(heights, k, e, z)
+            mean_force_powf(heights, k, e, z)
         };
         let (mut lo, mut hi) = (zmin - p.reference_penetration, zmax);
         while force(lo) < target {
@@ -945,7 +1133,7 @@ mod tests {
             if !(lo < mid && mid < hi) {
                 break;
             }
-            if mean_force(heights, k, e, mid) > target {
+            if mean_force_powf(heights, k, e, mid) > target {
                 lo = mid;
             } else {
                 hi = mid;
@@ -1007,7 +1195,7 @@ mod tests {
         let mut probes_read = Vec::new();
         for &z in probes {
             let (sum, partials) = sqrt_force_sums(heights, k, z);
-            let truth = mean_force(heights, k, e, z).partial_cmp(&target);
+            let truth = mean_force_powf(heights, k, e, z).partial_cmp(&target);
             if let Some(certified) = certify(sum, certified_bound(sum, partials), limits) {
                 answers.certified += 1;
                 answers.wrong += u64::from(truth != Some(certified));
@@ -1114,5 +1302,214 @@ mod tests {
         println!("{answers:?}");
         assert_eq!(answers.wrong, 0, "{answers:?}");
         assert!(answers.wrong_unbounded > 0, "B = 0 misjudged no probe: {answers:?}");
+    }
+
+    /// Whether the certified `d^{3/2}` accepts `d`, and if it does, that
+    /// the answer is `powf`'s and lies within the margin of the real
+    /// `d^{3/2}` (double-double) — the certificate itself, independent of
+    /// libm — with every other double farther away than `powf` may err.
+    fn check_pow15(d: f64) -> bool {
+        let y = pow15_certified(d);
+        if y.is_nan() {
+            return false;
+        }
+        assert_eq!(y.to_bits(), d.powf(1.5).to_bits(), "d = {d:e}: certified {y:e}");
+        let ulp = f64::from_bits(y.to_bits() & 0x7ff0_0000_0000_0000) * f64::EPSILON;
+        let x = Dd(d, 0.0).mul(Dd(d, 0.0).sqrt());
+        let off = ((x.0 - y) + x.1).abs() / ulp;
+        assert!(off <= 0.45 + 2f64.powi(-40), "d = {d:e}: y is {off} ulp from d^1.5");
+        assert_ne!(y.to_bits() & 0x000f_ffff_ffff_ffff, 0, "d = {d:e}: y = {y:e} is a power of two");
+        true
+    }
+
+    /// The certified `d^{3/2}` across `(0, 10⁵]`: random values (most
+    /// accepted), perfect squares `m²` (where `t = 0`, so every `m` that
+    /// is not a power of two is accepted), both sides of binade edges and
+    /// of the input range, and the values it must leave to `powf`.
+    #[test]
+    fn certified_pow15_equals_powf_and_stays_within_its_margin() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(41);
+        let draws = 400_000;
+        let accepted = (0..draws).filter(|_| check_pow15(rng.gen_range(0.0..1e5_f64).next_up())).count();
+        let share = accepted as f64 / f64::from(draws);
+        println!("random d: {accepted} of {draws} accepted ({share:.4})");
+        assert!(share > 0.8, "{share}");
+        for m in 1..=316u32 {
+            let d = f64::from(m * m);
+            assert_eq!(check_pow15(d), !m.is_power_of_two(), "d = {m}²");
+            check_pow15(d.next_up());
+            check_pow15(d.next_down());
+        }
+        let mut edges = 0;
+        for j in -80..=16 {
+            let b = 2f64.powi(j);
+            for d in [b.next_down(), b, b.next_up(), 1.5 * b] {
+                edges += usize::from(check_pow15(d));
+            }
+        }
+        assert!(edges > 150, "{edges} of 388");
+        for d in [POW15_MIN, POW15_MIN.next_up(), POW15_MAX.next_down(), POW15_MAX] {
+            check_pow15(d);
+        }
+        for d in [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            5e-324,
+            POW15_MIN.next_down(),
+            POW15_MAX.next_up(),
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ] {
+            assert!(!check_pow15(d), "d = {d:e} must go to powf");
+        }
+    }
+
+    /// Heights whose `⟨z − z_ref⟩` covers `±0`, subnormals, NaN, ±∞,
+    /// binade edges, perfect squares and random contact depths.
+    fn hostile_heights(z_ref: f64) -> Vec<f64> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(43);
+        let mut h = vec![0.0, -0.0, 5e-324, -5e-324, f64::MIN_POSITIVE, f64::NAN, f64::INFINITY];
+        h.extend([f64::NEG_INFINITY, f64::MAX, -f64::MAX, z_ref, z_ref.next_up(), z_ref.next_down()]);
+        for j in -60..=16 {
+            let b = 2f64.powi(j);
+            h.extend([z_ref + b.next_down(), z_ref + b, z_ref + b.next_up()]);
+        }
+        h.extend((1..200).map(|m| z_ref + f64::from(m * m)));
+        h.extend((0..20_000).map(|_| z_ref + rng.gen_range(-50.0..1e5)));
+        h
+    }
+
+    /// The powf-only and FMA pressure bodies, each called directly (so a
+    /// host without FMA still checks the path it runs), and both forces
+    /// of the exact probes, against the reference's `k·powf(⟨z − z_ref⟩,
+    /// 3/2)` bit for bit — at the default stiffness, a NaN and an
+    /// infinite one, and reference planes from 0 to ±1e9.
+    #[test]
+    fn fma_and_powf_pressure_bodies_match_the_reference_bitwise() {
+        let k0 = ProcessParams::default().contact_stiffness();
+        #[cfg(target_arch = "x86_64")]
+        let fma = has_fma();
+        let mut checked = 0;
+        for z_ref in [0.0, 1.0, 763.25, -1e9, 1e9] {
+            let h = hostile_heights(z_ref);
+            for k in [k0, 1.0, f64::NAN, f64::INFINITY] {
+                let want: Vec<u64> =
+                    h.iter().map(|&z| (k * (z - z_ref).max(0.0).powf(1.5)).to_bits()).collect();
+                let mut out = vec![0.0; h.len()];
+                assert_eq!(pressures_powf(&h, z_ref, k, 1.5, &mut out), h.len());
+                assert_eq!(out.iter().map(|q| q.to_bits()).collect::<Vec<_>>(), want, "powf k={k}");
+                let powf_force = mean_force_powf(&h, k, 1.5, z_ref);
+                #[cfg(target_arch = "x86_64")]
+                if fma {
+                    out.fill(-1.0);
+                    // SAFETY: AVX2 and FMA were detected above.
+                    let fallbacks = unsafe { pressures_fma(&h, z_ref, k, &mut out) };
+                    assert_eq!(out.iter().map(|q| q.to_bits()).collect::<Vec<_>>(), want, "fma k={k}");
+                    if k == k0 {
+                        assert!(fallbacks < h.len() / 4, "{fallbacks} of {} took powf", h.len());
+                    }
+                    // SAFETY: as above.
+                    let force = unsafe { mean_force_fma(&h, k, z_ref) };
+                    assert_eq!(force.to_bits(), powf_force.to_bits(), "mean force k={k} z_ref={z_ref}");
+                }
+                let p = ProcessParams::default();
+                if k == k0 {
+                    let public = window_pressures(&h, z_ref, &p);
+                    assert_eq!(public.iter().map(|q| q.to_bits()).collect::<Vec<_>>(), want);
+                }
+                checked += h.len();
+            }
+        }
+        assert!(checked > 300_000, "{checked}");
+    }
+
+    /// The probes the solver reads the board for — those strictly
+    /// inside its anchors' gap, certified or evaluated — found by
+    /// replaying its bracket walk and bisection.
+    fn gap_probes(heights: &[f64], p: &ProcessParams) -> Vec<f64> {
+        let (k, e, target) = (p.contact_stiffness(), p.contact_exponent, p.applied_pressure);
+        let zmax = heights.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let zmin = heights.iter().copied().fold(f64::INFINITY, f64::min);
+        let start = heights.iter().sum::<f64>() / heights.len() as f64 - p.reference_penetration;
+        let (anchors, _) =
+            find_anchors(heights, k, e, target, start, |z| anchor_force(heights, k, e, z));
+        let probes = std::cell::RefCell::new(Vec::new());
+        let force_vs_target = |z: f64| match anchors {
+            Some((over, _)) if z <= over => Some(Ordering::Greater),
+            Some((_, under)) if z >= under => Some(Ordering::Less),
+            _ => {
+                probes.borrow_mut().push(z);
+                mean_force_powf(heights, k, e, z).partial_cmp(&target)
+            }
+        };
+        let pen = p.reference_penetration;
+        let (lo, _) = bracket_lo(zmin - pen, pen.max(1.0), zmax, force_vs_target);
+        bisect(lo, zmax, force_vs_target);
+        probes.into_inner()
+    }
+
+    /// Every polish board of all three layers of `chip_golden`'s chip
+    /// (design C, 256², seed 7): every pressure at the solved plane and
+    /// every term and force of every probe inside the anchors' gap (the
+    /// exact probes among them), by the FMA body against `k·powf(d,
+    /// 3/2)`, bit for bit. Pins the share of windows left to `powf`, so a
+    /// change that sends every window there fails.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    #[cfg_attr(debug_assertions, ignore = "release-only: ci.sh runs it with --release")]
+    fn certified_pressures_match_powf_on_all_chip_golden_boards() {
+        use neurfill_layout::{DesignKind, FullChipSpec};
+        if !has_fma() {
+            println!("no FMA: the powf body is the shipped path");
+            return;
+        }
+        let p = ProcessParams::default();
+        let k = p.contact_stiffness();
+        let chip = FullChipSpec::new(DesignKind::RiscV, 256, 256, 7).build().generate();
+        let (mut boards, mut probes) = (0, 0);
+        let (mut windows, mut fallbacks) = (0, 0);
+        let (mut terms, mut term_fallbacks) = (0, 0);
+        let pressures = |h: &[f64], z: f64| -> usize {
+            let mut want = vec![0.0; h.len()];
+            let mut got = vec![0.0; h.len()];
+            pressures_powf(h, z, k, 1.5, &mut want);
+            // SAFETY: AVX2 and FMA were detected above.
+            let fallbacks = unsafe { pressures_fma(h, z, k, &mut got) };
+            let bits = |v: &[f64]| v.iter().map(|q| q.to_bits()).collect::<Vec<_>>();
+            assert!(bits(&got) == bits(&want), "pressures at z_ref = {z}");
+            fallbacks
+        };
+        for layer in 0..chip.num_layers() {
+            polish_boards(&crate::LayerInput::from_layout(&chip, layer), &p, |step, h| {
+                let z_ref = solve_reference_plane(h, &p);
+                fallbacks += pressures(h, z_ref);
+                windows += h.len();
+                for z in gap_probes(h, &p) {
+                    // SAFETY: as above.
+                    let force = unsafe { mean_force_fma(h, k, z) };
+                    let want = mean_force_powf(h, k, 1.5, z);
+                    assert_eq!(force.to_bits(), want.to_bits(), "layer {layer} step {step} probe {z}");
+                    term_fallbacks += pressures(h, z);
+                    terms += h.len();
+                    probes += 1;
+                }
+                boards += 1;
+            });
+        }
+        let share = fallbacks as f64 / windows as f64;
+        let term_share = term_fallbacks as f64 / terms as f64;
+        println!(
+            "{boards} boards, {windows} pressures, {fallbacks} with powf ({share:.4}); \
+             {probes} gap probes, {term_fallbacks} of {terms} terms with powf ({term_share:.4})"
+        );
+        assert_eq!(boards, 3 * p.steps);
+        assert!(probes > boards, "{probes} gap probes");
+        assert!(share < 0.13 && term_share < 0.13, "powf share {share}, probe terms {term_share}");
     }
 }

@@ -141,6 +141,9 @@ impl ProcessParams {
         if self.steps == 0 {
             return Err("steps must be at least 1".into());
         }
+        if self.kernel_radius > crate::PadKernel::MAX_RADIUS {
+            return Err(format!("kernel_radius must be at most {}", crate::PadKernel::MAX_RADIUS));
+        }
         if self.min_effective_density <= 0.0 || self.min_effective_density >= 1.0 {
             return Err("min_effective_density must be in (0, 1)".into());
         }
@@ -191,10 +194,10 @@ mod tests {
         assert!(bad.validate().is_err());
     }
 
-    /// Every float field set to NaN, +∞ and −∞, and the two ranges the
-    /// erosion and dishing laws need, refused by `validate` and by
-    /// `CmpSimulator::new` (which used to panic on a NaN
-    /// `character_length` inside the pad kernel's assert).
+    /// Every float field set to NaN, +∞ and −∞, the two ranges the
+    /// erosion and dishing laws need, and a kernel radius past the cap,
+    /// refused by `validate` and by `CmpSimulator::new` (which used to
+    /// panic on a NaN `character_length` inside the pad kernel's assert).
     #[test]
     fn validation_rejects_non_finite_floats_and_degenerate_laws() {
         type Field = fn(&mut ProcessParams) -> &mut f64;
@@ -234,8 +237,20 @@ mod tests {
             refused(&p, "dishing_reference_width < 0"),
             "dishing_reference_width must be non-negative"
         );
+        // A radius past the cap used to validate and then abort the
+        // process allocating the kernel (100 000: 320 GB) or overflow its
+        // size (`usize::MAX`).
+        for radius in [crate::PadKernel::MAX_RADIUS + 1, 100_000, usize::MAX] {
+            let p = ProcessParams { kernel_radius: radius, ..ProcessParams::default() };
+            assert_eq!(
+                refused(&p, &format!("kernel_radius {radius}")),
+                "kernel_radius must be at most 64"
+            );
+        }
         // The boundary values stay valid.
         let p = ProcessParams { dishing_reference_width: 0.0, ..ProcessParams::default() };
+        assert!(p.validate().is_ok() && crate::CmpSimulator::new(p).is_ok());
+        let p = ProcessParams { kernel_radius: crate::PadKernel::MAX_RADIUS, ..ProcessParams::fast() };
         assert!(p.validate().is_ok() && crate::CmpSimulator::new(p).is_ok());
     }
 
