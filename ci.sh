@@ -38,7 +38,6 @@ cargo test -p neurfill-obs -q
 echo "== kernel-equivalence suite (bitwise determinism)"
 cargo test -p neurfill-tensor --test gemm_equivalence -q
 cargo test -p neurfill-cmpsim --test kernel_equivalence -q
-cargo test -p neurfill-nn --test determinism -q
 
 # Debug builds re-evaluate every anchored and every certified contact probe
 # with powf, and assert every certified pressure and exact-probe term
@@ -63,8 +62,8 @@ cargo test --release -p neurfill-chip --test bit_identity -q
 # convolution backward and the direct convolution forward each replaced
 # code that now lives on as a test-only oracle (the direct forward's: the
 # im2col + GEMM forward, called through the plain body and the AVX2 build
-# directly; the forward is also run by `gemm_equivalence`, the UNet training
-# step of `determinism` and the steady-state count of `infer_allocations`).
+# directly; the forward is also run by the steady-state count of
+# `infer_allocations`).
 # The workspace run above compared them in debug, this compares the
 # optimized code that ships — whose heap footprint per job and per training
 # step is the one `live_heap` pins, and whose trained weights `training_pin`
@@ -94,7 +93,6 @@ cargo test --release -p neurfill --lib score_only -q
 cargo test --release -p neurfill-nn --lib batch -q
 cargo test --release -p neurfill-tensor --lib ops::conv -q
 cargo test --release -p neurfill-tensor --test gemm_equivalence -q
-cargo test --release -p neurfill-nn --test determinism -q
 cargo test --release -p neurfill-nn --test infer_allocations -q
 cargo test --release -p neurfill-layout --lib insertion -q
 cargo test --release -p neurfill-nn --lib layers::norm::tests::fused -q

@@ -32,7 +32,7 @@ use neurfill_data::LabelConfig;
 use neurfill_layout::datagen::DataGenConfig;
 use neurfill_layout::{benchmark_designs, DesignKind, FullChipSpec, Layout};
 use neurfill_nn::{Module, UNet, UNetConfig};
-use neurfill_tensor::kernels::{gemm, gemm_reference, set_gemm_threads};
+use neurfill_tensor::kernels::{gemm, gemm_reference};
 use neurfill_tensor::{conv2d_forward, im2col_into, NdArray, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -265,7 +265,6 @@ fn bench_conv2d_forward(rows: &mut Vec<BenchRecord>) {
 /// and frozen as `CmpNeuralNetwork` wraps it. Backward = (forward +
 /// backward) − forward, each best-of-samples.
 fn bench_unet_backward(rows: &mut Vec<BenchRecord>) {
-    set_gemm_threads(1);
     let mut rng = StdRng::seed_from_u64(19);
     let unet =
         UNet::new(UNetConfig { in_channels: 4, out_channels: 1, base_channels: 8, depth: 2 }, &mut rng);
@@ -289,17 +288,14 @@ fn bench_unet_backward(rows: &mut Vec<BenchRecord>) {
         p.set_requires_grad(false);
     }
     let frozen_ns = backward_ns(&unet);
-    set_gemm_threads(0);
     rows.push(row("unet_backward", "trainable_batch1_32x32".to_string(), trainable_ns, None));
     rows.push(row("unet_backward", "frozen_batch1_32x32".to_string(), frozen_ns, Some(trainable_ns)));
 }
 
 /// `Module::infer` of the same surrogate, frozen as `CmpNeuralNetwork`
-/// freezes it (so nothing is taped), on one GEMM thread (the pool pins
-/// per-worker inference to one core), at the batch sizes the runtime pool
+/// freezes it (so nothing is taped), at the batch sizes the runtime pool
 /// forms.
 fn bench_unet_infer(rows: &mut Vec<BenchRecord>) {
-    set_gemm_threads(1);
     let mut rng = StdRng::seed_from_u64(0x1f8);
     let unet =
         UNet::new(UNetConfig { in_channels: 4, out_channels: 1, base_channels: 8, depth: 2 }, &mut rng);
@@ -313,7 +309,6 @@ fn bench_unet_infer(rows: &mut Vec<BenchRecord>) {
         });
         rows.push(row("unet_infer", format!("batch{batch}_32x32"), ns, None));
     }
-    set_gemm_threads(0);
 }
 
 fn bench_pad_kernel(rows: &mut Vec<BenchRecord>) {

@@ -8,6 +8,7 @@
 
 use crate::cmp_nn::{CmpNeuralNetwork, CmpNnConfig, HeightNorm};
 use crate::extraction::{ExtractionConfig, NUM_CHANNELS};
+use neurfill_layout::io::write_durable;
 use neurfill_layout::DummySpec;
 use neurfill_nn::{serialize, Module, UNet, UNetConfig};
 use rand::SeedableRng;
@@ -139,14 +140,17 @@ pub fn load_network<R: Read>(r: R) -> io::Result<CmpNeuralNetwork> {
     ))
 }
 
-/// Saves a network bundle to a file path.
+/// Saves a network bundle to a file path through [`write_durable`]:
+/// `path` keeps its previous contents until the new bundle is complete
+/// and synced.
 ///
 /// # Errors
 ///
 /// Propagates file-system errors.
 pub fn save_to_file(network: &CmpNeuralNetwork, path: impl AsRef<Path>) -> io::Result<()> {
-    let f = std::fs::File::create(path)?;
-    save_network(network, io::BufWriter::new(f))
+    let mut bytes = Vec::new();
+    save_network(network, &mut bytes)?;
+    write_durable(path.as_ref(), &bytes)
 }
 
 /// Loads a network bundle from a file path.
@@ -326,5 +330,31 @@ mod tests {
         let back = load_from_file(&path).unwrap();
         assert_eq!(back.unet().num_parameters(), net.unet().num_parameters());
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_failed_save_leaves_the_previous_bundle_intact() {
+        let dir = std::env::temp_dir().join(format!("neurfill_persist_durable_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("s.bundle");
+        save_to_file(&network(), &path).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        // A directory where the new bundle would be staged: the save cannot
+        // even begin, and must say so without touching the old file.
+        std::fs::create_dir(neurfill_layout::io::staging_path(&path)).unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        let other = CmpNeuralNetwork::new(
+            UNet::new(
+                UNetConfig { in_channels: NUM_CHANNELS, out_channels: 1, base_channels: 2, depth: 1 },
+                &mut rng,
+            ),
+            HeightNorm { offset_nm: 1.0, scale_nm: 2.0 },
+            ExtractionConfig::default(),
+            CmpNnConfig::default(),
+        );
+        assert!(save_to_file(&other, &path).is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -188,7 +188,6 @@ fn run_full_chip(args: &Args) -> Result<(), String> {
         },
         ..ChipLabelConfig::default()
     };
-    neurfill_tensor::telemetry::install(cfg.telemetry.clone());
     let report = label_full_chip(&design, &cfg, &args.out).map_err(|e| e.to_string())?;
     for (path, n) in &report.shards {
         println!("wrote {} ({n} samples)", path.display());
@@ -241,8 +240,6 @@ fn run() -> Result<(), String> {
         },
         ..LabelConfig::default()
     };
-    // Route GEMM counters/timers (`tensor.gemm*`) into the same snapshot.
-    neurfill_tensor::telemetry::install(cfg.telemetry.clone());
     let report = generate_labeled_shards(sources, &cfg, &args.out).map_err(|e| e.to_string())?;
 
     for (path, n) in &report.shards {

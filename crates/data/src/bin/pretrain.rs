@@ -220,8 +220,6 @@ fn run() -> Result<(), String> {
     } else {
         neurfill::telemetry::Telemetry::disabled()
     };
-    // Route GEMM counters/timers (`tensor.gemm*`) into the same snapshot.
-    neurfill_tensor::telemetry::install(telemetry.clone());
     let cfg = StreamTrainConfig {
         train: TrainConfig {
             epochs: args.epochs,

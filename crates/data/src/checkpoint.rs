@@ -21,9 +21,15 @@
 //! Every float is stored as its exact bit pattern, so
 //! save → load → save is byte-identical and a resumed run walks the exact
 //! gradient/shuffle trajectory of an uninterrupted one.
+//!
+//! The reader never sizes a buffer from the file: the moment count and
+//! every moment shape must equal the parameters of the model it restores
+//! into before a value is read. The file writer replaces a checkpoint
+//! through [`write_durable`], so a kill mid-save leaves the previous one.
 
+use neurfill_layout::io::write_durable;
 use neurfill_nn::{serialize, AdamState, Module};
-use neurfill_tensor::NdArray;
+use neurfill_tensor::{NdArray, Tensor};
 use rand::rngs::StdRng;
 use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -103,7 +109,8 @@ pub fn save_checkpoint<W: Write>(
 /// # Errors
 ///
 /// Returns `InvalidData` on any format violation, truncation, or
-/// architecture mismatch with `model`.
+/// architecture mismatch with `model` — a moment count or shape that is
+/// not `model`'s is refused before anything is allocated for it.
 pub fn load_checkpoint<R: Read>(model: &dyn Module, r: R) -> io::Result<TrainCheckpoint> {
     let mut reader = BufReader::new(r);
     let mut line = String::new();
@@ -138,12 +145,16 @@ pub fn load_checkpoint<R: Read>(model: &dyn Module, r: R) -> io::Result<TrainChe
 
     let t = u32::try_from(scalar(&next(&mut reader, "adam_t")?, "adam_t")?)
         .map_err(|e| bad(format!("adam_t out of range: {e}")))?;
+    let params = model.parameters();
     let mut sections = Vec::with_capacity(2);
     for key in ["adam_m", "adam_v"] {
-        let count = scalar(&next(&mut reader, key)?, key)? as usize;
-        let mut moments = Vec::with_capacity(count);
-        for i in 0..count {
-            moments.push(read_moment(&mut reader, &mut next, i)?);
+        let count = scalar(&next(&mut reader, key)?, key)?;
+        if count != params.len() as u64 {
+            return Err(bad(format!("{key} holds {count} moments but the model has {}", params.len())));
+        }
+        let mut moments = Vec::with_capacity(params.len());
+        for (i, param) in params.iter().enumerate() {
+            moments.push(read_moment(&mut reader, &mut next, i, param)?);
         }
         sections.push(moments);
     }
@@ -156,10 +167,12 @@ pub fn load_checkpoint<R: Read>(model: &dyn Module, r: R) -> io::Result<TrainChe
     Ok(TrainCheckpoint { epoch, shard_cursor, rng_state, adam: AdamState { t, m, v } })
 }
 
+/// Reads moment `i`, whose shape must be `param`'s.
 fn read_moment<R: Read>(
     reader: &mut BufReader<R>,
     next: &mut impl FnMut(&mut BufReader<R>, &str) -> io::Result<String>,
     i: usize,
+    param: &Tensor,
 ) -> io::Result<Option<NdArray>> {
     let header = next(reader, "moment header")?;
     let rest = header
@@ -174,6 +187,9 @@ fn read_moment<R: Read>(
         .split_whitespace()
         .map(|t| t.parse().map_err(|e| bad(format!("bad extent {t:?}: {e}"))))
         .collect::<io::Result<_>>()?;
+    if shape != param.shape() {
+        return Err(bad(format!("moment {i} shape {shape:?} != parameter shape {:?}", param.shape())));
+    }
     let n: usize = shape.iter().product();
     let mut data = Vec::with_capacity(n);
     for _ in 0..n {
@@ -189,7 +205,9 @@ fn read_moment<R: Read>(
     NdArray::from_vec(data, &shape).map(Some).map_err(|e| bad(e.to_string()))
 }
 
-/// Saves a checkpoint bundle to a file path.
+/// Saves a checkpoint bundle to a file path through [`write_durable`]:
+/// `path` keeps its previous contents until the new bundle is complete
+/// and synced.
 ///
 /// # Errors
 ///
@@ -199,8 +217,9 @@ pub fn save_checkpoint_file(
     model: &dyn Module,
     path: impl AsRef<Path>,
 ) -> io::Result<()> {
-    let f = std::fs::File::create(path)?;
-    save_checkpoint(ckpt, model, io::BufWriter::new(f))
+    let mut bytes = Vec::new();
+    save_checkpoint(ckpt, model, &mut bytes)?;
+    write_durable(path.as_ref(), &bytes)
 }
 
 /// Loads a checkpoint bundle from a file path.
@@ -215,8 +234,7 @@ pub fn load_checkpoint_file(model: &dyn Module, path: impl AsRef<Path>) -> io::R
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neurfill_nn::{Adam, Optimizer, UNet, UNetConfig};
-    use neurfill_tensor::Tensor;
+    use neurfill_nn::{Adam, UNet, UNetConfig};
     use rand::{Rng, SeedableRng};
 
     fn unet(seed: u64) -> UNet {
@@ -286,6 +304,37 @@ mod tests {
         for cut in [3, 40, buf.len() / 2, buf.len() - 5] {
             assert!(load_checkpoint(&model, &buf[..cut]).is_err(), "cut at {cut}");
         }
+        // Truncated at the start of every line, and halfway into it.
+        let mut start = 0;
+        for len in buf.split_inclusive(|&b| b == b'\n').map(<[u8]>::len) {
+            for cut in [start, start + len / 2] {
+                assert!(load_checkpoint(&model, &buf[..cut]).is_err(), "cut at byte {cut}");
+            }
+            start += len;
+        }
+        // Hostile counts and shapes are refused before anything is sized
+        // from them: a `usize::MAX` count, a 4 TiB moment, an extent product
+        // that overflows, one moment fewer than the model has.
+        let text = String::from_utf8(buf.clone()).unwrap();
+        let count = model.parameters().len();
+        let shape0 = model.parameters()[0].shape();
+        let honest_shape = format!(
+            "moment 0 shape {}",
+            shape0.iter().map(ToString::to_string).collect::<Vec<_>>().join(" ")
+        );
+        assert!(text.contains(&format!("\nadam_m {count}\n")) && text.contains(&honest_shape));
+        let max = usize::MAX;
+        for (honest, hostile) in [
+            (format!("adam_m {count}\n"), format!("adam_m {max}\n")),
+            (format!("adam_v {count}\n"), format!("adam_v {max}\n")),
+            (format!("adam_m {count}\n"), format!("adam_m {}\n", count - 1)),
+            (honest_shape.clone(), "moment 0 shape 1048576 1048576".to_string()),
+            (honest_shape.clone(), format!("moment 0 shape {max} 2")),
+        ] {
+            let err =
+                load_checkpoint(&model, text.replacen(&honest, &hostile, 1).as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{hostile:?}: {err}");
+        }
         // A model with a different architecture must be rejected by the
         // embedded weights section.
         let mut rng = StdRng::seed_from_u64(4);
@@ -294,5 +343,24 @@ mod tests {
             &mut rng,
         );
         assert!(load_checkpoint(&other, buf.as_slice()).is_err(), "architecture mismatch");
+    }
+
+    #[test]
+    fn a_failed_save_leaves_the_previous_checkpoint_intact() {
+        let dir = std::env::temp_dir().join(format!("nf_ckpt_durable_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ckpt.txt");
+        let model = unet(6);
+        let ckpt = stepped_checkpoint(&model);
+        save_checkpoint_file(&ckpt, &model, &path).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        // A directory where the new bundle would be staged: the save cannot
+        // even begin, and must say so without touching the old file.
+        std::fs::create_dir(neurfill_layout::io::staging_path(&path)).unwrap();
+        let later = TrainCheckpoint { epoch: ckpt.epoch + 1, ..ckpt };
+        assert!(save_checkpoint_file(&later, &model, &path).is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

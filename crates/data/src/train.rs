@@ -11,7 +11,7 @@
 use crate::checkpoint::{save_checkpoint_file, TrainCheckpoint};
 use crate::shard::ShardSet;
 use neurfill_nn::loss::mse_loss;
-use neurfill_nn::{Adam, Dataset, Module, Optimizer, TrainConfig};
+use neurfill_nn::{Adam, Dataset, Module, TrainConfig};
 use neurfill_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -1,7 +1,7 @@
 //! # neurfill-nn
 //!
 //! Neural-network building blocks on top of [`neurfill_tensor`]: layers,
-//! the UNet surrogate architecture (paper §IV-A, Fig. 4), optimizers, loss
+//! the UNet surrogate architecture (paper §IV-A, Fig. 4), the Adam optimizer, loss
 //! functions, datasets and a training loop implementing the pre-training
 //! objective of the NeurFill paper (Eq. 20).
 //!
@@ -39,7 +39,7 @@ mod unet;
 pub use batch::forward_batched;
 pub use data::Dataset;
 pub use module::{Buffer, Module};
-pub use optim::{clip_grad_norm, Adam, AdamState, Optimizer, Sgd};
+pub use optim::{Adam, AdamState};
 pub use schedule::LrSchedule;
 pub use trainer::{evaluate, fit, EpochStats, TrainConfig};
 pub use unet::{UNet, UNetConfig};

@@ -16,37 +16,6 @@ fn check_shapes(pred: &NdArray, target: &NdArray) -> Result<()> {
     Ok(())
 }
 
-/// Mean absolute error.
-///
-/// # Errors
-///
-/// Returns an error when shapes differ or the arrays are empty.
-pub fn mae(pred: &NdArray, target: &NdArray) -> Result<f64> {
-    check_shapes(pred, target)?;
-    let sum: f64 =
-        pred.as_slice().iter().zip(target.as_slice()).map(|(p, t)| f64::from((p - t).abs())).sum();
-    Ok(sum / pred.numel() as f64)
-}
-
-/// Root-mean-square error.
-///
-/// # Errors
-///
-/// Returns an error when shapes differ or the arrays are empty.
-pub fn rmse(pred: &NdArray, target: &NdArray) -> Result<f64> {
-    check_shapes(pred, target)?;
-    let sum: f64 = pred
-        .as_slice()
-        .iter()
-        .zip(target.as_slice())
-        .map(|(p, t)| {
-            let d = f64::from(p - t);
-            d * d
-        })
-        .sum();
-    Ok((sum / pred.numel() as f64).sqrt())
-}
-
 /// Coefficient of determination `R² = 1 − SS_res/SS_tot`. A constant-mean
 /// predictor scores 0, a perfect predictor 1; worse-than-mean predictors go
 /// negative. For a constant target the convention here is 1 when exact,
@@ -79,8 +48,6 @@ mod tests {
     #[test]
     fn perfect_prediction() {
         let t = NdArray::from_slice(&[1.0, 2.0, 3.0]);
-        assert_eq!(mae(&t, &t).unwrap(), 0.0);
-        assert_eq!(rmse(&t, &t).unwrap(), 0.0);
         assert_eq!(r2_score(&t, &t).unwrap(), 1.0);
     }
 
@@ -88,8 +55,6 @@ mod tests {
     fn known_values() {
         let p = NdArray::from_slice(&[2.0, 2.0]);
         let t = NdArray::from_slice(&[0.0, 4.0]);
-        assert_eq!(mae(&p, &t).unwrap(), 2.0);
-        assert_eq!(rmse(&p, &t).unwrap(), 2.0);
         // Predicting the mean ⇒ R² = 0.
         assert_eq!(r2_score(&p, &t).unwrap(), 0.0);
     }
@@ -105,8 +70,6 @@ mod tests {
     fn shape_mismatch_is_error() {
         let a = NdArray::from_slice(&[1.0]);
         let b = NdArray::from_slice(&[1.0, 2.0]);
-        assert!(mae(&a, &b).is_err());
-        assert!(rmse(&a, &b).is_err());
         assert!(r2_score(&a, &b).is_err());
     }
 

@@ -1,74 +1,7 @@
-//! First-order optimizers for network training.
+//! The Adam optimizer for network training.
 
 use neurfill_tensor::{NdArray, Tensor};
 use std::collections::HashMap;
-
-/// A first-order optimizer over a fixed set of parameters.
-pub trait Optimizer {
-    /// Applies one update step using the gradients currently stored on the
-    /// parameters, then leaves the gradients in place (call
-    /// [`Optimizer::zero_grad`] or `Module::zero_grad` before the next
-    /// backward pass).
-    fn step(&mut self);
-
-    /// Clears the gradients of all managed parameters.
-    fn zero_grad(&self);
-}
-
-/// Stochastic gradient descent with optional momentum.
-#[derive(Debug)]
-pub struct Sgd {
-    params: Vec<Tensor>,
-    lr: f32,
-    momentum: f32,
-    velocity: HashMap<u64, NdArray>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer.
-    #[must_use]
-    pub fn new(params: Vec<Tensor>, lr: f32, momentum: f32) -> Self {
-        Self { params, lr, momentum, velocity: HashMap::new() }
-    }
-
-    /// Current learning rate.
-    #[must_use]
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Sets the learning rate (e.g. for a decay schedule).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
-impl Optimizer for Sgd {
-    // A moment buffer is created with its gradient's shape, so these adds
-    // cannot mismatch — the expects assert an internal invariant.
-    #[allow(clippy::expect_used)]
-    fn step(&mut self) {
-        for p in &self.params {
-            let Some(g) = p.grad() else { continue };
-            let update = if self.momentum > 0.0 {
-                let v = self.velocity.entry(p.id()).or_insert_with(|| NdArray::zeros(g.shape()));
-                *v = v.scale(self.momentum).add(&g).expect("matching shapes");
-                v.clone()
-            } else {
-                g
-            };
-            p.update_data(|d| {
-                *d = d.sub(&update.scale(self.lr)).expect("matching shapes");
-            });
-        }
-    }
-
-    fn zero_grad(&self) {
-        for p in &self.params {
-            p.zero_grad();
-        }
-    }
-}
 
 /// A positional snapshot of an [`Adam`] optimizer's internal state.
 ///
@@ -139,7 +72,7 @@ impl Adam {
     /// Restores a snapshot taken by [`Adam::export_state`].
     ///
     /// After this call the optimizer continues exactly where the snapshot
-    /// was taken: the next [`Optimizer::step`] is bit-identical to the one
+    /// was taken: the next [`Adam::step`] is bit-identical to the one
     /// an uninterrupted run would have made.
     ///
     /// # Errors
@@ -182,13 +115,15 @@ impl Adam {
         }
         Ok(())
     }
-}
 
-impl Optimizer for Adam {
+    /// Applies one update step using the gradients currently stored on the
+    /// parameters, then leaves the gradients in place (call
+    /// [`Adam::zero_grad`] or `Module::zero_grad` before the next backward
+    /// pass).
     // Moment buffers are created with their gradient's shape, so these
     // combines cannot mismatch — the expects assert an internal invariant.
     #[allow(clippy::expect_used)]
-    fn step(&mut self) {
+    pub fn step(&mut self) {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
@@ -209,43 +144,22 @@ impl Optimizer for Adam {
         }
     }
 
-    fn zero_grad(&self) {
+    /// Clears the gradients of all managed parameters.
+    pub fn zero_grad(&self) {
         for p in &self.params {
             p.zero_grad();
         }
     }
 }
 
-/// Clips the gradients of `params` so their *global* L2 norm does not
-/// exceed `max_norm`, returning the pre-clip norm. Standard stabilization
-/// for surrogate training on rough landscapes.
-pub fn clip_grad_norm(params: &[Tensor], max_norm: f32) -> f32 {
-    let mut sq = 0.0f32;
-    for p in params {
-        if let Some(g) = p.grad() {
-            sq += g.as_slice().iter().map(|v| v * v).sum::<f32>();
-        }
-    }
-    let norm = sq.sqrt();
-    if norm > max_norm && norm > 0.0 {
-        let scale = max_norm / norm;
-        for p in params {
-            if let Some(g) = p.grad() {
-                p.set_grad(g.scale(scale));
-            }
-        }
-    }
-    norm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Minimizes f(w) = (w - 3)² and checks convergence.
-    fn quadratic_descent<O: Optimizer>(make: impl Fn(Vec<Tensor>) -> O, steps: usize) -> f32 {
+    /// Minimizes f(w) = (w - 3)² with Adam at `lr` and returns `w`.
+    fn quadratic_descent(lr: f32, steps: usize) -> f32 {
         let w = Tensor::parameter(NdArray::from_slice(&[0.0]));
-        let mut opt = make(vec![w.clone()]);
+        let mut opt = Adam::new(vec![w.clone()], lr);
         for _ in 0..steps {
             opt.zero_grad();
             let loss = w.add_scalar(-3.0).square().sum();
@@ -256,37 +170,9 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let w = quadratic_descent(|p| Sgd::new(p, 0.1, 0.0), 100);
-        assert!((w - 3.0).abs() < 1e-3, "w = {w}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let w = quadratic_descent(|p| Sgd::new(p, 0.05, 0.9), 200);
-        assert!((w - 3.0).abs() < 1e-2, "w = {w}");
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
-        let w = quadratic_descent(|p| Adam::new(p, 0.2), 200);
+        let w = quadratic_descent(0.2, 200);
         assert!((w - 3.0).abs() < 1e-2, "w = {w}");
-    }
-
-    #[test]
-    fn clip_grad_norm_scales_large_gradients() {
-        let a = Tensor::parameter(NdArray::from_slice(&[0.0]));
-        let b = Tensor::parameter(NdArray::from_slice(&[0.0]));
-        a.set_grad(NdArray::from_slice(&[3.0]));
-        b.set_grad(NdArray::from_slice(&[4.0]));
-        let norm = clip_grad_norm(&[a.clone(), b.clone()], 1.0);
-        assert!((norm - 5.0).abs() < 1e-6);
-        assert!((a.grad().unwrap().as_slice()[0] - 0.6).abs() < 1e-6);
-        assert!((b.grad().unwrap().as_slice()[0] - 0.8).abs() < 1e-6);
-        // Below the threshold, gradients stay untouched.
-        let pre = clip_grad_norm(&[a.clone(), b.clone()], 10.0);
-        assert!((pre - 1.0).abs() < 1e-6);
-        assert!((a.grad().unwrap().as_slice()[0] - 0.6).abs() < 1e-6);
     }
 
     #[test]

@@ -13,13 +13,6 @@ pub enum LrSchedule {
         /// Multiplicative factor applied at each decay (usually < 1).
         factor: f64,
     },
-    /// Cosine annealing from 1 to `floor` over `total_epochs`.
-    Cosine {
-        /// Total number of epochs the schedule spans.
-        total_epochs: usize,
-        /// Final multiplier at the end of the schedule.
-        floor: f64,
-    },
     /// Linear warmup to the base rate over `epochs`, then the inner
     /// schedule (shifted so its epoch 0 is the first post-warmup epoch).
     ///
@@ -47,12 +40,6 @@ impl LrSchedule {
             LrSchedule::StepDecay { every, factor } => {
                 debug_assert!(*every > 0);
                 base_lr * factor.powi((epoch / every.max(&1)) as i32)
-            }
-            LrSchedule::Cosine { total_epochs, floor } => {
-                debug_assert!(*total_epochs > 0);
-                let t = (epoch as f64 / (*total_epochs).max(1) as f64).min(1.0);
-                let cos = 0.5 * (1.0 + (std::f64::consts::PI * t).cos());
-                base_lr * (floor + (1.0 - floor) * cos)
             }
             LrSchedule::Warmup { epochs, then } => {
                 debug_assert!(*epochs > 0);
@@ -97,21 +84,5 @@ mod tests {
         // Post-warmup epochs re-index the inner schedule from zero.
         assert!((s.lr_at(4, 1.0) - 1.0).abs() < 1e-12);
         assert!((s.lr_at(6, 1.0) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cosine_starts_high_ends_at_floor() {
-        let s = LrSchedule::Cosine { total_epochs: 100, floor: 0.1 };
-        assert!((s.lr_at(0, 1.0) - 1.0).abs() < 1e-12);
-        assert!((s.lr_at(100, 1.0) - 0.1).abs() < 1e-12);
-        let mid = s.lr_at(50, 1.0);
-        assert!(mid < 1.0 && mid > 0.1);
-        // Monotone decreasing.
-        let mut prev = f64::INFINITY;
-        for e in 0..=100 {
-            let lr = s.lr_at(e, 1.0);
-            assert!(lr <= prev + 1e-12);
-            prev = lr;
-        }
     }
 }

@@ -4,7 +4,7 @@
 use crate::data::Dataset;
 use crate::loss::mse_loss;
 use crate::module::Module;
-use crate::optim::{Adam, Optimizer};
+use crate::optim::Adam;
 use crate::schedule::LrSchedule;
 use neurfill_tensor::{Result, Tensor, TensorError};
 use rand::Rng;
@@ -22,7 +22,7 @@ pub struct TrainConfig {
     /// (composes with `schedule`; keep one of the two at identity).
     pub lr_decay: f32,
     /// Learning-rate schedule over epochs, applied as a multiplier of
-    /// `lr` (e.g. warmup or cosine annealing).
+    /// `lr` (e.g. warmup or step decay).
     pub schedule: LrSchedule,
 }
 

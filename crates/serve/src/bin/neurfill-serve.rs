@@ -168,7 +168,6 @@ fn run() -> Result<(), String> {
     }
 
     let telemetry = neurfill::telemetry::Telemetry::new();
-    neurfill_tensor::telemetry::install(telemetry.clone());
     let process = if args.fast { ProcessParams::fast() } else { ProcessParams::default() };
     let flow = FlowConfig { process, ..FlowConfig::default() };
     let service = FillService::start(

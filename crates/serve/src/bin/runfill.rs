@@ -466,7 +466,6 @@ fn run_full_chip_pool(args: &Args, out_dir: &Path) -> Result<bool, String> {
         registry.load(&args.model).map_err(|e| format!("loading {}: {e}", args.model.display()))?;
     println!("model bundle {} (digest {:016x})", args.model.display(), bundle.digest());
     let telemetry = telemetry(args);
-    neurfill_tensor::telemetry::install(telemetry.clone());
     let flow = FlowConfig { process: params, ..FlowConfig::default() };
     let options = PoolOptions {
         workers: args.workers,
@@ -590,8 +589,6 @@ fn run() -> Result<bool, String> {
 
     let fault = fault_plan(&args)?;
     let telemetry = telemetry(&args);
-    // Route GEMM counters/timers (`tensor.gemm*`) into the same snapshot.
-    neurfill_tensor::telemetry::install(telemetry.clone());
     let flow = FlowConfig { process: process_params(&args), ..FlowConfig::default() };
     let options = PoolOptions {
         workers: args.workers,

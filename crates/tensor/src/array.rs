@@ -632,78 +632,6 @@ impl NdArray {
         Ok(self.sum_axis(axis, keepdim)?.scale(1.0 / n))
     }
 
-    /// Maxima over one axis.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidAxis`] for an out-of-range axis or an
-    /// error when the axis has zero extent.
-    pub fn max_axis(&self, axis: usize, keepdim: bool) -> Result<Self> {
-        self.fold_axis(axis, keepdim, f32::NEG_INFINITY, f32::max)
-    }
-
-    /// Minima over one axis.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidAxis`] for an out-of-range axis or an
-    /// error when the axis has zero extent.
-    pub fn min_axis(&self, axis: usize, keepdim: bool) -> Result<Self> {
-        self.fold_axis(axis, keepdim, f32::INFINITY, f32::min)
-    }
-
-    fn fold_axis(
-        &self,
-        axis: usize,
-        keepdim: bool,
-        init: f32,
-        f: impl Fn(f32, f32) -> f32,
-    ) -> Result<Self> {
-        if axis >= self.rank() {
-            return Err(TensorError::InvalidAxis { axis, rank: self.rank() });
-        }
-        if self.shape[axis] == 0 {
-            return Err(TensorError::InvalidArgument("fold over empty axis".into()));
-        }
-        let outer: usize = self.shape[..axis].iter().product();
-        let mid = self.shape[axis];
-        let inner: usize = self.shape[axis + 1..].iter().product();
-        let mut data = vec![init; outer * inner];
-        for o in 0..outer {
-            for m in 0..mid {
-                let base = (o * mid + m) * inner;
-                for i in 0..inner {
-                    let slot = &mut data[o * inner + i];
-                    *slot = f(*slot, self.data[base + i]);
-                }
-            }
-        }
-        let mut shp: Vec<usize> = self.shape.clone();
-        if keepdim {
-            shp[axis] = 1;
-        } else {
-            shp.remove(axis);
-        }
-        Ok(Self::owned(shp, data))
-    }
-
-    /// Flat index of the maximum element (first occurrence).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the array is empty.
-    #[must_use]
-    pub fn argmax(&self) -> usize {
-        assert!(!self.data.is_empty(), "argmax of empty array");
-        let mut best = 0;
-        for (i, &v) in self.data.iter().enumerate() {
-            if v > self.data[best] {
-                best = i;
-            }
-        }
-        best
-    }
-
     // ------------------------------------------------------------------
     // Linear algebra
     // ------------------------------------------------------------------
@@ -731,24 +659,8 @@ impl NdArray {
             });
         }
         let mut out = vec![0.0f32; m * n];
-        gemm_counted::<false>(&self.data, &other.data, &mut out, m, k, n);
+        crate::kernels::gemm(&self.data, &other.data, &mut out, m, k, n);
         Ok(Self::owned(vec![m, n], out))
-    }
-
-    /// Frobenius inner product (sum of elementwise products).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-    pub fn dot(&self, other: &Self) -> Result<f32> {
-        if self.shape != other.shape {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.shape.clone(),
-                rhs: other.shape.clone(),
-                op: "dot",
-            });
-        }
-        Ok(self.data.iter().zip(other.data.iter()).map(|(&a, &b)| a * b).sum())
     }
 
     /// Reduces a gradient computed at a broadcast shape back to `target` by
@@ -783,29 +695,6 @@ impl NdArray {
         }
         Ok(cur)
     }
-}
-
-/// `out += a · b` through the blocked kernels, timed and counted under
-/// `tensor.gemm*`; with `BT`, `b` holds the right operand transposed
-/// ([`crate::kernels::gemm_bt`]).
-pub(crate) fn gemm_counted<const BT: bool>(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let sink = crate::telemetry::handle();
-    let timer = sink.time("tensor.gemm_ns");
-    if BT {
-        crate::kernels::gemm_bt(a, b, out, m, k, n);
-    } else {
-        crate::kernels::gemm(a, b, out, m, k, n);
-    }
-    drop(timer);
-    sink.inc("tensor.gemm.calls");
-    sink.add("tensor.gemm.madds", (m as u64) * (k as u64) * (n as u64));
 }
 
 #[cfg(test)]
@@ -874,18 +763,6 @@ mod tests {
         assert!(text.contains("[3.0000, 4.0000]"));
         let t = NdArray::zeros(&[2, 2, 2]);
         assert!(format!("{t}").contains("8 elements"));
-    }
-
-    #[test]
-    fn axis_extrema_and_argmax() {
-        let a = NdArray::from_vec(vec![3.0, 1.0, 2.0, 0.0, 5.0, 4.0], &[2, 3]).unwrap();
-        let mx = a.max_axis(1, false).unwrap();
-        assert_eq!(mx.as_slice(), &[3.0, 5.0]);
-        let mn = a.min_axis(0, true).unwrap();
-        assert_eq!(mn.shape(), &[1, 3]);
-        assert_eq!(mn.as_slice(), &[0.0, 1.0, 2.0]);
-        assert_eq!(a.argmax(), 4);
-        assert!(a.max_axis(2, false).is_err());
     }
 
     #[test]

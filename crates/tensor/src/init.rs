@@ -20,33 +20,6 @@ pub fn kaiming_uniform(shape: &[usize], fan_in: usize, rng: &mut impl Rng) -> Nd
     uniform(shape, bound, rng)
 }
 
-/// Xavier/Glorot uniform initialization.
-#[must_use]
-pub fn xavier_uniform(shape: &[usize], fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> NdArray {
-    let bound = (6.0 / (fan_in + fan_out).max(1) as f32).sqrt();
-    uniform(shape, bound, rng)
-}
-
-/// Standard-normal initialization scaled by `std`.
-#[must_use]
-pub fn normal(shape: &[usize], std: f32, rng: &mut impl Rng) -> NdArray {
-    // Box–Muller transform; avoids depending on rand_distr.
-    let n = crate::shape::numel(shape);
-    let mut data = Vec::with_capacity(n);
-    while data.len() < n {
-        let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-        let u2: f32 = rng.gen_range(0.0..1.0);
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * std::f32::consts::PI * u2;
-        data.push(r * theta.cos() * std);
-        if data.len() < n {
-            data.push(r * theta.sin() * std);
-        }
-    }
-    #[allow(clippy::expect_used)] // length is computed from the shape above
-    NdArray::from_vec(data, shape).expect("length computed from shape")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -58,14 +31,6 @@ mod tests {
         let w = kaiming_uniform(&[8, 8, 3, 3], 72, &mut rng);
         let bound = (2.0f32).sqrt() * (3.0 / 72.0f32).sqrt();
         assert!(w.as_slice().iter().all(|v| v.abs() <= bound + 1e-6));
-    }
-
-    #[test]
-    fn normal_has_roughly_right_moments() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let w = normal(&[10000], 2.0, &mut rng);
-        assert!(w.mean().abs() < 0.1);
-        assert!((w.var().sqrt() - 2.0).abs() < 0.1);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Cache-blocked, optionally multi-threaded GEMM kernels.
+//! Cache-blocked GEMM kernels.
 //!
 //! All kernels compute `out += a · b` for row-major `a` (`m × k`), `b`
 //! (`k × n`) and `out` (`m × n`) — the right operand given either as `b`
@@ -6,11 +6,11 @@
 //! `b[kc][j] = bt[j·k + kc]`), which the packing step reads in place of a
 //! materialized `b` — and all of them accumulate every output
 //! element in **ascending k order**. Because IEEE-754 addition is
-//! deterministic for a fixed operand order, the blocked kernel, the
-//! unrolled micro-kernels and the threaded driver all produce results
-//! bit-identical to [`gemm_reference`] — at every thread count — which is
-//! what lets the rest of the workspace keep its byte-identical
-//! reproducibility contracts while the hot loop gets faster.
+//! deterministic for a fixed operand order, the blocked kernel and the
+//! unrolled micro-kernels produce results bit-identical to
+//! [`gemm_reference`], which is what lets the rest of the workspace keep
+//! its byte-identical reproducibility contracts while the hot loop gets
+//! faster.
 //!
 //! Blocking scheme (see DESIGN.md "Compute kernels"):
 //! * columns are tiled into strips of [`NC`] so the `b` rows and the
@@ -22,12 +22,11 @@
 //!   load and four scalar `a` loads per k step, output written back once
 //!   per strip), with per-element additions issued in ascending k order.
 //!
-//! Threading partitions the output into disjoint row chunks, one per
-//! thread, via [`std::thread::scope`]: each output row has exactly one
-//! writer and its accumulation order does not depend on the number of
-//! threads, so parallelism never changes a single bit.
+//! Every call runs on the calling thread. The workspace's parallelism is
+//! across fill jobs and chip tiles on pool workers; no GEMM the UNet runs
+//! is large enough to pay for a thread of its own (DESIGN.md "Compute
+//! kernels").
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Column-strip width (elements of `n` per tile).
@@ -37,8 +36,6 @@ const KC: usize = 128;
 /// Below this many multiply-adds, tiling overhead outweighs its benefit
 /// and the plain reference loop is used instead.
 const BLOCKED_MIN_WORK: u64 = 16 * 1024;
-/// Below this many multiply-adds per thread, spawning is a net loss.
-const PAR_MIN_WORK: u64 = 4 * 1024 * 1024;
 /// Minimum panel height (output rows) before packing the `b` tile into
 /// contiguous column panels pays for its extra copy.
 const PACK_MIN_ROWS: usize = 32;
@@ -49,35 +46,6 @@ thread_local! {
     /// steady state (`KC·NC` floats is 256 KiB: above glibc's default
     /// `mmap` threshold, i.e. a map, page faults and an unmap per call).
     static PACK_SCRATCH: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Process-wide thread override set by [`set_gemm_threads`] (0 = unset).
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Lazily resolved default thread budget (env var / host parallelism).
-static DEFAULT_THREADS: OnceLock<usize> = OnceLock::new();
-
-/// Overrides the GEMM thread budget for this process. `0` restores the
-/// automatic choice (`NEURFILL_GEMM_THREADS`, else host parallelism).
-/// Results are bit-identical at every setting; this only affects speed.
-pub fn set_gemm_threads(threads: usize) {
-    THREAD_OVERRIDE.store(threads, Ordering::Relaxed);
-}
-
-/// The thread budget [`gemm`] would use for a sufficiently large problem.
-#[must_use]
-pub fn gemm_threads() -> usize {
-    let forced = THREAD_OVERRIDE.load(Ordering::Relaxed);
-    if forced > 0 {
-        return forced;
-    }
-    *DEFAULT_THREADS.get_or_init(|| {
-        std::env::var("NEURFILL_GEMM_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&t| t > 0)
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
-    })
 }
 
 /// Reference kernel: the plain i-k-j loop, kept as the bit-exactness
@@ -120,70 +88,25 @@ fn gemm_bt_reference(a: &[f32], bt: &[f32], out: &mut [f32], k: usize, n: usize)
     }
 }
 
-/// The thread budget [`gemm`] and [`gemm_bt`] give a problem of this
-/// size: throttled so each spawned thread gets at least `PAR_MIN_WORK`
-/// multiply-adds; tiny problems stay sequential.
-fn auto_threads(m: usize, k: usize, n: usize) -> usize {
-    let work = (m as u64) * (k as u64) * (n as u64);
-    let by_work = usize::try_from(work / PAR_MIN_WORK).unwrap_or(usize::MAX);
-    gemm_threads().min(by_work).max(1)
-}
-
-/// Blocked GEMM with automatic thread selection: `out += a · b`.
+/// Blocked GEMM: `out += a · b`.
 ///
-/// Bit-identical to [`gemm_reference`] for every shape and thread count.
+/// Bit-identical to [`gemm_reference`] for every shape.
 pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_with_threads(a, b, out, m, k, n, auto_threads(m, k, n));
+    gemm_driver::<false>(a, b, out, m, k, n);
 }
 
 /// [`gemm`] on a right operand given transposed: `out += a · btᵀ` for
 /// row-major `bt` (`n × k`), without materializing `btᵀ`.
 ///
 /// Bit-identical to [`gemm_reference`] on the transposed matrix for every
-/// shape and thread count.
+/// shape.
 pub fn gemm_bt(a: &[f32], bt: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_bt_with_threads(a, bt, out, m, k, n, auto_threads(m, k, n));
+    gemm_driver::<true>(a, bt, out, m, k, n);
 }
 
-/// Blocked GEMM on an explicit thread count (`0` and `1` both mean
-/// sequential). The request is honored up to one thread per output row;
-/// use [`gemm`] for the work-aware automatic choice.
-pub fn gemm_with_threads(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    threads: usize,
-) {
-    gemm_driver::<false>(a, b, out, m, k, n, threads);
-}
-
-/// [`gemm_bt`] on an explicit thread count, as [`gemm_with_threads`].
-pub fn gemm_bt_with_threads(
-    a: &[f32],
-    bt: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    threads: usize,
-) {
-    gemm_driver::<true>(a, bt, out, m, k, n, threads);
-}
-
-/// The one driver behind the four entry points; `BT` says `b` holds the
-/// right operand transposed (`n × k`).
-fn gemm_driver<const BT: bool>(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    threads: usize,
-) {
+/// The one driver behind both entry points; `BT` says `b` holds the right
+/// operand transposed (`n × k`).
+fn gemm_driver<const BT: bool>(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "lhs buffer does not match {m}x{k}");
     assert_eq!(b.len(), k * n, "rhs buffer does not match {k}x{n}");
     assert_eq!(out.len(), m * n, "out buffer does not match {m}x{n}");
@@ -199,65 +122,44 @@ fn gemm_driver<const BT: bool>(
         }
         return;
     }
-    let threads = threads.max(1).min(m);
-    if threads <= 1 {
-        gemm_panel::<BT>(a, 0, b, out, m, k, n);
-        return;
-    }
-    // Split the output into disjoint chunks of whole rows, one chunk per
-    // thread. `chunks_mut` proves disjointness to the borrow checker;
-    // each row keeps the same single writer and k-order as sequential.
-    let rows_per = m.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (idx, chunk) in out.chunks_mut(rows_per * n).enumerate() {
-            let row0 = idx * rows_per;
-            let rows = chunk.len() / n;
-            scope.spawn(move || gemm_panel::<BT>(a, row0, b, chunk, rows, k, n));
-        }
-    });
+    gemm_panel::<BT>(a, b, out, m, k, n);
 }
 
-/// Blocked kernel over one panel of `rows` output rows starting at
-/// absolute row `row0`, dispatched to the widest codegen the host
-/// supports. All variants run the identical Rust body: per output
-/// element nothing but the k-accumulation order matters, and every
-/// variant keeps it ascending, so the dispatch affects speed only.
-fn gemm_panel<const BT: bool>(
-    a: &[f32],
-    row0: usize,
-    b: &[f32],
-    out_panel: &mut [f32],
-    rows: usize,
-    k: usize,
-    n: usize,
-) {
+/// Blocked kernel over all `rows` output rows, dispatched to the widest
+/// codegen the host supports. All variants run the identical Rust body:
+/// per output element nothing but the k-accumulation order matters, and
+/// every variant keeps it ascending, so the dispatch affects speed only.
+fn gemm_panel<const BT: bool>(a: &[f32], b: &[f32], out: &mut [f32], rows: usize, k: usize, n: usize) {
     #[cfg(target_arch = "x86_64")]
     {
         if has_avx2() {
             // SAFETY: has_avx2() verified the required target features.
-            unsafe { gemm_panel_avx2::<BT>(a, row0, b, out_panel, rows, k, n) };
+            unsafe { gemm_panel_avx2::<BT>(a, b, out, rows, k, n) };
             return;
         }
     }
-    gemm_panel_body::<4, 8, BT>(a, row0, b, out_panel, rows, k, n);
+    gemm_panel_body::<4, 8, BT>(a, b, out, rows, k, n);
 }
 
 /// [`gemm_panel_body`] compiled with AVX2 codegen: four accumulator rows
 /// of two 256-bit registers each (eight independent accumulation
 /// chains). rustc never contracts `mul` + `add` into a fused FMA, so
 /// wider codegen cannot change a bit.
+///
+/// # Safety
+///
+/// The host must support AVX2 ([`has_avx2`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn gemm_panel_avx2<const BT: bool>(
     a: &[f32],
-    row0: usize,
     b: &[f32],
-    out_panel: &mut [f32],
+    out: &mut [f32],
     rows: usize,
     k: usize,
     n: usize,
 ) {
-    gemm_panel_body::<4, 16, BT>(a, row0, b, out_panel, rows, k, n);
+    gemm_panel_body::<4, 16, BT>(a, b, out, rows, k, n);
 }
 
 /// Returns whether the AVX2-compiled kernel body may be called.
@@ -273,22 +175,21 @@ pub(crate) fn has_avx2() -> bool {
 #[inline(always)]
 fn gemm_panel_body<const MR: usize, const NR: usize, const BT: bool>(
     a: &[f32],
-    row0: usize,
     b: &[f32],
-    out_panel: &mut [f32],
+    out: &mut [f32],
     rows: usize,
     k: usize,
     n: usize,
 ) {
-    debug_assert_eq!(out_panel.len(), rows * n);
+    debug_assert_eq!(out.len(), rows * n);
     // Packing reads and rewrites the whole `b` tile once per k-strip; it
     // only pays for itself when enough row groups reuse the packed copy.
     // A transposed operand is always packed: unpacked, every `NR`-wide
     // `b` vector the micro-kernels load would be a gather at stride `k`.
     if BT || rows >= PACK_MIN_ROWS {
-        gemm_panel_loop::<MR, NR, true, BT>(a, row0, b, out_panel, k, n);
+        gemm_panel_loop::<MR, NR, true, BT>(a, b, out, k, n);
     } else {
-        gemm_panel_loop::<MR, NR, false, false>(a, row0, b, out_panel, k, n);
+        gemm_panel_loop::<MR, NR, false, false>(a, b, out, k, n);
     }
 }
 
@@ -308,13 +209,12 @@ fn gemm_panel_body<const MR: usize, const NR: usize, const BT: bool>(
 #[inline(always)]
 fn gemm_panel_loop<const MR: usize, const NR: usize, const PACKED: bool, const BT: bool>(
     a: &[f32],
-    row0: usize,
     b: &[f32],
-    out_panel: &mut [f32],
+    out: &mut [f32],
     k: usize,
     n: usize,
 ) {
-    let rows = out_panel.len() / n;
+    let rows = out.len() / n;
     // Balance the k-strips (e.g. k = 144 → 72 + 72, not 128 + 16): strip
     // boundaries only decide where partial sums pause in `out`; the
     // per-element accumulation order stays ascending in k regardless.
@@ -360,23 +260,23 @@ fn gemm_panel_loop<const MR: usize, const NR: usize, const PACKED: bool, const B
                 let j = jj + jb * NR;
                 let mut row = 0;
                 while row + MR <= rows {
-                    block_m::<MR, NR, PACKED>(a, row0 + row, panel, b, out_panel, row, k, n, j, kk, kcw);
+                    block_m::<MR, NR, PACKED>(a, panel, out, row, k, n, j, kk, kcw);
                     row += MR;
                 }
                 while row < rows {
-                    block_1::<NR, PACKED>(a, row0 + row, panel, b, out_panel, row, k, n, j, kk, kcw);
+                    block_1::<NR, PACKED>(a, panel, out, row, k, n, j, kk, kcw);
                     row += 1;
                 }
             }
             // Column tail (< NR): scalar accumulators, same k order.
             for j in jj + nblocks * NR..jj + ncw {
                 for row in 0..rows {
-                    let arow = &a[(row0 + row) * k..(row0 + row + 1) * k];
-                    let mut t = out_panel[row * n + j];
+                    let arow = &a[row * k..(row + 1) * k];
+                    let mut t = out[row * n + j];
                     for kc in kk..kk + kcw {
                         t += arow[kc] * if BT { b[j * k + kc] } else { b[kc * n + j] };
                     }
-                    out_panel[row * n + j] = t;
+                    out[row * n + j] = t;
                 }
             }
             kk += kcw;
@@ -400,23 +300,20 @@ fn gemm_panel_loop<const MR: usize, const NR: usize, const PACKED: bool, const B
 #[inline(always)]
 fn block_m<const MR: usize, const NR: usize, const PACKED: bool>(
     a: &[f32],
-    arow0: usize,
     panel: &[f32],
-    b: &[f32],
-    out_panel: &mut [f32],
-    orow0: usize,
+    out: &mut [f32],
+    row0: usize,
     k: usize,
     n: usize,
     j: usize,
     kk: usize,
     kcw: usize,
 ) {
-    let _ = b;
-    let arows: [&[f32]; MR] = core::array::from_fn(|r| &a[(arow0 + r) * k..(arow0 + r + 1) * k]);
+    let arows: [&[f32]; MR] = core::array::from_fn(|r| &a[(row0 + r) * k..(row0 + r + 1) * k]);
     let mut acc = [[0.0f32; NR]; MR];
     for (r, block) in acc.iter_mut().enumerate() {
-        let o = (orow0 + r) * n + j;
-        block.copy_from_slice(&out_panel[o..o + NR]);
+        let o = (row0 + r) * n + j;
+        block.copy_from_slice(&out[o..o + NR]);
     }
     for kc in 0..kcw {
         let base = if PACKED { kc * NR } else { (kk + kc) * n + j };
@@ -429,8 +326,8 @@ fn block_m<const MR: usize, const NR: usize, const PACKED: bool>(
         }
     }
     for (r, block) in acc.iter().enumerate() {
-        let o = (orow0 + r) * n + j;
-        out_panel[o..o + NR].copy_from_slice(block);
+        let o = (row0 + r) * n + j;
+        out[o..o + NR].copy_from_slice(block);
     }
 }
 
@@ -440,22 +337,19 @@ fn block_m<const MR: usize, const NR: usize, const PACKED: bool>(
 #[inline(always)]
 fn block_1<const NR: usize, const PACKED: bool>(
     a: &[f32],
-    arow: usize,
     panel: &[f32],
-    b: &[f32],
-    out_panel: &mut [f32],
-    orow: usize,
+    out: &mut [f32],
+    row: usize,
     k: usize,
     n: usize,
     j: usize,
     kk: usize,
     kcw: usize,
 ) {
-    let _ = b;
-    let arow = &a[arow * k..(arow + 1) * k];
+    let arow = &a[row * k..(row + 1) * k];
     let mut acc = [0.0f32; NR];
-    let o = orow * n + j;
-    acc.copy_from_slice(&out_panel[o..o + NR]);
+    let o = row * n + j;
+    acc.copy_from_slice(&out[o..o + NR]);
     for kc in 0..kcw {
         let x = arow[kk + kc];
         let base = if PACKED { kc * NR } else { (kk + kc) * n + j };
@@ -464,7 +358,22 @@ fn block_1<const NR: usize, const PACKED: bool>(
             *t += x * bl;
         }
     }
-    out_panel[o..o + NR].copy_from_slice(&acc);
+    out[o..o + NR].copy_from_slice(&acc);
+}
+
+// Inert names the frozen benchmark still compiles against: it sets a
+// GEMM thread budget of one (`nfbench/src/main.rs:160`) and stamps
+// `gemm_threads()` into its host record (`nfbench/src/host.rs:58`). Every
+// GEMM runs on its caller's thread, so the setter selects nothing and the
+// getter answers the one budget there is; the next benchmark PR drops
+// both with the other shims.
+#[doc(hidden)]
+pub fn set_gemm_threads(_: usize) {}
+
+#[doc(hidden)]
+#[must_use]
+pub fn gemm_threads() -> usize {
+    1
 }
 
 #[cfg(test)]
@@ -492,12 +401,10 @@ mod tests {
         let b = fill_pattern(k * n, (k * 17 + n) as u32);
         let mut want = vec![0.0f32; m * n];
         gemm_reference(&a, &b, &mut want, m, k, n);
-        for threads in [1usize, 2, 3, 8] {
-            let mut got = vec![0.0f32; m * n];
-            gemm_with_threads(&a, &b, &mut got, m, k, n, threads);
-            let same = want.iter().zip(&got).all(|(w, g)| w.to_bits() == g.to_bits());
-            assert!(same, "blocked gemm differs from reference at {m}x{k}x{n}, t={threads}");
-        }
+        let mut got = vec![0.0f32; m * n];
+        gemm(&a, &b, &mut got, m, k, n);
+        let same = want.iter().zip(&got).all(|(w, g)| w.to_bits() == g.to_bits());
+        assert!(same, "blocked gemm differs from reference at {m}x{k}x{n}");
     }
 
     #[test]
@@ -527,9 +434,9 @@ mod tests {
             let (a, nan) = (fill_pattern(m * k, 1), vec![f32::NAN; k * n]);
             let mut poisoned = vec![0.0f32; m * n];
             if bt {
-                gemm_bt_with_threads(&a, &nan, &mut poisoned, m, k, n, 1);
+                gemm_bt(&a, &nan, &mut poisoned, m, k, n);
             } else {
-                gemm_with_threads(&a, &nan, &mut poisoned, m, k, n, 1);
+                gemm(&a, &nan, &mut poisoned, m, k, n);
             }
             assert!(poisoned.iter().all(|v| v.is_nan()));
         };
@@ -543,9 +450,9 @@ mod tests {
                 poison(poison_bt);
                 let mut got = vec![0.0f32; m * n];
                 if read_bt {
-                    gemm_bt_with_threads(&a, &bt, &mut got, m, k, n, 1);
+                    gemm_bt(&a, &bt, &mut got, m, k, n);
                 } else {
-                    gemm_with_threads(&a, &b, &mut got, m, k, n, 1);
+                    gemm(&a, &b, &mut got, m, k, n);
                 }
                 let same = want.iter().zip(&got).all(|(w, g)| w.to_bits() == g.to_bits());
                 assert!(same, "{m}x{k}x{n} poisoned by bt={poison_bt}, read by bt={read_bt}");
@@ -574,12 +481,10 @@ mod tests {
             let mut want = fill_pattern(m * n, 9);
             let start = want.clone();
             gemm_reference(&a, &b, &mut want, m, k, n);
-            for threads in [1usize, 2, 3, 8] {
-                let mut got = start.clone();
-                gemm_bt_with_threads(&a, &bt, &mut got, m, k, n, threads);
-                let same = want.iter().zip(&got).all(|(w, g)| w.to_bits() == g.to_bits());
-                assert!(same, "transposed-operand gemm differs at {m}x{k}x{n}, t={threads}");
-            }
+            let mut got = start;
+            gemm_bt(&a, &bt, &mut got, m, k, n);
+            let same = want.iter().zip(&got).all(|(w, g)| w.to_bits() == g.to_bits());
+            assert!(same, "transposed-operand gemm differs at {m}x{k}x{n}");
         }
     }
 
@@ -590,7 +495,7 @@ mod tests {
         let a = vec![0.0f32, 1.0];
         let b = vec![f32::NAN, 2.0];
         let mut out = vec![0.0f32; 1];
-        gemm_with_threads(&a, &b, &mut out, 1, 2, 1, 1);
+        gemm(&a, &b, &mut out, 1, 2, 1);
         assert!(out[0].is_nan(), "0 × NaN must propagate, got {}", out[0]);
     }
 
@@ -601,13 +506,5 @@ mod tests {
         let mut out = vec![0.0f32; 4];
         gemm(&[], &[], &mut out, 2, 0, 2);
         assert_eq!(out, vec![0.0; 4]);
-    }
-
-    #[test]
-    fn thread_budget_respects_override() {
-        set_gemm_threads(3);
-        assert_eq!(gemm_threads(), 3);
-        set_gemm_threads(0);
-        assert!(gemm_threads() >= 1);
     }
 }

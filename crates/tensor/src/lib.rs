@@ -10,12 +10,12 @@
 //! The crate provides:
 //!
 //! * [`NdArray`] — dense row-major `f32` arrays with broadcasting, matmul,
-//!   axis reductions, concat/split.
+//!   axis sums, concat/split.
 //! * [`Tensor`] — graph nodes supporting `backward()`, with the operation
 //!   set needed for a UNet and the paper's objective layers (Eq. 10):
 //!   convolution, transposed convolution, max-pooling, batch norm (+ReLU),
-//!   matmul, concat, `VAR`/`SUM`/`MEAN`/`ABS`/`SIGMOID`/`SOFTPLUS`.
-//! * [`init`] — Kaiming/Xavier/normal initializers.
+//!   concat, `VAR`/`SUM`/`MEAN`/`ABS`/`SOFTPLUS`.
+//! * [`init`] — uniform and Kaiming initializers.
 //! * [`gradcheck`] — finite-difference gradient verification used across
 //!   the workspace's test suites.
 //!
@@ -47,7 +47,6 @@ pub mod init;
 pub mod kernels;
 pub mod ops;
 pub mod shape;
-pub mod telemetry;
 mod tensor;
 
 pub use array::NdArray;

@@ -27,16 +27,6 @@ impl Tensor {
         Tensor::from_op(out, vec![self.clone()], Box::new(PointwiseGrad { dydx, name: "relu" }))
     }
 
-    /// Logistic sigmoid `1 / (1 + e^{-x})`.
-    ///
-    /// This is the smoothing used for the outlier objective (paper Eq. 10c).
-    #[must_use]
-    pub fn sigmoid(&self) -> Tensor {
-        let out = self.value().map(|v| 1.0 / (1.0 + (-v).exp()));
-        let dydx = out.map(|s| s * (1.0 - s));
-        Tensor::from_op(out, vec![self.clone()], Box::new(PointwiseGrad { dydx, name: "sigmoid" }))
-    }
-
     /// Softplus `ln(1 + e^x)` — a smooth stand-in for `max(0, x)`.
     #[must_use]
     pub fn softplus(&self) -> Tensor {
@@ -65,15 +55,6 @@ mod tests {
         assert_eq!(y.value().as_slice(), &[0.0, 0.0, 3.0]);
         y.sum().backward().unwrap();
         assert_eq!(x.grad().unwrap().as_slice(), &[0.0, 0.0, 1.0]);
-    }
-
-    #[test]
-    fn sigmoid_at_zero() {
-        let x = param(&[0.0]);
-        let y = x.sigmoid();
-        assert!((y.item() - 0.5).abs() < 1e-6);
-        y.sum().backward().unwrap();
-        assert!((x.grad().unwrap().as_slice()[0] - 0.25).abs() < 1e-6);
     }
 
     #[test]

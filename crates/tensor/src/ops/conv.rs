@@ -8,8 +8,9 @@
 //! equivalence suites; everything else is reached through [`Tensor`].
 
 use super::conv_direct::{self, ConvShape};
-use crate::array::{gemm_counted, NdArray};
+use crate::array::NdArray;
 use crate::error::{Result, TensorError};
+use crate::kernels::{gemm, gemm_bt};
 use crate::tensor::{GradFn, Tensor};
 use std::cell::RefCell;
 
@@ -238,7 +239,7 @@ fn add_product_bt(
     n: usize,
 ) {
     product.fill(0.0);
-    gemm_counted::<true>(a, bt, product, m, k, n);
+    gemm_bt(a, bt, product, m, k, n);
     for (d, s) in acc.iter_mut().zip(product.iter()) {
         *d += s;
     }
@@ -355,7 +356,7 @@ pub fn conv2d_backward(
         if let (Some(dinput), Some(w2t)) = (dinput.as_mut(), w2t.as_ref()) {
             // dInput = col2im(Wᵀ · G)
             patches.fill(0.0);
-            gemm_counted::<false>(w2t.as_slice(), g, patches, rows, o, per);
+            gemm(w2t.as_slice(), g, patches, rows, o, per);
             let dst = &mut dinput.as_mut_slice()[ni * c * h * w..(ni + 1) * c * h * w];
             col2im_add(patches, c, h, w, kh, kw, stride, padding, dst);
         }
@@ -473,7 +474,7 @@ pub(crate) fn conv_transpose2d_backward(
         if let Some(dinput) = dinput.as_mut() {
             // dinput = "conv" of grad_out with the same kernel.
             let dst = &mut dinput.as_mut_slice()[ni * c * per..(ni + 1) * c * per];
-            gemm_counted::<false>(w2.as_slice(), gcols, dst, c, rows, per);
+            gemm(w2.as_slice(), gcols, dst, c, rows, per);
         }
         if let Some(dweight2) = dweight2.as_mut() {
             // dweight += input · gcolsᵀ

@@ -8,7 +8,6 @@ pub mod activation;
 pub mod conv;
 mod conv_direct;
 pub mod elementwise;
-pub mod matmul;
 pub mod norm;
 pub mod reduce;
 pub mod shape_ops;

@@ -208,12 +208,6 @@ impl Tensor {
         *self.0.grad.borrow_mut() = None;
     }
 
-    /// Replaces the accumulated gradient (used by gradient-clipping and
-    /// similar optimizer-side utilities).
-    pub fn set_grad(&self, grad: NdArray) {
-        *self.0.grad.borrow_mut() = Some(grad);
-    }
-
     /// Replaces the value in place (used by optimizers; does not touch the
     /// graph).
     pub fn set_data(&self, data: NdArray) {

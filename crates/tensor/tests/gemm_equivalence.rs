@@ -1,16 +1,14 @@
 //! Bit-exactness contract of the blocked GEMM layer.
 //!
-//! The blocked/threaded kernels must reproduce the reference i-k-j loop
-//! bit for bit at every shape and thread count — that is what keeps the
+//! The blocked kernels must reproduce the reference i-k-j loop bit for
+//! bit at every shape — that is what keeps the
 //! simulator, training and labeling pipelines byte-reproducible while
 //! the hot loop gets faster. These tests compare raw `f32` bit patterns,
 //! never values, so `-0.0` vs `0.0` and NaN payload differences count as
 //! failures.
 
-use neurfill_tensor::kernels::{
-    gemm, gemm_bt_with_threads, gemm_reference, gemm_with_threads, set_gemm_threads,
-};
-use neurfill_tensor::{conv2d_backward, conv2d_forward, NdArray};
+use neurfill_tensor::kernels::{gemm, gemm_bt, gemm_reference};
+use neurfill_tensor::NdArray;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -38,8 +36,7 @@ fn bits(v: &[f32]) -> Vec<u32> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // Blocked == reference, bitwise, across random shapes and thread
-    // counts 1/2/8.
+    // Blocked == reference, bitwise, across random shapes.
     #[test]
     fn blocked_gemm_is_bitwise_equal_to_reference(
         m in 1usize..40,
@@ -52,11 +49,9 @@ proptest! {
         let b = random_buf(&mut rng, k * n);
         let mut want = vec![0.0f32; m * n];
         gemm_reference(&a, &b, &mut want, m, k, n);
-        for threads in [1usize, 2, 8] {
-            let mut got = vec![0.0f32; m * n];
-            gemm_with_threads(&a, &b, &mut got, m, k, n, threads);
-            prop_assert_eq!(bits(&want), bits(&got), "{}x{}x{} t={}", m, k, n, threads);
-        }
+        let mut got = vec![0.0f32; m * n];
+        gemm(&a, &b, &mut got, m, k, n);
+        prop_assert_eq!(bits(&want), bits(&got), "{}x{}x{}", m, k, n);
     }
 
     // A right operand handed over transposed (`n × k`, read through the
@@ -79,11 +74,9 @@ proptest! {
         let start = random_buf(&mut rng, m * n);
         let mut want = start.clone();
         gemm_reference(&a, b.as_slice(), &mut want, m, k, n);
-        for threads in [1usize, 2, 3, 8] {
-            let mut got = start.clone();
-            gemm_bt_with_threads(&a, bt.as_slice(), &mut got, m, k, n, threads);
-            prop_assert_eq!(bits(&want), bits(&got), "{}x{}x{} t={}", m, k, n, threads);
-        }
+        let mut got = start;
+        gemm_bt(&a, bt.as_slice(), &mut got, m, k, n);
+        prop_assert_eq!(bits(&want), bits(&got), "{}x{}x{}", m, k, n);
     }
 
     // Transposed operands: (Bᵀ·Aᵀ)ᵀ exercises the kernels on the
@@ -103,11 +96,9 @@ proptest! {
         let at = a.transpose2d().unwrap();
         let mut want = vec![0.0f32; n * m];
         gemm_reference(bt.as_slice(), at.as_slice(), &mut want, n, k, m);
-        for threads in [1usize, 2, 8] {
-            let mut got = vec![0.0f32; n * m];
-            gemm_with_threads(bt.as_slice(), at.as_slice(), &mut got, n, k, m, threads);
-            prop_assert_eq!(bits(&want), bits(&got), "t={}", threads);
-        }
+        let mut got = vec![0.0f32; n * m];
+        gemm(bt.as_slice(), at.as_slice(), &mut got, n, k, m);
+        prop_assert_eq!(bits(&want), bits(&got));
     }
 }
 
@@ -157,40 +148,4 @@ fn matmul_propagates_zero_times_nan() {
     let c = NdArray::from_vec(vec![f32::INFINITY, 1.0, 3.0, 4.0], &[2, 2]).unwrap();
     let out = a.matmul(&c).unwrap();
     assert!(out.as_slice()[0].is_nan(), "0 × inf must contribute NaN");
-}
-
-/// Convolution forward (direct, no GEMM) + backward (im2col + GEMM) are
-/// byte-identical at thread counts 1/2/8 — the shapes are large enough
-/// that the backward's threaded GEMM path genuinely engages (the work
-/// threshold is crossed).
-#[test]
-fn conv_forward_backward_bytes_identical_across_thread_counts() {
-    let (batch, cin, cout, h, w) = (32usize, 4usize, 8usize, 18usize, 18usize);
-    let mut rng = StdRng::seed_from_u64(11);
-    let input =
-        NdArray::from_vec(random_buf(&mut rng, batch * cin * h * w), &[batch, cin, h, w]).unwrap();
-    let weight = NdArray::from_vec(random_buf(&mut rng, cout * cin * 9), &[cout, cin, 3, 3]).unwrap();
-    let bias = NdArray::from_vec(random_buf(&mut rng, cout), &[cout]).unwrap();
-    let gout =
-        NdArray::from_vec(random_buf(&mut rng, batch * cout * h * w), &[batch, cout, h, w]).unwrap();
-
-    let run = || {
-        let out = conv2d_forward(&input, &weight, Some(&bias), 1, 1).unwrap();
-        let (gi, gw, gb) = conv2d_backward(&input, &weight, &gout, 1, 1, [true; 3]).unwrap();
-        let mut all = bits(out.as_slice());
-        for g in [gi, gw, gb] {
-            all.extend(bits(g.unwrap().as_slice()));
-        }
-        all
-    };
-
-    set_gemm_threads(1);
-    let t1 = run();
-    set_gemm_threads(2);
-    let t2 = run();
-    set_gemm_threads(8);
-    let t8 = run();
-    set_gemm_threads(0);
-    assert_eq!(t1, t2, "conv bytes differ between 1 and 2 threads");
-    assert_eq!(t1, t8, "conv bytes differ between 1 and 8 threads");
 }

@@ -91,10 +91,10 @@ proptest! {
 
     #[test]
     fn composed_expression_gradcheck(a in small_vec(6)) {
-        // f(x) = Σ sigmoid(x)·x² — smooth, so gradcheck must pass.
+        // f(x) = Σ softplus(x)·x² — smooth, so gradcheck must pass.
         let x0 = NdArray::from_vec(a, &[2, 3]).unwrap();
         let report = check_gradient(&x0, 1e-3, |x| {
-            x.sigmoid().mul(&x.square()).unwrap().sum()
+            x.softplus().mul(&x.square()).unwrap().sum()
         });
         prop_assert!(report.passes(2e-2), "{report:?}");
     }

@@ -22,7 +22,7 @@ use neurfill::pipeline::{FillingFlow, FlowConfig};
 use neurfill::{CmpNeuralNetwork, CmpNnConfig, HeightNorm};
 use neurfill_layout::benchmark_designs;
 use neurfill_nn::loss::mse_loss;
-use neurfill_nn::{Adam, Module, Optimizer, UNet, UNetConfig};
+use neurfill_nn::{Adam, Module, UNet, UNetConfig};
 use neurfill_tensor::{NdArray, Tensor};
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -14,7 +14,7 @@ use neurfill_cmpsim::{CmpSimulator, ProcessParams};
 use neurfill_layout::benchmark_designs;
 use neurfill_layout::datagen::DataGenConfig;
 use neurfill_nn::loss::mse_loss;
-use neurfill_nn::{Adam, Dataset, Module, Optimizer, TrainConfig, UNet, UNetConfig};
+use neurfill_nn::{Adam, Dataset, Module, TrainConfig, UNet, UNetConfig};
 use neurfill_runtime::fnv1a;
 use neurfill_tensor::{NdArray, Tensor};
 use rand::rngs::StdRng;
