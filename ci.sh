@@ -71,7 +71,10 @@ cargo test --release -p neurfill-chip --test bit_identity -q
 # batched predictions run the one taped UNet definition on a frozen network:
 # `batch` and `score_only` pin them to the gradient path's forward, and
 # `tape_reuse` pins a gradient that reuses the accepted trial's taped forward
-# to one that runs its own. The `sqp` suite pins a capped solve to the prefix
+# to one that runs its own. `one_training_path` pins the corpus path
+# (labeled shards, `train_streaming`) to `train_surrogate` / `fit` bit for
+# bit, and `hostile_layout` feeds both layout readers `dims` headers that
+# claim billions of windows under an allocator that refuses large blocks. The `sqp` suite pins a capped solve to the prefix
 # of a longer one, which is what lets the flow's iteration cap stop a job
 # early without moving a bit of the iterations it keeps. The row-accumulated
 # pad kernel is compared with
@@ -81,7 +84,7 @@ cargo test --release -p neurfill-chip --test bit_identity -q
 # certification and with `powf`, and calls the certified pressures' FMA
 # body and the powf-only body directly against `k·powf` (the chip_golden
 # boards ran in the block above).
-echo "== replacement-vs-oracle suites, release build (line search, SQP prefix, frozen + per-layer planarity, tape reuse, score + batched forward, im2col/col2im + conv backward, direct conv forward, insertion + sink, fused norm node, pad kernel windows, anchor + certification checks, certified pressures, trajectory + training pins, live heap per job and per training step)"
+echo "== replacement-vs-oracle suites, release build (line search, SQP prefix, frozen + per-layer planarity, tape reuse, score + batched forward, im2col/col2im + conv backward, direct conv forward, insertion + sink, fused norm node, pad kernel windows, anchor + certification checks, certified pressures, trajectory + training pins, one training path, live heap per job and per training step, hostile layout headers)"
 cargo test --release -p neurfill-cmpsim --lib kernel -q
 cargo test --release -p neurfill-cmpsim --lib contact -q -- --skip chip_golden_boards
 cargo test --release -p neurfill-optim --lib linesearch -q
@@ -98,7 +101,9 @@ cargo test --release -p neurfill-layout --lib insertion -q
 cargo test --release -p neurfill-nn --lib layers::norm::tests::fused -q
 cargo test --release --test trajectory_pin -q
 cargo test --release --test training_pin -q
+cargo test --release -p neurfill-data --test one_training_path -q
 cargo test --release --test live_heap -q
+cargo test --release -p neurfill-layout --test hostile_layout -q
 
 # A pool job's `predicted` is pinned bit-equal to per-layer single forwards
 # on the sequential flow's network; the workspace run above checked the

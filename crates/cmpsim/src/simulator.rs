@@ -127,11 +127,6 @@ impl CmpSimulator {
         self
     }
 
-    /// Replaces the telemetry handle in place.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
-    }
-
     /// The parameters this simulator runs with.
     #[must_use]
     pub fn params(&self) -> &ProcessParams {

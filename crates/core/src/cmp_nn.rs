@@ -30,6 +30,31 @@ impl Default for HeightNorm {
     }
 }
 
+impl HeightNorm {
+    /// The mean and standard deviation (floored at 1e-3 nm) of every
+    /// height of `profiles`, each summed in `f64` in profile, layer,
+    /// window order. Both labelers derive their normalization here: the
+    /// per-layout ones from the first
+    /// [`NORM_LAYOUTS`](crate::surrogate::NORM_LAYOUTS) simulated layouts,
+    /// the full-chip one from its one chip profile.
+    #[must_use]
+    pub fn derive<'a>(profiles: impl IntoIterator<Item = &'a ChipProfile> + Clone) -> Self {
+        let heights =
+            || profiles.clone().into_iter().flat_map(|p| p.iter().flat_map(LayerProfile::heights));
+        let n = heights().count().max(1) as f64;
+        let mean = heights().sum::<f64>() / n;
+        let var = heights().map(|h| (h - mean) * (h - mean)).sum::<f64>() / n;
+        Self { offset_nm: mean, scale_nm: var.sqrt().max(1e-3) }
+    }
+
+    /// A simulated height (nm) in the UNet's output units: the training
+    /// target every labeler writes.
+    #[must_use]
+    pub fn normalize(&self, h_nm: f64) -> f32 {
+        ((h_nm - self.offset_nm) / self.scale_nm) as f32
+    }
+}
+
 /// Hyper-parameters of the objective layers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CmpNnConfig {

@@ -32,15 +32,66 @@ pub fn save_network<W: Write>(network: &CmpNeuralNetwork, mut w: W) -> io::Resul
     writeln!(w, "{MAGIC}")?;
     let cfg = network.unet().config();
     writeln!(w, "unet {} {} {} {}", cfg.in_channels, cfg.out_channels, cfg.base_channels, cfg.depth)?;
-    let norm = network.height_norm();
+    write_constants(&mut w, network.height_norm(), network.extraction())?;
+    serialize::save_parameters(network.unet(), &mut w)
+}
+
+/// Writes the constants weights are only meaningful with — the height
+/// normalization and the extraction settings — as the two lines the
+/// bundle and the corpus manifest (`neurfill-data`) share:
+///
+/// ```text
+/// height_norm <offset_nm> <scale_nm>
+/// extraction <perimeter_scale> <width_scale> <dummy edge_um> <dummy bytes_per_dummy>
+/// ```
+///
+/// Values use Rust's shortest round-trip `{}` form, so they read back
+/// bit for bit.
+///
+/// # Errors
+///
+/// Propagates I/O errors from the writer.
+pub fn write_constants<W: Write>(w: &mut W, norm: HeightNorm, ex: &ExtractionConfig) -> io::Result<()> {
     writeln!(w, "height_norm {} {}", norm.offset_nm, norm.scale_nm)?;
-    let ex = network.extraction();
     writeln!(
         w,
         "extraction {} {} {} {}",
         ex.perimeter_scale, ex.width_scale, ex.dummy.edge_um, ex.dummy.bytes_per_dummy
-    )?;
-    serialize::save_parameters(network.unet(), &mut w)
+    )
+}
+
+/// Reads the two lines [`write_constants`] writes from `lines`.
+///
+/// # Errors
+///
+/// Returns `InvalidData` when either line is missing, has another key or
+/// field count, or a field does not parse; propagates read errors.
+pub fn read_constants(
+    lines: &mut impl Iterator<Item = io::Result<String>>,
+) -> io::Result<(HeightNorm, ExtractionConfig)> {
+    let [offset_nm, scale_nm] = constants_line(lines, "height_norm")?;
+    let [perimeter_scale, width_scale, edge_um, bytes_per_dummy] = constants_line(lines, "extraction")?;
+    Ok((
+        HeightNorm { offset_nm, scale_nm },
+        ExtractionConfig { perimeter_scale, width_scale, dummy: DummySpec { edge_um, bytes_per_dummy } },
+    ))
+}
+
+/// The `N` values of the next line, which must be `<key> v1 … vN`.
+fn constants_line<const N: usize>(
+    lines: &mut impl Iterator<Item = io::Result<String>>,
+    key: &str,
+) -> io::Result<[f64; N]> {
+    let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+    let line = lines.next().ok_or_else(|| bad(format!("truncated before the {key} line")))??;
+    let values: Vec<f64> = line
+        .strip_prefix(key)
+        .and_then(|rest| rest.strip_prefix(' '))
+        .ok_or_else(|| bad(format!("expected a {key} line, got {line:?}")))?
+        .split_whitespace()
+        .map(|t| t.parse().map_err(|e| bad(format!("bad {key} field {t:?}: {e}"))))
+        .collect::<io::Result<_>>()?;
+    values.try_into().map_err(|v: Vec<f64>| bad(format!("{key} needs {N} fields, got {}", v.len())))
 }
 
 /// Reads a bundle written by [`save_network`].
@@ -61,20 +112,14 @@ pub fn save_network<W: Write>(network: &CmpNeuralNetwork, mut w: W) -> io::Resul
 pub fn load_network<R: Read>(r: R) -> io::Result<CmpNeuralNetwork> {
     let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     let mut reader = BufReader::new(r);
-    let mut line = String::new();
+    let mut lines = (&mut reader).lines();
+    let mut next_line =
+        || -> io::Result<String> { lines.next().ok_or_else(|| bad("unexpected end of bundle".into()))? };
 
-    let mut next_line = |reader: &mut BufReader<R>| -> io::Result<String> {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "unexpected end of bundle"));
-        }
-        Ok(line.trim_end().to_string())
-    };
-
-    if next_line(&mut reader)? != MAGIC {
+    if next_line()?.trim_end() != MAGIC {
         return Err(bad("not a neurfill surrogate bundle".into()));
     }
-    let unet_line = next_line(&mut reader)?;
+    let unet_line = next_line()?;
     let parts: Vec<usize> = unet_line
         .strip_prefix("unet ")
         .ok_or_else(|| bad(format!("bad unet line: {unet_line:?}")))?
@@ -92,26 +137,7 @@ pub fn load_network<R: Read>(r: R) -> io::Result<CmpNeuralNetwork> {
     if out_c != 1 || base == 0 || depth == 0 {
         return Err(bad(format!("unsupported unet architecture: {unet_line:?}")));
     }
-    let norm_line = next_line(&mut reader)?;
-    let nums: Vec<f64> = norm_line
-        .strip_prefix("height_norm ")
-        .ok_or_else(|| bad(format!("bad height_norm line: {norm_line:?}")))?
-        .split_whitespace()
-        .map(|t| t.parse().map_err(|e| bad(format!("bad norm field {t:?}: {e}"))))
-        .collect::<io::Result<_>>()?;
-    let [offset_nm, scale_nm] = nums[..] else {
-        return Err(bad("height_norm needs 2 fields".into()));
-    };
-    let ex_line = next_line(&mut reader)?;
-    let exs: Vec<f64> = ex_line
-        .strip_prefix("extraction ")
-        .ok_or_else(|| bad(format!("bad extraction line: {ex_line:?}")))?
-        .split_whitespace()
-        .map(|t| t.parse().map_err(|e| bad(format!("bad extraction field {t:?}: {e}"))))
-        .collect::<io::Result<_>>()?;
-    let [perimeter_scale, width_scale, edge_um, bytes_per_dummy] = exs[..] else {
-        return Err(bad("extraction needs 4 fields".into()));
-    };
+    let (norm, extraction) = read_constants(&mut lines)?;
 
     // The weight parser buffers internally, so the remainder of the bundle
     // is read whole and cut at the first trailing section.
@@ -132,12 +158,7 @@ pub fn load_network<R: Read>(r: R) -> io::Result<CmpNeuralNetwork> {
     let unet = UNet::new(config, &mut rng);
     serialize::load_parameters(&unet, weights.as_bytes())?;
     unet.set_training(false);
-    Ok(CmpNeuralNetwork::new(
-        unet,
-        HeightNorm { offset_nm, scale_nm },
-        ExtractionConfig { perimeter_scale, width_scale, dummy: DummySpec { edge_um, bytes_per_dummy } },
-        CmpNnConfig::default(),
-    ))
+    Ok(CmpNeuralNetwork::new(unet, norm, extraction, CmpNnConfig::default()))
 }
 
 /// Saves a network bundle to a file path through [`write_durable`]:
@@ -206,6 +227,16 @@ mod tests {
         let mut second = Vec::new();
         save_network(&reloaded, &mut second).unwrap();
         assert_eq!(first, second, "persistence must be a fixed point");
+    }
+
+    #[test]
+    fn trailing_whitespace_on_the_magic_line_still_loads() {
+        let net = network();
+        let mut buf = Vec::new();
+        save_network(&net, &mut buf).unwrap();
+        let padded = String::from_utf8(buf).unwrap().replacen(MAGIC, &format!("{MAGIC} \t"), 1);
+        let back = load_network(padded.as_bytes()).unwrap();
+        assert_eq!(back.height_norm().offset_nm, 123.0);
     }
 
     #[test]

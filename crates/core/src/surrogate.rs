@@ -70,14 +70,39 @@ pub struct TrainedSurrogate {
     pub report: TrainReport,
 }
 
-/// Layouts whose simulated profiles fix the height normalization.
-const NORM_LAYOUTS: usize = 8;
+/// Layouts whose simulated profiles fix the height normalization: the
+/// first `NORM_LAYOUTS` of a run (fewer when the run is shorter), in
+/// [`train_surrogate`] and in every corpus labeler.
+pub const NORM_LAYOUTS: usize = 8;
 
-/// Builds the supervised dataset: for each generated layout and layer, the
-/// input is the extraction planes and the target the simulated height map
-/// (normalized by `norm`). `simulated` holds the profiles of the leading
-/// layouts that were simulated already; the rest are simulated here, so
-/// each layout is simulated once and few profiles are alive at a time.
+/// The training samples of one simulated layout: per layer, its
+/// extraction planes `[NUM_CHANNELS, rows, cols]` and its simulated
+/// heights in the network's units `[1, rows, cols]`
+/// ([`HeightNorm::normalize`]). Every labeler — [`train_surrogate`] and
+/// the sharded corpus writer — turns layouts into samples here.
+///
+/// # Errors
+///
+/// Returns a shape error when `profile` does not cover `layout`'s grid.
+pub fn label_layout(
+    layout: &Layout,
+    profile: &ChipProfile,
+    extraction: &ExtractionConfig,
+    norm: HeightNorm,
+) -> Result<Vec<(NdArray, NdArray)>> {
+    (0..layout.num_layers())
+        .map(|l| {
+            let input = extract_layer_arrays(layout, l, extraction);
+            let target = profile.layer(l).heights().iter().map(|&h| norm.normalize(h)).collect();
+            Ok((input, NdArray::from_vec(target, &[1, layout.rows(), layout.cols()])?))
+        })
+        .collect()
+}
+
+/// Builds the supervised dataset from the generated layouts. `simulated`
+/// holds the profiles of the leading layouts that were simulated already;
+/// the rest are simulated here, so each layout is simulated once and few
+/// profiles are alive at a time.
 fn build_dataset(
     layouts: &[Layout],
     simulated: Vec<ChipProfile>,
@@ -89,33 +114,9 @@ fn build_dataset(
     let mut simulated = simulated.into_iter();
     for layout in layouts {
         let profile = simulated.next().unwrap_or_else(|| sim.simulate(layout));
-        for l in 0..layout.num_layers() {
-            let input = extract_layer_arrays(layout, l, extraction);
-            let target: Vec<f32> = profile
-                .layer(l)
-                .heights()
-                .iter()
-                .map(|h| ((h - norm.offset_nm) / norm.scale_nm) as f32)
-                .collect();
-            let target = NdArray::from_vec(target, &[1, layout.rows(), layout.cols()])?;
-            ds.push(input, target)?;
-        }
+        ds.extend_pairs(label_layout(layout, &profile, extraction, norm)?)?;
     }
     Ok(ds)
-}
-
-/// Derives the height normalization from simulated training layouts.
-fn derive_norm(profiles: &[ChipProfile]) -> HeightNorm {
-    let mut all = Vec::new();
-    for profile in profiles {
-        for l in profile.iter() {
-            all.extend_from_slice(l.heights());
-        }
-    }
-    let n = all.len().max(1) as f64;
-    let mean = all.iter().sum::<f64>() / n;
-    let var = all.iter().map(|h| (h - mean) * (h - mean)).sum::<f64>() / n;
-    HeightNorm { offset_nm: mean, scale_nm: var.sqrt().max(1e-3) }
 }
 
 /// Pre-trains a UNet surrogate of `sim` from `sources` with the two-step
@@ -147,7 +148,7 @@ pub fn train_surrogate(
     let mut gen = TrainingLayoutGenerator::new(sources.to_vec(), config.datagen.clone());
     let layouts = gen.generate(config.num_layouts);
     let head: Vec<ChipProfile> = layouts.iter().take(NORM_LAYOUTS).map(|l| sim.simulate(l)).collect();
-    let norm = derive_norm(&head);
+    let norm = HeightNorm::derive(&head);
     let mut train = build_dataset(&layouts, head, sim, &config.extraction, norm)?;
     let val_n = ((train.len() as f64) * config.validation_fraction).round() as usize;
     let val = train.split_off(val_n.min(train.len().saturating_sub(1)));

@@ -171,10 +171,10 @@ fn run() -> Result<(), String> {
     }
     let val = if args.val_shards > 0 {
         let held_out = set.split_off(args.val_shards);
-        let mut ds = Dataset::with_capacity(usize::try_from(held_out.len()).unwrap_or(0));
-        for rec in held_out.stream() {
-            let (x, y) = rec.map_err(|e| e.to_string())?;
-            ds.push(x, y).map_err(|e| e.to_string())?;
+        let mut ds = Dataset::new();
+        for shard in 0..held_out.num_shards() {
+            ds.extend_pairs(held_out.load_shard(shard).map_err(|e| e.to_string())?)
+                .map_err(|e| e.to_string())?;
         }
         Some(ds)
     } else {

@@ -22,17 +22,18 @@
 //! save → load → save is byte-identical and a resumed run walks the exact
 //! gradient/shuffle trajectory of an uninterrupted one.
 //!
-//! The reader never sizes a buffer from the file: the moment count and
-//! every moment shape must equal the parameters of the model it restores
-//! into before a value is read. The file writer replaces a checkpoint
-//! through [`write_durable`], so a kill mid-save leaves the previous one.
+//! A moment is a weight-file block (`nn::serialize::{write_block,
+//! read_block}`) of kind `moment`. The reader never sizes a buffer from
+//! the file: the moment count and every moment shape must equal the
+//! parameters of the model it restores into before a value is read. The
+//! file writer replaces a checkpoint through [`write_durable`], so a kill
+//! mid-save leaves the previous one.
 
 use neurfill_layout::io::write_durable;
 use neurfill_nn::{serialize, AdamState, Module};
-use neurfill_tensor::{NdArray, Tensor};
 use rand::rngs::StdRng;
-use std::fmt::Write as _;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Lines, Read, Write};
+use std::iter::Peekable;
 use std::path::Path;
 
 const MAGIC: &str = "neurfill-checkpoint v1";
@@ -85,18 +86,7 @@ pub fn save_checkpoint<W: Write>(
         for (i, moment) in moments.iter().enumerate() {
             match moment {
                 None => writeln!(w, "moment {i} none")?,
-                Some(arr) => {
-                    let mut header = format!("moment {i} shape");
-                    for d in arr.shape() {
-                        let _ = write!(header, " {d}");
-                    }
-                    writeln!(w, "{header}")?;
-                    let mut buf = String::with_capacity(arr.numel() * 9);
-                    for v in arr.as_slice() {
-                        let _ = writeln!(buf, "{:08x}", v.to_bits());
-                    }
-                    w.write_all(buf.as_bytes())?;
-                }
+                Some(arr) => serialize::write_block(&mut w, "moment", i, arr)?,
             }
         }
     }
@@ -113,16 +103,15 @@ pub fn save_checkpoint<W: Write>(
 /// not `model`'s is refused before anything is allocated for it.
 pub fn load_checkpoint<R: Read>(model: &dyn Module, r: R) -> io::Result<TrainCheckpoint> {
     let mut reader = BufReader::new(r);
-    let mut line = String::new();
-    let mut next = |reader: &mut BufReader<R>, what: &str| -> io::Result<String> {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(bad(format!("checkpoint truncated before {what}")));
-        }
-        Ok(line.trim_end().to_string())
+    // Line by line through the same buffer, so the weights section that
+    // follows starts exactly where the moments end.
+    let mut lines = (&mut reader).lines().peekable();
+    let next = |lines: &mut Peekable<Lines<&mut BufReader<R>>>, what: &str| -> io::Result<String> {
+        let line = lines.next().ok_or_else(|| bad(format!("checkpoint truncated before {what}")))??;
+        Ok(line.trim_end().to_owned())
     };
 
-    if next(&mut reader, "magic")? != MAGIC {
+    if next(&mut lines, "magic")? != MAGIC {
         return Err(bad("not a neurfill checkpoint"));
     }
     let scalar = |line: &str, key: &str| -> io::Result<u64> {
@@ -131,10 +120,10 @@ pub fn load_checkpoint<R: Read>(model: &dyn Module, r: R) -> io::Result<TrainChe
             .and_then(|v| v.trim().parse().ok())
             .ok_or_else(|| bad(format!("expected `{key} <n>`, got {line:?}")))
     };
-    let epoch = scalar(&next(&mut reader, "epoch")?, "epoch")? as usize;
-    let shard_cursor = scalar(&next(&mut reader, "shard_cursor")?, "shard_cursor")? as usize;
+    let epoch = scalar(&next(&mut lines, "epoch")?, "epoch")? as usize;
+    let shard_cursor = scalar(&next(&mut lines, "shard_cursor")?, "shard_cursor")? as usize;
 
-    let rng_line = next(&mut reader, "rng")?;
+    let rng_line = next(&mut lines, "rng")?;
     let words: Vec<u64> = rng_line
         .strip_prefix("rng ")
         .ok_or_else(|| bad(format!("expected `rng` line, got {rng_line:?}")))?
@@ -143,18 +132,23 @@ pub fn load_checkpoint<R: Read>(model: &dyn Module, r: R) -> io::Result<TrainChe
         .collect::<io::Result<_>>()?;
     let rng_state: [u64; 4] = words.try_into().map_err(|_| bad("rng line needs 4 words".to_string()))?;
 
-    let t = u32::try_from(scalar(&next(&mut reader, "adam_t")?, "adam_t")?)
+    let t = u32::try_from(scalar(&next(&mut lines, "adam_t")?, "adam_t")?)
         .map_err(|e| bad(format!("adam_t out of range: {e}")))?;
     let params = model.parameters();
     let mut sections = Vec::with_capacity(2);
     for key in ["adam_m", "adam_v"] {
-        let count = scalar(&next(&mut reader, key)?, key)?;
+        let count = scalar(&next(&mut lines, key)?, key)?;
         if count != params.len() as u64 {
             return Err(bad(format!("{key} holds {count} moments but the model has {}", params.len())));
         }
         let mut moments = Vec::with_capacity(params.len());
         for (i, param) in params.iter().enumerate() {
-            moments.push(read_moment(&mut reader, &mut next, i, param)?);
+            let none = format!("moment {i} none");
+            let moment = match lines.next_if(|l| l.as_ref().is_ok_and(|l| l.trim_end() == none)) {
+                Some(_) => None,
+                None => Some(serialize::read_block(&mut lines, "moment", i, &param.shape())?),
+            };
+            moments.push(moment);
         }
         sections.push(moments);
     }
@@ -165,44 +159,6 @@ pub fn load_checkpoint<R: Read>(model: &dyn Module, r: R) -> io::Result<TrainChe
 
     serialize::load_parameters(model, reader)?;
     Ok(TrainCheckpoint { epoch, shard_cursor, rng_state, adam: AdamState { t, m, v } })
-}
-
-/// Reads moment `i`, whose shape must be `param`'s.
-fn read_moment<R: Read>(
-    reader: &mut BufReader<R>,
-    next: &mut impl FnMut(&mut BufReader<R>, &str) -> io::Result<String>,
-    i: usize,
-    param: &Tensor,
-) -> io::Result<Option<NdArray>> {
-    let header = next(reader, "moment header")?;
-    let rest = header
-        .strip_prefix(&format!("moment {i} "))
-        .ok_or_else(|| bad(format!("expected `moment {i}`, got {header:?}")))?;
-    if rest == "none" {
-        return Ok(None);
-    }
-    let shape: Vec<usize> = rest
-        .strip_prefix("shape")
-        .ok_or_else(|| bad(format!("bad moment header {header:?}")))?
-        .split_whitespace()
-        .map(|t| t.parse().map_err(|e| bad(format!("bad extent {t:?}: {e}"))))
-        .collect::<io::Result<_>>()?;
-    if shape != param.shape() {
-        return Err(bad(format!("moment {i} shape {shape:?} != parameter shape {:?}", param.shape())));
-    }
-    let n: usize = shape.iter().product();
-    let mut data = Vec::with_capacity(n);
-    for _ in 0..n {
-        let line = next(reader, "moment value")?;
-        let hex = line.trim();
-        if hex.len() != 8 {
-            return Err(bad(format!("bad moment value {line:?}: expected 8 hex digits")));
-        }
-        let bits =
-            u32::from_str_radix(hex, 16).map_err(|e| bad(format!("bad moment value {line:?}: {e}")))?;
-        data.push(f32::from_bits(bits));
-    }
-    NdArray::from_vec(data, &shape).map(Some).map_err(|e| bad(e.to_string()))
 }
 
 /// Saves a checkpoint bundle to a file path through [`write_durable`]:
@@ -235,6 +191,7 @@ pub fn load_checkpoint_file(model: &dyn Module, path: impl AsRef<Path>) -> io::R
 mod tests {
     use super::*;
     use neurfill_nn::{Adam, UNet, UNetConfig};
+    use neurfill_tensor::{NdArray, Tensor};
     use rand::{Rng, SeedableRng};
 
     fn unet(seed: u64) -> UNet {
@@ -291,6 +248,19 @@ mod tests {
         let mut resumed = back.rng();
         let expect: u64 = rng.gen();
         assert_eq!(resumed.gen::<u64>(), expect);
+    }
+
+    #[test]
+    fn trailing_whitespace_on_header_and_none_lines_still_loads() {
+        let model = unet(4);
+        let adam = Adam::new(model.parameters(), 1e-3).export_state();
+        let ckpt = TrainCheckpoint { epoch: 1, shard_cursor: 0, rng_state: [1, 2, 3, 4], adam };
+        let mut buf = Vec::new();
+        save_checkpoint(&ckpt, &model, &mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let padded = text.replacen(MAGIC, &format!("{MAGIC} \t"), 1).replace(" none\n", " none \t\n");
+        assert!(padded.contains("moment 0 none \t\n"));
+        assert_eq!(load_checkpoint(&model, padded.as_bytes()).unwrap(), ckpt);
     }
 
     #[test]

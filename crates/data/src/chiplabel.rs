@@ -16,7 +16,7 @@ use crate::shard::{ShardSetWriter, ShardShapes};
 use neurfill::extraction::{ExtractionConfig, ExtractionStream, NUM_CHANNELS};
 use neurfill::HeightNorm;
 use neurfill_chip::{ChipSimConfig, ChipSimulator, ChipSource};
-use neurfill_cmpsim::{ChipProfile, ProcessParams};
+use neurfill_cmpsim::ProcessParams;
 use neurfill_layout::Tiling;
 use neurfill_tensor::NdArray;
 use std::io;
@@ -42,7 +42,7 @@ pub struct ChipLabelConfig {
     /// Golden-simulator process parameters.
     pub process: ProcessParams,
     /// Height normalization; `None` derives it from the chip's own
-    /// height statistics (mean/std over all layers).
+    /// heights ([`HeightNorm::derive`] over its one profile).
     pub norm: Option<HeightNorm>,
     /// Seed recorded in the manifest (the chip generator's seed).
     pub seed: u64,
@@ -84,21 +84,6 @@ pub struct ChipLabelReport {
     pub halo_bytes: u64,
 }
 
-/// Mean/std height normalization over every layer of one chip profile.
-fn derive_norm(profile: &ChipProfile) -> HeightNorm {
-    let (mut sum, mut count) = (0.0f64, 0usize);
-    for l in profile.iter() {
-        sum += l.heights().iter().sum::<f64>();
-        count += l.heights().len();
-    }
-    let n = count.max(1) as f64;
-    let mean = sum / n;
-    let var =
-        profile.iter().flat_map(|l| l.heights().iter()).map(|h| (h - mean) * (h - mean)).sum::<f64>()
-            / n;
-    HeightNorm { offset_nm: mean, scale_nm: var.sqrt().max(1e-3) }
-}
-
 /// Labels a full chip into training shards: one sharded golden
 /// simulation, then one `(extraction planes, normalized heights)`
 /// sample per tile per layer, extracted tile-at-a-time so the chip's
@@ -134,7 +119,7 @@ pub fn label_full_chip(
     let (profile, stats) = sim.simulate(source).map_err(bad)?;
     let sim_elapsed = started.elapsed();
 
-    let norm = cfg.norm.unwrap_or_else(|| derive_norm(&profile));
+    let norm = cfg.norm.unwrap_or_else(|| HeightNorm::derive([&profile]));
     let tiling = Tiling::square(rows, cols, cfg.tile, 0);
     let shapes =
         ShardShapes { input: [NUM_CHANNELS, cfg.tile, cfg.tile], target: [1, cfg.tile, cfg.tile] };
@@ -154,11 +139,10 @@ pub fn label_full_chip(
             for r in rect.row0..rect.row_end() {
                 for c in rect.col0..rect.col_end() {
                     let h = heights[r * cols + c];
-                    target.push(((h - norm.offset_nm) / norm.scale_nm) as f32);
+                    target.push(norm.normalize(h));
                 }
             }
-            let target =
-                NdArray::from_vec(target, &[1, cfg.tile, cfg.tile]).map_err(|e| bad(e.to_string()))?;
+            let target = NdArray::from_vec(target, &[1, cfg.tile, cfg.tile])?;
             writer.push(&input, &target)?;
         }
     }

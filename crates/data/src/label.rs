@@ -8,13 +8,15 @@
 //! alone, which makes corpora reproducible and cacheable.
 
 use crate::shard::{ShardSetWriter, ShardShapes};
-use neurfill::extraction::{extract_layer_arrays, ExtractionConfig, NUM_CHANNELS};
+use neurfill::extraction::{ExtractionConfig, NUM_CHANNELS};
+use neurfill::persist::{read_constants, write_constants};
+use neurfill::surrogate::{label_layout, NORM_LAYOUTS};
 use neurfill::HeightNorm;
 use neurfill_cmpsim::{ChipProfile, CmpSimulator, ProcessParams};
 use neurfill_layout::datagen::{DataGenConfig, TrainingLayoutGenerator};
+use neurfill_layout::io::write_durable;
 use neurfill_layout::Layout;
 use neurfill_runtime::parallel_map_ordered;
-use neurfill_tensor::NdArray;
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -39,8 +41,8 @@ pub struct LabelConfig {
     pub extraction: ExtractionConfig,
     /// Golden-simulator process parameters.
     pub process: ProcessParams,
-    /// Height normalization; `None` derives it from the first simulated
-    /// layouts exactly as surrogate pre-training does.
+    /// Height normalization; `None` derives it from the first
+    /// [`NORM_LAYOUTS`] simulated layouts, as surrogate pre-training does.
     pub norm: Option<HeightNorm>,
     /// Telemetry handle. The default (disabled) handle records nothing;
     /// an enabled one counts layouts/samples (`data.label.*`), shard
@@ -81,22 +83,6 @@ pub struct LabelReport {
     pub sim_elapsed: Duration,
 }
 
-/// Derives the height normalization from the first simulated profiles —
-/// the same statistic surrogate pre-training uses (mean/std over the first
-/// eight layouts' heights).
-fn derive_norm<'a>(profiles: impl Iterator<Item = &'a ChipProfile>) -> HeightNorm {
-    let mut all = Vec::new();
-    for profile in profiles.take(8) {
-        for l in profile.iter() {
-            all.extend_from_slice(l.heights());
-        }
-    }
-    let n = all.len().max(1) as f64;
-    let mean = all.iter().sum::<f64>() / n;
-    let var = all.iter().map(|h| (h - mean) * (h - mean)).sum::<f64>() / n;
-    HeightNorm { offset_nm: mean, scale_nm: var.sqrt().max(1e-3) }
-}
-
 /// Runs the full labeling pipeline: generate layouts sequentially from a
 /// fixed seed, simulate them in parallel on `cfg.workers` threads, and
 /// write `(extraction planes, normalized height map)` samples into shards
@@ -132,9 +118,9 @@ pub fn generate_labeled_shards(
     // the old all-at-once path at any chunk boundary or worker count.
     let mut gen = TrainingLayoutGenerator::new(sources, cfg.datagen.clone());
     let workers = if cfg.workers == 0 { neurfill_runtime::default_workers() } else { cfg.workers };
-    // At least 8 so norm derivation (first 8 profiles) sees one chunk;
-    // 2× workers keeps every thread busy within a chunk.
-    let chunk_size = 8usize.max(2 * workers);
+    // At least NORM_LAYOUTS so the norm's layouts are one chunk; 2×
+    // workers keeps every thread busy within a chunk.
+    let chunk_size = NORM_LAYOUTS.max(2 * workers);
 
     let mut norm: Option<HeightNorm> = cfg.norm;
     let mut writer: Option<ShardSetWriter> = None;
@@ -158,7 +144,9 @@ pub fn generate_labeled_shards(
         sim_elapsed += started.elapsed();
         labeled_count += labeled.len();
 
-        let norm = *norm.get_or_insert_with(|| derive_norm(labeled.iter().map(|(_, p)| p)));
+        let norm = *norm.get_or_insert_with(|| {
+            HeightNorm::derive(labeled.iter().map(|(_, p)| p).take(NORM_LAYOUTS))
+        });
         let writer = match &mut writer {
             Some(w) => w,
             None => {
@@ -173,18 +161,8 @@ pub fn generate_labeled_shards(
         };
 
         // Ordered shard writes: layout-major, layer-minor.
-        let (rows, cols) = (geometry.0, geometry.1);
         for (layout, profile) in &labeled {
-            for l in 0..layout.num_layers() {
-                let input = extract_layer_arrays(layout, l, &cfg.extraction);
-                let target: Vec<f32> = profile
-                    .layer(l)
-                    .heights()
-                    .iter()
-                    .map(|h| ((h - norm.offset_nm) / norm.scale_nm) as f32)
-                    .collect();
-                let target =
-                    NdArray::from_vec(target, &[1, rows, cols]).map_err(|e| bad(e.to_string()))?;
+            for (input, target) in label_layout(layout, profile, &cfg.extraction, norm)? {
                 writer.push(&input, &target)?;
             }
         }
@@ -245,26 +223,23 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    /// Writes the manifest as a small text file.
+    /// Writes the manifest as a small text file through [`write_durable`]:
+    /// `path` keeps its previous contents until the new manifest is
+    /// complete and synced. The `height_norm` and `extraction` lines are
+    /// the bundle's ([`write_constants`]).
     ///
     /// # Errors
     ///
     /// Propagates file-system errors.
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let mut w = io::BufWriter::new(std::fs::File::create(path)?);
+        let mut w = Vec::new();
         writeln!(w, "{MANIFEST_MAGIC}")?;
         writeln!(w, "samples {}", self.samples)?;
         writeln!(w, "layouts {}", self.layouts)?;
         writeln!(w, "geometry {} {} {}", self.rows, self.cols, self.layers)?;
         writeln!(w, "seed {}", self.seed)?;
-        writeln!(w, "height_norm {} {}", self.norm.offset_nm, self.norm.scale_nm)?;
-        let ex = &self.extraction;
-        writeln!(
-            w,
-            "extraction {} {} {} {}",
-            ex.perimeter_scale, ex.width_scale, ex.dummy.edge_um, ex.dummy.bytes_per_dummy
-        )?;
-        w.flush()
+        write_constants(&mut w, self.norm, &self.extraction)?;
+        write_durable(path.as_ref(), &w)
     }
 
     /// Reads a manifest written by [`Manifest::save`].
@@ -301,22 +276,8 @@ impl Manifest {
         let layouts = fields::<usize>(&next("layouts")?, "layouts", 1)?[0];
         let geo = fields::<usize>(&next("geometry")?, "geometry", 3)?;
         let seed = fields::<u64>(&next("seed")?, "seed", 1)?[0];
-        let nm = fields::<f64>(&next("height_norm")?, "height_norm", 2)?;
-        let ex = fields::<f64>(&next("extraction")?, "extraction", 4)?;
-        Ok(Self {
-            samples,
-            layouts,
-            rows: geo[0],
-            cols: geo[1],
-            layers: geo[2],
-            seed,
-            norm: HeightNorm { offset_nm: nm[0], scale_nm: nm[1] },
-            extraction: ExtractionConfig {
-                perimeter_scale: ex[0],
-                width_scale: ex[1],
-                dummy: neurfill_layout::DummySpec { edge_um: ex[2], bytes_per_dummy: ex[3] },
-            },
-        })
+        let (norm, extraction) = read_constants(&mut lines)?;
+        Ok(Self { samples, layouts, rows: geo[0], cols: geo[1], layers: geo[2], seed, norm, extraction })
     }
 }
 
@@ -413,11 +374,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&db);
     }
 
-    #[test]
-    fn manifest_roundtrips() {
-        let dir = tmp("manifest");
-        std::fs::create_dir_all(&dir).unwrap();
-        let m = Manifest {
+    fn manifest() -> Manifest {
+        Manifest {
             samples: 10,
             layouts: 5,
             rows: 8,
@@ -426,7 +384,14 @@ mod tests {
             seed: 42,
             norm: HeightNorm { offset_nm: 123.456, scale_nm: 7.89 },
             extraction: ExtractionConfig::default(),
-        };
+        }
+    }
+
+    #[test]
+    fn manifest_roundtrips() {
+        let dir = tmp("manifest");
+        std::fs::create_dir_all(&dir).unwrap();
+        let m = manifest();
         let path = dir.join(MANIFEST_FILE);
         m.save(&path).unwrap();
         let back = Manifest::load(&path).unwrap();
@@ -437,6 +402,22 @@ mod tests {
         assert!(Manifest::load(dir.join("missing.txt")).is_err());
         std::fs::write(&path, "garbage\n").unwrap();
         assert!(Manifest::load(&path).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_manifest_save_leaves_the_previous_manifest_intact() {
+        let dir = tmp("manifest_durable");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(MANIFEST_FILE);
+        let m = manifest();
+        m.save(&path).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        // A directory where the new manifest would be staged: the save
+        // cannot even begin, and must say so without touching the old file.
+        std::fs::create_dir(neurfill_layout::io::staging_path(&path)).unwrap();
+        assert!(Manifest { samples: 20, ..m }.save(&path).is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), before);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

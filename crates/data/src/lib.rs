@@ -22,8 +22,9 @@
 //!   extraction over the tile grid.
 //! * [`checkpoint`] — one text bundle holding weights, Adam moments, RNG
 //!   state and the epoch/shard cursor, so training resumes bit-exactly.
-//! * [`train`] — a streaming epoch loop holding one shard in memory at a
-//!   time, with validation through `neurfill_nn::evaluate`.
+//! * [`train`] — the one epoch loop (`neurfill_nn::run_epochs`) over a
+//!   shard set, one shard in memory at a time, with a checkpoint after
+//!   every shard.
 //!
 //! The `gendata` and `pretrain` binaries wrap the two halves as CLIs; a
 //! `pretrain` run ends in the same self-contained surrogate bundle
@@ -46,4 +47,4 @@ pub use checkpoint::{
 pub use chiplabel::{label_full_chip, ChipLabelConfig, ChipLabelReport};
 pub use label::{generate_labeled_shards, LabelConfig, LabelReport, Manifest, MANIFEST_FILE};
 pub use shard::{ShardReader, ShardSet, ShardSetWriter, ShardShapes, ShardWriter, SHARD_EXTENSION};
-pub use train::{train_streaming, StreamEpochStats, StreamTrainConfig};
+pub use train::{train_streaming, StreamTrainConfig};

@@ -1,18 +1,17 @@
 //! Checkpointed streaming pre-training over a sharded corpus.
 //!
-//! Unlike [`neurfill_nn::fit`], which needs the whole dataset in memory,
-//! this loop holds *one shard at a time*: each epoch walks the shard set
-//! in order, loads a shard, shuffles and trains on it, then drops it
-//! before loading the next. After every shard the full training state —
+//! The epoch is [`neurfill_nn::run_epochs`], the one `neurfill_nn::fit`
+//! runs over an in-memory dataset; here each epoch's parts are the
+//! shards, *one in memory at a time*: each epoch walks the shard set in
+//! order, loads a shard, shuffles and trains on it, then drops it before
+//! loading the next. After every shard the full training state —
 //! weights, Adam moments, RNG and the epoch/shard cursor — is written to
 //! the checkpoint file, and a resumed run continues bit-exactly where the
 //! interrupted one stopped.
 
 use crate::checkpoint::{save_checkpoint_file, TrainCheckpoint};
 use crate::shard::ShardSet;
-use neurfill_nn::loss::mse_loss;
-use neurfill_nn::{Adam, Dataset, Module, TrainConfig};
-use neurfill_tensor::Tensor;
+use neurfill_nn::{run_epochs, Adam, Dataset, EpochPass, EpochStats, Module, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io;
@@ -41,33 +40,9 @@ pub struct StreamTrainConfig {
     pub telemetry: neurfill_obs::Telemetry,
 }
 
-/// Per-epoch statistics of a streaming run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamEpochStats {
-    /// Zero-based epoch index.
-    pub epoch: usize,
-    /// Mean training loss over the batches this run processed in the
-    /// epoch (a resumed epoch averages only the shards it actually ran).
-    pub train_loss: f32,
-    /// Validation MSE ([`neurfill_nn::evaluate`]), when a validation set
-    /// was supplied.
-    pub val_loss: Option<f32>,
-    /// Learning rate the epoch ran with.
-    pub lr: f32,
-}
-
-/// Restores evaluation mode when dropped, so no exit path can leave the
-/// model stuck in training mode.
-struct EvalOnDrop<'a>(&'a dyn Module);
-
-impl Drop for EvalOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.set_training(false);
-    }
-}
-
 /// Trains `model` over the shard set with MSE loss and Adam, one shard in
-/// memory at a time.
+/// memory at a time: [`run_epochs`] with each epoch's parts the shards,
+/// in order.
 ///
 /// Pass `resume` (from [`crate::checkpoint::load_checkpoint_file`], which
 /// also restores the weights) to continue an interrupted run: the loop
@@ -87,8 +62,8 @@ pub fn train_streaming(
     val: Option<&Dataset>,
     cfg: &StreamTrainConfig,
     resume: Option<TrainCheckpoint>,
-    mut on_epoch: impl FnMut(&StreamEpochStats) -> bool,
-) -> io::Result<Vec<StreamEpochStats>> {
+    mut on_epoch: impl FnMut(&EpochStats) -> bool,
+) -> io::Result<Vec<EpochStats>> {
     if data.is_empty() {
         return Err(bad("shard set holds no samples"));
     }
@@ -116,28 +91,12 @@ pub fn train_streaming(
     let loss_g = cfg.telemetry.gauge("data.train.loss");
     let val_loss_g = cfg.telemetry.gauge("data.train.val_loss");
 
-    let guard = EvalOnDrop(model);
-    let mut history = Vec::new();
-    for epoch in start_epoch..cfg.train.epochs {
+    let train_epoch = |epoch: usize, pass: &mut EpochPass<'_>| -> io::Result<()> {
         let _epoch_timer = cfg.telemetry.time("data.train.epoch_ns");
-        model.set_training(true);
-        let lr = cfg.train.lr_at(epoch);
-        opt.set_lr(lr);
-        let mut total = 0.0f32;
-        let mut batches = 0usize;
         for shard in next_shard..data.num_shards() {
             shards_c.inc();
             let ds = data.open_shard(shard)?.with_telemetry(&cfg.telemetry).read_to_dataset()?;
-            for idx in ds.shuffled_batches(cfg.train.batch_size, &mut rng) {
-                let (x, y) = ds.batch(&idx);
-                opt.zero_grad();
-                let pred = model.forward(&Tensor::constant(x)).map_err(|e| bad(e.to_string()))?;
-                let loss = mse_loss(&pred, &Tensor::constant(y)).map_err(|e| bad(e.to_string()))?;
-                total += loss.item();
-                batches += 1;
-                loss.backward().map_err(|e| bad(e.to_string()))?;
-                opt.step();
-            }
+            batches_c.add(pass.train_on(&ds, &mut rng)? as u64);
             if let Some(path) = &cfg.checkpoint_path {
                 // Cursor of the *next* unit of work: the following shard,
                 // or the next epoch once this was the last shard.
@@ -147,37 +106,23 @@ pub fn train_streaming(
                     epoch: e,
                     shard_cursor: s,
                     rng_state: rng.state(),
-                    adam: opt.export_state(),
+                    adam: pass.optimizer().export_state(),
                 };
                 save_checkpoint_file(&ckpt, model, path)?;
             }
         }
         next_shard = 0;
-        let val_loss = match val {
-            Some(v) if !v.is_empty() => {
-                let loss = neurfill_nn::evaluate(model, v, cfg.train.batch_size)
-                    .map_err(|e| bad(e.to_string()))?;
-                // Validation flipped the model to eval; the next epoch (or
-                // the guard) sets the mode it needs.
-                Some(loss)
-            }
-            _ => None,
-        };
-        let stats = StreamEpochStats { epoch, train_loss: total / batches.max(1) as f32, val_loss, lr };
+        Ok(())
+    };
+    let record = |stats: &EpochStats| {
         epochs_c.inc();
-        batches_c.add(batches as u64);
         loss_g.set(f64::from(stats.train_loss));
         if let Some(v) = stats.val_loss {
             val_loss_g.set(f64::from(v));
         }
-        let go_on = on_epoch(&stats);
-        history.push(stats);
-        if !go_on {
-            break;
-        }
-    }
-    drop(guard);
-    Ok(history)
+        on_epoch(stats)
+    };
+    run_epochs(model, &mut opt, &cfg.train, start_epoch..cfg.train.epochs, val, train_epoch, record)
 }
 
 #[cfg(test)]

@@ -58,7 +58,6 @@ pub fn write_layout<W: Write>(layout: &Layout, mut w: W) -> io::Result<()> {
 ///
 /// Returns `InvalidData` on any format violation.
 pub fn read_layout<R: Read>(r: R) -> io::Result<Layout> {
-    let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     let mut lines = BufReader::new(r).lines();
     let mut next = |what: &str| -> io::Result<String> {
         lines.next().ok_or_else(|| bad(format!("unexpected end of file, expected {what}")))?
@@ -80,13 +79,13 @@ pub fn read_layout<R: Read>(r: R) -> io::Result<Layout> {
     let [layers, rows, cols] = dims[..] else {
         return Err(bad(format!("dims needs 3 values, got {dims:?}")));
     };
-    if layers == 0 || rows == 0 || cols == 0 {
-        return Err(bad("dims must be positive".into()));
-    }
-    let mut grids = Vec::with_capacity(layers);
+    let windows = checked_windows(layers, rows, cols)?;
+    // Nothing is sized from the header: the grids grow with the windows
+    // that parse.
+    let mut grids = Vec::new();
     for _ in 0..layers {
-        let mut data = Vec::with_capacity(rows * cols);
-        for _ in 0..rows * cols {
+        let mut data = Vec::new();
+        for _ in 0..windows / layers {
             let line = next("window")?;
             let rest =
                 line.strip_prefix("w ").ok_or_else(|| bad(format!("bad window line {line:?}")))?;
@@ -106,10 +105,29 @@ pub fn read_layout<R: Read>(r: R) -> io::Result<Layout> {
 
 const BITS_MAGIC: &str = "neurfill-layout-bits v1";
 
-/// Upper bound on `layers * rows * cols` accepted by
-/// [`read_layout_bits`] — rejects corrupt headers before they turn into
-/// multi-gigabyte allocations.
-const MAX_BITS_WINDOWS: usize = 1 << 28;
+/// Upper bound on `layers * rows * cols` accepted by [`read_layout`] and
+/// [`read_layout_bits`] (2²⁸ windows, 8 GiB of window data): a header
+/// past it, or whose product overflows, is refused before a window is
+/// read.
+const MAX_LAYOUT_WINDOWS: usize = 1 << 28;
+
+/// `layers · rows · cols` of a `dims` header, each positive and the
+/// product at most [`MAX_LAYOUT_WINDOWS`].
+fn checked_windows(layers: usize, rows: usize, cols: usize) -> io::Result<usize> {
+    layers
+        .checked_mul(rows)
+        .and_then(|n| n.checked_mul(cols))
+        .filter(|&n| n > 0 && n <= MAX_LAYOUT_WINDOWS)
+        .ok_or_else(|| {
+            bad(format!(
+                "dims {layers}x{rows}x{cols} must be positive with at most {MAX_LAYOUT_WINDOWS} windows"
+            ))
+        })
+}
+
+fn bad(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
 
 /// Writes `layout` in the compact bit-exact encoding: the same header
 /// fields as [`write_layout`] (scalars as `f64::to_bits` hex), then one
@@ -149,7 +167,6 @@ pub fn write_layout_bits<W: Write>(layout: &Layout, mut w: W) -> io::Result<()> 
 ///
 /// Returns `InvalidData` on any format violation or truncation.
 pub fn read_layout_bits<R: Read>(r: R) -> io::Result<Layout> {
-    let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     let mut reader = BufReader::new(r);
     let mut line = String::new();
     let mut next = |reader: &mut BufReader<R>, what: &str| -> io::Result<String> {
@@ -190,31 +207,24 @@ pub fn read_layout_bits<R: Read>(r: R) -> io::Result<Layout> {
     let [layers, rows, cols] = dims[..] else {
         return Err(bad(format!("dims needs 3 values, got {dims:?}")));
     };
-    if layers == 0 || rows == 0 || cols == 0 {
-        return Err(bad("dims must be positive".into()));
-    }
-    let total = layers
-        .checked_mul(rows)
-        .and_then(|n| n.checked_mul(cols))
-        .filter(|&n| n <= MAX_BITS_WINDOWS)
-        .ok_or_else(|| bad(format!("implausible dims {layers}x{rows}x{cols}")))?;
-    let mut body = vec![0u8; total * 32];
-    reader.read_exact(&mut body).map_err(|e| bad(format!("truncated window records: {e}")))?;
-    let mut words = body.chunks_exact(8).map(|c| {
+    let windows = checked_windows(layers, rows, cols)?;
+    // Nothing is sized from the header: the grids grow one record at a
+    // time as the records arrive.
+    let mut word = || -> io::Result<f64> {
         let mut raw = [0u8; 8];
-        raw.copy_from_slice(c);
-        f64::from_le_bytes(raw)
-    });
-    let mut grids = Vec::with_capacity(layers);
+        reader.read_exact(&mut raw).map_err(|e| bad(format!("truncated window records: {e}")))?;
+        Ok(f64::from_le_bytes(raw))
+    };
+    let mut grids = Vec::new();
     for _ in 0..layers {
-        let mut data = Vec::with_capacity(rows * cols);
-        for _ in 0..rows * cols {
-            let (Some(density), Some(perimeter), Some(avg_width), Some(slack)) =
-                (words.next(), words.next(), words.next(), words.next())
-            else {
-                unreachable!("body holds exactly total * 4 words")
-            };
-            data.push(WindowPattern { density, perimeter, avg_width, slack });
+        let mut data = Vec::new();
+        for _ in 0..windows / layers {
+            data.push(WindowPattern {
+                density: word()?,
+                perimeter: word()?,
+                avg_width: word()?,
+                slack: word()?,
+            });
         }
         grids.push(Grid::from_vec(rows, cols, data));
     }
@@ -227,9 +237,9 @@ where
 {
     line.strip_prefix(key)
         .map(str::trim)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, format!("missing {key}")))?
+        .ok_or_else(|| bad(format!("missing {key}")))?
         .parse()
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad {key}: {e}")))
+        .map_err(|e| bad(format!("bad {key}: {e}")))
 }
 
 const PLAN_MAGIC: &str = "neurfill-plan v2";
@@ -314,7 +324,6 @@ pub fn write_plan<W: Write>(shape: PlanShape, amounts: &[f64], mut w: W) -> io::
 /// an amount that does not parse, too many or too few amounts, a missing
 /// final newline or trailing bytes. Non-UTF-8 input is `InvalidData` too.
 pub fn read_plan<R: Read>(r: R) -> io::Result<(PlanShape, Vec<f64>)> {
-    let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     let mut reader = BufReader::new(r);
     let mut next = |what: &str| -> io::Result<String> {
         let mut line = String::new();
@@ -418,14 +427,16 @@ pub fn write_durable(path: &Path, bytes: &[u8]) -> io::Result<()> {
     commit_staged(staged, path)
 }
 
-/// Saves a layout to a file path.
+/// Saves a layout to a file path through [`write_durable`]: `path` keeps
+/// its previous contents until the new layout is complete and synced.
 ///
 /// # Errors
 ///
 /// Propagates file-system errors.
 pub fn save_to_file(layout: &Layout, path: impl AsRef<Path>) -> io::Result<()> {
-    let f = std::fs::File::create(path)?;
-    write_layout(layout, io::BufWriter::new(f))
+    let mut bytes = Vec::new();
+    write_layout(layout, &mut bytes)?;
+    write_durable(path.as_ref(), &bytes)
 }
 
 /// Loads a layout from a file path.
@@ -508,5 +519,22 @@ mod tests {
         write_layout(&l, &mut buf).unwrap();
         let cut = &buf[..buf.len() / 2];
         assert!(read_layout(cut).is_err());
+    }
+
+    #[test]
+    fn a_failed_save_leaves_the_previous_layout_intact() {
+        let dir = std::env::temp_dir().join(format!("nf_layout_durable_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("a.layout");
+        save_to_file(&DesignSpec::new(DesignKind::CmpTest, 4, 4, 0).generate(), &path).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        // A directory where the new layout would be staged: the save cannot
+        // even begin, and must say so without touching the old file.
+        std::fs::create_dir(staging_path(&path)).unwrap();
+        let other = DesignSpec::new(DesignKind::RiscV, 4, 4, 1).generate();
+        assert!(save_to_file(&other, &path).is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

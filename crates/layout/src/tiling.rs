@@ -201,13 +201,6 @@ impl Tiling {
         let (tr, tc) = self.grid();
         (0..tr).flat_map(move |ti| (0..tc).map(move |tj| self.tile(ti, tj)))
     }
-
-    /// The largest extended-region size over all tiles — the per-tile
-    /// resident-memory bound.
-    #[must_use]
-    pub fn max_ext_len(&self) -> usize {
-        self.tiles().map(|t| t.ext.len()).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]

@@ -154,6 +154,18 @@ impl Dataset {
     }
 }
 
+/// Moves the `(input, target)` pairs out in storage order, so one dataset
+/// can be appended to another with [`Dataset::extend_pairs`] without
+/// copying a sample.
+impl IntoIterator for Dataset {
+    type Item = (NdArray, NdArray);
+    type IntoIter = std::iter::Zip<std::vec::IntoIter<NdArray>, std::vec::IntoIter<NdArray>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.inputs.into_iter().zip(self.targets)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

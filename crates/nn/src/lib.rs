@@ -41,5 +41,5 @@ pub use data::Dataset;
 pub use module::{Buffer, Module};
 pub use optim::{Adam, AdamState};
 pub use schedule::LrSchedule;
-pub use trainer::{evaluate, fit, EpochStats, TrainConfig};
+pub use trainer::{evaluate, fit, run_epochs, EpochPass, EpochStats, TrainConfig};
 pub use unet::{UNet, UNetConfig};

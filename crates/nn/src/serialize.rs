@@ -11,13 +11,15 @@
 //! ...
 //! ```
 //!
-//! Hexadecimal bit patterns round-trip `f32` exactly.
+//! Hexadecimal bit patterns round-trip `f32` exactly. A block — its
+//! `<kind> <i> shape …` header and its values — is written by
+//! [`write_block`] and read by [`read_block`]; training checkpoints store
+//! their optimizer moments in the same blocks.
 
 use crate::module::Module;
 use neurfill_tensor::NdArray;
 use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::path::Path;
 
 const MAGIC: &str = "neurfill-weights v1";
 
@@ -43,7 +45,14 @@ pub fn save_parameters<W: Write>(module: &dyn Module, mut w: W) -> io::Result<()
     Ok(())
 }
 
-fn write_block<W: Write>(w: &mut W, kind: &str, i: usize, data: &NdArray) -> io::Result<()> {
+/// Writes `data` as block `i` of `kind`: the header
+/// `<kind> <i> shape <extents…>`, then one 8-hex-digit bit pattern per
+/// value, row-major.
+///
+/// # Errors
+///
+/// Propagates I/O errors from the writer.
+pub fn write_block<W: Write>(w: &mut W, kind: &str, i: usize, data: &NdArray) -> io::Result<()> {
     let mut header = format!("{kind} {i} shape");
     for d in data.shape() {
         let _ = write!(header, " {d}");
@@ -105,9 +114,18 @@ pub fn load_parameters<R: Read>(module: &dyn Module, r: R) -> io::Result<()> {
     Ok(())
 }
 
-fn read_block(
+/// Reads block `i` of `kind` written by [`write_block`] from `lines`. The
+/// header's shape must equal `expect_shape` before anything is sized from
+/// it, and every value must be exactly 8 hex digits.
+///
+/// # Errors
+///
+/// Returns `InvalidData` on a missing, malformed or out-of-order header,
+/// another shape, and a truncated or malformed value; propagates read
+/// errors.
+pub fn read_block(
     lines: &mut impl Iterator<Item = io::Result<String>>,
-    kind: &'static str,
+    kind: &str,
     i: usize,
     expect_shape: &[usize],
 ) -> io::Result<NdArray> {
@@ -149,26 +167,6 @@ fn parse_header(header: &str, kind: &str, expect_index: usize) -> Result<Vec<usi
         return Err(format!("missing shape in {header:?}"));
     }
     it.map(|s| s.parse().map_err(|e| format!("bad extent {s:?}: {e}"))).collect()
-}
-
-/// Saves module parameters to a file path.
-///
-/// # Errors
-///
-/// Propagates file-system errors.
-pub fn save_to_file(module: &dyn Module, path: impl AsRef<Path>) -> io::Result<()> {
-    let f = std::fs::File::create(path)?;
-    save_parameters(module, io::BufWriter::new(f))
-}
-
-/// Loads module parameters from a file path.
-///
-/// # Errors
-///
-/// Propagates file-system and format errors.
-pub fn load_from_file(module: &dyn Module, path: impl AsRef<Path>) -> io::Result<()> {
-    let f = std::fs::File::open(path)?;
-    load_parameters(module, BufReader::new(f))
 }
 
 /// Copies parameter values from `src` into `dst` (architectures must match

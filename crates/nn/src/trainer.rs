@@ -49,7 +49,8 @@ impl TrainConfig {
 pub struct EpochStats {
     /// Zero-based epoch index.
     pub epoch: usize,
-    /// Mean training loss over the epoch.
+    /// Mean training loss over the batches the run trained in the epoch
+    /// (a resumed epoch averages only the parts it ran).
     pub train_loss: f32,
     /// Mean validation loss (when a validation set was supplied).
     pub val_loss: Option<f32>,
@@ -68,7 +69,104 @@ impl Drop for EvalOnDrop<'_> {
     }
 }
 
-/// Trains `model` on `train` with MSE loss and Adam.
+/// The training half of one epoch, handed to the part loader of
+/// [`run_epochs`]: each [`EpochPass::train_on`] takes one Adam step per
+/// shuffled mini-batch of a part and adds its losses to the epoch's mean.
+pub struct EpochPass<'a> {
+    model: &'a dyn Module,
+    opt: &'a mut Adam,
+    batch_size: usize,
+    total: f32,
+    batches: usize,
+}
+
+impl std::fmt::Debug for EpochPass<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EpochPass").field("batches", &self.batches).finish_non_exhaustive()
+    }
+}
+
+impl EpochPass<'_> {
+    /// Trains on `data`: zero the gradients, forward, MSE loss, backward
+    /// and an Adam step per mini-batch, in the order `rng` shuffles them.
+    /// Returns the number of mini-batches it ran.
+    ///
+    /// # Errors
+    ///
+    /// Propagates shape errors from the model's forward pass.
+    pub fn train_on(&mut self, data: &Dataset, rng: &mut impl Rng) -> Result<usize> {
+        let before = self.batches;
+        for idx in data.shuffled_batches(self.batch_size, rng) {
+            let (x, y) = data.batch(&idx);
+            self.opt.zero_grad();
+            let pred = self.model.forward(&Tensor::constant(x))?;
+            let loss = mse_loss(&pred, &Tensor::constant(y))?;
+            self.total += loss.item();
+            self.batches += 1;
+            loss.backward()?;
+            self.opt.step();
+        }
+        Ok(self.batches - before)
+    }
+
+    /// The optimizer as the last step left it (for checkpoints).
+    #[must_use]
+    pub fn optimizer(&self) -> &Adam {
+        self.opt
+    }
+}
+
+/// The one epoch loop of every training path: for each epoch of `epochs`
+/// it puts `model` in training mode at the epoch's learning rate
+/// ([`TrainConfig::lr_at`]), hands an [`EpochPass`] to `train_epoch`
+/// (which feeds it the epoch's data, in one part or many), reports the
+/// mean training loss and the validation loss ([`evaluate`]) as
+/// [`EpochStats`], and stops early when `on_epoch` returns `false`.
+///
+/// `opt` carries the optimizer state in and out, so a run can resume
+/// from a snapshot. The model is left in evaluation mode on every exit
+/// path, including errors.
+///
+/// # Errors
+///
+/// Propagates `train_epoch`'s errors and shape errors from the model's
+/// forward pass.
+pub fn run_epochs<E: From<TensorError>>(
+    model: &dyn Module,
+    opt: &mut Adam,
+    config: &TrainConfig,
+    epochs: std::ops::Range<usize>,
+    val: Option<&Dataset>,
+    mut train_epoch: impl FnMut(usize, &mut EpochPass<'_>) -> std::result::Result<(), E>,
+    mut on_epoch: impl FnMut(&EpochStats) -> bool,
+) -> std::result::Result<Vec<EpochStats>, E> {
+    let mut history = Vec::with_capacity(epochs.len());
+    let guard = EvalOnDrop(model);
+    for epoch in epochs {
+        model.set_training(true);
+        let lr = config.lr_at(epoch);
+        opt.set_lr(lr);
+        let mut pass =
+            EpochPass { model, opt: &mut *opt, batch_size: config.batch_size, total: 0.0, batches: 0 };
+        train_epoch(epoch, &mut pass)?;
+        let train_loss = pass.total / pass.batches.max(1) as f32;
+        let val_loss = match val {
+            Some(v) if !v.is_empty() => Some(evaluate(model, v, config.batch_size)?),
+            _ => None,
+        };
+        let stats = EpochStats { epoch, train_loss, val_loss, lr };
+        let go_on = on_epoch(&stats);
+        history.push(stats);
+        if !go_on {
+            break;
+        }
+    }
+    drop(guard);
+    Ok(history)
+}
+
+/// Trains `model` on `train` with MSE loss and a fresh Adam optimizer:
+/// [`run_epochs`] over `config.epochs` epochs of the one in-memory part.
 ///
 /// Returns per-epoch statistics. `on_epoch` is invoked after each epoch
 /// (use it for logging or early stopping via returning `false`). The
@@ -83,40 +181,18 @@ pub fn fit(
     val: Option<&Dataset>,
     config: &TrainConfig,
     rng: &mut impl Rng,
-    mut on_epoch: impl FnMut(&EpochStats) -> bool,
+    on_epoch: impl FnMut(&EpochStats) -> bool,
 ) -> Result<Vec<EpochStats>> {
     let mut opt = Adam::new(model.parameters(), config.lr);
-    let mut history = Vec::with_capacity(config.epochs);
-    let guard = EvalOnDrop(model);
-    for epoch in 0..config.epochs {
-        model.set_training(true);
-        let lr = config.lr_at(epoch);
-        opt.set_lr(lr);
-        let mut total = 0.0;
-        let mut batches = 0;
-        for idx in train.shuffled_batches(config.batch_size, rng) {
-            let (x, y) = train.batch(&idx);
-            opt.zero_grad();
-            let pred = model.forward(&Tensor::constant(x))?;
-            let loss = mse_loss(&pred, &Tensor::constant(y))?;
-            total += loss.item();
-            batches += 1;
-            loss.backward()?;
-            opt.step();
-        }
-        let val_loss = match val {
-            Some(v) if !v.is_empty() => Some(evaluate(model, v, config.batch_size)?),
-            _ => None,
-        };
-        let stats = EpochStats { epoch, train_loss: total / batches.max(1) as f32, val_loss, lr };
-        let go_on = on_epoch(&stats);
-        history.push(stats);
-        if !go_on {
-            break;
-        }
-    }
-    drop(guard);
-    Ok(history)
+    run_epochs(
+        model,
+        &mut opt,
+        config,
+        0..config.epochs,
+        val,
+        |_, pass| pass.train_on(train, rng).map(|_| ()),
+        on_epoch,
+    )
 }
 
 /// Mean MSE of `model` over `data` in evaluation mode, through

@@ -338,17 +338,6 @@ pub struct Timer {
     span: bool,
 }
 
-impl Timer {
-    /// Nanoseconds elapsed so far (0 when disabled).
-    #[must_use]
-    pub fn elapsed_ns(&self) -> u64 {
-        match &self.state {
-            Some((t, _, start)) => t.now_ns().saturating_sub(*start),
-            None => 0,
-        }
-    }
-}
-
 impl Drop for Timer {
     fn drop(&mut self) {
         let Some((telemetry, name, start)) = self.state.take() else { return };

@@ -10,11 +10,12 @@
 //! plan faults the same invocations on every run regardless of thread
 //! interleaving.
 //!
-//! Plans are test-visible and config/env-constructed:
+//! Plans are built in code or parsed from a spec ([`FaultPlan::parse`],
+//! behind the `--fault-plan` / `--fault-seed` flags of `runfill` and
+//! `neurfill-serve`):
 //!
 //! ```text
-//! NEURFILL_FAULT_PLAN="synthesis=transient@1;verify_forward=panic@2"
-//! NEURFILL_FAULT_SEED=7
+//! --fault-plan "synthesis=transient@1;verify_forward=panic@2" --fault-seed 7
 //! ```
 //!
 //! The spec grammar is `site=kind[@trigger]` joined by `;`, where `site`
@@ -245,23 +246,6 @@ impl FaultPlan {
             specs.push(FaultSpec { site: site.to_string(), kind, trigger });
         }
         Ok(Self::new(specs, seed))
-    }
-
-    /// Builds a plan from `NEURFILL_FAULT_PLAN` / `NEURFILL_FAULT_SEED`;
-    /// absent or empty env yields the disabled plan.
-    ///
-    /// # Errors
-    ///
-    /// Propagates parse errors from the env spec.
-    pub fn from_env() -> Result<Self, String> {
-        match std::env::var("NEURFILL_FAULT_PLAN") {
-            Ok(spec) if !spec.trim().is_empty() => {
-                let seed =
-                    std::env::var("NEURFILL_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0);
-                Self::parse(&spec, seed)
-            }
-            _ => Ok(Self::disabled()),
-        }
     }
 
     /// Whether the plan has any rules at all (a cheap happy-path gate).

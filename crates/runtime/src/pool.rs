@@ -350,14 +350,6 @@ impl RuntimePool {
         }
     }
 
-    /// How many submitted jobs have not yet reached a terminal status
-    /// (queued, running or retrying). Used by front-ends to drain before
-    /// shutdown and to retire replaced pools.
-    #[must_use]
-    pub fn active_jobs(&self) -> usize {
-        self.table.jobs.lock().values().filter(|s| !s.is_terminal()).count()
-    }
-
     /// Blocks until every submitted job is terminal; returns all statuses
     /// sorted by id.
     #[must_use]

@@ -100,12 +100,6 @@ impl Admission {
         self.tenants.iter().map(|t| t.config.name.clone()).collect()
     }
 
-    /// Jobs queued for one tenant.
-    #[must_use]
-    pub fn queued_for(&self, index: usize) -> usize {
-        self.tenants[index].queued()
-    }
-
     /// Jobs queued across all tenants.
     #[must_use]
     pub fn total_queued(&self) -> usize {

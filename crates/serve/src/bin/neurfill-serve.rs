@@ -161,7 +161,7 @@ fn run() -> Result<(), String> {
 
     let fault = match &args.fault_plan {
         Some(spec) => FaultPlan::parse(spec, args.fault_seed)?,
-        None => FaultPlan::from_env()?,
+        None => FaultPlan::disabled(),
     };
     if fault.is_enabled() {
         println!("fault injection enabled (seed {})", args.fault_seed);

@@ -438,12 +438,11 @@ fn write_chip_report(out_dir: &Path, design: &FullChipDesign, text: &str) -> Res
     Ok(())
 }
 
-/// The fault plan: the flag, else the environment
-/// (`NEURFILL_FAULT_PLAN` / `NEURFILL_FAULT_SEED`), else disabled.
+/// The fault plan: the `--fault-plan` flag, else disabled.
 fn fault_plan(args: &Args) -> Result<Arc<FaultPlan>, String> {
     let fault = match &args.fault_plan {
         Some(spec) => FaultPlan::parse(spec, args.fault_seed)?,
-        None => FaultPlan::from_env()?,
+        None => FaultPlan::disabled(),
     };
     if fault.is_enabled() {
         println!("fault injection enabled (seed {})", args.fault_seed);

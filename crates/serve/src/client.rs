@@ -43,33 +43,28 @@ impl From<io::Error> for ClientError {
     }
 }
 
+/// Socket read timeout of every client: generous, because long polls
+/// ride the same connection.
+const READ_TIMEOUT: Duration = Duration::from_secs(150);
+
 /// A blocking client over one keep-alive connection.
 #[derive(Debug)]
 pub struct Client {
     addr: String,
-    read_timeout: Duration,
     conn: Option<(TcpStream, BufReader<TcpStream>)>,
 }
 
 impl Client {
-    /// A client for `host:port` with a generous read timeout (long polls
-    /// ride the same connection).
+    /// A client for `host:port` (socket read timeout 150 s).
     #[must_use]
     pub fn connect(addr: impl Into<String>) -> Self {
-        Self { addr: addr.into(), read_timeout: Duration::from_secs(150), conn: None }
-    }
-
-    /// Overrides the socket read timeout.
-    #[must_use]
-    pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
-        self.read_timeout = timeout;
-        self
+        Self { addr: addr.into(), conn: None }
     }
 
     fn ensure_conn(&mut self) -> io::Result<&mut (TcpStream, BufReader<TcpStream>)> {
         if self.conn.is_none() {
             let stream = TcpStream::connect(&self.addr)?;
-            stream.set_read_timeout(Some(self.read_timeout))?;
+            stream.set_read_timeout(Some(READ_TIMEOUT))?;
             stream.set_nodelay(true)?;
             let reader = BufReader::new(stream.try_clone()?);
             self.conn = Some((stream, reader));

@@ -91,18 +91,13 @@ fn neurfill_serve_rejects_the_removed_flags() {
 #[test]
 fn runfill_refuses_a_fault_plan_with_an_unknown_site_before_any_job_starts() {
     let out_dir = std::env::temp_dir().join(format!("neurfill_cli_fault_site_{}", std::process::id()));
-    let run = |flag: Option<&str>, env: Option<&str>| {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_runfill"));
-        cmd.args(["--full-chip", "--rows", "8", "--cols", "8", "--tile-size", "8", "--out"])
+    let run = |plan: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_runfill"))
+            .args(["--full-chip", "--rows", "8", "--cols", "8", "--tile-size", "8", "--out"])
             .arg(&out_dir)
-            .env_remove("NEURFILL_FAULT_PLAN");
-        if let Some(plan) = flag {
-            cmd.args(["--fault-plan", plan]);
-        }
-        if let Some(plan) = env {
-            cmd.env("NEURFILL_FAULT_PLAN", plan);
-        }
-        let out = cmd.output().unwrap();
+            .args(["--fault-plan", plan])
+            .output()
+            .unwrap();
         let (stdout, stderr) =
             (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
         assert_eq!(out.status.code(), Some(1), "{stdout}{stderr}");
@@ -110,10 +105,10 @@ fn runfill_refuses_a_fault_plan_with_an_unknown_site_before_any_job_starts() {
         assert!(stderr.contains("verify_forward") && stderr.contains("synthesis"), "{stderr}");
         assert!(!stdout.contains("full chip"), "the run must not have started: {stdout}");
     };
-    run(Some("batch_forward=nan"), None);
-    run(None, Some("synthesys=panic"));
-    run(Some("tile_dispatch=panic"), None);
-    run(None, Some("conn_drop=transient"));
+    run("batch_forward=nan");
+    run("synthesys=panic");
+    run("tile_dispatch=panic");
+    run("conn_drop=transient");
     let _ = std::fs::remove_dir_all(&out_dir);
 }
 
@@ -144,7 +139,6 @@ fn runfill_full_chip_pool_injects_its_fault_plan() {
         .arg(&model)
         .arg("--out")
         .arg(&dir)
-        .env_remove("NEURFILL_FAULT_PLAN")
         .output()
         .unwrap();
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -199,7 +193,6 @@ fn runfill_out_plans_reverify_to_the_reported_quality() {
         .arg(&layouts_dir)
         .arg("--out")
         .arg(&out_dir)
-        .env_remove("NEURFILL_FAULT_PLAN")
         .output()
         .unwrap();
     let stdout = String::from_utf8_lossy(&out.stdout);

@@ -192,3 +192,19 @@ fn header_without_colon_answers_400() {
     assert_alive(addr);
     stop(server, thread);
 }
+
+#[test]
+fn a_layout_claiming_billions_of_windows_answers_400() {
+    let (server, addr, thread) = start_server();
+    // 74 bytes that used to reserve 320 GB (or, wrapped, yield a layout
+    // with no windows): the reader refuses the header before sizing a
+    // buffer from it.
+    for dims in ["1 100000 100000", "1 4294967296 4294967296"] {
+        let body = format!("neurfill-layout v1\nname x\nwindow_um 1\nfile_size_mb 1\ndims {dims}\n");
+        let payload = format!("POST /v1/jobs HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}", body.len());
+        let resp = raw_exchange(addr, payload.as_bytes());
+        assert_eq!(status_of(&resp), Some(400), "{dims}: {}", String::from_utf8_lossy(&resp));
+    }
+    assert_alive(addr);
+    stop(server, thread);
+}

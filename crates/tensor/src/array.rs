@@ -388,13 +388,6 @@ impl NdArray {
         Self::owned(self.shape.clone(), self.data.iter().map(|&x| f(x)).collect())
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in self.as_mut_slice() {
-            *x = f(*x);
-        }
-    }
-
     /// Combines two arrays elementwise with NumPy-style broadcasting.
     ///
     /// # Errors

@@ -69,6 +69,15 @@ impl fmt::Display for TensorError {
 
 impl Error for TensorError {}
 
+/// A tensor error met while reading or writing data (a sample that does
+/// not fit its shape, a model that cannot take a stored batch) is
+/// `InvalidData`.
+impl From<TensorError> for std::io::Error {
+    fn from(e: TensorError) -> Self {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, e)
+    }
+}
+
 /// Convenient result alias used across the crate.
 pub type Result<T> = std::result::Result<T, TensorError>;
 

@@ -1,14 +1,13 @@
-//! Pre-trains the UNet surrogate (paper §IV-F) and saves/reloads its
-//! weights, then reports the Fig. 9 accuracy statistics.
+//! Pre-trains the UNet surrogate (paper §IV-F), saves and reloads it as a
+//! bundle, then reports the Fig. 9 accuracy statistics.
 //!
 //! Run with: `cargo run --release --example train_surrogate [-- <layouts>]`
 
 use neurfill::surrogate::{evaluate_surrogate, train_surrogate, SurrogateConfig};
-use neurfill::{CmpNeuralNetwork, CmpNnConfig};
 use neurfill_cmpsim::{CmpSimulator, ProcessParams};
 use neurfill_layout::benchmark_designs;
 use neurfill_layout::datagen::{DataGenConfig, TrainingLayoutGenerator};
-use neurfill_nn::{Module, TrainConfig, UNet, UNetConfig};
+use neurfill_nn::{TrainConfig, UNetConfig};
 use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -39,21 +38,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  epoch {i}: train MSE {train:.4}, val MSE {:.4}", val.unwrap_or(f32::NAN));
     }
 
-    // Persist the weights and reload them into a fresh network.
-    let path = std::env::temp_dir().join("neurfill_surrogate.weights");
-    neurfill_nn::serialize::save_to_file(trained.network.unet(), &path)?;
-    println!("weights saved to {}", path.display());
-
-    let mut rng2 = rand::rngs::StdRng::seed_from_u64(0);
-    let fresh = UNet::new(trained.network.unet().config().clone(), &mut rng2);
-    neurfill_nn::serialize::load_from_file(&fresh, &path)?;
-    fresh.set_training(false);
-    let reloaded = CmpNeuralNetwork::new(
-        fresh,
-        trained.network.height_norm(),
-        trained.network.extraction().clone(),
-        CmpNnConfig::default(),
-    );
+    // Persist the network — weights with the height normalization and
+    // extraction settings they are only meaningful with — and reload it.
+    let path = std::env::temp_dir().join("neurfill_surrogate.bundle");
+    neurfill::persist::save_to_file(&trained.network, &path)?;
+    println!("bundle saved to {}", path.display());
+    let reloaded = neurfill::persist::load_from_file(&path)?;
 
     // Accuracy of the reloaded network on held-out generated layouts.
     let mut gen = TrainingLayoutGenerator::new(
