@@ -39,21 +39,18 @@ echo "== kernel-equivalence suite (bitwise determinism)"
 cargo test -p neurfill-tensor --test gemm_equivalence -q
 cargo test -p neurfill-cmpsim --test kernel_equivalence -q
 
-# Debug builds re-evaluate every anchored and every certified contact probe
-# with powf, and assert every certified pressure and exact-probe term
-# against powf (all skip rules are asserted on every board the suites
-# simulate); release builds are the shipped path that actually skips. Both
-# must match the reference bits. The release-only proofs answer every probe
-# near the root of all 50 boards of one layer of chip_golden's chip from the
-# anchors, by certification and with powf, and compare every certified
-# pressure and every exact-probe term of all 150 boards of its three layers
-# with k·powf(d, 3/2), pinning the share left to powf; bit_identity pins the
-# powf-probe count on that chip (at most 0.4 per solve) next to its
-# sharded == monolithic bytes.
-echo "== anchored + certified contact solve and certified pressures, release build (bitwise vs reference, sharded == monolithic, chip_golden boards)"
-cargo test --release -p neurfill-cmpsim --test kernel_equivalence -q
-cargo test --release -p neurfill-cmpsim --lib contact::tests::anchored_and_certified_answers_match_powf_on_chip_golden_boards -q
-cargo test --release -p neurfill-cmpsim --lib contact::tests::certified_pressures_match_powf_on_all_chip_golden_boards -q
+# The contact solve is a safeguarded Newton iteration, certified to a
+# tolerance against the bisection it replaced (contact::tests): a fallback
+# answers the bisection's bits; a Newton answer lies within the bisection's
+# 1e-9 nm stopping width of it and leaves a double-double force residual
+# within its stated bound; a polish loop ends within 1e-8 nm of one on the
+# bisection. Random, flat, hard and A/B/C boards run in both builds, all 50
+# boards of layer 0 of chip_golden's chip in release only. bit_identity's
+# release-only test pins the Newton passes of chip_golden's 300 solves (at
+# most 4 per solve on average, none falling back to the bisection) next to
+# the sharded == monolithic bytes of both of its simulations.
+echo "== contact solve certification and chip bit identity, release build (Newton vs bisection, chip_golden boards and solves, sharded == monolithic)"
+cargo test --release -p neurfill-cmpsim --lib contact -q
 cargo test --release -p neurfill-chip --test bit_identity -q
 
 # The line search, the frozen-surrogate backward, the row-span im2col/col2im,
@@ -79,14 +76,11 @@ cargo test --release -p neurfill-chip --test bit_identity -q
 # early without moving a bit of the iterations it keeps. The row-accumulated
 # pad kernel is compared with
 # `apply_reference` through its plain body and its AVX2 build (register
-# blocks), each called directly; the contact suite answers every bisection
-# probe of A/B/C's boards from the anchors (checked with `√d·d`), by
-# certification and with `powf`, and calls the certified pressures' FMA
-# body and the powf-only body directly against `k·powf` (the chip_golden
-# boards ran in the block above).
-echo "== replacement-vs-oracle suites, release build (line search, SQP prefix, frozen + per-layer planarity, tape reuse, score + batched forward, im2col/col2im + conv backward, direct conv forward, insertion + sink, fused norm node, pad kernel windows, anchor + certification checks, certified pressures, trajectory + training pins, one training path, live heap per job and per training step, hostile layout headers)"
+# blocks), each called directly, and with the `kernel_equivalence`
+# proptests over every window shape.
+echo "== replacement-vs-oracle suites, release build (line search, SQP prefix, frozen + per-layer planarity, tape reuse, score + batched forward, im2col/col2im + conv backward, direct conv forward, insertion + sink, fused norm node, pad kernel windows, trajectory + training pins, one training path, live heap per job and per training step, hostile layout headers)"
 cargo test --release -p neurfill-cmpsim --lib kernel -q
-cargo test --release -p neurfill-cmpsim --lib contact -q -- --skip chip_golden_boards
+cargo test --release -p neurfill-cmpsim --test kernel_equivalence -q
 cargo test --release -p neurfill-optim --lib linesearch -q
 cargo test --release -p neurfill-optim --lib sqp -q
 cargo test --release -p neurfill --lib frozen_planarity -q

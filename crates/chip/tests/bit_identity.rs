@@ -153,7 +153,7 @@ fn halo_accounting_is_reported() {
     let (_, stats) = sim.simulate(&design).unwrap();
     assert_eq!(stats.layers, design.num_layers());
     assert!(stats.halo_bytes > 0, "a 4x4 grid must exchange halos");
-    assert!(stats.contact.force_evals > 0);
+    assert!(stats.contact.newton_passes > 0);
     assert!(stats.peak_tiles_in_flight >= 1);
     // A single whole-chip tile exchanges nothing.
     let solo = ChipSimulator::new(ChipSimConfig::fast(0, 2)).unwrap();
@@ -161,24 +161,38 @@ fn halo_accounting_is_reported() {
     assert_eq!(solo_stats.halo_bytes, 0);
 }
 
-/// The contact solve's counts on `chip_golden`'s chip (design C, 256²,
-/// seed 7, default process, tile 64, one worker): 150 global solves, in
-/// which certification leaves at most 0.4 `powf` probes per solve (1.81
-/// when every probe inside the anchors' gap was evaluated with `powf`),
-/// and a profile byte-identical to the monolithic simulator's.
+/// The contact solve on `chip_golden`'s chip (design C, 256², seed 7,
+/// default process, tile 64, one worker), both of its runs: the unfilled
+/// chip and the chip filled by the model-based rule, 300 global solves.
+/// Newton settles every one in at most 4 passes on average, none falls
+/// back to the bisection, and both sharded profiles are byte-identical
+/// to the monolithic simulator's.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-only: ci.sh runs it with --release")]
-fn chip_golden_solves_settle_most_gap_probes_without_powf() {
+fn chip_golden_solves_take_at_most_four_newton_passes() {
     let design = FullChipSpec::new(DesignKind::RiscV, 256, 256, 7).build();
     let params = ProcessParams::default();
     let cfg = ChipSimConfig { params: params.clone(), ..ChipSimConfig::fast(64, 1) };
-    let (profile, stats) = ChipSimulator::new(cfg).unwrap().simulate(&design).unwrap();
-    let mono = CmpSimulator::new(params.clone()).unwrap().simulate(&design.generate());
-    assert_bits_identical(&profile, &mono, "chip_golden chip");
-    assert_eq!(profile, mono);
-    let solves = (stats.layers * params.steps) as f64;
-    let contact = stats.contact;
-    println!("{solves} solves: {contact:?}");
-    assert!(contact.certified_probes > 0, "{contact:?}");
-    assert!(contact.exact_probes as f64 <= 0.4 * solves, "{contact:?}");
+    let sim = ChipSimulator::new(cfg).unwrap();
+    let mono_sim = CmpSimulator::new(params.clone()).unwrap();
+    let chip = design.generate();
+    let (unfilled, stats) = sim.simulate(&design).unwrap();
+    let mono = mono_sim.simulate(&chip);
+    assert_bits_identical(&unfilled, &mono, "chip_golden chip");
+    assert_eq!(unfilled, mono);
+    let fill = ChipFillConfig::default();
+    let plan = model_fill_monolithic(&chip, &unfilled, &params, &fill);
+    let filled_chip = apply_fill(&chip, &plan.to_fill_plan(&chip), &fill.dummy);
+    let (filled, filled_stats) = sim.simulate(&filled_chip).unwrap();
+    let mono = mono_sim.simulate(&filled_chip);
+    assert_bits_identical(&filled, &mono, "chip_golden filled chip");
+    assert_eq!(filled, mono);
+    let solves = ((stats.layers + filled_stats.layers) * params.steps) as u64;
+    let mut contact = stats.contact;
+    contact += filled_stats.contact;
+    let per_solve = contact.newton_passes as f64 / solves as f64;
+    println!("{solves} solves: {contact:?}, {per_solve:.2} passes per solve");
+    assert_eq!(solves, 300);
+    assert_eq!(contact.fallbacks, 0, "{contact:?}");
+    assert!(per_solve <= 4.0, "{contact:?}");
 }

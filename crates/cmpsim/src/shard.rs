@@ -438,16 +438,10 @@ mod tests {
         let tiling = Tiling::square(layout.rows(), layout.cols(), 5, params.kernel_radius);
         let (_, stats) = sharded_layer(&layout, 0, &tiling, &params);
         let mono = |name: &str| snap.counter(&format!("sim.contact.{name}"));
-        let monolithic = ContactSolveStats {
-            force_evals: mono("force_evals"),
-            hint_passes: mono("hint_passes"),
-            anchored_probes: mono("anchored_probes"),
-            certified_probes: mono("certified_probes"),
-            exact_probes: mono("exact_probes"),
-            bracket_steps: mono("bracket_steps"),
-        };
+        let monolithic =
+            ContactSolveStats { newton_passes: mono("newton_passes"), fallbacks: mono("fallbacks") };
         assert_eq!(stats.contact, monolithic);
-        assert!(stats.contact.anchored_probes > 0, "the equality above must not be 0 == 0");
+        assert!(stats.contact.newton_passes > 0, "the equality above must not be 0 == 0");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property-based tests of the CMP simulator's physical invariants.
 
 use neurfill_cmpsim::{contact, CmpSimulator, LayerInput, PadKernel, ProcessParams};
+use neurfill_layout::{Grid, Layout, WindowPattern};
 use proptest::prelude::*;
 
 fn params() -> ProcessParams {
@@ -110,4 +111,75 @@ proptest! {
             prop_assert!(hb < ha, "longer polish must sit lower: {hb} !< {ha}");
         }
     }
+}
+
+/// A uniform layout: every window of a 32×32 layer alike. Every window
+/// sees the same contact depth, up to the pad kernel's renormalization at
+/// the chip edge, so the default 50-step polish leaves the layer flat to
+/// rounding: a range below 1e-10 nm, under a thousand ulp of its height
+/// (about thirty are seen).
+#[test]
+fn a_uniform_layout_polishes_to_zero_height_range() {
+    let sim = CmpSimulator::new(ProcessParams::default()).unwrap();
+    for (width, spacing) in [(0.1, 0.9), (0.2, 0.2), (1.0, 0.25)] {
+        let pattern = WindowPattern::from_line_model(width, spacing, 10_000.0, 0.8);
+        let layout = Layout::new("uniform", 100.0, vec![Grid::filled(32, 32, pattern)], 1.0);
+        let range = sim.simulate(&layout).max_height_range();
+        println!("width {width} spacing {spacing}: range {range:e}");
+        assert!(range < 1e-10, "width {width} spacing {spacing}: range {range:e} nm");
+    }
+}
+
+/// `Σ values` with Neumaier's compensation: exact enough that the
+/// residual below measures the solve, not this sum.
+fn compensated_sum(values: &[f64]) -> f64 {
+    let (mut sum, mut carry) = (0.0f64, 0.0f64);
+    for &v in values {
+        let t = sum + v;
+        carry += if sum.abs() >= v.abs() { (sum - t) + v } else { (v - t) + sum };
+        sum = t;
+    }
+    sum + carry
+}
+
+/// Designs A/B/C at 32×32 under the default process, every layer: after
+/// every contact solve of the polish loop, the window pressures balance
+/// the applied pressure `P` to within the solve's certified residual
+/// bound, `(n/2 + 16)·ε·P + 8ε·|z_ref|·|f′(z_ref)|`, with
+/// `f′ = (3/2)·k·Σ√d / n` the force's slope.
+#[test]
+fn force_balance_residual_stays_within_its_bound_after_every_abc_solve() {
+    use neurfill_cmpsim::shard::{dish_erosion_factors, polish_pointwise};
+    let p = ProcessParams::default();
+    let (k, e) = (p.contact_stiffness(), p.contact_exponent);
+    let kernel = PadKernel::exponential(p.character_length, p.kernel_radius);
+    let mut worst: f64 = 0.0;
+    for layout in neurfill_layout::benchmark_designs(32, 32, 1) {
+        for layer in 0..layout.num_layers() {
+            let input = LayerInput::from_layout(&layout, layer);
+            let (rows, cols, n) = (input.rows, input.cols, (input.rows * input.cols) as f64);
+            let rho_eff = kernel.apply(&input.density, rows, cols);
+            let (dish, erosion) = dish_erosion_factors(&input.avg_width, &input.perimeter, &p);
+            let mut z_up = vec![p.initial_height; rows * cols];
+            let mut z_down: Vec<f64> = z_up.iter().map(|z| z - p.initial_step).collect();
+            for step in 0..p.steps {
+                let smoothed = kernel.apply(&z_up, rows, cols);
+                let z_ref = contact::solve_reference_plane(&smoothed, &p);
+                let q = contact::window_pressures(&smoothed, z_ref, &p);
+                let residual = (compensated_sum(&q) / n - p.applied_pressure).abs();
+                let roots: Vec<f64> = smoothed.iter().map(|z| (z - z_ref).max(0.0).sqrt()).collect();
+                let slope = e * k * compensated_sum(&roots) / n;
+                let bound = (n / 2.0 + 16.0) * f64::EPSILON * p.applied_pressure
+                    + 8.0 * f64::EPSILON * z_ref.abs() * slope;
+                assert!(
+                    residual <= bound,
+                    "{} layer {layer} step {step}: residual {residual:e} over {bound:e}",
+                    layout.name()
+                );
+                worst = worst.max(residual / bound);
+                polish_pointwise(&mut z_up, &mut z_down, &q, &rho_eff, &dish, &erosion, &p);
+            }
+        }
+    }
+    println!("worst residual: {worst:.3} of its bound");
 }

@@ -373,14 +373,14 @@ impl ShardReader {
         Ok(Some((input, target)))
     }
 
-    /// Loads the remaining records into an in-memory [`Dataset`] sized up
-    /// front from the header count.
+    /// Loads the remaining records into an in-memory [`Dataset`], which
+    /// grows with the records read, never from the header's count.
     ///
     /// # Errors
     ///
     /// Propagates record errors (checksum, truncation).
     pub fn read_to_dataset(mut self) -> io::Result<Dataset> {
-        let mut ds = Dataset::with_capacity(usize::try_from(self.count - self.read).unwrap_or(0));
+        let mut ds = Dataset::new();
         while let Some((input, target)) = self.read_next()? {
             ds.push(input, target).map_err(|e| bad(format!("{}: {e}", self.path.display())))?;
         }

@@ -41,7 +41,7 @@ fn corpus_to_bundle_end_to_end() {
     let manifest = Manifest::load(dir.join(MANIFEST_FILE)).unwrap();
     let mut set = ShardSet::open_dir(&dir).unwrap();
     let val_set = set.split_off(1);
-    let mut val = neurfill_nn::Dataset::with_capacity(val_set.len() as usize);
+    let mut val = neurfill_nn::Dataset::new();
     for rec in val_set.stream() {
         let (x, y) = rec.unwrap();
         val.push(x, y).unwrap();

@@ -21,26 +21,6 @@ impl Dataset {
         Self::default()
     }
 
-    /// Creates an empty dataset with room for `n` samples, avoiding
-    /// reallocation when the size is known up front (e.g. when loading a
-    /// shard whose header carries its sample count).
-    #[must_use]
-    pub fn with_capacity(n: usize) -> Self {
-        Self { inputs: Vec::with_capacity(n), targets: Vec::with_capacity(n) }
-    }
-
-    /// Reserves room for at least `additional` more samples.
-    pub fn reserve(&mut self, additional: usize) {
-        self.inputs.reserve(additional);
-        self.targets.reserve(additional);
-    }
-
-    /// Remaining capacity before the next reallocation.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.inputs.capacity().min(self.targets.capacity())
-    }
-
     /// Iterates over `(input, target)` pairs in storage order — the same
     /// consumption shape streaming shard readers expose, so code can be
     /// written against either source.
@@ -57,7 +37,9 @@ impl Dataset {
     /// kept.
     pub fn extend_pairs(&mut self, pairs: impl IntoIterator<Item = (NdArray, NdArray)>) -> Result<()> {
         let pairs = pairs.into_iter();
-        self.reserve(pairs.size_hint().0);
+        let (additional, _) = pairs.size_hint();
+        self.inputs.reserve(additional);
+        self.targets.reserve(additional);
         for (input, target) in pairs {
             self.push(input, target)?;
         }
@@ -218,9 +200,8 @@ mod tests {
     }
 
     #[test]
-    fn with_capacity_and_extend_pairs() {
-        let mut ds = Dataset::with_capacity(4);
-        assert!(ds.capacity() >= 4);
+    fn extend_pairs_appends_and_keeps_pairs_before_an_error() {
+        let mut ds = Dataset::new();
         ds.extend_pairs(
             (0..4).map(|i| {
                 (NdArray::full(&[1, 2, 2], i as f32), NdArray::full(&[1, 2, 2], i as f32 + 0.5))

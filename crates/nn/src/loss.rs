@@ -12,15 +12,6 @@ pub fn mse_loss(pred: &Tensor, target: &Tensor) -> Result<Tensor> {
     Ok(pred.sub(target)?.square().mean())
 }
 
-/// Mean-absolute-error loss.
-///
-/// # Errors
-///
-/// Returns an error when shapes differ.
-pub fn l1_loss(pred: &Tensor, target: &Tensor) -> Result<Tensor> {
-    Ok(pred.sub(target)?.abs().mean())
-}
-
 /// Mean relative error `mean(|pred − target| / |target|)`, the accuracy
 /// metric of the paper's §V-A (Fig. 9). Entries with `|target| < floor`
 /// are compared against `floor` to avoid division blow-ups.
@@ -35,21 +26,6 @@ pub fn mean_relative_error(pred: &NdArray, target: &NdArray, floor: f32) -> Resu
         acc += d.abs() / t.abs().max(floor);
     }
     Ok(acc / diff.numel().max(1) as f32)
-}
-
-/// Per-element relative errors (for error-distribution histograms).
-///
-/// # Errors
-///
-/// Returns an error when shapes differ.
-pub fn relative_errors(pred: &NdArray, target: &NdArray, floor: f32) -> Result<Vec<f32>> {
-    let diff = pred.sub(target)?;
-    Ok(diff
-        .as_slice()
-        .iter()
-        .zip(target.as_slice())
-        .map(|(d, t)| d.abs() / t.abs().max(floor))
-        .collect())
 }
 
 #[cfg(test)]
@@ -70,13 +46,6 @@ mod tests {
     }
 
     #[test]
-    fn l1_known_value() {
-        let a = Tensor::constant(NdArray::from_slice(&[1.0, -1.0]));
-        let b = Tensor::constant(NdArray::from_slice(&[0.0, 0.0]));
-        assert_eq!(l1_loss(&a, &b).unwrap().item(), 1.0);
-    }
-
-    #[test]
     fn mse_is_differentiable() {
         let p = Tensor::parameter(NdArray::from_slice(&[1.0, 3.0]));
         let t = Tensor::constant(NdArray::from_slice(&[0.0, 0.0]));
@@ -90,8 +59,6 @@ mod tests {
         let tgt = NdArray::from_slice(&[1.0, 2.0]);
         let e = mean_relative_error(&pred, &tgt, 1e-6).unwrap();
         assert!((e - 0.075).abs() < 1e-5, "{e}");
-        let per = relative_errors(&pred, &tgt, 1e-6).unwrap();
-        assert_eq!(per.len(), 2);
     }
 
     #[test]

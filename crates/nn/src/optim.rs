@@ -48,12 +48,6 @@ impl Adam {
         }
     }
 
-    /// Current learning rate.
-    #[must_use]
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
     /// Sets the learning rate.
     pub fn set_lr(&mut self, lr: f32) {
         self.lr = lr;

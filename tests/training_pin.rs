@@ -46,26 +46,30 @@ struct Pin {
     height_norm: [u64; 2],
 }
 
-/// Recorded at parent commit 39ba2d8fd5e84659840bbec8842a3042309479bd
-/// (training-mode batch norm composed of sixteen graph nodes, the
-/// convolution backward multiplying by a materialized `cols.transpose2d()`,
-/// `derive_norm` simulating its eight layouts a second time) by running
-/// this test there.
+/// Re-recorded once, on purpose, when the golden simulator's contact solve
+/// became a safeguarded Newton iteration and its pressures `k·(√d·d)`
+/// (`neurfill_cmpsim::contact`, "The re-baseline"): the labels the
+/// surrogate trains on moved in their trailing digits, so the height norm,
+/// and through it the weights, buffers and losses, moved with them. The
+/// training code did not change, and the Adam pin below, which trains on
+/// synthetic data, did not move. The previous digests were recorded at
+/// commit 39ba2d8fd5e84659840bbec8842a3042309479bd and held through
+/// 7c8adcd2f3a1b4487b3a9f9e4d1aec48139fd2a7.
 fn pinned() -> [Pin; 2] {
     [
         Pin {
             train_samples: 27,
-            weights: 0x267c_a5e1_e451_3a09,
-            buffers: 0x4e3f_6e3d_c563_d3b6,
-            train_loss: vec![0x3ffc_8257, 0x3fac_0bcf, 0x3f8f_833b],
-            height_norm: [0x4081_bf9d_a89c_e1cb, 0x402c_9087_8276_2643],
+            weights: 0x8a4d_9216_1547_3735,
+            buffers: 0x3db2_dcae_6863_ca86,
+            train_loss: vec![0x3ffc_8257, 0x3fac_0b67, 0x3f8f_8404],
+            height_norm: [0x4081_bf9d_a89c_dd7d, 0x402c_9087_8276_f17b],
         },
         Pin {
             train_samples: 30,
-            weights: 0x49f7_0ddd_8169_e36c,
-            buffers: 0xdab7_4ab3_fad8_2c72,
-            train_loss: vec![0x3fd4_8f0b, 0x3f89_86bf],
-            height_norm: [0x4082_0f3c_eadb_d539, 0x402c_0bdb_1655_1ff6],
+            weights: 0xc09f_68ed_e7f6_f204,
+            buffers: 0xdfeb_0b30_5f98_b670,
+            train_loss: vec![0x3fd4_8f0b, 0x3f89_86bd],
+            height_norm: [0x4082_0f3c_eadb_cc4c, 0x402c_0bdb_1655_d0aa],
         },
     ]
 }

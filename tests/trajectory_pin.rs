@@ -33,35 +33,41 @@ struct Pin {
     rectangles: u64,
 }
 
-/// Re-recorded on purpose when `NeurFillConfig::default()` lowered the
-/// SQP cap from 80 to 40 iterations: the plan, its objective value and its
-/// rectangles are those of iteration 40. Nothing else about the solve
-/// changed, and the digests say so: at parent commit
-/// 6dbca95ed67649d77046924c32af39c7fe639c0c, whose pins were recorded at
-/// 3378e934a04315010da339285081e2fba47c59b8 and held since, `fnv` of the
-/// first 40 entries of each 80-entry history equals `history` below, and
-/// the 40th entry equals `objective_value`.
+/// Re-recorded once, on purpose, when the golden simulator's contact solve
+/// became a safeguarded Newton iteration and its pressures `k·(√d·d)`
+/// (`neurfill_cmpsim::contact`, "The re-baseline"). The surrogate these
+/// jobs optimize is trained on golden-simulated labels, which moved in
+/// their trailing digits; training carries that into the weights, and the
+/// 40 SQP iterations carry the weights into every digest below. The
+/// optimizer did not change: the iteration count is still the cap.
+///
+/// The previous digests were recorded when `NeurFillConfig::default()`
+/// lowered the SQP cap from 80 to 40 iterations (at parent commit
+/// 6dbca95ed67649d77046924c32af39c7fe639c0c, `fnv` of the first 40 entries
+/// of each 80-entry history equalled `history` and the 40th entry
+/// `objective_value`) and held through
+/// 7c8adcd2f3a1b4487b3a9f9e4d1aec48139fd2a7.
 const PINNED: [Pin; 3] = [
     Pin {
-        plan: 0xf473_fd4f_f114_cb78,
-        objective_value: 0xbffd_85ae_8911_f7ea,
+        plan: 0x0a0d_407c_51b1_6a71,
+        objective_value: 0xbffb_0255_58ac_1163,
         sqp_iterations: 40,
-        history: 0x566d_ab3c_aa3b_7440,
-        rectangles: 0xee63_57f3_339c_8d0f,
+        history: 0x0eb3_4032_5bd2_a9cd,
+        rectangles: 0x740e_09e9_289e_e12b,
     },
     Pin {
-        plan: 0xa3a5_073e_7af4_a270,
-        objective_value: 0xbff7_1479_fcc2_e1b6,
+        plan: 0x8d53_a28e_32dc_5ba1,
+        objective_value: 0xbff8_ff11_7430_e07d,
         sqp_iterations: 40,
-        history: 0xfb60_f45b_1546_e10c,
-        rectangles: 0x113b_e5ed_8457_09c4,
+        history: 0x10e5_4b10_0c22_771e,
+        rectangles: 0x86c0_b8ec_f1df_ef92,
     },
     Pin {
-        plan: 0xc02b_9bd4_08f8_9c44,
-        objective_value: 0x3fcb_7161_892f_f3cb,
+        plan: 0x3604_cdfe_0e46_0c2a,
+        objective_value: 0x3fc8_dc46_7bb1_f6e5,
         sqp_iterations: 40,
-        history: 0xaba1_1a84_2aa8_16fc,
-        rectangles: 0xdf3b_534e_cac7_ca74,
+        history: 0xfe60_60ba_75e3_0979,
+        rectangles: 0xb3aa_26b5_5629_a893,
     },
 ];
 
