@@ -113,7 +113,10 @@ echo "== chip bit-identity suite (sharded == monolithic, any tiling)"
 cargo test -p neurfill-chip --test bit_identity -q
 cargo test -p neurfill-layout --test tiling_props -q
 
-echo "== durability suite (append log, journal, shard finalize, hostile bytes into the plan codec)"
+echo "== durability suite (append log, tile checkpoint, shard finalize, hostile bytes into the append log and the plan codec)"
+cargo test -p neurfill-runtime --lib applog -q
+cargo test -p neurfill-runtime --test hostile_applog -q
+cargo test -p neurfill-chip --lib checkpoint -q
 cargo test -p neurfill-data -q
 cargo test -p neurfill-layout --test plan_codec -q
 

@@ -1,50 +1,50 @@
 //! Tile-granular checkpoint/resume for full-chip runs.
 //!
-//! A [`TileCheckpoint`] is a directory holding one file per *completed*
-//! tile of a full-chip pass plus a `run.meta` header pinning the run
-//! configuration (design, dimensions, tiling, execution mode). A tile
-//! file is the workspace's one plan format
+//! A [`TileCheckpoint`] is a directory holding a `run.meta` header that
+//! pins the run configuration (design, dimensions, tiling, execution
+//! mode) and one [`AppendLog`] with a record per *completed* tile of a
+//! full-chip pass. A record is the workspace's one plan format
 //! ([`neurfill_layout::io::write_plan`], `neurfill-plan v2`) over the
 //! tile's **core** — the region the tile owns after halo/padding are
 //! discarded — with the core rect as shape and origin. The amounts
 //! round-trip bit for bit, so a resumed run skips completed tiles and
 //! still produces a byte-identical chip plan.
 //!
-//! Finalization is crash-safe: every file goes through
-//! [`neurfill_layout::io::write_durable`] (stage at `<name>.tmp`, fsync,
-//! rename, directory sync), so a kill can only ever leave a stale `.tmp`
-//! or a file that fails to read (a torn write, or a tile file of an
-//! older format) — [`TileCheckpoint::open`] deletes both and the tile is
-//! simply recomputed. The
+//! Crash safety is the log's: a kill mid-append leaves a torn tail that
+//! replay truncates, so that tile is simply recomputed, and every stored
+//! tile is fsynced before [`TileCheckpoint::store`] returns. Appends
+//! pass the
 //! [`CHECKPOINT_WRITE`](neurfill_runtime::fault::sites::CHECKPOINT_WRITE)
-//! fault site drives the chaos suite: `short_write` interrupts and
-//! self-heals, `torn_record` persists a corrupted final file, and
-//! `crash` freezes the write mid-stage exactly as a kill at that ordinal
-//! would.
+//! fault site, so the chaos suite's `short_write`, `torn_record` and
+//! `crash` are the log's own. `run.meta` is a whole file and goes
+//! through [`neurfill_layout::io::write_durable`]. Tile files an older
+//! build left in the directory (`tile-*.nftile`) are never read: such a
+//! directory resumes no tiles.
 //!
 //! ```text
-//! run.meta                      (atomic, config fingerprint)
-//! tile-r0-c0.nftile             neurfill-plan v2
-//! tile-r0-c8.nftile             shape <L> <rows> <cols> <row0> <col0>
-//! ...                           checksum <fnv1a of the amounts line>
-//!                               <a0> <a1> ... (layer-major core amounts)
+//! run.meta       (atomic, config fingerprint)
+//! tiles.nflog    append log, one record per completed tile:
+//!                  neurfill-plan v2
+//!                  shape <L> <rows> <cols> <row0> <col0>
+//!                  checksum <fnv1a of the amounts line>
+//!                  <a0> <a1> ... (layer-major core amounts)
 //! ```
 
 use crate::source::ChipSource;
 use neurfill_layout::io::{self as layout_io, PlanShape};
 use neurfill_layout::{Tile, Tiling};
 use neurfill_runtime::fault::sites;
-use neurfill_runtime::{FaultPlan, WriteFault};
+use neurfill_runtime::{AppendLog, FaultPlan};
 use std::collections::HashMap;
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::path::Path;
+use std::sync::{Arc, Mutex};
 
 /// Config-fingerprint file name inside a checkpoint directory.
 pub const META_FILE: &str = "run.meta";
-/// Extension of per-tile checkpoint files.
-pub const TILE_EXTENSION: &str = "nftile";
+/// The tile log's file name inside a checkpoint directory.
+const TILE_LOG: &str = "tiles.nflog";
 
 /// The `run.meta` fingerprint for a full-chip pass: geometry plus an
 /// execution-mode tag (`golden`, `pool`, ...). Two runs may
@@ -66,22 +66,21 @@ pub fn chip_run_meta(source: &dyn ChipSource, tiling: &Tiling, mode: &str) -> St
 }
 
 /// A checkpoint directory opened for one full-chip pass: the tiles
-/// recovered from disk plus the staging machinery for finalizing new
-/// ones.
+/// recovered from its log plus the log itself, for storing new ones.
 #[derive(Debug)]
 pub struct TileCheckpoint {
-    dir: PathBuf,
-    fault: Arc<FaultPlan>,
+    log: Mutex<AppendLog>,
     /// Recovered tiles by core origin.
     done: HashMap<(usize, usize), (PlanShape, Vec<f64>)>,
 }
 
 impl TileCheckpoint {
-    /// Opens (creating if needed) a checkpoint directory and loads every
-    /// valid completed tile. `meta` (see [`chip_run_meta`]) must match
-    /// the directory's `run.meta` exactly when one exists; stale `.tmp`
-    /// staging files and tile files that fail to read are deleted so the
-    /// tiles recompute.
+    /// Opens (creating if needed) a checkpoint directory and replays its
+    /// tile log. `meta` (see [`chip_run_meta`]) must match the
+    /// directory's `run.meta` exactly when one exists. A torn log tail
+    /// is truncated away and a record that does not read as a plan is
+    /// skipped, so those tiles recompute; when a tile was stored twice,
+    /// the last record wins.
     ///
     /// # Errors
     ///
@@ -106,31 +105,15 @@ impl TileCheckpoint {
             Err(e) => return Err(format!("reading {}: {e}", meta_path.display())),
         }
 
+        let (log, replay) = AppendLog::open(dir.join(TILE_LOG), sites::CHECKPOINT_WRITE, fault)
+            .map_err(|e| format!("opening the tile log in {}: {e}", dir.display()))?;
         let mut done = HashMap::new();
-        let entries = fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-        for entry in entries {
-            let path = entry.map_err(|e| e.to_string())?.path();
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
-            if name.ends_with(".tmp") {
-                // The staging file of a finalize a kill interrupted.
-                let _ = fs::remove_file(&path);
-                continue;
-            }
-            if !name.ends_with(&format!(".{TILE_EXTENSION}")) {
-                continue;
-            }
-            match fs::File::open(&path).and_then(layout_io::read_plan) {
-                Ok((shape, amounts)) => {
-                    done.insert((shape.rect.row0, shape.rect.col0), (shape, amounts));
-                }
-                // Torn, checksum-corrupt or older-format files: drop them
-                // so the tile recomputes cleanly.
-                Err(_) => {
-                    let _ = fs::remove_file(&path);
-                }
+        for record in &replay.records {
+            if let Ok((shape, amounts)) = layout_io::read_plan(record.as_slice()) {
+                done.insert((shape.rect.row0, shape.rect.col0), (shape, amounts));
             }
         }
-        Ok(Self { dir: dir.to_path_buf(), fault, done })
+        Ok(Self { log: Mutex::new(log), done })
     }
 
     /// Number of completed tiles recovered when the directory was opened.
@@ -147,12 +130,13 @@ impl TileCheckpoint {
         (*shape == PlanShape { layers, rect: tile.core }).then_some(amounts.as_slice())
     }
 
-    /// Finalizes one completed tile: stages the file, fsyncs, renames it
-    /// into place. Passing the
+    /// Stores one completed tile: appends its plan to the log and fsyncs
+    /// it before returning. An injected fault at the
     /// [`CHECKPOINT_WRITE`](neurfill_runtime::fault::sites::CHECKPOINT_WRITE)
-    /// fault site, a `short_write` self-heals in place while
-    /// `torn_record`/`crash` damage the on-disk state and fail the call
-    /// — the run aborts exactly as a kill at this ordinal would.
+    /// site behaves as [`AppendLog::append`] documents: a `short_write`
+    /// heals in place, while `torn_record`/`crash` leave a torn tail and
+    /// fail the call — the run aborts exactly as a kill at this ordinal
+    /// would.
     ///
     /// # Errors
     ///
@@ -160,51 +144,25 @@ impl TileCheckpoint {
     /// `core_amounts` does not match the tile's core geometry times
     /// `layers`.
     pub fn store(&self, tile: &Tile, layers: usize, core_amounts: &[f64]) -> Result<(), String> {
-        let name = format!("tile-r{}-c{}.{TILE_EXTENSION}", tile.core.row0, tile.core.col0);
-        let path = self.dir.join(&name);
-        let io_err = |e: io::Error| format!("checkpointing {}: {e}", path.display());
+        let context = |e: io::Error| format!("checkpointing tile {}: {e}", tile.core.label());
         let mut body = Vec::new();
         layout_io::write_plan(PlanShape { layers, rect: tile.core }, core_amounts, &mut body)
-            .map_err(io_err)?;
-
-        match self.fault.inject_write(sites::CHECKPOINT_WRITE)? {
-            None => {}
-            Some(WriteFault::ShortWrite) => {
-                // Interrupt the staging write partway, then redo it: the
-                // final rename below still lands a complete file.
-                fs::write(layout_io::staging_path(&path), &body[..body.len() / 2]).map_err(io_err)?;
-            }
-            Some(WriteFault::TornRecord) => {
-                // A corrupted final file: complete the rename with a
-                // flipped byte in the amounts line, then fail — replay
-                // must detect the checksum mismatch and recompute.
-                let last = body.len() - 2;
-                body[last] ^= 0x01;
-                layout_io::write_durable(&path, &body).map_err(io_err)?;
-                return Err(format!(
-                    "fault injected: torn tile checkpoint at '{}'",
-                    sites::CHECKPOINT_WRITE
-                ));
-            }
-            Some(WriteFault::Crash) => {
-                // Freeze mid-stage: a half-written .tmp and no rename is
-                // the exact disk state of a kill at this ordinal. Reopening
-                // deletes the .tmp and recomputes the tile.
-                fs::write(layout_io::staging_path(&path), &body[..body.len() / 2]).map_err(io_err)?;
-                return Err(format!(
-                    "fault injected: crash at '{}' (tile {name})",
-                    sites::CHECKPOINT_WRITE
-                ));
-            }
-        }
-        layout_io::write_durable(&path, &body).map_err(io_err)
+            .map_err(context)?;
+        let mut log = self
+            .log
+            .lock()
+            .map_err(|_| "the tile log's lock was poisoned by a panicked store".to_string())?;
+        log.append(&body).and_then(|()| log.sync()).map_err(context)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neurfill_layout::Tiling;
+    use crate::run::{run_full_chip, ChipRunConfig};
+    use crate::sim::ChipSimulator;
+    use neurfill_layout::{DesignKind, FullChipSpec, Tiling};
+    use std::path::PathBuf;
 
     struct FakeSource;
     impl ChipSource for FakeSource {
@@ -242,10 +200,21 @@ mod tests {
         Tiling::square(8, 8, 4, 2).tile(0, 1)
     }
 
+    fn log_len(dir: &Path) -> u64 {
+        fs::metadata(dir.join(TILE_LOG)).unwrap().len()
+    }
+
+    /// The append log's header: magic plus format version.
+    const LOG_HEADER: u64 = 12;
+
     // Values chosen to have non-terminating binary expansions: a decimal
     // round-trip that wasn't exact would fail the bit-identity check.
     fn awkward_amounts(n: usize) -> Vec<f64> {
         (0..n).map(|i| (i as f64 + 0.1) / 3.0).collect()
+    }
+
+    fn bits(amounts: &[f64]) -> Vec<u64> {
+        amounts.iter().map(|a| a.to_bits()).collect()
     }
 
     #[test]
@@ -261,10 +230,9 @@ mod tests {
         }
         let cp = TileCheckpoint::open(&dir, &meta(), fault).unwrap();
         assert_eq!(cp.resumed(), 1);
-        let restored = cp.amounts(&t, 2).unwrap();
         assert_eq!(
-            restored.iter().map(|a| a.to_bits()).collect::<Vec<_>>(),
-            amounts.iter().map(|a| a.to_bits()).collect::<Vec<_>>(),
+            bits(cp.amounts(&t, 2).unwrap()),
+            bits(&amounts),
             "decimal round-trip must be bit-exact"
         );
         // Geometry mismatches never resume stale data.
@@ -273,20 +241,61 @@ mod tests {
     }
 
     #[test]
-    fn parent_format_tile_files_are_deleted_and_recomputed() {
-        let dir = tmpdir("parent");
+    fn replay_skips_non_plan_records_and_the_last_record_of_a_tile_wins() {
+        let dir = tmpdir("replay");
         let fault = Arc::new(FaultPlan::disabled());
-        TileCheckpoint::open(&dir, &meta(), Arc::clone(&fault)).unwrap();
-        let line = "0.5 0.25";
-        let v1 = format!(
-            "neurfill-tile v1\ncore 0 4 1 2\nlayers 1\nchecksum {:016x}\n{line}\n",
-            layout_io::fnv1a(line.as_bytes())
-        );
-        let path = dir.join(format!("tile-r0-c4.{TILE_EXTENSION}"));
-        fs::write(&path, v1).unwrap();
+        let t = tile();
+        let first = awkward_amounts(2 * t.core.len());
+        let second: Vec<f64> = first.iter().map(|a| a * 7.0).collect();
+        {
+            let cp = TileCheckpoint::open(&dir, &meta(), Arc::clone(&fault)).unwrap();
+            cp.store(&t, 2, &first).unwrap();
+            cp.log.lock().unwrap().append(b"not a plan").unwrap();
+            cp.store(&t, 2, &second).unwrap();
+        }
         let cp = TileCheckpoint::open(&dir, &meta(), fault).unwrap();
+        assert_eq!(cp.resumed(), 1);
+        assert_eq!(bits(cp.amounts(&t, 2).unwrap()), bits(&second));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_parent_format_directory_resumes_nothing_and_reruns_byte_identical() {
+        let design = FullChipSpec::new(DesignKind::CmpTest, 16, 16, 7).build();
+        let fresh = run_full_chip(&design, &ChipRunConfig::fast(8, 2)).unwrap();
+
+        // What the file-per-tile build left: `run.meta` plus one
+        // `tile-*.nftile` plan per tile, here with amounts no run would
+        // produce, so reading any of them would show in the plan.
+        let dir = tmpdir("parent");
+        let mut cfg = ChipRunConfig::fast(8, 2);
+        cfg.checkpoint = Some(dir.clone());
+        let tiling = ChipSimulator::new(cfg.sim.clone()).unwrap().tiling_for(&design);
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join(META_FILE), chip_run_meta(&design, &tiling, "golden")).unwrap();
+        let layers = design.num_layers();
+        let mut parent_files = Vec::new();
+        for t in tiling.tiles() {
+            let path = dir.join(format!("tile-r{}-c{}.nftile", t.core.row0, t.core.col0));
+            let shape = PlanShape { layers, rect: t.core };
+            let mut body = Vec::new();
+            layout_io::write_plan(shape, &vec![1.0; layers * t.core.len()], &mut body).unwrap();
+            fs::write(&path, body).unwrap();
+            parent_files.push(path);
+        }
+
+        let cp = TileCheckpoint::open(
+            &dir,
+            &chip_run_meta(&design, &tiling, "golden"),
+            Arc::new(FaultPlan::disabled()),
+        )
+        .unwrap();
         assert_eq!(cp.resumed(), 0);
-        assert!(!path.exists());
+        drop(cp);
+        let rerun = run_full_chip(&design, &cfg).unwrap();
+        assert_eq!(rerun.report.tiles_resumed, 0);
+        assert_eq!(bits(rerun.plan.as_slice()), bits(fresh.plan.as_slice()));
+        assert!(parent_files.iter().all(|p| p.exists()), "tile files are neither read nor removed");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -306,29 +315,32 @@ mod tests {
         let dir = tmpdir("faults");
         let t = tile();
         let amounts = awkward_amounts(2 * t.core.len());
+        let clean = Arc::new(FaultPlan::disabled());
 
-        // Crash: half-written .tmp, no final file, store() errs.
+        // Crash: a torn prefix of the record lands after the header and
+        // store() errs; reopening truncates it and resumes nothing.
         let fault = Arc::new(FaultPlan::parse("checkpoint_write=crash@1", 0).unwrap());
         let cp = TileCheckpoint::open(&dir, &meta(), fault).unwrap();
         let err = cp.store(&t, 2, &amounts).unwrap_err();
         assert!(err.contains("fault injected"), "{err}");
-        let clean = Arc::new(FaultPlan::disabled());
-        let tile_path = dir.join(format!("tile-r{}-c{}.{TILE_EXTENSION}", t.core.row0, t.core.col0));
-        let staged = layout_io::staging_path(&tile_path);
-        assert!(staged.exists(), "crash leaves the half-written staging file");
+        drop(cp);
+        assert!(log_len(&dir) > LOG_HEADER, "a crash leaves a torn tail");
         let cp = TileCheckpoint::open(&dir, &meta(), Arc::clone(&clean)).unwrap();
-        assert_eq!(cp.resumed(), 0, "a crashed finalize must not resume");
-        assert!(!staged.exists(), "reopening discards the stale staging file");
+        assert_eq!(cp.resumed(), 0, "a crashed store must not resume");
+        drop(cp);
+        assert_eq!(log_len(&dir), LOG_HEADER, "replay truncates the torn tail");
 
-        // Torn record: the final file exists but fails its checksum;
-        // store() errs and a reopen discards the file.
+        // Torn record: a full-length record whose checksum fails; store()
+        // errs and a reopen truncates it.
         let fault = Arc::new(FaultPlan::parse("checkpoint_write=torn_record@1", 0).unwrap());
         let cp = TileCheckpoint::open(&dir, &meta(), fault).unwrap();
-        assert!(cp.store(&t, 2, &amounts).is_err());
-        assert!(tile_path.exists(), "torn_record persists a (corrupt) final file");
+        assert!(cp.store(&t, 2, &amounts).unwrap_err().contains("fault injected"));
+        drop(cp);
+        assert!(log_len(&dir) > LOG_HEADER, "torn_record persists a (corrupt) record");
         let cp = TileCheckpoint::open(&dir, &meta(), Arc::clone(&clean)).unwrap();
         assert_eq!(cp.resumed(), 0, "a torn tile must not resume");
-        assert!(!tile_path.exists(), "replay discards the torn file");
+        drop(cp);
+        assert_eq!(log_len(&dir), LOG_HEADER, "replay truncates the torn record");
 
         // Short write self-heals: store() succeeds and the tile resumes.
         let fault = Arc::new(FaultPlan::parse("checkpoint_write=short_write@1", 0).unwrap());
@@ -336,6 +348,7 @@ mod tests {
         cp.store(&t, 2, &amounts).unwrap();
         let cp = TileCheckpoint::open(&dir, &meta(), clean).unwrap();
         assert_eq!(cp.resumed(), 1);
+        assert_eq!(bits(cp.amounts(&t, 2).unwrap()), bits(&amounts));
         let _ = fs::remove_dir_all(&dir);
     }
 }

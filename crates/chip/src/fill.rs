@@ -213,43 +213,24 @@ pub fn model_fill_monolithic(
 /// the tiling's halo is at least the kernel radius, at any worker
 /// count (tiles write disjoint core regions).
 ///
-/// # Panics
-///
-/// Panics when the profile or tiling dimensions disagree with the
-/// source.
-#[must_use]
-pub fn model_fill_sharded(
-    source: &dyn ChipSource,
-    profile: &ChipProfile,
-    tiling: &Tiling,
-    params: &ProcessParams,
-    cfg: &ChipFillConfig,
-    workers: usize,
-) -> ChipFillPlan {
-    match model_fill_sharded_checkpointed(source, profile, tiling, params, cfg, workers, None) {
-        Ok((plan, _)) => plan,
-        // The only fallible step is checkpoint finalization.
-        Err(e) => unreachable!("checkpoint-free sharded fill cannot fail: {e}"),
-    }
-}
-
-/// [`model_fill_sharded`] with tile-granular checkpoint/resume: tiles
-/// already finalized in `checkpoint` are merged from their stored core
-/// amounts (a bit-exact decimal round-trip) instead of being recomputed,
-/// and every freshly computed tile is finalized — in row-major tile
-/// order, so checkpoint-write fault ordinals are deterministic — before
-/// it is merged. Returns the plan and the number of tiles resumed.
+/// With a `checkpoint`, tiles already stored there are merged from
+/// their stored core amounts (a bit-exact decimal round-trip) instead
+/// of being recomputed, and every freshly computed tile is stored — in
+/// row-major tile order, so checkpoint-write fault ordinals are
+/// deterministic — before it is merged. Returns the plan and the number
+/// of tiles resumed.
 ///
 /// # Errors
 ///
-/// Returns a message when a checkpoint finalize fails (I/O or injected
-/// fault); completed tiles remain durable for the next attempt.
+/// Returns a message when a checkpoint store fails (I/O or injected
+/// fault); completed tiles remain durable for the next attempt. Without
+/// a checkpoint the call cannot fail.
 ///
 /// # Panics
 ///
 /// Panics when the profile or tiling dimensions disagree with the
 /// source.
-pub fn model_fill_sharded_checkpointed(
+pub fn model_fill_sharded(
     source: &dyn ChipSource,
     profile: &ChipProfile,
     tiling: &Tiling,

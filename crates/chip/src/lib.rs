@@ -39,10 +39,7 @@ pub mod sim;
 pub mod source;
 
 pub use checkpoint::{chip_run_meta, TileCheckpoint};
-pub use fill::{
-    model_fill_monolithic, model_fill_sharded, model_fill_sharded_checkpointed, ChipFillConfig,
-    ChipFillPlan,
-};
+pub use fill::{model_fill_monolithic, model_fill_sharded, ChipFillConfig, ChipFillPlan};
 pub use pool::{
     merge_tile_plan, synthesize_tiles, synthesize_tiles_checkpointed, tile_job_layout, TileJobOptions,
     TileSynthesis,

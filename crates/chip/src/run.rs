@@ -1,7 +1,7 @@
 //! The end-to-end full-chip flow: simulate → model-fill → verify.
 
 use crate::checkpoint::{chip_run_meta, TileCheckpoint};
-use crate::fill::{model_fill_sharded_checkpointed, ChipFillConfig, ChipFillPlan};
+use crate::fill::{model_fill_sharded, ChipFillConfig, ChipFillPlan};
 use crate::report::ChipReport;
 use crate::sim::{ChipSimConfig, ChipSimulator};
 use crate::source::{ChipSource, FilledChipSource};
@@ -79,7 +79,7 @@ pub fn run_full_chip(source: &dyn ChipSource, cfg: &ChipRunConfig) -> Result<Chi
     let simulate_time = t0.elapsed();
 
     let t1 = Instant::now();
-    let (plan, tiles_resumed) = model_fill_sharded_checkpointed(
+    let (plan, tiles_resumed) = model_fill_sharded(
         source,
         &unfilled,
         &tiling,

@@ -101,7 +101,9 @@ fn sharded_fill_plan_matches_monolithic() {
     for tile in [16, 8, 4, 5] {
         let tiling = Tiling::square(16, 16, tile, params.kernel_radius);
         for workers in WORKERS {
-            let plan = model_fill_sharded(&layout, &profile, &tiling, &params, &cfg, workers);
+            let (plan, resumed) =
+                model_fill_sharded(&layout, &profile, &tiling, &params, &cfg, workers, None).unwrap();
+            assert_eq!(resumed, 0);
             assert_eq!(plan, mono, "tile={tile} workers={workers}");
         }
     }

@@ -9,10 +9,6 @@
 //!   `(extraction planes, normalized height map)` samples; readers stream
 //!   one record at a time with bounded memory and reject truncated or
 //!   corrupted files instead of silently training on them.
-//! * [`applog`] — the shard idioms generalized into a crash-tolerant
-//!   append-only record log (versioned header, FNV-1a checksums,
-//!   torn-tail truncation on replay); the primitive under the serve
-//!   crate's write-ahead job journal.
 //! * [`label`] — parallel labeling: sequential seeded layout generation,
 //!   simulator fan-out across the runtime worker pool, and ordered shard
 //!   writes in bounded chunks. Output bytes depend only on the seed,
@@ -26,6 +22,11 @@
 //!   shard set, one shard in memory at a time, with a checkpoint after
 //!   every shard.
 //!
+//! Shards, checkpoints and the manifest are whole artifacts, each staged
+//! and renamed into place by `neurfill_layout::io` (`commit_staged`,
+//! `write_durable`). The crash-tolerant record log that the serve journal
+//! and the chip tile checkpoint share is `neurfill_runtime::applog`.
+//!
 //! The `gendata` and `pretrain` binaries wrap the two halves as CLIs; a
 //! `pretrain` run ends in the same self-contained surrogate bundle
 //! (`neurfill::persist`) the runtime and fill flows consume.
@@ -33,14 +34,12 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod applog;
 pub mod checkpoint;
 pub mod chiplabel;
 pub mod label;
 pub mod shard;
 pub mod train;
 
-pub use applog::{AppendLog, Replay};
 pub use checkpoint::{
     load_checkpoint, load_checkpoint_file, save_checkpoint, save_checkpoint_file, TrainCheckpoint,
 };

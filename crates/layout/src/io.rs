@@ -370,9 +370,9 @@ pub fn read_plan<R: Read>(r: R) -> io::Result<(PlanShape, Vec<f64>)> {
 }
 
 /// FNV-1a 64-bit over `bytes` — the workspace's one cheap,
-/// dependency-free checksum: plan files here, bundle digests and
-/// fault-site hashing in `neurfill-runtime`, shard and append-log records
-/// in `neurfill-data`.
+/// dependency-free checksum: plan files here, bundle digests, fault-site
+/// hashing and append-log records in `neurfill-runtime`, shard records in
+/// `neurfill-data`.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -383,8 +383,8 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// `path` with `.tmp` appended to its file name (`a.nftile` →
-/// `a.nftile.tmp`): where a file is staged before [`commit_staged`]
+/// `path` with `.tmp` appended to its file name (`a.plan` →
+/// `a.plan.tmp`): where a file is staged before [`commit_staged`]
 /// renames it into place.
 #[must_use]
 pub fn staging_path(path: &Path) -> PathBuf {
@@ -393,10 +393,22 @@ pub fn staging_path(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
+/// Syncs the directory holding `path`, so a file created or renamed
+/// there keeps its directory entry across power loss. Best effort: not
+/// every file system can open a directory for sync.
+pub fn sync_parent_dir(path: &Path) {
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    if let Ok(d) = File::open(dir) {
+        let _ = d.sync_all();
+    }
+}
+
 /// Makes a staged file durable at `path`: fsyncs `staged` (the open file
-/// at [`staging_path`]`(path)`), renames it onto `path`, then syncs the
-/// parent directory so the rename itself is durable (best effort: not
-/// every file system can open a directory for sync). A crash at any
+/// at [`staging_path`]`(path)`), renames it onto `path`, then
+/// [`sync_parent_dir`] so the rename itself is durable. A crash at any
 /// point leaves `path` either untouched or complete, plus at most a
 /// stale staging file.
 ///
@@ -407,11 +419,7 @@ pub fn commit_staged(staged: File, path: &Path) -> io::Result<()> {
     staged.sync_all()?;
     drop(staged);
     std::fs::rename(staging_path(path), path)?;
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
+    sync_parent_dir(path);
     Ok(())
 }
 

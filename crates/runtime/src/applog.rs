@@ -1,10 +1,11 @@
-//! A crash-tolerant append-only log of checksummed records — the shared
-//! durability primitive under the serve job journal and other
-//! write-ahead consumers.
+//! A crash-tolerant append-only log of checksummed records — the one
+//! durability primitive for a growing set of completed units: the serve
+//! job journal's transitions and a full-chip run's tile checkpoint.
+//! Whole-file artifacts go through
+//! [`neurfill_layout::io::write_durable`] instead.
 //!
-//! The format reuses the shard idioms ([`crate::shard`]): a versioned
-//! magic header, FNV-1a 64-bit per-record checksums, little-endian
-//! throughout:
+//! A versioned magic header, FNV-1a 64-bit per-record checksums,
+//! little-endian throughout:
 //!
 //! ```text
 //! offset  size  field
@@ -17,7 +18,9 @@
 //! Opening an existing log *replays* it: records are validated in order
 //! and the first incomplete or checksum-failing record — the torn tail a
 //! crash mid-append leaves — is truncated away, so the log always
-//! reopens to a clean prefix of fully-acknowledged appends.
+//! reopens to a clean prefix of fully-acknowledged appends. A newly
+//! created log syncs its header and its directory entry before
+//! [`AppendLog::open`] returns.
 //!
 //! Appends are durable against *process* crashes as soon as
 //! [`AppendLog::append`] returns (the bytes are in the kernel page
@@ -31,13 +34,11 @@
 //! dies) deterministically. A dead log models the disk state of a
 //! process killed at that exact ordinal: the bytes already on disk stay
 //! exactly as torn, and every later append fails fast — a test restarts
-//! by reopening the same path.
+//! by reopening the same path. This is the workspace's only emulation of
+//! those three faults.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
-use crate::shard::fnv1a;
-use neurfill_runtime::fault::FaultPlan;
-use neurfill_runtime::WriteFault;
+use crate::fault::{FaultPlan, WriteFault};
+use neurfill_layout::io::{fnv1a, sync_parent_dir};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -78,7 +79,7 @@ impl AppendLog {
     /// Opens (or creates) the log at `path`, replaying and validating any
     /// existing records and truncating a torn tail. `site` names the
     /// fault-injection site checked on every append (e.g.
-    /// [`neurfill_runtime::fault::sites::JOURNAL_WRITE`]).
+    /// [`crate::fault::sites::JOURNAL_WRITE`]).
     ///
     /// # Errors
     ///
@@ -96,20 +97,16 @@ impl AppendLog {
         let file_len = file.metadata()?.len();
         let ctx = |msg: String| bad(format!("{}: {msg}", path.display()));
 
-        if file_len == 0 {
-            file.write_all(MAGIC)?;
-            file.write_all(&VERSION.to_le_bytes())?;
-            file.sync_all()?;
-            let log = Self { file, path, site, fault, dead: false, records: 0, end: HEADER_LEN };
-            return Ok((log, Replay { records: Vec::new(), truncated_bytes: 0 }));
-        }
         if file_len < HEADER_LEN {
-            // A crash between create and header write: rebuild the header.
+            // A new log, or a crash between create and header write:
+            // (re)write the header and make the file's directory entry
+            // durable with it.
             file.set_len(0)?;
             file.seek(SeekFrom::Start(0))?;
             file.write_all(MAGIC)?;
             file.write_all(&VERSION.to_le_bytes())?;
             file.sync_all()?;
+            sync_parent_dir(&path);
             let log = Self { file, path, site, fault, dead: false, records: 0, end: HEADER_LEN };
             return Ok((log, Replay { records: Vec::new(), truncated_bytes: file_len }));
         }
@@ -245,29 +242,35 @@ impl AppendLog {
                 let mut torn = record.clone();
                 torn[4] ^= 0xff;
                 self.file.write_all(&torn)?;
-                let _ = self.file.flush();
-                self.dead = true;
-                return Err(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    format!("{}: injected torn record at append {}", self.path.display(), self.records),
-                ));
+                return Err(self.kill("torn record"));
             }
             Some(WriteFault::Crash) => {
                 // The kill lands mid-record: a prefix is on disk, the
                 // writer never returns.
                 let torn = (record.len() / 2).max(1);
                 self.file.write_all(&record[..torn])?;
-                let _ = self.file.flush();
-                self.dead = true;
-                return Err(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    format!("{}: injected crash at append {}", self.path.display(), self.records),
-                ));
+                return Err(self.kill("crash"));
             }
         }
         self.end += record.len() as u64;
         self.records += 1;
         Ok(())
+    }
+
+    /// Freezes the log as an injected `fault` left it: every later append
+    /// and sync fails without touching the file.
+    fn kill(&mut self, fault: &str) -> io::Error {
+        let _ = self.file.flush();
+        self.dead = true;
+        io::Error::new(
+            io::ErrorKind::BrokenPipe,
+            format!(
+                "{}: fault injected: {fault} at '{}' (append {})",
+                self.path.display(),
+                self.site,
+                self.records
+            ),
+        )
     }
 
     /// Whether an injected `crash`/`torn_record` fault has killed the log.
@@ -276,7 +279,9 @@ impl AppendLog {
         self.dead
     }
 
-    /// Fsyncs the log file (power-loss durability up to the last append).
+    /// Fsyncs the log file (power-loss durability up to the last append;
+    /// the file's directory entry was synced when [`AppendLog::open`]
+    /// created it).
     ///
     /// # Errors
     ///

@@ -33,7 +33,10 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::time::Duration;
 
-/// Stable site names checked by the runtime and data crates.
+/// Stable site names. The pool checks the job sites, the data crate's
+/// shard reader checks [`sites::SHARD_READ`], and the two write sites
+/// are the ones an [`AppendLog`](crate::applog::AppendLog) is opened at:
+/// the serve job journal and the chip tile checkpoint.
 pub mod sites {
     /// Network hydration from bundle bytes (a pool worker's first job).
     pub const HYDRATE: &str = "hydrate";
@@ -45,7 +48,7 @@ pub mod sites {
     pub const SHARD_READ: &str = "shard_read";
     /// Appending one record to the service's write-ahead job journal.
     pub const JOURNAL_WRITE: &str = "journal_write";
-    /// Finalizing one tile checkpoint of a full-chip run.
+    /// Appending one completed tile to a full-chip run's checkpoint log.
     pub const CHECKPOINT_WRITE: &str = "checkpoint_write";
     /// Every site above: the names [`super::FaultPlan::parse`] accepts.
     pub const ALL: &[&str] =
@@ -68,9 +71,9 @@ pub enum FaultKind {
     /// place — exercises retry logic, not recovery). Only meaningful at
     /// write sites checked via [`FaultPlan::inject_write`].
     ShortWrite,
-    /// Leave a torn (truncated / corrupted) final record on disk while
-    /// the writer believes the write succeeded — the state a real crash
-    /// leaves behind when it lands mid-record. Write sites only.
+    /// Leave a full-length record with a corrupted checksum on disk and
+    /// fail this and every later write — replay must drop it by
+    /// validation, not by size. Write sites only.
     TornRecord,
     /// Abort-at-ordinal: freeze the durable layer as a kill at this exact
     /// write would, leaving a torn prefix on disk and failing this and
@@ -134,13 +137,15 @@ fn splitmix(mut z: u64) -> u64 {
 pub const TRANSIENT_MARKER: &str = "transient fault injected";
 
 /// A durable-write fault returned by [`FaultPlan::inject_write`], telling
-/// the write site *how* to damage its own output. The site owns the
+/// the write site *how* to damage its own output. The one write site,
+/// [`AppendLog::append`](crate::applog::AppendLog::append), owns the
 /// mechanics (what bytes land on disk); this enum only names the shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WriteFault {
     /// Truncate the in-progress write, then redo it (self-healing).
     ShortWrite,
-    /// Persist a torn final record but report success to the caller.
+    /// Persist a checksum-corrupt record, then fail this and all later
+    /// writes.
     TornRecord,
     /// Persist a torn prefix, then fail this and all later writes — the
     /// on-disk state of a process killed at this exact ordinal.

@@ -20,6 +20,10 @@
 //!   delays, transient errors, NaN-poisoned outputs at named sites) that
 //!   drives the failure model's tests and stays inert in production.
 //!
+//! Beside them sits [`AppendLog`] ([`applog`]), the crash-tolerant record
+//! log whose appends pass the fault plan's write sites: the serve job
+//! journal and the full-chip tile checkpoint are both built on it.
+//!
 //! ```no_run
 //! use neurfill::pipeline::FlowConfig;
 //! use neurfill_runtime::{JobSpec, ModelRegistry, PoolOptions, RuntimePool};
@@ -42,6 +46,7 @@
 // carry local, justified `allow`s).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+pub mod applog;
 pub mod error;
 pub mod fault;
 pub mod job;
@@ -49,6 +54,7 @@ pub mod pool;
 pub mod registry;
 mod stats;
 
+pub use applog::{AppendLog, Replay};
 pub use error::{classify, ErrorClass, RetryPolicy, RuntimeError};
 pub use fault::{FaultKind, FaultPlan, FaultSpec, FaultTrigger, WriteFault};
 pub use job::{JobId, JobReport, JobSpec, JobStatus};

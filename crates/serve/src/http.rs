@@ -15,7 +15,7 @@
 //! * every malformed input is a typed [`HttpError`] mapping to a 4xx/5xx
 //!   status — the parser never panics on untrusted bytes.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Hard input limits enforced while parsing (never after the fact).
 #[derive(Debug, Clone, Copy)]
@@ -375,15 +375,18 @@ impl ClientResponse {
 
 /// Reads one response from a stream (client side). Only
 /// `Content-Length`-framed bodies are understood, which is all this
-/// crate's server emits.
+/// crate's server emits. The status line and headers are read under
+/// [`HttpLimits::max_header_bytes`], and the body grows only with bytes
+/// that arrive, never to a size the peer declared.
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` on malformed responses and propagates stream
-/// errors.
+/// Returns `InvalidData` on malformed or oversized headers,
+/// `UnexpectedEof` when the stream ends before the declared body, and
+/// propagates stream errors.
 pub fn read_response<R: BufRead>(r: &mut R) -> io::Result<ClientResponse> {
     let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    let mut budget = usize::MAX / 2;
+    let mut budget = HttpLimits::default().max_header_bytes;
     let status_line = read_line(r, &mut budget)
         .map_err(|e| bad(e.message()))?
         .ok_or_else(|| bad("connection closed before response".to_string()))?;
@@ -397,7 +400,7 @@ pub fn read_response<R: BufRead>(r: &mut R) -> io::Result<ClientResponse> {
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| bad(format!("malformed status line {status_line:?}")))?;
     let mut headers = Vec::new();
-    let mut content_length = 0usize;
+    let mut content_length = 0u64;
     loop {
         let line = read_line(r, &mut budget)
             .map_err(|e| bad(e.message()))?
@@ -415,8 +418,14 @@ pub fn read_response<R: BufRead>(r: &mut R) -> io::Result<ClientResponse> {
             headers.push((name, value));
         }
     }
-    let mut body = vec![0u8; content_length];
-    r.read_exact(&mut body)?;
+    let mut body = Vec::new();
+    r.take(content_length).read_to_end(&mut body)?;
+    if (body.len() as u64) < content_length {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("response body ended after {} of {content_length} declared bytes", body.len()),
+        ));
+    }
     Ok(ClientResponse { status, headers, body })
 }
 
@@ -528,5 +537,26 @@ mod tests {
         assert_eq!(back.status, 429);
         assert_eq!(back.header("retry-after"), Some("2"));
         assert_eq!(back.text(), "slow down\n");
+    }
+
+    #[test]
+    fn client_reader_never_sizes_a_body_from_the_declared_length() {
+        // A terabyte declared, two bytes sent: the reader must report the
+        // short body, not try to allocate what the peer claimed.
+        let wire = b"HTTP/1.1 200 OK\r\nContent-Length: 1099511627776\r\n\r\nab".to_vec();
+        let err = read_response(&mut Cursor::new(wire)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+
+        let wire = b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nabcde".to_vec();
+        assert_eq!(read_response(&mut Cursor::new(wire)).unwrap().text(), "abcde");
+    }
+
+    #[test]
+    fn client_reader_bounds_the_header_block() {
+        let mut wire = b"HTTP/1.1 200 OK\r\n".to_vec();
+        let long = "a".repeat(HttpLimits::default().max_header_bytes);
+        wire.extend_from_slice(format!("x-long: {long}\r\n\r\n").as_bytes());
+        let err = read_response(&mut Cursor::new(wire)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 }

@@ -32,9 +32,9 @@
 //! needing a second plan parser.
 
 use crate::wire::Priority;
-use neurfill_data::applog::{AppendLog, Replay};
 use neurfill_layout::io::{self as layout_io, PlanShape};
 use neurfill_layout::Layout;
+use neurfill_runtime::applog::{AppendLog, Replay};
 use neurfill_runtime::fault::{sites, FaultPlan};
 use std::io;
 use std::path::Path;

@@ -246,7 +246,7 @@ fn a_parent_format_done_record_replays_as_pending_and_the_job_re_runs() {
     {
         // The `done` record an older build appended: report, then a
         // `plan_len`/`amounts` body this build has no parser for.
-        let (mut log, _) = neurfill_data::applog::AppendLog::open(
+        let (mut log, _) = neurfill_runtime::applog::AppendLog::open(
             dir.join(JOURNAL_FILE),
             sites::JOURNAL_WRITE,
             clean(),
