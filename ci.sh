@@ -120,8 +120,13 @@ cargo test -p neurfill-chip --lib checkpoint -q
 cargo test -p neurfill-data -q
 cargo test -p neurfill-layout --test plan_codec -q
 
-echo "== chaos/recovery suite (kill-at-every-ordinal, bit-identical resume)"
+# `wait`, `wait_first` and `wait_timeout` take a terminal status and the
+# pool forgets the job; `fault_injection` and the pool's unit tests pin
+# what `wait`, `status` and `cancel` answer once a job has been taken.
+echo "== chaos/recovery suite (kill-at-every-ordinal, bit-identical resume, take-on-wait pool answers)"
 cargo test -p neurfill-runtime --test wait_first -q
+cargo test -p neurfill-runtime --test fault_injection -q
+cargo test -p neurfill-runtime --lib pool -q
 cargo test -p neurfill-chip --test checkpoint_resume -q
 cargo test -p neurfill-serve --test recovery -q
 

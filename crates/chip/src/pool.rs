@@ -6,7 +6,9 @@
 //! time, and a finished tile's fill plan is merged (core region only,
 //! halo and padding discarded) before the next tile is materialized —
 //! so peak resident windows stay O(tiles-in-flight × windows-per-tile)
-//! no matter how large the chip is.
+//! no matter how large the chip is. The pool keeps no copy of a merged
+//! tile: `wait_first` takes each finished tile's report, plan included,
+//! out of the pool's job table.
 //!
 //! The NN synthesis is a global optimization, so unlike the golden
 //! sharded path this one is *not* bit-identical to a monolithic whole-

@@ -30,12 +30,10 @@
 use neurfill_layout::io::{commit_staged, staging_path};
 use neurfill_nn::Dataset;
 use neurfill_obs::{Counter, Telemetry};
-use neurfill_runtime::fault::{sites, FaultPlan};
 use neurfill_tensor::NdArray;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"NFSHRD1\n";
 const VERSION: u32 = 1;
@@ -228,7 +226,6 @@ pub struct ShardReader {
     count: u64,
     read: u64,
     path: PathBuf,
-    fault: Option<Arc<FaultPlan>>,
     records_read: Counter,
 }
 
@@ -242,22 +239,7 @@ impl ShardReader {
     /// writers, and truncated or oversized files. Every error names the
     /// offending file.
     pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
-        Self::open_inner(path.as_ref(), None)
-    }
-
-    /// [`ShardReader::open`] with a fault plan checked (site
-    /// [`sites::SHARD_READ`]) before every record read — the test seam for
-    /// transient-I/O handling in consumers of the shard pipeline.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardReader::open`].
-    pub fn open_with_faults(path: impl AsRef<Path>, fault: Arc<FaultPlan>) -> io::Result<Self> {
-        Self::open_inner(path.as_ref(), Some(fault))
-    }
-
-    fn open_inner(path: &Path, fault: Option<Arc<FaultPlan>>) -> io::Result<Self> {
-        let path = path.to_path_buf();
+        let path = path.as_ref().to_path_buf();
         let file = File::open(&path)?;
         let file_len = file.metadata()?.len();
         let mut file = BufReader::new(file);
@@ -291,7 +273,7 @@ impl ShardReader {
                 "file is {file_len} bytes but header promises {count} records (torn header?)"
             )));
         }
-        Ok(Self { file, shapes, count, read: 0, path, fault, records_read: Counter::noop() })
+        Ok(Self { file, shapes, count, read: 0, path, records_read: Counter::noop() })
     }
 
     /// Counts successfully read records into `telemetry`
@@ -347,9 +329,6 @@ impl ShardReader {
     fn read_record(&mut self) -> io::Result<Option<(NdArray, NdArray)>> {
         if self.read == self.count {
             return Ok(None);
-        }
-        if let Some(fault) = &self.fault {
-            fault.inject_io(sites::SHARD_READ).map_err(|e| self.record_err(e))?;
         }
         let mut checksum = [0u8; 8];
         self.file.read_exact(&mut checksum).map_err(|e| self.record_err(e))?;
@@ -675,32 +654,6 @@ mod tests {
         let err = w.push(&NdArray::zeros(&[1, 3, 3]), &NdArray::zeros(&[1, 3, 3])).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains(&path.display().to_string()), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn injected_transient_read_fault_names_file_and_record() {
-        let dir = tmp("fault");
-        let path = dir.join(format!("a.{SHARD_EXTENSION}"));
-        let mut w = ShardWriter::create(&path, shapes()).unwrap();
-        for i in 0..3 {
-            let (x, y) = sample(i);
-            w.push(&x, &y).unwrap();
-        }
-        w.finish().unwrap();
-
-        let fault = Arc::new(FaultPlan::parse("shard_read=transient@2", 0).unwrap());
-        let mut reader = ShardReader::open_with_faults(&path, fault).unwrap();
-        assert!(reader.read_next().unwrap().is_some(), "record 1 reads clean");
-        let err = reader.read_next().unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::Interrupted);
-        let msg = err.to_string();
-        assert!(msg.contains("transient"), "{msg}");
-        assert!(msg.contains(&path.display().to_string()), "{msg}");
-        assert!(msg.contains("record 1"), "0-based failing record index: {msg}");
-        // The disabled plan leaves reads untouched.
-        let clean = ShardReader::open_with_faults(&path, Arc::new(FaultPlan::disabled())).unwrap();
-        assert_eq!(clean.map(Result::unwrap).count(), 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

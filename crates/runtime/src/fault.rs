@@ -33,10 +33,10 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::time::Duration;
 
-/// Stable site names. The pool checks the job sites, the data crate's
-/// shard reader checks [`sites::SHARD_READ`], and the two write sites
-/// are the ones an [`AppendLog`](crate::applog::AppendLog) is opened at:
-/// the serve job journal and the chip tile checkpoint.
+/// Stable site names, each checked by product code: the pool checks the
+/// three job sites, and the two write sites are the ones an
+/// [`AppendLog`](crate::applog::AppendLog) is opened at: the serve job
+/// journal and the chip tile checkpoint.
 pub mod sites {
     /// Network hydration from bundle bytes (a pool worker's first job).
     pub const HYDRATE: &str = "hydrate";
@@ -44,15 +44,12 @@ pub mod sites {
     pub const SYNTHESIS: &str = "synthesis";
     /// A job's verification forward over its filled layout.
     pub const VERIFY_FORWARD: &str = "verify_forward";
-    /// Reading one record from a training-data shard.
-    pub const SHARD_READ: &str = "shard_read";
     /// Appending one record to the service's write-ahead job journal.
     pub const JOURNAL_WRITE: &str = "journal_write";
     /// Appending one completed tile to a full-chip run's checkpoint log.
     pub const CHECKPOINT_WRITE: &str = "checkpoint_write";
     /// Every site above: the names [`super::FaultPlan::parse`] accepts.
-    pub const ALL: &[&str] =
-        &[HYDRATE, SYNTHESIS, VERIFY_FORWARD, SHARD_READ, JOURNAL_WRITE, CHECKPOINT_WRITE];
+    pub const ALL: &[&str] = &[HYDRATE, SYNTHESIS, VERIFY_FORWARD, JOURNAL_WRITE, CHECKPOINT_WRITE];
 }
 
 /// What a firing fault does at its site.
@@ -357,21 +354,6 @@ impl FaultPlan {
         }
         Ok(None)
     }
-
-    /// [`FaultPlan::inject`] adapted to `io::Result` call sites: transient
-    /// faults surface as [`std::io::ErrorKind::Interrupted`] (the kind the
-    /// error classifier treats as retryable).
-    ///
-    /// # Errors
-    ///
-    /// Returns the injected transient error as an I/O error.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a `Panic` fault fires (by design).
-    pub fn inject_io(&self, site: &str) -> std::io::Result<bool> {
-        self.inject(site).map_err(|e| std::io::Error::new(std::io::ErrorKind::Interrupted, e))
-    }
 }
 
 #[cfg(test)]
@@ -413,10 +395,10 @@ mod tests {
 
     #[test]
     fn probabilistic_trigger_is_deterministic_for_a_seed() {
-        let a = FaultPlan::parse("shard_read=transient@p0.5", 42).unwrap();
-        let b = FaultPlan::parse("shard_read=transient@p0.5", 42).unwrap();
-        let seq_a: Vec<bool> = (0..64).map(|_| a.inject(sites::SHARD_READ).is_err()).collect();
-        let seq_b: Vec<bool> = (0..64).map(|_| b.inject(sites::SHARD_READ).is_err()).collect();
+        let a = FaultPlan::parse("synthesis=transient@p0.5", 42).unwrap();
+        let b = FaultPlan::parse("synthesis=transient@p0.5", 42).unwrap();
+        let seq_a: Vec<bool> = (0..64).map(|_| a.inject(sites::SYNTHESIS).is_err()).collect();
+        let seq_b: Vec<bool> = (0..64).map(|_| b.inject(sites::SYNTHESIS).is_err()).collect();
         assert_eq!(seq_a, seq_b);
         let fired = seq_a.iter().filter(|f| **f).count();
         assert!(fired > 8 && fired < 56, "p=0.5 over 64 draws fired {fired} times");
@@ -436,20 +418,20 @@ mod tests {
     #[test]
     fn write_faults_fire_only_through_inject_write() {
         let plan = FaultPlan::parse(
-            "journal_write=crash@2; checkpoint_write=torn_record@1; shard_read=short_write",
+            "journal_write=crash@2; checkpoint_write=torn_record@1; hydrate=short_write",
             0,
         )
         .unwrap();
         // inject() treats durable-write kinds as no-ops (but still counts).
-        assert_eq!(plan.inject(sites::SHARD_READ), Ok(false));
-        assert_eq!(plan.invocations(sites::SHARD_READ), 1);
+        assert_eq!(plan.inject(sites::HYDRATE), Ok(false));
+        assert_eq!(plan.invocations(sites::HYDRATE), 1);
         // inject_write() surfaces them with their trigger semantics.
         assert_eq!(plan.inject_write(sites::JOURNAL_WRITE), Ok(None));
         assert_eq!(plan.inject_write(sites::JOURNAL_WRITE), Ok(Some(WriteFault::Crash)));
         assert_eq!(plan.inject_write(sites::JOURNAL_WRITE), Ok(None));
         assert_eq!(plan.inject_write(sites::CHECKPOINT_WRITE), Ok(Some(WriteFault::TornRecord)));
         assert_eq!(plan.inject_write(sites::CHECKPOINT_WRITE), Ok(None));
-        assert_eq!(plan.inject_write(sites::SHARD_READ), Ok(Some(WriteFault::ShortWrite)));
+        assert_eq!(plan.inject_write(sites::HYDRATE), Ok(Some(WriteFault::ShortWrite)));
     }
 
     #[test]
@@ -480,9 +462,11 @@ mod tests {
 
     #[test]
     fn unknown_sites_are_rejected_and_every_known_site_parses() {
-        // A renamed site and a typo: either would otherwise run a drill
-        // that injects nothing and reports success.
-        for bad in ["batch_forward=nan", "synthesys=panic", "synthesis=panic; x=nan"] {
+        // Removed sites and a typo: any would otherwise run a drill that
+        // injects nothing and reports success.
+        for bad in
+            ["batch_forward=nan", "shard_read=transient", "synthesys=panic", "synthesis=panic; x=nan"]
+        {
             let err = FaultPlan::parse(bad, 0).unwrap_err();
             assert!(err.contains("unknown fault site"), "{bad}: {err}");
             assert!(err.contains("verify_forward") && err.contains("synthesis"), "{bad}: {err}");

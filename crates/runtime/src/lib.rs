@@ -7,15 +7,16 @@
 //!
 //! Three pieces cooperate:
 //!
-//! * [`ModelRegistry`] / [`ModelBundle`] — surrogate bundles cached and
-//!   shared as serialized bytes (the autograd substrate is thread-local,
+//! * [`ModelBundle`] — a surrogate bundle loaded once and shared as
+//!   validated serialized bytes (the autograd substrate is thread-local,
 //!   so networks themselves never cross threads; every thread hydrates
 //!   its own instance from the same bytes).
 //! * [`RuntimePool`] — the job queue and worker pool: per-job status,
 //!   cooperative deadlines and cancellation, transient-failure retries,
 //!   graceful shutdown, and failures that never poison the pool. A job
 //!   is synthesis plus one multi-layer forward scoring its filled layout,
-//!   both on the worker's own network.
+//!   both on the worker's own network. The pool keeps live jobs only: a
+//!   terminal status goes to the one caller that waits for it.
 //! * [`FaultPlan`] — a deterministic fault-injection harness (panics,
 //!   delays, transient errors, NaN-poisoned outputs at named sites) that
 //!   drives the failure model's tests and stays inert in production.
@@ -26,11 +27,11 @@
 //!
 //! ```no_run
 //! use neurfill::pipeline::FlowConfig;
-//! use neurfill_runtime::{JobSpec, ModelRegistry, PoolOptions, RuntimePool};
+//! use neurfill_runtime::{JobSpec, ModelBundle, PoolOptions, RuntimePool};
+//! use std::sync::Arc;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let registry = ModelRegistry::new();
-//! let bundle = registry.load("surrogate.bundle")?;
+//! let bundle = Arc::new(ModelBundle::load("surrogate.bundle")?);
 //! let pool = RuntimePool::new(bundle, FlowConfig::default(), PoolOptions::default())?;
 //! let layout = neurfill_layout::io::load_from_file("design_a.layout")?;
 //! let id = pool.submit(JobSpec::new("design_a", layout))?;
@@ -62,7 +63,7 @@ pub use neurfill::CancelToken;
 /// The workspace's one checksum, defined in `neurfill-layout`.
 pub use neurfill_layout::io::fnv1a;
 pub use pool::{default_workers, parallel_map_ordered, PoolOptions, RuntimePool};
-pub use registry::{ModelBundle, ModelRegistry};
+pub use registry::ModelBundle;
 pub use stats::RuntimeStats;
 
 #[cfg(test)]

@@ -23,6 +23,16 @@
 //! guard, verification degrades to the golden simulator and the job's
 //! report says so. All of it is exercised
 //! deterministically through [`crate::fault::FaultPlan`].
+//!
+//! # Job lifetime
+//!
+//! The pool keeps live jobs only. A terminal status is moved to the one
+//! caller that waits for it ([`RuntimePool::wait`],
+//! [`RuntimePool::wait_first`] or [`RuntimePool::wait_timeout`]), and the
+//! pool forgets the job: [`RuntimePool::status`], `wait` and
+//! [`RuntimePool::cancel`] then answer as for an id it never issued. So
+//! a finished job's report and plan live as long as its waiter keeps
+//! them, not as long as the pool.
 
 use crate::error::{RetryPolicy, RuntimeError};
 use crate::fault::{sites, FaultPlan};
@@ -139,24 +149,30 @@ struct Queued {
     cancel: CancelToken,
 }
 
+/// Live jobs only: a job enters at submit and leaves when the one caller
+/// waiting for it takes its terminal status, so the table stays
+/// O(jobs in flight) however long the pool serves.
 #[derive(Default)]
 struct JobTable {
-    jobs: Mutex<HashMap<JobId, JobStatus>>,
-    tokens: Mutex<HashMap<JobId, CancelToken>>,
+    jobs: Mutex<HashMap<JobId, (JobStatus, CancelToken)>>,
     changed: Condvar,
 }
 
 impl JobTable {
-    /// Records `status`; a terminal one also drops the job's cancel token
-    /// (nothing can cancel a finished job), so `tokens` holds live jobs
-    /// only however long the pool serves.
     fn set(&self, id: JobId, status: JobStatus) {
-        if status.is_terminal() {
-            self.tokens.lock().remove(&id);
+        if let Some(entry) = self.jobs.lock().get_mut(&id) {
+            entry.0 = status;
         }
-        self.jobs.lock().insert(id, status);
         self.changed.notify_all();
     }
+}
+
+/// Removes and returns `id`'s status when it is terminal.
+fn take_terminal(jobs: &mut HashMap<JobId, (JobStatus, CancelToken)>, id: JobId) -> Option<JobStatus> {
+    if !jobs.get(&id)?.0.is_terminal() {
+        return None;
+    }
+    jobs.remove(&id).map(|(status, _)| status)
 }
 
 /// The concurrent batch fill-synthesis runtime.
@@ -248,22 +264,22 @@ impl RuntimePool {
         spec.timeout = spec.timeout.or(self.default_timeout);
         let enqueued = Instant::now();
         let cancel = CancelToken::with_deadline_opt(spec.timeout.map(|t| enqueued + t));
-        self.table.tokens.lock().insert(id, cancel.clone());
-        self.table.set(id, JobStatus::Queued);
+        self.table.jobs.lock().insert(id, (JobStatus::Queued, cancel.clone()));
         self.stats.jobs_submitted.inc();
         if tx.send(Queued { id, spec, enqueued, cancel }).is_err() {
-            let msg = "pool workers are gone; job not enqueued".to_string();
+            // The caller never learns this id, so nothing could take it.
+            self.table.jobs.lock().remove(&id);
             self.stats.jobs_failed.inc();
-            self.table.set(id, JobStatus::Failed(msg.clone()));
-            return Err(msg);
+            return Err("pool workers are gone; job not enqueued".to_string());
         }
         Ok(id)
     }
 
-    /// The job's current status, or `None` for an unknown id.
+    /// The job's current status; `None` for an unknown id or one whose
+    /// terminal status a wait has already taken.
     #[must_use]
     pub fn status(&self, id: JobId) -> Option<JobStatus> {
-        self.table.jobs.lock().get(&id).cloned()
+        self.table.jobs.lock().get(&id).map(|(status, _)| status.clone())
     }
 
     /// Requests cooperative cancellation of a job. Returns whether the
@@ -271,36 +287,27 @@ impl RuntimePool {
     /// with a `cancelled` error at its next cancellation point), `false`
     /// for unknown ids and jobs that already finished.
     pub fn cancel(&self, id: JobId) -> bool {
-        let active = matches!(self.table.jobs.lock().get(&id), Some(s) if !s.is_terminal());
-        if !active {
-            return false;
-        }
-        match self.table.tokens.lock().get(&id) {
-            Some(token) => {
+        match self.table.jobs.lock().get(&id) {
+            Some((status, token)) if !status.is_terminal() => {
                 token.cancel();
                 true
             }
-            None => false,
+            _ => false,
         }
     }
 
-    /// Blocks until the job reaches a terminal status; `None` for an id
+    /// Blocks until the job reaches a terminal status and takes it: the
+    /// pool forgets the job, so a later call answers `None`, as for an id
     /// this pool never issued.
     #[must_use]
     pub fn wait(&self, id: JobId) -> Option<JobStatus> {
-        let mut jobs = self.table.jobs.lock();
-        loop {
-            let status = jobs.get(&id)?.clone();
-            if status.is_terminal() {
-                return Some(status);
-            }
-            self.table.changed.wait(&mut jobs);
-        }
+        self.wait_first(&[id]).map(|(_, status)| status)
     }
 
     /// Blocks until the job reaches a terminal status or `timeout`
-    /// elapses, returning the job's status at that point (possibly still
-    /// non-terminal); `None` for an id this pool never issued.
+    /// elapses. A terminal status is taken, as by [`RuntimePool::wait`];
+    /// on timeout the job's current (non-terminal) status is returned and
+    /// the job stays known. `None` for an unknown id.
     ///
     /// This is the bounded-wait primitive front-ends build long-polling
     /// on: unlike [`RuntimePool::wait`], a hung or long-running job cannot
@@ -310,22 +317,22 @@ impl RuntimePool {
         let deadline = Instant::now() + timeout;
         let mut jobs = self.table.jobs.lock();
         loop {
-            let status = jobs.get(&id)?.clone();
-            if status.is_terminal() {
-                return Some(status);
-            }
+            let (status, _) = jobs.get(&id)?;
             let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
+            if remaining.is_zero() && !status.is_terminal() {
+                return Some(status.clone());
+            }
+            if let Some(status) = take_terminal(&mut jobs, id) {
                 return Some(status);
             }
             let _ = self.table.changed.wait_for(&mut jobs, remaining);
         }
     }
 
-    /// Blocks until *any* of the given jobs reaches a terminal status,
-    /// returning the first one found (lowest index in `ids` on ties).
-    /// Ids this pool never issued are skipped; returns `None` when none
-    /// of the ids are known (including an empty slice).
+    /// Blocks until *any* of the given jobs reaches a terminal status and
+    /// takes the first one found (lowest index in `ids` on ties), as
+    /// [`RuntimePool::wait`] takes it. Unknown ids are skipped; returns
+    /// `None` when none of the ids are known (including an empty slice).
     ///
     /// This is the streaming primitive the full-chip tile scheduler
     /// uses to keep a bounded number of tile jobs in flight: submit up
@@ -334,33 +341,16 @@ impl RuntimePool {
     pub fn wait_first(&self, ids: &[JobId]) -> Option<(JobId, JobStatus)> {
         let mut jobs = self.table.jobs.lock();
         loop {
-            let mut any_known = false;
-            for &id in ids {
-                if let Some(status) = jobs.get(&id) {
-                    any_known = true;
-                    if status.is_terminal() {
-                        return Some((id, status.clone()));
-                    }
-                }
-            }
-            if !any_known {
+            if !ids.iter().any(|id| jobs.contains_key(id)) {
                 return None;
             }
+            for &id in ids {
+                if let Some(status) = take_terminal(&mut jobs, id) {
+                    return Some((id, status));
+                }
+            }
             self.table.changed.wait(&mut jobs);
         }
-    }
-
-    /// Blocks until every submitted job is terminal; returns all statuses
-    /// sorted by id.
-    #[must_use]
-    pub fn wait_all(&self) -> Vec<(JobId, JobStatus)> {
-        let mut jobs = self.table.jobs.lock();
-        while jobs.values().any(|s| !s.is_terminal()) {
-            self.table.changed.wait(&mut jobs);
-        }
-        let mut out: Vec<(JobId, JobStatus)> = jobs.iter().map(|(id, s)| (*id, s.clone())).collect();
-        out.sort_by_key(|(id, _)| *id);
-        out
     }
 
     /// A snapshot of the runtime counters.
@@ -662,15 +652,20 @@ mod tests {
         let bad = DesignSpec::new(DesignKind::CmpTest, 6, 6, 2).generate();
         let failed = pool.submit(JobSpec::new("failed", bad)).unwrap();
         let cancelled = pool.submit(JobSpec::new("cancelled", tiny_layout(3))).unwrap();
-        assert_eq!(pool.table.tokens.lock().len(), 3, "one token per live job");
+        assert_eq!(pool.table.jobs.lock().len(), 3, "one entry (status + token) per live job");
         assert!(pool.cancel(cancelled));
 
         assert!(matches!(pool.wait(done), Some(JobStatus::Done(_))));
-        assert!(matches!(pool.wait(failed), Some(JobStatus::Failed(m)) if m.contains("not divisible")));
-        assert!(matches!(pool.wait(cancelled), Some(JobStatus::Failed(m)) if m.contains("cancelled")));
-        assert!(pool.table.tokens.lock().is_empty(), "terminal jobs keep no token");
+        let (first, status) = pool.wait_first(&[failed, cancelled]).unwrap();
+        let second = if first == failed { cancelled } else { failed };
+        for (id, status) in [(first, Some(status)), (second, pool.wait(second))] {
+            let expect = if id == failed { "not divisible" } else { "cancelled" };
+            assert!(matches!(status, Some(JobStatus::Failed(m)) if m.contains(expect)), "job {id}");
+        }
+        assert!(pool.table.jobs.lock().is_empty(), "a taken job leaves neither status nor token");
         for id in [done, failed, cancelled] {
             assert!(!pool.cancel(id), "job {id} is terminal");
+            assert!(pool.status(id).is_none() && pool.wait(id).is_none(), "job {id} was taken");
         }
     }
 

@@ -78,13 +78,12 @@ fn wait_first_surfaces_cancelled_queued_job() {
     // Cancelling a terminal job is a no-op.
     assert!(!pool.cancel(b), "terminal job must refuse cancellation");
 
-    // The pinned job is unaffected.
-    let (id, status) = pool.wait_first(&[a, b]).expect("jobs known to the pool");
-    // B is already terminal, so the selector may return either first;
-    // both must be terminal and A must complete.
-    assert!(id == a || id == b);
-    assert!(status.is_terminal());
-    assert!(matches!(pool.wait(a), Some(JobStatus::Done(_))), "pinned job must finish");
+    // The pinned job is unaffected. B's status was taken above, so the
+    // pool no longer knows it: the selector must wait for A and return it
+    // done.
+    let (id, status) = pool.wait_first(&[a, b]).expect("A is known to the pool");
+    assert_eq!(id, a, "a taken job is never selected again");
+    assert!(matches!(status, JobStatus::Done(_)), "pinned job must finish, got {status:?}");
     let _ = pool.shutdown();
 }
 

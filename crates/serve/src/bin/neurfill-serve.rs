@@ -23,7 +23,7 @@
 
 use neurfill::pipeline::FlowConfig;
 use neurfill_cmpsim::ProcessParams;
-use neurfill_runtime::{FaultPlan, ModelRegistry, PoolOptions, RetryPolicy};
+use neurfill_runtime::{FaultPlan, ModelBundle, PoolOptions, RetryPolicy};
 use neurfill_serve::{CanaryConfig, FillService, Server, ServerConfig, ServiceConfig, TenantConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -154,9 +154,9 @@ fn parse_args() -> Args {
 fn run() -> Result<(), String> {
     let args = parse_args();
 
-    let registry = ModelRegistry::new();
-    let bundle =
-        registry.load(&args.model).map_err(|e| format!("loading {}: {e}", args.model.display()))?;
+    let bundle = ModelBundle::load(&args.model)
+        .map(Arc::new)
+        .map_err(|e| format!("loading {}: {e}", args.model.display()))?;
     println!("model bundle {} (digest {:016x})", args.model.display(), bundle.digest());
 
     let fault = match &args.fault_plan {

@@ -56,7 +56,7 @@ use neurfill_layout::io::{self as layout_io, PlanShape};
 use neurfill_layout::{benchmark_designs, DesignKind, DesignSpec, FullChipDesign, FullChipSpec, Tiling};
 use neurfill_nn::{TrainConfig, UNetConfig};
 use neurfill_runtime::{
-    FaultPlan, JobSpec, JobStatus, ModelRegistry, PoolOptions, RetryPolicy, RuntimePool,
+    FaultPlan, JobSpec, JobStatus, ModelBundle, PoolOptions, RetryPolicy, RuntimePool,
 };
 use neurfill_serve::{Client, JobRequest, Priority};
 use rand::SeedableRng;
@@ -460,9 +460,9 @@ fn run_full_chip_pool(args: &Args, out_dir: &Path) -> Result<bool, String> {
     let cap = args.max_in_flight.max(1);
     let fault = fault_plan(args)?;
 
-    let registry = ModelRegistry::new();
-    let bundle =
-        registry.load(&args.model).map_err(|e| format!("loading {}: {e}", args.model.display()))?;
+    let bundle = ModelBundle::load(&args.model)
+        .map(Arc::new)
+        .map_err(|e| format!("loading {}: {e}", args.model.display()))?;
     println!("model bundle {} (digest {:016x})", args.model.display(), bundle.digest());
     let telemetry = telemetry(args);
     let flow = FlowConfig { process: params, ..FlowConfig::default() };
@@ -581,9 +581,9 @@ fn run() -> Result<bool, String> {
         return run_remote(&args, &addr, layouts, &out_dir);
     }
 
-    let registry = ModelRegistry::new();
-    let bundle =
-        registry.load(&args.model).map_err(|e| format!("loading {}: {e}", args.model.display()))?;
+    let bundle = ModelBundle::load(&args.model)
+        .map(Arc::new)
+        .map_err(|e| format!("loading {}: {e}", args.model.display()))?;
     println!("model bundle {} (digest {:016x})", args.model.display(), bundle.digest());
 
     let fault = fault_plan(&args)?;
@@ -648,7 +648,6 @@ fn run() -> Result<bool, String> {
     }
     let stats = pool.shutdown();
     println!("{stats}");
-    println!("model cache: {} hits, {} misses", registry.cache_hits(), registry.cache_misses());
     if !degraded.is_empty() {
         println!("degraded {} of {total} jobs (golden-simulator verification):", degraded.len());
         for (name, reason) in &degraded {

@@ -36,6 +36,7 @@ use neurfill_layout::io::{self as layout_io, PlanShape};
 use neurfill_layout::Layout;
 use neurfill_runtime::applog::{AppendLog, Replay};
 use neurfill_runtime::fault::{sites, FaultPlan};
+use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
@@ -230,15 +231,14 @@ impl JobJournal {
 
 /// Folds replayed records into per-job final states, sorted by id.
 fn fold_replay(replay: &Replay) -> io::Result<Vec<RecoveredJob>> {
-    let mut jobs: Vec<RecoveredJob> = Vec::new();
+    let mut jobs: BTreeMap<u64, RecoveredJob> = BTreeMap::new();
     for (i, record) in replay.records.iter().enumerate() {
         apply_record(&mut jobs, record).map_err(|e| bad(format!("journal record {i}: {e}")))?;
     }
-    jobs.sort_by_key(|j| j.id);
-    Ok(jobs)
+    Ok(jobs.into_values().collect())
 }
 
-fn apply_record(jobs: &mut Vec<RecoveredJob>, record: &[u8]) -> Result<(), String> {
+fn apply_record(jobs: &mut BTreeMap<u64, RecoveredJob>, record: &[u8]) -> Result<(), String> {
     // Head-line + attribute lines are ASCII text; `admit`/`done` carry a
     // body after the first blank line.
     let (head_bytes, body) = match find_blank_line(record) {
@@ -269,10 +269,7 @@ fn apply_record(jobs: &mut Vec<RecoveredJob>, record: &[u8]) -> Result<(), Strin
                 layout_io::read_layout_bits(body).map_err(|e| format!("bad layout body: {e}"))?;
             // Duplicate admits (impossible on one timeline, tolerated for
             // robustness) keep the first.
-            if jobs.iter().any(|j| j.id == id) {
-                return Ok(());
-            }
-            jobs.push(RecoveredJob {
+            jobs.entry(id).or_insert(RecoveredJob {
                 id,
                 tenant,
                 name,
@@ -283,25 +280,25 @@ fn apply_record(jobs: &mut Vec<RecoveredJob>, record: &[u8]) -> Result<(), Strin
             });
         }
         "dispatch" => {
-            if let Some(job) = jobs.iter_mut().find(|j| j.id == id) {
+            if let Some(job) = jobs.get_mut(&id) {
                 if let RecoveredState::Pending { dispatched } = &mut job.state {
                     *dispatched = true;
                 }
             }
         }
         "cancel" => {
-            if let Some(job) = jobs.iter_mut().find(|j| j.id == id) {
+            if let Some(job) = jobs.get_mut(&id) {
                 job.state = RecoveredState::Cancelled;
             }
         }
         "failed" => {
-            if let Some(job) = jobs.iter_mut().find(|j| j.id == id) {
+            if let Some(job) = jobs.get_mut(&id) {
                 let error = attr("error").unwrap_or("unknown failure").to_string();
                 job.state = RecoveredState::Failed { error };
             }
         }
         "done" => {
-            let Some(job) = jobs.iter_mut().find(|j| j.id == id) else { return Ok(()) };
+            let Some(job) = jobs.get_mut(&id) else { return Ok(()) };
             let degraded = attr("degraded").map(str::to_string);
             let report_len: usize = attr("report_len")
                 .ok_or("done record missing report_len")?

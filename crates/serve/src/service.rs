@@ -10,7 +10,7 @@
 //!               RuntimePool (bounded in-flight slots)
 //!                     │  one watcher thread per in-flight job
 //!                     ▼
-//!               terminal status snapshot + per-tenant SLO metrics
+//!               settled result (the journal's form) + per-tenant SLO metrics
 //! ```
 //!
 //! The dispatcher is the only thread that moves work from admission into
@@ -23,8 +23,14 @@
 //! Model promotion builds a complete new [`RuntimePool`] on the staged
 //! bundle (after canary verification — see [`crate::canary`]) and swaps
 //! the `Arc` under the state lock: jobs already dispatched keep their
-//! handle on the old pool, which is retired in the background once its
-//! last job finishes. The service never stops accepting during a swap.
+//! handle on the old pool, which is dropped once its last job's watcher
+//! lets go of it. The service never stops accepting during a swap.
+//!
+//! A finished job is kept in one form: the `done`/`failed`/`cancelled`
+//! [`RecoveredState`] its journal replays into. The watcher takes the
+//! pool's terminal status (the pool then forgets the job) and settles
+//! the job from the same report text it journals, so a live result and a
+//! result recovered after a restart are served by the same code.
 
 use crate::admission::{Admission, AdmitError, Pending};
 use crate::canary::{verify_bundle, CanaryConfig, CanaryReport};
@@ -35,9 +41,7 @@ use neurfill::pipeline::FlowConfig;
 use neurfill_layout::io::{self as layout_io, PlanShape};
 use neurfill_layout::Layout;
 use neurfill_obs::{Scope, Telemetry};
-use neurfill_runtime::{
-    JobId, JobSpec, JobStatus, ModelBundle, ModelRegistry, PoolOptions, RuntimePool,
-};
+use neurfill_runtime::{JobId, JobSpec, JobStatus, ModelBundle, PoolOptions, RuntimePool};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -160,18 +164,12 @@ enum Phase {
 enum JobState {
     /// Waiting in the admission queue.
     Queued,
-    /// In flight inside `pool`.
-    Dispatched { pool: Arc<RuntimePool>, pool_id: JobId },
-    /// Terminal pool status, snapshotted by the watcher so the job no
-    /// longer pins its pool (which lets replaced pools retire).
-    Finished(JobStatus),
-    /// Cancelled while still queued.
-    Cancelled,
-    /// The pool refused the submission.
-    FailedLocal(String),
-    /// Finished on a *previous* service timeline; the result is served
-    /// from the journal (no live pool ever saw this incarnation).
-    RecoveredDone { degraded: Option<String>, report: String, plan: Vec<f64> },
+    /// In flight inside `pool`; its watcher settles it.
+    Running { pool: Arc<RuntimePool>, pool_id: JobId },
+    /// Terminal: `Done`, `Failed` or `Cancelled`, whether settled live or
+    /// replayed from the journal (never `Pending`, which recovery turns
+    /// into `Queued`).
+    Settled(RecoveredState),
 }
 
 #[derive(Debug)]
@@ -215,7 +213,6 @@ struct Inner {
     canary: CanaryConfig,
     flow: FlowConfig,
     pool_options: PoolOptions,
-    registry: ModelRegistry,
     dispatcher: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
@@ -265,14 +262,13 @@ impl FillService {
         let tenant_scopes: Vec<Scope> =
             config.tenants.iter().map(|t| tenant_root.scoped(&t.name)).collect();
         let mut admission = Admission::new(config.tenants);
-        let registry = ModelRegistry::new();
-        registry.insert(format!("live/{:016x}", bundle.digest()), bundle);
 
         // Replay the journal before the dispatcher exists: recovered
         // pending jobs are re-enqueued (bypassing the capacity bound — an
         // accepted job must never be lost to a restart), terminal jobs
-        // become servable snapshots, and ids continue where the previous
-        // incarnation stopped.
+        // keep their replayed state, which is the one form a live job
+        // settles into, and ids continue where the previous incarnation
+        // stopped.
         let serve_scope = telemetry.scoped("serve");
         let mut jobs: HashMap<u64, ServiceJob> = HashMap::new();
         let mut next_id = 1u64;
@@ -304,17 +300,9 @@ impl FillService {
                         redispatched += 1;
                         JobState::Queued
                     }
-                    RecoveredState::Done { degraded, report, plan } => {
+                    settled => {
                         results += 1;
-                        JobState::RecoveredDone { degraded, report, plan }
-                    }
-                    RecoveredState::Failed { error } => {
-                        results += 1;
-                        JobState::FailedLocal(error)
-                    }
-                    RecoveredState::Cancelled => {
-                        results += 1;
-                        JobState::Cancelled
+                        JobState::Settled(settled)
                     }
                 };
                 serve_scope.inc("recovered_jobs");
@@ -362,7 +350,6 @@ impl FillService {
             canary: config.canary,
             flow: config.flow,
             pool_options,
-            registry,
             dispatcher: Mutex::new(None),
         });
         let dispatcher = {
@@ -492,27 +479,7 @@ impl FillService {
     /// Fetches a finished job's report text.
     #[must_use]
     pub fn result_text(&self, id: u64) -> ResultFetch {
-        let s = self.inner.state.lock();
-        let Some(view) = status_locked(&s, id) else { return ResultFetch::NotFound };
-        match &view.state {
-            WireState::Done => {}
-            WireState::Failed | WireState::Cancelled => return ResultFetch::Unavailable(view),
-            _ => return ResultFetch::NotDone(view),
-        }
-        let Some(job) = s.jobs.get(&id) else { return ResultFetch::NotFound };
-        let report = match &job.state {
-            JobState::Finished(JobStatus::Done(report)) => Some(report.to_text()),
-            JobState::RecoveredDone { report, .. } => Some(report.clone()),
-            JobState::Dispatched { pool, pool_id } => match pool.status(*pool_id) {
-                Some(JobStatus::Done(report)) => Some(report.to_text()),
-                _ => None,
-            },
-            _ => None,
-        };
-        match report {
-            Some(text) => ResultFetch::Done(text),
-            None => ResultFetch::Unavailable(view),
-        }
+        self.result_with(id, |_, report, _| Some(report.to_string()))
     }
 
     /// Fetches a finished job's fill plan over its whole layout, in the
@@ -520,31 +487,32 @@ impl FillService {
     /// round-trip amounts).
     #[must_use]
     pub fn result_plan(&self, id: u64) -> ResultFetch {
+        self.result_with(id, |shape, _, plan| {
+            let mut body = Vec::new();
+            layout_io::write_plan(shape, plan, &mut body).ok()?;
+            String::from_utf8(body).ok()
+        })
+    }
+
+    /// Renders a settled `Done` job's report and plan (over the job's plan
+    /// shape) with `render`; any other job answers with its status.
+    fn result_with(
+        &self,
+        id: u64,
+        render: impl FnOnce(PlanShape, &str, &[f64]) -> Option<String>,
+    ) -> ResultFetch {
         let s = self.inner.state.lock();
         let Some(view) = status_locked(&s, id) else { return ResultFetch::NotFound };
-        match &view.state {
-            WireState::Done => {}
-            WireState::Failed | WireState::Cancelled => return ResultFetch::Unavailable(view),
-            _ => return ResultFetch::NotDone(view),
-        }
         let Some(job) = s.jobs.get(&id) else { return ResultFetch::NotFound };
-        let encode = |amounts: &[f64]| {
-            let mut body = Vec::new();
-            layout_io::write_plan(job.shape, amounts, &mut body).ok()?;
-            String::from_utf8(body).ok()
-        };
-        let plan = match &job.state {
-            JobState::Finished(JobStatus::Done(report)) => encode(report.plan.as_slice()),
-            JobState::RecoveredDone { plan, .. } => encode(plan),
-            JobState::Dispatched { pool, pool_id } => match pool.status(*pool_id) {
-                Some(JobStatus::Done(report)) => encode(report.plan.as_slice()),
-                _ => None,
-            },
-            _ => None,
-        };
-        match plan {
-            Some(text) => ResultFetch::Done(text),
-            None => ResultFetch::Unavailable(view),
+        match &job.state {
+            JobState::Settled(RecoveredState::Done { report, plan, .. }) => {
+                match render(job.shape, report, plan) {
+                    Some(body) => ResultFetch::Done(body),
+                    None => ResultFetch::Unavailable(view),
+                }
+            }
+            _ if view.state.is_terminal() => ResultFetch::Unavailable(view),
+            _ => ResultFetch::NotDone(view),
         }
     }
 
@@ -564,7 +532,7 @@ impl FillService {
                 let removed = s.admission.remove(id).is_some();
                 if removed {
                     if let Some(job) = s.jobs.get_mut(&id) {
-                        job.state = JobState::Cancelled;
+                        job.state = JobState::Settled(RecoveredState::Cancelled);
                     }
                     if let Some(journal) = s.journal.as_mut() {
                         if journal.record_cancel(id).is_err() {
@@ -580,18 +548,15 @@ impl FillService {
                     Some(CancelOutcome::Terminal)
                 }
             }
-            JobState::Dispatched { pool, pool_id } => {
-                let (pool, pool_id) = (Arc::clone(pool), *pool_id);
-                if pool.cancel(pool_id) {
+            JobState::Running { pool, pool_id } => {
+                if pool.cancel(*pool_id) {
                     Some(CancelOutcome::Cancelled)
                 } else {
                     Some(CancelOutcome::Terminal)
                 }
             }
-            JobState::Cancelled => Some(CancelOutcome::AlreadyCancelled),
-            JobState::Finished(_) | JobState::FailedLocal(_) | JobState::RecoveredDone { .. } => {
-                Some(CancelOutcome::Terminal)
-            }
+            JobState::Settled(RecoveredState::Cancelled) => Some(CancelOutcome::AlreadyCancelled),
+            JobState::Settled(_) => Some(CancelOutcome::Terminal),
         }
     }
 
@@ -642,15 +607,11 @@ impl FillService {
                 let old = std::mem::replace(&mut s.pool, new_pool);
                 s.generation += 1;
                 let info = (bundle.digest(), s.generation);
-                inner.registry.insert(format!("staged/{:016x}", bundle.digest()), bundle);
                 drop(s);
-                // Retire the replaced pool once its last dispatched job
-                // finishes; watchers hold their own handles, so this
-                // never blocks live traffic.
-                std::thread::spawn(move || {
-                    let _ = old.wait_all();
-                    drop(old);
-                });
+                // Each in-flight job's watcher holds its own handle on the
+                // replaced pool, so this drop only joins the old workers
+                // once no job is left on them.
+                drop(old);
                 return Ok(info);
             }
             Ok((0, 0))
@@ -742,7 +703,7 @@ impl FillService {
             // is still queued and cancel what is still running.
             for (tenant, pending) in s.admission.drain_all() {
                 if let Some(job) = s.jobs.get_mut(&pending.job_id) {
-                    job.state = JobState::Cancelled;
+                    job.state = JobState::Settled(RecoveredState::Cancelled);
                 }
                 inner.tenant_scopes[tenant].inc("cancelled");
             }
@@ -750,7 +711,7 @@ impl FillService {
                 .jobs
                 .values()
                 .filter_map(|j| match &j.state {
-                    JobState::Dispatched { pool, pool_id } => Some((Arc::clone(pool), *pool_id)),
+                    JobState::Running { pool, pool_id } => Some((Arc::clone(pool), *pool_id)),
                     _ => None,
                 })
                 .collect();
@@ -790,24 +751,24 @@ fn status_locked(s: &State, id: u64) -> Option<StatusView> {
     let job = s.jobs.get(&id)?;
     let tenant = s.admission.tenant(job.tenant).name.clone();
     let (state, error, degraded) = match &job.state {
-        JobState::Queued => (WireState::Queued, None, None),
-        JobState::Cancelled => (WireState::Cancelled, None, None),
-        JobState::FailedLocal(e) => (WireState::Failed, Some(e.clone()), None),
-        JobState::Finished(status) => wire_of_pool_status(Some(status.clone())),
-        JobState::RecoveredDone { degraded, .. } => (WireState::Done, None, degraded.clone()),
-        JobState::Dispatched { pool, pool_id } => wire_of_pool_status(pool.status(*pool_id)),
+        JobState::Queued | JobState::Settled(RecoveredState::Pending { .. }) => {
+            (WireState::Queued, None, None)
+        }
+        // A status the watcher has taken (or is about to) still reads as
+        // running until the watcher settles the job.
+        JobState::Running { pool, pool_id } => match pool.status(*pool_id) {
+            Some(JobStatus::Retrying { attempt }) => (WireState::Retrying(attempt), None, None),
+            _ => (WireState::Running, None, None),
+        },
+        JobState::Settled(RecoveredState::Done { degraded, .. }) => {
+            (WireState::Done, None, degraded.clone())
+        }
+        JobState::Settled(RecoveredState::Failed { error }) => {
+            (WireState::Failed, Some(error.clone()), None)
+        }
+        JobState::Settled(RecoveredState::Cancelled) => (WireState::Cancelled, None, None),
     };
     Some(StatusView { id, tenant, state, error, degraded, recovered: job.recovered })
-}
-
-fn wire_of_pool_status(status: Option<JobStatus>) -> (WireState, Option<String>, Option<String>) {
-    match status {
-        Some(JobStatus::Queued | JobStatus::Running) => (WireState::Running, None, None),
-        Some(JobStatus::Retrying { attempt }) => (WireState::Retrying(attempt), None, None),
-        Some(JobStatus::Done(report)) => (WireState::Done, None, report.degraded.clone()),
-        Some(JobStatus::Failed(e)) => (WireState::Failed, Some(e), None),
-        None => (WireState::Failed, Some("job unknown to the pool".to_string()), None),
-    }
 }
 
 fn dispatch_loop(inner: &Arc<Inner>) {
@@ -849,10 +810,12 @@ fn dispatch_loop(inner: &Arc<Inner>) {
                 // A cancel that landed between dequeue and here already
                 // marked the job Cancelled; honor it by cancelling the
                 // pool job it just became.
-                let was_cancelled =
-                    matches!(s.jobs.get(&pending.job_id).map(|j| &j.state), Some(JobState::Cancelled));
+                let was_cancelled = matches!(
+                    s.jobs.get(&pending.job_id).map(|j| &j.state),
+                    Some(JobState::Settled(RecoveredState::Cancelled))
+                );
                 if let Some(job) = s.jobs.get_mut(&pending.job_id) {
-                    job.state = JobState::Dispatched { pool: Arc::clone(&pool), pool_id };
+                    job.state = JobState::Running { pool: Arc::clone(&pool), pool_id };
                 }
                 if was_cancelled {
                     let _ = pool.cancel(pool_id);
@@ -864,9 +827,9 @@ fn dispatch_loop(inner: &Arc<Inner>) {
                     watch_job(&watcher_inner, &watcher_pool, job_id, pool_id, tenant, submitted_at);
                 });
             }
-            Err(e) => {
+            Err(error) => {
                 if let Some(job) = s.jobs.get_mut(&pending.job_id) {
-                    job.state = JobState::FailedLocal(e);
+                    job.state = JobState::Settled(RecoveredState::Failed { error });
                 }
                 s.free_slots += 1;
                 inner.tenant_scopes[tenant].inc("failed");
@@ -884,34 +847,39 @@ fn watch_job(
     tenant: usize,
     submitted_at: Instant,
 ) {
-    let status = pool.wait(pool_id);
-    let mut s = inner.state.lock();
-    match &status {
+    let settled = match pool.wait(pool_id) {
         Some(JobStatus::Done(report)) => {
             inner.tenant_scopes[tenant].inc("completed");
             inner.tenant_scopes[tenant].record("synthesis_ns", nanos(report.synthesis_runtime));
             if report.degraded.is_some() {
                 inner.tenant_scopes[tenant].inc("degraded");
             }
+            let text = report.to_text();
+            let plan = report.plan.as_slice().to_vec();
+            RecoveredState::Done { degraded: report.degraded, report: text, plan }
         }
-        _ => inner.tenant_scopes[tenant].inc("failed"),
-    }
+        Some(JobStatus::Failed(error)) => {
+            inner.tenant_scopes[tenant].inc("failed");
+            RecoveredState::Failed { error }
+        }
+        // `wait` returns terminal statuses only, and nothing else takes
+        // this job's: the pool lost it.
+        Some(JobStatus::Queued | JobStatus::Running | JobStatus::Retrying { .. }) | None => {
+            inner.tenant_scopes[tenant].inc("failed");
+            RecoveredState::Failed { error: "job lost by the pool".to_string() }
+        }
+    };
+    let mut s = inner.state.lock();
     // Journal the terminal transition (best-effort: a journal failure
     // here only costs re-running the job after a restart).
     let shape = s.jobs.get(&job_id).map(|j| j.shape);
     if let (Some(journal), Some(shape)) = (s.journal.as_mut(), shape) {
-        let appended = match &status {
-            Some(JobStatus::Done(report)) => journal.record_done(
-                job_id,
-                report.degraded.as_deref(),
-                &report.to_text(),
-                shape,
-                report.plan.as_slice(),
-            ),
-            Some(JobStatus::Failed(e)) => journal.record_failed(job_id, e),
-            Some(JobStatus::Queued | JobStatus::Running | JobStatus::Retrying { .. }) | None => {
-                journal.record_failed(job_id, "job lost by the pool")
+        let appended = match &settled {
+            RecoveredState::Done { degraded, report, plan } => {
+                journal.record_done(job_id, degraded.as_deref(), report, shape, plan)
             }
+            RecoveredState::Failed { error } => journal.record_failed(job_id, error),
+            RecoveredState::Pending { .. } | RecoveredState::Cancelled => Ok(()),
         };
         if appended.is_err() {
             inner.serve.inc("journal_errors");
@@ -919,10 +887,7 @@ fn watch_job(
     }
     inner.tenant_scopes[tenant].record("e2e_ns", nanos(submitted_at.elapsed()));
     if let Some(job) = s.jobs.get_mut(&job_id) {
-        job.state = match status {
-            Some(status) => JobState::Finished(status),
-            None => JobState::FailedLocal("job unknown to the pool".to_string()),
-        };
+        job.state = JobState::Settled(settled);
     }
     s.free_slots += 1;
     inner.work.notify_all();

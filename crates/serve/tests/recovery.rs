@@ -10,8 +10,10 @@
 //! left and fail every later append.
 //!
 //! Also pinned here: `DELETE /v1/jobs/{id}` idempotency status codes
-//! (200 → 204 → 409), cancel surviving a restart, and a `done` record
-//! in an older plan format re-running its job instead of being parsed.
+//! (200 → 204 → 409), cancel surviving a restart, a `done` record in an
+//! older plan format re-running its job instead of being parsed, and a
+//! finished job's report and plan bodies served byte for byte the same
+//! live and after a restart.
 
 use neurfill::extraction::NUM_CHANNELS;
 use neurfill::pipeline::FlowConfig;
@@ -274,5 +276,43 @@ fn a_parent_format_done_record_replays_as_pending_and_the_job_re_runs() {
         RecoveredState::Done { plan, .. } => assert_eq!(plan, &amounts),
         other => panic!("{other:?}"),
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn live_and_recovered_results_are_byte_identical() {
+    let dir = tmp_dir("same-bytes");
+    // The second job's verification forward is poisoned, so one of the
+    // two results carries a `degraded` line.
+    let fault = Arc::new(FaultPlan::parse("verify_forward=nan@2", 0).unwrap());
+    let service = FillService::start(bundle(), service_config(&dir, fault)).unwrap();
+    let ids = submit_mix(&service);
+    assert_eq!(ids.len(), 3);
+    let mut live = Vec::new();
+    for &id in &ids {
+        let view = service.wait_terminal(id, Duration::from_secs(60)).expect("job must finish");
+        assert_eq!(view.state, WireState::Done, "job {id}: {view:?}");
+        let (ResultFetch::Done(report), ResultFetch::Done(plan)) =
+            (service.result_text(id), service.result_plan(id))
+        else {
+            panic!("job {id} serves no live result")
+        };
+        live.push((view.degraded, report, plan));
+    }
+    assert_eq!(live.iter().filter(|(degraded, ..)| degraded.is_some()).count(), 1);
+    service.shutdown();
+
+    let service =
+        FillService::start(bundle(), service_config(&dir, Arc::new(FaultPlan::disabled()))).unwrap();
+    for (&id, (degraded, report, plan)) in ids.iter().zip(&live) {
+        let view = service.status(id).expect("finished job must survive the restart");
+        assert!(view.recovered && view.state == WireState::Done, "job {id}: {view:?}");
+        assert_eq!(&view.degraded, degraded, "job {id}");
+        let ResultFetch::Done(recovered_report) = service.result_text(id) else { panic!("job {id}") };
+        let ResultFetch::Done(recovered_plan) = service.result_plan(id) else { panic!("job {id}") };
+        assert_eq!(recovered_report.as_bytes(), report.as_bytes(), "job {id}: report");
+        assert_eq!(recovered_plan.as_bytes(), plan.as_bytes(), "job {id}: plan");
+    }
+    service.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
