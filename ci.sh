@@ -113,11 +113,14 @@ echo "== chip bit-identity suite (sharded == monolithic, any tiling)"
 cargo test -p neurfill-chip --test bit_identity -q
 cargo test -p neurfill-layout --test tiling_props -q
 
-echo "== durability suite (append log, tile checkpoint, shard finalize, hostile bytes into the append log and the plan codec)"
+# hostile_shard runs in the debug build, where overflow checks turn a
+# dimension product that overflows into a failing panic.
+echo "== durability suite (append log, tile checkpoint, shard log and its hostile bytes, hostile bytes into the append log and the plan codec)"
 cargo test -p neurfill-runtime --lib applog -q
 cargo test -p neurfill-runtime --test hostile_applog -q
 cargo test -p neurfill-chip --lib checkpoint -q
 cargo test -p neurfill-data -q
+cargo test -p neurfill-data --test hostile_shard -q
 cargo test -p neurfill-layout --test plan_codec -q
 
 # `wait`, `wait_first` and `wait_timeout` take a terminal status and the

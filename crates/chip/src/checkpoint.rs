@@ -105,14 +105,14 @@ impl TileCheckpoint {
             Err(e) => return Err(format!("reading {}: {e}", meta_path.display())),
         }
 
-        let (log, replay) = AppendLog::open(dir.join(TILE_LOG), sites::CHECKPOINT_WRITE, fault)
-            .map_err(|e| format!("opening the tile log in {}: {e}", dir.display()))?;
         let mut done = HashMap::new();
-        for record in &replay.records {
-            if let Ok((shape, amounts)) = layout_io::read_plan(record.as_slice()) {
+        let (log, _) = AppendLog::open(dir.join(TILE_LOG), sites::CHECKPOINT_WRITE, fault, |record| {
+            if let Ok((shape, amounts)) = layout_io::read_plan(record) {
                 done.insert((shape.rect.row0, shape.rect.col0), (shape, amounts));
             }
-        }
+            Ok(())
+        })
+        .map_err(|e| format!("opening the tile log in {}: {e}", dir.display()))?;
         Ok(Self { log: Mutex::new(log), done })
     }
 

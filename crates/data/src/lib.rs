@@ -5,10 +5,10 @@
 //! random procedure and labeled by the golden CMP simulator. This crate
 //! turns that one-shot, in-memory flow into a reusable corpus pipeline:
 //!
-//! * [`shard`] — an append-only, checksummed on-disk format holding
-//!   `(extraction planes, normalized height map)` samples; readers stream
-//!   one record at a time with bounded memory and reject truncated or
-//!   corrupted files instead of silently training on them.
+//! * [`shard`] — a sealed append log holding `(extraction planes,
+//!   normalized height map)` samples; readers stream one record at a time
+//!   with bounded memory and reject unsealed, truncated or corrupted
+//!   files instead of silently training on them.
 //! * [`label`] — parallel labeling: sequential seeded layout generation,
 //!   simulator fan-out across the runtime worker pool, and ordered shard
 //!   writes in bounded chunks. Output bytes depend only on the seed,
@@ -22,10 +22,12 @@
 //!   shard set, one shard in memory at a time, with a checkpoint after
 //!   every shard.
 //!
-//! Shards, checkpoints and the manifest are whole artifacts, each staged
-//! and renamed into place by `neurfill_layout::io` (`commit_staged`,
-//! `write_durable`). The crash-tolerant record log that the serve journal
-//! and the chip tile checkpoint share is `neurfill_runtime::applog`.
+//! A shard is written through `neurfill_runtime::applog`, the
+//! crash-tolerant record log the serve journal and the chip tile
+//! checkpoint share: records are appended in place and a final seal
+//! record marks the shard complete, so no staging file is involved.
+//! Checkpoints and the manifest are whole artifacts, each staged and
+//! renamed into place by `neurfill_layout::io::write_durable`.
 //!
 //! The `gendata` and `pretrain` binaries wrap the two halves as CLIs; a
 //! `pretrain` run ends in the same self-contained surrogate bundle
@@ -45,5 +47,5 @@ pub use checkpoint::{
 };
 pub use chiplabel::{label_full_chip, ChipLabelConfig, ChipLabelReport};
 pub use label::{generate_labeled_shards, LabelConfig, LabelReport, Manifest, MANIFEST_FILE};
-pub use shard::{ShardReader, ShardSet, ShardSetWriter, ShardShapes, ShardWriter, SHARD_EXTENSION};
+pub use shard::{ShardReader, ShardSet, ShardSetWriter, ShardShapes, SHARD_EXTENSION};
 pub use train::{train_streaming, StreamTrainConfig};

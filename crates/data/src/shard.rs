@@ -1,64 +1,44 @@
 //! The on-disk shard format for labeled training samples.
 //!
-//! A shard is a binary file holding fixed-shape `(input, target)` sample
-//! pairs, little-endian throughout:
+//! A shard is a sealed append log ([`neurfill_runtime::applog`], the
+//! workspace's one record format) of fixed-shape `(input, target)`
+//! sample pairs:
 //!
 //! ```text
-//! offset  size  field
-//! 0       8     magic "NFSHRD1\n"
-//! 8       4     format version (u32, currently 1)
-//! 12      12    input sample shape  [C, H, W] as 3 × u32
-//! 24      12    target sample shape [C, H, W] as 3 × u32
-//! 36      8     sample count (u64; all-ones until the writer finalizes)
-//! 44      —     records
+//! record 0       shapes <Ci> <Hi> <Wi> <Ct> <Ht> <Wt>
+//!                (input and target sample shapes [C, H, W], text)
+//! record 1..=n   one sample: the input's f32 values then the target's,
+//!                row-major, little-endian — 4·(Ci·Hi·Wi + Ct·Ht·Wt) bytes
+//! record n+1     seal <n>
 //! ```
 //!
-//! Each record is an 8-byte FNV-1a checksum followed by the payload: the
-//! input's f32 values then the target's, row-major. Record size is fixed by
-//! the header shapes, so the reader can stream one record at a time with
-//! bounded memory and validate total file size up front. The count field is
-//! written only by [`ShardWriter::finish`] — a crash mid-write leaves the
-//! all-ones placeholder and the reader rejects the file instead of training
-//! on a truncated corpus.
+//! [`ShardSetWriter`] appends the seal and fsyncs the log when a shard is
+//! full or the writer finishes; the file's directory entry was synced
+//! when the log was created. A crash before that leaves an unsealed log,
+//! which every reader refuses instead of training on a truncated corpus.
+//! Starting a shard over an existing file replaces the file.
 //!
-//! Writers stage the whole shard at a `.tmp` sibling path and only
-//! `finish` moves it to its final name (flush → patch count → fsync →
-//! rename), so a crash at *any* point of the write — including
-//! mid-finalize, which previously could leave a half-patched header at
-//! the final path — leaves either no shard file or a complete one.
+//! [`ShardReader::open`] walks the records' frames without reading the
+//! samples: the shapes, the size of every sample and the seal's count
+//! are checked before the first sample is read. The samples then stream
+//! one at a time with bounded memory, each checked against its record
+//! checksum as it is read. The reader never writes to a shard.
 
-use neurfill_layout::io::{commit_staged, staging_path};
 use neurfill_nn::Dataset;
 use neurfill_obs::{Counter, Telemetry};
+use neurfill_runtime::applog::{AppendLog, Mark, Records, Stop};
+use neurfill_runtime::FaultPlan;
 use neurfill_tensor::NdArray;
-use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io;
 use std::path::{Path, PathBuf};
-
-const MAGIC: &[u8; 8] = b"NFSHRD1\n";
-const VERSION: u32 = 1;
-const HEADER_LEN: u64 = 44;
-const COUNT_OFFSET: u64 = 36;
-const COUNT_PLACEHOLDER: u64 = u64::MAX;
+use std::sync::Arc;
 
 /// File extension used for shards.
 pub const SHARD_EXTENSION: &str = "nfshard";
 
-/// `u32` from a little-endian slice the caller guarantees is 4 bytes.
-fn le_u32(bytes: &[u8]) -> u32 {
-    match bytes.try_into() {
-        Ok(array) => u32::from_le_bytes(array),
-        Err(_) => unreachable!("caller slices exactly 4 bytes"),
-    }
-}
-
-/// `u64` from a little-endian slice the caller guarantees is 8 bytes.
-fn le_u64(bytes: &[u8]) -> u64 {
-    match bytes.try_into() {
-        Ok(array) => u64::from_le_bytes(array),
-        Err(_) => unreachable!("caller slices exactly 8 bytes"),
-    }
-}
+/// The label a shard's log carries in place of a fault site: no fault
+/// plan reaches a shard, so nothing is ever injected under it.
+const LOG_LABEL: &str = "shard";
 
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
@@ -78,228 +58,104 @@ pub struct ShardShapes {
 }
 
 impl ShardShapes {
-    fn payload_floats(&self) -> usize {
-        self.input.iter().product::<usize>() + self.target.iter().product::<usize>()
-    }
-
-    fn record_len(&self) -> u64 {
-        8 + 4 * self.payload_floats() as u64
-    }
-
-    fn check_sample(&self, input: &NdArray, target: &NdArray) -> io::Result<()> {
-        if input.shape() != self.input || target.shape() != self.target {
-            return Err(bad(format!(
-                "sample shapes {:?}/{:?} do not match shard shapes {:?}/{:?}",
-                input.shape(),
-                target.shape(),
-                self.input,
-                self.target
-            )));
+    /// Bytes of one sample record, as a checked product: zero or
+    /// overflowing dimensions are an error, never a wrapped size.
+    fn sample_bytes(&self) -> io::Result<usize> {
+        if self.input.contains(&0) || self.target.contains(&0) {
+            return Err(bad(format!("zero-sized sample shape {self:?}")));
         }
-        Ok(())
+        let floats = |dims: &[usize; 3]| dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+        floats(&self.input)
+            .zip(floats(&self.target))
+            .and_then(|(input, target)| input.checked_add(target)?.checked_mul(4))
+            .ok_or_else(|| bad(format!("sample shape {self:?} overflows")))
+    }
+
+    fn record(&self) -> String {
+        let [a, b, c] = self.input;
+        let [d, e, f] = self.target;
+        format!("shapes {a} {b} {c} {d} {e} {f}")
+    }
+
+    fn parse(record: &[u8]) -> Option<Self> {
+        let mut words = std::str::from_utf8(record).ok()?.strip_prefix("shapes ")?.split(' ');
+        let mut dims = [0usize; 6];
+        for d in &mut dims {
+            *d = words.next()?.parse().ok()?;
+        }
+        let [a, b, c, d, e, f] = dims;
+        words.next().is_none().then_some(Self { input: [a, b, c], target: [d, e, f] })
     }
 }
 
-/// Append-only writer of one shard file.
-///
-/// Records are only ever appended; the header's sample count is patched
-/// once, by [`ShardWriter::finish`]. The whole shard is staged at a
-/// `.tmp` sibling of `path` until `finish` renames it into place, so the
-/// final path only ever holds a complete, finalized shard. Dropping the
-/// writer without calling `finish` leaves only the staging file behind,
-/// which [`ShardSet::open_dir`] skips (wrong extension) and whose
-/// placeholder count readers reject.
-#[derive(Debug)]
-pub struct ShardWriter {
-    file: BufWriter<File>,
-    shapes: ShardShapes,
-    count: u64,
-    path: PathBuf,
-    records_written: Counter,
-    bytes_written: Counter,
+fn parse_seal(record: &[u8]) -> Option<u64> {
+    std::str::from_utf8(record).ok()?.strip_prefix("seal ")?.parse().ok()
 }
 
-impl ShardWriter {
-    /// Creates a shard destined for `path`, staging its bytes at a `.tmp`
-    /// sibling (truncating any existing staging file) and writing the
-    /// header with a placeholder count. Nothing appears at `path` itself
-    /// until [`ShardWriter::finish`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-system errors; rejects zero-sized sample shapes.
-    pub fn create(path: impl AsRef<Path>, shapes: ShardShapes) -> io::Result<Self> {
-        if shapes.input.contains(&0) || shapes.target.contains(&0) {
-            return Err(bad(format!("zero-sized sample shape {shapes:?}")));
-        }
-        let path = path.as_ref().to_path_buf();
-        let mut file = BufWriter::new(File::create(staging_path(&path))?);
-        file.write_all(MAGIC)?;
-        file.write_all(&VERSION.to_le_bytes())?;
-        for dims in [&shapes.input, &shapes.target] {
-            for &d in dims {
-                let d = u32::try_from(d).map_err(|_| bad(format!("dimension {d} exceeds u32")))?;
-                file.write_all(&d.to_le_bytes())?;
-            }
-        }
-        file.write_all(&COUNT_PLACEHOLDER.to_le_bytes())?;
-        Ok(Self {
-            file,
-            shapes,
-            count: 0,
-            path,
-            records_written: Counter::noop(),
-            bytes_written: Counter::noop(),
-        })
-    }
-
-    /// Counts records and payload bytes written into `telemetry`
-    /// (`data.shard.records_written` / `data.shard.bytes_written`). The
-    /// shard bytes themselves are untouched.
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
-        self.records_written = telemetry.counter("data.shard.records_written");
-        self.bytes_written = telemetry.counter("data.shard.bytes_written");
-        self
-    }
-
-    /// Appends one `(input, target)` record.
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` on a shape mismatch; propagates I/O errors.
-    pub fn push(&mut self, input: &NdArray, target: &NdArray) -> io::Result<()> {
-        self.shapes
-            .check_sample(input, target)
-            .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", self.path.display())))?;
-        let mut payload = Vec::with_capacity(4 * self.shapes.payload_floats());
-        for arr in [input, target] {
-            for v in arr.as_slice() {
-                payload.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
-        }
-        self.file.write_all(&fnv1a(&payload).to_le_bytes())?;
-        self.file.write_all(&payload)?;
-        self.count += 1;
-        self.records_written.inc();
-        self.bytes_written.add(8 + payload.len() as u64);
-        Ok(())
-    }
-
-    /// Number of records appended so far.
-    #[must_use]
-    pub fn len(&self) -> u64 {
-        self.count
-    }
-
-    /// Whether no record has been appended yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Finalizes the shard: flushes records, patches the header's sample
-    /// count, fsyncs, and renames the staging file to the final path.
-    /// Returns the path and record count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors; on failure nothing appears at the final path
-    /// and the staging file (placeholder count, rejected by readers) is
-    /// what a crash would leave.
-    pub fn finish(self) -> io::Result<(PathBuf, u64)> {
-        let Self { file, count, path, .. } = self;
-        let mut file = file.into_inner().map_err(|e| e.into_error())?;
-        file.seek(SeekFrom::Start(COUNT_OFFSET))?;
-        file.write_all(&count.to_le_bytes())?;
-        commit_staged(file, &path)?;
-        Ok((path, count))
-    }
-}
-
-/// Streaming reader over one shard: validates the header and total size up
-/// front, then yields records one at a time with bounded memory.
+/// Streaming reader over one shard: checks the shapes, every sample's
+/// size and the seal up front, then yields samples one at a time with
+/// bounded memory.
 #[derive(Debug)]
 pub struct ShardReader {
-    file: BufReader<File>,
+    records: Records,
     shapes: ShardShapes,
+    sample_bytes: usize,
+    payload: Vec<u8>,
     count: u64,
     read: u64,
-    path: PathBuf,
-    records_read: Counter,
 }
 
 impl ShardReader {
-    /// Opens a shard, validating magic, version, shapes, finalized count
-    /// and exact file size.
+    /// Opens a shard read-only and walks its records' frames: the shapes
+    /// record, one record per sample of the shapes' size, and a final
+    /// seal whose count is the number of samples.
     ///
     /// # Errors
     ///
-    /// Returns `InvalidData` for non-shard files, unfinalized (crashed)
-    /// writers, and truncated or oversized files. Every error names the
-    /// offending file.
+    /// Returns `InvalidData` for a file that is not an append log, a
+    /// missing or unreadable shapes record, a sample record of the wrong
+    /// size, a torn record, a missing seal (a writer that never
+    /// finished), a seal whose count disagrees with the samples, and
+    /// records after the seal. Every error names the offending file.
     pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let file = File::open(&path)?;
-        let file_len = file.metadata()?.len();
-        let mut file = BufReader::new(file);
-        let ctx = |msg: String| bad(format!("{}: {msg}", path.display()));
+        let mut records = Records::open(path)?;
+        let mut payload = Vec::new();
+        if !records.next_into(&mut payload)? {
+            return Err(stopped(&records));
+        }
+        let shapes = ShardShapes::parse(&payload)
+            .ok_or_else(|| records.invalid("record 0 is not a shapes record"))?;
+        let sample_bytes = shapes.sample_bytes().map_err(|e| records.invalid(e))?;
 
-        let mut header = [0u8; HEADER_LEN as usize];
-        if file_len < HEADER_LEN {
-            return Err(ctx(format!("file too short for a shard header ({file_len} bytes)")));
+        // Every record but the last must be a sample; the last, the seal.
+        let first_sample = records.mark();
+        let mut last: Option<(Mark, u64)> = None;
+        loop {
+            let at = records.mark();
+            let Some(len) = records.skip()? else { break };
+            if let Some((_, prev)) = last.filter(|&(_, prev)| prev != sample_bytes as u64) {
+                let index = records.index() - 2;
+                return Err(records.invalid(format!(
+                    "record {index} is {prev} bytes where a {sample_bytes}-byte sample belongs"
+                )));
+            }
+            last = Some((at, len));
         }
-        file.read_exact(&mut header)?;
-        if &header[0..8] != MAGIC {
-            return Err(ctx("not a neurfill shard (bad magic)".into()));
+        let Some((seal_at, _)) = last.filter(|_| records.stop() == Some(Stop::End)) else {
+            return Err(stopped(&records));
+        };
+        records.rewind(seal_at)?;
+        if !records.next_into(&mut payload)? {
+            return Err(stopped(&records));
         }
-        let version = le_u32(&header[8..12]);
-        if version != VERSION {
-            return Err(ctx(format!("unsupported shard version {version}")));
+        let count = parse_seal(&payload).ok_or_else(|| records.invalid(UNSEALED))?;
+        let samples = records.index() - 2;
+        if count != samples {
+            let msg = format!("seal counts {count} samples but the shard holds {samples}");
+            return Err(records.invalid(msg));
         }
-        let dim = |i: usize| -> usize { le_u32(&header[12 + 4 * i..16 + 4 * i]) as usize };
-        let shapes = ShardShapes { input: [dim(0), dim(1), dim(2)], target: [dim(3), dim(4), dim(5)] };
-        if shapes.input.contains(&0) || shapes.target.contains(&0) {
-            return Err(ctx(format!("zero-sized sample shape {shapes:?}")));
-        }
-        let count = le_u64(&header[36..44]);
-        if count == COUNT_PLACEHOLDER {
-            return Err(ctx("shard was never finalized (writer crashed mid-write?)".into()));
-        }
-        let expect_len =
-            count.checked_mul(shapes.record_len()).and_then(|records| records.checked_add(HEADER_LEN));
-        if expect_len != Some(file_len) {
-            return Err(ctx(format!(
-                "file is {file_len} bytes but header promises {count} records (torn header?)"
-            )));
-        }
-        Ok(Self { file, shapes, count, read: 0, path, records_read: Counter::noop() })
-    }
-
-    /// Counts successfully read records into `telemetry`
-    /// (`data.shard.records_read`).
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
-        self.records_read = telemetry.counter("data.shard.records_read");
-        self
-    }
-
-    /// Per-sample geometry of this shard.
-    #[must_use]
-    pub fn shapes(&self) -> &ShardShapes {
-        &self.shapes
-    }
-
-    /// Number of records in the shard.
-    #[must_use]
-    pub fn len(&self) -> u64 {
-        self.count
-    }
-
-    /// Whether the shard holds no records.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
+        records.rewind(first_sample)?;
+        Ok(Self { records, shapes, sample_bytes, payload, count, read: 0 })
     }
 
     /// Reads the next record, or `None` past the end.
@@ -311,60 +167,44 @@ impl ShardReader {
     /// calls return `None`, so iteration terminates instead of re-reporting
     /// the same corrupt record forever.
     pub fn read_next(&mut self) -> io::Result<Option<(NdArray, NdArray)>> {
-        match self.read_record() {
-            Ok(rec) => Ok(rec),
-            Err(e) => {
-                self.read = self.count;
-                Err(e)
-            }
-        }
-    }
-
-    /// Stamps `self.path` and the failing record index onto an error, so a
-    /// failure deep in a multi-shard stream is attributable.
-    fn record_err(&self, e: io::Error) -> io::Error {
-        io::Error::new(e.kind(), format!("{}: record {}: {e}", self.path.display(), self.read))
-    }
-
-    fn read_record(&mut self) -> io::Result<Option<(NdArray, NdArray)>> {
         if self.read == self.count {
             return Ok(None);
         }
-        let mut checksum = [0u8; 8];
-        self.file.read_exact(&mut checksum).map_err(|e| self.record_err(e))?;
-        let mut payload = vec![0u8; 4 * self.shapes.payload_floats()];
-        self.file.read_exact(&mut payload).map_err(|e| self.record_err(e))?;
-        if fnv1a(&payload) != u64::from_le_bytes(checksum) {
-            return Err(bad(format!(
-                "{}: checksum mismatch in record {} — shard is corrupt",
-                self.path.display(),
-                self.read
-            )));
-        }
-        let floats: Vec<f32> = payload.chunks_exact(4).map(|c| f32::from_bits(le_u32(c))).collect();
-        let n_in = self.shapes.input.iter().product::<usize>();
-        let input = NdArray::from_vec(floats[..n_in].to_vec(), &self.shapes.input)
-            .map_err(|e| self.record_err(bad(e.to_string())))?;
-        let target = NdArray::from_vec(floats[n_in..].to_vec(), &self.shapes.target)
-            .map_err(|e| self.record_err(bad(e.to_string())))?;
-        self.read += 1;
-        self.records_read.inc();
-        Ok(Some((input, target)))
+        let sample = self.read_sample();
+        self.read = if sample.is_ok() { self.read + 1 } else { self.count };
+        sample.map(Some)
     }
 
-    /// Loads the remaining records into an in-memory [`Dataset`], which
-    /// grows with the records read, never from the header's count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates record errors (checksum, truncation).
-    pub fn read_to_dataset(mut self) -> io::Result<Dataset> {
-        let mut ds = Dataset::new();
-        while let Some((input, target)) = self.read_next()? {
-            ds.push(input, target).map_err(|e| bad(format!("{}: {e}", self.path.display())))?;
+    fn read_sample(&mut self) -> io::Result<(NdArray, NdArray)> {
+        let records = &mut self.records;
+        if !records.next_into(&mut self.payload)? {
+            return Err(stopped(records));
         }
-        Ok(ds)
+        if self.payload.len() != self.sample_bytes {
+            let index = records.index() - 1;
+            return Err(records.invalid(format!("record {index} changed size since the open")));
+        }
+        let (input, target) = self.payload.split_at(4 * self.shapes.input.iter().product::<usize>());
+        // Fixed-size chunks keep bounds checks out of the decode loop.
+        let decode = |bytes: &[u8], shape: &[usize; 3]| {
+            let floats = bytes.as_chunks::<4>().0.iter().map(|c| f32::from_le_bytes(*c));
+            NdArray::from_vec(floats.collect(), shape).map_err(|e| records.invalid(e))
+        };
+        Ok((decode(input, &self.shapes.input)?, decode(target, &self.shapes.target)?))
     }
+}
+
+const UNSEALED: &str = "shard is not sealed (its writer never finished)";
+
+/// Why a shard's record walk stopped before its seal: the torn or
+/// checksum-failing record it stopped at, or a log that simply ended.
+fn stopped(records: &Records) -> io::Error {
+    let index = records.index();
+    records.invalid(match records.stop() {
+        Some(Stop::Checksum) => format!("checksum mismatch in record {index} — shard is corrupt"),
+        Some(Stop::Torn) => format!("record {index} is torn — shard is truncated"),
+        Some(Stop::End) | None => UNSEALED.to_string(),
+    })
 }
 
 impl Iterator for ShardReader {
@@ -376,17 +216,22 @@ impl Iterator for ShardReader {
 }
 
 /// Writes a sequence of samples across multiple shards, rotating to a new
-/// file every `samples_per_shard` records.
+/// file every `samples_per_shard` records. Each shard is sealed when it
+/// is full or at [`ShardSetWriter::finish`]; a writer dropped before that
+/// leaves an unsealed shard, which readers refuse.
 #[derive(Debug)]
 pub struct ShardSetWriter {
     dir: PathBuf,
     prefix: String,
     shapes: ShardShapes,
     samples_per_shard: u64,
-    current: Option<ShardWriter>,
+    /// The shard being written and the samples in it.
+    current: Option<(AppendLog, u64)>,
     finished: Vec<(PathBuf, u64)>,
     total: u64,
-    telemetry: Telemetry,
+    payload: Vec<u8>,
+    records_written: Counter,
+    bytes_written: Counter,
 }
 
 impl ShardSetWriter {
@@ -395,7 +240,7 @@ impl ShardSetWriter {
     /// # Errors
     ///
     /// Propagates directory-creation errors; `samples_per_shard` must be
-    /// non-zero.
+    /// non-zero and no sample dimension zero.
     pub fn new(
         dir: impl AsRef<Path>,
         prefix: &str,
@@ -405,6 +250,7 @@ impl ShardSetWriter {
         if samples_per_shard == 0 {
             return Err(bad("samples_per_shard must be non-zero"));
         }
+        let sample_bytes = shapes.sample_bytes()?;
         std::fs::create_dir_all(&dir)?;
         Ok(Self {
             dir: dir.as_ref().to_path_buf(),
@@ -414,15 +260,19 @@ impl ShardSetWriter {
             current: None,
             finished: Vec::new(),
             total: 0,
-            telemetry: Telemetry::disabled(),
+            payload: Vec::with_capacity(sample_bytes),
+            records_written: Counter::noop(),
+            bytes_written: Counter::noop(),
         })
     }
 
-    /// Attaches a telemetry handle to every shard writer this set rotates
-    /// through (see [`ShardWriter::with_telemetry`]).
+    /// Counts every sample record written and its bytes into
+    /// `telemetry` (`data.shard.records_written` /
+    /// `data.shard.bytes_written`). The shard bytes are untouched.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
-        self.telemetry = telemetry.clone();
+        self.records_written = telemetry.counter("data.shard.records_written");
+        self.bytes_written = telemetry.counter("data.shard.bytes_written");
         self
     }
 
@@ -431,40 +281,72 @@ impl ShardSetWriter {
     ///
     /// # Errors
     ///
-    /// Propagates shard-writer errors.
+    /// Returns `InvalidData`, naming the shard, on a shape mismatch;
+    /// propagates I/O errors.
     pub fn push(&mut self, input: &NdArray, target: &NdArray) -> io::Result<()> {
-        if self.current.as_ref().is_none_or(|w| w.len() == self.samples_per_shard) {
+        if self.current.as_ref().is_none_or(|(_, n)| *n == self.samples_per_shard) {
             self.rotate()?;
         }
-        match self.current.as_mut() {
-            Some(writer) => writer.push(input, target)?,
-            None => unreachable!("rotate() always installs a writer"),
+        let Some((log, count)) = self.current.as_mut() else {
+            unreachable!("rotate() always opens a shard")
+        };
+        let ShardShapes { input: want_input, target: want_target } = &self.shapes;
+        if input.shape() != want_input || target.shape() != want_target {
+            return Err(bad(format!(
+                "{}: sample shapes {:?}/{:?} do not match shard shapes {want_input:?}/{want_target:?}",
+                log.path().display(),
+                input.shape(),
+                target.shape(),
+            )));
         }
+        self.payload.clear();
+        for v in input.as_slice().iter().chain(target.as_slice()) {
+            self.payload.extend_from_slice(&v.to_le_bytes());
+        }
+        log.append(&self.payload)?;
+        *count += 1;
         self.total += 1;
+        self.records_written.inc();
+        self.bytes_written.add(12 + self.payload.len() as u64);
         Ok(())
     }
 
+    /// Seals the shard being written, then starts the next: a new log,
+    /// replacing any file at its path, holding the shapes record.
     fn rotate(&mut self) -> io::Result<()> {
-        if let Some(writer) = self.current.take() {
-            self.finished.push(writer.finish()?);
+        self.seal()?;
+        let name = format!("{}-{:05}.{SHARD_EXTENSION}", self.prefix, self.finished.len());
+        let path = self.dir.join(name);
+        match std::fs::remove_file(&path) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+            _ => {}
         }
-        let path =
-            self.dir.join(format!("{}-{:05}.{SHARD_EXTENSION}", self.prefix, self.finished.len()));
-        self.current =
-            Some(ShardWriter::create(path, self.shapes.clone())?.with_telemetry(&self.telemetry));
+        let no_faults = Arc::new(FaultPlan::disabled());
+        let (mut log, _) = AppendLog::open(&path, LOG_LABEL, no_faults, |_| Ok(()))?;
+        log.append(self.shapes.record().as_bytes())?;
+        self.current = Some((log, 0));
         Ok(())
     }
 
-    /// Finalizes the in-flight shard and returns `(path, count)` for every
+    /// Seals the shard being written, if any: appends `seal <count>` and
+    /// fsyncs the log.
+    fn seal(&mut self) -> io::Result<()> {
+        if let Some((mut log, count)) = self.current.take() {
+            log.append(format!("seal {count}").as_bytes())?;
+            log.sync()?;
+            self.finished.push((log.path().to_path_buf(), count));
+        }
+        Ok(())
+    }
+
+    /// Seals the in-flight shard and returns `(path, count)` for every
     /// shard written, in order.
     ///
     /// # Errors
     ///
-    /// Propagates finalization errors.
+    /// Propagates I/O errors; the in-flight shard then stays unsealed.
     pub fn finish(mut self) -> io::Result<Vec<(PathBuf, u64)>> {
-        if let Some(writer) = self.current.take() {
-            self.finished.push(writer.finish()?);
-        }
+        self.seal()?;
         Ok(self.finished)
     }
 
@@ -504,24 +386,17 @@ impl ShardSet {
         if paths.is_empty() {
             return Err(bad(format!("no .{SHARD_EXTENSION} files in {}", dir.display())));
         }
-        let mut counts = Vec::with_capacity(paths.len());
-        let mut shapes: Option<ShardShapes> = None;
-        for path in &paths {
-            let reader = ShardReader::open(path)?;
-            match &shapes {
-                None => shapes = Some(reader.shapes().clone()),
-                Some(s) if s != reader.shapes() => {
-                    return Err(bad(format!(
-                        "{}: sample shapes {:?} disagree with the set's {s:?}",
-                        path.display(),
-                        reader.shapes()
-                    )))
-                }
-                Some(_) => {}
-            }
-            counts.push(reader.len());
+        // One shard open at a time: only its shapes and count are kept.
+        let scanned: Vec<(ShardShapes, u64)> = paths
+            .iter()
+            .map(|p| ShardReader::open(p).map(|r| (r.shapes, r.count)))
+            .collect::<io::Result<_>>()?;
+        let shapes = scanned[0].0.clone();
+        if let Some((path, (other, _))) = paths.iter().zip(&scanned).find(|(_, s)| s.0 != shapes) {
+            let msg = format!("sample shapes {other:?} disagree with the set's {shapes:?}");
+            return Err(bad(format!("{}: {msg}", path.display())));
         }
-        let Some(shapes) = shapes else { unreachable!("paths is non-empty, so shapes was set") };
+        let counts = scanned.into_iter().map(|(_, count)| count).collect();
         Ok(Self { paths, counts, shapes })
     }
 
@@ -569,13 +444,19 @@ impl ShardSet {
         ShardReader::open(&self.paths[index])
     }
 
-    /// Loads shard `index` into an in-memory [`Dataset`].
+    /// Loads shard `index` into an in-memory [`Dataset`], which grows with
+    /// the samples read, never from the seal's count.
     ///
     /// # Errors
     ///
-    /// Propagates shard errors.
+    /// Propagates shard errors (checksum, truncation).
     pub fn load_shard(&self, index: usize) -> io::Result<Dataset> {
-        self.open_shard(index)?.read_to_dataset()
+        let mut ds = Dataset::new();
+        for sample in self.open_shard(index)? {
+            let (input, target) = sample?;
+            ds.push(input, target).map_err(|e| bad(format!("{}: {e}", self.paths[index].display())))?;
+        }
+        Ok(ds)
     }
 
     /// Splits off the last `n` shards into their own set (e.g. a held-out
@@ -624,19 +505,56 @@ mod tests {
         dir
     }
 
-    #[test]
-    fn roundtrip_preserves_bits() {
-        let dir = tmp("roundtrip");
-        let path = dir.join(format!("a.{SHARD_EXTENSION}"));
-        let mut w = ShardWriter::create(&path, shapes()).unwrap();
-        for i in 0..5 {
+    /// A writer into `dir` holding samples `0..n` in its first shard, not
+    /// yet sealed, and that shard's path.
+    fn unsealed(dir: &Path, n: usize) -> (ShardSetWriter, PathBuf) {
+        let mut w = ShardSetWriter::new(dir, "a", shapes(), 64).unwrap();
+        for i in 0..n {
             let (x, y) = sample(i);
             w.push(&x, &y).unwrap();
         }
-        let (_, n) = w.finish().unwrap();
-        assert_eq!(n, 5);
+        (w, dir.join(format!("a-00000.{SHARD_EXTENSION}")))
+    }
+
+    fn sealed(dir: &Path, n: usize) -> PathBuf {
+        let (w, path) = unsealed(dir, n);
+        w.finish().unwrap();
+        path
+    }
+
+    fn seal(count: u64) -> String {
+        format!("seal {count}")
+    }
+
+    /// Appends raw records to the log at `path`.
+    fn append_raw(path: &Path, records: &[&[u8]]) {
+        let (mut log, _) =
+            AppendLog::open(path, LOG_LABEL, Arc::new(FaultPlan::disabled()), |_| Ok(())).unwrap();
+        for r in records {
+            log.append(r).unwrap();
+        }
+    }
+
+    fn refused(path: &Path, why: &str) -> String {
+        let err = ShardReader::open(path).map(|_| ()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{why}: {err}");
+        assert!(err.to_string().contains(&path.display().to_string()), "{why}: {err}");
+        err.to_string()
+    }
+
+    /// Bytes before sample record `i`: the log header, the shapes record
+    /// and `i` sample records of 12 + 4 · 27 bytes.
+    fn sample_offset(i: usize) -> usize {
+        12 + (12 + shapes().record().len()) + i * (12 + 4 * 27)
+    }
+
+    #[test]
+    fn roundtrip_preserves_bits() {
+        let dir = tmp("roundtrip");
+        let (w, path) = unsealed(&dir, 5);
+        assert_eq!(w.finish().unwrap(), vec![(path.clone(), 5)]);
         let reader = ShardReader::open(&path).unwrap();
-        assert_eq!(reader.len(), 5);
+        assert_eq!(reader.count, 5);
         for (i, rec) in reader.enumerate() {
             let (x, y) = rec.unwrap();
             let (ex, ey) = sample(i);
@@ -649,8 +567,7 @@ mod tests {
     #[test]
     fn writer_rejects_wrong_shapes_naming_the_file() {
         let dir = tmp("wrong_shape");
-        let path = dir.join(format!("a.{SHARD_EXTENSION}"));
-        let mut w = ShardWriter::create(&path, shapes()).unwrap();
+        let (mut w, path) = unsealed(&dir, 0);
         let err = w.push(&NdArray::zeros(&[1, 3, 3]), &NdArray::zeros(&[1, 3, 3])).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains(&path.display().to_string()), "{err}");
@@ -658,71 +575,60 @@ mod tests {
     }
 
     #[test]
-    fn unfinalized_shard_never_appears_at_the_final_path() {
-        let dir = tmp("unfinalized");
-        let path = dir.join(format!("a.{SHARD_EXTENSION}"));
-        let mut w = ShardWriter::create(&path, shapes()).unwrap();
-        let (x, y) = sample(0);
-        w.push(&x, &y).unwrap();
-        drop(w); // no finish(): the crash leaves only the staging file
-        assert!(!path.exists(), "final path must stay absent without finish()");
-        let staged = staging_path(&path);
-        assert!(staged.exists(), "staging file is the crash residue");
-        // The staging residue is rejected both by a direct open (placeholder
-        // count) and by directory scans (wrong extension).
-        let err = ShardReader::open(&staged).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("finalized"), "{err}");
-        assert!(ShardSet::open_dir(&dir).is_err(), "scan must not pick up .tmp residue");
+    fn an_unsealed_shard_is_refused_by_open_and_open_dir() {
+        for n in [1, 3] {
+            let dir = tmp(&format!("unsealed{n}"));
+            let (w, path) = unsealed(&dir, n);
+            drop(w); // no finish(): a crash mid-write
+            assert!(refused(&path, "unsealed").contains("not sealed"));
+            let err = ShardSet::open_dir(&dir).unwrap_err();
+            assert!(err.to_string().contains("not sealed"), "{err}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn creating_a_shard_replaces_the_file_it_never_appends() {
+        let dir = tmp("replace");
+        let path = sealed(&dir, 3);
+        // A rewrite that crashes leaves an unsealed shard, not the old one.
+        drop(unsealed(&dir, 1));
+        refused(&path, "crashed rewrite");
+        sealed(&dir, 2);
+        assert_eq!(ShardReader::open(&path).unwrap().count, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn torn_header_at_the_final_path_is_rejected() {
-        // Regression for the pre-rename finalize: a crash mid-finalize
-        // could leave a half-patched count at the final path. Construct
-        // that exact file and assert the reader refuses it.
-        let dir = tmp("torn_header");
-        let path = dir.join(format!("a.{SHARD_EXTENSION}"));
-        let mut w = ShardWriter::create(&path, shapes()).unwrap();
-        let (x, y) = sample(0);
-        w.push(&x, &y).unwrap();
-        w.finish().unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
+    fn a_torn_or_miscounted_seal_is_refused() {
+        let dir = tmp("seal");
+        let path = sealed(&dir, 2);
+        let bytes = std::fs::read(&path).unwrap();
+        let seal_at = sample_offset(2);
+        assert_eq!(bytes.len(), seal_at + 12 + seal(2).len());
+        for cut in seal_at + 1..bytes.len() {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            assert!(refused(&path, "torn seal").contains("record 3 is torn"));
+        }
+        // Cut exactly before the seal: a whole log that was never sealed.
+        std::fs::write(&path, &bytes[..seal_at]).unwrap();
+        assert!(refused(&path, "no seal").contains("not sealed"));
 
-        // Placeholder count (finalize never started).
-        bytes[COUNT_OFFSET as usize..COUNT_OFFSET as usize + 8]
-            .copy_from_slice(&COUNT_PLACEHOLDER.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        let err = ShardReader::open(&path).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("finalized"), "{err}");
-
-        // Torn count (finalize wrote some but not all count bytes before
-        // the crash): the claimed count no longer matches the file size.
-        bytes[COUNT_OFFSET as usize..COUNT_OFFSET as usize + 8]
-            .copy_from_slice(&[0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff]);
-        std::fs::write(&path, &bytes).unwrap();
-        let err = ShardReader::open(&path).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        for count in [0u64, 1, 3, u64::MAX] {
+            std::fs::write(&path, &bytes[..seal_at]).unwrap();
+            append_raw(&path, &[seal(count).as_bytes()]);
+            assert!(refused(&path, "miscounted seal").contains("seal counts"));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corrupt_byte_is_detected() {
         let dir = tmp("corrupt");
-        let path = dir.join(format!("a.{SHARD_EXTENSION}"));
-        let mut w = ShardWriter::create(&path, shapes()).unwrap();
-        for i in 0..3 {
-            let (x, y) = sample(i);
-            w.push(&x, &y).unwrap();
-        }
-        w.finish().unwrap();
-        // Flip one payload byte in the middle record.
+        let path = sealed(&dir, 3);
+        // Flip one payload byte in the middle sample (log record 2).
         let mut bytes = std::fs::read(&path).unwrap();
-        let record_len = (8 + 4 * (2 * 9 + 9)) as usize;
-        let idx = HEADER_LEN as usize + record_len + 20;
-        bytes[idx] ^= 0x40;
+        bytes[sample_offset(1) + 12 + 20] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
 
         let reader = ShardReader::open(&path).unwrap();
@@ -731,35 +637,49 @@ mod tests {
         assert!(results[0].is_ok());
         let err = results[1].as_ref().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("checksum"), "{err}");
+        assert!(err.to_string().contains("checksum mismatch in record 2"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn truncated_and_oversized_files_are_rejected() {
+    fn truncated_extended_and_foreign_files_are_rejected() {
         let dir = tmp("truncated");
-        let path = dir.join(format!("a.{SHARD_EXTENSION}"));
-        let mut w = ShardWriter::create(&path, shapes()).unwrap();
-        for i in 0..3 {
-            let (x, y) = sample(i);
-            w.push(&x, &y).unwrap();
-        }
-        w.finish().unwrap();
+        let path = sealed(&dir, 3);
         let bytes = std::fs::read(&path).unwrap();
 
         std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
-        assert!(ShardReader::open(&path).is_err(), "truncated tail");
+        refused(&path, "truncated tail");
 
         let mut longer = bytes.clone();
         longer.extend_from_slice(&[0; 3]);
         std::fs::write(&path, &longer).unwrap();
-        assert!(ShardReader::open(&path).is_err(), "trailing garbage");
+        refused(&path, "trailing garbage");
+
+        // A whole record after the seal: a sample, or a second seal.
+        for extra in [vec![0u8; 4 * 27], seal(3).into_bytes()] {
+            std::fs::write(&path, &bytes).unwrap();
+            append_raw(&path, &[&extra]);
+            refused(&path, "record after the seal");
+        }
 
         std::fs::write(&path, &bytes[..20]).unwrap();
-        assert!(ShardReader::open(&path).is_err(), "truncated header");
+        refused(&path, "truncated shapes record");
+
+        std::fs::write(&path, &bytes[..8]).unwrap();
+        refused(&path, "truncated header");
 
         std::fs::write(&path, b"definitely not a shard file header").unwrap();
-        assert!(ShardReader::open(&path).is_err(), "bad magic");
+        assert!(refused(&path, "bad magic").contains("bad magic"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_sample_of_the_wrong_size_is_refused() {
+        let dir = tmp("sample_size");
+        let (w, path) = unsealed(&dir, 1);
+        drop(w);
+        append_raw(&path, &[&[0u8; 4 * 26], seal(2).as_bytes()]);
+        assert!(refused(&path, "short sample").contains("record 2 is 104 bytes"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -799,12 +719,9 @@ mod tests {
     fn open_dir_rejects_mixed_shapes_and_empty_dirs() {
         let dir = tmp("mixed");
         assert!(ShardSet::open_dir(&dir).is_err(), "empty dir");
-        let mut a = ShardWriter::create(dir.join(format!("a.{SHARD_EXTENSION}")), shapes()).unwrap();
-        let (x, y) = sample(0);
-        a.push(&x, &y).unwrap();
-        a.finish().unwrap();
+        sealed(&dir, 1);
         let other = ShardShapes { input: [1, 3, 3], target: [1, 3, 3] };
-        let mut b = ShardWriter::create(dir.join(format!("b.{SHARD_EXTENSION}")), other).unwrap();
+        let mut b = ShardSetWriter::new(&dir, "b", other, 64).unwrap();
         b.push(&NdArray::zeros(&[1, 3, 3]), &NdArray::zeros(&[1, 3, 3])).unwrap();
         b.finish().unwrap();
         assert!(ShardSet::open_dir(&dir).is_err(), "mixed shapes");

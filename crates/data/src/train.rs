@@ -88,6 +88,7 @@ pub fn train_streaming(
     let epochs_c = cfg.telemetry.counter("data.train.epochs");
     let shards_c = cfg.telemetry.counter("data.train.shards");
     let batches_c = cfg.telemetry.counter("data.train.batches");
+    let records_c = cfg.telemetry.counter("data.shard.records_read");
     let loss_g = cfg.telemetry.gauge("data.train.loss");
     let val_loss_g = cfg.telemetry.gauge("data.train.val_loss");
 
@@ -95,7 +96,8 @@ pub fn train_streaming(
         let _epoch_timer = cfg.telemetry.time("data.train.epoch_ns");
         for shard in next_shard..data.num_shards() {
             shards_c.inc();
-            let ds = data.open_shard(shard)?.with_telemetry(&cfg.telemetry).read_to_dataset()?;
+            let ds = data.load_shard(shard)?;
+            records_c.add(ds.len() as u64);
             batches_c.add(pass.train_on(&ds, &mut rng)? as u64);
             if let Some(path) = &cfg.checkpoint_path {
                 // Cursor of the *next* unit of work: the following shard,

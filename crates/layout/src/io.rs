@@ -18,9 +18,10 @@
 //! [`write_plan`]/[`read_plan`] are the one fill-plan codec: the HTTP
 //! plan body, the serve journal's `done` record, tile checkpoints and
 //! `runfill --out`'s `<name>.plan` files are all this format.
-//! [`write_durable`]/[`commit_staged`] are the one stage → fsync → rename
-//! → directory-sync sequence behind tile checkpoints and data shards, and
-//! [`fnv1a`] is the workspace's one checksum.
+//! [`write_durable`] is the one stage → fsync → rename → directory-sync
+//! sequence behind every whole-file artifact (run fingerprints, training
+//! checkpoints, bundles, saved layouts), and [`fnv1a`] is the workspace's
+//! one checksum.
 
 use crate::grid::Grid;
 use crate::layout::Layout;
@@ -384,8 +385,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// `path` with `.tmp` appended to its file name (`a.plan` →
-/// `a.plan.tmp`): where a file is staged before [`commit_staged`]
-/// renames it into place.
+/// `a.plan.tmp`): where [`write_durable`] stages a file.
 #[must_use]
 pub fn staging_path(path: &Path) -> PathBuf {
     let mut name = path.file_name().map(std::ffi::OsStr::to_os_string).unwrap_or_default();
@@ -406,25 +406,11 @@ pub fn sync_parent_dir(path: &Path) {
     }
 }
 
-/// Makes a staged file durable at `path`: fsyncs `staged` (the open file
-/// at [`staging_path`]`(path)`), renames it onto `path`, then
-/// [`sync_parent_dir`] so the rename itself is durable. A crash at any
-/// point leaves `path` either untouched or complete, plus at most a
-/// stale staging file.
-///
-/// # Errors
-///
-/// Propagates fsync and rename errors.
-pub fn commit_staged(staged: File, path: &Path) -> io::Result<()> {
-    staged.sync_all()?;
-    drop(staged);
-    std::fs::rename(staging_path(path), path)?;
-    sync_parent_dir(path);
-    Ok(())
-}
-
-/// Writes `bytes` to `path` through [`staging_path`] and
-/// [`commit_staged`], so `path` only ever holds complete contents.
+/// Writes `bytes` to `path` so that `path` only ever holds complete
+/// contents: stage them at [`staging_path`]`(path)`, fsync, rename onto
+/// `path`, then [`sync_parent_dir`] so the rename itself is durable. A
+/// crash at any point leaves `path` either untouched or complete, plus at
+/// most a stale staging file.
 ///
 /// # Errors
 ///
@@ -432,7 +418,11 @@ pub fn commit_staged(staged: File, path: &Path) -> io::Result<()> {
 pub fn write_durable(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let mut staged = File::create(staging_path(path))?;
     staged.write_all(bytes)?;
-    commit_staged(staged, path)
+    staged.sync_all()?;
+    drop(staged);
+    std::fs::rename(staging_path(path), path)?;
+    sync_parent_dir(path);
+    Ok(())
 }
 
 /// Saves a layout to a file path through [`write_durable`]: `path` keeps

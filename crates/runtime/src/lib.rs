@@ -22,8 +22,9 @@
 //!   drives the failure model's tests and stays inert in production.
 //!
 //! Beside them sits [`AppendLog`] ([`applog`]), the crash-tolerant record
-//! log whose appends pass the fault plan's write sites: the serve job
-//! journal and the full-chip tile checkpoint are both built on it.
+//! log whose appends pass the fault plan's write sites, with [`Records`],
+//! the one reader of its framing: the serve job journal, the full-chip
+//! tile checkpoint and the training corpus's shards are all built on it.
 //!
 //! ```no_run
 //! use neurfill::pipeline::FlowConfig;
@@ -55,7 +56,7 @@ pub mod pool;
 pub mod registry;
 mod stats;
 
-pub use applog::{AppendLog, Replay};
+pub use applog::{AppendLog, Records, Replay};
 pub use error::{classify, ErrorClass, RetryPolicy, RuntimeError};
 pub use fault::{FaultKind, FaultPlan, FaultSpec, FaultTrigger, WriteFault};
 pub use job::{JobId, JobReport, JobSpec, JobStatus};

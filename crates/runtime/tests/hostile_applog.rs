@@ -29,8 +29,12 @@ fn remove(path: &Path) {
 }
 
 fn open(path: &Path) -> io::Result<(AppendLog, Vec<Vec<u8>>, u64)> {
-    AppendLog::open(path, "journal_write", Arc::new(FaultPlan::disabled()))
-        .map(|(log, replay)| (log, replay.records, replay.truncated_bytes))
+    let mut records = Vec::new();
+    AppendLog::open(path, "journal_write", Arc::new(FaultPlan::disabled()), |r| {
+        records.push(r.to_vec());
+        Ok(())
+    })
+    .map(|(log, replay)| (log, records, replay.truncated_bytes))
 }
 
 /// Three records of different lengths, one of them empty.

@@ -154,11 +154,7 @@ fn parse_args() -> Args {
 fn run() -> Result<(), String> {
     let args = parse_args();
 
-    let bundle = ModelBundle::load(&args.model)
-        .map(Arc::new)
-        .map_err(|e| format!("loading {}: {e}", args.model.display()))?;
-    println!("model bundle {} (digest {:016x})", args.model.display(), bundle.digest());
-
+    // A bad fault plan is refused before any file is read.
     let fault = match &args.fault_plan {
         Some(spec) => FaultPlan::parse(spec, args.fault_seed)?,
         None => FaultPlan::disabled(),
@@ -166,6 +162,11 @@ fn run() -> Result<(), String> {
     if fault.is_enabled() {
         println!("fault injection enabled (seed {})", args.fault_seed);
     }
+
+    let bundle = ModelBundle::load(&args.model)
+        .map(Arc::new)
+        .map_err(|e| format!("loading {}: {e}", args.model.display()))?;
+    println!("model bundle {} (digest {:016x})", args.model.display(), bundle.digest());
 
     let telemetry = neurfill::telemetry::Telemetry::new();
     let process = if args.fast { ProcessParams::fast() } else { ProcessParams::default() };

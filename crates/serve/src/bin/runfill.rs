@@ -203,6 +203,10 @@ fn parse_args() -> Args {
             }
         }
     }
+    if args.connect.is_some() && args.fault_plan.is_some() {
+        eprintln!("--fault-plan injects in-process; it cannot be combined with --connect");
+        usage();
+    }
     if args.full_chip {
         if args.connect.is_some() {
             eprintln!("--full-chip runs in-process; it cannot be combined with --connect");
@@ -452,13 +456,12 @@ fn fault_plan(args: &Args) -> Result<Arc<FaultPlan>, String> {
 
 /// `--full-chip --model`: stream halo-padded tiles through an
 /// in-process runtime pool as NN synthesis jobs.
-fn run_full_chip_pool(args: &Args, out_dir: &Path) -> Result<bool, String> {
+fn run_full_chip_pool(args: &Args, out_dir: &Path, fault: Arc<FaultPlan>) -> Result<bool, String> {
     let design = chip_design(args);
     let params = process_params(args);
     let tile = chip_tile(args, &design);
     let tiling = Tiling::square(design.rows(), design.cols(), tile, params.kernel_radius);
     let cap = args.max_in_flight.max(1);
-    let fault = fault_plan(args)?;
 
     let bundle = ModelBundle::load(&args.model)
         .map(Arc::new)
@@ -523,7 +526,7 @@ fn run_full_chip_pool(args: &Args, out_dir: &Path) -> Result<bool, String> {
 /// `--full-chip` without a model: the deterministic sharded golden flow
 /// (simulate → model fill → verify), byte-identical to a monolithic run
 /// at any tile size and worker count.
-fn run_full_chip_golden(args: &Args, out_dir: &Path) -> Result<bool, String> {
+fn run_full_chip_golden(args: &Args, out_dir: &Path, fault: Arc<FaultPlan>) -> Result<bool, String> {
     let design = chip_design(args);
     let telemetry = telemetry(args);
     let cfg = ChipRunConfig {
@@ -534,7 +537,7 @@ fn run_full_chip_golden(args: &Args, out_dir: &Path) -> Result<bool, String> {
         },
         fill: ChipFillConfig::default(),
         checkpoint: args.checkpoint.clone(),
-        fault: fault_plan(args)?,
+        fault,
     };
     println!(
         "full chip {} ({}x{} windows, tile {}, golden sharded flow)",
@@ -557,13 +560,15 @@ fn run_full_chip_golden(args: &Args, out_dir: &Path) -> Result<bool, String> {
 
 fn run() -> Result<bool, String> {
     let args = parse_args();
+    // A bad fault plan is refused before any file is read.
+    let fault = fault_plan(&args)?;
     if args.full_chip {
         let out_dir = args.out.clone().unwrap_or_else(|| PathBuf::from("chip-reports"));
         std::fs::create_dir_all(&out_dir).map_err(|e| e.to_string())?;
         return if args.model.as_os_str().is_empty() {
-            run_full_chip_golden(&args, &out_dir)
+            run_full_chip_golden(&args, &out_dir, fault)
         } else {
-            run_full_chip_pool(&args, &out_dir)
+            run_full_chip_pool(&args, &out_dir, fault)
         };
     }
     if args.init_demo > 0 {
@@ -586,7 +591,6 @@ fn run() -> Result<bool, String> {
         .map_err(|e| format!("loading {}: {e}", args.model.display()))?;
     println!("model bundle {} (digest {:016x})", args.model.display(), bundle.digest());
 
-    let fault = fault_plan(&args)?;
     let telemetry = telemetry(&args);
     let flow = FlowConfig { process: process_params(&args), ..FlowConfig::default() };
     let options = PoolOptions {

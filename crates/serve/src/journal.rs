@@ -22,19 +22,20 @@
 //! failed <id>     error line
 //! ```
 //!
-//! Replay folds records in append order into per-job final states: the
-//! last verb wins, and jobs whose last record is `admit`/`dispatch` are
-//! the non-terminal ones the service must run again. The append-log
-//! layer already dropped any torn tail, so a record seen here was fully
-//! acknowledged on the original timeline. A `done` record whose plan
-//! does not read back — an older build's `plan_len`/`amounts` body —
-//! leaves the job `Pending`, so it re-runs under its id instead of
-//! needing a second plan parser.
+//! Replay folds records in append order, one at a time as the append log
+//! streams them, into per-job final states: the last verb wins, and jobs
+//! whose last record is `admit`/`dispatch` are the non-terminal ones the
+//! service must run again. Only those keep their layout; a settled job
+//! keeps its plan's shape. The append-log layer already dropped any torn
+//! tail, so a record seen here was fully acknowledged on the original
+//! timeline. A `done` record whose plan does not read back — an older
+//! build's `plan_len`/`amounts` body — leaves the job `Pending`, so it
+//! re-runs under its id instead of needing a second plan parser.
 
 use crate::wire::Priority;
 use neurfill_layout::io::{self as layout_io, PlanShape};
 use neurfill_layout::Layout;
-use neurfill_runtime::applog::{AppendLog, Replay};
+use neurfill_runtime::applog::AppendLog;
 use neurfill_runtime::fault::{sites, FaultPlan};
 use std::collections::BTreeMap;
 use std::io;
@@ -89,10 +90,21 @@ pub struct RecoveredJob {
     pub priority: Priority,
     /// Per-job deadline.
     pub timeout: Option<Duration>,
-    /// The layout to synthesize (needed to re-run pending jobs).
-    pub layout: Layout,
+    /// The whole layout's plan shape.
+    pub shape: PlanShape,
+    /// The layout to synthesize, kept only while the job is
+    /// [`RecoveredState::Pending`] (it must run again).
+    pub layout: Option<Layout>,
     /// Folded final state.
     pub state: RecoveredState,
+}
+
+impl RecoveredJob {
+    /// Records a terminal state; the layout is no longer needed.
+    fn settle(&mut self, state: RecoveredState) {
+        self.state = state;
+        self.layout = None;
+    }
 }
 
 /// The journal handle the service appends to.
@@ -112,9 +124,14 @@ impl JobJournal {
     /// bug, not a torn write) are `InvalidData`.
     pub fn open(dir: &Path, fault: Arc<FaultPlan>) -> io::Result<(Self, Vec<RecoveredJob>)> {
         std::fs::create_dir_all(dir)?;
-        let (log, replay) = AppendLog::open(dir.join(JOURNAL_FILE), sites::JOURNAL_WRITE, fault)?;
-        let jobs = fold_replay(&replay)?;
-        Ok((Self { log }, jobs))
+        let mut jobs = BTreeMap::new();
+        let mut index = 0u64;
+        let (log, _) = AppendLog::open(dir.join(JOURNAL_FILE), sites::JOURNAL_WRITE, fault, |record| {
+            apply_record(&mut jobs, record).map_err(|e| bad(format!("journal record {index}: {e}")))?;
+            index += 1;
+            Ok(())
+        })?;
+        Ok((Self { log }, jobs.into_values().collect()))
     }
 
     /// Records a job's admission (the write-ahead record: the submit is
@@ -201,24 +218,6 @@ impl JobJournal {
         self.log.append(format!("failed {id}\nerror {}\n", error.replace('\n', " ")).as_bytes())
     }
 
-    /// Number of records in the journal (replayed + appended).
-    #[must_use]
-    pub fn len(&self) -> u64 {
-        self.log.len()
-    }
-
-    /// Whether the journal holds no records.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.log.is_empty()
-    }
-
-    /// Whether an injected crash fault has killed the journal.
-    #[must_use]
-    pub fn is_dead(&self) -> bool {
-        self.log.is_dead()
-    }
-
     /// Fsyncs the journal (power-loss durability up to the last record).
     ///
     /// # Errors
@@ -229,15 +228,7 @@ impl JobJournal {
     }
 }
 
-/// Folds replayed records into per-job final states, sorted by id.
-fn fold_replay(replay: &Replay) -> io::Result<Vec<RecoveredJob>> {
-    let mut jobs: BTreeMap<u64, RecoveredJob> = BTreeMap::new();
-    for (i, record) in replay.records.iter().enumerate() {
-        apply_record(&mut jobs, record).map_err(|e| bad(format!("journal record {i}: {e}")))?;
-    }
-    Ok(jobs.into_values().collect())
-}
-
+/// Folds one replayed record into the per-job states.
 fn apply_record(jobs: &mut BTreeMap<u64, RecoveredJob>, record: &[u8]) -> Result<(), String> {
     // Head-line + attribute lines are ASCII text; `admit`/`done` carry a
     // body after the first blank line.
@@ -275,7 +266,8 @@ fn apply_record(jobs: &mut BTreeMap<u64, RecoveredJob>, record: &[u8]) -> Result
                 name,
                 priority,
                 timeout,
-                layout,
+                shape: PlanShape::of(&layout),
+                layout: Some(layout),
                 state: RecoveredState::Pending { dispatched: false },
             });
         }
@@ -288,13 +280,13 @@ fn apply_record(jobs: &mut BTreeMap<u64, RecoveredJob>, record: &[u8]) -> Result
         }
         "cancel" => {
             if let Some(job) = jobs.get_mut(&id) {
-                job.state = RecoveredState::Cancelled;
+                job.settle(RecoveredState::Cancelled);
             }
         }
         "failed" => {
             if let Some(job) = jobs.get_mut(&id) {
                 let error = attr("error").unwrap_or("unknown failure").to_string();
-                job.state = RecoveredState::Failed { error };
+                job.settle(RecoveredState::Failed { error });
             }
         }
         "done" => {
@@ -315,7 +307,7 @@ fn apply_record(jobs: &mut BTreeMap<u64, RecoveredJob>, record: &[u8]) -> Result
             // A plan this build cannot read leaves the job pending: it
             // re-runs rather than serving a guess.
             if let Ok((_, plan)) = layout_io::read_plan(&body[report_len..]) {
-                job.state = RecoveredState::Done { degraded, report, plan };
+                job.settle(RecoveredState::Done { degraded, report, plan });
             }
         }
         other => return Err(format!("unknown journal verb {other:?}")),
@@ -406,8 +398,11 @@ mod tests {
         let mut expect = Vec::new();
         layout_io::write_layout(&layout(5), &mut expect).unwrap();
         let mut got = Vec::new();
-        layout_io::write_layout(&by_id(5).layout, &mut got).unwrap();
+        layout_io::write_layout(by_id(5).layout.as_ref().unwrap(), &mut got).unwrap();
         assert_eq!(got, expect);
+        // Settled jobs keep their plan shape, not their layout.
+        assert!(by_id(1).layout.is_none() && by_id(2).layout.is_none());
+        assert_eq!(by_id(1).shape, PlanShape::of(&layout(1)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -421,7 +416,7 @@ mod tests {
             j.record_dispatch(1).unwrap();
             // The kill lands mid-append: the record was never acked.
             assert!(j.record_done(1, None, "r", row(1), &[1.0]).is_err());
-            assert!(j.is_dead());
+            assert!(j.log.is_dead());
         }
         let (_, recovered) = open(&dir);
         assert_eq!(recovered.len(), 1);
@@ -443,7 +438,7 @@ mod tests {
             j.record_done(7, None, "ok\n", row(0), &[]).unwrap();
         }
         let (j, recovered) = open(&dir);
-        assert_eq!(j.len(), 3);
+        assert_eq!(j.log.len(), 3);
         assert!(matches!(recovered[0].state, RecoveredState::Done { .. }));
         let _ = std::fs::remove_dir_all(&dir);
     }

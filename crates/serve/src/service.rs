@@ -283,15 +283,15 @@ impl FillService {
                     serve_scope.inc("recovered_unknown_tenant");
                     continue;
                 };
-                let shape = PlanShape::of(&job.layout);
-                let state = match job.state {
-                    RecoveredState::Pending { .. } => {
+                let shape = job.shape;
+                let state = match (job.state, job.layout) {
+                    (RecoveredState::Pending { .. }, Some(layout)) => {
                         admission.restore(
                             tenant,
                             Pending {
                                 job_id: job.id,
                                 name: job.name,
-                                layout: job.layout,
+                                layout,
                                 timeout: job.timeout,
                                 priority: job.priority,
                                 enqueued: Instant::now(),
@@ -300,7 +300,7 @@ impl FillService {
                         redispatched += 1;
                         JobState::Queued
                     }
-                    settled => {
+                    (settled, _) => {
                         results += 1;
                         JobState::Settled(settled)
                     }

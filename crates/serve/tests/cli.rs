@@ -4,9 +4,10 @@
 //! and usage), never run on the only path as if it had been honoured.
 //! The same goes for a fault plan naming a site that does not exist (or
 //! one nothing injects at any more), or one the run never hands to the
-//! pool: a drill that injects nothing must not report success. And
-//! `--full-chip` runs in-process only: asking it to `--connect` to a
-//! server must be refused, not quietly ignored.
+//! pool: a drill that injects nothing must not report success, so a
+//! plan is refused before any file is read, and with `--connect`, where
+//! no local pool runs. And `--full-chip` runs in-process only: asking it
+//! to `--connect` to a server must be refused, not quietly ignored.
 //!
 //! What `runfill --out` writes must be enough to re-verify a job from
 //! disk: its `<name>.plan`, realized and scored on the golden simulator,
@@ -113,6 +114,40 @@ fn runfill_refuses_a_fault_plan_with_an_unknown_site_before_any_job_starts() {
 }
 
 #[test]
+fn both_binaries_refuse_a_bad_fault_plan_before_reading_the_model_bundle() {
+    let dir = std::env::temp_dir().join(format!("neurfill_cli_plan_first_{}", std::process::id()));
+    let layouts = dir.join("layouts");
+    std::fs::create_dir_all(&layouts).unwrap();
+    let layout = &abc()[0];
+    layout_io::save_to_file(layout, layouts.join(format!("{}.layout", layout.name()))).unwrap();
+    let model = dir.join("missing.bundle");
+    let runfill = Command::new(env!("CARGO_BIN_EXE_runfill"))
+        .arg("--model")
+        .arg(&model)
+        .arg("--layouts")
+        .arg(&layouts)
+        .arg("--out")
+        .arg(dir.join("out"))
+        .args(["--fault-plan", "shard_read=crash@1"])
+        .output()
+        .unwrap();
+    let serve = Command::new(env!("CARGO_BIN_EXE_neurfill-serve"))
+        .arg("--model")
+        .arg(&model)
+        .args(["--addr", "127.0.0.1:0", "--fault-plan", "shard_read=crash@1"])
+        .output()
+        .unwrap();
+    for (bin, out) in [("runfill", runfill), ("neurfill-serve", serve)] {
+        let (stdout, stderr) =
+            (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+        assert_eq!(out.status.code(), Some(1), "{bin}: {stdout}{stderr}");
+        assert!(stderr.contains("unknown fault site"), "{bin}: {stderr}");
+        assert!(!stdout.contains("model bundle"), "{bin} read the bundle first: {stdout}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn runfill_refuses_full_chip_over_connect() {
     let out = Command::new(env!("CARGO_BIN_EXE_runfill"))
         .args(["--full-chip", "--rows", "8", "--cols", "8", "--connect", "127.0.0.1:1"])
@@ -124,6 +159,18 @@ fn runfill_refuses_full_chip_over_connect() {
     assert!(stdout.is_empty(), "the run must not have started: {stdout}");
     let full_chip_usage = stderr.split("runfill --full-chip").nth(1).expect("usage lists --full-chip");
     assert!(!full_chip_usage.contains("--connect"), "usage must not advertise it: {stderr}");
+}
+
+#[test]
+fn runfill_refuses_a_fault_plan_over_connect() {
+    let out = Command::new(env!("CARGO_BIN_EXE_runfill"))
+        .args(["--connect", "127.0.0.1:1", "--layouts", "missing", "--fault-plan", "synthesis=panic"])
+        .output()
+        .unwrap();
+    let (stdout, stderr) = (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert_eq!(out.status.code(), Some(2), "{stdout}{stderr}");
+    assert!(stderr.contains("--fault-plan injects in-process"), "{stderr}");
+    assert!(stdout.is_empty(), "the run must not have started: {stdout}");
 }
 
 #[test]

@@ -252,6 +252,7 @@ fn a_parent_format_done_record_replays_as_pending_and_the_job_re_runs() {
             dir.join(JOURNAL_FILE),
             sites::JOURNAL_WRITE,
             clean(),
+            |_| Ok(()),
         )
         .unwrap();
         log.append(b"done 1\nreport_len 10\n\nquality 1\nplan_len 2\namounts 0.5 1\n").unwrap();
