@@ -125,11 +125,15 @@ cargo test -p neurfill-layout --test plan_codec -q
 
 # `wait`, `wait_first` and `wait_timeout` take a terminal status and the
 # pool forgets the job; `fault_injection` and the pool's unit tests pin
-# what `wait`, `status` and `cancel` answer once a job has been taken.
-echo "== chaos/recovery suite (kill-at-every-ordinal, bit-identical resume, take-on-wait pool answers)"
+# what `wait` and `cancel` answer once a job has been taken. A failed job
+# runs once: `fault_injection` pins that an injected error fails its job
+# the first time, and the `cli` suite that both binaries refuse the
+# removed `--retries` flag and a bad fault plan before reading any file.
+echo "== chaos/recovery suite (kill-at-every-ordinal, bit-identical resume, take-on-wait pool answers, a failed job runs once)"
 cargo test -p neurfill-runtime --test wait_first -q
 cargo test -p neurfill-runtime --test fault_injection -q
 cargo test -p neurfill-runtime --lib pool -q
+cargo test -p neurfill-serve --test cli -q
 cargo test -p neurfill-chip --test checkpoint_resume -q
 cargo test -p neurfill-serve --test recovery -q
 

@@ -50,7 +50,7 @@ pub use numgrad::FiniteDifference;
 pub use params::{ParamsDisplay, ProcessParams};
 pub use profile::{ChipProfile, LayerProfile};
 pub use shard::{map_sequential, simulate_layer_sharded, ShardMap, ShardStats, TileShard};
-pub use simulator::{CmpSimulator, LayerInput, TraceStep};
+pub use simulator::{CmpSimulator, LayerInput};
 
 // Inert names the frozen benchmark still compiles against
 // (`nfbench/src/probes.rs:122` calls `with_numerics(NumericsTier::Fast)`;

@@ -74,17 +74,6 @@ impl LayerInput {
     }
 }
 
-/// One recorded step of a simulation trace (all values in nm).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TraceStep {
-    /// Mean up-area height after this step.
-    pub mean_height: f64,
-    /// Mean step height (up − down) after this step.
-    pub mean_step: f64,
-    /// Up-area peak-to-valley range after this step.
-    pub height_range: f64,
-}
-
 /// The full-chip CMP simulator (golden model).
 ///
 /// # Examples
@@ -133,18 +122,6 @@ impl CmpSimulator {
         &self.params
     }
 
-    /// Simulates one layer, recording the mean height, mean step height
-    /// and height range after every unit polish step — the time-evolution
-    /// view used to study step clearing and planarization dynamics.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `input` fails validation.
-    #[must_use]
-    pub fn simulate_layer_trace(&self, input: &LayerInput) -> (LayerProfile, Vec<TraceStep>) {
-        self.simulate_layer_impl(input, true)
-    }
-
     /// Simulates one layer.
     ///
     /// # Panics
@@ -152,12 +129,8 @@ impl CmpSimulator {
     /// Panics when `input` fails validation (programmer error — inputs
     /// extracted from a valid [`Layout`] always validate).
     #[must_use]
-    pub fn simulate_layer(&self, input: &LayerInput) -> LayerProfile {
-        self.simulate_layer_impl(input, false).0
-    }
-
     #[allow(clippy::expect_used)] // validation failure is a documented panic (programmer error)
-    fn simulate_layer_impl(&self, input: &LayerInput, record: bool) -> (LayerProfile, Vec<TraceStep>) {
+    pub fn simulate_layer(&self, input: &LayerInput) -> LayerProfile {
         input.validate().expect("valid layer input");
         let _layer_span = self.telemetry.span("sim.layer_ns");
         // Pre-registered per-stage histograms and kernel counters: inside
@@ -198,7 +171,6 @@ impl CmpSimulator {
         let mut z_up = vec![p.initial_height; n];
         let mut z_down: Vec<f64> = z_up.iter().map(|z| z - p.initial_step).collect();
 
-        let mut trace = Vec::new();
         let mut smoothed = vec![0.0; n];
         let mut pressures = vec![0.0; n];
         for _ in 0..p.steps {
@@ -234,18 +206,9 @@ impl CmpSimulator {
                 dsh_h.record(t3.saturating_sub(t2));
                 step_h.record(t3.saturating_sub(t0));
             }
-            if record {
-                let mean_up = z_up.iter().sum::<f64>() / n as f64;
-                let mean_step = z_up.iter().zip(&z_down).map(|(u, d)| u - d).sum::<f64>() / n as f64;
-                let max = z_up.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                let min = z_up.iter().cloned().fold(f64::INFINITY, f64::min);
-                trace.push(TraceStep { mean_height: mean_up, mean_step, height_range: max - min });
-            }
         }
 
-        let profile =
-            crate::shard::finalize_layer(input.rows, input.cols, &input.density, &z_up, &z_down);
-        (profile, trace)
+        crate::shard::finalize_layer(input.rows, input.cols, &input.density, &z_up, &z_down)
     }
 
     /// Simulates every layer of a layout.
@@ -334,24 +297,6 @@ mod tests {
         let dn = sim.simulate_layer(&narrow).dishing()[18];
         let dw = sim.simulate_layer(&wide).dishing()[18];
         assert!(dw > dn, "wide {dw} vs narrow {dn}");
-    }
-
-    #[test]
-    fn trace_records_monotone_removal_and_step_clearing() {
-        let sim = CmpSimulator::new(ProcessParams::fast()).unwrap();
-        let input = uniform_layer(6, 6, 0.5);
-        let (profile, trace) = sim.simulate_layer_trace(&input);
-        assert_eq!(trace.len(), sim.params().steps);
-        // Heights fall monotonically; the step height never grows.
-        for w in trace.windows(2) {
-            assert!(w[1].mean_height < w[0].mean_height);
-            assert!(w[1].mean_step <= w[0].mean_step + 1e-9);
-        }
-        // The trace endpoint agrees with the plain simulation.
-        let plain = sim.simulate_layer(&input);
-        assert_eq!(profile, plain);
-        // The initial step eventually falls below the critical height.
-        assert!(trace.last().unwrap().mean_step < sim.params().critical_step);
     }
 
     #[test]

@@ -259,13 +259,6 @@ impl NeurFill {
         &self.network
     }
 
-    /// A shared handle to the wrapped network, for injecting the same
-    /// trained surrogate into other consumers (pipeline, evaluation).
-    #[must_use]
-    pub fn shared_network(&self) -> Rc<CmpNeuralNetwork> {
-        Rc::clone(&self.network)
-    }
-
     /// The configuration in use.
     #[must_use]
     pub fn config(&self) -> &NeurFillConfig {

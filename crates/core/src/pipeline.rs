@@ -101,7 +101,7 @@ impl FillingFlow {
     }
 
     /// Assembles a flow around an already-trained network (e.g. loaded via
-    /// [`crate::persist`], or shared via [`FillingFlow::shared_network`]).
+    /// [`crate::persist`]).
     ///
     /// # Errors
     ///
@@ -139,13 +139,6 @@ impl FillingFlow {
     #[must_use]
     pub fn network(&self) -> &CmpNeuralNetwork {
         &self.network
-    }
-
-    /// A shared handle to the trained network — inject it into another
-    /// [`FillingFlow`] or a [`NeurFill`] without copying parameters.
-    #[must_use]
-    pub fn shared_network(&self) -> Rc<CmpNeuralNetwork> {
-        Rc::clone(&self.network)
     }
 
     /// The surrogate training report (empty when the network was supplied

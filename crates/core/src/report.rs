@@ -180,47 +180,6 @@ pub fn format_rows(design: &str, rows: &[MethodResult]) -> String {
     out
 }
 
-/// Writes results as CSV (one row per method) for downstream plotting.
-///
-/// A `&mut` reference can be passed for `w` (see `std::io::Write`).
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn write_csv<W: std::io::Write>(
-    design: &str,
-    rows: &[MethodResult],
-    mut w: W,
-) -> std::io::Result<()> {
-    writeln!(
-        w,
-        "design,method,delta_h_angstrom,ov,fa,sigma,sigma_star,ol,fs,time,mem,quality,overall,runtime_s,memory_gb,fill_um2,overlay_um2"
-    )?;
-    for r in rows {
-        writeln!(
-            w,
-            "{design},{},{:.1},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.3},{:.4},{:.0},{:.0}",
-            r.method.replace(',', ";"),
-            r.delta_h_angstrom,
-            r.breakdown.ov,
-            r.breakdown.fa,
-            r.breakdown.sigma,
-            r.breakdown.sigma_star,
-            r.breakdown.ol,
-            r.breakdown.fs,
-            r.breakdown.time,
-            r.breakdown.mem,
-            r.quality,
-            r.overall,
-            r.runtime_s,
-            r.memory_gb,
-            r.fill_amount,
-            r.overlay,
-        )?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,24 +217,6 @@ mod tests {
         assert_eq!(r.breakdown.time, 1.0);
         assert!(r.quality > 0.0);
         assert!(r.overall > r.quality * 0.8 - 1e-9);
-    }
-
-    #[test]
-    fn csv_has_header_and_one_row_per_method() {
-        let l = DesignSpec::new(DesignKind::CmpTest, 8, 8, 1).generate();
-        let sim = CmpSimulator::new(ProcessParams::fast()).unwrap();
-        let coeffs = Coefficients::calibrate(&l, &sim.simulate(&l), 60.0);
-        let plan = FillPlan::zeros(&l);
-        let r = evaluate_plan(&l, &sim, &coeffs, "Lin, [10]", &plan, &DummySpec::default(), 0.1, 0.01);
-        let mut buf = Vec::new();
-        write_csv("A", &[r], &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("design,method"));
-        // Embedded commas in method names are sanitized.
-        assert!(lines[1].contains("Lin; [10]"));
-        assert_eq!(lines[1].split(',').count(), lines[0].split(',').count());
     }
 
     #[test]

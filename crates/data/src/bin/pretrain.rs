@@ -162,6 +162,14 @@ fn run() -> Result<(), String> {
             manifest.cols
         ));
     }
+    if set.len() != manifest.samples {
+        return Err(format!(
+            "shards in {} hold {} samples but the manifest says {}",
+            args.data.display(),
+            set.len(),
+            manifest.samples
+        ));
+    }
     if args.val_shards >= set.num_shards() {
         return Err(format!(
             "--val-shards {} would leave no training shards (corpus has {})",

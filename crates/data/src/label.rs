@@ -333,6 +333,24 @@ mod tests {
     }
 
     #[test]
+    fn a_smaller_corpus_replaces_a_larger_one_in_the_same_directory() {
+        let dir = tmp("rerun");
+        let sources = benchmark_designs(10, 10, 1);
+        let big = LabelConfig { num_layouts: 8, ..fast_config(3, 1) };
+        // 8 layouts × 3 layers = 24 samples in 5 shards of 5.
+        assert_eq!(generate_labeled_shards(sources.clone(), &big, &dir).unwrap().shards.len(), 5);
+        // 12 samples in 3 shards: the first corpus's shards 3 and 4 must go.
+        let report = generate_labeled_shards(sources, &fast_config(9, 1), &dir).unwrap();
+        assert_eq!((report.samples, report.shards.len()), (12, 3));
+
+        let set = crate::ShardSet::open_dir(&dir).unwrap();
+        assert_eq!(set.num_shards(), 3, "{:?}", set.paths());
+        assert_eq!(set.len(), 12);
+        assert_eq!(Manifest::load(dir.join(MANIFEST_FILE)).unwrap().samples, set.len());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn shard_bytes_are_identical_across_worker_counts() {
         let sources = benchmark_designs(10, 10, 1);
         let dir1 = tmp("w1");

@@ -339,14 +339,31 @@ impl ShardSetWriter {
         Ok(())
     }
 
-    /// Seals the in-flight shard and returns `(path, count)` for every
-    /// shard written, in order.
+    /// Seals the in-flight shard, removes every `<prefix>-NNNNN` shard in
+    /// the directory with an index at or above the number written (a
+    /// larger earlier corpus's tail, which would otherwise be read as part
+    /// of this one), and returns `(path, count)` for every shard written,
+    /// in order.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors; the in-flight shard then stays unsealed.
     pub fn finish(mut self) -> io::Result<Vec<(PathBuf, u64)>> {
         self.seal()?;
+        let written = self.finished.len();
+        for entry in std::fs::read_dir(&self.dir)? {
+            let path = entry?.path();
+            let index = path
+                .file_name()
+                .and_then(|n| n.to_str())
+                .and_then(|n| n.strip_prefix(&self.prefix)?.strip_prefix('-'))
+                .and_then(|n| n.strip_suffix(SHARD_EXTENSION)?.strip_suffix('.'))
+                .filter(|digits| digits.bytes().all(|b| b.is_ascii_digit()))
+                .and_then(|digits| digits.parse::<usize>().ok());
+            if index.is_some_and(|i| i >= written) {
+                std::fs::remove_file(&path)?;
+            }
+        }
         Ok(self.finished)
     }
 

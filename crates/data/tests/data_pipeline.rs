@@ -123,3 +123,26 @@ fn pretrain_rejects_the_removed_numerics_flag() {
     assert!(stderr.contains("usage: pretrain"), "{stderr}");
     assert_eq!(stderr.matches("--numerics").count(), 1, "usage must not advertise the flag: {stderr}");
 }
+
+#[test]
+fn pretrain_refuses_a_corpus_whose_shards_disagree_with_the_manifest() {
+    let dir = tmp("miscount");
+    generate_labeled_shards(benchmark_designs(10, 10, 1), &label_config(31), &dir).unwrap();
+    let mut manifest = Manifest::load(dir.join(MANIFEST_FILE)).unwrap();
+    manifest.samples += 1;
+    manifest.save(dir.join(MANIFEST_FILE)).unwrap();
+
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_pretrain"))
+        .arg("--data")
+        .arg(&dir)
+        .arg("--out")
+        .arg(dir.join("s.bundle"))
+        .args(["--epochs", "1", "--base-channels", "4", "--depth", "1"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("hold 18 samples but the manifest says 19"), "{stderr}");
+    assert!(!dir.join("s.bundle").exists(), "nothing may be trained");
+    let _ = std::fs::remove_dir_all(&dir);
+}

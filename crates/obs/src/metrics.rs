@@ -242,13 +242,14 @@ fn bucket_bounds(i: usize) -> (u64, u64) {
 }
 
 /// One recorded telemetry event (a span completion or a named incident
-/// such as a retry or a circuit-open transition).
+/// such as a golden-simulator degradation).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
     /// Event class: `"span"` for span completions, callers' own kinds
     /// (e.g. `"fault"`) otherwise.
     pub kind: String,
-    /// Event name (the span name, or an incident name like `"retry"`).
+    /// Event name (the span name, or an incident name like
+    /// `"golden_degraded"`).
     pub name: String,
     /// Slash-joined span path at the time of the event (`""` outside any
     /// span).

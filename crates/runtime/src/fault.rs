@@ -59,14 +59,18 @@ pub enum FaultKind {
     Panic,
     /// Sleep for the given duration, then continue normally.
     Delay(Duration),
-    /// Fail the operation with a transient (retryable) error.
+    /// Fail the operation with an injected error. At a write site it
+    /// emulates an I/O error that
+    /// [`AppendLog::append`](crate::applog::AppendLog::append) can really
+    /// return; at a job site it fails the job, which runs once.
     Transient,
     /// Poison the site's numeric outputs with NaN (only meaningful at
     /// sites producing heights; elsewhere it is ignored).
     Nan,
-    /// Interrupt a durable write partway through (the write self-heals in
-    /// place — exercises retry logic, not recovery). Only meaningful at
-    /// write sites checked via [`FaultPlan::inject_write`].
+    /// Interrupt a durable write partway through (the append truncates
+    /// the torn bytes and redoes the record in place — exercises that
+    /// redo, not recovery). Only meaningful at write sites checked via
+    /// [`FaultPlan::inject_write`].
     ShortWrite,
     /// Leave a full-length record with a corrupted checksum on disk and
     /// fail this and every later write — replay must drop it by
@@ -129,8 +133,9 @@ fn splitmix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Marker substring carried by every injected transient error, used by
-/// [`crate::error::classify`] to route the failure into the retry path.
+/// Marker substring carried by every injected transient error, so a
+/// failed job's or a failed append's message names the fault that caused
+/// it. Nothing retries on it: a job that fails runs once.
 pub const TRANSIENT_MARKER: &str = "transient fault injected";
 
 /// A durable-write fault returned by [`FaultPlan::inject_write`], telling

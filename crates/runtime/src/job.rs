@@ -37,17 +37,11 @@ pub enum JobStatus {
     Queued,
     /// A worker is synthesizing.
     Running,
-    /// A transient failure occurred; the worker is backing off before
-    /// attempt `attempt + 1` (so `attempt: 1` means one retry underway).
-    Retrying {
-        /// The retry about to run (1-based).
-        attempt: u32,
-    },
     /// Finished; the report holds the results.
     Done(Box<JobReport>),
-    /// Failed with an error (synthesis error, panic, cancellation or
-    /// timeout) — see `neurfill_runtime::error::classify` for how the
-    /// message maps back to a failure class.
+    /// Failed with an error (synthesis or injected error, panic,
+    /// cancellation or timeout). A job runs once, so this is the error of
+    /// its one attempt.
     Failed(String),
 }
 

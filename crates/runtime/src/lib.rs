@@ -11,14 +11,15 @@
 //!   validated serialized bytes (the autograd substrate is thread-local,
 //!   so networks themselves never cross threads; every thread hydrates
 //!   its own instance from the same bytes).
-//! * [`RuntimePool`] — the job queue and worker pool: per-job status,
-//!   cooperative deadlines and cancellation, transient-failure retries,
-//!   graceful shutdown, and failures that never poison the pool. A job
+//! * [`RuntimePool`] — the job queue and worker pool: per-job waits,
+//!   cooperative deadlines and cancellation, graceful shutdown, and
+//!   failures that never poison the pool. A job runs once: it is
+//!   deterministic, so an attempt that failed would fail again. A job
 //!   is synthesis plus one multi-layer forward scoring its filled layout,
 //!   both on the worker's own network. The pool keeps live jobs only: a
 //!   terminal status goes to the one caller that waits for it.
 //! * [`FaultPlan`] — a deterministic fault-injection harness (panics,
-//!   delays, transient errors, NaN-poisoned outputs at named sites) that
+//!   delays, injected errors, NaN-poisoned outputs at named sites) that
 //!   drives the failure model's tests and stays inert in production.
 //!
 //! Beside them sits [`AppendLog`] ([`applog`]), the crash-tolerant record
@@ -49,7 +50,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod applog;
-pub mod error;
 pub mod fault;
 pub mod job;
 pub mod pool;
@@ -57,7 +57,6 @@ pub mod registry;
 mod stats;
 
 pub use applog::{AppendLog, Records, Replay};
-pub use error::{classify, ErrorClass, RetryPolicy, RuntimeError};
 pub use fault::{FaultKind, FaultPlan, FaultSpec, FaultTrigger, WriteFault};
 pub use job::{JobId, JobReport, JobSpec, JobStatus};
 pub use neurfill::CancelToken;

@@ -13,9 +13,11 @@
 //! # Failure model
 //!
 //! Jobs are isolated: a panic, error, timeout or cancellation fails that
-//! job only, never its worker or the pool. Transient failures retry under
-//! [`PoolOptions::retry`] with exponential backoff (status
-//! [`JobStatus::Retrying`]); deadlines are enforced *cooperatively* — a
+//! job only, never its worker or the pool. A job runs once: it is a
+//! deterministic function of its layout, the bundle and the flow
+//! configuration, so an attempt that returned an error would return it
+//! again, and the job is [`JobStatus::Failed`] with that error the first
+//! time. Deadlines are enforced *cooperatively* — a
 //! per-job [`CancelToken`] (deadline = submission + timeout) is threaded
 //! into the synthesis optimizer's iteration loops, so an expired or
 //! [`RuntimePool::cancel`]led job aborts mid-optimization instead of
@@ -29,12 +31,11 @@
 //! The pool keeps live jobs only. A terminal status is moved to the one
 //! caller that waits for it ([`RuntimePool::wait`],
 //! [`RuntimePool::wait_first`] or [`RuntimePool::wait_timeout`]), and the
-//! pool forgets the job: [`RuntimePool::status`], `wait` and
-//! [`RuntimePool::cancel`] then answer as for an id it never issued. So
+//! pool forgets the job: `wait` and [`RuntimePool::cancel`] then answer
+//! as for an id it never issued. So
 //! a finished job's report and plan live as long as its waiter keeps
 //! them, not as long as the pool.
 
-use crate::error::{RetryPolicy, RuntimeError};
 use crate::fault::{sites, FaultPlan};
 use crate::job::{JobId, JobReport, JobSpec, JobStatus};
 use crate::registry::ModelBundle;
@@ -45,7 +46,7 @@ use neurfill::{CancelToken, HeightNorm, PlanarityMetrics};
 use neurfill_cmpsim::ChipProfile;
 use neurfill_cmpsim::LayerProfile;
 use neurfill_layout::apply_fill;
-use neurfill_obs::{MetricsSnapshot, Telemetry};
+use neurfill_obs::MetricsSnapshot;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -62,30 +63,15 @@ pub struct PoolOptions {
     pub workers: usize,
     /// Deadline applied to jobs that don't carry their own.
     pub default_timeout: Option<Duration>,
-    /// Retry budget and backoff for transiently-failing jobs.
-    pub retry: RetryPolicy,
     /// Fault-injection plan (disabled by default; see [`FaultPlan`]).
     /// With the disabled plan every code path is bit-identical to a
     /// fault-free runtime.
     pub fault: Arc<FaultPlan>,
-    /// Telemetry handle. The default (disabled) handle changes nothing:
-    /// the pool's `runtime.*` counters still count (in a private
-    /// registry), but no spans, events or latency histograms are
-    /// recorded. An enabled handle also propagates to each worker's flow
-    /// (unless the [`FlowConfig`] carries its own), so one registry
-    /// covers simulator, optimizer, flow and runtime metrics.
-    pub telemetry: Telemetry,
 }
 
 impl Default for PoolOptions {
     fn default() -> Self {
-        Self {
-            workers: 0,
-            default_timeout: None,
-            retry: RetryPolicy::default(),
-            fault: Arc::new(FaultPlan::disabled()),
-            telemetry: Telemetry::disabled(),
-        }
+        Self { workers: 0, default_timeout: None, fault: Arc::new(FaultPlan::disabled()) }
     }
 }
 
@@ -197,6 +183,12 @@ impl RuntimePool {
     /// its own network from `bundle` (on its first job) and binding it
     /// into a flow under `config`.
     ///
+    /// `config.telemetry` is the pool's one telemetry handle: the
+    /// workers' flows (and through them the simulator and optimizers)
+    /// and the pool's spans, events and latency histograms all record
+    /// into it. The disabled default changes nothing: the `runtime.*`
+    /// counters still count, in a private registry.
+    ///
     /// # Errors
     ///
     /// Returns an error when a thread cannot be spawned. Hydration
@@ -204,16 +196,10 @@ impl RuntimePool {
     /// half-constructed.
     pub fn new(
         bundle: Arc<ModelBundle>,
-        mut config: FlowConfig,
+        config: FlowConfig,
         options: PoolOptions,
     ) -> std::io::Result<Self> {
-        // One registry end to end: an enabled pool telemetry reaches the
-        // workers' flows (and through them the simulator and optimizers)
-        // unless the flow config already carries its own handle.
-        if options.telemetry.is_enabled() && !config.telemetry.is_enabled() {
-            config.telemetry = options.telemetry.clone();
-        }
-        let stats = Arc::new(StatsInner::new(&options.telemetry));
+        let stats = Arc::new(StatsInner::new(&config.telemetry));
         let table = Arc::new(JobTable::default());
         let (tx, rx) = unbounded::<Queued>();
         let worker_count = if options.workers == 0 { default_workers() } else { options.workers };
@@ -225,10 +211,9 @@ impl RuntimePool {
                 let table = Arc::clone(&table);
                 let stats = Arc::clone(&stats);
                 let fault = Arc::clone(&options.fault);
-                let retry = options.retry;
                 std::thread::Builder::new()
                     .name(format!("neurfill-worker-{i}"))
-                    .spawn(move || worker_loop(&rx, &bundle, &config, &table, &stats, &fault, retry))
+                    .spawn(move || worker_loop(&rx, &bundle, &config, &table, &stats, &fault))
             })
             .collect::<std::io::Result<Vec<_>>>()?;
         Ok(Self {
@@ -273,13 +258,6 @@ impl RuntimePool {
             return Err("pool workers are gone; job not enqueued".to_string());
         }
         Ok(id)
-    }
-
-    /// The job's current status; `None` for an unknown id or one whose
-    /// terminal status a wait has already taken.
-    #[must_use]
-    pub fn status(&self, id: JobId) -> Option<JobStatus> {
-        self.table.jobs.lock().get(&id).map(|(status, _)| status.clone())
     }
 
     /// Requests cooperative cancellation of a job. Returns whether the
@@ -360,7 +338,7 @@ impl RuntimePool {
     }
 
     /// A telemetry snapshot of everything recorded in the registry the
-    /// pool's counters live in. With [`PoolOptions::telemetry`] attached
+    /// pool's counters live in. With an enabled [`FlowConfig::telemetry`]
     /// this is the whole shared registry — `runtime.*` counters, `job.*`
     /// histograms, `sim.*`/`optim.*`/`flow.*` metrics from the workers'
     /// flows, and degradation events. With the default
@@ -392,10 +370,10 @@ impl Drop for RuntimePool {
     }
 }
 
-/// Hydrates the worker's flow on first use (and again after a faulted
-/// hydration attempt left the slot empty), so hydration failures are
-/// per-attempt and retryable instead of condemning every job the worker
-/// ever takes.
+/// Hydrates the worker's flow on first use (and again after a failed
+/// hydration left the slot empty), so a hydration failure fails the one
+/// job that hit it instead of condemning every job the worker ever
+/// takes.
 fn ensure_flow<'a>(
     slot: &'a mut Option<FillingFlow>,
     bundle: &ModelBundle,
@@ -415,18 +393,6 @@ fn ensure_flow<'a>(
     slot.as_ref().ok_or_else(|| "worker flow initialization failed".to_string())
 }
 
-/// Sleeps for `backoff`, clipped so a retry never waits past the job's
-/// deadline.
-fn backoff_within_deadline(backoff: Duration, deadline: Option<Instant>) {
-    let wait = match deadline {
-        Some(d) => backoff.min(d.saturating_duration_since(Instant::now())),
-        None => backoff,
-    };
-    if !wait.is_zero() {
-        std::thread::sleep(wait);
-    }
-}
-
 fn worker_loop(
     rx: &Receiver<Queued>,
     bundle: &ModelBundle,
@@ -434,11 +400,10 @@ fn worker_loop(
     table: &JobTable,
     stats: &StatsInner,
     fault: &FaultPlan,
-    retry: RetryPolicy,
 ) {
     // The flow (one hydration + assembly) is amortized over every job this
-    // worker takes, but built lazily so a faulted/failed hydration can be
-    // retried on the next attempt instead of poisoning the worker.
+    // worker takes, but built lazily so a failed hydration is tried afresh
+    // for the next job instead of poisoning the worker.
     let mut flow: Option<FillingFlow> = None;
 
     while let Ok(job) = rx.recv() {
@@ -452,54 +417,30 @@ fn worker_loop(
             fail(table, stats, job.id, format!("job '{}' cancelled while queued", job.spec.name));
             continue;
         }
-        let mut attempt: u32 = 0;
-        // One span per job (all attempts): records `job.total_ns` and a
-        // span event. Inert when no telemetry is attached.
+        // One span per job: records `job.total_ns` and a span event. Inert
+        // when no telemetry is attached.
         let job_span = stats.events.span("job.total_ns");
-        let status = loop {
-            table.set(
-                job.id,
-                if attempt == 0 { JobStatus::Running } else { JobStatus::Retrying { attempt } },
-            );
-            // Panics — the job's own or injected at any site — are caught
-            // here: they fail the job, never the worker.
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let flow = ensure_flow(&mut flow, bundle, config, fault, stats)?;
-                run_job(flow, &job.spec, &job.cancel, fault, stats)
-            }));
-            break match outcome {
-                Ok(Ok(report)) => {
-                    if deadline.is_some_and(|d| Instant::now() > d) {
-                        JobStatus::Failed(format!("job '{}' exceeded its timeout", job.spec.name))
-                    } else {
-                        JobStatus::Done(Box::new(report))
-                    }
+        table.set(job.id, JobStatus::Running);
+        // Panics — the job's own or injected at any site — are caught
+        // here: they fail the job, never the worker.
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let flow = ensure_flow(&mut flow, bundle, config, fault, stats)?;
+            run_job(flow, &job.spec, &job.cancel, fault, stats)
+        }));
+        let status = match outcome {
+            Ok(Ok(report)) => {
+                if deadline.is_some_and(|d| Instant::now() > d) {
+                    JobStatus::Failed(format!("job '{}' exceeded its timeout", job.spec.name))
+                } else {
+                    JobStatus::Done(Box::new(report))
                 }
-                Ok(Err(e)) => {
-                    let err = RuntimeError::from_message(e);
-                    if err.is_retryable() && attempt < retry.max_retries && !job.cancel.is_cancelled() {
-                        attempt += 1;
-                        stats.retries.inc();
-                        stats.events.event(
-                            "fault",
-                            "retry",
-                            &[
-                                ("job", job.spec.name.clone()),
-                                ("attempt", attempt.to_string()),
-                                ("error", err.message.clone()),
-                            ],
-                        );
-                        backoff_within_deadline(retry.backoff(attempt), deadline);
-                        continue;
-                    }
-                    JobStatus::Failed(err.message)
-                }
-                Err(panic) => JobStatus::Failed(format!(
-                    "job '{}' panicked: {}",
-                    job.spec.name,
-                    panic_message(&*panic)
-                )),
-            };
+            }
+            Ok(Err(e)) => JobStatus::Failed(e),
+            Err(panic) => JobStatus::Failed(format!(
+                "job '{}' panicked: {}",
+                job.spec.name,
+                panic_message(&*panic)
+            )),
         };
         drop(job_span);
         match status {
@@ -584,9 +525,8 @@ fn run_job(
     let verify_start = Instant::now();
     let dummy = flow.config().insertion_dummy_spec();
     let filled = apply_fill(&spec.layout, &result.plan, &dummy);
-    // Fault site `verify_forward`: a transient fails this attempt (the
-    // job retries), a panic fails this job only, NaN poisons the heights
-    // so the health guard below trips.
+    // Fault site `verify_forward`: a transient or a panic fails this job
+    // only, NaN poisons the heights so the health guard below trips.
     let poison = fault.inject(sites::VERIFY_FORWARD)?;
     let mut profile = flow
         .network()
@@ -665,7 +605,8 @@ mod tests {
         assert!(pool.table.jobs.lock().is_empty(), "a taken job leaves neither status nor token");
         for id in [done, failed, cancelled] {
             assert!(!pool.cancel(id), "job {id} is terminal");
-            assert!(pool.status(id).is_none() && pool.wait(id).is_none(), "job {id} was taken");
+            assert!(pool.wait(id).is_none(), "job {id} was taken");
+            assert!(pool.wait_timeout(id, Duration::ZERO).is_none(), "job {id} was taken");
         }
     }
 

@@ -25,7 +25,6 @@ pub(crate) struct StatsInner {
     pub jobs_completed: Counter,
     pub jobs_failed: Counter,
     pub jobs_degraded: Counter,
-    pub retries: Counter,
     pub samples_inferred: Counter,
     pub hydrations: Counter,
     pub hydrate_nanos: Counter,
@@ -47,7 +46,6 @@ impl StatsInner {
             jobs_completed: registry.counter("runtime.jobs_completed"),
             jobs_failed: registry.counter("runtime.jobs_failed"),
             jobs_degraded: registry.counter("runtime.jobs_degraded"),
-            retries: registry.counter("runtime.retries"),
             samples_inferred: registry.counter("runtime.samples_inferred"),
             hydrations: registry.counter("runtime.hydrations"),
             hydrate_nanos: registry.counter("runtime.hydrate_ns"),
@@ -75,7 +73,6 @@ impl StatsInner {
             jobs_completed: self.jobs_completed.get(),
             jobs_failed: self.jobs_failed.get(),
             jobs_degraded: self.jobs_degraded.get(),
-            retries: self.retries.get(),
             samples_inferred: self.samples_inferred.get(),
             batches_formed: 0,
             mean_batch_occupancy: 0.0,
@@ -105,8 +102,6 @@ pub struct RuntimeStats {
     /// Jobs that completed but fell back to golden-simulator verification
     /// because the surrogate heights failed the numeric health guard.
     pub jobs_degraded: u64,
-    /// Job attempts re-run after a transient failure.
-    pub retries: u64,
     /// Window samples (one per layer of a filled layout) scored by the
     /// surrogate during verification.
     pub samples_inferred: u64,
@@ -137,7 +132,7 @@ impl fmt::Display for RuntimeStats {
             self.jobs_submitted, self.jobs_completed, self.jobs_failed
         )?;
         writeln!(f, "inference: {} samples", self.samples_inferred)?;
-        writeln!(f, "resilience: {} retries, {} degraded", self.retries, self.jobs_degraded)?;
+        writeln!(f, "degraded: {}", self.jobs_degraded)?;
         write!(
             f,
             "stages: hydrate {:.3}s x{}, synthesis {:.3}s, verify {:.3}s",
@@ -158,13 +153,11 @@ mod tests {
         let inner = StatsInner::default();
         inner.jobs_submitted.add(7);
         inner.samples_inferred.add(21);
-        inner.retries.add(2);
         inner.jobs_degraded.add(1);
         let text = inner.snapshot().to_string();
         assert!(text.contains("7 submitted"));
         assert!(text.contains("21 samples"));
-        assert!(text.contains("2 retries"));
-        assert!(text.contains("1 degraded"));
+        assert!(text.contains("degraded: 1"));
     }
 
     #[test]
@@ -172,12 +165,12 @@ mod tests {
         let t = Telemetry::new();
         let inner = StatsInner::new(&t);
         inner.jobs_submitted.inc();
-        inner.retries.add(3);
+        inner.jobs_degraded.add(3);
         let snap = t.snapshot();
         assert_eq!(snap.counter("runtime.jobs_submitted"), 1);
-        assert_eq!(snap.counter("runtime.retries"), 3);
+        assert_eq!(snap.counter("runtime.jobs_degraded"), 3);
         // The registry snapshot is the same registry.
-        assert_eq!(inner.registry_snapshot().counter("runtime.retries"), 3);
+        assert_eq!(inner.registry_snapshot().counter("runtime.jobs_degraded"), 3);
     }
 
     #[test]

@@ -10,9 +10,7 @@ use neurfill_cmpsim::ProcessParams;
 use neurfill_layout::{DesignKind, DesignSpec, Layout};
 use neurfill_nn::{UNet, UNetConfig};
 use neurfill_optim::SqpConfig;
-use neurfill_runtime::{
-    FaultPlan, JobSpec, JobStatus, ModelBundle, PoolOptions, RetryPolicy, RuntimePool,
-};
+use neurfill_runtime::{FaultPlan, JobSpec, JobStatus, ModelBundle, PoolOptions, RuntimePool};
 use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::Duration;
@@ -78,76 +76,41 @@ fn injected_panic_fails_only_its_job_and_spares_the_worker() {
     let stats = pool.shutdown();
     assert_eq!(stats.jobs_failed, 1);
     assert_eq!(stats.jobs_completed, 1);
-    assert_eq!(stats.retries, 0, "panics are permanent, never retried");
 }
 
 #[test]
-fn transient_synthesis_fault_retries_and_succeeds() {
+fn a_transient_fault_fails_its_job_once_and_spares_the_worker() {
+    // One worker. Job 1 fails at its synthesis, job 2 at its verification
+    // forward (the first that job 1 never reached), each on its one
+    // attempt; job 3 then completes on the same worker.
     let pool = pool_with(
-        "synthesis=transient@1",
-        PoolOptions {
-            workers: 1,
-            retry: RetryPolicy {
-                max_retries: 2,
-                base_backoff: Duration::ZERO,
-                ..RetryPolicy::default()
-            },
-            ..PoolOptions::default()
-        },
+        "synthesis=transient@1;verify_forward=transient@1",
+        PoolOptions { workers: 1, ..PoolOptions::default() },
     );
-    let id = pool.submit(JobSpec::new("flaky", layout(3))).unwrap();
-    let report = done(pool.wait(id));
-    assert!(report.degraded.is_none(), "retry path is not a degradation");
+    let ids: Vec<_> =
+        (0..3).map(|i| pool.submit(JobSpec::new(format!("job{i}"), layout(3 + i))).unwrap()).collect();
+    for (id, site) in ids[..2].iter().zip(["synthesis", "verify_forward"]) {
+        let msg = failed(pool.wait(*id));
+        assert!(msg.contains("transient fault injected") && msg.contains(site), "{msg}");
+    }
+    assert!(done(pool.wait(ids[2])).degraded.is_none(), "a failed job is not a degradation");
     let stats = pool.shutdown();
-    assert_eq!(stats.retries, 1, "exactly the one injected transient");
+    assert_eq!(stats.jobs_failed, 2);
     assert_eq!(stats.jobs_completed, 1);
-    assert_eq!(stats.jobs_failed, 0);
 }
 
 #[test]
-fn transient_hydration_fault_is_retried_with_a_fresh_hydration() {
-    let pool = pool_with(
-        "hydrate=transient@1",
-        PoolOptions {
-            workers: 1,
-            retry: RetryPolicy {
-                max_retries: 1,
-                base_backoff: Duration::ZERO,
-                ..RetryPolicy::default()
-            },
-            ..PoolOptions::default()
-        },
-    );
-    // The worker's first hydration attempt fails transiently; the retry
-    // hydrates afresh.
-    let id = pool.submit(JobSpec::new("hydrate-flaky", layout(4))).unwrap();
-    let report = done(pool.wait(id));
-    assert!(report.quality.is_finite());
+fn a_failed_hydration_fails_one_job_and_the_next_hydrates_afresh() {
+    let pool = pool_with("hydrate=transient@1", PoolOptions { workers: 1, ..PoolOptions::default() });
+    let first = pool.submit(JobSpec::new("hydrate-fails", layout(4))).unwrap();
+    let second = pool.submit(JobSpec::new("hydrates", layout(5))).unwrap();
+    let msg = failed(pool.wait(first));
+    assert!(msg.contains("transient fault injected") && msg.contains("hydrate"), "{msg}");
+    assert!(done(pool.wait(second)).quality.is_finite());
     let stats = pool.shutdown();
-    assert_eq!(stats.retries, 1);
-    assert_eq!(stats.hydrations, 1, "the worker's successful second attempt");
-}
-
-#[test]
-fn exhausted_retry_budget_fails_with_the_transient_error() {
-    let pool = pool_with(
-        "synthesis=transient",
-        PoolOptions {
-            workers: 1,
-            retry: RetryPolicy {
-                max_retries: 2,
-                base_backoff: Duration::ZERO,
-                ..RetryPolicy::default()
-            },
-            ..PoolOptions::default()
-        },
-    );
-    let id = pool.submit(JobSpec::new("always-flaky", layout(5))).unwrap();
-    let msg = failed(pool.wait(id));
-    assert!(msg.contains("transient"), "{msg}");
-    let stats = pool.shutdown();
-    assert_eq!(stats.retries, 2, "full budget consumed");
+    assert_eq!(stats.hydrations, 1, "the second job's hydration, the worker's first success");
     assert_eq!(stats.jobs_failed, 1);
+    assert_eq!(stats.jobs_completed, 1);
 }
 
 #[test]
@@ -167,7 +130,6 @@ fn mid_job_deadline_aborts_synthesis_cooperatively() {
     assert!(msg.contains("deadline exceeded"), "cooperative mid-job abort, got: {msg}");
     let stats = pool.shutdown();
     assert_eq!(stats.jobs_failed, 1);
-    assert_eq!(stats.retries, 0, "deadline errors are not retryable");
 }
 
 #[test]
@@ -189,7 +151,6 @@ fn cancellation_hits_running_and_queued_jobs() {
     assert!(!pool.cancel(a), "terminal jobs are no longer cancellable");
 
     assert!(pool.wait(9_999).is_none(), "unknown ids wait to None");
-    assert!(pool.status(9_999).is_none());
     let stats = pool.shutdown();
     assert_eq!(stats.jobs_failed, 2);
 }
@@ -207,30 +168,6 @@ fn verify_forward_panic_fails_only_its_job_and_spares_the_worker() {
     let stats = pool.shutdown();
     assert_eq!(stats.jobs_failed, 1);
     assert_eq!(stats.jobs_completed, 1);
-    assert_eq!(stats.retries, 0, "panics are permanent, never retried");
-}
-
-#[test]
-fn transient_verify_forward_fault_retries_and_succeeds() {
-    let pool = pool_with(
-        "verify_forward=transient@1",
-        PoolOptions {
-            workers: 1,
-            retry: RetryPolicy {
-                max_retries: 2,
-                base_backoff: Duration::ZERO,
-                ..RetryPolicy::default()
-            },
-            ..PoolOptions::default()
-        },
-    );
-    let id = pool.submit(JobSpec::new("flaky-verify", layout(12))).unwrap();
-    let report = done(pool.wait(id));
-    assert!(report.degraded.is_none(), "retry path is not a degradation");
-    let stats = pool.shutdown();
-    assert_eq!(stats.retries, 1, "exactly the one injected transient");
-    assert_eq!(stats.jobs_completed, 1);
-    assert_eq!(stats.jobs_failed, 0);
 }
 
 #[test]

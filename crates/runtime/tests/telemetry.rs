@@ -12,11 +12,10 @@ use neurfill_layout::{DesignKind, DesignSpec, Layout};
 use neurfill_nn::{UNet, UNetConfig};
 use neurfill_optim::SqpConfig;
 use neurfill_runtime::{
-    FaultPlan, JobSpec, JobStatus, ModelBundle, PoolOptions, RetryPolicy, RuntimePool, RuntimeStats,
+    FaultPlan, JobSpec, JobStatus, ModelBundle, PoolOptions, RuntimePool, RuntimeStats,
 };
 use rand::SeedableRng;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn network(seed: u64) -> CmpNeuralNetwork {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -43,20 +42,14 @@ fn layout(seed: u64) -> Layout {
     DesignSpec::new(DesignKind::CmpTest, 8, 8, seed).generate()
 }
 
-/// A pool with telemetry attached and an optional fault plan.
+/// A pool with telemetry attached (through its flow config) and an
+/// optional fault plan.
 fn pool_with(plan: &str, options: PoolOptions) -> (RuntimePool, Telemetry) {
     let bundle = Arc::new(ModelBundle::from_network(&network(42)).unwrap());
     let telemetry = Telemetry::new();
-    let options = PoolOptions {
-        fault: Arc::new(FaultPlan::parse(plan, 0).unwrap()),
-        telemetry: telemetry.clone(),
-        ..options
-    };
-    (RuntimePool::new(bundle, flow_config(), options).unwrap(), telemetry)
-}
-
-fn retry_once() -> RetryPolicy {
-    RetryPolicy { max_retries: 2, base_backoff: Duration::ZERO, ..RetryPolicy::default() }
+    let flow = FlowConfig { telemetry: telemetry.clone(), ..flow_config() };
+    let options = PoolOptions { fault: Arc::new(FaultPlan::parse(plan, 0).unwrap()), ..options };
+    (RuntimePool::new(bundle, flow, options).unwrap(), telemetry)
 }
 
 /// Run `jobs` fixed-seed layouts to completion and return the snapshot.
@@ -85,7 +78,7 @@ fn fault_event_named<'s>(snap: &'s MetricsSnapshot, name: &str) -> &'s neurfill:
 #[test]
 fn one_snapshot_covers_sim_optimizer_and_runtime_activity() {
     // The acceptance bar for `--metrics-out`: a single registry, attached
-    // at the pool, must see simulator stages, optimizer work, the runtime
+    // through the pool's flow config, must see simulator stages, optimizer work, the runtime
     // job lifecycle and verification forwards from one fixed-seed run.
     let (pool, _) = pool_with("", PoolOptions { workers: 1, ..PoolOptions::default() });
     let snap = run_jobs(&pool, 2);
@@ -120,7 +113,6 @@ fn deterministic_counters_agree_between_one_and_many_workers() {
         "runtime.jobs_completed",
         "runtime.jobs_failed",
         "runtime.jobs_degraded",
-        "runtime.retries",
         "runtime.samples_inferred",
         "sim.layers",
         "optim.sqp.solves",
@@ -142,21 +134,6 @@ fn deterministic_counters_agree_between_one_and_many_workers() {
         solo.histogram("job.total_ns").map(|h| h.count),
         fleet.histogram("job.total_ns").map(|h| h.count)
     );
-}
-
-#[test]
-fn retry_transition_emits_counter_and_fault_event() {
-    let (pool, _) = pool_with(
-        "synthesis=transient@1",
-        PoolOptions { workers: 1, retry: retry_once(), ..PoolOptions::default() },
-    );
-    let snap = run_jobs(&pool, 1);
-    let _ = pool.shutdown();
-
-    assert_eq!(snap.counter("runtime.retries"), 1);
-    let event = fault_event_named(&snap, "retry");
-    assert_eq!(event.fields.iter().find(|(k, _)| k == "job").map(|(_, v)| v.as_str()), Some("job-0"));
-    assert!(event.fields.iter().any(|(k, v)| k == "error" && v.contains("transient")));
 }
 
 #[test]
@@ -189,8 +166,9 @@ fn disabled_telemetry_leaves_reports_and_stats_byte_identical() {
     };
     let run = |telemetry: Telemetry| -> (Vec<String>, RuntimeStats) {
         let bundle = Arc::new(ModelBundle::from_network(&network(42)).unwrap());
-        let options = PoolOptions { workers: 1, telemetry, ..PoolOptions::default() };
-        let pool = RuntimePool::new(bundle, flow_config(), options).unwrap();
+        let flow = FlowConfig { telemetry, ..flow_config() };
+        let options = PoolOptions { workers: 1, ..PoolOptions::default() };
+        let pool = RuntimePool::new(bundle, flow, options).unwrap();
         let ids: Vec<_> = (0..2)
             .map(|i| pool.submit(JobSpec::new(format!("job-{i}"), layout(100 + i))).unwrap())
             .collect();
@@ -214,7 +192,7 @@ fn disabled_telemetry_leaves_reports_and_stats_byte_identical() {
         stats
             .to_string()
             .lines()
-            .filter(|l| l.starts_with("jobs:") || l.starts_with("resilience:"))
+            .filter(|l| l.starts_with("jobs:") || l.starts_with("degraded:"))
             .map(str::to_string)
             .collect()
     };
@@ -227,12 +205,11 @@ fn disabled_telemetry_leaves_reports_and_stats_byte_identical() {
 fn real_run_snapshot_round_trips_through_jsonl() {
     // A snapshot from an actual faulted run (counters + histograms +
     // gauges + structured events) must survive serialization unchanged.
-    let (pool, _) = pool_with(
-        "synthesis=transient@1",
-        PoolOptions { workers: 1, retry: retry_once(), ..PoolOptions::default() },
-    );
+    let (pool, _) =
+        pool_with("verify_forward=nan@1", PoolOptions { workers: 1, ..PoolOptions::default() });
     let snap = run_jobs(&pool, 2);
     let _ = pool.shutdown();
+    fault_event_named(&snap, "golden_degraded");
 
     let text = snap.to_jsonl();
     let back = MetricsSnapshot::from_jsonl(&text).unwrap();

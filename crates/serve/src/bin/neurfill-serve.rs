@@ -3,7 +3,7 @@
 //! ```text
 //! neurfill-serve --model surrogate.bundle [--addr 127.0.0.1:7171]
 //!                [--tenant name[:weight[:capacity]]]... [--default-tenant NAME]
-//!                [--workers N] [--slots N] [--timeout-s S] [--retries N]
+//!                [--workers N] [--slots N] [--timeout-s S]
 //!                [--canary-samples N] [--canary-sigma-tol T]
 //!                [--drain-timeout-s S] [--metrics-out metrics.jsonl]
 //!                [--journal DIR] [--fault-plan SPEC] [--fault-seed N] [--fast]
@@ -23,7 +23,7 @@
 
 use neurfill::pipeline::FlowConfig;
 use neurfill_cmpsim::ProcessParams;
-use neurfill_runtime::{FaultPlan, ModelBundle, PoolOptions, RetryPolicy};
+use neurfill_runtime::{FaultPlan, ModelBundle, PoolOptions};
 use neurfill_serve::{CanaryConfig, FillService, Server, ServerConfig, ServiceConfig, TenantConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -38,7 +38,6 @@ struct Args {
     workers: usize,
     slots: usize,
     timeout: Option<Duration>,
-    retries: u32,
     canary_samples: usize,
     canary_sigma_tol: Option<f64>,
     drain_timeout: Duration,
@@ -53,7 +52,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: neurfill-serve --model <bundle> [--addr HOST:PORT]\n\
          \x20      [--tenant name[:weight[:capacity]]]... [--default-tenant NAME]\n\
-         \x20      [--workers N] [--slots N] [--timeout-s S] [--retries N]\n\
+         \x20      [--workers N] [--slots N] [--timeout-s S]\n\
          \x20      [--canary-samples N] [--canary-sigma-tol T] [--drain-timeout-s S]\n\
          \x20      [--metrics-out <file>] [--journal DIR]\n\
          \x20      [--fault-plan SPEC] [--fault-seed N] [--fast]"
@@ -77,7 +76,6 @@ fn parse_args() -> Args {
         workers: 0,
         slots: 0,
         timeout: None,
-        retries: 0,
         canary_samples: 4,
         canary_sigma_tol: None,
         drain_timeout: Duration::from_secs(30),
@@ -117,7 +115,6 @@ fn parse_args() -> Args {
                     "--timeout-s",
                 )))
             }
-            "--retries" => args.retries = parse_num(&value(&mut it, "--retries"), "--retries"),
             "--canary-samples" => {
                 args.canary_samples = parse_num(&value(&mut it, "--canary-samples"), "--canary-samples")
             }
@@ -168,7 +165,6 @@ fn run() -> Result<(), String> {
         .map_err(|e| format!("loading {}: {e}", args.model.display()))?;
     println!("model bundle {} (digest {:016x})", args.model.display(), bundle.digest());
 
-    let telemetry = neurfill::telemetry::Telemetry::new();
     let process = if args.fast { ProcessParams::fast() } else { ProcessParams::default() };
     let flow = FlowConfig { process, ..FlowConfig::default() };
     let service = FillService::start(
@@ -188,9 +184,7 @@ fn run() -> Result<(), String> {
             pool: PoolOptions {
                 workers: args.workers,
                 default_timeout: args.timeout,
-                retry: RetryPolicy::with_retries(args.retries),
                 fault: Arc::new(fault),
-                telemetry,
             },
             ..ServiceConfig::default()
         },

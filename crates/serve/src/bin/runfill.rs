@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! runfill --model surrogate.bundle --layouts designs/ [--out reports/]
-//!         [--workers N] [--timeout-s S] [--retries N]
+//!         [--workers N] [--timeout-s S]
 //!         [--fault-plan SPEC] [--fault-seed N] [--fast] [--init-demo N]
 //!         [--metrics-out metrics.jsonl]
 //! runfill --connect HOST:PORT --layouts designs/ [--out reports/]
@@ -55,9 +55,7 @@ use neurfill_layout::datagen::DataGenConfig;
 use neurfill_layout::io::{self as layout_io, PlanShape};
 use neurfill_layout::{benchmark_designs, DesignKind, DesignSpec, FullChipDesign, FullChipSpec, Tiling};
 use neurfill_nn::{TrainConfig, UNetConfig};
-use neurfill_runtime::{
-    FaultPlan, JobSpec, JobStatus, ModelBundle, PoolOptions, RetryPolicy, RuntimePool,
-};
+use neurfill_runtime::{FaultPlan, JobSpec, JobStatus, ModelBundle, PoolOptions, RuntimePool};
 use neurfill_serve::{Client, JobRequest, Priority};
 use rand::SeedableRng;
 use std::path::{Path, PathBuf};
@@ -74,7 +72,6 @@ struct Args {
     priority: Priority,
     workers: usize,
     timeout: Option<Duration>,
-    retries: u32,
     fault_plan: Option<String>,
     fault_seed: u64,
     fast: bool,
@@ -94,7 +91,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: runfill --model <bundle> --layouts <dir> [--out <dir>] [--workers N]\n\
-         \x20             [--timeout-s S] [--retries N] [--fault-plan SPEC] [--fault-seed N]\n\
+         \x20             [--timeout-s S] [--fault-plan SPEC] [--fault-seed N]\n\
          \x20             [--fast] [--init-demo N] [--metrics-out <file>]\n\
          \x20      runfill --connect HOST:PORT --layouts <dir> [--out <dir>]\n\
          \x20             [--tenant NAME] [--priority high|normal|low] [--timeout-s S]\n\
@@ -128,7 +125,6 @@ fn parse_args() -> Args {
         priority: Priority::Normal,
         workers: 0,
         timeout: None,
-        retries: 0,
         fault_plan: None,
         fault_seed: 0,
         fast: false,
@@ -172,7 +168,6 @@ fn parse_args() -> Args {
                     "--timeout-s",
                 )))
             }
-            "--retries" => args.retries = parse_num(&value(&mut it, "--retries"), "--retries"),
             "--fault-plan" => args.fault_plan = Some(value(&mut it, "--fault-plan")),
             "--fault-seed" => {
                 args.fault_seed = parse_num(&value(&mut it, "--fault-seed"), "--fault-seed")
@@ -468,14 +463,9 @@ fn run_full_chip_pool(args: &Args, out_dir: &Path, fault: Arc<FaultPlan>) -> Res
         .map_err(|e| format!("loading {}: {e}", args.model.display()))?;
     println!("model bundle {} (digest {:016x})", args.model.display(), bundle.digest());
     let telemetry = telemetry(args);
-    let flow = FlowConfig { process: params, ..FlowConfig::default() };
-    let options = PoolOptions {
-        workers: args.workers,
-        default_timeout: args.timeout,
-        retry: RetryPolicy::with_retries(args.retries),
-        fault: Arc::clone(&fault),
-        telemetry: telemetry.clone(),
-    };
+    let flow = FlowConfig { process: params, telemetry: telemetry.clone(), ..FlowConfig::default() };
+    let options =
+        PoolOptions { workers: args.workers, default_timeout: args.timeout, fault: Arc::clone(&fault) };
     let pool = RuntimePool::new(bundle, flow, options).map_err(|e| e.to_string())?;
     let checkpoint = match &args.checkpoint {
         Some(dir) => Some(TileCheckpoint::open(
@@ -591,15 +581,12 @@ fn run() -> Result<bool, String> {
         .map_err(|e| format!("loading {}: {e}", args.model.display()))?;
     println!("model bundle {} (digest {:016x})", args.model.display(), bundle.digest());
 
-    let telemetry = telemetry(&args);
-    let flow = FlowConfig { process: process_params(&args), ..FlowConfig::default() };
-    let options = PoolOptions {
-        workers: args.workers,
-        default_timeout: args.timeout,
-        retry: RetryPolicy::with_retries(args.retries),
-        fault,
-        telemetry: telemetry.clone(),
+    let flow = FlowConfig {
+        process: process_params(&args),
+        telemetry: telemetry(&args),
+        ..FlowConfig::default()
     };
+    let options = PoolOptions { workers: args.workers, default_timeout: args.timeout, fault };
     let pool = RuntimePool::new(bundle, flow, options).map_err(|e| e.to_string())?;
 
     let mut ids = Vec::new();
@@ -633,7 +620,7 @@ fn run() -> Result<bool, String> {
                 println!("FAIL  {name}: {e}");
                 failed.push((name.clone(), e));
             }
-            Some(JobStatus::Queued | JobStatus::Running | JobStatus::Retrying { .. }) => {
+            Some(JobStatus::Queued | JobStatus::Running) => {
                 unreachable!("wait returns terminal states")
             }
             None => {

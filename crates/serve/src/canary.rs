@@ -16,6 +16,7 @@ use neurfill::pipeline::FlowConfig;
 use neurfill::PlanarityMetrics;
 use neurfill_cmpsim::CmpSimulator;
 use neurfill_layout::{apply_fill, Layout};
+use neurfill_obs::Telemetry;
 use neurfill_runtime::{FaultPlan, JobSpec, JobStatus, ModelBundle, PoolOptions, RuntimePool};
 use std::sync::Arc;
 use std::time::Duration;
@@ -133,9 +134,11 @@ pub fn verify_bundle(
         workers: 1,
         default_timeout: Some(config.timeout),
         fault: Arc::clone(&config.fault),
-        ..PoolOptions::default()
     };
-    let pool = RuntimePool::new(Arc::clone(staged), flow.clone(), options)
+    // The canary records nothing into the live registry: its jobs are
+    // not live traffic.
+    let canary_flow = FlowConfig { telemetry: Telemetry::disabled(), ..flow.clone() };
+    let pool = RuntimePool::new(Arc::clone(staged), canary_flow, options)
         .map_err(|e| format!("canary pool failed to start: {e}"))?;
 
     // The golden simulator re-judges each canary fill when a disagreement

@@ -6,7 +6,7 @@
 //! turns the batch runtime into a shared service.
 //!
 //! * **Job lifecycle** — `POST /v1/jobs` (layout body + `x-*` attribute
-//!   headers), `GET /v1/jobs/{id}` (status incl. retrying/degraded, with
+//!   headers), `GET /v1/jobs/{id}` (status incl. degraded, with
 //!   `?wait_ms=` long-poll), `GET /v1/jobs/{id}/result`,
 //!   `GET /v1/jobs/{id}/plan` (the fill amounts, exact to the bit, in
 //!   the one plan format of `neurfill_layout::io` — the same bytes the

@@ -69,10 +69,12 @@ pub struct ServiceConfig {
     pub sample_ring: usize,
     /// Canary verification policy for staged bundles.
     pub canary: CanaryConfig,
-    /// Flow configuration shared by the live and canary pools.
+    /// Flow configuration shared by the live and canary pools. Its
+    /// telemetry is the service's one registry, force-enabled for the
+    /// live pool so `/metrics` always has content; the canary pool runs
+    /// with telemetry disabled.
     pub flow: FlowConfig,
-    /// Options for the live pool (telemetry is force-enabled so
-    /// `/metrics` always has content).
+    /// Options for the live pool.
     pub pool: PoolOptions,
     /// Directory for the write-ahead job journal. `None` (the default)
     /// serves without durability; `Some(dir)` write-ahead-logs every job
@@ -250,9 +252,9 @@ impl FillService {
         // `/metrics` must always have content, so the pool (and the
         // serve layer) record into an enabled registry even when the
         // caller did not pass one.
-        let mut pool_options = config.pool.clone();
-        pool_options.telemetry = pool_options.telemetry.or_enabled();
-        let telemetry = pool_options.telemetry.clone();
+        config.flow.telemetry = config.flow.telemetry.or_enabled();
+        let telemetry = config.flow.telemetry.clone();
+        let pool_options = config.pool;
 
         let pool =
             Arc::new(RuntimePool::new(Arc::clone(&bundle), config.flow.clone(), pool_options.clone())?);
@@ -754,12 +756,10 @@ fn status_locked(s: &State, id: u64) -> Option<StatusView> {
         JobState::Queued | JobState::Settled(RecoveredState::Pending { .. }) => {
             (WireState::Queued, None, None)
         }
-        // A status the watcher has taken (or is about to) still reads as
-        // running until the watcher settles the job.
-        JobState::Running { pool, pool_id } => match pool.status(*pool_id) {
-            Some(JobStatus::Retrying { attempt }) => (WireState::Retrying(attempt), None, None),
-            _ => (WireState::Running, None, None),
-        },
+        // Queued in the pool or synthesizing, and still so after the
+        // watcher has taken the pool's terminal status, until it settles
+        // the job.
+        JobState::Running { .. } => (WireState::Running, None, None),
         JobState::Settled(RecoveredState::Done { degraded, .. }) => {
             (WireState::Done, None, degraded.clone())
         }
@@ -864,7 +864,7 @@ fn watch_job(
         }
         // `wait` returns terminal statuses only, and nothing else takes
         // this job's: the pool lost it.
-        Some(JobStatus::Queued | JobStatus::Running | JobStatus::Retrying { .. }) | None => {
+        Some(JobStatus::Queued | JobStatus::Running) | None => {
             inner.tenant_scopes[tenant].inc("failed");
             RecoveredState::Failed { error: "job lost by the pool".to_string() }
         }

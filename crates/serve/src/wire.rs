@@ -155,8 +155,6 @@ pub enum WireState {
     Queued,
     /// Dispatched into the pool (queued-in-pool or synthesizing).
     Running,
-    /// Backing off before retry `attempt`.
-    Retrying(u32),
     /// Finished; the result endpoint has the report.
     Done,
     /// Failed with an error message.
@@ -172,7 +170,6 @@ impl WireState {
         match self {
             WireState::Queued => "queued",
             WireState::Running => "running",
-            WireState::Retrying(_) => "retrying",
             WireState::Done => "done",
             WireState::Failed => "failed",
             WireState::Cancelled => "cancelled",
@@ -212,9 +209,6 @@ impl StatusView {
     pub fn to_text(&self) -> String {
         let mut text =
             format!("id {}\ntenant {}\nstate {}\n", self.id, self.tenant, self.state.as_str());
-        if let WireState::Retrying(attempt) = self.state {
-            text.push_str(&format!("attempt {attempt}\n"));
-        }
         if let Some(error) = &self.error {
             text.push_str(&format!("error {}\n", error.replace('\n', " ")));
         }
@@ -237,7 +231,6 @@ impl StatusView {
         let mut id = None;
         let mut tenant = None;
         let mut state = None;
-        let mut attempt = 0u32;
         let mut error = None;
         let mut degraded = None;
         let mut recovered = false;
@@ -247,7 +240,6 @@ impl StatusView {
                 "id" => id = Some(value.parse().map_err(|_| format!("bad id {value:?}"))?),
                 "tenant" => tenant = Some(value.to_string()),
                 "state" => state = Some(value.to_string()),
-                "attempt" => attempt = value.parse().map_err(|_| format!("bad attempt {value:?}"))?,
                 "error" => error = Some(value.to_string()),
                 "degraded" => degraded = Some(value.to_string()),
                 "recovered" => recovered = value.trim() == "true",
@@ -257,7 +249,6 @@ impl StatusView {
         let state = match state.as_deref() {
             Some("queued") => WireState::Queued,
             Some("running") => WireState::Running,
-            Some("retrying") => WireState::Retrying(attempt),
             Some("done") => WireState::Done,
             Some("failed") => WireState::Failed,
             Some("cancelled") => WireState::Cancelled,
@@ -350,7 +341,7 @@ mod tests {
             StatusView {
                 id: 7,
                 tenant: "acme".to_string(),
-                state: WireState::Retrying(2),
+                state: WireState::Running,
                 error: None,
                 degraded: None,
                 recovered: false,
@@ -376,6 +367,8 @@ mod tests {
             assert_eq!(back, view);
         }
         assert!(StatusView::parse("state nonsense\n").is_err());
+        // A job runs once: there is no retrying state.
+        assert!(StatusView::parse("id 1\ntenant t\nstate retrying\n").is_err());
         // Pre-journal status bodies (no `recovered` line) still parse.
         let legacy = StatusView::parse("id 1\ntenant t\nstate done\n").unwrap();
         assert!(!legacy.recovered);

@@ -1,7 +1,9 @@
 //! The `--numerics` and `--backend` flags went away with the fast GEMM
 //! tier and the int8 backend, the two batching flags with the batch
-//! server; a script that still passes one must fail loudly (exit 2
-//! and usage), never run on the only path as if it had been honoured.
+//! server, `--retries` with the retry path (a failed job runs once); a
+//! script that still passes one must fail loudly (exit 2 and usage,
+//! before any file is read), never run on the only path as if it had
+//! been honoured.
 //! The same goes for a fault plan naming a site that does not exist (or
 //! one nothing injects at any more), or one the run never hands to the
 //! pool: a drill that injects nothing must not report success, so a
@@ -81,12 +83,14 @@ fn runfill_rejects_the_removed_flags() {
     assert_rejected(env!("CARGO_BIN_EXE_runfill"), "--backend", "quant");
     assert_rejected(env!("CARGO_BIN_EXE_runfill"), "--max-batch", "8");
     assert_rejected(env!("CARGO_BIN_EXE_runfill"), "--linger-ms", "5");
+    assert_rejected(env!("CARGO_BIN_EXE_runfill"), "--retries", "1");
 }
 
 #[test]
 fn neurfill_serve_rejects_the_removed_flags() {
     assert_rejected(env!("CARGO_BIN_EXE_neurfill-serve"), "--numerics", "fast");
     assert_rejected(env!("CARGO_BIN_EXE_neurfill-serve"), "--backend", "quant");
+    assert_rejected(env!("CARGO_BIN_EXE_neurfill-serve"), "--retries", "1");
 }
 
 #[test]
@@ -191,6 +195,33 @@ fn runfill_full_chip_pool_injects_its_fault_plan() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(1), "{stdout}");
     assert!(stdout.contains("tiles_failed 1"), "the drill must reach the tile's synthesis: {stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn runfill_fails_a_transient_faulted_job_once_and_completes_the_rest() {
+    let dir = std::env::temp_dir().join(format!("neurfill_cli_transient_{}", std::process::id()));
+    let layouts_dir = dir.join("layouts");
+    std::fs::create_dir_all(&layouts_dir).unwrap();
+    let model = dir.join("m.bundle");
+    neurfill::persist::save_to_file(&untrained_network(), &model).unwrap();
+    for layout in &abc() {
+        layout_io::save_to_file(layout, layouts_dir.join(format!("{}.layout", layout.name()))).unwrap();
+    }
+
+    let out = Command::new(env!("CARGO_BIN_EXE_runfill"))
+        .args(["--workers", "1", "--fast", "--fault-plan", "synthesis=transient@1", "--model"])
+        .arg(&model)
+        .arg("--layouts")
+        .arg(&layouts_dir)
+        .arg("--out")
+        .arg(dir.join("out"))
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.contains("jobs: 3 submitted, 2 completed, 1 failed"), "{stdout}");
+    assert_eq!(stdout.matches("transient fault injected at 'synthesis'").count(), 2, "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

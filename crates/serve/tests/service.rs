@@ -376,11 +376,19 @@ fn canary_rejects_nan_bundle_while_live_model_keeps_serving() {
     let id = client.submit(&JobRequest::new("warm", layout(1))).unwrap();
     assert_eq!(client.status(id, Some(Duration::from_secs(120))).unwrap().state, WireState::Done);
     let (digest_before, generation_before) = client.model_info().unwrap();
+    let live_counter = |client: &mut Client, name: &str| {
+        MetricsSnapshot::from_jsonl(&client.metrics().unwrap()).unwrap().counter(name)
+    };
+    let submitted_before = live_counter(&mut client, "runtime.jobs_submitted");
 
     let (promoted, report) = client.stage_model(staged.bytes()).unwrap();
     assert!(!promoted, "NaN-poisoned canary must reject promotion:\n{report}");
     assert!(report.contains("rejected"), "{report}");
     assert!(report.contains("degraded"), "{report}");
+    // The canary pool runs with telemetry disabled: its jobs never reach
+    // the live registry behind /metrics.
+    assert_eq!(live_counter(&mut client, "runtime.jobs_submitted"), submitted_before);
+    assert_eq!(live_counter(&mut client, "runtime.jobs_degraded"), 0);
 
     // The live model is untouched and still serving.
     let (digest_after, generation_after) = client.model_info().unwrap();
