@@ -48,8 +48,9 @@ cargo test -p neurfill-cmpsim --test kernel_equivalence -q
 # boards of layer 0 of chip_golden's chip in release only. bit_identity's
 # release-only test pins the Newton passes of chip_golden's 300 solves (at
 # most 4 per solve on average, none falling back to the bisection) next to
-# the sharded == monolithic bytes of both of its simulations.
-echo "== contact solve certification and chip bit identity, release build (Newton vs bisection, chip_golden boards and solves, sharded == monolithic)"
+# the bytes of both of its simulations: the chip assembled tile at a time
+# equals the monolithic simulator at any tiling.
+echo "== contact solve certification and chip bit identity, release build (Newton vs bisection, chip_golden boards and solves, tile-assembled chip == monolithic simulator at any tiling)"
 cargo test --release -p neurfill-cmpsim --lib contact -q
 cargo test --release -p neurfill-chip --test bit_identity -q
 
@@ -109,7 +110,7 @@ echo "== serve service suite"
 cargo test -p neurfill-serve --test service -q
 cargo test -p neurfill-serve --test http_hardening -q
 
-echo "== chip bit-identity suite (sharded == monolithic, any tiling)"
+echo "== chip bit-identity suite (tile-assembled chip == monolithic simulator at any tiling)"
 cargo test -p neurfill-chip --test bit_identity -q
 cargo test -p neurfill-layout --test tiling_props -q
 

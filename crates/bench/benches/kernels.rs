@@ -2,7 +2,7 @@
 //! reference implementations: blocked GEMM, row-span im2col, the direct
 //! convolution forward (against im2col + GEMM), the frozen-surrogate UNet
 //! backward, the row-accumulated pad convolution
-//! (whole boards and a shard's core window), the Newton contact solve
+//! (whole boards and a window of one), the Newton contact solve
 //! against the bisection it replaced (random boards and one of
 //! `chip_golden`'s; the Newton passes per solve are printed) and the
 //! `k·(√d·d)` pressures pass against `powf` on every window — plus frozen-UNet
@@ -27,8 +27,7 @@ use neurfill_cmpsim::contact::{
     solve_reference_plane, solve_reference_plane_reference, solve_reference_plane_stats,
     window_pressures, window_pressures_into,
 };
-use neurfill_cmpsim::shard::{dish_erosion_factors, polish_pointwise};
-use neurfill_cmpsim::{LayerInput, PadKernel, ProcessParams};
+use neurfill_cmpsim::{dish_erosion_factors, polish_pointwise, LayerInput, PadKernel, ProcessParams};
 use neurfill_data::LabelConfig;
 use neurfill_layout::datagen::DataGenConfig;
 use neurfill_layout::{benchmark_designs, DesignKind, FullChipSpec, Layout};
@@ -327,9 +326,9 @@ fn bench_pad_kernel(rows: &mut Vec<BenchRecord>) {
         );
         rows.push(row("pad_kernel", format!("{r}x{c}_r{radius}"), ns, Some(reference_ns)));
     }
-    // What one shard smooths per polish step in `chip_golden`: the 64×64
-    // core of its 72×72 halo-extended tile, against the reference over
-    // the whole tile.
+    // A window of a board: the 64×64 interior of a 72×72 board, the
+    // call a row-split smoothing would make, against the reference over
+    // the whole board.
     let kernel = PadKernel::exponential(1.5, 4);
     let field = random_f64(&mut rng, 72 * 72);
     let mut core = vec![0.0f64; 64 * 64];

@@ -7,14 +7,13 @@
 //! deficit below the chip's highest window is smoothed by the pad
 //! kernel (matching the length scale over which added metal actually
 //! changes polish), converted to a fill area through a fixed
-//! density-sensitivity, and clamped to the window's slack. Every step
-//! is either pointwise or a kernel application, so the sharded
-//! evaluation over tile extensions is *byte-identical* to the
-//! monolithic one — the fill half of the chip bit-identity suite.
+//! density-sensitivity, and clamped to the window's slack. The deficit
+//! map is smoothed once per layer over the whole chip; only the slack
+//! is read tile at a time, so the plan is the same at any tiling and
+//! worker count, and a tile is the unit of the run's checkpoint.
 
 use crate::checkpoint::TileCheckpoint;
-use crate::source::ChipSource;
-use neurfill_cmpsim::shard::smooth_core_into;
+use crate::source::{region_layout, ChipSource};
 use neurfill_cmpsim::{ChipProfile, PadKernel, ProcessParams};
 use neurfill_layout::{DummySpec, FillPlan, Layout, Tile, TileRect, Tiling};
 use neurfill_runtime::parallel_map_ordered;
@@ -165,7 +164,7 @@ impl ChipFillPlan {
 }
 
 /// Per-window fill amount from a smoothed deficit and the window's
-/// slack — the single pointwise expression both paths share.
+/// slack.
 #[inline]
 fn rule(smoothed_deficit: f64, slack: f64, area: f64, cfg: &ChipFillConfig) -> f64 {
     (cfg.gain * area * smoothed_deficit / cfg.nm_per_density).clamp(0.0, slack)
@@ -178,40 +177,13 @@ fn deficits(heights: &[f64]) -> Vec<f64> {
     heights.iter().map(|&h| h_max - h).collect()
 }
 
-/// The model-based fill rule evaluated monolithically on the whole
-/// chip layout and its unfilled height profile.
-///
-/// # Panics
-///
-/// Panics when the profile's dimensions disagree with the layout.
-#[must_use]
-pub fn model_fill_monolithic(
-    chip: &Layout,
-    profile: &ChipProfile,
-    params: &ProcessParams,
-    cfg: &ChipFillConfig,
-) -> ChipFillPlan {
-    let (rows, cols) = (chip.rows(), chip.cols());
-    let kernel = PadKernel::exponential(params.character_length, params.kernel_radius);
-    let area = chip.window_area();
-    let mut plan = ChipFillPlan::zeros(chip.num_layers(), rows, cols);
-    for l in 0..chip.num_layers() {
-        let layer = profile.layer(l);
-        assert_eq!((layer.rows(), layer.cols()), (rows, cols), "profile/layout mismatch");
-        let smoothed = kernel.apply(&deficits(layer.heights()), rows, cols);
-        let grid = chip.layer(l);
-        for (i, (sm, w)) in smoothed.iter().zip(grid.iter()).enumerate() {
-            plan.amounts[l * rows * cols + i] = rule(*sm, w.slack, area, cfg);
-        }
-    }
-    plan
-}
-
-/// The same rule evaluated shard-by-shard: the deficit map is gathered
-/// per tile over the halo extension, smoothed locally, and the core
-/// amounts merged — byte-identical to [`model_fill_monolithic`] when
-/// the tiling's halo is at least the kernel radius, at any worker
-/// count (tiles write disjoint core regions).
+/// The model-based fill rule on a chip source and its unfilled height
+/// profile: each layer's deficit map is smoothed once over the whole
+/// chip, then every tile of `tiling` reads its core's slack and turns
+/// the smoothed deficits of its core into amounts. Tiles write disjoint
+/// cores, so the plan is the same at any tiling and worker count; a
+/// [`Layout`] source with a single whole-chip tile is the monolithic
+/// evaluation.
 ///
 /// With a `checkpoint`, tiles already stored there are merged from
 /// their stored core amounts (a bit-exact decimal round-trip) instead
@@ -222,15 +194,15 @@ pub fn model_fill_monolithic(
 ///
 /// # Errors
 ///
-/// Returns a message when a checkpoint store fails (I/O or injected
-/// fault); completed tiles remain durable for the next attempt. Without
-/// a checkpoint the call cannot fail.
+/// Returns a message when a tile's layout does not have its core's
+/// dimensions, or a checkpoint store fails (I/O or injected fault);
+/// completed tiles remain durable for the next attempt.
 ///
 /// # Panics
 ///
 /// Panics when the profile or tiling dimensions disagree with the
 /// source.
-pub fn model_fill_sharded(
+pub fn model_fill(
     source: &dyn ChipSource,
     profile: &ChipProfile,
     tiling: &Tiling,
@@ -244,13 +216,11 @@ pub fn model_fill_sharded(
     let layers = source.num_layers();
     let kernel = PadKernel::exponential(params.character_length, params.kernel_radius);
     let area = source.window_area();
-    // Chip-sized deficit boards (one per layer) are the exchange
-    // medium, mirroring the simulator's envelope boards.
-    let boards: Vec<Vec<f64>> = (0..layers)
+    let smoothed: Vec<Vec<f64>> = (0..layers)
         .map(|l| {
             let layer = profile.layer(l);
             assert_eq!((layer.rows(), layer.cols()), (rows, cols), "profile/source mismatch");
-            deficits(layer.heights())
+            kernel.apply(&deficits(layer.heights()), rows, cols)
         })
         .collect();
     let mut plan = ChipFillPlan::zeros(layers, rows, cols);
@@ -264,31 +234,20 @@ pub fn model_fill_sharded(
             todo.push(t);
         }
     }
-    let results = parallel_map_ordered(todo, workers, |t| {
-        let sub = source.tile_layout(t.ext);
-        let mut ext_buf = vec![0.0; t.ext.len()];
-        let mut smoothed = vec![0.0; t.core.len()];
-        let mut core_amounts = Vec::with_capacity(layers * t.core.len());
-        for (l, board) in boards.iter().enumerate() {
-            for r in 0..t.ext.rows {
-                let src = (t.ext.row0 + r) * cols + t.ext.col0;
-                ext_buf[r * t.ext.cols..(r + 1) * t.ext.cols]
-                    .copy_from_slice(&board[src..src + t.ext.cols]);
-            }
-            smooth_core_into(&kernel, &t, &ext_buf, &mut smoothed);
-            let (dr, dc) = t.core_in_ext();
-            let grid = sub.layer(l);
-            for r in 0..t.core.rows {
-                for c in 0..t.core.cols {
-                    let sm = smoothed[r * t.core.cols + c];
-                    let slack = grid.get(dr + r, dc + c).slack;
-                    core_amounts.push(rule(sm, slack, area, cfg));
-                }
+    let results = parallel_map_ordered(todo, workers, |t| -> Result<(Tile, Vec<f64>), String> {
+        let core = t.core;
+        let sub = region_layout(source, core)?;
+        let mut core_amounts = Vec::with_capacity(layers * core.len());
+        for (l, sm) in smoothed.iter().enumerate() {
+            for (i, w) in sub.layer(l).iter().enumerate() {
+                let k = (core.row0 + i / core.cols) * cols + core.col0 + i % core.cols;
+                core_amounts.push(rule(sm[k], w.slack, area, cfg));
             }
         }
-        (t, core_amounts)
+        Ok((t, core_amounts))
     });
-    for (t, core_amounts) in results {
+    for result in results {
+        let (t, core_amounts) = result?;
         if let Some(cp) = checkpoint {
             cp.store(&t, layers, &core_amounts)?;
         }

@@ -1,25 +1,25 @@
 //! # neurfill-chip
 //!
-//! Sharded full-chip simulation and fill synthesis: decomposes a
-//! paper-scale chip (5×5–10×10 cm, §V) into tiles with a halo of pad
-//! kernel radius, streams the tiles through the runtime worker pool,
-//! and merges the per-tile results into one chip-level report with the
-//! halo regions discarded.
+//! Full-chip simulation and fill synthesis: decomposes a paper-scale
+//! chip (5×5–10×10 cm, §V) into tiles, materialises its windows one
+//! tile at a time, and merges per-tile results into one chip-level
+//! report.
 //!
-//! Two execution paths share the tile/halo geometry:
+//! Two execution paths share the tile geometry:
 //!
-//! * **Sharded golden simulation** ([`ChipSimulator`]) — the CMP polish
-//!   loop over [`TileShard`](neurfill_cmpsim::TileShard)s with per-step
-//!   halo exchange and a global contact solve, *byte-identical* to the
-//!   monolithic simulator at any tile size and worker count. The
-//!   deterministic model-based fill rule ([`fill`]) rides the same
-//!   decomposition, so the whole chip flow (simulate → fill → simulate)
-//!   is bit-reproducible in sharded form.
+//! * **Golden simulation** ([`ChipSimulator`]) — each layer's chip-sized
+//!   input is assembled from the core tiles and polished by the one
+//!   [`CmpSimulator`](neurfill_cmpsim::CmpSimulator) loop, so it is
+//!   *byte-identical* to the monolithic simulator at any tile size and
+//!   worker count. The deterministic model-based fill rule ([`fill`])
+//!   smooths each layer once over the chip and reads slack tile at a
+//!   time, so the whole chip flow (simulate → fill → simulate) is
+//!   bit-reproducible at any tiling, with a tile-granular checkpoint.
 //! * **Pool tile synthesis** ([`pool`]) — DAMO-style scale-out of the
-//!   window-level NN synthesis: each halo-padded tile becomes a
-//!   [`JobSpec`](neurfill_runtime::JobSpec) on the existing
-//!   [`RuntimePool`](neurfill_runtime::RuntimePool), with a bounded
-//!   number of tiles in flight so peak resident windows stay
+//!   window-level NN synthesis: each tile, padded by a halo of the pad
+//!   kernel radius, becomes a [`JobSpec`](neurfill_runtime::JobSpec) on
+//!   the existing [`RuntimePool`](neurfill_runtime::RuntimePool), with a
+//!   bounded number of tiles in flight so peak resident windows stay
 //!   O(tiles-in-flight × windows-per-tile) instead of the whole chip.
 //!
 //! Chip geometry is abstracted by [`ChipSource`], which materializes
@@ -39,7 +39,7 @@ pub mod sim;
 pub mod source;
 
 pub use checkpoint::{chip_run_meta, TileCheckpoint};
-pub use fill::{model_fill_monolithic, model_fill_sharded, ChipFillConfig, ChipFillPlan};
+pub use fill::{model_fill, ChipFillConfig, ChipFillPlan};
 pub use pool::{
     merge_tile_plan, synthesize_tiles, synthesize_tiles_checkpointed, tile_job_layout, TileJobOptions,
     TileSynthesis,

@@ -11,8 +11,8 @@
 //! out of the pool's job table.
 //!
 //! The NN synthesis is a global optimization, so unlike the golden
-//! sharded path this one is *not* bit-identical to a monolithic whole-
-//! chip job; its invariant (tested) is worker-count and in-flight-cap
+//! simulation and fill rule this path is *not* bit-identical to a
+//! monolithic whole-chip job; its invariant (tested) is worker-count and in-flight-cap
 //! independence: the same tiling yields byte-identical merged plans.
 
 use crate::checkpoint::TileCheckpoint;

@@ -23,11 +23,14 @@ pub struct ChipReport {
     pub tiles_resumed: usize,
     /// Halo width in windows (the pad kernel radius).
     pub halo: usize,
-    /// Shard-mapper workers.
+    /// Tile-materialisation workers.
     pub workers: usize,
-    /// Halo bytes exchanged across both simulation passes.
+    // Always 0: no halo is exchanged. The frozen benchmark reads it
+    // (`nfbench/src/workloads/chip.rs:349,356`); the next benchmark PR
+    // drops both.
+    #[doc(hidden)]
     pub halo_bytes: u64,
-    /// Peak tiles simultaneously in flight.
+    /// Peak tiles simultaneously being materialised.
     pub peak_tiles_in_flight: usize,
     /// Worst per-layer height range before filling (nm).
     pub unfilled_height_range: f64,
@@ -50,7 +53,7 @@ impl ChipReport {
     pub fn to_text(&self) -> String {
         format!(
             "chip {}\nwindows {}x{}x{}\ntile {}\ntiles {}\ntiles_resumed {}\nhalo {}\nworkers {}\n\
-             halo_bytes {}\npeak_tiles_in_flight {}\n\
+             peak_tiles_in_flight {}\n\
              unfilled_range_nm {:.6}\nfilled_range_nm {:.6}\nfill_total_um2 {:.3}\n\
              simulate_s {:.3}\nfill_s {:.3}\nverify_s {:.3}\n",
             self.name,
@@ -62,7 +65,6 @@ impl ChipReport {
             self.tiles_resumed,
             self.halo,
             self.workers,
-            self.halo_bytes,
             self.peak_tiles_in_flight,
             self.unfilled_height_range,
             self.filled_height_range,

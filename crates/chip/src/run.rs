@@ -1,7 +1,7 @@
 //! The end-to-end full-chip flow: simulate → model-fill → verify.
 
 use crate::checkpoint::{chip_run_meta, TileCheckpoint};
-use crate::fill::{model_fill_sharded, ChipFillConfig, ChipFillPlan};
+use crate::fill::{model_fill, ChipFillConfig, ChipFillPlan};
 use crate::report::ChipReport;
 use crate::sim::{ChipSimConfig, ChipSimulator};
 use crate::source::{ChipSource, FilledChipSource};
@@ -14,7 +14,7 @@ use std::time::Instant;
 /// Configuration of a full-chip run.
 #[derive(Debug, Clone)]
 pub struct ChipRunConfig {
-    /// Sharded-simulation settings (tile size, workers, params).
+    /// Simulation settings (tile size, workers, params).
     pub sim: ChipSimConfig,
     /// Model-based fill rule settings.
     pub fill: ChipFillConfig,
@@ -52,16 +52,16 @@ pub struct ChipRunResult {
     pub filled: ChipProfile,
 }
 
-/// Runs the sharded flow end to end on any chip source: simulate the
+/// Runs the golden flow end to end on any chip source: simulate the
 /// unfilled chip, derive the model-based fill plan from its height map,
-/// and re-simulate with the plan applied tile-at-a-time. Every stage is
-/// sharded with the same tiling, and each is byte-identical to its
-/// monolithic counterpart.
+/// and re-simulate with the plan applied tile-at-a-time. Every stage
+/// materialises the chip with the same tiling, and each is
+/// byte-identical to its monolithic counterpart.
 ///
 /// # Errors
 ///
-/// Returns a message when parameters are invalid or a tile fails
-/// validation.
+/// Returns a message when parameters are invalid, a tile fails
+/// validation (naming its layer), or a checkpoint store fails.
 pub fn run_full_chip(source: &dyn ChipSource, cfg: &ChipRunConfig) -> Result<ChipRunResult, String> {
     let sim = ChipSimulator::new(cfg.sim.clone())?;
     let tiling = sim.tiling_for(source);
@@ -79,7 +79,7 @@ pub fn run_full_chip(source: &dyn ChipSource, cfg: &ChipRunConfig) -> Result<Chi
     let simulate_time = t0.elapsed();
 
     let t1 = Instant::now();
-    let (plan, tiles_resumed) = model_fill_sharded(
+    let (plan, tiles_resumed) = model_fill(
         source,
         &unfilled,
         &tiling,
@@ -105,7 +105,7 @@ pub fn run_full_chip(source: &dyn ChipSource, cfg: &ChipRunConfig) -> Result<Chi
         tiles_resumed,
         halo: tiling.halo(),
         workers: cfg.sim.workers,
-        halo_bytes: stats0.halo_bytes + stats1.halo_bytes,
+        halo_bytes: 0,
         peak_tiles_in_flight: stats0.peak_tiles_in_flight.max(stats1.peak_tiles_in_flight),
         unfilled_height_range: unfilled.max_height_range(),
         filled_height_range: filled.max_height_range(),

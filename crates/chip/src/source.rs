@@ -34,6 +34,21 @@ pub trait ChipSource: Sync {
     }
 }
 
+/// Materializes the windows of `rect`, refusing a layout whose layer
+/// count or dimensions are not the chip's and the region's.
+pub(crate) fn region_layout(source: &dyn ChipSource, rect: TileRect) -> Result<Layout, String> {
+    let sub = source.tile_layout(rect);
+    let got = (sub.num_layers(), sub.rows(), sub.cols());
+    let want = (source.num_layers(), rect.rows, rect.cols);
+    if got == want {
+        return Ok(sub);
+    }
+    Err(format!(
+        "tile at ({}, {}) is {}x{}x{}, its region is {}x{}x{}",
+        rect.row0, rect.col0, got.0, got.1, got.2, want.0, want.1, want.2
+    ))
+}
+
 /// An already-materialized layout as a chip source (small chips,
 /// tests). Cropping is position-deterministic by construction.
 impl ChipSource for Layout {
@@ -93,7 +108,8 @@ impl ChipSource for FullChipDesign {
 /// A chip source with a chip-level fill plan applied tile-at-a-time.
 /// Because [`apply_fill`] is pointwise per window, a filled tile is
 /// bitwise equal to the same region of the filled monolithic chip —
-/// which is what makes the post-fill verification simulation shardable.
+/// which is what lets the post-fill verification assemble the filled
+/// chip tile at a time.
 #[derive(Clone, Copy)]
 pub struct FilledChipSource<'a> {
     source: &'a dyn ChipSource,

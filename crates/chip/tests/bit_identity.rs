@@ -1,26 +1,26 @@
-//! The chip bit-identity suite: the sharded full-chip flow must be
-//! byte-identical to the monolithic one at any tile size and worker
+//! The chip bit-identity suite: the tile-assembled full-chip flow must
+//! be byte-identical to the monolithic one at any tile size and worker
 //! count — for the unfilled simulation, the model-based fill plan, and
 //! the post-fill verification simulation.
 
 use neurfill_chip::{
-    model_fill_monolithic, model_fill_sharded, run_full_chip, ChipFillConfig, ChipRunConfig,
-    ChipSimConfig, ChipSimulator,
+    model_fill, run_full_chip, ChipFillConfig, ChipFillPlan, ChipRunConfig, ChipSimConfig, ChipSimulator,
 };
 use neurfill_cmpsim::{ChipProfile, CmpSimulator, NumericsTier, ProcessParams};
 use neurfill_layout::{apply_fill, DesignKind, DesignSpec, FullChipSpec, Layout, Tiling};
+use neurfill_obs::Telemetry;
 
 const TILES: [usize; 3] = [0, 8, 4]; // whole chip, 2x2 grid, 4x4 grid on 16x16
 const WORKERS: [usize; 3] = [1, 2, 8];
 
-/// A pad kernel whose halo (radius 8) is as large as the 2×2 grid's tile
-/// edge and twice the 4×4 grid's: every tile's extension reaches across
-/// its neighbours.
+/// A pad kernel whose radius (8) is as large as the 2×2 grid's tile
+/// edge and twice the 4×4 grid's: every window's kernel support reaches
+/// across tiles.
 fn wide_halo_params() -> ProcessParams {
     ProcessParams { steps: 10, kernel_radius: 8, character_length: 3.0, ..ProcessParams::default() }
 }
 
-fn sharded(params: ProcessParams, layout: &Layout, tile: usize, workers: usize) -> ChipProfile {
+fn tiled(params: ProcessParams, layout: &Layout, tile: usize, workers: usize) -> ChipProfile {
     let cfg = ChipSimConfig { params, ..ChipSimConfig::fast(tile, workers) };
     let sim = ChipSimulator::new(cfg).unwrap();
     let (profile, stats) = sim.simulate(layout).unwrap();
@@ -37,8 +37,16 @@ fn assert_bits_identical(a: &ChipProfile, b: &ChipProfile, label: &str) {
     }
 }
 
+/// The model-based fill rule on a whole layout: one tile, one worker.
+fn whole_chip_fill(layout: &Layout, profile: &ChipProfile, params: &ProcessParams) -> ChipFillPlan {
+    let tiling = Tiling::square(layout.rows(), layout.cols(), layout.rows().max(layout.cols()), 0);
+    let (plan, _) =
+        model_fill(layout, profile, &tiling, params, &ChipFillConfig::default(), 1, None).unwrap();
+    plan
+}
+
 #[test]
-fn sharded_simulation_matches_monolithic_at_every_tile_size_and_worker_count() {
+fn chip_simulation_matches_monolithic_at_every_tile_size_and_worker_count() {
     for params in [ProcessParams::fast(), wide_halo_params()] {
         let mono_sim = CmpSimulator::new(params.clone()).unwrap();
         for kind in [DesignKind::CmpTest, DesignKind::Fpga, DesignKind::RiscV] {
@@ -46,7 +54,7 @@ fn sharded_simulation_matches_monolithic_at_every_tile_size_and_worker_count() {
             let mono = mono_sim.simulate(&layout);
             for tile in TILES {
                 for workers in WORKERS {
-                    let profile = sharded(params.clone(), &layout, tile, workers);
+                    let profile = tiled(params.clone(), &layout, tile, workers);
                     let radius = params.kernel_radius;
                     assert_eq!(profile, mono, "{kind:?} r={radius} tile={tile} workers={workers}");
                 }
@@ -56,7 +64,7 @@ fn sharded_simulation_matches_monolithic_at_every_tile_size_and_worker_count() {
 }
 
 /// The golden simulator has one numeric path: the tier arguments the
-/// frozen benchmark still passes select nothing, monolithic or sharded,
+/// frozen benchmark still passes select nothing, monolithic or tiled,
 /// even at a radius where a tiered kernel used to switch algorithms.
 #[test]
 fn numerics_tier_does_not_change_a_bit_of_the_golden_simulator() {
@@ -73,8 +81,8 @@ fn numerics_tier_does_not_change_a_bit_of_the_golden_simulator() {
         let layout = DesignSpec::new(kind, 16, 16, 7).generate();
         let want = default_sim.simulate(&layout);
         assert_bits_identical(&fast_sim.simulate(&layout), &want, &format!("{kind:?} monolithic"));
-        let (sharded, _) = fast_chip.simulate(&layout).unwrap();
-        assert_bits_identical(&sharded, &want, &format!("{kind:?} sharded"));
+        let (tiled, _) = fast_chip.simulate(&layout).unwrap();
+        assert_bits_identical(&tiled, &want, &format!("{kind:?} tiled"));
     }
 }
 
@@ -92,19 +100,20 @@ fn full_chip_design_source_matches_its_materialized_layout() {
 }
 
 #[test]
-fn sharded_fill_plan_matches_monolithic() {
+fn model_fill_plan_is_invariant_across_tilings_and_worker_counts() {
     let params = ProcessParams::fast();
     let cfg = ChipFillConfig::default();
     let layout = DesignSpec::new(DesignKind::RiscV, 16, 16, 3).generate();
     let profile = CmpSimulator::new(params.clone()).unwrap().simulate(&layout);
-    let mono = model_fill_monolithic(&layout, &profile, &params, &cfg);
+    let whole = whole_chip_fill(&layout, &profile, &params);
+    assert!(whole.total() > 0.0, "the rule must place some fill");
     for tile in [16, 8, 4, 5] {
         let tiling = Tiling::square(16, 16, tile, params.kernel_radius);
         for workers in WORKERS {
             let (plan, resumed) =
-                model_fill_sharded(&layout, &profile, &tiling, &params, &cfg, workers, None).unwrap();
+                model_fill(&layout, &profile, &tiling, &params, &cfg, workers, None).unwrap();
             assert_eq!(resumed, 0);
-            assert_eq!(plan, mono, "tile={tile} workers={workers}");
+            assert_eq!(plan, whole, "tile={tile} workers={workers}");
         }
     }
 }
@@ -118,7 +127,7 @@ fn end_to_end_run_is_invariant_across_tile_size_and_worker_count() {
     let mono_sim = CmpSimulator::new(params.clone()).unwrap();
     let chip = design.generate();
     let unfilled = mono_sim.simulate(&chip);
-    let plan = model_fill_monolithic(&chip, &unfilled, &params, &fill_cfg);
+    let plan = whole_chip_fill(&chip, &unfilled, &params);
     let filled_layout = apply_fill(&chip, &plan.to_fill_plan(&chip), &fill_cfg.dummy);
     let filled = mono_sim.simulate(&filled_layout);
 
@@ -143,32 +152,41 @@ fn degenerate_chips_smaller_than_one_tile_still_run() {
     let layout = DesignSpec::new(DesignKind::CmpTest, 3, 5, 2).generate();
     let mono = CmpSimulator::new(ProcessParams::fast()).unwrap().simulate(&layout);
     for tile in [0, 1, 4, 64] {
-        let profile = sharded(ProcessParams::fast(), &layout, tile, 2);
+        let profile = tiled(ProcessParams::fast(), &layout, tile, 2);
         assert_eq!(profile, mono, "tile={tile}");
     }
 }
 
+/// The chip's contact stats and `chip.contact.*` counters are the
+/// monolithic simulator's `sim.contact.*` counts on the same chip.
 #[test]
-fn halo_accounting_is_reported() {
+fn simulation_stats_are_reported() {
     let design = FullChipSpec::new(DesignKind::CmpTest, 16, 16, 1).build();
-    let sim = ChipSimulator::new(ChipSimConfig::fast(4, 2)).unwrap();
-    let (_, stats) = sim.simulate(&design).unwrap();
+    let telemetry = Telemetry::new();
+    let cfg = ChipSimConfig { telemetry: telemetry.clone(), ..ChipSimConfig::fast(4, 2) };
+    let (_, stats) = ChipSimulator::new(cfg).unwrap().simulate(&design).unwrap();
     assert_eq!(stats.layers, design.num_layers());
-    assert!(stats.halo_bytes > 0, "a 4x4 grid must exchange halos");
+    assert_eq!(stats.tiles, 16);
     assert!(stats.contact.newton_passes > 0);
     assert!(stats.peak_tiles_in_flight >= 1);
-    // A single whole-chip tile exchanges nothing.
-    let solo = ChipSimulator::new(ChipSimConfig::fast(0, 2)).unwrap();
-    let (_, solo_stats) = solo.simulate(&design).unwrap();
-    assert_eq!(solo_stats.halo_bytes, 0);
+    let chip = telemetry.snapshot();
+    assert_eq!(chip.counter("chip.contact.newton_passes"), stats.contact.newton_passes);
+    assert_eq!(chip.counter("chip.contact.fallbacks"), stats.contact.fallbacks);
+    assert_eq!(chip.counter("chip.layers"), design.num_layers() as u64);
+    let mono = Telemetry::new();
+    let sim = CmpSimulator::new(ProcessParams::fast()).unwrap().with_telemetry(mono.clone());
+    let _ = sim.simulate(&design.generate());
+    let mono = mono.snapshot();
+    assert_eq!(mono.counter("sim.contact.newton_passes"), stats.contact.newton_passes);
+    assert_eq!(mono.counter("sim.contact.fallbacks"), stats.contact.fallbacks);
 }
 
 /// The contact solve on `chip_golden`'s chip (design C, 256², seed 7,
 /// default process, tile 64, one worker), both of its runs: the unfilled
 /// chip and the chip filled by the model-based rule, 300 global solves.
 /// Newton settles every one in at most 4 passes on average, none falls
-/// back to the bisection, and both sharded profiles are byte-identical
-/// to the monolithic simulator's.
+/// back to the bisection, and both tile-assembled profiles are
+/// byte-identical to the monolithic simulator's.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-only: ci.sh runs it with --release")]
 fn chip_golden_solves_take_at_most_four_newton_passes() {
@@ -183,7 +201,7 @@ fn chip_golden_solves_take_at_most_four_newton_passes() {
     assert_bits_identical(&unfilled, &mono, "chip_golden chip");
     assert_eq!(unfilled, mono);
     let fill = ChipFillConfig::default();
-    let plan = model_fill_monolithic(&chip, &unfilled, &params, &fill);
+    let plan = whole_chip_fill(&chip, &unfilled, &params);
     let filled_chip = apply_fill(&chip, &plan.to_fill_plan(&chip), &fill.dummy);
     let (filled, filled_stats) = sim.simulate(&filled_chip).unwrap();
     let mono = mono_sim.simulate(&filled_chip);

@@ -1,7 +1,7 @@
 //! Tile-granular checkpoint/resume chaos suite: a full-chip run killed
 //! at *every* `checkpoint_write` ordinal must resume from its completed
 //! tiles and produce a plan byte-identical to an uninterrupted run, in
-//! both the golden sharded flow and the pool tile-synthesis flow.
+//! both the golden flow and the pool tile-synthesis flow.
 //! Crashes are emulated in-process by the fault plan's durable-write
 //! faults, which leave exactly the on-disk state of a process killed at
 //! that write.

@@ -61,9 +61,8 @@
 //! that stops at a width of 1e-9 nm. The Newton answer differs from the
 //! bisection's by less than that width, and `√d·d` from `powf(d, 3/2)`
 //! by about an ulp, so the golden simulator's output moved once, in its
-//! trailing digits. The sharded simulator still equals the monolithic one
-//! byte for byte: both solve the same assembled board with this one
-//! function, and the pressures are pointwise.
+//! trailing digits. The chip simulator still equals the monolithic one
+//! byte for byte: it runs the same loop on the tile-assembled chip.
 
 use crate::params::ProcessParams;
 use neurfill_obs::{Counter, Telemetry};
@@ -615,7 +614,7 @@ mod tests {
         pressures: impl Fn(&[f64], f64) -> Vec<f64>,
         mut visit: impl FnMut(usize, &[f64]),
     ) -> (Vec<f64>, Vec<f64>) {
-        use crate::shard::{dish_erosion_factors, polish_pointwise};
+        use crate::{dish_erosion_factors, polish_pointwise};
         let kernel = crate::PadKernel::exponential(p.character_length, p.kernel_radius);
         let (rows, cols) = (layer.rows, layer.cols);
         let rho_eff = kernel.apply(&layer.density, rows, cols);

@@ -41,7 +41,6 @@ mod numgrad;
 mod params;
 pub mod preston;
 mod profile;
-pub mod shard;
 mod simulator;
 
 pub use contact::{ContactCounters, ContactSolveStats};
@@ -49,8 +48,7 @@ pub use kernel::PadKernel;
 pub use numgrad::FiniteDifference;
 pub use params::{ParamsDisplay, ProcessParams};
 pub use profile::{ChipProfile, LayerProfile};
-pub use shard::{map_sequential, simulate_layer_sharded, ShardMap, ShardStats, TileShard};
-pub use simulator::{CmpSimulator, LayerInput};
+pub use simulator::{dish_erosion_factors, polish_pointwise, CmpSimulator, LayerInput};
 
 // Inert names the frozen benchmark still compiles against
 // (`nfbench/src/probes.rs:122` calls `with_numerics(NumericsTier::Fast)`;
@@ -66,6 +64,14 @@ pub use neurfill_tensor::NumericsTier;
 pub enum ContactSolve {
     #[default]
     Exact,
+}
+
+// The path the frozen benchmark imports the pointwise polish update from
+// (`nfbench/src/probes.rs:15`); the update itself is
+// [`polish_pointwise`], next to the loop that runs it.
+#[doc(hidden)]
+pub mod shard {
+    pub use crate::simulator::polish_pointwise;
 }
 
 impl CmpSimulator {

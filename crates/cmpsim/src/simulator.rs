@@ -8,7 +8,10 @@
 //! modifiers); (4) the Preston equation removes material. The loop runs
 //! until the configured total polish time.
 
-use crate::contact::{solve_reference_plane_stats, window_pressures_into, ContactCounters};
+use crate::contact::{
+    solve_reference_plane_stats, window_pressures_into, ContactCounters, ContactSolveStats,
+};
+use crate::dsh::split_pressure;
 use crate::kernel::PadKernel;
 use crate::params::ProcessParams;
 use crate::profile::{ChipProfile, LayerProfile};
@@ -127,11 +130,26 @@ impl CmpSimulator {
     /// # Panics
     ///
     /// Panics when `input` fails validation (programmer error — inputs
-    /// extracted from a valid [`Layout`] always validate).
+    /// extracted from a valid [`Layout`] always validate; callers holding
+    /// inputs from elsewhere use [`CmpSimulator::simulate_layer_stats`]).
     #[must_use]
     #[allow(clippy::expect_used)] // validation failure is a documented panic (programmer error)
     pub fn simulate_layer(&self, input: &LayerInput) -> LayerProfile {
-        input.validate().expect("valid layer input");
+        self.simulate_layer_stats(input).expect("valid layer input").0
+    }
+
+    /// Simulates one layer after validating `input`, and returns the
+    /// contact solves' stats summed over the polish steps next to the
+    /// profile.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`LayerInput::validate`] message.
+    pub fn simulate_layer_stats(
+        &self,
+        input: &LayerInput,
+    ) -> Result<(LayerProfile, ContactSolveStats), String> {
+        input.validate()?;
         let _layer_span = self.telemetry.span("sim.layer_ns");
         // Pre-registered per-stage histograms and kernel counters: inside
         // the polish loop the only telemetry cost is clock reads + atomics
@@ -165,14 +183,14 @@ impl CmpSimulator {
         }
 
         // Pressure modifiers from micro-scale pattern parameters.
-        let (dish_factor, erosion_factor) =
-            crate::shard::dish_erosion_factors(&input.avg_width, &input.perimeter, p);
+        let (dish_factor, erosion_factor) = dish_erosion_factors(&input.avg_width, &input.perimeter, p);
 
         let mut z_up = vec![p.initial_height; n];
         let mut z_down: Vec<f64> = z_up.iter().map(|z| z - p.initial_step).collect();
 
         let mut smoothed = vec![0.0; n];
         let mut pressures = vec![0.0; n];
+        let mut contact_stats = ContactSolveStats::default();
         for _ in 0..p.steps {
             let t0 = self.telemetry.now_ns();
             // (1) Envelope heights, smoothed by the pad (scratch buffers
@@ -182,6 +200,7 @@ impl CmpSimulator {
             // (2) Contact-mechanics pressure solve.
             let (z_ref, solve_stats) = solve_reference_plane_stats(&smoothed, p);
             window_pressures_into(&smoothed, z_ref, p, &mut pressures);
+            contact_stats += solve_stats;
             let t2 = self.telemetry.now_ns();
             if let Some((kernel_h, applies, windows, contact)) = &kernel_meters {
                 kernel_h.record(t1.saturating_sub(t0));
@@ -190,7 +209,7 @@ impl CmpSimulator {
                 contact.add(&solve_stats);
             }
             // (3) DSH split + (4) Preston removal.
-            crate::shard::polish_pointwise(
+            polish_pointwise(
                 &mut z_up,
                 &mut z_down,
                 &pressures,
@@ -208,7 +227,8 @@ impl CmpSimulator {
             }
         }
 
-        crate::shard::finalize_layer(input.rows, input.cols, &input.density, &z_up, &z_down)
+        let profile = finalize_layer(input.rows, input.cols, &input.density, &z_up, &z_down);
+        Ok((profile, contact_stats))
     }
 
     /// Simulates every layer of a layout.
@@ -219,6 +239,89 @@ impl CmpSimulator {
             .collect();
         ChipProfile::new(layers)
     }
+}
+
+/// Width/perimeter pressure modifiers of the DSH stage (constant over the
+/// polish, since the pattern does not change).
+#[must_use]
+pub fn dish_erosion_factors(
+    avg_width: &[f64],
+    perimeter: &[f64],
+    p: &ProcessParams,
+) -> (Vec<f64>, Vec<f64>) {
+    let dish = avg_width
+        .iter()
+        .map(|&w| 1.0 + p.dishing_coefficient * w / (w + p.dishing_reference_width))
+        .collect();
+    let erosion =
+        perimeter.iter().map(|&per| 1.0 + p.erosion_coefficient * per / p.perimeter_scale).collect();
+    (dish, erosion)
+}
+
+/// One DSH-split + Preston-removal update (paper steps 3–4), pointwise
+/// over whatever region the slices cover.
+///
+/// # Panics
+///
+/// Panics when the slices disagree in length.
+pub fn polish_pointwise(
+    z_up: &mut [f64],
+    z_down: &mut [f64],
+    pressures: &[f64],
+    rho_eff: &[f64],
+    dish_factor: &[f64],
+    erosion_factor: &[f64],
+    p: &ProcessParams,
+) {
+    let n = z_up.len();
+    assert!(
+        [z_down.len(), pressures.len(), rho_eff.len(), dish_factor.len(), erosion_factor.len()]
+            .iter()
+            .all(|&l| l == n),
+        "polish slice lengths disagree"
+    );
+    for i in 0..n {
+        let step = (z_up[i] - z_down[i]).max(0.0);
+        let split = split_pressure(pressures[i], rho_eff[i], step, p);
+        let up_rate = split.up * erosion_factor[i];
+        let down_rate = split.down * dish_factor[i];
+        z_up[i] -= p.removal_per_step * up_rate;
+        z_down[i] -= p.removal_per_step * down_rate;
+        if z_down[i] > z_up[i] {
+            z_down[i] = z_up[i];
+        }
+    }
+}
+
+/// Builds the layer profile from final heights. The erosion reference
+/// (`max z_up`) is folded in row-major input order.
+///
+/// # Panics
+///
+/// Panics when slice lengths disagree with `rows * cols`.
+fn finalize_layer(
+    rows: usize,
+    cols: usize,
+    density: &[f64],
+    z_up: &[f64],
+    z_down: &[f64],
+) -> LayerProfile {
+    let n = rows * cols;
+    assert!(
+        density.len() == n && z_up.len() == n && z_down.len() == n,
+        "finalize slice lengths disagree"
+    );
+    let z_up_max = z_up.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let mut avg_height = vec![0.0; n];
+    let mut dishing = vec![0.0; n];
+    let mut erosion = vec![0.0; n];
+    for i in 0..n {
+        let rho = density[i];
+        avg_height[i] = rho * z_up[i] + (1.0 - rho) * z_down[i];
+        dishing[i] = (z_up[i] - z_down[i]).max(0.0);
+        erosion[i] = z_up_max - z_up[i];
+    }
+    LayerProfile::new(rows, cols, avg_height, dishing, erosion)
 }
 
 #[cfg(test)]
@@ -349,6 +452,23 @@ mod tests {
         }
         assert_eq!(snap.histogram("sim.layer_ns").unwrap().count, layers);
         assert_eq!(snap.events_of_kind("span").len(), layers as usize);
+    }
+
+    #[test]
+    fn layer_stats_match_the_contact_counters() {
+        let telemetry = neurfill_obs::Telemetry::new();
+        let sim = CmpSimulator::new(ProcessParams::fast()).unwrap().with_telemetry(telemetry.clone());
+        let layout = DesignSpec::new(DesignKind::Fpga, 12, 18, 5).generate();
+        let input = LayerInput::from_layout(&layout, 0);
+        let (profile, stats) = sim.simulate_layer_stats(&input).unwrap();
+        let snap = telemetry.snapshot();
+        assert_eq!(stats.newton_passes, snap.counter("sim.contact.newton_passes"));
+        assert_eq!(stats.fallbacks, snap.counter("sim.contact.fallbacks"));
+        assert!(stats.newton_passes > 0, "the equality above must not be 0 == 0");
+        assert_eq!(profile, sim.simulate_layer(&input));
+        let mut bad = input;
+        bad.density[3] = -0.5;
+        assert_eq!(sim.simulate_layer_stats(&bad), Err("density out of [0,1]".to_string()));
     }
 
     #[test]

@@ -149,7 +149,7 @@ fn compensated_sum(values: &[f64]) -> f64 {
 /// `f′ = (3/2)·k·Σ√d / n` the force's slope.
 #[test]
 fn force_balance_residual_stays_within_its_bound_after_every_abc_solve() {
-    use neurfill_cmpsim::shard::{dish_erosion_factors, polish_pointwise};
+    use neurfill_cmpsim::{dish_erosion_factors, polish_pointwise};
     let p = ProcessParams::default();
     let (k, e) = (p.contact_stiffness(), p.contact_exponent);
     let kernel = PadKernel::exponential(p.character_length, p.kernel_radius);

@@ -11,7 +11,7 @@
 //! ```
 //!
 //! `--full-chip` labels one hash-generated full-chip design
-//! tile-at-a-time through the sharded chip simulator instead of random
+//! tile-at-a-time through the chip simulator instead of random
 //! small layouts; `--rows`/`--cols` set the chip dimensions (omit both
 //! for the design's paper-scale size) and `--tile-size` the per-sample
 //! tile edge.
@@ -193,10 +193,7 @@ fn run_full_chip(args: &Args) -> Result<(), String> {
         println!("wrote {} ({n} samples)", path.display());
     }
     let secs = report.sim_elapsed.as_secs_f64();
-    println!(
-        "{} samples from {} tiles in {:.2}s simulation ({} halo bytes exchanged)",
-        report.samples, report.tiles, secs, report.halo_bytes
-    );
+    println!("{} samples from {} tiles in {:.2}s simulation", report.samples, report.tiles, secs);
     println!(
         "height norm: offset {:.3} nm, scale {:.3} nm",
         report.norm.offset_nm, report.norm.scale_nm

@@ -2,14 +2,14 @@
 //!
 //! A paper-scale chip (§V: design C is 1000×1000 windows) cannot be
 //! labeled by the per-layout path of [`crate::label`] — its window list
-//! and height map would be materialized whole. This module runs the
-//! sharded chip simulator once (chip-sized `f64` boards only), then
-//! walks the tile grid with the bounded
+//! would be materialized whole. This module runs the chip simulator
+//! once (tile-at-a-time materialisation into chip-sized `f64` maps),
+//! then walks the tile grid with the bounded
 //! [`ExtractionStream`], materializing one tile's windows at a time and
 //! writing one `(planes, normalized heights)` sample per tile per
 //! layer. Output bytes depend only on the source and configuration,
-//! never on the worker count (the sharded simulation is bit-identical
-//! to the monolithic one, and tiles are written in row-major order).
+//! never on the worker count (the chip simulation is bit-identical to
+//! the monolithic one, and tiles are written in row-major order).
 
 use crate::label::{Manifest, MANIFEST_FILE};
 use crate::shard::{ShardSetWriter, ShardShapes};
@@ -76,15 +76,13 @@ pub struct ChipLabelReport {
     pub shards: Vec<(PathBuf, u64)>,
     /// Height normalization stored in the manifest.
     pub norm: HeightNorm,
-    /// Worker threads the sharded simulation ran with.
+    /// Worker threads the chip simulation ran with.
     pub workers: usize,
-    /// Wall-clock of the sharded chip simulation.
+    /// Wall-clock of the chip simulation.
     pub sim_elapsed: Duration,
-    /// Halo bytes the simulation exchanged.
-    pub halo_bytes: u64,
 }
 
-/// Labels a full chip into training shards: one sharded golden
+/// Labels a full chip into training shards: one golden chip
 /// simulation, then one `(extraction planes, normalized heights)`
 /// sample per tile per layer, extracted tile-at-a-time so the chip's
 /// window list is never materialized at once. Writes shards (prefix
@@ -116,7 +114,7 @@ pub fn label_full_chip(
     })
     .map_err(bad)?;
     let started = std::time::Instant::now();
-    let (profile, stats) = sim.simulate(source).map_err(bad)?;
+    let (profile, _) = sim.simulate(source).map_err(bad)?;
     let sim_elapsed = started.elapsed();
 
     let norm = cfg.norm.unwrap_or_else(|| HeightNorm::derive([&profile]));
@@ -169,7 +167,6 @@ pub fn label_full_chip(
         norm,
         workers: cfg.workers,
         sim_elapsed,
-        halo_bytes: stats.halo_bytes,
     })
 }
 

@@ -13,7 +13,7 @@
 //!   simulator fan-out across the runtime worker pool, and ordered shard
 //!   writes in bounded chunks. Output bytes depend only on the seed,
 //!   never on the worker count or chunk boundaries.
-//! * [`chiplabel`] — full-chip labeling, tile-at-a-time: one sharded
+//! * [`chiplabel`] — full-chip labeling, tile-at-a-time: one golden
 //!   chip simulation (`neurfill-chip`), then bounded streaming
 //!   extraction over the tile grid.
 //! * [`checkpoint`] — one text bundle holding weights, Adam moments, RNG

@@ -9,7 +9,7 @@
 //! but derive every window from a *hash* of `(seed, layer, row, col)`:
 //! [`FullChipDesign::generate_tile`] over any region is bitwise equal
 //! to cropping [`FullChipDesign::generate`], which is what lets the
-//! sharded chip path stream tiles without materializing the chip.
+//! chip paths stream tiles without materializing the chip.
 //!
 //! Full-scale grids use the paper's chip dimensions at 100 µm windows:
 //! A 5×5 cm → 500×500, B 6.7×6.3 cm → 670×630, C 10×10 cm → 1000×1000.

@@ -4,13 +4,11 @@
 //! *core* regions exactly partition the chip (every window belongs to
 //! exactly one core), and gives each tile an *extended* region — the
 //! core expanded by a halo of `halo` windows on every side, clamped at
-//! the chip boundary. Because the pad kernel of the CMP simulator has a
-//! finite radius `r`, a tile simulated on its extended region with
-//! `halo >= r` reproduces the monolithic result on its core bit-exactly
-//! (the kernel support of every core window lies inside the extension,
-//! and clamping at the chip edge matches the monolithic boundary
-//! handling). Chips smaller than one tile degenerate to a single tile
-//! covering the whole chip.
+//! the chip boundary. With `halo >= r`, the pad kernel radius of the CMP
+//! simulator, the kernel support of every core window lies inside the
+//! extension, so an NN tile job on the extended region sees the same
+//! neighbourhood its core has in the chip. Chips smaller than one tile
+//! degenerate to a single tile covering the whole chip.
 
 /// A rectangular window region `[row0, row0+rows) × [col0, col0+cols)`
 /// in chip coordinates.

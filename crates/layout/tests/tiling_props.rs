@@ -73,8 +73,8 @@ proptest! {
     }
 
     // Cropping a chip layout to a tile's extension, then reading its
-    // core windows, agrees with the monolithic chip — the geometric
-    // half of the sharding bit-identity argument.
+    // core windows, agrees with the monolithic chip — what a halo-padded
+    // tile job and its core merge rely on.
     #[test]
     fn crop_of_ext_agrees_with_chip_on_core(
         seed in 0u64..50,

@@ -19,12 +19,13 @@
 //! ```
 //!
 //! The spec grammar is `site=kind[@trigger]` joined by `;`, where `site`
-//! is one of [`sites::ALL`] (anything else is a parse error — a typo must
-//! not run a drill that injects nothing) and `kind` is one of `panic`,
-//! `transient`, `nan`, `delayNN` (NN milliseconds), or one of the
-//! durable-write kinds `short_write`, `torn_record`, and `crash` (checked
-//! only at write sites via [`FaultPlan::inject_write`]).
-//! An absent trigger fires on every invocation. [`FaultPlan::disabled`]
+//! is one of [`sites::ALL`] and `kind` is one of `panic`, `transient`,
+//! `delayNN` (NN milliseconds), `nan` (at `verify_forward` only), or one
+//! of the durable-write kinds `short_write`, `torn_record`, and `crash`
+//! (at the write sites only, [`sites::WRITES`]). Ordinals are 1-based
+//! and a range runs upwards. Anything else is a parse error: a typo must
+//! not run a drill that injects nothing. An absent trigger fires on
+//! every invocation. [`FaultPlan::disabled`]
 //! (the default everywhere) injects nothing and leaves every code path
 //! bit-identical to an unfaulted run.
 
@@ -50,6 +51,10 @@ pub mod sites {
     pub const CHECKPOINT_WRITE: &str = "checkpoint_write";
     /// Every site above: the names [`super::FaultPlan::parse`] accepts.
     pub const ALL: &[&str] = &[HYDRATE, SYNTHESIS, VERIFY_FORWARD, JOURNAL_WRITE, CHECKPOINT_WRITE];
+    /// The write sites, checked through
+    /// [`super::FaultPlan::inject_write`]: the only sites where the
+    /// durable-write kinds can fire.
+    pub const WRITES: &[&str] = &[JOURNAL_WRITE, CHECKPOINT_WRITE];
 }
 
 /// What a firing fault does at its site.
@@ -64,13 +69,12 @@ pub enum FaultKind {
     /// [`AppendLog::append`](crate::applog::AppendLog::append) can really
     /// return; at a job site it fails the job, which runs once.
     Transient,
-    /// Poison the site's numeric outputs with NaN (only meaningful at
-    /// sites producing heights; elsewhere it is ignored).
+    /// Poison the site's numeric outputs with NaN. `verify_forward` is
+    /// the one site producing heights, and the only one it parses at.
     Nan,
     /// Interrupt a durable write partway through (the append truncates
     /// the torn bytes and redoes the record in place — exercises that
-    /// redo, not recovery). Only meaningful at write sites checked via
-    /// [`FaultPlan::inject_write`].
+    /// redo, not recovery). Write sites only.
     ShortWrite,
     /// Leave a full-length record with a corrupted checksum on disk and
     /// fail this and every later write — replay must drop it by
@@ -123,6 +127,15 @@ impl FaultSpec {
             }
             FaultTrigger::Always => true,
         }
+    }
+}
+
+/// One 1-based trigger ordinal of `clause`.
+fn ordinal(s: &str, clause: &str) -> Result<u64, String> {
+    match s.trim().parse::<u64>() {
+        Ok(0) => Err(format!("ordinal 0 in clause {clause:?}; ordinals count from 1")),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!("bad ordinal {s:?} in clause {clause:?}")),
     }
 }
 
@@ -232,24 +245,30 @@ impl FaultPlan {
                         }
                         FaultTrigger::Probability(p)
                     } else if let Some((from, to)) = t.split_once('-') {
-                        let parse = |s: &str| {
-                            s.parse::<u64>()
-                                .map_err(|_| format!("bad ordinal {s:?} in clause {clause:?}"))
-                        };
-                        FaultTrigger::Range { from: parse(from)?, to: parse(to)? }
+                        let (from, to) = (ordinal(from, clause)?, ordinal(to, clause)?);
+                        if from > to {
+                            return Err(format!("reversed range {from}-{to} in clause {clause:?}"));
+                        }
+                        FaultTrigger::Range { from, to }
                     } else {
-                        let ordinals = t
-                            .split(',')
-                            .map(|s| {
-                                s.trim()
-                                    .parse::<u64>()
-                                    .map_err(|_| format!("bad ordinal {s:?} in clause {clause:?}"))
-                            })
-                            .collect::<Result<Vec<_>, _>>()?;
+                        let ordinals =
+                            t.split(',').map(|s| ordinal(s, clause)).collect::<Result<Vec<_>, _>>()?;
                         FaultTrigger::Ordinals(ordinals)
                     }
                 }
             };
+            let can_fire = match kind {
+                FaultKind::Nan => site == sites::VERIFY_FORWARD,
+                FaultKind::ShortWrite | FaultKind::TornRecord | FaultKind::Crash => {
+                    sites::WRITES.contains(&site)
+                }
+                FaultKind::Panic | FaultKind::Transient | FaultKind::Delay(_) => true,
+            };
+            if !can_fire {
+                return Err(format!(
+                    "fault kind {kind_str:?} can never fire at site {site:?} in clause {clause:?}"
+                ));
+            }
             specs.push(FaultSpec { site: site.to_string(), kind, trigger });
         }
         Ok(Self::new(specs, seed))
@@ -284,43 +303,15 @@ impl FaultPlan {
     ///
     /// Panics when a `Panic` fault fires (by design).
     pub fn inject(&self, site: &str) -> Result<bool, String> {
-        if self.specs.is_empty() {
-            return Ok(false);
-        }
-        let ordinal = {
-            let mut counters = self.counters.lock();
-            let c = counters.entry(site.to_string()).or_insert(0);
-            *c += 1;
-            *c
-        };
-        for spec in self.specs.iter().filter(|s| s.site == site) {
-            if !spec.fires(ordinal, self.seed) {
-                continue;
-            }
-            match spec.kind {
-                FaultKind::Panic => {
-                    panic!("fault injected: panic at '{site}' (invocation {ordinal})")
-                }
-                FaultKind::Delay(d) => std::thread::sleep(d),
-                FaultKind::Transient => {
-                    return Err(format!("{TRANSIENT_MARKER} at '{site}' (invocation {ordinal})"))
-                }
-                FaultKind::Nan => return Ok(true),
-                // Durable-write kinds are only meaningful at write sites
-                // (checked via `inject_write`); elsewhere they no-op so a
-                // plan written for a write site cannot corrupt others.
-                FaultKind::ShortWrite | FaultKind::TornRecord | FaultKind::Crash => {}
-            }
-        }
-        Ok(false)
+        Ok(self.fire(site)? == Some(FaultKind::Nan))
     }
 
     /// The injection point for durable-write sites (journal appends,
     /// checkpoint finalizes). Behaves like [`FaultPlan::inject`] for
-    /// `panic`/`delay`/`transient` faults, and additionally surfaces the
-    /// durable-write kinds: `Ok(Some(fault))` asks the caller to damage
-    /// its write as described by the returned [`WriteFault`]. `Nan` is
-    /// ignored here. Returns `Ok(None)` when nothing fires.
+    /// `panic`/`delay`/`transient` faults, and surfaces the durable-write
+    /// kinds: `Ok(Some(fault))` asks the caller to damage its write as
+    /// described by the returned [`WriteFault`]. Returns `Ok(None)` when
+    /// nothing fires.
     ///
     /// # Errors
     ///
@@ -330,6 +321,18 @@ impl FaultPlan {
     ///
     /// Panics when a `Panic` fault fires (by design).
     pub fn inject_write(&self, site: &str) -> Result<Option<WriteFault>, String> {
+        Ok(match self.fire(site)? {
+            Some(FaultKind::ShortWrite) => Some(WriteFault::ShortWrite),
+            Some(FaultKind::TornRecord) => Some(WriteFault::TornRecord),
+            Some(FaultKind::Crash) => Some(WriteFault::Crash),
+            _ => None,
+        })
+    }
+
+    /// Counts one invocation of `site` and applies the first spec that
+    /// fires: panics, sleeps, or fails here, and hands any other kind
+    /// back for its site to apply.
+    fn fire(&self, site: &str) -> Result<Option<FaultKind>, String> {
         if self.specs.is_empty() {
             return Ok(None);
         }
@@ -339,10 +342,7 @@ impl FaultPlan {
             *c += 1;
             *c
         };
-        for spec in self.specs.iter().filter(|s| s.site == site) {
-            if !spec.fires(ordinal, self.seed) {
-                continue;
-            }
+        for spec in self.specs.iter().filter(|s| s.site == site && s.fires(ordinal, self.seed)) {
             match spec.kind {
                 FaultKind::Panic => {
                     panic!("fault injected: panic at '{site}' (invocation {ordinal})")
@@ -351,10 +351,7 @@ impl FaultPlan {
                 FaultKind::Transient => {
                     return Err(format!("{TRANSIENT_MARKER} at '{site}' (invocation {ordinal})"))
                 }
-                FaultKind::Nan => {}
-                FaultKind::ShortWrite => return Ok(Some(WriteFault::ShortWrite)),
-                FaultKind::TornRecord => return Ok(Some(WriteFault::TornRecord)),
-                FaultKind::Crash => return Ok(Some(WriteFault::Crash)),
+                kind => return Ok(Some(kind)),
             }
         }
         Ok(None)
@@ -423,20 +420,50 @@ mod tests {
     #[test]
     fn write_faults_fire_only_through_inject_write() {
         let plan = FaultPlan::parse(
-            "journal_write=crash@2; checkpoint_write=torn_record@1; hydrate=short_write",
+            "journal_write=crash@2; checkpoint_write=torn_record@1; journal_write=short_write@4",
             0,
         )
         .unwrap();
-        // inject() treats durable-write kinds as no-ops (but still counts).
-        assert_eq!(plan.inject(sites::HYDRATE), Ok(false));
-        assert_eq!(plan.invocations(sites::HYDRATE), 1);
+        // inject() treats a firing durable-write kind as nothing (but
+        // still counts the invocation).
+        assert_eq!(plan.inject(sites::JOURNAL_WRITE), Ok(false));
+        assert_eq!(plan.inject(sites::JOURNAL_WRITE), Ok(false));
+        assert_eq!(plan.invocations(sites::JOURNAL_WRITE), 2);
         // inject_write() surfaces them with their trigger semantics.
         assert_eq!(plan.inject_write(sites::JOURNAL_WRITE), Ok(None));
-        assert_eq!(plan.inject_write(sites::JOURNAL_WRITE), Ok(Some(WriteFault::Crash)));
-        assert_eq!(plan.inject_write(sites::JOURNAL_WRITE), Ok(None));
+        assert_eq!(plan.inject_write(sites::JOURNAL_WRITE), Ok(Some(WriteFault::ShortWrite)));
         assert_eq!(plan.inject_write(sites::CHECKPOINT_WRITE), Ok(Some(WriteFault::TornRecord)));
         assert_eq!(plan.inject_write(sites::CHECKPOINT_WRITE), Ok(None));
-        assert_eq!(plan.inject_write(sites::HYDRATE), Ok(Some(WriteFault::ShortWrite)));
+        let crash = FaultPlan::parse("journal_write=crash@2", 0).unwrap();
+        assert_eq!(crash.inject_write(sites::JOURNAL_WRITE), Ok(None));
+        assert_eq!(crash.inject_write(sites::JOURNAL_WRITE), Ok(Some(WriteFault::Crash)));
+        assert_eq!(crash.inject_write(sites::JOURNAL_WRITE), Ok(None));
+    }
+
+    #[test]
+    fn drills_that_can_never_fire_are_refused() {
+        let refused = [
+            ("hydrate=nan", "can never fire"),
+            ("synthesis=nan@1", "can never fire"),
+            ("journal_write=nan", "can never fire"),
+            ("checkpoint_write=nan@p0.5", "can never fire"),
+            ("hydrate=short_write", "can never fire"),
+            ("synthesis=torn_record@2", "can never fire"),
+            ("verify_forward=crash", "can never fire"),
+            ("synthesis=transient@0", "ordinal 0"),
+            ("journal_write=crash@2,0", "ordinal 0"),
+            ("checkpoint_write=crash@0-3", "ordinal 0"),
+            ("synthesis=panic@5-2", "reversed range 5-2"),
+        ];
+        for (clause, why) in refused {
+            let err = FaultPlan::parse(&format!("hydrate=delay1; {clause}"), 0).unwrap_err();
+            assert!(err.contains(clause) && err.contains(why), "{clause}: {err}");
+        }
+        // The chaos suites count ordinals with a probability of 0, and a
+        // one-ordinal range is a range.
+        for kept in ["checkpoint_write=crash@p0", "journal_write=crash@p0", "synthesis=panic@3-3"] {
+            assert!(FaultPlan::parse(kept, 0).is_ok(), "{kept}");
+        }
     }
 
     #[test]

@@ -25,12 +25,13 @@
 //! files written are identical between the two modes (up to the
 //! wall-clock `synthesis_s`/`overall` report lines).
 //!
-//! `--full-chip` runs the sharded full-chip flow on a hash-generated
-//! design instead of a layout directory, always in-process (`--connect`
-//! is refused). Without a model it is the deterministic golden flow
-//! (simulate → model fill → verify, all sharded with halo exchange);
-//! with `--model` the halo-padded tiles stream through a local runtime
-//! pool as NN synthesis jobs, at most `--max-in-flight` resident at once.
+//! `--full-chip` runs the full-chip flow on a hash-generated design
+//! instead of a layout directory, always in-process (`--connect` is
+//! refused). Without a model it is the deterministic golden flow
+//! (simulate → model fill → verify, each materialising the chip tile at
+//! a time); with `--model` the halo-padded tiles stream through a local
+//! runtime pool as NN synthesis jobs, at most `--max-in-flight` resident
+//! at once.
 //!
 //! `--metrics-out` enables telemetry and writes the run's metrics snapshot
 //! (simulator stage timings, per-job spans, runtime counters, fault
@@ -513,7 +514,7 @@ fn run_full_chip_pool(args: &Args, out_dir: &Path, fault: Arc<FaultPlan>) -> Res
     Ok(out.failed.is_empty())
 }
 
-/// `--full-chip` without a model: the deterministic sharded golden flow
+/// `--full-chip` without a model: the deterministic golden flow
 /// (simulate → model fill → verify), byte-identical to a monolithic run
 /// at any tile size and worker count.
 fn run_full_chip_golden(args: &Args, out_dir: &Path, fault: Arc<FaultPlan>) -> Result<bool, String> {
@@ -530,7 +531,7 @@ fn run_full_chip_golden(args: &Args, out_dir: &Path, fault: Arc<FaultPlan>) -> R
         fault,
     };
     println!(
-        "full chip {} ({}x{} windows, tile {}, golden sharded flow)",
+        "full chip {} ({}x{} windows, tile {}, golden flow)",
         design.name(),
         design.rows(),
         design.cols(),
