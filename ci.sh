@@ -74,7 +74,9 @@ cargo test --release -p neurfill-chip --test bit_identity -q
 # bit, and `hostile_layout` feeds both layout readers `dims` headers that
 # claim billions of windows under an allocator that refuses large blocks. The `sqp` suite pins a capped solve to the prefix
 # of a longer one, which is what lets the flow's iteration cap stop a job
-# early without moving a bit of the iterations it keeps. The row-accumulated
+# early without moving a bit of the iterations it keeps, and runs its
+# convergence, NaN, failed-search and feasibility cases at `memory: 0`
+# too (projected steepest ascent, the ablation baseline). The row-accumulated
 # pad kernel is compared with
 # `apply_reference` through its plain body and its AVX2 build (register
 # blocks), each called directly, and with the `kernel_equivalence`
@@ -129,8 +131,12 @@ cargo test -p neurfill-layout --test plan_codec -q
 # what `wait` and `cancel` answer once a job has been taken. A failed job
 # runs once: `fault_injection` pins that an injected error fails its job
 # the first time, and the `cli` suite that both binaries refuse the
-# removed `--retries` flag and a bad fault plan before reading any file.
-echo "== chaos/recovery suite (kill-at-every-ordinal, bit-identical resume, take-on-wait pool answers, a failed job runs once)"
+# removed `--retries` flag, a bad fault plan and a number that would
+# panic or turn a check off (a negative, NaN or infinite number of
+# seconds, a chip with zero rows, a NaN canary tolerance) before reading
+# any file. `gendata`'s refusal of a zero-sized layout or chip runs in
+# the durability block's `-p neurfill-data`.
+echo "== chaos/recovery suite (kill-at-every-ordinal, bit-identical resume, take-on-wait pool answers, a failed job runs once, CLIs refuse numbers that would panic)"
 cargo test -p neurfill-runtime --test wait_first -q
 cargo test -p neurfill-runtime --test fault_injection -q
 cargo test -p neurfill-runtime --lib pool -q

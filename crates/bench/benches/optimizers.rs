@@ -1,11 +1,10 @@
 //! Criterion micro-benchmarks of the optimization substrate: SQP major
-//! iterations, the projected-gradient ablation and NMMSO generations.
+//! iterations, the same solver without its curvature model (`memory: 0`,
+//! projected steepest ascent) and NMMSO generations.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use neurfill_optim::testfns::{gaussian_peaks, neg_sphere};
-use neurfill_optim::{
-    maximize_projected_gradient, Bounds, Nmmso, NmmsoConfig, ProjGradConfig, SqpConfig, SqpSolver,
-};
+use neurfill_optim::{Bounds, Nmmso, NmmsoConfig, SqpConfig, SqpSolver};
 use rand::SeedableRng;
 
 fn bench_sqp(c: &mut Criterion) {
@@ -29,10 +28,10 @@ fn bench_projected_gradient(c: &mut Criterion) {
     let dim = 1000;
     let obj = neg_sphere(dim);
     let bounds = Bounds::new(vec![-1.0; dim], vec![1.0; dim]);
-    let cfg = ProjGradConfig { max_iterations: 25, ..ProjGradConfig::default() };
+    let solver = SqpSolver::new(SqpConfig { max_iterations: 25, memory: 0, ..SqpConfig::default() });
     let x0 = vec![0.5; dim];
     group.bench_function("dim1000", |b| {
-        b.iter(|| maximize_projected_gradient(std::hint::black_box(&obj), &bounds, &x0, &cfg));
+        b.iter(|| solver.maximize(std::hint::black_box(&obj), &bounds, &x0));
     });
     group.finish();
 }

@@ -3,7 +3,8 @@
 //! 1. pad kernel character length / radius — how locality drives the
 //!    surrogate's learnability premise (§III-B),
 //! 2. DSH critical step height — dishing/planarization trade,
-//! 3. SQP vs plain projected gradient — value of the curvature model,
+//! 3. SQP with and without its curvature model (L-BFGS `memory` 10 vs 0,
+//!    everything else equal) — value of the curvature model,
 //! 4. PKB linear-search granularity — starting-point quality vs cost,
 //! 5. NeurFill trust-region radius — surrogate-exploitation control,
 //! 6. SQP iteration cap — where golden Quality stops improving while the
@@ -22,9 +23,7 @@ use neurfill_bench::harness::{prepare, Experiment, Scale};
 use neurfill_cmpsim::{CmpSimulator, ProcessParams};
 use neurfill_layout::{benchmark_designs, DesignKind, DesignSpec, DummySpec};
 use neurfill_optim::testfns::neg_rosenbrock;
-use neurfill_optim::{
-    maximize_projected_gradient, Bounds, Objective, ProjGradConfig, SqpConfig, SqpSolver,
-};
+use neurfill_optim::{Bounds, Objective, SqpConfig, SqpSolver};
 use std::rc::Rc;
 
 fn main() {
@@ -58,28 +57,18 @@ fn main() {
     }
     println!();
 
-    println!("== Ablation 3: SQP vs projected gradient (Rosenbrock, start (-1.2, 1)) ==");
+    println!("== Ablation 3: SQP with and without its curvature model (Rosenbrock, start (-1.2, 1)) ==");
     let obj = neg_rosenbrock();
     let bounds = Bounds::new(vec![-2.0; 2], vec![2.0; 2]);
-    let sqp = SqpSolver::new(SqpConfig { max_iterations: 5000, ..SqpConfig::default() }).maximize(
-        &obj,
-        &bounds,
-        &[-1.2, 1.0],
-    );
-    let pg = maximize_projected_gradient(
-        &obj,
-        &bounds,
-        &[-1.2, 1.0],
-        &ProjGradConfig { max_iterations: 5000, ..ProjGradConfig::default() },
-    );
-    println!(
-        "SQP:   {} iterations, {} evals, f = {:.2e}, converged = {}",
-        sqp.iterations, sqp.evaluations, sqp.value, sqp.converged
-    );
-    println!(
-        "PG:    {} iterations, {} evals, f = {:.2e}, converged = {}",
-        pg.iterations, pg.evaluations, pg.value, pg.converged
-    );
+    for (label, memory) in [("SQP:  ", 10), ("m = 0:", 0)] {
+        let r = SqpSolver::new(SqpConfig { max_iterations: 5000, memory, ..SqpConfig::default() })
+            .maximize(&obj, &bounds, &[-1.2, 1.0]);
+        println!(
+            "{label} {} iterations, {} evals, f = {:.2e}, converged = {}",
+            r.iterations, r.evaluations, r.value, r.converged
+        );
+    }
+    println!("(m = 0 keeps no curvature pairs: projected steepest ascent)");
     println!();
 
     println!("== Ablation 4/5: PKB granularity and trust radius (trains a surrogate) ==");

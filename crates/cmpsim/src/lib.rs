@@ -10,7 +10,8 @@
 //!    ([`contact`]),
 //! 3. density-step-height removal-rate split ([`dsh`]),
 //! 4. Preston-equation material removal, iterated over polish time
-//!    ([`CmpSimulator`]).
+//!    ([`CmpSimulator`]; the law's constants are folded into
+//!    [`ProcessParams::removal_per_step`]).
 //!
 //! The crate also provides the finite-difference gradient machinery
 //! ([`FiniteDifference`]) that conventional model-based filling uses —
@@ -39,14 +40,13 @@ pub mod dsh;
 pub mod kernel;
 mod numgrad;
 mod params;
-pub mod preston;
 mod profile;
 mod simulator;
 
 pub use contact::{ContactCounters, ContactSolveStats};
 pub use kernel::PadKernel;
 pub use numgrad::FiniteDifference;
-pub use params::{ParamsDisplay, ProcessParams};
+pub use params::ProcessParams;
 pub use profile::{ChipProfile, LayerProfile};
 pub use simulator::{dish_erosion_factors, polish_pointwise, CmpSimulator, LayerInput};
 

@@ -58,34 +58,9 @@ impl FiniteDifference {
     }
 
     /// Central-difference gradient `(f(x+ε·e_i) − f(x−ε·e_i)) / 2ε`
-    /// (2·dim evaluations; more accurate, used for verification).
-    #[must_use]
-    pub fn gradient_central(&self, x: &[f64], f: &(dyn Fn(&[f64]) -> f64 + Sync)) -> Vec<f64> {
-        self.map_indices(x.len(), &|i| {
-            let mut xp = x.to_vec();
-            let mut xm = x.to_vec();
-            xp[i] += self.epsilon;
-            xm[i] -= self.epsilon;
-            (f(&xp) - f(&xm)) / (2.0 * self.epsilon)
-        })
-    }
-
-    /// Single-threaded forward-difference gradient for objectives that are
-    /// not `Sync` (e.g. graph-building neural-network evaluations).
-    #[must_use]
-    pub fn gradient_seq(&self, x: &[f64], mut f: impl FnMut(&[f64]) -> f64) -> Vec<f64> {
-        let f0 = f(x);
-        (0..x.len())
-            .map(|i| {
-                let mut xp = x.to_vec();
-                xp[i] += self.epsilon;
-                (f(&xp) - f0) / self.epsilon
-            })
-            .collect()
-    }
-
-    /// Single-threaded central-difference gradient (see
-    /// [`FiniteDifference::gradient_seq`]).
+    /// (2·dim evaluations; more accurate, used for verification), on the
+    /// caller's thread for objectives that are not `Sync` (e.g.
+    /// graph-building neural-network evaluations).
     #[must_use]
     pub fn gradient_central_seq(&self, x: &[f64], mut f: impl FnMut(&[f64]) -> f64) -> Vec<f64> {
         (0..x.len())
@@ -147,7 +122,7 @@ mod tests {
         let x = [0.7];
         let f = |x: &[f64]| x[0].powi(3);
         let fwd = fd.gradient(&x, &f)[0];
-        let ctr = fd.gradient_central(&x, &f)[0];
+        let ctr = fd.gradient_central_seq(&x, f)[0];
         let exact = 3.0 * 0.7f64 * 0.7;
         assert!((ctr - exact).abs() < (fwd - exact).abs());
     }

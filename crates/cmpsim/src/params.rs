@@ -1,7 +1,5 @@
 //! Process parameters of the full-chip CMP simulator.
 
-use std::fmt;
-
 /// Physical/process parameters of the simulator (paper §II-A, Fig. 2).
 ///
 /// Lengths are in nm unless noted; lateral window distances are in window
@@ -30,7 +28,8 @@ pub struct ProcessParams {
     /// Critical step height of the DSH model (nm): below this the pad
     /// touches down areas too.
     pub critical_step: f64,
-    /// Blanket removal per time step at unit pressure (nm).
+    /// Blanket removal per time step at unit pressure (nm): the Preston
+    /// law `dH/dt = −K_p·P·V` with `K_p·V·Δt` folded into one constant.
     pub removal_per_step: f64,
     /// Number of unit polish-time iterations (paper: iterate until the
     /// total polish time is reached).
@@ -157,23 +156,6 @@ impl ProcessParams {
     }
 }
 
-/// Wrapper whose `Display` prints the parameters as a table (for
-/// experiment logs).
-#[derive(Debug)]
-pub struct ParamsDisplay<'a>(pub &'a ProcessParams);
-
-impl fmt::Display for ParamsDisplay<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let p = self.0;
-        writeln!(f, "initial_height      {:>10.1} nm", p.initial_height)?;
-        writeln!(f, "initial_step        {:>10.1} nm", p.initial_step)?;
-        writeln!(f, "critical_step       {:>10.1} nm", p.critical_step)?;
-        writeln!(f, "character_length    {:>10.2} windows", p.character_length)?;
-        writeln!(f, "removal_per_step    {:>10.2} nm", p.removal_per_step)?;
-        write!(f, "steps               {:>10}", p.steps)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,12 +242,5 @@ mod tests {
         let k = p.contact_stiffness();
         let f = k * p.reference_penetration.powf(p.contact_exponent);
         assert!((f - p.applied_pressure).abs() < 1e-12);
-    }
-
-    #[test]
-    fn display_is_nonempty() {
-        let p = ProcessParams::default();
-        let s = format!("{}", ParamsDisplay(&p));
-        assert!(s.contains("initial_height"));
     }
 }

@@ -96,8 +96,8 @@ pub fn extract_region_arrays(
 /// tile's windows plus one tile's planes — never the whole chip's.
 ///
 /// For chip-scale sources the closure is typically
-/// `|rect| source.tile_layout(rect)`; for an already-materialized layout
-/// use [`ExtractionStream::over_layout`].
+/// `|rect| source.tile_layout(rect)`; for an already-materialized layout,
+/// `|rect| layout.crop(rect)`.
 pub struct ExtractionStream<'a, I, F>
 where
     I: Iterator<Item = TileRect>,
@@ -129,16 +129,6 @@ where
     /// dimensions).
     pub fn new(rects: I, materialize: F, layer: usize, cfg: &'a ExtractionConfig) -> Self {
         Self { rects, materialize, layer, cfg }
-    }
-}
-
-impl<'a, I> ExtractionStream<'a, I, Box<dyn FnMut(TileRect) -> Layout + 'a>>
-where
-    I: Iterator<Item = TileRect>,
-{
-    /// A stream over regions of an already-materialized layout.
-    pub fn over_layout(layout: &'a Layout, rects: I, layer: usize, cfg: &'a ExtractionConfig) -> Self {
-        Self::new(rects, Box::new(move |rect| layout.crop(rect)), layer, cfg)
     }
 }
 
@@ -380,11 +370,6 @@ mod tests {
         );
         drop(stream);
         assert_eq!(count, 0);
-
-        // The boxed-crop convenience agrees with the closure form.
-        let via_layout: Vec<_> =
-            ExtractionStream::over_layout(&l, tiling.tiles().map(|t| t.core), 0, &cfg).collect();
-        assert_eq!(via_layout.len(), tiling.num_tiles());
     }
 
     #[test]

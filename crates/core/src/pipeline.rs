@@ -176,42 +176,13 @@ impl FillingFlow {
             let _calibration_span = self.config.telemetry.span("flow.calibration_ns");
             Coefficients::calibrate(layout, &self.sim.simulate(layout), self.config.beta_time_s)
         };
-        self.run_with_coefficients_cancellable(layout, &coeffs, cancel)
-    }
 
-    /// [`FillingFlow::run`] with caller-supplied score coefficients.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the layout geometry is incompatible with the
-    /// surrogate.
-    pub fn run_with_coefficients(
-        &self,
-        layout: &Layout,
-        coeffs: &Coefficients,
-    ) -> Result<FlowResult, String> {
-        self.run_with_coefficients_cancellable(layout, coeffs, &CancelToken::never())
-    }
-
-    /// [`FillingFlow::run_with_coefficients`] with cooperative
-    /// cancellation (see [`FillingFlow::run_cancellable`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the layout geometry is incompatible with the
-    /// surrogate, or a cancellation/deadline error when the token fires.
-    pub fn run_with_coefficients_cancellable(
-        &self,
-        layout: &Layout,
-        coeffs: &Coefficients,
-        cancel: &CancelToken,
-    ) -> Result<FlowResult, String> {
         // Phase 1: synthesis, on the flow's own network instance.
         let synthesis = {
             let _synthesis_span = self.config.telemetry.span("flow.synthesis_ns");
             let nf = NeurFill::new(Rc::clone(&self.network), self.config.neurfill.clone())
                 .with_telemetry(self.config.telemetry.clone());
-            nf.run_cancellable(layout, coeffs, cancel)?
+            nf.run_cancellable(layout, &coeffs, cancel)?
         };
 
         // Phase 2: insertion.
@@ -232,7 +203,7 @@ impl FillingFlow {
         let scored = evaluate_plan(
             layout,
             &self.sim,
-            coeffs,
+            &coeffs,
             "NeurFill flow",
             &realized,
             &dummy,

@@ -78,6 +78,18 @@ fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> T {
     })
 }
 
+/// A chip or layout dimension: zero windows is refused here rather than
+/// left to panic where the design is built.
+fn parse_dim(s: &str, flag: &str) -> usize {
+    match parse_num(s, flag) {
+        0 => {
+            eprintln!("bad value {s:?} for {flag}: expected at least 1");
+            usage()
+        }
+        n => n,
+    }
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         out: PathBuf::new(),
@@ -107,11 +119,11 @@ fn parse_args() -> Args {
             "--out" => args.out = value(&mut it, "--out").into(),
             "--num" => args.num = parse_num(&value(&mut it, "--num"), "--num"),
             "--rows" => {
-                args.rows = parse_num(&value(&mut it, "--rows"), "--rows");
+                args.rows = parse_dim(&value(&mut it, "--rows"), "--rows");
                 args.explicit_dims = true;
             }
             "--cols" => {
-                args.cols = parse_num(&value(&mut it, "--cols"), "--cols");
+                args.cols = parse_dim(&value(&mut it, "--cols"), "--cols");
                 args.explicit_dims = true;
             }
             "--seed" => args.seed = parse_num(&value(&mut it, "--seed"), "--seed"),

@@ -125,6 +125,30 @@ fn pretrain_rejects_the_removed_numerics_flag() {
 }
 
 #[test]
+fn gendata_refuses_a_zero_sized_layout_or_chip_before_writing_anything() {
+    // Both used to panic where the layout or chip is built (exit 101).
+    let dir = tmp("zero_dims");
+    for (args, flag) in [
+        (&["--num", "2", "--rows", "0", "--cols", "8"][..], "--rows"),
+        (&["--num", "2", "--rows", "8", "--cols", "0"], "--cols"),
+        (&["--full-chip", "--rows", "0", "--cols", "8"], "--rows"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_gendata"))
+            .arg("--out")
+            .arg(&dir)
+            .args(args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(&format!("bad value \"0\" for {flag}")), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: gendata"), "{stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: {}", String::from_utf8_lossy(&out.stdout));
+        assert!(!dir.exists(), "{args:?}: nothing may be written");
+    }
+}
+
+#[test]
 fn pretrain_refuses_a_corpus_whose_shards_disagree_with_the_manifest() {
     let dir = tmp("miscount");
     generate_labeled_shards(benchmark_designs(10, 10, 1), &label_config(31), &dir).unwrap();

@@ -2,10 +2,11 @@
 //! filling synthesis) into actual dummy rectangles (paper §I: "the latter
 //! determines the shapes, locations of dummies in these windows").
 //!
-//! The inserter places square dummies on a regular grid inside each
-//! window, skipping positions that violate spacing rules against existing
-//! wires or other dummies, until the synthesized area is realized (or the
-//! window runs out of legal positions — reported as shortfall).
+//! The inserter places square dummies of one size on a regular grid
+//! inside each window (one scan, [`insert_dummies`]), skipping positions
+//! that violate spacing rules against existing wires or other dummies,
+//! until the synthesized area is realized (or the window runs out of
+//! legal positions — reported as shortfall).
 
 use crate::geometry::{Rect, Shape};
 use crate::layout::{Layout, WindowId};
@@ -101,42 +102,6 @@ fn for_each_dummy(
             }
         }
     }
-}
-
-/// Multi-size insertion: tries the nominal dummy size first, then falls
-/// back to progressively smaller dummies (halving the edge, scaling the
-/// spacing rules proportionally) for whatever area is still missing — the
-/// strategy real fill flows use in congested windows.
-///
-/// `min_edge_um` bounds the fallback; returns all placed rectangles.
-#[must_use]
-pub fn insert_dummies_multisize(
-    window: &Rect,
-    blocked: &[Rect],
-    target_area: f64,
-    rules: &InsertionRules,
-    min_edge_um: f64,
-) -> Vec<Rect> {
-    let mut placed: Vec<Rect> = Vec::new();
-    let mut remaining = target_area;
-    let mut edge = rules.edge_um;
-    while remaining > 0.0 && edge >= min_edge_um {
-        let scale = edge / rules.edge_um;
-        let level_rules = InsertionRules {
-            edge_um: edge,
-            spacing_um: rules.spacing_um * scale,
-            wire_margin_um: rules.wire_margin_um * scale,
-        };
-        // Earlier-placed dummies are obstacles for the next size level.
-        let mut obstacles: Vec<Rect> = blocked.to_vec();
-        obstacles.extend(placed.iter().copied());
-        let level = insert_dummies(window, &obstacles, remaining, &level_rules);
-        let got: f64 = level.iter().map(Rect::area).sum();
-        placed.extend(level);
-        remaining -= got;
-        edge *= 0.5;
-    }
-    placed
 }
 
 /// Synthesizes a plausible wire pattern for one window from its extracted
@@ -325,7 +290,6 @@ mod tests {
         // Random windows, rules and blockers (wire-like strips, small
         // blocks, some outside or straddling the window, some degenerate):
         // the same rectangles in the same order as the naive scan.
-        // `insert_dummies_multisize` places through `insert_dummies` only.
         #[test]
         fn column_filtered_scan_matches_naive_scan(
             origin in proptest::collection::vec(-50.0f64..50.0, 2),
@@ -402,44 +366,6 @@ mod tests {
                 assert!(!a.overlaps(b), "{a:?} overlaps {b:?}");
             }
         }
-    }
-
-    #[test]
-    fn multisize_outplaces_single_size_in_congested_window() {
-        // A picket fence of wires with gaps too small for 2 µm dummies but
-        // big enough for 1 µm ones.
-        let window = Rect::new(0.0, 0.0, 40.0, 40.0);
-        let mut wires = Vec::new();
-        let mut x = 0.0;
-        while x < 40.0 {
-            wires.push(Rect::new(x, 0.0, (x + 1.0).min(40.0), 40.0));
-            x += 4.0; // 3 µm gaps: 2 µm dummy + 2×0.5 margin does not fit
-        }
-        let rules = InsertionRules { edge_um: 2.0, spacing_um: 0.5, wire_margin_um: 0.5 };
-        let single = insert_dummies(&window, &wires, 200.0, &rules);
-        let multi = insert_dummies_multisize(&window, &wires, 200.0, &rules, 0.5);
-        let area = |v: &[Rect]| v.iter().map(Rect::area).sum::<f64>();
-        assert!(area(&multi) > area(&single), "{} !> {}", area(&multi), area(&single));
-        // Placed shapes still respect wires and each other.
-        for (i, d) in multi.iter().enumerate() {
-            for w in &wires {
-                assert!(!d.overlaps(w), "{d:?} on wire");
-            }
-            for other in multi.iter().skip(i + 1) {
-                assert!(!d.overlaps(other));
-            }
-        }
-    }
-
-    #[test]
-    fn multisize_equals_single_size_in_open_window() {
-        let window = Rect::new(0.0, 0.0, 50.0, 50.0);
-        let rules = InsertionRules::default();
-        let single = insert_dummies(&window, &[], 500.0, &rules);
-        let multi = insert_dummies_multisize(&window, &[], 500.0, &rules, 0.5);
-        let area = |v: &[Rect]| v.iter().map(Rect::area).sum::<f64>();
-        // Open windows satisfy the request at the first (nominal) level.
-        assert!((area(&multi) - area(&single)).abs() <= rules.edge_um * rules.edge_um);
     }
 
     #[test]

@@ -45,10 +45,7 @@ pub use design::{benchmark_designs, DesignKind, DesignSpec};
 pub use fill::{apply_fill, DummySpec, FillPlan};
 pub use geometry::{LayerGeometry, Rect, Shape, WindowStats};
 pub use grid::Grid;
-pub use insertion::{
-    insert_dummies, insert_dummies_multisize, realize_fill, realize_fill_into, InsertionReport,
-    InsertionRules,
-};
+pub use insertion::{insert_dummies, realize_fill, realize_fill_into, InsertionReport, InsertionRules};
 pub use layout::{Layout, WindowId};
 pub use slack::{non_overlap_slack, slack_types, SlackTypes};
 pub use tiling::{Tile, TileRect, Tiling};

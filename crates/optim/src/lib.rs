@@ -5,11 +5,10 @@
 //! * [`SqpSolver`] — the sequential-quadratic-programming maximizer used by
 //!   the MSP-SQP framework (paper §IV), realized at scale with a
 //!   limited-memory quasi-Newton subproblem model and a projected-arc line
-//!   search.
+//!   search. At `memory: 0` it keeps no curvature pairs and is projected
+//!   steepest ascent: the ablation baseline without a curvature model.
 //! * [`Nmmso`] — the niching migratory multi-swarm optimizer of the
 //!   multi-modal starting-points search (paper §IV-D, Fieldsend 2014).
-//! * [`maximize_projected_gradient`] — the ablation baseline without a
-//!   curvature model.
 //!
 //! The multi-start loop that runs [`SqpSolver`] from every starting
 //! point (the PKB start, or NMMSO's modes) and keeps the best lives with
@@ -25,14 +24,11 @@
 mod linesearch;
 mod nmmso;
 mod problem;
-mod projgrad;
 mod sqp;
 pub mod testfns;
 
-pub use linesearch::{projected_backtracking, LineSearch, LineSearchResult};
 pub use nmmso::{Mode, Nmmso, NmmsoConfig, NmmsoResult};
 pub use problem::{Bounds, BoxNormalized, FnObjective, Objective};
-pub use projgrad::{maximize_projected_gradient, ProjGradConfig};
 pub use sqp::{SqpConfig, SqpResult, SqpSolver};
 
 /// Verifies an [`Objective`]'s analytic gradient against central finite

@@ -138,7 +138,7 @@ impl Lbfgs {
 /// Whether a point whose line searches all failed may be called
 /// stationary: only when its value and gradient are finite. A NaN value or
 /// gradient rejects every trial too, and that is not convergence.
-pub(crate) fn stationary_when_no_step(f: f64, g: &[f64]) -> bool {
+fn stationary_when_no_step(f: f64, g: &[f64]) -> bool {
     f.is_finite() && g.iter().all(|v| v.is_finite())
 }
 
@@ -336,14 +336,22 @@ mod tests {
         )
     }
 
+    /// The shipped solver and the same solver without its curvature model
+    /// (`memory: 0`, projected steepest ascent).
+    fn with_and_without_curvature(config: SqpConfig) -> [SqpSolver; 2] {
+        [10, 0].map(|memory| SqpSolver::new(SqpConfig { memory, ..config.clone() }))
+    }
+
     #[test]
     fn converges_to_interior_maximum() {
         let obj = neg_quadratic(vec![0.25, 0.5, 0.75]);
         let bounds = Bounds::new(vec![0.0; 3], vec![1.0; 3]);
-        let r = SqpSolver::default().maximize(&obj, &bounds, &[0.9, 0.9, 0.9]);
-        assert!(r.converged, "{r:?}");
-        for (xi, ci) in r.x.iter().zip([0.25, 0.5, 0.75]) {
-            assert!((xi - ci).abs() < 1e-4);
+        for solver in with_and_without_curvature(SqpConfig::default()) {
+            let r = solver.maximize(&obj, &bounds, &[0.9, 0.9, 0.9]);
+            assert!(r.converged, "{r:?}");
+            for (xi, ci) in r.x.iter().zip([0.25, 0.5, 0.75]) {
+                assert!((xi - ci).abs() < 1e-4);
+            }
         }
     }
 
@@ -352,10 +360,29 @@ mod tests {
         // Maximum at (2, 2) lies outside the unit box ⇒ solution (1, 1).
         let obj = neg_quadratic(vec![2.0, 2.0]);
         let bounds = Bounds::new(vec![0.0; 2], vec![1.0; 2]);
-        let r = SqpSolver::default().maximize(&obj, &bounds, &[0.0, 0.0]);
-        assert!(r.converged);
-        assert!((r.x[0] - 1.0).abs() < 1e-8);
-        assert!((r.x[1] - 1.0).abs() < 1e-8);
+        for solver in with_and_without_curvature(SqpConfig::default()) {
+            let r = solver.maximize(&obj, &bounds, &[0.0, 0.0]);
+            assert!(r.converged);
+            assert!(bounds.contains(&r.x, 0.0), "{r:?}");
+            assert!((r.x[0] - 1.0).abs() < 1e-8);
+            assert!((r.x[1] - 1.0).abs() < 1e-8);
+        }
+    }
+
+    #[test]
+    fn curvature_model_needs_fewer_iterations_on_ill_conditioned_problem() {
+        // κ = 400 quadratic: curvature information should pay off.
+        let obj = FnObjective::new(
+            2,
+            |x: &[f64]| -(x[0] - 0.5f64).powi(2) - 400.0 * (x[1] - 0.5f64).powi(2),
+            |x: &[f64]| vec![-2.0 * (x[0] - 0.5), -800.0 * (x[1] - 0.5)],
+        );
+        let bounds = Bounds::new(vec![0.0; 2], vec![1.0; 2]);
+        let config = SqpConfig { max_iterations: 1000, ..SqpConfig::default() };
+        let [sqp, steepest] =
+            with_and_without_curvature(config).map(|solver| solver.maximize(&obj, &bounds, &[0.0, 0.0]));
+        assert!(sqp.converged && steepest.converged, "{sqp:?} {steepest:?}");
+        assert!(sqp.iterations < steepest.iterations, "{} vs {}", sqp.iterations, steepest.iterations);
     }
 
     #[test]
@@ -424,13 +451,29 @@ mod tests {
             |_: &[f64]| vec![1.0, 0.5],
         );
         let bounds = Bounds::new(vec![0.0; 2], vec![1.0; 2]);
-        let r = SqpSolver::default().maximize(&obj, &bounds, &[0.5, 0.5]);
-        assert!(r.converged, "{r:?}");
-        assert_eq!(r.iterations, 0);
-        assert!(r.history.is_empty());
-        assert_eq!(r.evaluations, calls.get());
-        assert!(r.evaluations > 1, "the failed searches evaluated trials: {r:?}");
-        assert_eq!(r.x, vec![0.5, 0.5]);
+        for solver in with_and_without_curvature(SqpConfig::default()) {
+            calls.set(0);
+            let r = solver.maximize(&obj, &bounds, &[0.5, 0.5]);
+            assert!(r.converged, "{r:?}");
+            assert_eq!(r.iterations, 0);
+            assert!(r.history.is_empty());
+            assert_eq!(r.evaluations, calls.get());
+            assert!(r.evaluations > 1, "the failed searches evaluated trials: {r:?}");
+            assert_eq!(r.x, vec![0.5, 0.5]);
+        }
+
+        // Linear objective with a cap: the first search steps to the
+        // bound, then every trial of the next is a non-ascent projection
+        // and fails. That failed search is not an iteration, and the
+        // iterate never leaves the box.
+        let linear = FnObjective::new(1, |x: &[f64]| x[0], |_| vec![1.0]);
+        let capped = Bounds::new(vec![0.0], vec![0.3]);
+        for solver in with_and_without_curvature(SqpConfig { tolerance: -1.0, ..SqpConfig::default() }) {
+            let r = solver.maximize(&linear, &capped, &[0.0]);
+            assert!(r.converged, "{r:?}");
+            assert_eq!((r.iterations, r.history.len()), (1, 1), "{r:?}");
+            assert_eq!(r.x, vec![0.3]);
+        }
     }
 
     #[test]
@@ -440,11 +483,13 @@ mod tests {
         let nan_value = FnObjective::new(2, |_: &[f64]| f64::NAN, |_: &[f64]| vec![1.0, 0.5]);
         let nan_gradient = FnObjective::new(2, |_: &[f64]| 1.0, |_: &[f64]| vec![f64::NAN, 0.5]);
         let bounds = Bounds::new(vec![0.0; 2], vec![1.0; 2]);
-        for obj in [&nan_value as &dyn Objective, &nan_gradient] {
-            let r = SqpSolver::default().maximize(obj, &bounds, &[0.5, 0.5]);
-            assert!(!r.converged, "{r:?}");
-            assert_eq!((r.iterations, r.history.len()), (0, 0), "{r:?}");
-            assert_eq!(r.x, vec![0.5, 0.5]);
+        for solver in with_and_without_curvature(SqpConfig::default()) {
+            for obj in [&nan_value as &dyn Objective, &nan_gradient] {
+                let r = solver.maximize(obj, &bounds, &[0.5, 0.5]);
+                assert!(!r.converged, "{r:?}");
+                assert_eq!((r.iterations, r.history.len()), (0, 0), "{r:?}");
+                assert_eq!(r.x, vec![0.5, 0.5]);
+            }
         }
     }
 

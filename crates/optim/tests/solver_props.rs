@@ -2,10 +2,7 @@
 //! optimality invariants over randomized problems.
 
 use neurfill_optim::testfns::gaussian_peaks;
-use neurfill_optim::{
-    maximize_projected_gradient, Bounds, BoxNormalized, FnObjective, Nmmso, NmmsoConfig, ProjGradConfig,
-    SqpConfig, SqpSolver,
-};
+use neurfill_optim::{Bounds, BoxNormalized, FnObjective, Nmmso, NmmsoConfig, SqpConfig, SqpSolver};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -61,7 +58,8 @@ proptest! {
     ) {
         let obj = quadratic(center, vec![1.0; 3]);
         let bounds = Bounds::new(vec![0.0; 3], vec![1.0; 3]);
-        let r = maximize_projected_gradient(&obj, &bounds, &start, &ProjGradConfig::default());
+        let r = SqpSolver::new(SqpConfig { memory: 0, ..SqpConfig::default() })
+            .maximize(&obj, &bounds, &start);
         prop_assert!(bounds.contains(&r.x, 1e-9));
     }
 

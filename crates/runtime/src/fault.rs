@@ -1,7 +1,7 @@
 //! Deterministic fault injection for exercising the runtime's
 //! fault-tolerance paths.
 //!
-//! A [`FaultPlan`] is a set of [`FaultSpec`]s, each naming a *site* (a
+//! A [`FaultPlan`] is a set of injection rules, each naming a *site* (a
 //! stable string like [`sites::SYNTHESIS`] checked at exactly one code
 //! location), a fault kind, and a trigger deciding *which* invocations of
 //! that site fault. Triggers are either explicit 1-based ordinals
@@ -10,9 +10,10 @@
 //! plan faults the same invocations on every run regardless of thread
 //! interleaving.
 //!
-//! Plans are built in code or parsed from a spec ([`FaultPlan::parse`],
-//! behind the `--fault-plan` / `--fault-seed` flags of `runfill` and
-//! `neurfill-serve`):
+//! A plan is parsed from a spec ([`FaultPlan::parse`], behind the
+//! `--fault-plan` / `--fault-seed` flags of `runfill` and
+//! `neurfill-serve`); [`FaultPlan::disabled`] and `parse` are its only
+//! constructors:
 //!
 //! ```text
 //! --fault-plan "synthesis=transient@1;verify_forward=panic@2" --fault-seed 7
@@ -59,7 +60,7 @@ pub mod sites {
 
 /// What a firing fault does at its site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
+enum FaultKind {
     /// Panic at the site (exercises panic isolation / thread supervision).
     Panic,
     /// Sleep for the given duration, then continue normally.
@@ -88,7 +89,7 @@ pub enum FaultKind {
 
 /// When a spec fires, relative to the per-site invocation counter.
 #[derive(Debug, Clone, PartialEq)]
-pub enum FaultTrigger {
+enum FaultTrigger {
     /// Fire on these exact 1-based invocation ordinals.
     Ordinals(Vec<u64>),
     /// Fire on every ordinal in `from..=to` (inclusive, 1-based).
@@ -107,13 +108,13 @@ pub enum FaultTrigger {
 
 /// One injection rule: `site=kind@trigger`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FaultSpec {
+struct FaultSpec {
     /// The site this rule applies to (see [`sites`]).
-    pub site: String,
+    site: String,
     /// The fault to inject.
-    pub kind: FaultKind,
+    kind: FaultKind,
     /// Which invocations fault.
-    pub trigger: FaultTrigger,
+    trigger: FaultTrigger,
 }
 
 impl FaultSpec {
@@ -182,12 +183,6 @@ impl FaultPlan {
     #[must_use]
     pub fn disabled() -> Self {
         Self::default()
-    }
-
-    /// A plan from explicit specs and a seed (for probabilistic triggers).
-    #[must_use]
-    pub fn new(specs: Vec<FaultSpec>, seed: u64) -> Self {
-        Self { specs, seed, counters: Mutex::new(HashMap::new()) }
     }
 
     /// Parses a plan from the `site=kind[@trigger];...` grammar (see the
@@ -271,7 +266,7 @@ impl FaultPlan {
             }
             specs.push(FaultSpec { site: site.to_string(), kind, trigger });
         }
-        Ok(Self::new(specs, seed))
+        Ok(Self { specs, seed, counters: Mutex::default() })
     }
 
     /// Whether the plan has any rules at all (a cheap happy-path gate).

@@ -57,7 +57,7 @@ pub mod registry;
 mod stats;
 
 pub use applog::{AppendLog, Records, Replay};
-pub use fault::{FaultKind, FaultPlan, FaultSpec, FaultTrigger, WriteFault};
+pub use fault::FaultPlan;
 pub use job::{JobId, JobReport, JobSpec, JobStatus};
 pub use neurfill::CancelToken;
 /// The workspace's one checksum, defined in `neurfill-layout`.

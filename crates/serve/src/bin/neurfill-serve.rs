@@ -67,6 +67,29 @@ fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> T {
     })
 }
 
+/// A duration in seconds, refusing a negative, NaN or infinite value (or
+/// one too large for a `Duration`), on which `Duration::from_secs_f64`
+/// panics.
+fn parse_secs(s: &str, flag: &str) -> Duration {
+    Duration::try_from_secs_f64(parse_num(s, flag)).unwrap_or_else(|_| {
+        eprintln!("bad value {s:?} for {flag}: expected a finite number of seconds >= 0");
+        usage()
+    })
+}
+
+/// The canary's relative sigma tolerance. A NaN would turn the check off
+/// (`d > NaN` is false) and a negative one would refuse every model, so
+/// both are refused here.
+fn parse_tolerance(s: &str) -> f64 {
+    let flag = "--canary-sigma-tol";
+    let tol: f64 = parse_num(s, flag);
+    if tol.is_nan() || tol < 0.0 {
+        eprintln!("bad value {s:?} for {flag}: expected a number >= 0");
+        usage()
+    }
+    tol
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         model: PathBuf::new(),
@@ -110,23 +133,17 @@ fn parse_args() -> Args {
             "--workers" => args.workers = parse_num(&value(&mut it, "--workers"), "--workers"),
             "--slots" => args.slots = parse_num(&value(&mut it, "--slots"), "--slots"),
             "--timeout-s" => {
-                args.timeout = Some(Duration::from_secs_f64(parse_num(
-                    &value(&mut it, "--timeout-s"),
-                    "--timeout-s",
-                )))
+                args.timeout = Some(parse_secs(&value(&mut it, "--timeout-s"), "--timeout-s"))
             }
             "--canary-samples" => {
                 args.canary_samples = parse_num(&value(&mut it, "--canary-samples"), "--canary-samples")
             }
             "--canary-sigma-tol" => {
-                args.canary_sigma_tol =
-                    Some(parse_num(&value(&mut it, "--canary-sigma-tol"), "--canary-sigma-tol"))
+                args.canary_sigma_tol = Some(parse_tolerance(&value(&mut it, "--canary-sigma-tol")))
             }
             "--drain-timeout-s" => {
-                args.drain_timeout = Duration::from_secs_f64(parse_num(
-                    &value(&mut it, "--drain-timeout-s"),
-                    "--drain-timeout-s",
-                ))
+                args.drain_timeout =
+                    parse_secs(&value(&mut it, "--drain-timeout-s"), "--drain-timeout-s")
             }
             "--metrics-out" => args.metrics_out = Some(value(&mut it, "--metrics-out").into()),
             "--journal" => args.journal = Some(value(&mut it, "--journal").into()),

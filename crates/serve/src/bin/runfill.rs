@@ -164,10 +164,7 @@ fn parse_args() -> Args {
             },
             "--workers" => args.workers = parse_num(&value(&mut it, "--workers"), "--workers"),
             "--timeout-s" => {
-                args.timeout = Some(Duration::from_secs_f64(parse_num(
-                    &value(&mut it, "--timeout-s"),
-                    "--timeout-s",
-                )))
+                args.timeout = Some(parse_secs(&value(&mut it, "--timeout-s"), "--timeout-s"))
             }
             "--fault-plan" => args.fault_plan = Some(value(&mut it, "--fault-plan")),
             "--fault-seed" => {
@@ -178,11 +175,11 @@ fn parse_args() -> Args {
             "--design" => args.design = parse_design(&value(&mut it, "--design")),
             "--tile-size" => args.tile_size = parse_num(&value(&mut it, "--tile-size"), "--tile-size"),
             "--rows" => {
-                args.rows = parse_num(&value(&mut it, "--rows"), "--rows");
+                args.rows = parse_dim(&value(&mut it, "--rows"), "--rows");
                 args.explicit_dims = true;
             }
             "--cols" => {
-                args.cols = parse_num(&value(&mut it, "--cols"), "--cols");
+                args.cols = parse_dim(&value(&mut it, "--cols"), "--cols");
                 args.explicit_dims = true;
             }
             "--seed" => args.seed = parse_num(&value(&mut it, "--seed"), "--seed"),
@@ -224,6 +221,28 @@ fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> T {
         eprintln!("bad value {s:?} for {flag}");
         usage()
     })
+}
+
+/// A duration in seconds, refusing a negative, NaN or infinite value (or
+/// one too large for a `Duration`), on which `Duration::from_secs_f64`
+/// panics.
+fn parse_secs(s: &str, flag: &str) -> Duration {
+    Duration::try_from_secs_f64(parse_num(s, flag)).unwrap_or_else(|_| {
+        eprintln!("bad value {s:?} for {flag}: expected a finite number of seconds >= 0");
+        usage()
+    })
+}
+
+/// A chip or layout dimension: zero windows is refused here rather than
+/// left to panic where the design is built.
+fn parse_dim(s: &str, flag: &str) -> usize {
+    match parse_num(s, flag) {
+        0 => {
+            eprintln!("bad value {s:?} for {flag}: expected at least 1");
+            usage()
+        }
+        n => n,
+    }
 }
 
 fn init_demo(args: &Args) -> Result<(), String> {

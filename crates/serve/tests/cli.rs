@@ -11,6 +11,11 @@
 //! no local pool runs. And `--full-chip` runs in-process only: asking it
 //! to `--connect` to a server must be refused, not quietly ignored.
 //!
+//! A number a flag cannot honour (a negative, NaN or infinite number of
+//! seconds, a chip with zero rows, a NaN canary tolerance) is refused the
+//! same way, naming the flag, instead of panicking later or silently
+//! turning a check off.
+//!
 //! What `runfill --out` writes must be enough to re-verify a job from
 //! disk: its `<name>.plan`, realized and scored on the golden simulator,
 //! gives back the job's quality.
@@ -91,6 +96,40 @@ fn neurfill_serve_rejects_the_removed_flags() {
     assert_rejected(env!("CARGO_BIN_EXE_neurfill-serve"), "--numerics", "fast");
     assert_rejected(env!("CARGO_BIN_EXE_neurfill-serve"), "--backend", "quant");
     assert_rejected(env!("CARGO_BIN_EXE_neurfill-serve"), "--retries", "1");
+}
+
+/// Runs `bin` with a bundle path that does not exist plus `args`, and
+/// asserts the refusal: exit 2, the flag named with the bad value, usage,
+/// and nothing read or started.
+fn assert_refused_value(bin: &str, args: &[&str], flag: &str) {
+    let out = Command::new(bin).args(["--model", "missing.bundle"]).args(args).output().unwrap();
+    let (stdout, stderr) = (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stdout}{stderr}");
+    assert!(stderr.contains(&format!("for {flag}:")), "{args:?}: {stderr}");
+    assert!(stderr.contains("usage: "), "{args:?}: {stderr}");
+    assert!(stdout.is_empty(), "{args:?}: the run must not have started: {stdout}");
+}
+
+#[test]
+fn runfill_refuses_numbers_that_would_panic() {
+    let bin = env!("CARGO_BIN_EXE_runfill");
+    for secs in ["-1", "nan", "inf", "1e300"] {
+        assert_refused_value(bin, &["--layouts", "missing", "--timeout-s", secs], "--timeout-s");
+    }
+    assert_refused_value(bin, &["--full-chip", "--rows", "0", "--cols", "8"], "--rows");
+    assert_refused_value(bin, &["--full-chip", "--rows", "8", "--cols", "0"], "--cols");
+}
+
+#[test]
+fn neurfill_serve_refuses_numbers_that_would_panic_or_disable_the_canary() {
+    let bin = env!("CARGO_BIN_EXE_neurfill-serve");
+    for secs in ["-1", "nan", "inf"] {
+        assert_refused_value(bin, &["--timeout-s", secs], "--timeout-s");
+        assert_refused_value(bin, &["--drain-timeout-s", secs], "--drain-timeout-s");
+    }
+    for tol in ["nan", "-0.5"] {
+        assert_refused_value(bin, &["--canary-sigma-tol", tol], "--canary-sigma-tol");
+    }
 }
 
 #[test]
