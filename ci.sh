@@ -71,8 +71,9 @@ cargo test --release -p neurfill-chip --test bit_identity -q
 # `tape_reuse` pins a gradient that reuses the accepted trial's taped forward
 # to one that runs its own. `one_training_path` pins the corpus path
 # (labeled shards, `train_streaming`) to `train_surrogate` / `fit` bit for
-# bit, and `hostile_layout` feeds both layout readers `dims` headers that
-# claim billions of windows under an allocator that refuses large blocks. The `sqp` suite pins a capped solve to the prefix
+# bit, and `hostile_layout` feeds the one layout reader `dims` headers that
+# claim billions of windows (under an allocator that refuses large blocks)
+# and window sizes that are not positive and finite. The `sqp` suite pins a capped solve to the prefix
 # of a longer one, which is what lets the flow's iteration cap stop a job
 # early without moving a bit of the iterations it keeps, and runs its
 # convergence, NaN, failed-search and feasibility cases at `memory: 0`
@@ -117,14 +118,17 @@ cargo test -p neurfill-chip --test bit_identity -q
 cargo test -p neurfill-layout --test tiling_props -q
 
 # hostile_shard runs in the debug build, where overflow checks turn a
-# dimension product that overflows into a failing panic.
-echo "== durability suite (append log, tile checkpoint, shard log and its hostile bytes, hostile bytes into the append log and the plan codec)"
+# dimension product that overflows into a failing panic. hostile_wire
+# truncates and byte-flips an encoded job submission into
+# `JobRequest::decode`, the one layout parser facing the network.
+echo "== durability suite (append log, tile checkpoint, shard log and its hostile bytes, hostile bytes into the append log, the plan codec and the job wire format)"
 cargo test -p neurfill-runtime --lib applog -q
 cargo test -p neurfill-runtime --test hostile_applog -q
 cargo test -p neurfill-chip --lib checkpoint -q
 cargo test -p neurfill-data -q
 cargo test -p neurfill-data --test hostile_shard -q
 cargo test -p neurfill-layout --test plan_codec -q
+cargo test -p neurfill-serve --test hostile_wire -q
 
 # `wait`, `wait_first` and `wait_timeout` take a terminal status and the
 # pool forgets the job; `fault_injection` and the pool's unit tests pin

@@ -60,15 +60,10 @@ fn usage() -> ! {
 }
 
 fn parse_design(s: &str) -> DesignKind {
-    match s {
-        "A" | "a" => DesignKind::CmpTest,
-        "B" | "b" => DesignKind::Fpga,
-        "C" | "c" => DesignKind::RiscV,
-        other => {
-            eprintln!("unknown design {other:?} (expected A, B or C)");
-            usage()
-        }
-    }
+    DesignKind::from_letter(s).unwrap_or_else(|| {
+        eprintln!("unknown design {s:?} (expected A, B or C)");
+        usage()
+    })
 }
 
 fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> T {
@@ -152,25 +147,13 @@ fn parse_args() -> Args {
 }
 
 fn load_sources(dir: &Path) -> Result<Vec<Layout>, String> {
-    let mut named = Vec::new();
-    let entries = std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    for entry in entries {
-        let path = entry.map_err(|e| e.to_string())?.path();
-        if !path.is_file() {
-            continue;
-        }
-        match layout_io::load_from_file(&path) {
-            Ok(layout) => named.push((path, layout)),
-            Err(e) => eprintln!("skipping {}: {e}", path.display()),
-        }
-    }
-    if named.is_empty() {
+    // Path order: the corpus seed contract includes the source pool order.
+    let loaded = layout_io::load_dir(dir, |path, e| eprintln!("skipping {}: {e}", path.display()))
+        .map_err(|e| format!("{}: {e}", dir.display()))?;
+    if loaded.is_empty() {
         return Err(format!("no readable layouts in {}", dir.display()));
     }
-    // Stable source order regardless of directory iteration order — the
-    // corpus seed contract includes the source pool order.
-    named.sort_by(|a, b| a.0.cmp(&b.0));
-    Ok(named.into_iter().map(|(_, l)| l).collect())
+    Ok(loaded.into_iter().map(|(_, l)| l).collect())
 }
 
 fn run_full_chip(args: &Args) -> Result<(), String> {

@@ -38,6 +38,15 @@ impl DesignKind {
         }
     }
 
+    /// The design named by its table letter, `A`, `B` or `C` in either
+    /// case (the `--design` value of `runfill` and `gendata`).
+    #[must_use]
+    pub fn from_letter(s: &str) -> Option<Self> {
+        [DesignKind::CmpTest, DesignKind::Fpga, DesignKind::RiscV]
+            .into_iter()
+            .find(|k| k.letter().eq_ignore_ascii_case(s))
+    }
+
     /// Nominal input file size in MB (paper §V).
     #[must_use]
     pub fn file_size_mb(self) -> f64 {
@@ -245,6 +254,17 @@ mod tests {
             assert_eq!(l.num_layers(), 3);
             assert_eq!(l.rows(), 16);
             assert_eq!(l.cols(), 16);
+        }
+    }
+
+    #[test]
+    fn design_letters_parse_in_either_case() {
+        for kind in [DesignKind::CmpTest, DesignKind::Fpga, DesignKind::RiscV] {
+            assert_eq!(DesignKind::from_letter(kind.letter()), Some(kind));
+            assert_eq!(DesignKind::from_letter(&kind.letter().to_lowercase()), Some(kind));
+        }
+        for bad in ["", "D", "AB", " A"] {
+            assert_eq!(DesignKind::from_letter(bad), None, "{bad:?}");
         }
     }
 

@@ -1,19 +1,20 @@
-//! Plain-text layout serialization (a readable stand-in for GDS I/O).
+//! Layout and fill-plan serialization (a stand-in for GDS I/O).
 //!
-//! Format:
+//! [`write_layout_bits`]/[`read_layout_bits`] are the one layout codec:
+//! a text header, then raw little-endian `f64` window records, so every
+//! bit pattern round-trips.
 //!
 //! ```text
-//! neurfill-layout v1
+//! neurfill-layout-bits v1
 //! name <name>
-//! window_um <f64>
-//! file_size_mb <f64>
+//! meta <window_um bits> <file_size_mb bits>     # f64::to_bits, 16 hex digits
 //! dims <layers> <rows> <cols>
-//! w <density> <perimeter> <avg_width> <slack>    # L·N·M lines, flat order
+//! <32 bytes per window: density, perimeter, avg_width, slack>   # L·N·M, flat order
 //! ```
 //!
-//! [`write_layout_bits`]/[`read_layout_bits`] are the compact bit-exact
-//! sibling (text header, raw little-endian `f64` window records) for
-//! hot paths like the serve journal's write-ahead admit records.
+//! A `.layout` file ([`save_to_file`]), a `POST /v1/jobs` body and the
+//! serve journal's admit record carry these same bytes, so
+//! `curl --data-binary @x.layout` submits a saved layout as is.
 //!
 //! [`write_plan`]/[`read_plan`] are the one fill-plan codec: the HTTP
 //! plan body, the serve journal's `done` record, tile checkpoints and
@@ -32,81 +33,9 @@ use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 
-const MAGIC: &str = "neurfill-layout v1";
-
-/// Writes `layout` to a writer (a `&mut` reference works too).
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_layout<W: Write>(layout: &Layout, mut w: W) -> io::Result<()> {
-    writeln!(w, "{MAGIC}")?;
-    writeln!(w, "name {}", layout.name())?;
-    writeln!(w, "window_um {}", layout.window_um())?;
-    writeln!(w, "file_size_mb {}", layout.file_size_mb())?;
-    writeln!(w, "dims {} {} {}", layout.num_layers(), layout.rows(), layout.cols())?;
-    for id in layout.window_ids() {
-        let p = layout.window(id);
-        writeln!(w, "w {} {} {} {}", p.density, p.perimeter, p.avg_width, p.slack)?;
-    }
-    Ok(())
-}
-
-/// Reads a layout written by [`write_layout`] (a `&mut` reference works
-/// too).
-///
-/// # Errors
-///
-/// Returns `InvalidData` on any format violation.
-pub fn read_layout<R: Read>(r: R) -> io::Result<Layout> {
-    let mut lines = BufReader::new(r).lines();
-    let mut next = |what: &str| -> io::Result<String> {
-        lines.next().ok_or_else(|| bad(format!("unexpected end of file, expected {what}")))?
-    };
-    if next("magic")?.trim() != MAGIC {
-        return Err(bad("not a neurfill layout file".into()));
-    }
-    let name =
-        next("name")?.strip_prefix("name ").ok_or_else(|| bad("missing name".into()))?.to_string();
-    let window_um: f64 = parse_field(&next("window_um")?, "window_um")?;
-    let file_size_mb: f64 = parse_field(&next("file_size_mb")?, "file_size_mb")?;
-    let dims_line = next("dims")?;
-    let dims: Vec<usize> = dims_line
-        .strip_prefix("dims ")
-        .ok_or_else(|| bad(format!("bad dims line {dims_line:?}")))?
-        .split_whitespace()
-        .map(|t| t.parse().map_err(|e| bad(format!("bad dim {t:?}: {e}"))))
-        .collect::<io::Result<_>>()?;
-    let [layers, rows, cols] = dims[..] else {
-        return Err(bad(format!("dims needs 3 values, got {dims:?}")));
-    };
-    let windows = checked_windows(layers, rows, cols)?;
-    // Nothing is sized from the header: the grids grow with the windows
-    // that parse.
-    let mut grids = Vec::new();
-    for _ in 0..layers {
-        let mut data = Vec::new();
-        for _ in 0..windows / layers {
-            let line = next("window")?;
-            let rest =
-                line.strip_prefix("w ").ok_or_else(|| bad(format!("bad window line {line:?}")))?;
-            let vals: Vec<f64> = rest
-                .split_whitespace()
-                .map(|t| t.parse().map_err(|e| bad(format!("bad value {t:?}: {e}"))))
-                .collect::<io::Result<_>>()?;
-            let [density, perimeter, avg_width, slack] = vals[..] else {
-                return Err(bad(format!("window needs 4 values: {line:?}")));
-            };
-            data.push(WindowPattern { density, perimeter, avg_width, slack });
-        }
-        grids.push(Grid::from_vec(rows, cols, data));
-    }
-    Ok(Layout::new(name, window_um, grids, file_size_mb))
-}
-
 const BITS_MAGIC: &str = "neurfill-layout-bits v1";
 
-/// Upper bound on `layers * rows * cols` accepted by [`read_layout`] and
+/// Upper bound on `layers * rows * cols` accepted by
 /// [`read_layout_bits`] (2²⁸ windows, 8 GiB of window data): a header
 /// past it, or whose product overflows, is refused before a window is
 /// read.
@@ -130,14 +59,9 @@ fn bad(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// Writes `layout` in the compact bit-exact encoding: the same header
-/// fields as [`write_layout`] (scalars as `f64::to_bits` hex), then one
-/// 32-byte little-endian record per window (density, perimeter,
-/// avg_width, slack).
-///
-/// Round-trips every bit pattern and is an order of magnitude cheaper
-/// to produce than the text form — the serve journal's admit records
-/// use it on the latency-critical submit path.
+/// Writes `layout` in the one layout encoding (see the module docs):
+/// header scalars as `f64::to_bits` hex, then one 32-byte little-endian
+/// record per window (density, perimeter, avg_width, slack).
 ///
 /// # Errors
 ///
@@ -166,7 +90,8 @@ pub fn write_layout_bits<W: Write>(layout: &Layout, mut w: W) -> io::Result<()> 
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` on any format violation or truncation.
+/// Returns `InvalidData` on any format violation or truncation, and on
+/// a `window_um` that is not positive and finite.
 pub fn read_layout_bits<R: Read>(r: R) -> io::Result<Layout> {
     let mut reader = BufReader::new(r);
     let mut line = String::new();
@@ -198,6 +123,9 @@ pub fn read_layout_bits<R: Read>(r: R) -> io::Result<Layout> {
     let [window_um, file_size_mb] = meta[..] else {
         return Err(bad(format!("meta needs 2 words, got {}", meta.len())));
     };
+    if !(window_um.is_finite() && window_um > 0.0) {
+        return Err(bad(format!("window_um {window_um} must be positive and finite")));
+    }
     let dims_line = next(&mut reader, "dims")?;
     let dims: Vec<usize> = dims_line
         .strip_prefix("dims ")
@@ -230,17 +158,6 @@ pub fn read_layout_bits<R: Read>(r: R) -> io::Result<Layout> {
         grids.push(Grid::from_vec(rows, cols, data));
     }
     Ok(Layout::new(name, window_um, grids, file_size_mb))
-}
-
-fn parse_field<T: std::str::FromStr>(line: &str, key: &str) -> io::Result<T>
-where
-    T::Err: std::fmt::Display,
-{
-    line.strip_prefix(key)
-        .map(str::trim)
-        .ok_or_else(|| bad(format!("missing {key}")))?
-        .parse()
-        .map_err(|e| bad(format!("bad {key}: {e}")))
 }
 
 const PLAN_MAGIC: &str = "neurfill-plan v2";
@@ -433,7 +350,7 @@ pub fn write_durable(path: &Path, bytes: &[u8]) -> io::Result<()> {
 /// Propagates file-system errors.
 pub fn save_to_file(layout: &Layout, path: impl AsRef<Path>) -> io::Result<()> {
     let mut bytes = Vec::new();
-    write_layout(layout, &mut bytes)?;
+    write_layout_bits(layout, &mut bytes)?;
     write_durable(path.as_ref(), &bytes)
 }
 
@@ -443,28 +360,39 @@ pub fn save_to_file(layout: &Layout, path: impl AsRef<Path>) -> io::Result<()> {
 ///
 /// Propagates file-system and format errors.
 pub fn load_from_file(path: impl AsRef<Path>) -> io::Result<Layout> {
-    read_layout(std::fs::File::open(path)?)
+    read_layout_bits(File::open(path)?)
+}
+
+/// Loads every regular file in `dir` as a layout, sorted by path so the
+/// order does not depend on directory iteration. A file that does not
+/// load is handed to `skipped` with its error and left out.
+///
+/// # Errors
+///
+/// Propagates errors listing `dir`.
+pub fn load_dir(
+    dir: &Path,
+    mut skipped: impl FnMut(&Path, io::Error),
+) -> io::Result<Vec<(PathBuf, Layout)>> {
+    let mut layouts = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        if !path.is_file() {
+            continue;
+        }
+        match load_from_file(&path) {
+            Ok(layout) => layouts.push((path, layout)),
+            Err(e) => skipped(&path, e),
+        }
+    }
+    layouts.sort_by(|a, b| a.0.cmp(&b.0));
+    Ok(layouts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::design::{DesignKind, DesignSpec};
-
-    #[test]
-    fn roundtrip_preserves_layout() {
-        let l = DesignSpec::new(DesignKind::RiscV, 6, 7, 5).generate();
-        let mut buf = Vec::new();
-        write_layout(&l, &mut buf).unwrap();
-        let back = read_layout(buf.as_slice()).unwrap();
-        assert_eq!(l, back);
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert!(read_layout(b"hello".as_slice()).is_err());
-        assert!(read_layout(b"".as_slice()).is_err());
-    }
 
     #[test]
     fn durable_write_replaces_the_file_and_leaves_no_staging_file() {
@@ -506,17 +434,26 @@ mod tests {
         for cut in [3, 40, buf.len() / 2, buf.len() - 5] {
             assert!(read_layout_bits(&buf[..cut]).is_err(), "cut at {cut}");
         }
-        let huge = b"neurfill-layout-bits v1\nname x\nmeta 0 0\ndims 99999 99999 99999\n";
+        let huge = b"neurfill-layout-bits v1\nname x\nmeta 3ff0000000000000 0\ndims 99999 99999 99999\n";
         assert!(read_layout_bits(huge.as_slice()).is_err(), "implausible dims must not allocate");
     }
 
     #[test]
-    fn rejects_truncated_file() {
-        let l = DesignSpec::new(DesignKind::CmpTest, 4, 4, 0).generate();
-        let mut buf = Vec::new();
-        write_layout(&l, &mut buf).unwrap();
-        let cut = &buf[..buf.len() / 2];
-        assert!(read_layout(cut).is_err());
+    fn load_dir_reads_saved_layouts_in_path_order_and_skips_the_rest() {
+        let dir = std::env::temp_dir().join(format!("nf_load_dir_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("sub")).unwrap();
+        let b = DesignSpec::new(DesignKind::Fpga, 4, 5, 1).generate();
+        let a = DesignSpec::new(DesignKind::RiscV, 6, 7, 5).generate();
+        save_to_file(&b, dir.join("b.layout")).unwrap();
+        save_to_file(&a, dir.join("a.layout")).unwrap();
+        std::fs::write(dir.join("c.layout"), b"hello").unwrap();
+        let mut skipped = Vec::new();
+        let loaded = load_dir(&dir, |path, _| skipped.push(path.to_path_buf())).unwrap();
+        assert_eq!(loaded, vec![(dir.join("a.layout"), a), (dir.join("b.layout"), b)]);
+        assert_eq!(skipped, vec![dir.join("c.layout")]);
+        assert!(load_dir(&dir.join("missing"), |_, _| {}).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -97,8 +97,8 @@ proptest! {
     fn io_roundtrip_for_any_design(kind in any_design(), seed in 0u64..100) {
         let layout = DesignSpec::new(kind, 5, 7, seed).generate();
         let mut buf = Vec::new();
-        neurfill_layout::io::write_layout(&layout, &mut buf).unwrap();
-        let back = neurfill_layout::io::read_layout(buf.as_slice()).unwrap();
+        neurfill_layout::io::write_layout_bits(&layout, &mut buf).unwrap();
+        let back = neurfill_layout::io::read_layout_bits(buf.as_slice()).unwrap();
         prop_assert_eq!(layout, back);
     }
 }

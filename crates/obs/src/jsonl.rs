@@ -1,7 +1,7 @@
-//! JSONL (one JSON object per line) export and import of a
-//! [`MetricsSnapshot`] — dependency-free writer and a minimal parser so
-//! the schema round-trips inside this crate's own tests and downstream
-//! tools can rely on it.
+//! JSONL (one JSON object per line) export of a [`MetricsSnapshot`]:
+//! the dependency-free writer behind `--metrics-out` and `GET /metrics`.
+//! Nothing in the workspace reads JSONL back; the schema is pinned by an
+//! exact-text test of a small snapshot.
 //!
 //! Line schema (field order is fixed by the writer):
 //!
@@ -14,10 +14,9 @@
 //! ```
 //!
 //! Histogram `buckets` are sparse `[index, count]` pairs; integer fields
-//! are written and parsed as exact `u64`s (no float round-trip), gauges as
-//! shortest-round-trip `f64`s.
+//! are written as exact `u64`s, gauges as shortest-round-trip `f64`s.
 
-use crate::metrics::{Event, HistogramSnapshot, MetricsSnapshot, NUM_BUCKETS};
+use crate::metrics::MetricsSnapshot;
 use std::io::{self, Write};
 
 /// Schema version written in the `meta` line.
@@ -141,430 +140,54 @@ impl MetricsSnapshot {
         let _ = self.write_jsonl(&mut buf);
         String::from_utf8_lossy(&buf).into_owned()
     }
-
-    /// Parses JSONL produced by [`MetricsSnapshot::write_jsonl`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending line on any schema or
-    /// syntax violation (unknown `type` lines are rejected, not skipped —
-    /// the schema is a contract).
-    pub fn from_jsonl(text: &str) -> Result<Self, String> {
-        let mut snap = MetricsSnapshot::default();
-        for (lineno, raw) in text.lines().enumerate() {
-            let raw = raw.trim();
-            if raw.is_empty() {
-                continue;
-            }
-            let value = parse_json(raw).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-            let obj = value.as_object().ok_or_else(|| format!("line {}: not an object", lineno + 1))?;
-            let kind = get_str(obj, "type").map_err(|e| format!("line {}: {e}", lineno + 1))?;
-            let r = match kind.as_str() {
-                "meta" => {
-                    snap.events_dropped = get_u64(obj, "events_dropped").unwrap_or(0);
-                    get_u64(obj, "version").and_then(|v| {
-                        if v == SCHEMA_VERSION {
-                            Ok(())
-                        } else {
-                            Err(format!("unsupported schema version {v}"))
-                        }
-                    })
-                }
-                "counter" => get_str(obj, "name").and_then(|name| {
-                    get_u64(obj, "value").map(|v| {
-                        snap.counters.insert(name, v);
-                    })
-                }),
-                "gauge" => get_str(obj, "name").and_then(|name| {
-                    get_f64(obj, "value").map(|v| {
-                        snap.gauges.insert(name, v);
-                    })
-                }),
-                "histogram" => parse_histogram(obj, &mut snap),
-                "event" => parse_event(obj, &mut snap),
-                other => Err(format!("unknown line type {other:?}")),
-            };
-            r.map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        }
-        Ok(snap)
-    }
-}
-
-fn parse_histogram(obj: &[(String, Json)], snap: &mut MetricsSnapshot) -> Result<(), String> {
-    let name = get_str(obj, "name")?;
-    let mut h = HistogramSnapshot {
-        count: get_u64(obj, "count")?,
-        sum: get_u64(obj, "sum")?,
-        min: get_u64(obj, "min")?,
-        max: get_u64(obj, "max")?,
-        ..HistogramSnapshot::default()
-    };
-    let buckets = get(obj, "buckets")?.as_array().ok_or("buckets is not an array")?;
-    for pair in buckets {
-        let pair = pair.as_array().ok_or("bucket entry is not an array")?;
-        if pair.len() != 2 {
-            return Err("bucket entry needs [index, count]".into());
-        }
-        let i = pair[0].as_u64().ok_or("bucket index is not an integer")? as usize;
-        let n = pair[1].as_u64().ok_or("bucket count is not an integer")?;
-        if i >= NUM_BUCKETS {
-            return Err(format!("bucket index {i} out of range"));
-        }
-        h.buckets[i] = n;
-    }
-    snap.histograms.insert(name, h);
-    Ok(())
-}
-
-fn parse_event(obj: &[(String, Json)], snap: &mut MetricsSnapshot) -> Result<(), String> {
-    let dur_ns = match get(obj, "dur_ns")? {
-        Json::Null => None,
-        v => Some(v.as_u64().ok_or("dur_ns is not an integer")?),
-    };
-    let mut fields = Vec::new();
-    for (k, v) in get(obj, "fields")?.as_object().ok_or("fields is not an object")? {
-        fields.push((k.clone(), v.as_str().ok_or("field value is not a string")?.to_string()));
-    }
-    snap.events.push(Event {
-        kind: get_str(obj, "kind")?,
-        name: get_str(obj, "name")?,
-        path: get_str(obj, "path")?,
-        t_ns: get_u64(obj, "t_ns")?,
-        dur_ns,
-        fields,
-    });
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// Minimal JSON value model + recursive-descent parser (only what the
-// schema above needs; no external dependencies).
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    /// Integers without fraction/exponent parse exactly (u64 range).
-    Int(u64),
-    Float(f64),
-    Str(String),
-    Array(Vec<Json>),
-    Object(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn as_object(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Object(o) => Some(o),
-            _ => None,
-        }
-    }
-    fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Array(a) => Some(a),
-            _ => None,
-        }
-    }
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Int(v) => Some(*v),
-            _ => None,
-        }
-    }
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Int(v) => Some(*v as f64),
-            Json::Float(v) => Some(*v),
-            _ => None,
-        }
-    }
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v).ok_or_else(|| format!("missing key {key:?}"))
-}
-
-fn get_str(obj: &[(String, Json)], key: &str) -> Result<String, String> {
-    get(obj, key)?.as_str().map(str::to_string).ok_or_else(|| format!("{key:?} is not a string"))
-}
-
-fn get_u64(obj: &[(String, Json)], key: &str) -> Result<u64, String> {
-    get(obj, key)?.as_u64().ok_or_else(|| format!("{key:?} is not an integer"))
-}
-
-fn get_f64(obj: &[(String, Json)], key: &str) -> Result<f64, String> {
-    get(obj, key)?.as_f64().ok_or_else(|| format!("{key:?} is not a number"))
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing bytes at offset {}", p.pos));
-    }
-    Ok(v)
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at offset {}", b as char, self.pos))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at offset {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected byte at offset {}", self.pos)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            entries.push((key, self.value()?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(entries));
-                }
-                _ => return Err(format!("expected ',' or '}}' at offset {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at offset {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(b) = self.peek() else { return Err("unterminated string".into()) };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else { return Err("unterminated escape".into()) };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err("truncated \\u escape".into());
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| "bad \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape hex")?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("bad escape \\{}", other as char)),
-                    }
-                }
-                _ => {
-                    // Consume the full UTF-8 sequence starting at b.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    let end = start + len;
-                    if end > self.bytes.len() {
-                        return Err("truncated UTF-8 sequence".into());
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| "bad number")?;
-        if !float {
-            if let Ok(v) = text.parse::<u64>() {
-                return Ok(Json::Int(v));
-            }
-        }
-        text.parse::<f64>().map(Json::Float).map_err(|_| format!("bad number {text:?}"))
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::HistogramCore;
+    use crate::metrics::{Event, HistogramSnapshot};
 
-    fn sample_snapshot() -> MetricsSnapshot {
+    #[test]
+    fn schema_v1_text_is_pinned() {
         let mut snap = MetricsSnapshot::default();
         snap.counters.insert("runtime.jobs_completed".into(), 7);
         snap.counters.insert("optim.sqp.iterations".into(), u64::MAX / 3);
         snap.gauges.insert("data.train.loss".into(), 0.062_5);
         snap.gauges.insert("negative".into(), -1.5e-3);
-        let core = HistogramCore::default();
-        for v in [0u64, 1, 17, 17, 4096, 1_000_000_007] {
-            core.record(v);
-        }
-        snap.histograms.insert("job.total_ns".into(), core.snapshot());
+        let mut h = HistogramSnapshot { count: 3, sum: 90, min: 10, max: 50, ..Default::default() };
+        h.buckets[4] = 2;
+        h.buckets[6] = 1;
+        snap.histograms.insert("job.total_ns".into(), h);
         snap.events.push(Event {
             kind: "span".into(),
             name: "synthesis".into(),
             path: "job/synthesis".into(),
-            t_ns: 123,
-            dur_ns: Some(456),
+            t_ns: 5,
+            dur_ns: Some(17),
             fields: vec![],
         });
         snap.events.push(Event {
             kind: "fault".into(),
-            name: "retry".into(),
+            name: "golden_degraded".into(),
             path: String::new(),
             t_ns: 999,
             dur_ns: None,
-            fields: vec![("job".into(), "weird \"name\"\nwith\tescapes".into())],
+            fields: vec![
+                ("job".into(), "weird \"name\"\nwith\tescapes\\".into()),
+                ("π".into(), "\u{1}".into()),
+            ],
         });
         snap.events_dropped = 3;
-        snap
-    }
-
-    #[test]
-    fn jsonl_round_trips_exactly() {
-        let snap = sample_snapshot();
-        let text = snap.to_jsonl();
-        let back = MetricsSnapshot::from_jsonl(&text).unwrap();
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn every_line_is_self_contained_json() {
-        let text = sample_snapshot().to_jsonl();
-        for line in text.lines() {
-            parse_json(line).unwrap();
-        }
-        assert!(text.lines().count() >= 7);
-    }
-
-    #[test]
-    fn malformed_lines_are_rejected_with_line_numbers() {
-        for (bad, needle) in [
-            ("{\"type\":\"counter\",\"value\":1}", "name"),
-            ("{\"type\":\"warp\"}", "unknown line type"),
-            ("not json", "line 1"),
-            ("{\"type\":\"meta\",\"version\":99,\"events_dropped\":0}", "version"),
-        ] {
-            let err = MetricsSnapshot::from_jsonl(bad).unwrap_err();
-            assert!(err.contains(needle), "{bad:?} -> {err}");
-        }
-    }
-
-    #[test]
-    fn unicode_and_escapes_survive() {
-        let v = parse_json("{\"k\":\"π → \\u0041\\n\"}").unwrap();
-        let obj = v.as_object().unwrap();
-        assert_eq!(obj[0].1.as_str().unwrap(), "π → A\n");
+        let expected = [
+            r#"{"type":"meta","version":1,"events_dropped":3}"#,
+            r#"{"type":"counter","name":"optim.sqp.iterations","value":6148914691236517205}"#,
+            r#"{"type":"counter","name":"runtime.jobs_completed","value":7}"#,
+            r#"{"type":"gauge","name":"data.train.loss","value":0.0625}"#,
+            r#"{"type":"gauge","name":"negative","value":-0.0015}"#,
+            r#"{"type":"histogram","name":"job.total_ns","count":3,"sum":90,"min":10,"max":50,"buckets":[[4,2],[6,1]]}"#,
+            r#"{"type":"event","kind":"span","name":"synthesis","path":"job/synthesis","t_ns":5,"dur_ns":17,"fields":{}}"#,
+            r#"{"type":"event","kind":"fault","name":"golden_degraded","path":"","t_ns":999,"dur_ns":null,"fields":{"job":"weird \"name\"\nwith\tescapes\\","π":"\u0001"}}"#,
+        ];
+        assert_eq!(snap.to_jsonl(), expected.map(|l| format!("{l}\n")).concat());
     }
 }

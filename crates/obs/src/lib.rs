@@ -12,9 +12,9 @@
 //!   [`Clock`] so tests use a [`FakeClock`] instead of sleeping.
 //! - **Mergeable snapshots** — [`MetricsSnapshot`] merges associatively,
 //!   so per-worker or per-phase snapshots combine in any grouping.
-//! - **JSONL export** — [`MetricsSnapshot::write_jsonl`] /
-//!   [`MetricsSnapshot::from_jsonl`] round-trip a stable line schema,
-//!   and [`MetricsSnapshot::summary`] renders a human-readable table.
+//! - **JSONL export** — [`MetricsSnapshot::write_jsonl`] writes a stable
+//!   line schema (`--metrics-out`, `GET /metrics`), and
+//!   [`MetricsSnapshot::summary`] renders a human-readable table.
 //!
 //! The disabled handle ([`Telemetry::disabled`]) is the default
 //! everywhere: every operation on it reduces to a branch on a `None` —

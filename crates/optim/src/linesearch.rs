@@ -9,8 +9,6 @@ pub struct LineSearchResult {
     pub x: Vec<f64>,
     /// Objective value at the accepted point.
     pub value: f64,
-    /// Accepted step size.
-    pub alpha: f64,
 }
 
 /// Outcome of one projected-arc line search, successful or not.
@@ -67,7 +65,7 @@ pub fn projected_backtracking(
             let value = objective.value(&x);
             if value >= f0 + c1 * predicted {
                 return LineSearch {
-                    accepted: Some(LineSearchResult { x, value, alpha }),
+                    accepted: Some(LineSearchResult { x, value }),
                     evaluations,
                     skipped,
                 };
@@ -93,8 +91,9 @@ mod tests {
         let b = Bounds::new(vec![-10.0], vec![10.0]);
         let ls = projected_backtracking(&obj, &b, &[0.0], 0.0, &[1.0], &[1.0], 1.0, 1e-4, 20);
         let r = ls.accepted.unwrap();
-        assert_eq!(r.alpha, 1.0);
+        // The full step: x₀ + 1·d, scored once.
         assert_eq!(r.x, vec![1.0]);
+        assert_eq!(r.value.to_bits(), 1.0f64.to_bits());
         assert_eq!((ls.evaluations, ls.skipped), (1, 0));
     }
 
@@ -111,7 +110,9 @@ mod tests {
         let r = projected_backtracking(&obj, &b, &[0.0], obj.value(&[0.0]), &g, &[1.0], 1.0, 0.5, 30)
             .accepted
             .unwrap();
-        assert!(r.alpha < 1.0);
+        // Steps 1, 1/2, 1/4 and 1/8 fail Armijo at c1 = 0.5; 1/16 passes.
+        assert_eq!(r.x, vec![0.0625]);
+        assert_eq!(r.value.to_bits(), obj.value(&[0.0625]).to_bits());
         assert!(r.value > obj.value(&[0.0]));
     }
 
@@ -169,16 +170,15 @@ mod tests {
                 grad.iter().zip(x.iter().zip(x0)).map(|(g, (xn, xo))| g * (xn - xo)).sum();
             let value = objective.value(&x);
             if predicted > 0.0 && value >= f0 + c1 * predicted {
-                return Some(LineSearchResult { x, value, alpha });
+                return Some(LineSearchResult { x, value });
             }
             alpha *= 0.5;
         }
         None
     }
 
-    fn bits(r: &Option<LineSearchResult>) -> Option<(Vec<u64>, u64, u64)> {
-        r.as_ref()
-            .map(|r| (r.x.iter().map(|v| v.to_bits()).collect(), r.value.to_bits(), r.alpha.to_bits()))
+    fn bits(r: &Option<LineSearchResult>) -> Option<(Vec<u64>, u64)> {
+        r.as_ref().map(|r| (r.x.iter().map(|v| v.to_bits()).collect(), r.value.to_bits()))
     }
 
     proptest! {

@@ -105,15 +105,10 @@ fn usage() -> ! {
 }
 
 fn parse_design(s: &str) -> DesignKind {
-    match s {
-        "A" | "a" => DesignKind::CmpTest,
-        "B" | "b" => DesignKind::Fpga,
-        "C" | "c" => DesignKind::RiscV,
-        other => {
-            eprintln!("unknown design {other:?} (expected A, B or C)");
-            usage()
-        }
-    }
+    DesignKind::from_letter(s).unwrap_or_else(|| {
+        eprintln!("unknown design {s:?} (expected A, B or C)");
+        usage()
+    })
 }
 
 fn parse_args() -> Args {
@@ -288,27 +283,19 @@ fn process_params(args: &Args) -> ProcessParams {
     }
 }
 
+/// Every readable layout in `dir` under its file stem, in path order.
 fn load_layouts(dir: &Path) -> Result<Vec<(String, neurfill_layout::Layout)>, String> {
-    let mut layouts = Vec::new();
-    let entries = std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    for entry in entries {
-        let path = entry.map_err(|e| e.to_string())?.path();
-        if !path.is_file() {
-            continue;
-        }
-        match layout_io::load_from_file(&path) {
-            Ok(layout) => {
-                let stem = path
-                    .file_stem()
-                    .map_or_else(|| layout.name().to_string(), |s| s.to_string_lossy().into_owned());
-                layouts.push((stem, layout));
-            }
-            Err(e) => eprintln!("skipping {}: {e}", path.display()),
-        }
-    }
-    // Stable job order regardless of directory iteration order.
-    layouts.sort_by(|a, b| a.0.cmp(&b.0));
-    Ok(layouts)
+    let loaded = layout_io::load_dir(dir, |path, e| eprintln!("skipping {}: {e}", path.display()))
+        .map_err(|e| format!("{}: {e}", dir.display()))?;
+    Ok(loaded
+        .into_iter()
+        .map(|(path, layout)| {
+            let stem = path
+                .file_stem()
+                .map_or_else(|| layout.name().to_string(), |s| s.to_string_lossy().into_owned());
+            (stem, layout)
+        })
+        .collect())
 }
 
 /// Writes one finished job's `<name>.report.txt` and `<name>.plan` into

@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! admit <id>      tenant/priority/[timeout_ms]/name lines, body = layout
-//!                 (bit-exact binary `write_layout_bits` encoding)
+//!                 (the one layout encoding, `write_layout_bits`)
 //! dispatch <id>   job handed to the pool (observability; replay treats
 //!                 dispatched-but-not-terminal the same as queued)
 //! cancel <id>     cancelled while queued
@@ -156,10 +156,7 @@ impl JobJournal {
         }
         payload.push_str(&format!("name {}\n\n", name.replace('\n', " ")));
         let mut bytes = payload.into_bytes();
-        // The bit-exact binary encoding, not the text one: admit sits on
-        // the latency-critical submit path (acknowledged implies
-        // journaled), and formatting every window density through
-        // `Display` would dominate the append cost.
+        // The same bytes as the submit body and a `.layout` file.
         layout_io::write_layout_bits(layout, &mut bytes)
             .map_err(|e| bad(format!("unserializable layout for job {id}: {e}")))?;
         self.log.append(&bytes)
@@ -396,9 +393,9 @@ mod tests {
         assert_eq!(by_id(5).name, "job-5");
         // The layout round-trips bit-exactly through the journal.
         let mut expect = Vec::new();
-        layout_io::write_layout(&layout(5), &mut expect).unwrap();
+        layout_io::write_layout_bits(&layout(5), &mut expect).unwrap();
         let mut got = Vec::new();
-        layout_io::write_layout(by_id(5).layout.as_ref().unwrap(), &mut got).unwrap();
+        layout_io::write_layout_bits(by_id(5).layout.as_ref().unwrap(), &mut got).unwrap();
         assert_eq!(got, expect);
         // Settled jobs keep their plan shape, not their layout.
         assert!(by_id(1).layout.is_none() && by_id(2).layout.is_none());

@@ -2,11 +2,12 @@
 //! --connect` client.
 //!
 //! A submission is one HTTP `POST /v1/jobs` whose *body* is the layout in
-//! the existing `neurfill-layout v1` text format (the same bytes
-//! `runfill` reads from disk) and whose job attributes ride in `x-*`
-//! headers — so the CLI and the server literally share one
-//! serialization, and a layout file can be `curl --data-binary`'d
-//! straight at the server. The format is pinned by round-trip tests.
+//! the one layout encoding, [`neurfill_layout::io::write_layout_bits`]
+//! (the bytes of a `.layout` file and of the journal's admit record), and
+//! whose job attributes ride in `x-*` headers. [`JobRequest::decode`] is
+//! the one layout parser that faces the network, and a saved layout can
+//! be `curl --data-binary`'d straight at the server. The format is pinned
+//! by round-trip tests.
 //!
 //! Status and result bodies are `key value` text lines in the same style
 //! as [`neurfill_runtime::JobReport::to_text`]. The plan body of
@@ -118,7 +119,7 @@ impl JobRequest {
             headers.push((H_TIMEOUT_MS.to_string(), timeout.as_millis().to_string()));
         }
         let mut body = Vec::new();
-        layout_io::write_layout(&self.layout, &mut body).map_err(|e| e.to_string())?;
+        layout_io::write_layout_bits(&self.layout, &mut body).map_err(|e| e.to_string())?;
         Ok((headers, body))
     }
 
@@ -128,8 +129,8 @@ impl JobRequest {
     ///
     /// Returns a message describing the malformed attribute or layout.
     pub fn decode(req: &Request) -> Result<Self, String> {
-        let layout =
-            layout_io::read_layout(req.body.as_slice()).map_err(|e| format!("bad layout body: {e}"))?;
+        let layout = layout_io::read_layout_bits(req.body.as_slice())
+            .map_err(|e| format!("bad layout body: {e}"))?;
         let name = match req.header(H_JOB_NAME) {
             Some(n) if !n.trim().is_empty() => n.trim().to_string(),
             _ => layout.name().to_string(),
@@ -317,11 +318,13 @@ mod tests {
 
     #[test]
     fn submit_body_is_the_layout_file_format() {
-        // The wire body must stay byte-identical to the on-disk layout
-        // format, so `curl --data-binary @file.layout` keeps working.
+        // The wire body must stay byte-identical to a saved `.layout`
+        // file, so `curl --data-binary @file.layout` keeps working.
         let (_, body) = JobRequest::new("x", layout()).encode().unwrap();
-        let mut file = Vec::new();
-        layout_io::write_layout(&layout(), &mut file).unwrap();
+        let path = std::env::temp_dir().join(format!("nf_wire_body_{}.layout", std::process::id()));
+        layout_io::save_to_file(&layout(), &path).unwrap();
+        let file = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
         assert_eq!(body, file);
     }
 

@@ -193,17 +193,51 @@ fn header_without_colon_answers_400() {
     stop(server, thread);
 }
 
+/// POSTs `body` as a job submission and returns the raw response.
+fn submit_raw(addr: SocketAddr, body: &[u8]) -> Vec<u8> {
+    let mut payload =
+        format!("POST /v1/jobs HTTP/1.1\r\ncontent-length: {}\r\n\r\n", body.len()).into_bytes();
+    payload.extend_from_slice(body);
+    raw_exchange(addr, &payload)
+}
+
+/// `1.0f64.to_bits()`: a valid `window_um` and `file_size_mb`.
+const ONE: &str = "3ff0000000000000";
+
 #[test]
 fn a_layout_claiming_billions_of_windows_answers_400() {
     let (server, addr, thread) = start_server();
-    // 74 bytes that used to reserve 320 GB (or, wrapped, yield a layout
-    // with no windows): the reader refuses the header before sizing a
-    // buffer from it.
+    // A short header that used to reserve 320 GB (or, wrapped, yield a
+    // layout with no windows): the reader refuses the header before
+    // sizing a buffer from it.
     for dims in ["1 100000 100000", "1 4294967296 4294967296"] {
-        let body = format!("neurfill-layout v1\nname x\nwindow_um 1\nfile_size_mb 1\ndims {dims}\n");
-        let payload = format!("POST /v1/jobs HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}", body.len());
-        let resp = raw_exchange(addr, payload.as_bytes());
-        assert_eq!(status_of(&resp), Some(400), "{dims}: {}", String::from_utf8_lossy(&resp));
+        let body = format!("neurfill-layout-bits v1\nname x\nmeta {ONE} {ONE}\ndims {dims}\n");
+        let resp = submit_raw(addr, body.as_bytes());
+        let text = String::from_utf8_lossy(&resp);
+        assert_eq!(status_of(&resp), Some(400), "{dims}: {text}");
+        assert!(text.contains("dims"), "{dims}: {text}");
+    }
+    assert_alive(addr);
+    stop(server, thread);
+}
+
+#[test]
+fn a_layout_with_a_window_size_that_is_not_positive_and_finite_answers_400() {
+    let (server, addr, thread) = start_server();
+    // A well-formed one-window layout but for `window_um`: building a
+    // layout from it would panic the connection's thread, so the reader
+    // refuses it and the client gets an answer.
+    for window_um in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        let mut body = format!(
+            "neurfill-layout-bits v1\nname x\nmeta {:016x} {ONE}\ndims 1 1 1\n",
+            window_um.to_bits()
+        )
+        .into_bytes();
+        body.extend_from_slice(&[0u8; 32]);
+        let resp = submit_raw(addr, &body);
+        let text = String::from_utf8_lossy(&resp);
+        assert_eq!(status_of(&resp), Some(400), "{window_um}: {text}");
+        assert!(text.contains("window_um"), "{window_um}: {text}");
     }
     assert_alive(addr);
     stop(server, thread);

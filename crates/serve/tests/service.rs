@@ -59,6 +59,8 @@ fn layout(seed: u64) -> Layout {
 
 struct Harness {
     server: Server,
+    /// The service behind `server`, kept to read its metrics in process.
+    service: FillService,
     run_thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -66,10 +68,15 @@ impl Harness {
     /// Boots a service + HTTP front-end on an OS-assigned loopback port.
     fn start(config: ServiceConfig) -> Self {
         let service = FillService::start(bundle(42), config).unwrap();
-        let server = Server::bind(service, &ServerConfig::default()).unwrap();
+        let server = Server::bind(service.clone(), &ServerConfig::default()).unwrap();
         let run_server = server.clone();
         let run_thread = std::thread::spawn(move || run_server.run().unwrap());
-        Self { server, run_thread: Some(run_thread) }
+        Self { server, service, run_thread: Some(run_thread) }
+    }
+
+    /// The metrics `GET /metrics` would serve right now.
+    fn snapshot(&self) -> MetricsSnapshot {
+        self.service.telemetry().snapshot()
     }
 
     fn client(&self) -> Client {
@@ -248,7 +255,7 @@ fn fair_share_run(plug_ms: u64) -> Option<FairShareRun> {
         ids.push(id);
         b_ids.push(id);
     }
-    let loaded = MetricsSnapshot::from_jsonl(&client.metrics().unwrap()).unwrap();
+    let loaded = harness.snapshot();
     assert_eq!(loaded.counters.get("serve.tenant.a.admitted"), Some(&7));
     assert_eq!(loaded.counters.get("serve.tenant.b.admitted"), Some(&6));
     // A slot is only freed after its job counts as completed, so no
@@ -260,7 +267,7 @@ fn fair_share_run(plug_ms: u64) -> Option<FairShareRun> {
         let view = client.status(*id, Some(Duration::from_secs(120))).unwrap();
         assert_eq!(view.state, WireState::Done, "job {id}: {view:?}");
     }
-    let snapshot = MetricsSnapshot::from_jsonl(&client.metrics().unwrap()).unwrap();
+    let snapshot = harness.snapshot();
     harness.stop();
     plug_held.then_some(FairShareRun { plug_id, b_ids, snapshot })
 }
@@ -346,8 +353,7 @@ fn full_queue_answers_429_with_retry_after() {
     let view = client.status(late, Some(Duration::from_secs(120))).unwrap();
     assert_eq!(view.state, WireState::Done);
 
-    let snapshot = MetricsSnapshot::from_jsonl(&client.metrics().unwrap()).unwrap();
-    assert_eq!(snapshot.counters.get("serve.tenant.t.rejected"), Some(&1));
+    assert_eq!(harness.snapshot().counters.get("serve.tenant.t.rejected"), Some(&1));
 
     harness.stop();
 }
@@ -376,10 +382,8 @@ fn canary_rejects_nan_bundle_while_live_model_keeps_serving() {
     let id = client.submit(&JobRequest::new("warm", layout(1))).unwrap();
     assert_eq!(client.status(id, Some(Duration::from_secs(120))).unwrap().state, WireState::Done);
     let (digest_before, generation_before) = client.model_info().unwrap();
-    let live_counter = |client: &mut Client, name: &str| {
-        MetricsSnapshot::from_jsonl(&client.metrics().unwrap()).unwrap().counter(name)
-    };
-    let submitted_before = live_counter(&mut client, "runtime.jobs_submitted");
+    let live_counter = |name: &str| harness.snapshot().counter(name);
+    let submitted_before = live_counter("runtime.jobs_submitted");
 
     let (promoted, report) = client.stage_model(staged.bytes()).unwrap();
     assert!(!promoted, "NaN-poisoned canary must reject promotion:\n{report}");
@@ -387,8 +391,8 @@ fn canary_rejects_nan_bundle_while_live_model_keeps_serving() {
     assert!(report.contains("degraded"), "{report}");
     // The canary pool runs with telemetry disabled: its jobs never reach
     // the live registry behind /metrics.
-    assert_eq!(live_counter(&mut client, "runtime.jobs_submitted"), submitted_before);
-    assert_eq!(live_counter(&mut client, "runtime.jobs_degraded"), 0);
+    assert_eq!(live_counter("runtime.jobs_submitted"), submitted_before);
+    assert_eq!(live_counter("runtime.jobs_degraded"), 0);
 
     // The live model is untouched and still serving.
     let (digest_after, generation_after) = client.model_info().unwrap();
@@ -577,10 +581,12 @@ fn graceful_shutdown_drains_in_flight_work_and_rejects_new_submissions() {
         assert!(report.contains("quality"), "{report}");
     }
 
-    // The metrics snapshot round-trips through the schema-v1 JSONL parser
-    // after shutdown — what `--metrics-out` flushes is this exact text.
+    // /metrics still answers after shutdown, in the schema-v1 JSONL that
+    // `--metrics-out` flushes: the writer's fixed counter line.
     let text = client.metrics().unwrap();
-    let snapshot = MetricsSnapshot::from_jsonl(&text).unwrap();
+    let admitted = r#"{"type":"counter","name":"serve.tenant.default.admitted","value":2}"#;
+    assert!(text.lines().any(|l| l == admitted), "{text}");
+    let snapshot = harness.snapshot();
     assert_eq!(snapshot.counters.get("serve.tenant.default.admitted"), Some(&2));
     assert_eq!(snapshot.counters.get("serve.tenant.default.completed"), Some(&2));
     assert!(snapshot.histograms.contains_key("serve.tenant.default.e2e_ns"));
